@@ -29,15 +29,7 @@ from .limits import (
     sup_abs_bb_cdf,
     sup_abs_bm_cdf,
 )
-from .cptest import (
-    TestReport,
-    TestSpec,
-    run_q_breve_test,
-    run_q_test,
-    run_test,
-    run_v_breve_test,
-    run_v_test,
-)
+from .cptest import TestReport, TestSpec, run_test, run_tests
 from .harness import ExperimentConfig, change_time_mapping, run_experiment
 
 __version__ = "0.1.0"

@@ -284,10 +284,10 @@ def build_parser():
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed; omitted seeds derive from entropy and are printed")
         p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
-        p.add_argument("--config", default=None, help="key-value config file")
 
     p = sub.add_parser("simulate", help="generate a synthetic panel as CSVs")
     common(p)
+    p.add_argument("--config", default=None, help="key-value config file")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--rep", type=int, default=0)
     for flag in ("K", "d", "rho0", "rho1", "sigma0", "sigma1"):

@@ -9,6 +9,7 @@ bilinear form; the plain variants require known targets.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -22,6 +23,7 @@ from .simgen import Panel
 
 _QV_KINDS = ("q", "v")
 _BREVE_KINDS = ("q-breve", "v-breve")
+_POOLED_KINDS = ("v", "v-breve")
 
 
 @dataclass
@@ -46,7 +48,7 @@ class TestSpec:
             raise ConfigurationError(f"kind {self.kind!r} requires targets")
         if self.kind in _BREVE_KINDS and self.targets is not None:
             raise ConfigurationError(f"kind {self.kind!r} forbids targets")
-        if self.kind in ("v", "v-breve") and isinstance(self.projection, (list, tuple)):
+        if self.kind in _POOLED_KINDS and isinstance(self.projection, (list, tuple)):
             raise ConfigurationError(
                 "pooled kinds require one shared projection pair, not per-sample pairs"
             )
@@ -136,160 +138,120 @@ def _split_learning(samples, spec, learning):
     return blocks, rest
 
 
-def _lrv_estimates(samples, pairs, spec, learning_blocks):
-    ests = []
-    for j, (y, pair) in enumerate(zip(samples, pairs)):
+def _summary_key(spec, K):
+    """The spec fields a PanelSummary depends on, as comparable bytes."""
+    def flat(x):
+        return None if x is None else np.asarray(x, dtype=float).tobytes()
+
+    pairs = tuple((flat(p.v), flat(p.w)) for p in _pairs_of(spec, K))
+    return (pairs, spec.lrv_mode, flat(spec.learning_length),
+            flat(spec.alpha_sq_override))
+
+
+@dataclass
+class PanelSummary:
+    """Per-sample quantities that every statistic kind is a function of.
+
+    ``projected[j]`` is sample j's tested stretch after projection and
+    ``lrv[j]`` the estimate that standardizes it, positive and finite.
+    """
+
+    sizes: tuple
+    projected: list
+    lrv: list
+
+
+def _summarize(samples, spec, learning) -> PanelSummary:
+    """Project each tested sample once and estimate its long-run variance.
+
+    In-sample estimates reuse the tested projection; only learning-sample
+    mode projects a second, separate block.
+    """
+    pairs = _pairs_of(spec, len(samples))
+    blocks, data = _split_learning(samples, spec, learning)
+    projected, ests = [], []
+    for j, (y, pair) in enumerate(zip(data, pairs)):
+        ps = sumproc.project(y, pair)
         if spec.alpha_sq_override is not None:
-            a = float(spec.alpha_sq_override[j])
-            if a <= 0:
-                raise DegenerateLrvError(
-                    f"alpha_sq_override for sample {j} must be positive", sample_index=j)
-            ests.append(lrv.LrvEstimate(alpha_sq=a, bandwidth=0.0, n_lags=0,
-                                        mode="override"))
-            continue
-        source = learning_blocks[j] if learning_blocks is not None else y
-        ps = sumproc.project(source, pair)
-        try:
-            ests.append(lrv.lrv_estimate(ps, mode=spec.lrv_mode))
-        except DegenerateLrvError as exc:
-            raise DegenerateLrvError(f"sample {j}: {exc}", sample_index=j) from exc
-    return ests
+            est = lrv.LrvEstimate(alpha_sq=float(spec.alpha_sq_override[j]),
+                                  bandwidth=0.0, n_lags=0, mode="override")
+        else:
+            source = ps if blocks is None else sumproc.project(blocks[j], pair)
+            try:
+                est = lrv.lrv_estimate(source, mode=spec.lrv_mode)
+            except DegenerateLrvError as exc:
+                raise DegenerateLrvError(f"sample {j}: {exc}", sample_index=j) from exc
+        if est.degenerate or not 0.0 < est.alpha_sq < math.inf:
+            raise DegenerateLrvError(
+                f"sample {j}: degenerate long-run variance {est.alpha_sq!r} "
+                f"({est.mode})", sample_index=j)
+        projected.append(ps)
+        ests.append(est)
+    return PanelSummary(sizes=tuple(ps.n for ps in projected),
+                        projected=projected, lrv=ests)
 
 
-def _critval_cache_key(kind, K, level, alphas, kappas, n_grid, n_rep, seed):
-    def sig4(x):
-        return float(f"{x:.4g}")
-
-    a = tuple(sig4(x) for x in alphas) if alphas is not None else None
-    k = tuple(sig4(x) for x in kappas) if kappas is not None else None
-    return (kind, K, level, a, k, n_grid, n_rep, seed)
-
-
-_critval_cache: dict = {}
-
-
-def _critical_value(spec, K, alphas=None, kappas=None):
-    key = _critval_cache_key(spec.kind, K, spec.level, alphas, kappas,
-                             spec.n_grid, spec.n_rep, spec.seed)
-    if key not in _critval_cache:
-        req = limits.CritValRequest(
-            kind=spec.kind, K=K, level=spec.level,
-            alpha_weights=alphas, kappa=kappas,
-            n_grid=spec.n_grid, n_rep=spec.n_rep, seed=spec.seed)
-        _critval_cache[key] = limits.critical_value(req)
-    return _critval_cache[key]
-
-
-def _sum_of_max_sq(processes, ests):
+def _statistic(summary, spec):
+    """Value of ``spec.kind`` on the summary, with per-sample argmax indices."""
+    devs = [sumproc.unscaled_deviation(
+                ps, None if spec.targets is None else spec.targets.for_sample(j))
+            for j, ps in enumerate(summary.projected)]
+    if spec.kind in _POOLED_KINDS:
+        root_total = math.sqrt(sum(summary.sizes))
+        return sumproc.pooled_d_grid_max([f / root_total for f in devs])
     stat = 0.0
-    infos = []
-    for j, (proc, est) in enumerate(zip(processes, ests)):
-        if est.alpha_sq <= 0:
-            raise DegenerateLrvError(f"sample {j}: non-positive long-run variance",
-                                     sample_index=j)
-        val, k = sumproc.per_sample_max_sq(proc, math.sqrt(est.alpha_sq))
+    argmax = []
+    for f, n, est in zip(devs, summary.sizes, summary.lrv):
+        val, k = sumproc.per_sample_max_sq(f / math.sqrt(n), math.sqrt(est.alpha_sq))
         stat += val
-        infos.append(PerSampleInfo(alpha_sq=est.alpha_sq, bandwidth=est.bandwidth,
-                                   argmax_k=k))
-    return stat, infos
+        argmax.append(k)
+    return stat, argmax
 
 
-def _report(spec, stat, crit, infos, sizes):
+@functools.lru_cache(maxsize=256)
+def _critical_value(req: limits.CritValRequest) -> float:
+    # Keyed on the exact request, so a memoized value equals a fresh one.
+    # The q kinds' values are data-free: every replication after the first
+    # skips the functional draws and the quantile.
+    return limits.critical_value(req)
+
+
+def _evaluate(summary, spec) -> TestReport:
+    stat, argmax = _statistic(summary, spec)
+    alphas = kappas = None
+    if spec.kind in _POOLED_KINDS:
+        n_total = sum(summary.sizes)
+        alphas = tuple(math.sqrt(e.alpha_sq) for e in summary.lrv)
+        kappas = tuple(n / n_total for n in summary.sizes)
+    crit = _critical_value(limits.CritValRequest(
+        kind=spec.kind, K=len(summary.sizes), level=spec.level,
+        alpha_weights=alphas, kappa=kappas,
+        n_grid=spec.n_grid, n_rep=spec.n_rep, seed=spec.seed))
+    infos = [PerSampleInfo(alpha_sq=e.alpha_sq, bandwidth=e.bandwidth, argmax_k=k)
+             for e, k in zip(summary.lrv, argmax)]
     return TestReport(statistic=float(stat), critical_value=float(crit),
                       level=spec.level, reject=bool(stat > crit),
-                      per_sample=infos, sample_sizes=tuple(sizes),
+                      per_sample=infos, sample_sizes=summary.sizes,
                       kind=spec.kind, seed=spec.seed)
 
 
-def run_q_test(panel, spec: TestSpec, learning=None) -> TestReport:
-    """Sum of maximally selected squared CUSUMs against known targets."""
+def run_tests(panel, specs: Sequence[TestSpec], learning=None) -> list:
+    """Run several tests on one panel, projecting each sample once.
+
+    The specs may differ in kind, level, targets and critical-value
+    settings, but must share ``projection``, ``lrv_mode``,
+    ``learning_length`` and ``alpha_sq_override``.  Returns one report
+    per spec, equal to what ``run_test`` returns for it.
+    """
     samples = _samples_of(panel)
-    K = len(samples)
-    pairs = _pairs_of(spec, K)
-    blocks, data = _split_learning(samples, spec, learning)
-    ests = _lrv_estimates(data, pairs, spec, blocks)
-    processes = [
-        sumproc.d_process(sumproc.project(y, pair), spec.targets.for_sample(j))
-        for j, (y, pair) in enumerate(zip(data, pairs))
-    ]
-    stat, infos = _sum_of_max_sq(processes, ests)
-    crit = _critical_value(spec, K)
-    return _report(spec, stat, crit, infos, (y.shape[0] for y in data))
-
-
-def run_q_breve_test(panel, spec: TestSpec, learning=None) -> TestReport:
-    """Sum of maximally selected squared bridge CUSUMs; target-free."""
-    samples = _samples_of(panel)
-    K = len(samples)
-    pairs = _pairs_of(spec, K)
-    blocks, data = _split_learning(samples, spec, learning)
-    ests = _lrv_estimates(data, pairs, spec, blocks)
-    processes = [sumproc.bridge_process(sumproc.project(y, pair))
-                 for y, pair in zip(data, pairs)]
-    stat, infos = _sum_of_max_sq(processes, ests)
-    crit = _critical_value(spec, K)
-    return _report(spec, stat, crit, infos, (y.shape[0] for y in data))
-
-
-def _pooled_processes(data, pair, targets):
-    """Per-sample summands of the pooled statistic, scaled by 1/sqrt(N total)."""
-    n_total = sum(y.shape[0] for y in data)
-    procs = []
-    for j, y in enumerate(data):
-        ps = sumproc.project(y, pair)
-        n = ps.n
-        if targets is None:
-            k = np.arange(n + 1)
-            f = ps.s - (k / n) * ps.s[n]
-            f[0] = 0.0
-            f[n] = 0.0
-        else:
-            f = ps.s - sumproc._cumulative_target(targets.for_sample(j), n)
-            f[0] = 0.0
-        procs.append(f / math.sqrt(n_total))
-    return procs
-
-
-def _run_pooled(panel, spec, learning):
-    samples = _samples_of(panel)
-    K = len(samples)
-    pair = _pairs_of(spec, K)[0]
-    blocks, data = _split_learning(samples, spec, learning)
-    ests = _lrv_estimates(data, [pair] * K, spec, blocks)
-    for j, est in enumerate(ests):
-        if est.alpha_sq <= 0:
-            raise DegenerateLrvError(f"sample {j}: non-positive long-run variance",
-                                     sample_index=j)
-    procs = _pooled_processes(data, pair, spec.targets)
-    stat, argmax = sumproc.pooled_d_grid_max(procs)
-    sizes = tuple(y.shape[0] for y in data)
-    n_total = sum(sizes)
-    alphas = tuple(math.sqrt(e.alpha_sq) for e in ests)
-    kappas = tuple(n / n_total for n in sizes)
-    crit = _critical_value(spec, K, alphas=alphas, kappas=kappas)
-    infos = [PerSampleInfo(alpha_sq=e.alpha_sq, bandwidth=e.bandwidth, argmax_k=k)
-             for e, k in zip(ests, argmax)]
-    return _report(spec, stat, crit, infos, sizes)
-
-
-def run_v_test(panel, spec: TestSpec, learning=None) -> TestReport:
-    """Pooled grid-maximum CUSUM against known targets."""
-    return _run_pooled(panel, spec, learning)
-
-
-def run_v_breve_test(panel, spec: TestSpec, learning=None) -> TestReport:
-    """Pooled grid-maximum bridge CUSUM; target-free."""
-    return _run_pooled(panel, spec, learning)
-
-
-_RUNNERS = {
-    "q": run_q_test,
-    "q-breve": run_q_breve_test,
-    "v": run_v_test,
-    "v-breve": run_v_breve_test,
-}
+    if len({_summary_key(spec, len(samples)) for spec in specs}) != 1:
+        raise ConfigurationError(
+            "run_tests needs at least one spec, and all specs must share projection, "
+            "lrv_mode, learning_length and alpha_sq_override")
+    summary = _summarize(samples, specs[0], learning)
+    return [_evaluate(summary, spec) for spec in specs]
 
 
 def run_test(panel, spec: TestSpec, learning=None) -> TestReport:
-    """Dispatch to the runner matching ``spec.kind``."""
-    return _RUNNERS[spec.kind](panel, spec, learning=learning)
+    """Run the test named by ``spec.kind`` on a K-sample panel."""
+    return run_tests(panel, [spec], learning=learning)[0]

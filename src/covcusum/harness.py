@@ -97,6 +97,12 @@ class ExperimentConfig:
 
 @dataclass
 class CellResult:
+    """Rejection rate of one test on one cell.
+
+    ``wall_time`` is the wall time of the whole cell in seconds, shared by
+    all its tests: they run on one summary of each replication's panel.
+    """
+
     case: str
     d: int
     scenario: str
@@ -159,15 +165,15 @@ def run_cell(case, d, scenario, change_time, cfg: ExperimentConfig, cell_index):
         learning = None
         if learning_cfg is not None:
             learning = simgen.gen_ar1_panel(learning_cfg, rep=2 * r + 1).samples
-        for t in cfg.tests:
-            spec = cptest.TestSpec(
-                kind=t, projection=pair, level=cfg.level,
-                lrv_mode=cfg.lrv_mode,
-                n_grid=cfg.critval_n_grid, n_rep=cfg.critval_n_rep,
-                seed=seed)
-            report = cptest.run_test(panel, spec, learning=learning)
+        specs = [cptest.TestSpec(kind=t, projection=pair, level=cfg.level,
+                                 lrv_mode=cfg.lrv_mode,
+                                 n_grid=cfg.critval_n_grid, n_rep=cfg.critval_n_rep,
+                                 seed=seed)
+                 for t in cfg.tests]
+        for t, report in zip(cfg.tests, cptest.run_tests(panel, specs, learning=learning)):
             rejections[t] += int(report.reject)
 
+    wall_time = time.time() - t0
     results = []
     n = cfg.replications
     for t in cfg.tests:
@@ -177,7 +183,7 @@ def run_cell(case, d, scenario, change_time, cfg: ExperimentConfig, cell_index):
             change_time=None if scenario == "none" else change_time,
             test=t, lrv_mode=cfg.lrv_mode,
             rate=p, stderr=math.sqrt(p * (1 - p) / n),
-            n_rep=n, wall_time=time.time() - t0, seed=seed))
+            n_rep=n, wall_time=wall_time, seed=seed))
     return results
 
 

@@ -71,6 +71,13 @@ def qs_bandwidth(rho: float, n: int) -> float:
     return QS_BANDWIDTH_CONST * (a2 * n) ** 0.2
 
 
+def _ar1_bandwidth(p: np.ndarray, g0: float):
+    """QS bandwidth from the clamped lag-1 autocorrelation, and whether it was clamped."""
+    rho = autocov_hat(p, 1) / g0
+    clamped = min(max(rho, -RHO_CLAMP), RHO_CLAMP)
+    return qs_bandwidth(clamped, len(p)), abs(rho) > RHO_CLAMP
+
+
 def andrews_bandwidth(ps) -> float:
     """Adaptive bandwidth from an AR(1) fit to the centered product series.
 
@@ -84,9 +91,7 @@ def andrews_bandwidth(ps) -> float:
     g0 = autocov_hat(p, 0)
     if g0 <= 0.0:
         raise DegenerateLrvError("constant product series: autocovariance at lag 0 is zero")
-    rho = autocov_hat(p, 1) / g0
-    rho = min(max(rho, -RHO_CLAMP), RHO_CLAMP)
-    return qs_bandwidth(rho, n)
+    return _ar1_bandwidth(p, g0)[0]
 
 
 def lrv_estimate(ps, mode: str = MODE_IN_SAMPLE, bandwidth_override=None) -> LrvEstimate:
@@ -109,10 +114,7 @@ def lrv_estimate(ps, mode: str = MODE_IN_SAMPLE, bandwidth_override=None) -> Lrv
         bw = float(bandwidth_override)
         rho_clamped = False
     else:
-        rho_raw = autocov_hat(p, 1) / g0
-        rho_clamped = abs(rho_raw) > RHO_CLAMP
-        rho = min(max(rho_raw, -RHO_CLAMP), RHO_CLAMP)
-        bw = qs_bandwidth(rho, n)
+        bw, rho_clamped = _ar1_bandwidth(p, g0)
 
     if bw <= 0.0:
         return LrvEstimate(alpha_sq=g0, bandwidth=0.0, n_lags=0, mode=mode,

@@ -116,18 +116,32 @@ def _cumulative_target(target, n):
     return kahan_cumsum(target)
 
 
+def unscaled_deviation(ps: ProjectedSample, target=None) -> np.ndarray:
+    """Partial-sum deviation S_k - sum_{i<=k} target_i, or the bridge S_k - (k/N) S_N.
+
+    Length N + 1 for k = 0..N, not yet scaled.  With ``target=None`` the
+    deviation is target-free and both endpoints are zero bit-exactly;
+    otherwise entry 0 is exactly zero.
+    """
+    n = ps.n
+    if n < 1:
+        raise ShapeError("empty sample")
+    if target is None:
+        out = ps.s - (np.arange(n + 1) / n) * ps.s[n]
+        out[n] = 0.0
+    else:
+        out = ps.s - _cumulative_target(target, n)
+    out[0] = 0.0
+    return out
+
+
 def d_process(ps: ProjectedSample, target) -> np.ndarray:
     """Scaled partial-sum deviation from the target bilinear form.
 
     Returns the length-(N+1) sequence N^{-1/2} (S_k - sum_{i<=k} target_i)
     for k = 0..N; entry 0 is exactly zero.
     """
-    n = ps.n
-    if n < 1:
-        raise ShapeError("empty sample")
-    out = (ps.s - _cumulative_target(target, n)) / np.sqrt(n)
-    out[0] = 0.0
-    return out
+    return unscaled_deviation(ps, target) / np.sqrt(ps.n)
 
 
 def bridge_process(ps: ProjectedSample) -> np.ndarray:
@@ -136,14 +150,7 @@ def bridge_process(ps: ProjectedSample) -> np.ndarray:
     Target-free: only the running sums enter.  Both endpoints are zero
     bit-exactly.
     """
-    n = ps.n
-    if n < 1:
-        raise ShapeError("empty sample")
-    k = np.arange(n + 1)
-    out = (ps.s - (k / n) * ps.s[n]) / np.sqrt(n)
-    out[0] = 0.0
-    out[n] = 0.0
-    return out
+    return unscaled_deviation(ps) / np.sqrt(ps.n)
 
 
 def pooled_d_grid_max(processes: Sequence[np.ndarray]):

@@ -104,7 +104,7 @@ def test_criterion_5_grid_max_brute_force_equality():
         spec = cptest.TestSpec(kind="v-breve", projection=pair,
                                alpha_sq_override=[1.0] * K, seed=1,
                                n_grid=500, n_rep=20_000)
-        stat = cptest.run_v_breve_test(samples, spec).statistic
+        stat = cptest.run_test(samples, spec).statistic
         if not (val == brute and stat == brute):
             failures += 1
     _verdict(5, "separable grid maximum equals enumeration", failures == 0,
@@ -125,11 +125,11 @@ def test_criterion_6_bridge_and_projection_invariances():
     small = dict(n_grid=500, n_rep=20_000, seed=2)
 
     def breve_stats():
-        return (cptest.run_q_breve_test(
+        return (cptest.run_test(
                     panel, cptest.TestSpec(kind="q-breve",
                                            projection=ProjectionPair.from_vectors(v),
                                            **small)).statistic,
-                cptest.run_v_breve_test(
+                cptest.run_test(
                     panel, cptest.TestSpec(kind="v-breve",
                                            projection=ProjectionPair.from_vectors(v),
                                            **small)).statistic)
@@ -137,13 +137,13 @@ def test_criterion_6_bridge_and_projection_invariances():
     before = breve_stats()
     # Interleave a target-dependent run; the target-free statistics must
     # not move under any choice of target values.
-    cptest.run_q_test(panel, cptest.TestSpec(
+    cptest.run_test(panel, cptest.TestSpec(
         kind="q", projection=ProjectionPair.from_vectors(v),
         targets=TargetBilinear(list(rng.standard_normal(2))), **small))
     after = breve_stats()
     target_free = before == after
 
-    scaled = cptest.run_q_breve_test(
+    scaled = cptest.run_test(
         panel, cptest.TestSpec(kind="q-breve",
                                projection=ProjectionPair.from_vectors(9.0 * v),
                                **small)).statistic

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from covcusum import cptest, lrv, simgen, sumproc
+from covcusum import cptest, limits, lrv, simgen, sumproc
 from covcusum.cptest import TestSpec
 from covcusum.errors import ConfigurationError, DegenerateLrvError
 from covcusum.sumproc import ProjectionPair, TargetBilinear
@@ -50,7 +50,7 @@ class TestHandValues:
         # Bridge (0, -1.5/sqrt(2), 0) with unit scale: max square 1.125.
         spec = TestSpec(kind="q-breve", projection=PAIR_1D,
                         alpha_sq_override=[1.0], seed=1, **SMALL)
-        rep = cptest.run_q_breve_test(tiny_panel(), spec)
+        rep = cptest.run_test(tiny_panel(), spec)
         assert rep.statistic == pytest.approx(1.125, rel=1e-12)
         assert rep.per_sample[0].argmax_k == 1
         assert rep.sample_sizes == (2,)
@@ -58,7 +58,7 @@ class TestHandValues:
     def test_v_breve_tiny(self):
         spec = TestSpec(kind="v-breve", projection=PAIR_1D,
                         alpha_sq_override=[1.0], seed=1, **SMALL)
-        rep = cptest.run_v_breve_test(tiny_panel(), spec)
+        rep = cptest.run_test(tiny_panel(), spec)
         assert rep.statistic == pytest.approx(1.5 / math.sqrt(2), rel=1e-12)
 
     def test_q_matches_q_breve_when_target_is_mean(self):
@@ -66,7 +66,7 @@ class TestHandValues:
         spec_q = TestSpec(kind="q", projection=PAIR_1D,
                           targets=TargetBilinear([2.5]),
                           alpha_sq_override=[1.0], seed=1, **SMALL)
-        rep = cptest.run_q_test(tiny_panel(), spec_q)
+        rep = cptest.run_test(tiny_panel(), spec_q)
         assert rep.statistic == pytest.approx(1.125, rel=1e-12)
 
     def test_v_with_zero_target(self):
@@ -74,7 +74,7 @@ class TestHandValues:
         spec = TestSpec(kind="v", projection=PAIR_1D,
                         targets=TargetBilinear([0.0]),
                         alpha_sq_override=[1.0], seed=1, **SMALL)
-        rep = cptest.run_v_test(tiny_panel(), spec)
+        rep = cptest.run_test(tiny_panel(), spec)
         assert rep.statistic == pytest.approx(5.0 / math.sqrt(2), rel=1e-12)
 
 
@@ -88,8 +88,8 @@ class TestInvariances:
         b = TestSpec(kind="q-breve",
                      projection=ProjectionPair.from_vectors(7.0 * v),
                      seed=2, **SMALL)
-        ra = cptest.run_q_breve_test(panel, a)
-        rb = cptest.run_q_breve_test(panel, b)
+        ra = cptest.run_test(panel, a)
+        rb = cptest.run_test(panel, b)
         # The products scale by 49 and alpha^2 by 49^2; the ratio cancels.
         assert rb.statistic == pytest.approx(ra.statistic, rel=1e-10)
 
@@ -102,8 +102,8 @@ class TestInvariances:
         b = TestSpec(kind="v-breve",
                      projection=ProjectionPair.from_vectors(3.0 * v),
                      seed=2, **SMALL)
-        ra = cptest.run_v_breve_test(panel, a)
-        rb = cptest.run_v_breve_test(panel, b)
+        ra = cptest.run_test(panel, a)
+        rb = cptest.run_test(panel, b)
         assert [s.argmax_k for s in ra.per_sample] == \
                [s.argmax_k for s in rb.per_sample]
 
@@ -112,7 +112,7 @@ class TestInvariances:
         spec = TestSpec(kind="q-breve",
                         projection=ProjectionPair.from_vectors([0.5, 0.5]),
                         seed=3, **SMALL)
-        rep = cptest.run_q_breve_test(panel, spec)
+        rep = cptest.run_test(panel, spec)
         assert rep.reject == (rep.statistic > rep.critical_value)
         assert rep.critical_value > 0
 
@@ -141,7 +141,7 @@ class TestBruteForceEquivalence:
                        for _ in range(K)]
             spec = TestSpec(kind="v-breve", projection=pair,
                             alpha_sq_override=[1.0] * K, seed=4, **SMALL)
-            rep = cptest.run_v_breve_test(samples, spec)
+            rep = cptest.run_test(samples, spec)
             assert rep.statistic == pytest.approx(
                 brute_force_v_breve(samples, pair), rel=1e-10)
 
@@ -153,7 +153,7 @@ class TestLearningMode:
                         projection=ProjectionPair.from_vectors([0.5, 0.5]),
                         lrv_mode=lrv.MODE_LEARNING, learning_length=50,
                         seed=5, **SMALL)
-        rep = cptest.run_q_breve_test(panel, spec)
+        rep = cptest.run_test(panel, spec)
         # The carved block is excluded from the tested stretch.
         assert rep.sample_sizes == (150, 150)
 
@@ -163,7 +163,7 @@ class TestLearningMode:
         spec = TestSpec(kind="q-breve",
                         projection=ProjectionPair.from_vectors([0.5, 0.5]),
                         lrv_mode=lrv.MODE_LEARNING, seed=5, **SMALL)
-        rep = cptest.run_q_breve_test(panel, spec, learning=learn)
+        rep = cptest.run_test(panel, spec, learning=learn)
         assert rep.sample_sizes == (100,)
         assert rep.per_sample[0].alpha_sq > 0
 
@@ -172,7 +172,7 @@ class TestLearningMode:
                         projection=ProjectionPair.from_vectors([0.5, 0.5]),
                         lrv_mode=lrv.MODE_LEARNING, seed=5, **SMALL)
         with pytest.raises(ConfigurationError):
-            cptest.run_q_breve_test(random_panel(1, 50, 2, seed=1), spec)
+            cptest.run_test(random_panel(1, 50, 2, seed=1), spec)
 
     def test_learning_length_too_long_rejected(self):
         spec = TestSpec(kind="q-breve",
@@ -180,7 +180,7 @@ class TestLearningMode:
                         lrv_mode=lrv.MODE_LEARNING, learning_length=50,
                         seed=5, **SMALL)
         with pytest.raises(ConfigurationError):
-            cptest.run_q_breve_test(random_panel(1, 50, 2, seed=1), spec)
+            cptest.run_test(random_panel(1, 50, 2, seed=1), spec)
 
 
 class TestDegenerate:
@@ -190,14 +190,40 @@ class TestDegenerate:
         spec = TestSpec(kind="q-breve", projection=[PAIR_1D, PAIR_1D],
                         seed=6, **SMALL)
         with pytest.raises(DegenerateLrvError) as exc:
-            cptest.run_q_breve_test(panel, spec)
+            cptest.run_test(panel, spec)
         assert exc.value.sample_index == 1
 
     def test_nonpositive_override_rejected(self):
         spec = TestSpec(kind="q-breve", projection=PAIR_1D,
                         alpha_sq_override=[0.0], seed=6, **SMALL)
         with pytest.raises(DegenerateLrvError):
-            cptest.run_q_breve_test(tiny_panel(), spec)
+            cptest.run_test(tiny_panel(), spec)
+
+    def test_degenerate_estimate_raises_with_index(self):
+        # Products alternate 1, 2: the kernel estimate is non-positive, so
+        # lrv_estimate flags it degenerate instead of returning a scale.
+        alternating = np.sqrt(np.tile([1.0, 2.0], 50)).reshape(100, 1)
+        spec = TestSpec(kind="q-breve", projection=PAIR_1D, seed=6, **SMALL)
+        with pytest.raises(DegenerateLrvError) as exc:
+            cptest.run_test([alternating], spec)
+        assert exc.value.sample_index == 0
+
+
+class TestCriticalValue:
+    def test_memo_matches_fresh_value(self):
+        # The two weight vectors agree to 4 significant figures; the second
+        # critical value must not be served from the first one's entry.
+        panel = random_panel(2, 60, 1, seed=15)
+        reports = [cptest.run_test(panel, TestSpec(kind="v-breve", projection=PAIR_1D,
+                                                   alpha_sq_override=[a, 1.0],
+                                                   seed=4242, **SMALL))
+                   for a in (1.0, 1.00002)]
+        fresh = limits.critical_value(limits.CritValRequest(
+            kind="v-breve", K=2, level=0.95,
+            alpha_weights=(math.sqrt(1.00002), 1.0), kappa=(0.5, 0.5),
+            seed=4242, **SMALL))
+        assert reports[1].critical_value == fresh
+        assert reports[0].critical_value != fresh
 
 
 class TestSizeBracket:
@@ -253,13 +279,24 @@ class TestPowerOrdering:
 
 
 class TestDispatchAndReport:
-    def test_run_test_dispatches(self):
-        panel = random_panel(1, 60, 1, seed=12)
-        spec = TestSpec(kind="q-breve", projection=PAIR_1D, seed=8, **SMALL)
-        a = cptest.run_test(panel, spec)
-        b = cptest.run_q_breve_test(panel, spec)
-        assert a.statistic == b.statistic
-        assert a.critical_value == b.critical_value
+    def test_run_tests_matches_run_test(self):
+        panel = random_panel(3, 70, 2, seed=12)
+        pair = ProjectionPair.from_vectors([0.6, 0.4])
+        targets = TargetBilinear([0.52, 0.5, 0.55])
+        specs = [TestSpec(kind=kind, projection=pair, seed=8,
+                          targets=targets if kind in ("q", "v") else None, **SMALL)
+                 for kind in ("q", "q-breve", "v", "v-breve")]
+        together = cptest.run_tests(panel, specs)
+        assert [r.to_dict() for r in together] == \
+               [cptest.run_test(panel, spec).to_dict() for spec in specs]
+
+    def test_run_tests_rejects_different_projections(self):
+        panel = random_panel(2, 60, 2, seed=12)
+        specs = [TestSpec(kind="q-breve", projection=ProjectionPair.from_vectors(v),
+                          seed=8, **SMALL)
+                 for v in ([0.6, 0.4], [0.5, 0.5])]
+        with pytest.raises(ConfigurationError, match="share"):
+            cptest.run_tests(panel, specs)
 
     def test_report_json_round_trip(self):
         import json
@@ -278,4 +315,4 @@ class TestDispatchAndReport:
         spec = TestSpec(kind="q-breve", projection=[PAIR_1D, PAIR_1D], seed=9,
                         **SMALL)
         with pytest.raises(ConfigurationError):
-            cptest.run_q_breve_test(panel, spec)
+            cptest.run_test(panel, spec)

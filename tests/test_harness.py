@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from covcusum import harness, lrv
+from covcusum import harness, lrv, sumproc
 from covcusum.errors import ConfigurationError
 from covcusum.harness import ExperimentConfig
 
@@ -110,6 +110,17 @@ class TestRunExperiment:
                                learning_length=500, seed=103, **FAST)
         rows = harness.run_experiment(cfg)
         assert all(r.lrv_mode == lrv.MODE_LEARNING for r in rows)
+
+    def test_cell_projects_each_sample_once(self, monkeypatch):
+        # Both kinds share one summary per replication: K = 4 projections.
+        calls = []
+        project = sumproc.project
+        monkeypatch.setattr(sumproc, "project",
+                            lambda *a, **k: calls.append(1) or project(*a, **k))
+        cfg = ExperimentConfig(replications=3, cases=("I",), dims=(2,),
+                               scenario="none", seed=106, **FAST)
+        harness.run_cell("I", 2, "none", 0, cfg, 0)
+        assert len(calls) == 4 * 3
 
     def test_cells_independent_of_grid_composition(self):
         # A cell's result must not change when other cells join the grid.
