@@ -40,8 +40,19 @@ class DataBundle:
         return self.samples[0].shape[1]
 
 
+def _reject_non_finite(path, values, linenos):
+    """Raise naming the first line of ``values`` (one row per line) that is not finite."""
+    finite = np.isfinite(values)
+    if finite.ndim > 1:
+        finite = finite.all(axis=1)
+    if not finite.all():
+        raise IngestionError(
+            f"{path}:{linenos[int(np.argmin(finite))]}: non-finite value (nan or inf)")
+
+
 def _load_matrix(path):
     rows = []
+    linenos = []
     width = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -64,13 +75,17 @@ def _load_matrix(path):
                 raise IngestionError(
                     f"{path}:{lineno}: ragged row, expected {width} columns, got {len(row)}")
             rows.append(row)
+            linenos.append(lineno)
     if not rows:
         raise IngestionError(f"{path}: no data rows")
-    return np.asarray(rows)
+    matrix = np.asarray(rows)
+    _reject_non_finite(path, matrix, linenos)
+    return matrix
 
 
 def _load_vector(path, expected_d=None):
     values = []
+    linenos = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -80,7 +95,9 @@ def _load_vector(path, expected_d=None):
                 values.append(float(line))
             except ValueError as exc:
                 raise IngestionError(f"{path}:{lineno}: non-numeric value") from exc
+            linenos.append(lineno)
     vec = np.asarray(values)
+    _reject_non_finite(path, vec, linenos)
     if expected_d is not None and len(vec) != expected_d:
         raise IngestionError(
             f"{path}: projection vector has length {len(vec)}, expected {expected_d}")
@@ -229,14 +246,16 @@ def _cmd_critval(args):
         alpha_weights=_floats(args.alpha) if args.alpha else None,
         kappa=_floats(args.kappa) if args.kappa else None,
         n_grid=args.n_grid, n_rep=args.n_rep, seed=seed)
-    value = limits.critical_value(req, workers=args.workers)
-    print(f"{req.kind} K={req.K} level={req.level:.4g}: {value:.4g}")
+    (row,) = limits.critical_value_table([req], workers=args.workers)
+    kind, K, level, value, n_grid, n_rep, row_seed, method = row
+    print(f"{kind} K={K} level={level:.4g}: {value:.4g} ({method})")
     if args.out:
+        # csv writes None as an empty cell: n_rep and seed of a "corrected"
+        # value did not enter it.
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["kind", "K", "level", "value", "n_grid", "n_rep", "seed"])
-            writer.writerow([req.kind, req.K, _fmt(req.level), _fmt(value),
-                             req.n_grid, req.n_rep, seed])
+            writer.writerow(["kind", "K", "level", "value", "n_grid", "n_rep", "seed", "method"])
+            writer.writerow([kind, K, _fmt(level), _fmt(value), n_grid, n_rep, row_seed, method])
     return 0
 
 
@@ -314,15 +333,17 @@ def build_parser():
     p.add_argument("--out", default=None, help="write the report as JSON")
     p.set_defaults(func=_cmd_test)
 
-    p = sub.add_parser("critval", help="simulate critical values")
+    p = sub.add_parser("critval", help="critical values of the limit laws")
     common(p)
     p.add_argument("--kind", required=True, choices=limits.KINDS)
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--alpha", default=None, help="comma-separated per-sample scales")
     p.add_argument("--kappa", default=None, help="comma-separated size fractions")
-    p.add_argument("--n-grid", type=int, default=limits.DEFAULT_N_GRID)
-    p.add_argument("--n-rep", type=int, default=limits.DEFAULT_N_REP)
+    p.add_argument("--n-grid", type=int, default=limits.DEFAULT_N_GRID,
+                   help="grid points of the supremum the value is for")
+    p.add_argument("--n-rep", type=int, default=limits.DEFAULT_N_REP,
+                   help="simulated replications (v kinds only)")
     p.add_argument("--out", default=None, help="write a CSV table")
     p.set_defaults(func=_cmd_critval)
 

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import limits, lrv, sumproc
-from .errors import ConfigurationError, DegenerateLrvError
+from .errors import ConfigurationError, CovCusumError, DegenerateLrvError
 from .simgen import Panel
 
 _QV_KINDS = ("q", "v")
@@ -161,22 +161,33 @@ class PanelSummary:
     lrv: list
 
 
+def _project_finite(y, pair, j, stretch):
+    """Project sample j's ``stretch`` and refuse non-finite products."""
+    ps = sumproc.project(y, pair)
+    bad = np.flatnonzero(~np.isfinite(ps.p))
+    if bad.size:
+        raise CovCusumError(
+            f"sample {j}: non-finite projected product at {stretch} observation {bad[0]}")
+    return ps
+
+
 def _summarize(samples, spec, learning) -> PanelSummary:
     """Project each tested sample once and estimate its long-run variance.
 
     In-sample estimates reuse the tested projection; only learning-sample
-    mode projects a second, separate block.
+    mode projects a second, separate block.  A non-finite projected
+    product raises ``CovCusumError`` naming the sample.
     """
     pairs = _pairs_of(spec, len(samples))
     blocks, data = _split_learning(samples, spec, learning)
     projected, ests = [], []
     for j, (y, pair) in enumerate(zip(data, pairs)):
-        ps = sumproc.project(y, pair)
+        ps = _project_finite(y, pair, j, "tested")
         if spec.alpha_sq_override is not None:
             est = lrv.LrvEstimate(alpha_sq=float(spec.alpha_sq_override[j]),
                                   bandwidth=0.0, n_lags=0, mode="override")
         else:
-            source = ps if blocks is None else sumproc.project(blocks[j], pair)
+            source = ps if blocks is None else _project_finite(blocks[j], pair, j, "learning")
             try:
                 est = lrv.lrv_estimate(source, mode=spec.lrv_mode)
             except DegenerateLrvError as exc:
@@ -212,7 +223,7 @@ def _statistic(summary, spec):
 def _critical_value(req: limits.CritValRequest) -> float:
     # Keyed on the exact request, so a memoized value equals a fresh one.
     # The q kinds' values are data-free: every replication after the first
-    # skips the functional draws and the quantile.
+    # skips the convolution of their closed-form law.
     return limits.critical_value(req)
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import ConfigurationError
 
@@ -131,6 +130,10 @@ def _ar1_filter(eps, rho, y_prev):
     ``y_prev`` is the state before the first innovation.  Returns an
     (len(eps), d) matrix.
     """
+    # Imported here: scipy.signal takes most of a second to import, and
+    # commands that generate no panel should not pay it.
+    from scipy.signal import lfilter
+
     n = eps.shape[0]
     d = rho.shape[0]
     out = np.empty((n, d))

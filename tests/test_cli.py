@@ -1,4 +1,9 @@
+import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +41,18 @@ class TestLoaders:
         write_lines(f, ["1,2", "3,x"])
         with pytest.raises(IngestionError, match=r"bad\.csv:2"):
             cli._load_matrix(f)
+
+    def test_nan_cell_names_file_and_line(self, tmp_path):
+        f = tmp_path / "bad.csv"
+        write_lines(f, ["c1,c2", "1,2", "", "3,nan", "5,6"])
+        with pytest.raises(IngestionError, match=r"bad\.csv:4: non-finite"):
+            cli._load_matrix(f)
+
+    def test_inf_in_vector_names_file_and_line(self, tmp_path):
+        f = tmp_path / "v.txt"
+        write_lines(f, ["0.5", "inf", "0.5"])
+        with pytest.raises(IngestionError, match=r"v\.txt:2: non-finite"):
+            cli._load_vector(f, expected_d=3)
 
     def test_empty_file_rejected(self, tmp_path):
         f = tmp_path / "empty.csv"
@@ -142,6 +159,16 @@ class TestTestCommand:
                        "--seed", "5"] + FAST)
         assert rc == 1
 
+    def test_nan_cell_exit_code_one_naming_line(self, tmp_path, capsys):
+        data, v = self._panel_files(tmp_path)
+        lines = Path(data[1]).read_text().splitlines()
+        lines[3] = "nan," + lines[3].split(",", 1)[1]
+        write_lines(Path(data[1]), lines)
+        rc = cli.main(["test", "--data", *data, "--v", v, "--kind", "q-breve",
+                       "--seed", "5"] + FAST)
+        assert rc == 1
+        assert f"{data[1]}:4: non-finite" in capsys.readouterr().err
+
 
 class TestCritvalCommand:
     def test_prints_value_and_writes_csv(self, tmp_path, capsys):
@@ -169,6 +196,27 @@ class TestCritvalCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_q_kind_names_method_and_leaves_unused_inputs_empty(self, tmp_path, capsys):
+        out = tmp_path / "crit.csv"
+        rc = cli.main(["critval", "--kind", "q", "--K", "2", "--seed", "11",
+                       "--out", str(out)] + FAST)
+        assert rc == 0
+        assert "(corrected)" in capsys.readouterr().out
+        (row,) = csv.DictReader(out.read_text().splitlines())
+        assert list(row)[3] == "value" and list(row)[-1] == "method"
+        assert (row["n_grid"], row["n_rep"], row["seed"], row["method"]) == (
+            "500", "", "", "corrected")
+
+    def test_v_kind_records_mc_inputs(self, tmp_path, capsys):
+        out = tmp_path / "crit.csv"
+        rc = cli.main(["critval", "--kind", "v-breve", "--K", "2",
+                       "--alpha", "1.0,2.0", "--kappa", "0.5,0.5", "--seed", "13",
+                       "--workers", "1", "--out", str(out)] + FAST)
+        assert rc == 0
+        assert "(mc)" in capsys.readouterr().out
+        (row,) = csv.DictReader(out.read_text().splitlines())
+        assert (row["n_rep"], row["seed"], row["method"]) == ("20000", "13", "mc")
+
     def test_missing_weights_exit_code_two(self):
         rc = cli.main(["critval", "--kind", "v", "--K", "2", "--seed", "1"] + FAST)
         assert rc == 2
@@ -178,6 +226,18 @@ class TestCritvalCommand:
                        "--workers", "1"] + FAST)
         assert rc == 0
         assert "seed: " in capsys.readouterr().out
+
+
+def test_import_loads_no_scipy():
+    # scipy.signal dominates the import time; only panel generation needs it.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, covcusum.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestExperimentCommand:

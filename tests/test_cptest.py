@@ -6,7 +6,7 @@ import pytest
 
 from covcusum import cptest, limits, lrv, simgen, sumproc
 from covcusum.cptest import TestSpec
-from covcusum.errors import ConfigurationError, DegenerateLrvError
+from covcusum.errors import ConfigurationError, CovCusumError, DegenerateLrvError
 from covcusum.sumproc import ProjectionPair, TargetBilinear
 
 SMALL = dict(n_grid=500, n_rep=20_000)
@@ -192,6 +192,15 @@ class TestDegenerate:
         with pytest.raises(DegenerateLrvError) as exc:
             cptest.run_test(panel, spec)
         assert exc.value.sample_index == 1
+
+    @pytest.mark.parametrize("lrv_mode", [lrv.MODE_IN_SAMPLE, lrv.MODE_LEARNING])
+    def test_nan_sample_raises_naming_sample(self, lrv_mode):
+        panel = random_panel(2, 80, 2, seed=3)
+        panel[1][5, 0] = np.nan
+        spec = TestSpec(kind="q-breve", projection=ProjectionPair.from_vectors([0.5, 0.5]),
+                        lrv_mode=lrv_mode, learning_length=20, seed=6, **SMALL)
+        with pytest.raises(CovCusumError, match="sample 1: non-finite"):
+            cptest.run_test(panel, spec)
 
     def test_nonpositive_override_rejected(self):
         spec = TestSpec(kind="q-breve", projection=PAIR_1D,

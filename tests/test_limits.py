@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.special
+import scipy.stats
 from scipy.integrate import quad
 
 from covcusum import limits
@@ -97,6 +99,114 @@ class TestSimulatedPaths:
         assert np.all(bm_min <= 0.0)
         assert np.all(bb_max >= 0.0)
 
+    @pytest.mark.parametrize("n_block", [1, 64, 130, 200])
+    def test_block_extrema_match_full_matrix_reference(self, n_block):
+        # The block is filled in row chunks; the numbers must equal those of
+        # one full-matrix draw from the same (seed, block, sample) stream.
+        seed, b, j, n_grid = 5, 3, 1, 300
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(seed, spawn_key=(b, j))))
+        paths = np.cumsum(rng.standard_normal((n_block, n_grid)) / math.sqrt(n_grid), axis=1)
+        ref = [np.maximum(paths.max(axis=1), 0.0), np.minimum(paths.min(axis=1), 0.0)]
+        paths -= paths[:, -1:] * (np.arange(1, n_grid + 1) / n_grid)
+        ref += [np.maximum(paths.max(axis=1), 0.0), np.minimum(paths.min(axis=1), 0.0)]
+        got = limits._block_extrema(seed, b, j, n_block, n_grid)
+        for g, r in zip(got, ref):
+            assert np.array_equal(g, r)
+
+
+class TestExtremaCache:
+    def test_cache_is_bounded_and_evicted_keys_replay(self):
+        limits._extrema_cache.clear()
+        first = limits.simulate_path_extrema(1, 100, 1000, seed=0)
+        for seed in range(1, 3 * limits._EXTREMA_CACHE_SIZE):
+            latest = limits.simulate_path_extrema(1, 100, 1000, seed=seed)
+            assert len(limits._extrema_cache) <= limits._EXTREMA_CACHE_SIZE
+        assert (1, 100, 1000, 0) not in limits._extrema_cache
+        assert limits.simulate_path_extrema(1, 100, 1000, seed=seed) is latest
+        again = limits.simulate_path_extrema(1, 100, 1000, seed=0)
+        assert again is not first
+        for name in ("bm_max", "bm_min", "bb_max", "bb_min"):
+            assert np.array_equal(getattr(again, name), getattr(first, name))
+        limits._extrema_cache.clear()
+
+
+@pytest.fixture(scope="module")
+def oracle_extrema():
+    return limits.simulate_path_extrema(4, 1000, 100_000, seed=99, cache=False)
+
+
+class TestCorrectedLaw:
+    def test_array_series_match_scalar(self):
+        ys = np.concatenate([np.linspace(0.01, 2.0, 200), np.linspace(2.0, 70.0, 300)])
+        bm = limits._sup_abs_bm_cdf_array(ys)
+        bb = limits._sup_abs_bb_cdf_array(ys)
+        for y, a, b in zip(ys, bm, bb):
+            assert abs(a - limits.sup_abs_bm_cdf(y)) <= 1e-12
+            assert abs(b - limits.sup_abs_bb_cdf(y)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", limits.CORRECTED_KINDS)
+    def test_table_leaves_out_at_most_1e12(self, kind):
+        table = limits._one_sample_table(kind, 2000, limits._TABLE_STEP)
+        assert 1.0 - table[-1] <= 1e-12
+        # Independent of the series: the reflection and Kolmogorov tail
+        # bounds at the table's last argument.
+        x = math.sqrt((len(table) - 1) * limits._TABLE_STEP)
+        if kind == "q":
+            bound = 4.0 * scipy.stats.norm.sf(x)
+        else:
+            bound = 2.0 * math.exp(-2.0 * x * x)
+        assert bound <= 1e-12
+
+    @pytest.mark.parametrize("kind,K", [("q", 1), ("q-breve", 1), ("q-breve", 6)])
+    def test_quantile_converged_in_table_step(self, kind, K):
+        coarse = limits._corrected_quantile(kind, K, 0.95, 2000)
+        fine = limits._corrected_quantile(kind, K, 0.95, 2000, step=limits._TABLE_STEP / 20)
+        assert abs(coarse - fine) <= 1e-4
+
+    @pytest.mark.parametrize("kind", limits.CORRECTED_KINDS)
+    def test_k1_is_the_shifted_series_quantile(self, kind):
+        # For one sample the quantile is (x - beta / sqrt(n_grid))^2 where
+        # the series cdf of sup^2 reaches the level at x^2.
+        cdf = limits.sup_abs_bm_cdf if kind == "q" else limits.sup_abs_bb_cdf
+        x = scipy.optimize.brentq(lambda x: cdf(x * x) - 0.95, 1.0, 3.0, xtol=1e-14)
+        expected = (x - limits.BGK_BETA / math.sqrt(2000)) ** 2
+        assert limits._corrected_quantile(kind, 1, 0.95, 2000) == pytest.approx(expected, abs=1e-5)
+
+    @pytest.mark.parametrize("kind", limits.CORRECTED_KINDS)
+    @pytest.mark.parametrize("K", [1, 4])
+    def test_inside_mc_order_statistic_interval(self, oracle_extrema, kind, K):
+        # 99% distribution-free interval for the 0.95 quantile of the
+        # n_grid = 1000 law from 1e5 simulated draws; K = 1 uses column 0.
+        req = CritValRequest(kind=kind, K=K, level=0.95, n_grid=1000)
+        draws = np.sort(limits.functional_draws(req, oracle_extrema))
+        n = len(draws)
+        lo = int(scipy.stats.binom.ppf(0.005, n, 0.95))
+        hi = int(scipy.stats.binom.ppf(0.995, n, 0.95)) + 1
+        value = limits.critical_value(req)
+        assert draws[lo - 1] <= value <= draws[hi - 1]
+
+    @pytest.mark.parametrize("kind", limits.CORRECTED_KINDS)
+    def test_independent_of_seed_n_rep_and_workers(self, kind, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("q kinds must not simulate")
+
+        monkeypatch.setattr(limits, "simulate_path_extrema", no_simulation)
+        values = {limits.critical_value(
+                      CritValRequest(kind=kind, K=3, level=0.95, n_grid=1000,
+                                     n_rep=n_rep, seed=seed), workers=workers)
+                  for seed in (0, 7, 2024) for n_rep in (1000, 100_000)
+                  for workers in (1, 2, 8)}
+        assert len(values) == 1
+
+    def test_level_beyond_table_rejected(self):
+        with pytest.raises(ConfigurationError, match="beyond the tabulated law"):
+            limits.critical_value(CritValRequest(kind="q-breve", K=2, level=1.0 - 1e-15))
+
+    def test_method_names(self):
+        assert [limits.method_of(k) for k in limits.KINDS] == [
+            "corrected", "mc", "corrected", "mc"]
+
 
 class TestCriticalValue:
     def test_q_breve_k1_matches_kolmogorov_square(self):
@@ -184,3 +294,12 @@ def test_critical_value_table_rows():
     assert len(rows) == 2
     assert rows[0][0] == "q-breve"
     assert rows[0][3] < rows[1][3]
+
+
+def test_critical_value_table_names_method_and_used_inputs():
+    rows = limits.critical_value_table([
+        CritValRequest(kind="q", K=2, level=0.95, seed=23, **SMALL),
+        CritValRequest(kind="v-breve", K=2, level=0.95, alpha_weights=(1.0, 1.0),
+                       kappa=(0.5, 0.5), seed=23, **SMALL)])
+    assert rows[0][4:] == (500, None, None, "corrected")
+    assert rows[1][4:] == (500, 20_000, 23, "mc")
