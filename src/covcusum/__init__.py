@@ -24,7 +24,6 @@ from .lrv import LrvEstimate, andrews_bandwidth, autocov_hat, lrv_estimate, qs_w
 from .limits import (
     CritValRequest,
     critical_value,
-    simulate_brownian_paths,
     simulate_path_extrema,
     sup_abs_bb_cdf,
     sup_abs_bm_cdf,

@@ -152,6 +152,11 @@ def _resolve_seed(args):
     return seed
 
 
+def _critval_seed(args):
+    """The seed of a Monte Carlo critical value; corrected kinds draw none."""
+    return _resolve_seed(args) if limits.method_of(args.kind) == "mc" else 0
+
+
 def _fmt(x, digits=17):
     return f"{x:.{digits}g}"
 
@@ -202,7 +207,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_test(args):
-    seed = _resolve_seed(args)
+    seed = _critval_seed(args)
     bundle = load_bundle(args.data, v_path=args.v, w_path=args.w,
                          learning_length=args.learning_length)
     if bundle.v is None:
@@ -219,11 +224,11 @@ def _cmd_test(args):
         kind=args.kind, projection=pair, level=args.level, targets=targets,
         lrv_mode=args.lrv_mode, learning_length=args.learning_length,
         n_grid=args.n_grid, n_rep=args.n_rep, seed=seed)
-    report = cptest.run_test(bundle.samples, spec)
+    report = cptest.run_test(bundle.samples, spec, workers=args.workers)
 
     print(f"kind            {report.kind}")
     print(f"statistic       {report.statistic:.4g}")
-    print(f"critical value  {report.critical_value:.4g}")
+    print(f"critical value  {report.critical_value:.4g} ({report.method})")
     print(f"level           {report.level:.4g}")
     print(f"reject          {report.reject}")
     for j, s in enumerate(report.per_sample):
@@ -240,7 +245,7 @@ def _cmd_test(args):
 
 
 def _cmd_critval(args):
-    seed = _resolve_seed(args)
+    seed = _critval_seed(args)
     req = limits.CritValRequest(
         kind=args.kind, K=args.K, level=args.level,
         alpha_weights=_floats(args.alpha) if args.alpha else None,
@@ -299,13 +304,17 @@ def build_parser():
         description="Covariance change-point tests for K-sample vector time series")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def seeded(p):
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed; omitted seeds derive from entropy and are printed")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+
+    def common(p):
+        seeded(p)
+        p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                       help="threads simulating the paths of a v-kind critical value")
 
     p = sub.add_parser("simulate", help="generate a synthetic panel as CSVs")
-    common(p)
+    seeded(p)
     p.add_argument("--config", default=None, help="key-value config file")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--rep", type=int, default=0)

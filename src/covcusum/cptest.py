@@ -9,7 +9,6 @@ bilinear form; the plain variants require known targets.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -70,7 +69,8 @@ class TestReport:
     per_sample: list
     sample_sizes: tuple
     kind: str
-    seed: int
+    seed: Optional[int]  # None when the critical value used no seed
+    method: str  # how the critical value was obtained: "corrected" or "mc"
 
     def to_dict(self):
         return {
@@ -85,6 +85,7 @@ class TestReport:
             "sample_sizes": list(self.sample_sizes),
             "kind": self.kind,
             "seed": self.seed,
+            "method": self.method,
         }
 
     def to_json(self, **kwargs):
@@ -219,40 +220,36 @@ def _statistic(summary, spec):
     return stat, argmax
 
 
-@functools.lru_cache(maxsize=256)
-def _critical_value(req: limits.CritValRequest) -> float:
-    # Keyed on the exact request, so a memoized value equals a fresh one.
-    # The q kinds' values are data-free: every replication after the first
-    # skips the convolution of their closed-form law.
-    return limits.critical_value(req)
-
-
-def _evaluate(summary, spec) -> TestReport:
+def _evaluate(summary, spec, workers) -> TestReport:
     stat, argmax = _statistic(summary, spec)
     alphas = kappas = None
     if spec.kind in _POOLED_KINDS:
         n_total = sum(summary.sizes)
         alphas = tuple(math.sqrt(e.alpha_sq) for e in summary.lrv)
         kappas = tuple(n / n_total for n in summary.sizes)
-    crit = _critical_value(limits.CritValRequest(
+    crit = limits.critical_value(limits.CritValRequest(
         kind=spec.kind, K=len(summary.sizes), level=spec.level,
         alpha_weights=alphas, kappa=kappas,
-        n_grid=spec.n_grid, n_rep=spec.n_rep, seed=spec.seed))
+        n_grid=spec.n_grid, n_rep=spec.n_rep, seed=spec.seed), workers)
+    method = limits.method_of(spec.kind)
     infos = [PerSampleInfo(alpha_sq=e.alpha_sq, bandwidth=e.bandwidth, argmax_k=k)
              for e, k in zip(summary.lrv, argmax)]
     return TestReport(statistic=float(stat), critical_value=float(crit),
                       level=spec.level, reject=bool(stat > crit),
                       per_sample=infos, sample_sizes=summary.sizes,
-                      kind=spec.kind, seed=spec.seed)
+                      kind=spec.kind, seed=spec.seed if method == "mc" else None,
+                      method=method)
 
 
-def run_tests(panel, specs: Sequence[TestSpec], learning=None) -> list:
+def run_tests(panel, specs: Sequence[TestSpec], learning=None, workers: int = 1) -> list:
     """Run several tests on one panel, projecting each sample once.
 
     The specs may differ in kind, level, targets and critical-value
     settings, but must share ``projection``, ``lrv_mode``,
     ``learning_length`` and ``alpha_sq_override``.  Returns one report
-    per spec, equal to what ``run_test`` returns for it.
+    per spec, equal to what ``run_test`` returns for it.  ``workers``
+    threads simulate a v kind's critical value; the reports do not depend
+    on it.
     """
     samples = _samples_of(panel)
     if len({_summary_key(spec, len(samples)) for spec in specs}) != 1:
@@ -260,9 +257,9 @@ def run_tests(panel, specs: Sequence[TestSpec], learning=None) -> list:
             "run_tests needs at least one spec, and all specs must share projection, "
             "lrv_mode, learning_length and alpha_sq_override")
     summary = _summarize(samples, specs[0], learning)
-    return [_evaluate(summary, spec) for spec in specs]
+    return [_evaluate(summary, spec, workers) for spec in specs]
 
 
-def run_test(panel, spec: TestSpec, learning=None) -> TestReport:
+def run_test(panel, spec: TestSpec, learning=None, workers: int = 1) -> TestReport:
     """Run the test named by ``spec.kind`` on a K-sample panel."""
-    return run_tests(panel, [spec], learning=learning)[0]
+    return run_tests(panel, [spec], learning=learning, workers=workers)[0]

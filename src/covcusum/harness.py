@@ -170,7 +170,8 @@ def run_cell(case, d, scenario, change_time, cfg: ExperimentConfig, cell_index):
                                  n_grid=cfg.critval_n_grid, n_rep=cfg.critval_n_rep,
                                  seed=seed)
                  for t in cfg.tests]
-        for t, report in zip(cfg.tests, cptest.run_tests(panel, specs, learning=learning)):
+        reports = cptest.run_tests(panel, specs, learning=learning, workers=cfg.workers)
+        for t, report in zip(cfg.tests, reports):
             rejections[t] += int(report.reject)
 
     wall_time = time.time() - t0

@@ -13,12 +13,19 @@ These values depend on (kind, K, level, n_grid) only; method "corrected".
 The pooled kinds ``v`` and ``v-breve`` weight the samples by the data, so
 they are simulated (method "mc").  Their K-dimensional grid suprema
 separate per coordinate, so the simulation only needs the per-path
-extrema of each independent motion/bridge; the most recent few are cached
-and reused across requests sharing (K, n_grid, n_rep, seed).
+extrema of each independent motion/bridge, drawn on a pool of ``workers``
+threads with the same numbers for any worker count.
+
+This module owns every memo of a critical value, and both are exact:
+``_corrected_quantile`` is memoized on its arguments, and the most recent
+few extrema simulations on (K, n_grid, n_rep, seed).  The data-dependent
+weights of the v kinds are applied afresh on each request, which is cheap.
+Callers ask ``critical_value`` and keep no cache of their own.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -128,6 +135,7 @@ def _one_sample_table(kind: str, n_grid: int, step: float) -> np.ndarray:
     return cdf((np.sqrt(np.arange(n + 1) * step) + shift) ** 2)
 
 
+@functools.lru_cache(maxsize=64)
 def _corrected_quantile(kind: str, K: int, level: float, n_grid: int,
                         step: float = _TABLE_STEP) -> float:
     """Level-quantile of the sum of K independent copies of X.
@@ -138,7 +146,7 @@ def _corrected_quantile(kind: str, K: int, level: float, n_grid: int,
     for the interval of sums around (m + (K + 1) / 2) * step, where the
     cumulative mass through m is placed; the quantile interpolates
     linearly between those points.  The result does not depend on any
-    seed or replication count.
+    seed or replication count; it is memoized on the exact arguments.
     """
     cdf = _one_sample_table(kind, n_grid, step)
     mass = np.diff(cdf)
@@ -220,28 +228,6 @@ class PathExtrema:
         return self.bm_max.shape[1]
 
 
-def simulate_brownian_paths(n_grid: int, n_rep: int, seed: int) -> np.ndarray:
-    """Discretized standard Brownian paths, shape (n_rep, n_grid + 1).
-
-    Cumulative sums of N(0, 1/n_grid) increments with B(0) = 0.  Intended
-    for small-scale checks; large Monte Carlo runs use the extrema-only
-    reduction of ``simulate_path_extrema``.
-    """
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
-    inc = rng.standard_normal((n_rep, n_grid)) / math.sqrt(n_grid)
-    paths = np.empty((n_rep, n_grid + 1))
-    paths[:, 0] = 0.0
-    np.cumsum(inc, axis=1, out=paths[:, 1:])
-    return paths
-
-
-def bridge_from_path(paths: np.ndarray) -> np.ndarray:
-    """Turn discrete BM paths into bridge paths B(t) - t B(1)."""
-    n_grid = paths.shape[1] - 1
-    t = np.arange(n_grid + 1) / n_grid
-    return paths - np.outer(paths[:, -1], t)
-
-
 def _block_extrema(seed, block_index, j, n_block, n_grid):
     """Extrema of n_block paths from the (seed, block, sample) stream.
 
@@ -275,15 +261,21 @@ def _block_extrema(seed, block_index, j, n_block, n_grid):
 _extrema_cache: dict = {}
 
 
+def _check_workers(workers):
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+
+
 def simulate_path_extrema(K: int, n_grid: int, n_rep: int, seed: int,
                           workers: int = 1, cache: bool = True) -> PathExtrema:
     """Simulate per-path extrema for K independent motions and bridges.
 
     Replications are generated in fixed-size blocks keyed by
-    (seed, block index, sample index), so the result is identical for any
-    worker count.  The latest few results are memoized on
-    (K, n_grid, n_rep, seed).
+    (seed, block index, sample index), on a pool of at most ``workers``
+    threads, so the result is identical for any worker count.  The latest
+    few results are memoized on (K, n_grid, n_rep, seed).
     """
+    _check_workers(workers)
     key = (K, n_grid, n_rep, seed)
     if cache and key in _extrema_cache:
         return _extrema_cache[key]
@@ -299,14 +291,11 @@ def simulate_path_extrema(K: int, n_grid: int, n_rep: int, seed: int,
             arr[lo:hi, j] = part
 
     tasks = [(b, j) for b in range(n_blocks) for j in range(K)]
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    # Imported on first use, to keep it out of every command's start-up.
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda t: fill(*t), tasks))
-    else:
-        for t in tasks:
-            fill(*t)
+    with ThreadPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        list(pool.map(lambda t: fill(*t), tasks))
 
     out = PathExtrema(*arrays, n_grid=n_grid, seed=seed)
     if cache:
@@ -351,8 +340,11 @@ def critical_value(req: CritValRequest, workers: int = 1) -> float:
     """Critical value of the requested statistic at its level.
 
     The q kinds use ``_corrected_quantile``, which ignores ``req.seed``,
-    ``req.n_rep`` and ``workers``; the v kinds are Monte Carlo quantiles.
+    ``req.n_rep`` and ``workers``; the v kinds are Monte Carlo quantiles
+    of extrema simulated on ``workers`` threads.  A worker count below 1 is
+    a ``ConfigurationError`` for every kind.
     """
+    _check_workers(workers)
     if method_of(req.kind) == "corrected":
         return _corrected_quantile(req.kind, req.K, req.level, req.n_grid)
     extrema = simulate_path_extrema(req.K, req.n_grid, req.n_rep, req.seed, workers=workers)

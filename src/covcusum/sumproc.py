@@ -19,19 +19,19 @@ from .errors import DegenerateLrvError, ShapeError
 def kahan_cumsum(values: np.ndarray) -> np.ndarray:
     """Compensated running sums with a leading zero: out[k] = sum(values[:k]).
 
-    Kept sequential and compensated so results are identical no matter how
-    per-sample work is scheduled across threads.
+    The sequential running sums of ``np.cumsum`` are corrected by the
+    running sum of each step's exact rounding error (TwoSum), so every
+    prefix is as accurate as if summed in twice the working precision
+    (Ogita, Rump & Oishi 2005, Sum2).  Deterministic: no result depends on
+    how per-sample work is scheduled across threads.
     """
-    out = np.empty(len(values) + 1)
-    out[0] = 0.0
-    total = 0.0
-    comp = 0.0
-    for i, v in enumerate(values):
-        y = v - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        out[i + 1] = total
+    values = np.asarray(values, dtype=float)
+    out = np.zeros(len(values) + 1)
+    np.cumsum(values, out=out[1:])
+    prev, total = out[:-1], out[1:]
+    added = total - prev
+    err = (prev - (total - added)) + (values - added)
+    total += np.cumsum(err)
     return out
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from covcusum import cli, simgen
+from covcusum import cli, limits, simgen
 from covcusum.errors import IngestionError
 
 FAST = ["--n-grid", "500", "--n-rep", "20000"]
@@ -114,6 +114,11 @@ class TestSimulateCommand:
         path = capsys.readouterr().out.strip()
         assert np.loadtxt(path, delimiter=",").shape == (15,)
 
+    def test_workers_flag_rejected_by_parser(self, tmp_path):
+        with pytest.raises(SystemExit):
+            cli.main(["simulate", "--out-dir", str(tmp_path), "--seed", "1",
+                      "--workers", "1"])
+
     def test_bad_panel_config_exit_code_two(self, tmp_path):
         rc = cli.main(["simulate", "--out-dir", str(tmp_path), "--seed", "1",
                        "--rho0", "1.5"])
@@ -152,6 +157,37 @@ class TestTestCommand:
         rc = cli.main(["test", "--data", *data, "--v", v, "--kind", "q",
                        "--targets", "1.0", "--seed", "5"] + FAST)
         assert rc == 2
+
+    def test_corrected_kind_prints_method_and_draws_no_seed(self, tmp_path, capsys):
+        data, v = self._panel_files(tmp_path)
+        out = tmp_path / "report.json"
+        rc = cli.main(["test", "--data", *data, "--v", v, "--kind", "q-breve",
+                       "--out", str(out)] + FAST)
+        assert rc == 0
+        text = capsys.readouterr().out
+        assert "seed:" not in text
+        (line,) = [ln for ln in text.splitlines() if ln.startswith("critical value")]
+        assert line.endswith("(corrected)")
+        report = json.loads(out.read_text())
+        assert (report["method"], report["seed"]) == ("corrected", None)
+
+    def test_workers_reach_path_simulation(self, tmp_path, monkeypatch):
+        data, v = self._panel_files(tmp_path)
+        seen = []
+        simulate = limits.simulate_path_extrema
+        monkeypatch.setattr(limits, "simulate_path_extrema",
+                            lambda *a, **k: seen.append(k["workers"]) or simulate(*a, **k))
+        reports = []
+        for workers in ("1", "2"):
+            monkeypatch.setattr(limits, "_extrema_cache", {})
+            out = tmp_path / f"report-{workers}.json"
+            rc = cli.main(["test", "--data", *data, "--v", v, "--kind", "v-breve",
+                           "--seed", "5", "--workers", workers, "--out", str(out)] + FAST)
+            assert rc == 0
+            reports.append(out.read_bytes())
+        assert seen == [1, 2]
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["method"] == "mc"
 
     def test_missing_file_exit_code_one(self, tmp_path):
         rc = cli.main(["test", "--data", str(tmp_path / "nope.csv"),
@@ -222,10 +258,21 @@ class TestCritvalCommand:
         assert rc == 2
 
     def test_omitted_seed_is_printed(self, capsys):
-        rc = cli.main(["critval", "--kind", "q-breve", "--K", "1",
-                       "--workers", "1"] + FAST)
+        rc = cli.main(["critval", "--kind", "v-breve", "--K", "1", "--alpha", "1.0",
+                       "--kappa", "1.0", "--workers", "1"] + FAST)
         assert rc == 0
         assert "seed: " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", limits.CORRECTED_KINDS)
+    def test_corrected_kinds_draw_no_seed(self, kind, capsys):
+        rc = cli.main(["critval", "--kind", kind, "--K", "1", "--workers", "1"] + FAST)
+        assert rc == 0
+        assert "seed:" not in capsys.readouterr().out
+
+    def test_worker_count_below_one_exit_code_two(self, capsys):
+        rc = cli.main(["critval", "--kind", "q-breve", "--K", "1", "--workers", "0"] + FAST)
+        assert rc == 2
+        assert "workers" in capsys.readouterr().err
 
 
 def test_import_loads_no_scipy():
@@ -253,6 +300,27 @@ class TestExperimentCommand:
         assert "case I d=2" in text
         assert out_csv.read_text().startswith("case,")
         assert json.loads(out_json.read_text())[0]["n_rep"] == 3
+
+    def test_workers_reach_path_simulation(self, tmp_path, monkeypatch):
+        seen = []
+        simulate = limits.simulate_path_extrema
+        monkeypatch.setattr(limits, "simulate_path_extrema",
+                            lambda *a, **k: seen.append(k["workers"]) or simulate(*a, **k))
+        tables = []
+        for workers in ("1", "2"):
+            monkeypatch.setattr(limits, "_extrema_cache", {})
+            out_csv = tmp_path / f"res-{workers}.csv"
+            rc = cli.main(["experiment", "--replications", "2", "--cases", "I",
+                           "--dims", "2", "--scenario", "none", "--seed", "17",
+                           "--workers", workers, "--out-csv", str(out_csv)] + FAST)
+            assert rc == 0
+            rows = list(csv.DictReader(out_csv.read_text().splitlines()))
+            for row in rows:
+                del row["wall_time"]
+            tables.append(rows)
+        # One v-breve critical value per replication.
+        assert seen == [1, 1, 2, 2]
+        assert tables[0] == tables[1]
 
     def test_unknown_scenario_rejected_by_parser(self):
         with pytest.raises(SystemExit):

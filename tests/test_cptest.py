@@ -234,6 +234,14 @@ class TestCriticalValue:
         assert reports[1].critical_value == fresh
         assert reports[0].critical_value != fresh
 
+    def test_report_names_method_and_the_seed_it_used(self):
+        panel = random_panel(2, 60, 1, seed=15)
+        for kind, method, seed in (("q-breve", "corrected", None), ("v-breve", "mc", 4242)):
+            report = cptest.run_test(panel, TestSpec(kind=kind, projection=PAIR_1D,
+                                                     seed=4242, **SMALL))
+            assert (report.method, report.seed) == (method, seed)
+            assert (report.to_dict()["method"], report.to_dict()["seed"]) == (method, seed)
+
 
 class TestSizeBracket:
     def test_all_four_kinds_hold_level_on_iid_data(self):

@@ -63,20 +63,6 @@ class TestSupAbsBbCdf:
 
 
 class TestSimulatedPaths:
-    def test_paths_start_at_zero(self):
-        paths = limits.simulate_brownian_paths(200, 50, seed=1)
-        assert np.all(paths[:, 0] == 0.0)
-        assert paths.shape == (50, 201)
-
-    def test_terminal_variance(self):
-        paths = limits.simulate_brownian_paths(200, 100_000, seed=2)
-        assert np.mean(paths[:, -1] ** 2) == pytest.approx(1.0, abs=0.02)
-
-    def test_bridge_endpoints(self):
-        paths = limits.simulate_brownian_paths(100, 10, seed=3)
-        bridges = limits.bridge_from_path(paths)
-        np.testing.assert_allclose(bridges[:, -1], 0.0, atol=1e-12)
-
     def test_mean_sup_bridge_matches_series(self):
         # E sup|bridge| = integral of the survival function; quadrature of
         # the series cdf is the independent oracle.
@@ -86,18 +72,6 @@ class TestSimulatedPaths:
         sup_bb = np.maximum(extrema.bb_max[:, 0], -extrema.bb_min[:, 0])
         expected, _ = quad(lambda x: 1.0 - limits.sup_abs_bb_cdf(x ** 2), 1e-9, 10.0)
         assert sup_bb.mean() == pytest.approx(expected, abs=0.01)
-
-    def test_extrema_match_full_paths(self):
-        paths = limits.simulate_brownian_paths(300, 200, seed=5)
-        # Same reduction computed through the blocked extrema code path.
-        bm_max, bm_min, bb_max, bb_min = limits._block_extrema(5, 0, 0, 200, 300)
-        rng_paths = np.maximum(paths[:, 1:].max(axis=1), 0.0)
-        # Both use SeedSequence(seed) vs SeedSequence(seed, (0, 0)); only
-        # shapes and invariants are comparable, not raw values.
-        assert bm_max.shape == rng_paths.shape
-        assert np.all(bm_max >= 0.0)
-        assert np.all(bm_min <= 0.0)
-        assert np.all(bb_max >= 0.0)
 
     @pytest.mark.parametrize("n_block", [1, 64, 130, 200])
     def test_block_extrema_match_full_matrix_reference(self, n_block):
@@ -129,6 +103,51 @@ class TestExtremaCache:
         for name in ("bm_max", "bm_min", "bb_max", "bb_min"):
             assert np.array_equal(getattr(again, name), getattr(first, name))
         limits._extrema_cache.clear()
+
+
+class _RecordingPool:
+    """Stands in for ThreadPoolExecutor: records its size and maps serially."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        lambda max_workers: _RecordingPool(sizes, max_workers))
+    return sizes
+
+
+class TestWorkers:
+    def test_pool_is_bounded_by_task_count(self, pool_sizes):
+        # n_rep 3000 is two blocks; with K = 2 that is four tasks.
+        for workers in (1, 3, 1000):
+            limits.simulate_path_extrema(2, 100, 3000, seed=1, workers=workers, cache=False)
+        assert pool_sizes == [1, 3, 4]
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_worker_count_below_one_refused_before_any_pool(self, pool_sizes, workers):
+        with pytest.raises(ConfigurationError, match="workers"):
+            limits.simulate_path_extrema(1, 100, 1000, seed=1, workers=workers, cache=False)
+        for kind, extra in (("q-breve", {}),
+                            ("v-breve", dict(alpha_weights=(1.0,), kappa=(1.0,)))):
+            with pytest.raises(ConfigurationError, match="workers"):
+                limits.critical_value(CritValRequest(kind=kind, K=1, level=0.95, **extra),
+                                      workers=workers)
+        assert pool_sizes == []
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +217,21 @@ class TestCorrectedLaw:
                   for seed in (0, 7, 2024) for n_rep in (1000, 100_000)
                   for workers in (1, 2, 8)}
         assert len(values) == 1
+
+    def test_memoized_on_exact_arguments(self, monkeypatch):
+        limits._corrected_quantile.cache_clear()
+        tables = []
+        table = limits._one_sample_table
+        monkeypatch.setattr(limits, "_one_sample_table",
+                            lambda *args: tables.append(args) or table(*args))
+        first = limits.critical_value(CritValRequest(kind="q-breve", K=3, level=0.95,
+                                                     n_grid=700))
+        again = limits.critical_value(CritValRequest(kind="q-breve", K=3, level=0.95,
+                                                     n_grid=700, n_rep=5000, seed=9))
+        assert again == first and len(tables) == 1
+        other = limits.critical_value(CritValRequest(kind="q-breve", K=3, level=0.95,
+                                                     n_grid=701))
+        assert other != first and len(tables) == 2
 
     def test_level_beyond_table_rejected(self):
         with pytest.raises(ConfigurationError, match="beyond the tabulated law"):

@@ -216,3 +216,21 @@ def test_kahan_cumsum_matches_fsum():
     s = sumproc.kahan_cumsum(p)
     assert s[0] == 0.0
     assert s[-1] == pytest.approx(math.fsum(p), rel=1e-12)
+
+
+def test_kahan_cumsum_keeps_what_cancellation_would_lose():
+    assert sumproc.kahan_cumsum([1.0, 1e100, 1.0, -1e100])[-1] == 2.0
+
+
+def test_kahan_cumsum_every_prefix_within_sum2_bound():
+    # Ogita, Rump & Oishi (2005): |result - sum| <= eps |sum| + gamma_{n-1}^2 sum |p|,
+    # with eps = 2^-53 and gamma_n = n eps / (1 - n eps).
+    rng = np.random.default_rng(5)
+    p = rng.standard_normal(1000) * 10.0 ** rng.integers(-8, 8, size=1000)
+    s = sumproc.kahan_cumsum(p)
+    eps = 2.0 ** -53
+    for k in range(len(p) + 1):
+        exact = math.fsum(p[:k])
+        gamma = max(k - 1, 0) * eps / (1 - max(k - 1, 0) * eps)
+        bound = eps * abs(exact) + gamma ** 2 * math.fsum(np.abs(p[:k]))
+        assert abs(s[k] - exact) <= bound
