@@ -3,18 +3,24 @@
 Machine-readable output uses 17 significant digits so that replaying a
 printed seed reproduces it byte-identically; human-readable tables use 4.
 Exit codes: 0 success, 1 operational error, 2 invalid configuration.
+
+Input files: a sample CSV has one row per time point and one column per
+coordinate; a vector file has one value per line.  Blank lines are
+skipped, and a first line that is not numeric is a header.  Cells are
+parsed by numpy; a non-numeric or non-finite cell, or a row of another
+width, is refused with ``file:line``.  ``--n-rep`` is read by the ``v``
+kinds only.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import secrets
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -22,90 +28,58 @@ from . import cptest, harness, limits, lrv, simgen, sumproc
 from .errors import ConfigurationError, CovCusumError, IngestionError
 
 
-@dataclass
-class DataBundle:
-    """Sample matrices plus optional projection vectors loaded from files."""
-
-    samples: list
-    v: Optional[np.ndarray] = None
-    w: Optional[np.ndarray] = None
-    learning_length: Optional[int] = None
-
-    @property
-    def K(self):
-        return len(self.samples)
-
-    @property
-    def d(self):
-        return self.samples[0].shape[1]
+def _data_lines(fh, linenos):
+    """Yield the data lines of ``fh``, recording the physical number of each."""
+    for lineno, line in enumerate(fh, start=1):
+        if not line.strip() or (lineno == 1 and not _is_numeric(line)):
+            continue
+        linenos.append(lineno)
+        yield line
 
 
-def _reject_non_finite(path, values, linenos):
-    """Raise naming the first line of ``values`` (one row per line) that is not finite."""
-    finite = np.isfinite(values)
-    if finite.ndim > 1:
-        finite = finite.all(axis=1)
-    if not finite.all():
-        raise IngestionError(
-            f"{path}:{linenos[int(np.argmin(finite))]}: non-finite value (nan or inf)")
+def _is_numeric(line):
+    try:
+        np.loadtxt([line], delimiter=",", comments=None)
+    except ValueError:
+        return False
+    return True
 
 
 def _load_matrix(path):
-    rows = []
-    linenos = []
-    width = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if lineno == 1:
-                try:
-                    [float(c) for c in cells]
-                except ValueError:
-                    continue  # header row, skip
-            try:
-                row = [float(c) for c in cells]
-            except ValueError as exc:
-                raise IngestionError(f"{path}:{lineno}: non-numeric cell ({exc})") from exc
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise IngestionError(
-                    f"{path}:{lineno}: ragged row, expected {width} columns, got {len(row)}")
-            rows.append(row)
-            linenos.append(lineno)
-    if not rows:
-        raise IngestionError(f"{path}: no data rows")
-    matrix = np.asarray(rows)
-    _reject_non_finite(path, matrix, linenos)
-    return matrix
-
-
-def _load_vector(path, expected_d=None):
-    values = []
+    """Rows of numbers from a CSV file, refusing bad input with ``file:line``."""
     linenos = []
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                values.append(float(line))
-            except ValueError as exc:
-                raise IngestionError(f"{path}:{lineno}: non-numeric value") from exc
-            linenos.append(lineno)
-    vec = np.asarray(values)
-    _reject_non_finite(path, vec, linenos)
-    if expected_d is not None and len(vec) != expected_d:
+        lines = _data_lines(fh, linenos)
+        first = next(lines, None)
+        if first is None:
+            raise IngestionError(f"{path}: no data rows")
+        try:
+            values = np.loadtxt(itertools.chain([first], lines), delimiter=",",
+                                ndmin=2, comments=None)
+        except ValueError as exc:
+            # loadtxt parses each line before pulling the next: the last recorded is bad.
+            reason = str(exc).split(" at row")[0]
+            raise IngestionError(f"{path}:{linenos[-1]}: {reason}") from exc
+    bad = ~np.isfinite(values).all(axis=1)
+    if bad.any():
         raise IngestionError(
-            f"{path}: projection vector has length {len(vec)}, expected {expected_d}")
-    return vec
+            f"{path}:{linenos[int(np.argmax(bad))]}: non-finite value (nan or inf)")
+    return values
 
 
-def load_bundle(data_paths, v_path=None, w_path=None, learning_length=None) -> DataBundle:
-    """Load sample CSVs (rows=time, columns=coordinates) and vector files."""
+def _load_vector(path, expected_d):
+    values = _load_matrix(path)
+    if values.shape[1] != 1:
+        raise IngestionError(
+            f"{path}: expected one value per line, got {values.shape[1]} columns")
+    if len(values) != expected_d:
+        raise IngestionError(
+            f"{path}: projection vector has length {len(values)}, expected {expected_d}")
+    return values[:, 0]
+
+
+def load_bundle(data_paths, v_path=None, w_path=None):
+    """Load sample CSVs and vector files as ``(samples, v, w)``; see the module docstring."""
     samples = [_load_matrix(p) for p in data_paths]
     d = samples[0].shape[1]
     for path, y in zip(data_paths, samples):
@@ -114,7 +88,7 @@ def load_bundle(data_paths, v_path=None, w_path=None, learning_length=None) -> D
                 f"{path}: has {y.shape[1]} columns but first sample has {d}")
     v = _load_vector(v_path, d) if v_path else None
     w = _load_vector(w_path, d) if w_path else None
-    return DataBundle(samples=samples, v=v, w=w, learning_length=learning_length)
+    return samples, v, w
 
 
 def parse_config_file(path):
@@ -138,6 +112,11 @@ def parse_config_file(path):
 
 def _floats(text):
     return tuple(float(x) for x in str(text).split(","))
+
+
+def _spread(text, n):
+    """A comma list as given, or a scalar repeated ``n`` times."""
+    return _floats(text) if "," in str(text) else (float(text),) * n
 
 
 def _ints(text):
@@ -178,18 +157,12 @@ def _cmd_simulate(args):
     K = int(get("K", 1))
     d = int(get("d", 1))
     N = _ints(get("N", "100"))
-    rho0 = get("rho0", "0")
-    rho0 = _floats(rho0) if "," in str(rho0) else (float(rho0),) * d
-    sigma0 = get("sigma0", "1")
-    sigma0 = _floats(sigma0) if "," in str(sigma0) else (float(sigma0),) * K
-    kwargs = dict(K=K, d=d, N=N, rho0=rho0, sigma0=sigma0, seed=seed,
+    kwargs = dict(K=K, d=d, N=N, rho0=_spread(get("rho0", "0"), d),
+                  sigma0=_spread(get("sigma0", "1"), K), seed=seed,
                   burn_in=int(get("burn_in", simgen.DEFAULT_BURN_IN)))
-    rho1 = get("rho1")
-    if rho1 is not None:
-        kwargs["rho1"] = _floats(rho1) if "," in str(rho1) else (float(rho1),) * d
-    sigma1 = get("sigma1")
-    if sigma1 is not None:
-        kwargs["sigma1"] = _floats(sigma1) if "," in str(sigma1) else (float(sigma1),) * K
+    for key, n in (("rho1", d), ("sigma1", K)):
+        if get(key) is not None:
+            kwargs[key] = _spread(get(key), n)
     tau = get("tau")
     if tau is not None:
         kwargs["tau"] = _ints(tau)
@@ -208,23 +181,22 @@ def _cmd_simulate(args):
 
 def _cmd_test(args):
     seed = _critval_seed(args)
-    bundle = load_bundle(args.data, v_path=args.v, w_path=args.w,
-                         learning_length=args.learning_length)
-    if bundle.v is None:
+    if args.v is None:
         raise ConfigurationError("test requires a projection vector (--v)")
-    pair = sumproc.ProjectionPair.from_vectors(bundle.v, bundle.w)
+    samples, v, w = load_bundle(args.data, args.v, args.w)
+    pair = sumproc.ProjectionPair.from_vectors(v, w)
     targets = None
     if args.targets is not None:
         values = _floats(args.targets)
-        if len(values) != bundle.K:
+        if len(values) != len(samples):
             raise ConfigurationError(
-                f"got {len(values)} targets for {bundle.K} samples")
+                f"got {len(values)} targets for {len(samples)} samples")
         targets = sumproc.TargetBilinear(values=list(values))
     spec = cptest.TestSpec(
         kind=args.kind, projection=pair, level=args.level, targets=targets,
         lrv_mode=args.lrv_mode, learning_length=args.learning_length,
         n_grid=args.n_grid, n_rep=args.n_rep, seed=seed)
-    report = cptest.run_test(bundle.samples, spec, workers=args.workers)
+    report = cptest.run_test(samples, spec, workers=args.workers)
 
     print(f"kind            {report.kind}")
     print(f"statistic       {report.statistic:.4g}")
@@ -312,6 +284,11 @@ def build_parser():
         seeded(p)
         p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
                        help="threads simulating the paths of a v-kind critical value")
+        p.add_argument("--level", type=float, default=0.95)
+        p.add_argument("--n-grid", type=int, default=limits.DEFAULT_N_GRID,
+                       help="grid points of the supremum the critical value is for")
+        p.add_argument("--n-rep", type=int, default=limits.DEFAULT_N_REP,
+                       help="simulated replications (v kinds only)")
 
     p = sub.add_parser("simulate", help="generate a synthetic panel as CSVs")
     seeded(p)
@@ -331,14 +308,11 @@ def build_parser():
     p.add_argument("--v", default=None, help="projection vector file, one value per line")
     p.add_argument("--w", default=None, help="second vector file (defaults to --v)")
     p.add_argument("--kind", required=True, choices=limits.KINDS)
-    p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--targets", default=None,
                    help="comma-separated per-sample target bilinear forms (q/v kinds)")
     p.add_argument("--lrv-mode", default=lrv.MODE_IN_SAMPLE,
                    choices=(lrv.MODE_IN_SAMPLE, lrv.MODE_LEARNING))
     p.add_argument("--learning-length", type=int, default=None)
-    p.add_argument("--n-grid", type=int, default=limits.DEFAULT_N_GRID)
-    p.add_argument("--n-rep", type=int, default=limits.DEFAULT_N_REP)
     p.add_argument("--out", default=None, help="write the report as JSON")
     p.set_defaults(func=_cmd_test)
 
@@ -346,13 +320,8 @@ def build_parser():
     common(p)
     p.add_argument("--kind", required=True, choices=limits.KINDS)
     p.add_argument("--K", type=int, required=True)
-    p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--alpha", default=None, help="comma-separated per-sample scales")
     p.add_argument("--kappa", default=None, help="comma-separated size fractions")
-    p.add_argument("--n-grid", type=int, default=limits.DEFAULT_N_GRID,
-                   help="grid points of the supremum the value is for")
-    p.add_argument("--n-rep", type=int, default=limits.DEFAULT_N_REP,
-                   help="simulated replications (v kinds only)")
     p.add_argument("--out", default=None, help="write a CSV table")
     p.set_defaults(func=_cmd_critval)
 
@@ -367,9 +336,6 @@ def build_parser():
     p.add_argument("--lrv-mode", default=lrv.MODE_IN_SAMPLE,
                    choices=(lrv.MODE_IN_SAMPLE, lrv.MODE_LEARNING))
     p.add_argument("--learning-length", type=int, default=500)
-    p.add_argument("--level", type=float, default=0.95)
-    p.add_argument("--n-grid", type=int, default=limits.DEFAULT_N_GRID)
-    p.add_argument("--n-rep", type=int, default=limits.DEFAULT_N_REP)
     p.add_argument("--out-csv", default=None)
     p.add_argument("--out-json", default=None)
     p.set_defaults(func=_cmd_experiment)
@@ -378,17 +344,13 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except CovCusumError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CovCusumError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -187,7 +187,7 @@ class CritValRequest:
             raise ConfigurationError(f"level must be in (0, 1), got {self.level}")
         if self.n_grid < 100:
             raise ConfigurationError("n_grid must be >= 100")
-        if self.n_rep < 1000:
+        if method_of(self.kind) == "mc" and self.n_rep < 1000:
             raise ConfigurationError("n_rep must be >= 1000")
         if self.alpha_weights is not None:
             aw = tuple(float(a) for a in np.atleast_1d(self.alpha_weights))

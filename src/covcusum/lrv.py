@@ -50,8 +50,12 @@ def autocov_hat(ps, h: int) -> float:
     n = len(p)
     if not 0 <= h < n:
         raise ShapeError(f"lag {h} out of range for series of length {n}")
-    c = p - p.mean()
-    return float(c[: n - h] @ c[h:]) / n
+    return _autocov(p - p.mean(), h)
+
+
+def _autocov(c: np.ndarray, h: int) -> float:
+    """Lag-h autocovariance of the already centered series ``c``."""
+    return float(c[: len(c) - h] @ c[h:]) / len(c)
 
 
 def qs_weight(x: float) -> float:
@@ -71,11 +75,12 @@ def qs_bandwidth(rho: float, n: int) -> float:
     return QS_BANDWIDTH_CONST * (a2 * n) ** 0.2
 
 
-def _ar1_bandwidth(p: np.ndarray, g0: float):
-    """QS bandwidth from the clamped lag-1 autocorrelation, and whether it was clamped."""
-    rho = autocov_hat(p, 1) / g0
+def _ar1_bandwidth(c: np.ndarray, g0: float):
+    """QS bandwidth from the clamped lag-1 autocorrelation of the centered
+    series ``c``, and whether it was clamped."""
+    rho = _autocov(c, 1) / g0
     clamped = min(max(rho, -RHO_CLAMP), RHO_CLAMP)
-    return qs_bandwidth(clamped, len(p)), abs(rho) > RHO_CLAMP
+    return qs_bandwidth(clamped, len(c)), abs(rho) > RHO_CLAMP
 
 
 def andrews_bandwidth(ps) -> float:
@@ -88,10 +93,11 @@ def andrews_bandwidth(ps) -> float:
     n = len(p)
     if n < 4:
         raise ShapeError(f"need at least 4 observations, got {n}")
-    g0 = autocov_hat(p, 0)
+    c = p - p.mean()
+    g0 = _autocov(c, 0)
     if g0 <= 0.0:
         raise DegenerateLrvError("constant product series: autocovariance at lag 0 is zero")
-    return _ar1_bandwidth(p, g0)[0]
+    return _ar1_bandwidth(c, g0)[0]
 
 
 def lrv_estimate(ps, mode: str = MODE_IN_SAMPLE, bandwidth_override=None) -> LrvEstimate:
@@ -106,7 +112,8 @@ def lrv_estimate(ps, mode: str = MODE_IN_SAMPLE, bandwidth_override=None) -> Lrv
     min_n = 2 if bandwidth_override == 0 else 4
     if n < min_n:
         raise ShapeError(f"need at least {min_n} observations, got {n}")
-    g0 = autocov_hat(p, 0)
+    c = p - p.mean()
+    g0 = _autocov(c, 0)
     if g0 <= 0.0:
         raise DegenerateLrvError("constant product series: long-run variance undefined")
 
@@ -114,7 +121,7 @@ def lrv_estimate(ps, mode: str = MODE_IN_SAMPLE, bandwidth_override=None) -> Lrv
         bw = float(bandwidth_override)
         rho_clamped = False
     else:
-        bw, rho_clamped = _ar1_bandwidth(p, g0)
+        bw, rho_clamped = _ar1_bandwidth(c, g0)
 
     if bw <= 0.0:
         return LrvEstimate(alpha_sq=g0, bandwidth=0.0, n_lags=0, mode=mode,
@@ -123,7 +130,7 @@ def lrv_estimate(ps, mode: str = MODE_IN_SAMPLE, bandwidth_override=None) -> Lrv
     m = min(math.ceil(TRUNCATION_BANDWIDTHS * bw), n - 1)
     total = g0
     for h in range(1, m + 1):
-        total += 2.0 * qs_weight(h / bw) * autocov_hat(p, h)
+        total += 2.0 * qs_weight(h / bw) * _autocov(c, h)
 
     degenerate = total <= 0.0
     if degenerate:

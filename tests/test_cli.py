@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +73,50 @@ class TestLoaders:
         write_lines(b, ["1,2,3"])
         with pytest.raises(IngestionError, match="columns"):
             cli.load_bundle([a, b])
+
+    @pytest.mark.parametrize("text", ["c1,c2\n", "\n  \n\t\n", ""],
+                             ids=["header-only", "blank", "empty"])
+    def test_no_data_rows_rejected_without_warning(self, tmp_path, text):
+        f = tmp_path / "empty.csv"
+        f.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IngestionError, match="no data"):
+                cli._load_matrix(f)
+
+    @pytest.mark.parametrize("lines, lineno", [
+        (["c1,c2", "", "1,2", "   ", "", "3,x"], 6),
+        (["1,2", "", "\t", "3"], 4),
+        (["c1,c2", "1,2", "1_0,3"], 3),
+        (["1,2"] * 7000 + ["1,zz"] + ["1,2"] * 2999, 7001),
+        (["1,2"] * 9998 + ["1"] + ["1,2"], 9999),
+    ], ids=["non-numeric-after-blanks", "ragged-after-blanks", "underscore",
+            "deep-non-numeric", "deep-ragged"])
+    def test_bad_row_names_physical_line(self, tmp_path, lines, lineno):
+        f = tmp_path / "bad.csv"
+        write_lines(f, lines)
+        with pytest.raises(IngestionError, match=rf"^.*bad\.csv:{lineno}: "):
+            cli._load_matrix(f)
+
+    def test_two_column_vector_rejected(self, tmp_path):
+        f = tmp_path / "v.txt"
+        write_lines(f, ["0.5,0.5", "0.5,0.5"])
+        with pytest.raises(IngestionError, match=r"v\.txt: expected one value per line"):
+            cli._load_vector(f, expected_d=2)
+
+    def test_vector_with_header(self, tmp_path):
+        f = tmp_path / "v.txt"
+        write_lines(f, ["weight", "0.25", "", "0.75"])
+        np.testing.assert_array_equal(cli._load_vector(f, expected_d=2), [0.25, 0.75])
+
+    def test_bundle_returns_samples_and_vectors(self, tmp_path):
+        a, v = tmp_path / "a.csv", tmp_path / "v.txt"
+        write_lines(a, ["1,2", "3,4"])
+        write_lines(v, ["0.5", "0.5"])
+        samples, v_vec, w_vec = cli.load_bundle([a], v)
+        np.testing.assert_array_equal(samples[0], [[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(v_vec, [0.5, 0.5])
+        assert w_vec is None
 
 
 class TestConfigFile:
@@ -268,6 +313,18 @@ class TestCritvalCommand:
         rc = cli.main(["critval", "--kind", kind, "--K", "1", "--workers", "1"] + FAST)
         assert rc == 0
         assert "seed:" not in capsys.readouterr().out
+
+    def test_n_rep_checked_for_mc_kinds_only(self, capsys):
+        printed = []
+        for n_rep in ("10", "100000"):
+            rc = cli.main(["critval", "--kind", "q-breve", "--K", "1", "--n-rep", n_rep])
+            assert rc == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        rc = cli.main(["critval", "--kind", "v-breve", "--K", "1", "--alpha", "1.0",
+                       "--kappa", "1.0", "--seed", "1", "--n-rep", "10"])
+        assert rc == 2
+        assert "n_rep" in capsys.readouterr().err
 
     def test_worker_count_below_one_exit_code_two(self, capsys):
         rc = cli.main(["critval", "--kind", "q-breve", "--K", "1", "--workers", "0"] + FAST)
