@@ -20,11 +20,9 @@ print(f"  known-target 95%   (theory 5.024): "
       f"{limits.critical_value(CritValRequest(kind='q', K=1, level=0.95)):.4f}")
 
 print("\nsum-of-squares bridge statistic, level 0.95:")
-rows = limits.critical_value_table(
-    [CritValRequest(kind="q-breve", K=k, level=0.95)
-     for k in (1, 2, 4, 6)])
-for kind, K, level, value, *_, method in rows:
-    print(f"  K={K}: {value:.4f} ({method})")
+for K in (1, 2, 4, 6):
+    value = limits.critical_value(CritValRequest(kind="q-breve", K=K, level=0.95))
+    print(f"  K={K}: {value:.4f} ({limits.method_of('q-breve')})")
 
 print("\npooled bridge statistic with unequal scales, level 0.95:")
 req = CritValRequest(kind="v-breve", K=4, level=0.95,

@@ -8,7 +8,7 @@ known here because we simulated the panel ourselves.
 import numpy as np
 
 from covcusum import cptest, simgen
-from covcusum.sumproc import ProjectionPair, TargetBilinear
+from covcusum.sumproc import ProjectionPair
 
 d = 10
 rho = 0.1 + 0.5 * np.arange(1, d + 1) / d
@@ -22,8 +22,7 @@ panel = simgen.gen_ar1_panel(cfg)
 
 v = simgen.gen_dirichlet_projection(d, seed=3)
 pair = ProjectionPair.from_vectors(v)
-targets = TargetBilinear([simgen.ar1_bilinear_target(rho, s, v, v)
-                          for s in sigma])
+targets = [simgen.ar1_bilinear_target(rho, s, v, v) for s in sigma]
 
 for kind in ("q", "q-breve", "v", "v-breve"):
     spec = cptest.TestSpec(

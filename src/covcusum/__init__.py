@@ -13,14 +13,12 @@ from .simgen import Panel, PanelConfig, gen_ar1_panel, gen_dirichlet_projection
 from .sumproc import (
     ProjectedSample,
     ProjectionPair,
-    TargetBilinear,
-    bridge_process,
-    d_process,
     per_sample_max_sq,
     pooled_d_grid_max,
     project,
+    unscaled_deviation,
 )
-from .lrv import LrvEstimate, andrews_bandwidth, autocov_hat, lrv_estimate, qs_weight
+from .lrv import LrvEstimate, autocov_hat, lrv_estimate, qs_weight
 from .limits import (
     CritValRequest,
     critical_value,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import itertools
 import json
 import os
@@ -131,9 +132,13 @@ def _resolve_seed(args):
     return seed
 
 
-def _critval_seed(args):
-    """The seed of a Monte Carlo critical value; corrected kinds draw none."""
-    return _resolve_seed(args) if limits.method_of(args.kind) == "mc" else 0
+def _critval_request(args, K, **weights):
+    """Validate the critical-value settings, then draw the seed if the kind simulates."""
+    req = limits.CritValRequest(kind=args.kind, K=K, level=args.level, n_grid=args.n_grid,
+                                n_rep=args.n_rep, **weights)
+    if limits.method_of(req.kind) == "mc":
+        req = dataclasses.replace(req, seed=_resolve_seed(args))
+    return req
 
 
 def _fmt(x, digits=17):
@@ -180,18 +185,12 @@ def _cmd_simulate(args):
 
 
 def _cmd_test(args):
-    seed = _critval_seed(args)
     if args.v is None:
         raise ConfigurationError("test requires a projection vector (--v)")
+    seed = _critval_request(args, len(args.data)).seed
     samples, v, w = load_bundle(args.data, args.v, args.w)
     pair = sumproc.ProjectionPair.from_vectors(v, w)
-    targets = None
-    if args.targets is not None:
-        values = _floats(args.targets)
-        if len(values) != len(samples):
-            raise ConfigurationError(
-                f"got {len(values)} targets for {len(samples)} samples")
-        targets = sumproc.TargetBilinear(values=list(values))
+    targets = None if args.targets is None else list(_floats(args.targets))
     spec = cptest.TestSpec(
         kind=args.kind, projection=pair, level=args.level, targets=targets,
         lrv_mode=args.lrv_mode, learning_length=args.learning_length,
@@ -217,22 +216,20 @@ def _cmd_test(args):
 
 
 def _cmd_critval(args):
-    seed = _critval_seed(args)
-    req = limits.CritValRequest(
-        kind=args.kind, K=args.K, level=args.level,
-        alpha_weights=_floats(args.alpha) if args.alpha else None,
-        kappa=_floats(args.kappa) if args.kappa else None,
-        n_grid=args.n_grid, n_rep=args.n_rep, seed=seed)
-    (row,) = limits.critical_value_table([req], workers=args.workers)
-    kind, K, level, value, n_grid, n_rep, row_seed, method = row
-    print(f"{kind} K={K} level={level:.4g}: {value:.4g} ({method})")
+    req = _critval_request(args, args.K,
+                           alpha_weights=_floats(args.alpha) if args.alpha else None,
+                           kappa=_floats(args.kappa) if args.kappa else None)
+    value = limits.critical_value(req, workers=args.workers)
+    method = limits.method_of(req.kind)
+    print(f"{req.kind} K={req.K} level={req.level:.4g}: {value:.4g} ({method})")
     if args.out:
-        # csv writes None as an empty cell: n_rep and seed of a "corrected"
-        # value did not enter it.
+        # n_rep and seed of a "corrected" value did not enter it: empty cells.
+        mc = method == "mc"
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["kind", "K", "level", "value", "n_grid", "n_rep", "seed", "method"])
-            writer.writerow([kind, K, _fmt(level), _fmt(value), n_grid, n_rep, row_seed, method])
+            writer.writerow([req.kind, req.K, _fmt(req.level), _fmt(value), req.n_grid,
+                             req.n_rep if mc else "", req.seed if mc else "", method])
     return 0
 
 

@@ -20,10 +20,6 @@ from . import limits, lrv, sumproc
 from .errors import ConfigurationError, CovCusumError, DegenerateLrvError
 from .simgen import Panel
 
-_QV_KINDS = ("q", "v")
-_BREVE_KINDS = ("q-breve", "v-breve")
-_POOLED_KINDS = ("v", "v-breve")
-
 
 @dataclass
 class TestSpec:
@@ -32,7 +28,7 @@ class TestSpec:
     kind: str
     projection: object  # ProjectionPair, or list of pairs for q kinds
     level: float = 0.95
-    targets: Optional[sumproc.TargetBilinear] = None
+    targets: Optional[Sequence] = None  # one float or length-N_j array per sample
     lrv_mode: str = lrv.MODE_IN_SAMPLE
     learning_length: Optional[Sequence[int]] = None
     alpha_sq_override: Optional[Sequence[float]] = None
@@ -43,11 +39,12 @@ class TestSpec:
     def __post_init__(self):
         if self.kind not in limits.KINDS:
             raise ConfigurationError(f"unknown statistic kind {self.kind!r}")
-        if self.kind in _QV_KINDS and self.targets is None:
+        bridge = self.kind in limits.BRIDGE_KINDS
+        if not bridge and self.targets is None:
             raise ConfigurationError(f"kind {self.kind!r} requires targets")
-        if self.kind in _BREVE_KINDS and self.targets is not None:
+        if bridge and self.targets is not None:
             raise ConfigurationError(f"kind {self.kind!r} forbids targets")
-        if self.kind in _POOLED_KINDS and isinstance(self.projection, (list, tuple)):
+        if self.kind in limits.POOLED_KINDS and isinstance(self.projection, (list, tuple)):
             raise ConfigurationError(
                 "pooled kinds require one shared projection pair, not per-sample pairs"
             )
@@ -190,7 +187,7 @@ def _summarize(samples, spec, learning) -> PanelSummary:
         else:
             source = ps if blocks is None else _project_finite(blocks[j], pair, j, "learning")
             try:
-                est = lrv.lrv_estimate(source, mode=spec.lrv_mode)
+                est = lrv.lrv_estimate(source.p, mode=spec.lrv_mode)
             except DegenerateLrvError as exc:
                 raise DegenerateLrvError(f"sample {j}: {exc}", sample_index=j) from exc
         if est.degenerate or not 0.0 < est.alpha_sq < math.inf:
@@ -205,10 +202,12 @@ def _summarize(samples, spec, learning) -> PanelSummary:
 
 def _statistic(summary, spec):
     """Value of ``spec.kind`` on the summary, with per-sample argmax indices."""
-    devs = [sumproc.unscaled_deviation(
-                ps, None if spec.targets is None else spec.targets.for_sample(j))
-            for j, ps in enumerate(summary.projected)]
-    if spec.kind in _POOLED_KINDS:
+    K = len(summary.sizes)
+    targets = [None] * K if spec.targets is None else list(spec.targets)
+    if len(targets) != K:
+        raise ConfigurationError(f"got {len(targets)} targets for {K} samples")
+    devs = [sumproc.unscaled_deviation(ps, t) for ps, t in zip(summary.projected, targets)]
+    if spec.kind in limits.POOLED_KINDS:
         root_total = math.sqrt(sum(summary.sizes))
         return sumproc.pooled_d_grid_max([f / root_total for f in devs])
     stat = 0.0
@@ -223,7 +222,7 @@ def _statistic(summary, spec):
 def _evaluate(summary, spec, workers) -> TestReport:
     stat, argmax = _statistic(summary, spec)
     alphas = kappas = None
-    if spec.kind in _POOLED_KINDS:
+    if spec.kind in limits.POOLED_KINDS:
         n_total = sum(summary.sizes)
         alphas = tuple(math.sqrt(e.alpha_sq) for e in summary.lrv)
         kappas = tuple(n / n_total for n in summary.sizes)

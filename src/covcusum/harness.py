@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import cptest, lrv, simgen, sumproc
+from . import cptest, limits, lrv, simgen, sumproc
 from .errors import ConfigurationError
 
 HORIZON = 1200
@@ -71,7 +71,7 @@ class ExperimentConfig:
     dims: tuple = (10,)
     scenario: str = "none"
     change_times: tuple = (600,)
-    tests: tuple = ("q-breve", "v-breve")
+    tests: tuple = limits.BRIDGE_KINDS
     lrv_mode: str = lrv.MODE_IN_SAMPLE
     learning_length: int = 500  # in time instants, mapped through the rates
     level: float = 0.95
@@ -90,7 +90,7 @@ class ExperimentConfig:
             if c not in CASE_SIZES:
                 raise ConfigurationError(f"unknown case {c!r}")
         for t in self.tests:
-            if t not in ("q-breve", "v-breve"):
+            if t not in limits.BRIDGE_KINDS:
                 raise ConfigurationError(
                     f"experiment supports the target-free kinds, got {t!r}")
 
@@ -146,7 +146,7 @@ def _learning_sizes(case, cfg):
 
 def run_cell(case, d, scenario, change_time, cfg: ExperimentConfig, cell_index):
     """Run every requested test on one (case, d, scenario, time) cell."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     seed = _cell_seed(cfg.seed, cell_index)
     base_kwargs = _panel_config(case, d, scenario, change_time, cfg)
     panel_cfg = simgen.PanelConfig(seed=seed, **base_kwargs)
@@ -174,7 +174,7 @@ def run_cell(case, d, scenario, change_time, cfg: ExperimentConfig, cell_index):
         for t, report in zip(cfg.tests, reports):
             rejections[t] += int(report.reject)
 
-    wall_time = time.time() - t0
+    wall_time = time.perf_counter() - t0
     results = []
     n = cfg.replications
     for t in cfg.tests:

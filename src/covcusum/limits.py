@@ -1,9 +1,11 @@
 """Limit distributions and critical values of the four null functionals.
 
-Closed-form series for the suprema of |Brownian motion| and |Brownian
-bridge| on [0, 1] give the critical values of the sum-of-squares kinds
-``q`` and ``q-breve`` without simulation: their null law is the K-fold
-convolution of one data-free law, sup|B|^2 or sup|bridge|^2.  The paper's
+One series per law gives the suprema of |Brownian motion| (reflection
+series, ``sup_abs_bm_cdf``) and |Brownian bridge| (Kolmogorov series,
+``sup_abs_bb_cdf``) on [0, 1], for a float or an array alike.  They give
+the critical values of the sum-of-squares kinds ``q`` and ``q-breve``
+without simulation: their null law is the K-fold convolution of one
+data-free law, sup|B|^2 or sup|bridge|^2.  The paper's
 statistics take the supremum over a grid of ``n_grid`` points, which sits
 below the continuous one by about beta / sqrt(n_grid) with
 beta = -zeta(1/2) / sqrt(2 pi) (Broadie, Glasserman & Kou 1997, Math.
@@ -35,6 +37,12 @@ import numpy as np
 from .errors import ConfigurationError
 
 KINDS = ("q", "v", "q-breve", "v-breve")
+# Pooled kinds take one grid maximum over all samples; bridge kinds recenter
+# by the endpoint and need no target; corrected kinds have a closed-form
+# critical value (``method_of``).
+POOLED_KINDS = ("v", "v-breve")
+BRIDGE_KINDS = ("q-breve", "v-breve")
+CORRECTED_KINDS = ("q", "q-breve")
 DEFAULT_N_GRID = 2000
 DEFAULT_N_REP = 100_000
 _BLOCK = 2048
@@ -43,9 +51,6 @@ _BLOCK = 2048
 _CHUNK = 64
 _EXTREMA_CACHE_SIZE = 4
 
-_SERIES_TOL = 1e-14
-
-CORRECTED_KINDS = ("q", "q-breve")
 # -zeta(1/2) / sqrt(2 pi): the grid maximum of a Brownian motion with n
 # steps sits this many multiples of 1/sqrt(n) below the continuous one.
 BGK_BETA = 0.5825971579390106
@@ -55,64 +60,42 @@ _TABLE_STEP = 1e-3
 _TABLE_TAIL = 1e-13
 
 
-def sup_abs_bm_cdf(y: float) -> float:
-    """P(sup_{[0,1]} |B|^2 <= y) for standard Brownian motion.
-
-    Alternating reflection series, evaluated until terms drop below 1e-14.
-    The argument is the bound on the squared supremum.
-    """
-    if y < 0.0:
-        raise ValueError(f"argument must be non-negative, got {y}")
-    if y == 0.0:
-        return 0.0
-    total = 0.0
-    l = 0
-    while True:
-        term = (-1.0) ** l / (2 * l + 1) * math.exp(-((2 * l + 1) ** 2) * math.pi ** 2 / (8.0 * y))
-        total += term
-        if abs(term) < _SERIES_TOL:
-            break
-        l += 1
-    return min(max(4.0 / math.pi * total, 0.0), 1.0)
-
-
-def sup_abs_bb_cdf(y: float) -> float:
-    """P(sup_{[0,1]} |bridge|^2 <= y), the Kolmogorov law in squared form."""
-    if y <= 0.0:
-        raise ValueError(f"argument must be positive, got {y}")
-    total = 0.0
-    l = 1
-    while True:
-        term = math.exp(-((2 * l - 1) ** 2) * math.pi ** 2 / (8.0 * y))
-        total += term
-        if term < _SERIES_TOL:
-            break
-        l += 1
-    return min(math.sqrt(2.0 * math.pi / y) * total, 1.0)
-
-
 def _series_terms(y_max: float) -> int:
     # Enough terms that the first one left out, exp(-(2l+1)^2 pi^2 / (8 y)),
     # is below exp(-40) for every argument up to y_max.
     return int(math.sqrt(320.0 * y_max) / math.pi) // 2 + 2
 
 
-def _sup_abs_bm_cdf_array(y: np.ndarray) -> np.ndarray:
-    """``sup_abs_bm_cdf`` for an array of positive arguments."""
+def sup_abs_bm_cdf(y):
+    """P(sup_{[0,1]} |B|^2 <= y) for standard Brownian motion.
+
+    Alternating reflection series in the bound ``y`` on the squared
+    supremum, a float or an array (same shape back).  y = 0 gives 0.
+    """
     y = np.asarray(y, dtype=float)
+    if y.min() < 0.0:
+        raise ValueError(f"argument must be non-negative, got {y}")
     total = np.zeros_like(y)
-    for l in range(_series_terms(float(y.max()))):
-        total += (-1.0) ** l / (2 * l + 1) * np.exp(-((2 * l + 1) ** 2) * math.pi ** 2 / (8.0 * y))
-    return np.clip(4.0 / math.pi * total, 0.0, 1.0)
+    with np.errstate(divide="ignore"):  # y = 0: exp(-inf) = 0
+        for l in range(_series_terms(float(y.max()))):
+            total += (-1.0) ** l / (2 * l + 1) * np.exp(-((2 * l + 1) ** 2) * math.pi ** 2 / (8.0 * y))
+    out = np.clip(4.0 / math.pi * total, 0.0, 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
-def _sup_abs_bb_cdf_array(y: np.ndarray) -> np.ndarray:
-    """``sup_abs_bb_cdf`` for an array of positive arguments."""
+def sup_abs_bb_cdf(y):
+    """P(sup_{[0,1]} |bridge|^2 <= y), the Kolmogorov law in squared form.
+
+    Theta-function series in ``y`` > 0, a float or an array (same shape back).
+    """
     y = np.asarray(y, dtype=float)
+    if y.min() <= 0.0:
+        raise ValueError(f"argument must be positive, got {y}")
     total = np.zeros_like(y)
     for l in range(1, _series_terms(float(y.max())) + 1):
         total += np.exp(-((2 * l - 1) ** 2) * math.pi ** 2 / (8.0 * y))
-    return np.minimum(np.sqrt(2.0 * math.pi / y) * total, 1.0)
+    out = np.minimum(np.sqrt(2.0 * math.pi / y) * total, 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def _table_end(kind: str) -> float:
@@ -129,7 +112,7 @@ def _table_end(kind: str) -> float:
 
 def _one_sample_table(kind: str, n_grid: int, step: float) -> np.ndarray:
     """P(X <= i * step) for i = 0..n, X = max(sup - beta/sqrt(n_grid), 0)^2."""
-    cdf = _sup_abs_bm_cdf_array if kind == "q" else _sup_abs_bb_cdf_array
+    cdf = sup_abs_bm_cdf if kind == "q" else sup_abs_bb_cdf
     n = math.ceil(_table_end(kind) / step)
     shift = BGK_BETA / math.sqrt(n_grid)
     return cdf((np.sqrt(np.arange(n + 1) * step) + shift) ** 2)
@@ -309,23 +292,17 @@ def functional_draws(req: CritValRequest, extrema: PathExtrema) -> np.ndarray:
     """Per-replication draws of the requested null functional."""
     if extrema.K < req.K:
         raise ConfigurationError("extrema were simulated for fewer samples than requested")
-    bm_max = extrema.bm_max[:, : req.K]
-    bm_min = extrema.bm_min[:, : req.K]
-    bb_max = extrema.bb_max[:, : req.K]
-    bb_min = extrema.bb_min[:, : req.K]
-    if req.kind == "q":
-        return (np.maximum(bm_max, -bm_min) ** 2).sum(axis=1)
-    if req.kind == "q-breve":
-        return (np.maximum(bb_max, -bb_min) ** 2).sum(axis=1)
+    if req.kind in BRIDGE_KINDS:
+        hi, lo = extrema.bb_max[:, : req.K], extrema.bb_min[:, : req.K]
+    else:
+        hi, lo = extrema.bm_max[:, : req.K], extrema.bm_min[:, : req.K]
+    if req.kind not in POOLED_KINDS:
+        return (np.maximum(hi, -lo) ** 2).sum(axis=1)
     # Pooled kinds: sup over the grid of |sum_j c_j B_j(s_j)| with positive
     # weights c_j = alpha_j sqrt(kappa_j) separates per coordinate.
     if req.alpha_weights is None or req.kappa is None:
         raise ConfigurationError(f"kind {req.kind!r} requires alpha_weights and kappa")
     c = np.asarray(req.alpha_weights) * np.sqrt(np.asarray(req.kappa))
-    if req.kind == "v":
-        hi, lo = bm_max, bm_min
-    else:
-        hi, lo = bb_max, bb_min
     return np.maximum(hi @ c, -(lo @ c))
 
 
@@ -349,18 +326,3 @@ def critical_value(req: CritValRequest, workers: int = 1) -> float:
         return _corrected_quantile(req.kind, req.K, req.level, req.n_grid)
     extrema = simulate_path_extrema(req.K, req.n_grid, req.n_rep, req.seed, workers=workers)
     return empirical_quantile(functional_draws(req, extrema), req.level)
-
-
-def critical_value_table(requests, workers: int = 1):
-    """Rows (kind, K, level, value, n_grid, n_rep, seed, method) for CSV export.
-
-    ``n_rep`` and ``seed`` are None on "corrected" rows, whose value they
-    did not enter.
-    """
-    rows = []
-    for req in requests:
-        method = method_of(req.kind)
-        mc = method == "mc"
-        rows.append((req.kind, req.K, req.level, critical_value(req, workers=workers),
-                     req.n_grid, req.n_rep if mc else None, req.seed if mc else None, method))
-    return rows

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateLrvError, ShapeError
-from .sumproc import ProjectedSample
 
 QS_BANDWIDTH_CONST = 1.3221
 RHO_CLAMP = 0.97
@@ -34,19 +33,13 @@ class LrvEstimate:
     rho_clamped: bool = False
 
 
-def _products(ps) -> np.ndarray:
-    if isinstance(ps, ProjectedSample):
-        return ps.p
-    return np.asarray(ps, dtype=float)
-
-
-def autocov_hat(ps, h: int) -> float:
+def autocov_hat(p, h: int) -> float:
     """Lag-h sample autocovariance of the product series, divisor N.
 
     Centered at the overall mean; the divisor is N (not N - h), matching
     the partial-sum scaling the estimate standardizes.
     """
-    p = _products(ps)
+    p = np.asarray(p, dtype=float)
     n = len(p)
     if not 0 <= h < n:
         raise ShapeError(f"lag {h} out of range for series of length {n}")
@@ -76,53 +69,32 @@ def qs_bandwidth(rho: float, n: int) -> float:
 
 
 def _ar1_bandwidth(c: np.ndarray, g0: float):
-    """QS bandwidth from the clamped lag-1 autocorrelation of the centered
-    series ``c``, and whether it was clamped."""
+    """QS bandwidth from the lag-1 autocorrelation of the centered series
+    ``c``, clamped to [-0.97, 0.97] to stay finite on near-unit-root series,
+    and whether it was clamped."""
     rho = _autocov(c, 1) / g0
     clamped = min(max(rho, -RHO_CLAMP), RHO_CLAMP)
     return qs_bandwidth(clamped, len(c)), abs(rho) > RHO_CLAMP
 
 
-def andrews_bandwidth(ps) -> float:
-    """Adaptive bandwidth from an AR(1) fit to the centered product series.
+def lrv_estimate(p, mode: str = MODE_IN_SAMPLE) -> LrvEstimate:
+    """Kernel long-run variance estimate of the product series ``p``.
 
-    The lag-1 autocorrelation is clamped to [-0.97, 0.97] to keep the
-    bandwidth finite on near-unit-root series.
+    alpha_sq = Gamma(0) + 2 sum_{h=1}^{m} k(h / S) Gamma(h) with the QS
+    kernel, the AR(1) bandwidth S of ``_ar1_bandwidth`` and
+    m = min(ceil(3 S), N - 1); S = 0 gives Gamma(0).  A non-positive result
+    is clamped to 1e-12 * Gamma(0) and flagged degenerate.
     """
-    p = _products(ps)
+    p = np.asarray(p, dtype=float)
     n = len(p)
     if n < 4:
         raise ShapeError(f"need at least 4 observations, got {n}")
     c = p - p.mean()
     g0 = _autocov(c, 0)
     if g0 <= 0.0:
-        raise DegenerateLrvError("constant product series: autocovariance at lag 0 is zero")
-    return _ar1_bandwidth(c, g0)[0]
-
-
-def lrv_estimate(ps, mode: str = MODE_IN_SAMPLE, bandwidth_override=None) -> LrvEstimate:
-    """Kernel long-run variance estimate of the product series.
-
-    alpha_sq = Gamma(0) + 2 sum_{h=1}^{m} k(h / S) Gamma(h) with the QS
-    kernel and m = min(ceil(3 S), N - 1).  A non-positive result is
-    clamped to 1e-12 * Gamma(0) and flagged degenerate.
-    """
-    p = _products(ps)
-    n = len(p)
-    min_n = 2 if bandwidth_override == 0 else 4
-    if n < min_n:
-        raise ShapeError(f"need at least {min_n} observations, got {n}")
-    c = p - p.mean()
-    g0 = _autocov(c, 0)
-    if g0 <= 0.0:
         raise DegenerateLrvError("constant product series: long-run variance undefined")
 
-    if bandwidth_override is not None:
-        bw = float(bandwidth_override)
-        rho_clamped = False
-    else:
-        bw, rho_clamped = _ar1_bandwidth(c, g0)
-
+    bw, rho_clamped = _ar1_bandwidth(c, g0)
     if bw <= 0.0:
         return LrvEstimate(alpha_sq=g0, bandwidth=0.0, n_lags=0, mode=mode,
                            rho_clamped=rho_clamped)

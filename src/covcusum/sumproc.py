@@ -1,15 +1,16 @@
-"""Projected product series, partial-sum processes, bridges, grid maxima.
+"""Projected product series, their running sums and deviations, grid maxima.
 
 The monitored scalar per observation is p_i = (v'Y_i)(w'Y_i); its running
 sums S_k reproduce the bilinear form of the unnormalized sample covariance
 partial sums.  No d x d matrix is ever materialized: projecting first costs
 O(N d) instead of O(N d^2) and gives identical values by bilinearity.
+``unscaled_deviation`` gives the deviation from a target, or the bridge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -67,28 +68,16 @@ class ProjectionPair:
 class ProjectedSample:
     """Scalar series of one sample after projection.
 
-    x = v'Y, y = w'Y, p = x * y elementwise, s = running sums of p with
-    s[0] = 0 and len(s) = n + 1.
+    p = (v'Y) * (w'Y) elementwise, s = running sums of p with s[0] = 0 and
+    len(s) = n + 1.
     """
 
-    x: np.ndarray
-    y: np.ndarray
     p: np.ndarray
     s: np.ndarray
 
     @property
     def n(self):
         return len(self.p)
-
-
-@dataclass
-class TargetBilinear:
-    """Per-sample target values v' Cov(Y_i) w, constant or per-observation."""
-
-    values: list  # one float or length-N_j array per sample
-
-    def for_sample(self, j):
-        return self.values[j]
 
 
 def project(sample: np.ndarray, pair: ProjectionPair) -> ProjectedSample:
@@ -100,10 +89,8 @@ def project(sample: np.ndarray, pair: ProjectionPair) -> ProjectedSample:
         raise ShapeError(
             f"sample has {sample.shape[1]} columns but projection vectors have length {pair.d}"
         )
-    x = sample @ pair.v
-    y = sample @ pair.w
-    p = x * y
-    return ProjectedSample(x=x, y=y, p=p, s=kahan_cumsum(p))
+    p = (sample @ pair.v) * (sample @ pair.w)
+    return ProjectedSample(p=p, s=kahan_cumsum(p))
 
 
 def _cumulative_target(target, n):
@@ -119,9 +106,10 @@ def _cumulative_target(target, n):
 def unscaled_deviation(ps: ProjectedSample, target=None) -> np.ndarray:
     """Partial-sum deviation S_k - sum_{i<=k} target_i, or the bridge S_k - (k/N) S_N.
 
-    Length N + 1 for k = 0..N, not yet scaled.  With ``target=None`` the
-    deviation is target-free and both endpoints are zero bit-exactly;
-    otherwise entry 0 is exactly zero.
+    Length N + 1 for k = 0..N, not yet scaled: the sum-of-squares kinds
+    divide it by sqrt(N), the pooled kinds by sqrt(N_total).  With
+    ``target=None`` the deviation is target-free and both endpoints are
+    zero bit-exactly; otherwise entry 0 is exactly zero.
     """
     n = ps.n
     if n < 1:
@@ -133,24 +121,6 @@ def unscaled_deviation(ps: ProjectedSample, target=None) -> np.ndarray:
         out = ps.s - _cumulative_target(target, n)
     out[0] = 0.0
     return out
-
-
-def d_process(ps: ProjectedSample, target) -> np.ndarray:
-    """Scaled partial-sum deviation from the target bilinear form.
-
-    Returns the length-(N+1) sequence N^{-1/2} (S_k - sum_{i<=k} target_i)
-    for k = 0..N; entry 0 is exactly zero.
-    """
-    return unscaled_deviation(ps, target) / np.sqrt(ps.n)
-
-
-def bridge_process(ps: ProjectedSample) -> np.ndarray:
-    """Endpoint-recentered partial-sum process N^{-1/2} (S_k - (k/N) S_N).
-
-    Target-free: only the running sums enter.  Both endpoints are zero
-    bit-exactly.
-    """
-    return unscaled_deviation(ps) / np.sqrt(ps.n)
 
 
 def pooled_d_grid_max(processes: Sequence[np.ndarray]):

@@ -16,7 +16,7 @@ import scipy.stats
 
 from covcusum import cli, cptest, harness, limits, lrv, simgen, sumproc
 from covcusum.limits import CritValRequest
-from covcusum.sumproc import ProjectionPair, TargetBilinear
+from covcusum.sumproc import ProjectionPair
 
 
 def _verdict(num, name, ok, detail=""):
@@ -116,7 +116,7 @@ def test_criterion_6_bridge_and_projection_invariances():
     endpoints_exact = True
     for _ in range(50):
         y = rng.standard_normal((int(rng.integers(2, 40)), 1))
-        delta = sumproc.bridge_process(
+        delta = sumproc.unscaled_deviation(
             sumproc.project(y, ProjectionPair.from_vectors([1.0])))
         endpoints_exact &= delta[0] == 0.0 and delta[-1] == 0.0
 
@@ -139,7 +139,7 @@ def test_criterion_6_bridge_and_projection_invariances():
     # not move under any choice of target values.
     cptest.run_test(panel, cptest.TestSpec(
         kind="q", projection=ProjectionPair.from_vectors(v),
-        targets=TargetBilinear(list(rng.standard_normal(2))), **small))
+        targets=list(rng.standard_normal(2)), **small))
     after = breve_stats()
     target_free = before == after
 

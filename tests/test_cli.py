@@ -240,6 +240,21 @@ class TestTestCommand:
                        "--seed", "5"] + FAST)
         assert rc == 1
 
+    def test_critval_settings_checked_before_ingestion(self, tmp_path, capsys):
+        rc = cli.main(["test", "--data", str(tmp_path / "nope.csv"),
+                       "--v", str(tmp_path / "v.txt"), "--kind", "v-breve",
+                       "--n-rep", "10"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "seed:" not in captured.out
+        assert "n_rep" in captured.err
+
+    def test_missing_projection_draws_no_seed(self, tmp_path, capsys):
+        data, _ = self._panel_files(tmp_path)
+        rc = cli.main(["test", "--data", *data, "--kind", "v-breve"] + FAST)
+        assert rc == 2
+        assert "seed:" not in capsys.readouterr().out
+
     def test_nan_cell_exit_code_one_naming_line(self, tmp_path, capsys):
         data, v = self._panel_files(tmp_path)
         lines = Path(data[1]).read_text().splitlines()
@@ -325,6 +340,13 @@ class TestCritvalCommand:
                        "--kappa", "1.0", "--seed", "1", "--n-rep", "10"])
         assert rc == 2
         assert "n_rep" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [["--n-rep", "10"], ["--level", "1.5"]])
+    def test_refused_request_draws_no_seed(self, bad, capsys):
+        rc = cli.main(["critval", "--kind", "v-breve", "--K", "1", "--alpha", "1",
+                       "--kappa", "1", *bad])
+        assert rc == 2
+        assert "seed:" not in capsys.readouterr().out
 
     def test_worker_count_below_one_exit_code_two(self, capsys):
         rc = cli.main(["critval", "--kind", "q-breve", "--K", "1", "--workers", "0"] + FAST)

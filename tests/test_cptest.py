@@ -7,7 +7,7 @@ import pytest
 from covcusum import cptest, limits, lrv, simgen, sumproc
 from covcusum.cptest import TestSpec
 from covcusum.errors import ConfigurationError, CovCusumError, DegenerateLrvError
-from covcusum.sumproc import ProjectionPair, TargetBilinear
+from covcusum.sumproc import ProjectionPair
 
 SMALL = dict(n_grid=500, n_rep=20_000)
 
@@ -38,7 +38,7 @@ class TestSpecValidation:
         for kind in ("q-breve", "v-breve"):
             with pytest.raises(ConfigurationError, match="targets"):
                 TestSpec(kind=kind, projection=PAIR_1D,
-                         targets=TargetBilinear([1.0]))
+                         targets=[1.0])
 
     def test_pooled_kinds_forbid_per_sample_pairs(self):
         with pytest.raises(ConfigurationError):
@@ -64,7 +64,7 @@ class TestHandValues:
     def test_q_matches_q_breve_when_target_is_mean(self):
         # Centering at the in-sample mean product reproduces the bridge.
         spec_q = TestSpec(kind="q", projection=PAIR_1D,
-                          targets=TargetBilinear([2.5]),
+                          targets=[2.5],
                           alpha_sq_override=[1.0], seed=1, **SMALL)
         rep = cptest.run_test(tiny_panel(), spec_q)
         assert rep.statistic == pytest.approx(1.125, rel=1e-12)
@@ -72,7 +72,7 @@ class TestHandValues:
     def test_v_with_zero_target(self):
         # Plain pooled deviation from target 0: max |s_k| / sqrt(2) = 5/sqrt(2).
         spec = TestSpec(kind="v", projection=PAIR_1D,
-                        targets=TargetBilinear([0.0]),
+                        targets=[0.0],
                         alpha_sq_override=[1.0], seed=1, **SMALL)
         rep = cptest.run_test(tiny_panel(), spec)
         assert rep.statistic == pytest.approx(5.0 / math.sqrt(2), rel=1e-12)
@@ -255,7 +255,7 @@ class TestSizeBracket:
         panels = [[rng.standard_normal((n, d)) for _ in range(K)]
                   for _ in range(500)]
         for kind in ("q", "q-breve", "v", "v-breve"):
-            targets = TargetBilinear([target] * K) if kind in ("q", "v") else None
+            targets = [target] * K if kind in ("q", "v") else None
             spec = TestSpec(kind=kind, projection=pair, level=0.95,
                             targets=targets, seed=10, **SMALL)
             rate = np.mean([cptest.run_test(p, spec).reject for p in panels])
@@ -299,7 +299,7 @@ class TestDispatchAndReport:
     def test_run_tests_matches_run_test(self):
         panel = random_panel(3, 70, 2, seed=12)
         pair = ProjectionPair.from_vectors([0.6, 0.4])
-        targets = TargetBilinear([0.52, 0.5, 0.55])
+        targets = [0.52, 0.5, 0.55]
         specs = [TestSpec(kind=kind, projection=pair, seed=8,
                           targets=targets if kind in ("q", "v") else None, **SMALL)
                  for kind in ("q", "q-breve", "v", "v-breve")]
@@ -332,4 +332,13 @@ class TestDispatchAndReport:
         spec = TestSpec(kind="q-breve", projection=[PAIR_1D, PAIR_1D], seed=9,
                         **SMALL)
         with pytest.raises(ConfigurationError):
+            cptest.run_test(panel, spec)
+
+    @pytest.mark.parametrize("kind", ["q", "v"])
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_wrong_target_count_rejected(self, kind, count):
+        panel = random_panel(3, 30, 1, seed=14)
+        spec = TestSpec(kind=kind, projection=PAIR_1D, targets=[1.0] * count, seed=9,
+                        **SMALL)
+        with pytest.raises(ConfigurationError, match=f"got {count} targets for 3 samples"):
             cptest.run_test(panel, spec)

@@ -155,14 +155,42 @@ def oracle_extrema():
     return limits.simulate_path_extrema(4, 1000, 100_000, seed=99, cache=False)
 
 
+# The y-grid on which the series are checked against independent formulas.
+SERIES_YS = np.concatenate([np.linspace(0.01, 2.0, 200), np.linspace(2.0, 70.0, 300)])
+
+
 class TestCorrectedLaw:
     def test_array_series_match_scalar(self):
-        ys = np.concatenate([np.linspace(0.01, 2.0, 200), np.linspace(2.0, 70.0, 300)])
-        bm = limits._sup_abs_bm_cdf_array(ys)
-        bb = limits._sup_abs_bb_cdf_array(ys)
-        for y, a, b in zip(ys, bm, bb):
-            assert abs(a - limits.sup_abs_bm_cdf(y)) <= 1e-12
-            assert abs(b - limits.sup_abs_bb_cdf(y)) <= 1e-12
+        for cdf in (limits.sup_abs_bm_cdf, limits.sup_abs_bb_cdf):
+            arr = cdf(SERIES_YS)
+            assert isinstance(arr, np.ndarray) and arr.shape == SERIES_YS.shape
+            assert cdf(SERIES_YS.reshape(20, 25)).shape == (20, 25)
+            for y, a in zip(SERIES_YS, arr):
+                value = cdf(float(y))
+                assert type(value) is float
+                assert abs(value - a) <= 1e-15
+
+    def test_bb_series_matches_kstwobign(self):
+        expected = scipy.stats.kstwobign.cdf(np.sqrt(SERIES_YS))
+        assert np.max(np.abs(limits.sup_abs_bb_cdf(SERIES_YS) - expected)) <= 1e-12
+
+    def test_bm_series_matches_gaussian_image_sum(self):
+        # P(sup|B| <= x) = sum_k (-1)^k [Phi((2k+1) x) - Phi((2k-1) x)].
+        x = np.sqrt(SERIES_YS)
+        k = np.arange(-50, 51)[:, None]
+        terms = (-1.0) ** k * (scipy.stats.norm.cdf((2 * k + 1) * x)
+                               - scipy.stats.norm.cdf((2 * k - 1) * x))
+        expected = terms.sum(axis=0)
+        assert np.max(np.abs(limits.sup_abs_bm_cdf(SERIES_YS) - expected)) <= 1e-12
+
+    def test_array_arguments_keep_the_scalar_refusals(self):
+        np.testing.assert_array_equal(limits.sup_abs_bm_cdf(np.array([0.0, 0.0])), [0.0, 0.0])
+        assert limits.sup_abs_bm_cdf(np.array([0.0, 4.0]))[1] == pytest.approx(
+            limits.sup_abs_bm_cdf(4.0), abs=1e-15)
+        with pytest.raises(ValueError):
+            limits.sup_abs_bm_cdf(np.array([1.0, -0.1]))
+        with pytest.raises(ValueError):
+            limits.sup_abs_bb_cdf(np.array([1.0, 0.0]))
 
     @pytest.mark.parametrize("kind", limits.CORRECTED_KINDS)
     def test_table_leaves_out_at_most_1e12(self, kind):
@@ -321,19 +349,8 @@ def test_series_vs_monte_carlo_cdf_agreement():
         assert abs(emp - ser) <= 0.01
 
 
-def test_critical_value_table_rows():
-    reqs = [CritValRequest(kind="q-breve", K=2, level=lv, seed=23, **SMALL)
-            for lv in (0.9, 0.95)]
-    rows = limits.critical_value_table(reqs)
-    assert len(rows) == 2
-    assert rows[0][0] == "q-breve"
-    assert rows[0][3] < rows[1][3]
-
-
-def test_critical_value_table_names_method_and_used_inputs():
-    rows = limits.critical_value_table([
-        CritValRequest(kind="q", K=2, level=0.95, seed=23, **SMALL),
-        CritValRequest(kind="v-breve", K=2, level=0.95, alpha_weights=(1.0, 1.0),
-                       kappa=(0.5, 0.5), seed=23, **SMALL)])
-    assert rows[0][4:] == (500, None, None, "corrected")
-    assert rows[1][4:] == (500, 20_000, 23, "mc")
+def test_critical_value_increases_with_level():
+    values = [limits.critical_value(CritValRequest(kind="q-breve", K=2, level=lv, seed=23,
+                                                   **SMALL))
+              for lv in (0.9, 0.95)]
+    assert values[0] < values[1]

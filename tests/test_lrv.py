@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from covcusum import lrv, simgen, sumproc
+from covcusum import lrv, simgen
 from covcusum.errors import DegenerateLrvError, ShapeError
 
 
@@ -65,7 +65,7 @@ class TestBandwidth:
     def test_andrews_on_iid_series_small(self):
         rng = np.random.default_rng(0)
         p = rng.standard_normal(5000)
-        bw = lrv.andrews_bandwidth(p)
+        bw = lrv.lrv_estimate(p).bandwidth
         # iid: rho_hat near zero, bandwidth small.
         assert bw < 2.0
 
@@ -74,12 +74,13 @@ class TestBandwidth:
         # treated as 0.97.
         n = 2000
         p = np.cumsum(np.random.default_rng(1).standard_normal(n)) + 1e4
-        bw = lrv.andrews_bandwidth(p)
-        assert bw == pytest.approx(lrv.qs_bandwidth(0.97, n), rel=1e-9)
+        est = lrv.lrv_estimate(p)
+        assert est.bandwidth == pytest.approx(lrv.qs_bandwidth(0.97, n), rel=1e-9)
+        assert est.rho_clamped
 
     def test_too_short_rejected(self):
         with pytest.raises(ShapeError):
-            lrv.andrews_bandwidth(np.array([1.0, 2.0, 1.5]))
+            lrv.lrv_estimate(np.array([1.0, 2.0, 1.5]))
 
 
 class TestLrvEstimate:
@@ -91,11 +92,16 @@ class TestLrvEstimate:
         assert est.alpha_sq == pytest.approx(2.0, rel=0.10)
         assert not est.degenerate
 
-    def test_bandwidth_override_zero(self):
-        p = np.array([1.0, 2.0, 3.0])
-        est = lrv.lrv_estimate(p, bandwidth_override=0)
-        assert est.alpha_sq == pytest.approx(2 / 3)
+    def test_zero_lag1_autocovariance_gives_zero_bandwidth(self):
+        # Lag-1 autocovariance of [1, 0, -1, 0] is exactly 0, so the AR(1)
+        # bandwidth is 0 and the estimate is Gamma(0) = 2 / 4.
+        p = np.array([1.0, 0.0, -1.0, 0.0])
+        assert lrv.autocov_hat(p, 1) == 0.0
+        est = lrv.lrv_estimate(p)
+        assert est.alpha_sq == 0.5
+        assert est.bandwidth == 0.0
         assert est.n_lags == 0
+        assert not est.degenerate and not est.rho_clamped
 
     def test_constant_series_degenerate(self):
         with pytest.raises(DegenerateLrvError):
@@ -119,13 +125,6 @@ class TestLrvEstimate:
         p = np.random.default_rng(5).standard_normal(100) ** 2
         assert lrv.lrv_estimate(p, mode=lrv.MODE_LEARNING).mode == lrv.MODE_LEARNING
         assert lrv.lrv_estimate(p).mode == lrv.MODE_IN_SAMPLE
-
-    def test_accepts_projected_sample(self):
-        rng = np.random.default_rng(6)
-        y = rng.standard_normal((500, 2))
-        ps = sumproc.project(y, sumproc.ProjectionPair.from_vectors([0.5, 0.5]))
-        est = lrv.lrv_estimate(ps)
-        assert est.alpha_sq > 0
 
     def test_ar1_consistency(self):
         # For projected AR(1) products the estimate must stabilize; check

@@ -11,11 +11,15 @@ from covcusum.errors import DegenerateLrvError, ShapeError
 from covcusum.sumproc import ProjectionPair
 
 
+def scaled(ps, target=None):
+    """The deviation scaled by 1/sqrt(N), as the sum-of-squares kinds use it."""
+    return sumproc.unscaled_deviation(ps, target) / math.sqrt(ps.n)
+
+
 def ps_from_s(s):
     """Build a ProjectedSample with the given running sums."""
     s = np.asarray(s, dtype=float)
-    p = np.diff(s)
-    return sumproc.ProjectedSample(x=p.copy(), y=np.ones_like(p), p=p, s=s)
+    return sumproc.ProjectedSample(p=np.diff(s), s=s)
 
 
 class TestProject:
@@ -76,22 +80,22 @@ class TestProjectionPair:
 class TestDProcess:
     def test_zero_data_zero_target(self):
         ps = ps_from_s([0.0, 0.0, 0.0])
-        np.testing.assert_array_equal(sumproc.d_process(ps, 0.0), [0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(scaled(ps, 0.0), [0.0, 0.0, 0.0])
 
     def test_hand_example_zero_target(self):
         ps = ps_from_s([0.0, 1.0, 5.0])
         np.testing.assert_allclose(
-            sumproc.d_process(ps, 0.0), [0.0, 1 / math.sqrt(2), 5 / math.sqrt(2)])
+            scaled(ps, 0.0), [0.0, 1 / math.sqrt(2), 5 / math.sqrt(2)])
 
     def test_hand_example_constant_target(self):
         ps = ps_from_s([0.0, 1.0, 5.0])
         np.testing.assert_allclose(
-            sumproc.d_process(ps, 2.5), [0.0, -1.5 / math.sqrt(2), 0.0], atol=1e-15)
+            scaled(ps, 2.5), [0.0, -1.5 / math.sqrt(2), 0.0], atol=1e-15)
 
     def test_sequence_target_length_mismatch(self):
         ps = ps_from_s([0.0, 1.0, 5.0])
         with pytest.raises(ShapeError):
-            sumproc.d_process(ps, np.array([1.0, 2.0, 3.0]))
+            scaled(ps, np.array([1.0, 2.0, 3.0]))
 
 
 class TestBridgeProcess:
@@ -100,27 +104,27 @@ class TestBridgeProcess:
         for _ in range(20):
             n = rng.integers(1, 30)
             ps = ps_from_s(np.concatenate([[0.0], np.cumsum(rng.standard_normal(n))]))
-            delta = sumproc.bridge_process(ps)
+            delta = scaled(ps)
             assert delta[0] == 0.0
             assert delta[-1] == 0.0
 
     def test_hand_example(self):
         ps = ps_from_s([0.0, 1.0, 5.0])
         np.testing.assert_allclose(
-            sumproc.bridge_process(ps), [0.0, -1.5 / math.sqrt(2), 0.0], atol=1e-15)
-        assert sumproc.bridge_process(ps)[1] == pytest.approx(-1.06066, abs=1e-5)
+            scaled(ps), [0.0, -1.5 / math.sqrt(2), 0.0], atol=1e-15)
+        assert scaled(ps)[1] == pytest.approx(-1.06066, abs=1e-5)
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ShapeError):
-            sumproc.bridge_process(ps_from_s([0.0]))
+            scaled(ps_from_s([0.0]))
 
     def test_independent_of_targets(self):
-        # The bridge is a pure function of the running sums; targets never
-        # enter its signature, so any target perturbation is invisible.
+        # The bridge (no target) is a pure function of the running sums; a
+        # deviation from a target computed in between leaves it unchanged.
         ps = ps_from_s([0.0, 3.0, 1.0, 4.0])
-        before = sumproc.bridge_process(ps).copy()
-        _ = sumproc.d_process(ps, 123.4)
-        np.testing.assert_array_equal(sumproc.bridge_process(ps), before)
+        before = scaled(ps).copy()
+        _ = scaled(ps, 123.4)
+        np.testing.assert_array_equal(scaled(ps), before)
 
 
 def brute_force_grid_max(processes):
