@@ -20,7 +20,7 @@ for r in harness.run_experiment(cfg):
 print("\npower, scale change after 600 time instants,")
 print("long-run variance from a 500-instant learning stretch:")
 cfg = harness.ExperimentConfig(replications=400, scenario="sigma-change",
-                               change_times=(600,), lrv_mode="learning-sample",
-                               learning_length=500, seed=2102, **common)
+                               change_times=(600,), learning_length=500,
+                               seed=2102, **common)
 for r in harness.run_experiment(cfg):
     print(f"  {r.test:8s} rejection rate {r.rate:.3f} (se {r.stderr:.3f})")

@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from . import cptest, harness, limits, lrv, simgen, sumproc
+from . import cptest, harness, limits, simgen, sumproc
 from .errors import ConfigurationError, CovCusumError, IngestionError
 
 
@@ -193,7 +193,7 @@ def _cmd_test(args):
     targets = None if args.targets is None else list(_floats(args.targets))
     spec = cptest.TestSpec(
         kind=args.kind, projection=pair, level=args.level, targets=targets,
-        lrv_mode=args.lrv_mode, learning_length=args.learning_length,
+        learning_length=args.learning_length,
         n_grid=args.n_grid, n_rep=args.n_rep, seed=seed)
     report = cptest.run_test(samples, spec, workers=args.workers)
 
@@ -237,7 +237,6 @@ def _cmd_critval(args):
 
 
 def _cmd_experiment(args):
-    seed = _resolve_seed(args)
     cfg = harness.ExperimentConfig(
         replications=args.replications,
         cases=tuple(args.cases.split(",")),
@@ -245,13 +244,12 @@ def _cmd_experiment(args):
         scenario=args.scenario,
         change_times=_ints(args.change_times),
         tests=tuple(args.tests.split(",")),
-        lrv_mode=args.lrv_mode,
         learning_length=args.learning_length,
         level=args.level,
-        seed=seed,
         critval_n_grid=args.n_grid,
         critval_n_rep=args.n_rep,
         workers=args.workers)
+    cfg = dataclasses.replace(cfg, seed=_resolve_seed(args))
     results = harness.run_experiment(cfg)
     for r in results:
         ct = "-" if r.change_time is None else r.change_time
@@ -307,9 +305,8 @@ def build_parser():
     p.add_argument("--kind", required=True, choices=limits.KINDS)
     p.add_argument("--targets", default=None,
                    help="comma-separated per-sample target bilinear forms (q/v kinds)")
-    p.add_argument("--lrv-mode", default=lrv.MODE_IN_SAMPLE,
-                   choices=(lrv.MODE_IN_SAMPLE, lrv.MODE_LEARNING))
-    p.add_argument("--learning-length", type=int, default=None)
+    p.add_argument("--learning-length", type=int, default=None,
+                   help="leading rows per sample that estimate the LRV and are not tested")
     p.add_argument("--out", default=None, help="write the report as JSON")
     p.set_defaults(func=_cmd_test)
 
@@ -330,9 +327,8 @@ def build_parser():
     p.add_argument("--scenario", default="none", choices=harness.SCENARIOS)
     p.add_argument("--change-times", default="600")
     p.add_argument("--tests", default="q-breve,v-breve")
-    p.add_argument("--lrv-mode", default=lrv.MODE_IN_SAMPLE,
-                   choices=(lrv.MODE_IN_SAMPLE, lrv.MODE_LEARNING))
-    p.add_argument("--learning-length", type=int, default=500)
+    p.add_argument("--learning-length", type=int, default=None,
+                   help="time instants of separate learning data that estimate the LRV")
     p.add_argument("--out-csv", default=None)
     p.add_argument("--out-json", default=None)
     p.set_defaults(func=_cmd_experiment)

@@ -4,14 +4,16 @@ Sum-of-squares statistics (one maximally selected CUSUM per sample,
 standardized by its long-run variance, then summed) and pooled statistics
 (grid maximum of the summed partial-sum deviations).  The "-breve"
 variants recenter by the in-sample endpoint and therefore need no target
-bilinear form; the plain variants require known targets.
+bilinear form; the plain variants require known targets.  Long-run
+variances come from the tested data, or from ``TestSpec.learning_length``
+leading rows of each sample, which are then not tested.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,8 +31,7 @@ class TestSpec:
     projection: object  # ProjectionPair, or list of pairs for q kinds
     level: float = 0.95
     targets: Optional[Sequence] = None  # one float or length-N_j array per sample
-    lrv_mode: str = lrv.MODE_IN_SAMPLE
-    learning_length: Optional[Sequence[int]] = None
+    learning_length: Optional[Sequence[int]] = None  # one int, or one per sample
     alpha_sq_override: Optional[Sequence[float]] = None
     n_grid: int = limits.DEFAULT_N_GRID
     n_rep: int = limits.DEFAULT_N_REP
@@ -48,6 +49,9 @@ class TestSpec:
             raise ConfigurationError(
                 "pooled kinds require one shared projection pair, not per-sample pairs"
             )
+        if self.alpha_sq_override is not None and self.learning_length is not None:
+            raise ConfigurationError(
+                "alpha_sq_override and learning_length exclude each other")
 
 
 @dataclass
@@ -105,28 +109,20 @@ def _pairs_of(spec, K):
     return [spec.projection] * K
 
 
-def _split_learning(samples, spec, learning):
-    """Resolve per-sample learning series and the data entering the test.
+def _split_learning(samples, spec):
+    """Carve ``spec.learning_length`` leading rows off each sample.
 
-    Learning series may be supplied directly (one matrix per sample) or
-    carved from the front of each sample via ``spec.learning_length``; the
-    carved block is excluded from the test statistics.
+    Returns the learning blocks (None without a length) and the stretches
+    that enter the test.
     """
-    if spec.lrv_mode != lrv.MODE_LEARNING:
-        return None, samples
-    if learning is not None:
-        if len(learning) != len(samples):
-            raise ConfigurationError("need one learning series per sample")
-        return [np.asarray(b, dtype=float) for b in learning], samples
     if spec.learning_length is None:
-        raise ConfigurationError(
-            "learning-sample mode requires learning data or learning_length"
-        )
+        return None, samples
     lengths = np.atleast_1d(spec.learning_length).astype(int)
-    if lengths.size == 1:
-        lengths = np.full(len(samples), lengths[0])
+    if lengths.size not in (1, len(samples)):
+        raise ConfigurationError(
+            f"got {lengths.size} learning lengths for {len(samples)} samples")
     blocks, rest = [], []
-    for j, (y, L) in enumerate(zip(samples, lengths)):
+    for j, (y, L) in enumerate(zip(samples, np.resize(lengths, len(samples)))):
         if not 0 < L < y.shape[0]:
             raise ConfigurationError(
                 f"learning_length {L} invalid for sample {j} of size {y.shape[0]}"
@@ -142,8 +138,7 @@ def _summary_key(spec, K):
         return None if x is None else np.asarray(x, dtype=float).tobytes()
 
     pairs = tuple((flat(p.v), flat(p.w)) for p in _pairs_of(spec, K))
-    return (pairs, spec.lrv_mode, flat(spec.learning_length),
-            flat(spec.alpha_sq_override))
+    return pairs, flat(spec.learning_length), flat(spec.alpha_sq_override)
 
 
 @dataclass
@@ -169,31 +164,30 @@ def _project_finite(y, pair, j, stretch):
     return ps
 
 
-def _summarize(samples, spec, learning) -> PanelSummary:
+def _summarize(samples, spec) -> PanelSummary:
     """Project each tested sample once and estimate its long-run variance.
 
-    In-sample estimates reuse the tested projection; only learning-sample
-    mode projects a second, separate block.  A non-finite projected
-    product raises ``CovCusumError`` naming the sample.
+    In-sample estimates reuse the tested projection; only a learning block
+    is projected separately.  A non-finite projected product raises
+    ``CovCusumError`` naming the sample.
     """
     pairs = _pairs_of(spec, len(samples))
-    blocks, data = _split_learning(samples, spec, learning)
+    blocks, data = _split_learning(samples, spec)
     projected, ests = [], []
     for j, (y, pair) in enumerate(zip(data, pairs)):
         ps = _project_finite(y, pair, j, "tested")
         if spec.alpha_sq_override is not None:
             est = lrv.LrvEstimate(alpha_sq=float(spec.alpha_sq_override[j]),
-                                  bandwidth=0.0, n_lags=0, mode="override")
+                                  bandwidth=0.0, n_lags=0)
         else:
             source = ps if blocks is None else _project_finite(blocks[j], pair, j, "learning")
             try:
-                est = lrv.lrv_estimate(source.p, mode=spec.lrv_mode)
+                est = lrv.lrv_estimate(source.p)
             except DegenerateLrvError as exc:
                 raise DegenerateLrvError(f"sample {j}: {exc}", sample_index=j) from exc
-        if est.degenerate or not 0.0 < est.alpha_sq < math.inf:
+        if not 0.0 < est.alpha_sq < math.inf:
             raise DegenerateLrvError(
-                f"sample {j}: degenerate long-run variance {est.alpha_sq!r} "
-                f"({est.mode})", sample_index=j)
+                f"sample {j}: degenerate long-run variance {est.alpha_sq!r}", sample_index=j)
         projected.append(ps)
         ests.append(est)
     return PanelSummary(sizes=tuple(ps.n for ps in projected),
@@ -240,25 +234,24 @@ def _evaluate(summary, spec, workers) -> TestReport:
                       method=method)
 
 
-def run_tests(panel, specs: Sequence[TestSpec], learning=None, workers: int = 1) -> list:
+def run_tests(panel, specs: Sequence[TestSpec], workers: int = 1) -> list:
     """Run several tests on one panel, projecting each sample once.
 
     The specs may differ in kind, level, targets and critical-value
-    settings, but must share ``projection``, ``lrv_mode``,
-    ``learning_length`` and ``alpha_sq_override``.  Returns one report
-    per spec, equal to what ``run_test`` returns for it.  ``workers``
-    threads simulate a v kind's critical value; the reports do not depend
-    on it.
+    settings, but must share ``projection``, ``learning_length`` and
+    ``alpha_sq_override``.  Returns one report per spec, equal to what
+    ``run_test`` returns for it.  ``workers`` threads simulate a v kind's
+    critical value; the reports do not depend on it.
     """
     samples = _samples_of(panel)
     if len({_summary_key(spec, len(samples)) for spec in specs}) != 1:
         raise ConfigurationError(
             "run_tests needs at least one spec, and all specs must share projection, "
-            "lrv_mode, learning_length and alpha_sq_override")
-    summary = _summarize(samples, specs[0], learning)
+            "learning_length and alpha_sq_override")
+    summary = _summarize(samples, specs[0])
     return [_evaluate(summary, spec, workers) for spec in specs]
 
 
-def run_test(panel, spec: TestSpec, learning=None, workers: int = 1) -> TestReport:
+def run_test(panel, spec: TestSpec, workers: int = 1) -> TestReport:
     """Run the test named by ``spec.kind`` on a K-sample panel."""
-    return run_tests(panel, [spec], learning=learning, workers=workers)[0]
+    return run_tests(panel, [spec], workers=workers)[0]

@@ -4,7 +4,8 @@ Reproduces the K=4 AR(1) study design at configurable (desk) scale:
 four sample-size cases over a horizon of 1200 time instants, per-sample
 innovation scales, coordinate-dependent AR coefficients, changes injected
 in either the innovation scale or the coefficients after a given time
-instant, and learning-sample or in-sample long-run variance estimation.
+instant, and long-run variances estimated in-sample or on learning
+blocks stacked in front of the samples (``cptest`` carves them off).
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import cptest, limits, lrv, simgen, sumproc
+from . import cptest, limits, simgen, sumproc
 from .errors import ConfigurationError
 
 HORIZON = 1200
@@ -32,6 +33,8 @@ SIGMA_PRE = (1.0, 1.5, 0.7, 1.0)
 SIGMA_POST = (1.0, 0.7, 1.2, 1.0)
 
 SCENARIOS = ("none", "sigma-change", "coefficient-change")
+MODE_IN_SAMPLE = "in-sample"
+MODE_LEARNING = "learning-sample"
 
 
 def rho_pre(d: int) -> np.ndarray:
@@ -44,9 +47,9 @@ def rho_post(d: int) -> np.ndarray:
     return 0.4 + 0.5 * np.arange(1, d + 1) / d
 
 
-def sampling_rates(sizes: Sequence[int], horizon: int = HORIZON) -> tuple:
+def sampling_rates(sizes: Sequence[int]) -> tuple:
     """Per-sample rates omega_j = N_j / T implied by the sizes."""
-    return tuple(n / horizon for n in sizes)
+    return tuple(n / HORIZON for n in sizes)
 
 
 def change_time_mapping(time_instant: float, rates: Sequence[float],
@@ -72,11 +75,9 @@ class ExperimentConfig:
     scenario: str = "none"
     change_times: tuple = (600,)
     tests: tuple = limits.BRIDGE_KINDS
-    lrv_mode: str = lrv.MODE_IN_SAMPLE
-    learning_length: int = 500  # in time instants, mapped through the rates
+    learning_length: Optional[int] = None  # time instants; None: in-sample
     level: float = 0.95
     seed: int = 0
-    horizon: int = HORIZON
     critval_n_grid: int = 2000
     critval_n_rep: int = 100_000
     workers: int = 1
@@ -89,10 +90,17 @@ class ExperimentConfig:
         for c in self.cases:
             if c not in CASE_SIZES:
                 raise ConfigurationError(f"unknown case {c!r}")
+        if min(self.dims, default=0) < 1:
+            raise ConfigurationError("dims must be >= 1")
         for t in self.tests:
             if t not in limits.BRIDGE_KINDS:
                 raise ConfigurationError(
                     f"experiment supports the target-free kinds, got {t!r}")
+            limits.CritValRequest(kind=t, K=4, level=self.level,
+                                  n_grid=self.critval_n_grid, n_rep=self.critval_n_rep)
+        limits._check_workers(self.workers)
+        if self.learning_length is not None and self.learning_length < 1:
+            raise ConfigurationError("learning_length must be >= 1 time instant")
 
 
 @dataclass
@@ -124,9 +132,9 @@ def _cell_seed(master_seed, cell_index):
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _panel_config(case, d, scenario, change_time, cfg):
+def _panel_config(case, d, scenario, change_time):
     sizes = CASE_SIZES[case]
-    rates = sampling_rates(sizes, cfg.horizon)
+    rates = sampling_rates(sizes)
     kwargs = dict(K=4, d=d, N=sizes, rho0=tuple(rho_pre(d)), sigma0=SIGMA_PRE)
     if scenario == "sigma-change":
         kwargs.update(sigma1=SIGMA_POST,
@@ -138,8 +146,7 @@ def _panel_config(case, d, scenario, change_time, cfg):
 
 
 def _learning_sizes(case, cfg):
-    sizes = CASE_SIZES[case]
-    rates = sampling_rates(sizes, cfg.horizon)
+    rates = sampling_rates(CASE_SIZES[case])
     return tuple(max(int(math.floor(omega * cfg.learning_length)), 4)
                  for omega in rates)
 
@@ -148,12 +155,13 @@ def run_cell(case, d, scenario, change_time, cfg: ExperimentConfig, cell_index):
     """Run every requested test on one (case, d, scenario, time) cell."""
     t0 = time.perf_counter()
     seed = _cell_seed(cfg.seed, cell_index)
-    base_kwargs = _panel_config(case, d, scenario, change_time, cfg)
+    base_kwargs = _panel_config(case, d, scenario, change_time)
     panel_cfg = simgen.PanelConfig(seed=seed, **base_kwargs)
-    learning_cfg = None
-    if cfg.lrv_mode == lrv.MODE_LEARNING:
+    learning_sizes = learning_cfg = None
+    if cfg.learning_length is not None:
+        learning_sizes = _learning_sizes(case, cfg)
         learning_cfg = simgen.PanelConfig(
-            K=4, d=d, N=_learning_sizes(case, cfg),
+            K=4, d=d, N=learning_sizes,
             rho0=base_kwargs["rho0"], sigma0=SIGMA_PRE, seed=seed)
 
     rejections = {t: 0 for t in cfg.tests}
@@ -161,16 +169,16 @@ def run_cell(case, d, scenario, change_time, cfg: ExperimentConfig, cell_index):
         proj_seed = _cell_seed(seed, r + 1)
         w = simgen.gen_dirichlet_projection(d, proj_seed)
         pair = sumproc.ProjectionPair.from_vectors(w)
-        panel = simgen.gen_ar1_panel(panel_cfg, rep=2 * r)
-        learning = None
+        samples = simgen.gen_ar1_panel(panel_cfg, rep=2 * r).samples
         if learning_cfg is not None:
-            learning = simgen.gen_ar1_panel(learning_cfg, rep=2 * r + 1).samples
+            blocks = simgen.gen_ar1_panel(learning_cfg, rep=2 * r + 1).samples
+            samples = [np.vstack([b, y]) for b, y in zip(blocks, samples)]
         specs = [cptest.TestSpec(kind=t, projection=pair, level=cfg.level,
-                                 lrv_mode=cfg.lrv_mode,
+                                 learning_length=learning_sizes,
                                  n_grid=cfg.critval_n_grid, n_rep=cfg.critval_n_rep,
                                  seed=seed)
                  for t in cfg.tests]
-        reports = cptest.run_tests(panel, specs, learning=learning, workers=cfg.workers)
+        reports = cptest.run_tests(samples, specs, workers=cfg.workers)
         for t, report in zip(cfg.tests, reports):
             rejections[t] += int(report.reject)
 
@@ -182,7 +190,7 @@ def run_cell(case, d, scenario, change_time, cfg: ExperimentConfig, cell_index):
         results.append(CellResult(
             case=case, d=d, scenario=scenario,
             change_time=None if scenario == "none" else change_time,
-            test=t, lrv_mode=cfg.lrv_mode,
+            test=t, lrv_mode=MODE_IN_SAMPLE if cfg.learning_length is None else MODE_LEARNING,
             rate=p, stderr=math.sqrt(p * (1 - p) / n),
             n_rep=n, wall_time=wall_time, seed=seed))
     return results

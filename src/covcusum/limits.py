@@ -60,9 +60,10 @@ _TABLE_STEP = 1e-3
 _TABLE_TAIL = 1e-13
 
 
-def _series_terms(y_max: float) -> int:
+def _series_terms(y: np.ndarray) -> int:
     # Enough terms that the first one left out, exp(-(2l+1)^2 pi^2 / (8 y)),
-    # is below exp(-40) for every argument up to y_max.
+    # is below exp(-40) for every finite argument.
+    y_max = float(np.max(y, initial=0.0, where=np.isfinite(y)))
     return int(math.sqrt(320.0 * y_max) / math.pi) // 2 + 2
 
 
@@ -70,31 +71,31 @@ def sup_abs_bm_cdf(y):
     """P(sup_{[0,1]} |B|^2 <= y) for standard Brownian motion.
 
     Alternating reflection series in the bound ``y`` on the squared
-    supremum, a float or an array (same shape back).  y = 0 gives 0.
+    supremum, a float or an array (same shape back): 0 at y = 0, 1 at inf.
     """
     y = np.asarray(y, dtype=float)
-    if y.min() < 0.0:
-        raise ValueError(f"argument must be non-negative, got {y}")
+    if np.isnan(y).any() or y.min() < 0.0:
+        raise ValueError(f"argument must be non-negative and not nan, got {y}")
     total = np.zeros_like(y)
     with np.errstate(divide="ignore"):  # y = 0: exp(-inf) = 0
-        for l in range(_series_terms(float(y.max()))):
+        for l in range(_series_terms(y)):
             total += (-1.0) ** l / (2 * l + 1) * np.exp(-((2 * l + 1) ** 2) * math.pi ** 2 / (8.0 * y))
-    out = np.clip(4.0 / math.pi * total, 0.0, 1.0)
+    out = np.where(np.isinf(y), 1.0, np.clip(4.0 / math.pi * total, 0.0, 1.0))
     return float(out) if out.ndim == 0 else out
 
 
 def sup_abs_bb_cdf(y):
     """P(sup_{[0,1]} |bridge|^2 <= y), the Kolmogorov law in squared form.
 
-    Theta-function series in ``y`` > 0, a float or an array (same shape back).
+    Theta-function series for ``y`` in (0, inf], a float or an array alike.
     """
     y = np.asarray(y, dtype=float)
-    if y.min() <= 0.0:
-        raise ValueError(f"argument must be positive, got {y}")
+    if np.isnan(y).any() or y.min() <= 0.0:
+        raise ValueError(f"argument must be positive and not nan, got {y}")
     total = np.zeros_like(y)
-    for l in range(1, _series_terms(float(y.max())) + 1):
+    for l in range(1, _series_terms(y) + 1):
         total += np.exp(-((2 * l - 1) ** 2) * math.pi ** 2 / (8.0 * y))
-    out = np.minimum(np.sqrt(2.0 * math.pi / y) * total, 1.0)
+    out = np.where(np.isinf(y), 1.0, np.minimum(np.sqrt(2.0 * math.pi / y) * total, 1.0))
     return float(out) if out.ndim == 0 else out
 
 

@@ -19,17 +19,12 @@ RHO_CLAMP = 0.97
 # QS weights are negligible beyond three bandwidths.
 TRUNCATION_BANDWIDTHS = 3.0
 
-MODE_IN_SAMPLE = "in-sample"
-MODE_LEARNING = "learning-sample"
-
 
 @dataclass
 class LrvEstimate:
     alpha_sq: float
     bandwidth: float
     n_lags: int
-    mode: str
-    degenerate: bool = False
     rho_clamped: bool = False
 
 
@@ -77,13 +72,13 @@ def _ar1_bandwidth(c: np.ndarray, g0: float):
     return qs_bandwidth(clamped, len(c)), abs(rho) > RHO_CLAMP
 
 
-def lrv_estimate(p, mode: str = MODE_IN_SAMPLE) -> LrvEstimate:
+def lrv_estimate(p) -> LrvEstimate:
     """Kernel long-run variance estimate of the product series ``p``.
 
     alpha_sq = Gamma(0) + 2 sum_{h=1}^{m} k(h / S) Gamma(h) with the QS
     kernel, the AR(1) bandwidth S of ``_ar1_bandwidth`` and
-    m = min(ceil(3 S), N - 1); S = 0 gives Gamma(0).  A non-positive result
-    is clamped to 1e-12 * Gamma(0) and flagged degenerate.
+    m = min(ceil(3 S), N - 1); S = 0 gives Gamma(0).  A constant series or
+    a non-positive result raises ``DegenerateLrvError``.
     """
     p = np.asarray(p, dtype=float)
     n = len(p)
@@ -96,16 +91,14 @@ def lrv_estimate(p, mode: str = MODE_IN_SAMPLE) -> LrvEstimate:
 
     bw, rho_clamped = _ar1_bandwidth(c, g0)
     if bw <= 0.0:
-        return LrvEstimate(alpha_sq=g0, bandwidth=0.0, n_lags=0, mode=mode,
-                           rho_clamped=rho_clamped)
+        return LrvEstimate(alpha_sq=g0, bandwidth=0.0, n_lags=0, rho_clamped=rho_clamped)
 
     m = min(math.ceil(TRUNCATION_BANDWIDTHS * bw), n - 1)
     total = g0
     for h in range(1, m + 1):
         total += 2.0 * qs_weight(h / bw) * _autocov(c, h)
 
-    degenerate = total <= 0.0
-    if degenerate:
-        total = max(total, 1e-12 * g0)
-    return LrvEstimate(alpha_sq=float(total), bandwidth=bw, n_lags=m, mode=mode,
-                       degenerate=degenerate, rho_clamped=rho_clamped)
+    if total <= 0.0:
+        raise DegenerateLrvError(f"non-positive long-run variance estimate {total!r}")
+    return LrvEstimate(alpha_sq=float(total), bandwidth=bw, n_lags=m,
+                       rho_clamped=rho_clamped)

@@ -56,8 +56,7 @@ def test_criterion_2_bridge_supremum_law():
 def test_criterion_3_empirical_size_in_sample():
     t0 = time.time()
     cfg = harness.ExperimentConfig(
-        replications=2000, cases=("I",), dims=(10,), scenario="none",
-        lrv_mode=lrv.MODE_IN_SAMPLE, seed=303)
+        replications=2000, cases=("I",), dims=(10,), scenario="none", seed=303)
     rows = {r.test: r.rate for r in harness.run_experiment(cfg)}
     elapsed = time.time() - t0
     ok = (abs(rows["q-breve"] - 0.0227) <= 0.015
@@ -71,7 +70,7 @@ def test_criterion_3_empirical_size_in_sample():
 def test_criterion_4_power_scale_change_learning():
     cfg = harness.ExperimentConfig(
         replications=1000, cases=("I",), dims=(10,), scenario="sigma-change",
-        change_times=(600,), lrv_mode=lrv.MODE_LEARNING, learning_length=500,
+        change_times=(600,), learning_length=500,
         seed=404)
     rows = {r.test: r.rate for r in harness.run_experiment(cfg)}
     ok = (abs(rows["q-breve"] - 0.9602) <= 0.05

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -255,6 +257,21 @@ class TestTestCommand:
         assert rc == 2
         assert "seed:" not in capsys.readouterr().out
 
+    def test_learning_length_carves_leading_rows(self, tmp_path):
+        data, v = self._panel_files(tmp_path)
+        out = tmp_path / "report.json"
+        rc = cli.main(["test", "--data", *data, "--v", v, "--kind", "q-breve",
+                       "--learning-length", "50", "--out", str(out)] + FAST)
+        assert rc == 0
+        assert json.loads(out.read_text())["sample_sizes"] == [80 - 50, 80 - 50]
+
+    def test_lrv_mode_flag_rejected_by_parser(self, tmp_path):
+        data, v = self._panel_files(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["test", "--data", *data, "--v", v, "--kind", "q-breve",
+                      "--lrv-mode", "learning-sample", "--learning-length", "50"] + FAST)
+        assert exc.value.code == 2
+
     def test_nan_cell_exit_code_one_naming_line(self, tmp_path, capsys):
         data, v = self._panel_files(tmp_path)
         lines = Path(data[1]).read_text().splitlines()
@@ -404,3 +421,61 @@ class TestExperimentCommand:
     def test_unknown_scenario_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             cli.main(["experiment", "--scenario", "bogus"])
+
+    def test_lrv_mode_flag_rejected_by_parser(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["experiment", "--lrv-mode", "learning-sample"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flags, mode", [
+        (["--learning-length", "500"], "learning-sample"), ([], "in-sample")],
+        ids=["learning-length", "no-flag"])
+    def test_learning_length_alone_sets_lrv_mode(self, tmp_path, flags, mode):
+        out_csv = tmp_path / "res.csv"
+        rc = cli.main(["experiment", "--replications", "2", "--cases", "I", "--dims", "2",
+                       "--scenario", "none", "--seed", "17", *flags,
+                       "--out-csv", str(out_csv)] + FAST)
+        assert rc == 0
+        rows = list(csv.DictReader(out_csv.read_text().splitlines()))
+        assert [r["lrv_mode"] for r in rows] == [mode, mode]
+
+    @pytest.mark.parametrize("bad", [["--replications", "0"], ["--n-grid", "10"],
+                                     ["--workers", "0"], ["--dims", "0"]],
+                             ids=["replications", "n-grid", "workers", "dims"])
+    def test_refused_config_draws_no_seed_and_no_panel(self, bad, capsys, monkeypatch):
+        calls = []
+        generate = simgen.gen_ar1_panel
+        monkeypatch.setattr(simgen, "gen_ar1_panel",
+                            lambda *a, **k: calls.append(1) or generate(*a, **k))
+        rc = cli.main(["experiment", "--replications", "2", "--cases", "I", "--dims", "2",
+                       *FAST, *bad])
+        assert rc == 2
+        assert "seed:" not in capsys.readouterr().out
+        assert calls == []
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_commands_parse():
+    # Every covcusum line of README's sh blocks, continuations joined.
+    parser = cli.build_parser()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line)
+            if argv[:1] == ["covcusum"]:
+                parser.parse_args(argv[1:])
+                commands.append(argv[1])
+    assert sorted(commands) == ["critval", "experiment", "simulate", "test"]
+
+
+def test_readme_inline_flags_are_registered():
+    # Flags quoted in README's prose; fenced blocks (the pip one among
+    # them) are left out.
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices.values()
+    registered = {flag for p in subparsers for flag in p._option_string_actions}
+    prose = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)
+    quoted = {flag for span in re.findall(r"`([^`]+)`", prose)
+              for flag in re.findall(r"--[A-Za-z][\w-]*", span)}
+    assert quoted and quoted <= registered, quoted - registered

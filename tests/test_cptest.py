@@ -151,36 +151,46 @@ class TestLearningMode:
         panel = random_panel(2, 200, 2, seed=8)
         spec = TestSpec(kind="q-breve",
                         projection=ProjectionPair.from_vectors([0.5, 0.5]),
-                        lrv_mode=lrv.MODE_LEARNING, learning_length=50,
-                        seed=5, **SMALL)
+                        learning_length=50, seed=5, **SMALL)
         rep = cptest.run_test(panel, spec)
         # The carved block is excluded from the tested stretch.
         assert rep.sample_sizes == (150, 150)
 
     def test_explicit_learning_data(self):
-        panel = random_panel(1, 100, 2, seed=9)
-        learn = random_panel(1, 400, 2, seed=10)
-        spec = TestSpec(kind="q-breve",
-                        projection=ProjectionPair.from_vectors([0.5, 0.5]),
-                        lrv_mode=lrv.MODE_LEARNING, seed=5, **SMALL)
-        rep = cptest.run_test(panel, spec, learning=learn)
+        # Learning data kept apart reach the test stacked in front of the sample.
+        pair = ProjectionPair.from_vectors([0.5, 0.5])
+        sample = random_panel(1, 100, 2, seed=9)[0]
+        learn = random_panel(1, 400, 2, seed=10)[0]
+        spec = TestSpec(kind="q-breve", projection=pair, learning_length=400,
+                        seed=5, **SMALL)
+        rep = cptest.run_test([np.vstack([learn, sample])], spec)
         assert rep.sample_sizes == (100,)
-        assert rep.per_sample[0].alpha_sq > 0
-
-    def test_learning_mode_without_data_rejected(self):
-        spec = TestSpec(kind="q-breve",
-                        projection=ProjectionPair.from_vectors([0.5, 0.5]),
-                        lrv_mode=lrv.MODE_LEARNING, seed=5, **SMALL)
-        with pytest.raises(ConfigurationError):
-            cptest.run_test(random_panel(1, 50, 2, seed=1), spec)
+        alpha_sq = lrv.lrv_estimate(sumproc.project(learn, pair).p).alpha_sq
+        assert rep.per_sample[0].alpha_sq == alpha_sq
+        # The tested stretch is the sample itself.
+        scaled = TestSpec(kind="q-breve", projection=pair, alpha_sq_override=[alpha_sq],
+                          seed=5, **SMALL)
+        assert rep.statistic == cptest.run_test([sample], scaled).statistic
 
     def test_learning_length_too_long_rejected(self):
         spec = TestSpec(kind="q-breve",
                         projection=ProjectionPair.from_vectors([0.5, 0.5]),
-                        lrv_mode=lrv.MODE_LEARNING, learning_length=50,
-                        seed=5, **SMALL)
+                        learning_length=50, seed=5, **SMALL)
         with pytest.raises(ConfigurationError):
             cptest.run_test(random_panel(1, 50, 2, seed=1), spec)
+
+    def test_one_learning_length_per_sample(self):
+        spec = TestSpec(kind="q-breve",
+                        projection=ProjectionPair.from_vectors([0.5, 0.5]),
+                        learning_length=[20, 30], seed=5, **SMALL)
+        with pytest.raises(ConfigurationError, match="2 learning lengths for 3 samples"):
+            cptest.run_test(random_panel(3, 80, 2, seed=1), spec)
+
+    def test_override_with_learning_length_refused(self):
+        # An override replaces the estimate, so carved blocks would go unused.
+        with pytest.raises(ConfigurationError, match="exclude each other"):
+            TestSpec(kind="q-breve", projection=PAIR_1D, alpha_sq_override=[1.0],
+                     learning_length=20, seed=5, **SMALL)
 
 
 class TestDegenerate:
@@ -193,12 +203,13 @@ class TestDegenerate:
             cptest.run_test(panel, spec)
         assert exc.value.sample_index == 1
 
-    @pytest.mark.parametrize("lrv_mode", [lrv.MODE_IN_SAMPLE, lrv.MODE_LEARNING])
-    def test_nan_sample_raises_naming_sample(self, lrv_mode):
+    @pytest.mark.parametrize("learning_length", [None, 20],
+                             ids=["in-sample", "learning-sample"])
+    def test_nan_sample_raises_naming_sample(self, learning_length):
         panel = random_panel(2, 80, 2, seed=3)
         panel[1][5, 0] = np.nan
         spec = TestSpec(kind="q-breve", projection=ProjectionPair.from_vectors([0.5, 0.5]),
-                        lrv_mode=lrv_mode, learning_length=20, seed=6, **SMALL)
+                        learning_length=learning_length, seed=6, **SMALL)
         with pytest.raises(CovCusumError, match="sample 1: non-finite"):
             cptest.run_test(panel, spec)
 
@@ -210,7 +221,7 @@ class TestDegenerate:
 
     def test_degenerate_estimate_raises_with_index(self):
         # Products alternate 1, 2: the kernel estimate is non-positive, so
-        # lrv_estimate flags it degenerate instead of returning a scale.
+        # lrv_estimate refuses it instead of returning a scale.
         alternating = np.sqrt(np.tile([1.0, 2.0], 50)).reshape(100, 1)
         spec = TestSpec(kind="q-breve", projection=PAIR_1D, seed=6, **SMALL)
         with pytest.raises(DegenerateLrvError) as exc:

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from covcusum import harness, lrv, sumproc
+from covcusum import harness, sumproc
 from covcusum.errors import ConfigurationError
 from covcusum.harness import ExperimentConfig
 
@@ -70,6 +70,14 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(replications=0)
 
+    @pytest.mark.parametrize("bad, match", [
+        (dict(critval_n_grid=10), "n_grid"), (dict(critval_n_rep=10), "n_rep"),
+        (dict(level=1.5), "level"), (dict(workers=0), "workers"),
+        (dict(learning_length=0), "learning_length"), (dict(dims=(10, 0)), "dims")])
+    def test_rejects_bad_settings(self, bad, match):
+        with pytest.raises(ConfigurationError, match=match):
+            ExperimentConfig(**bad)
+
 
 class TestLearningSizes:
     def test_case_one_default_learning_window(self):
@@ -106,10 +114,31 @@ class TestRunExperiment:
 
     def test_learning_mode_cell(self):
         cfg = ExperimentConfig(replications=4, cases=("I",), dims=(2,),
-                               scenario="none", lrv_mode=lrv.MODE_LEARNING,
-                               learning_length=500, seed=103, **FAST)
+                               scenario="none", learning_length=500, seed=103, **FAST)
         rows = harness.run_experiment(cfg)
-        assert all(r.lrv_mode == lrv.MODE_LEARNING for r in rows)
+        assert all(r.lrv_mode == harness.MODE_LEARNING for r in rows)
+
+    def test_learning_blocks_stacked_in_front(self, monkeypatch):
+        # run_tests gets each sample with its learning block in front and
+        # the block sizes as learning_length, which cptest carves off.
+        seen = []
+        run_tests = harness.cptest.run_tests
+        monkeypatch.setattr(harness.cptest, "run_tests", lambda samples, specs, **k: (
+            seen.append(([len(y) for y in samples], specs[0].learning_length))
+            or run_tests(samples, specs, **k)))
+        cfg = ExperimentConfig(replications=2, cases=("I",), dims=(2,), scenario="none",
+                               learning_length=500, seed=103, **FAST)
+        harness.run_cell("I", 2, "none", 0, cfg, 0)
+        learning = (41, 50, 29, 37)
+        sizes = [n + m for n, m in zip(harness.CASE_SIZES["I"], learning)]
+        assert seen == [(sizes, learning)] * 2
+
+    def test_in_sample_by_default(self):
+        cfg = ExperimentConfig(replications=2, cases=("I",), dims=(2,),
+                               scenario="none", seed=103, **FAST)
+        assert cfg.learning_length is None
+        rows = harness.run_experiment(cfg)
+        assert all(r.lrv_mode == harness.MODE_IN_SAMPLE for r in rows)
 
     def test_cell_projects_each_sample_once(self, monkeypatch):
         # Both kinds share one summary per replication: K = 4 projections.

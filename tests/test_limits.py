@@ -192,6 +192,20 @@ class TestCorrectedLaw:
         with pytest.raises(ValueError):
             limits.sup_abs_bb_cdf(np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("cdf", [limits.sup_abs_bm_cdf, limits.sup_abs_bb_cdf])
+    def test_infinite_argument_gives_one(self, cdf):
+        value = cdf(math.inf)
+        assert type(value) is float and value == 1.0
+        out = cdf(np.array([1.0, np.inf]))
+        assert out[1] == 1.0
+        assert abs(out[0] - cdf(1.0)) <= 1e-15
+
+    @pytest.mark.parametrize("cdf", [limits.sup_abs_bm_cdf, limits.sup_abs_bb_cdf])
+    @pytest.mark.parametrize("y", [math.nan, np.array([1.0, np.nan])], ids=["float", "array"])
+    def test_nan_refused_naming_nan(self, cdf, y):
+        with pytest.raises(ValueError, match="nan"):
+            cdf(y)
+
     @pytest.mark.parametrize("kind", limits.CORRECTED_KINDS)
     def test_table_leaves_out_at_most_1e12(self, kind):
         table = limits._one_sample_table(kind, 2000, limits._TABLE_STEP)

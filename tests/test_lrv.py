@@ -90,7 +90,6 @@ class TestLrvEstimate:
         x = rng.standard_normal(100_000)
         est = lrv.lrv_estimate(x ** 2)
         assert est.alpha_sq == pytest.approx(2.0, rel=0.10)
-        assert not est.degenerate
 
     def test_zero_lag1_autocovariance_gives_zero_bandwidth(self):
         # Lag-1 autocovariance of [1, 0, -1, 0] is exactly 0, so the AR(1)
@@ -101,11 +100,17 @@ class TestLrvEstimate:
         assert est.alpha_sq == 0.5
         assert est.bandwidth == 0.0
         assert est.n_lags == 0
-        assert not est.degenerate and not est.rho_clamped
+        assert not est.rho_clamped
 
     def test_constant_series_degenerate(self):
         with pytest.raises(DegenerateLrvError):
             lrv.lrv_estimate(np.full(100, 2.0))
+
+    def test_non_positive_kernel_sum_refused(self):
+        # Alternating products: the autocovariances alternate in sign at
+        # nearly full size, and the kernel sum is not positive.
+        with pytest.raises(DegenerateLrvError, match="non-positive"):
+            lrv.lrv_estimate(np.tile([1.0, 2.0], 50))
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(3)
@@ -120,11 +125,6 @@ class TestLrvEstimate:
         base = lrv.lrv_estimate(p).alpha_sq
         shifted = lrv.lrv_estimate(p + 17.0).alpha_sq
         assert shifted == pytest.approx(base, rel=1e-8)
-
-    def test_mode_recorded(self):
-        p = np.random.default_rng(5).standard_normal(100) ** 2
-        assert lrv.lrv_estimate(p, mode=lrv.MODE_LEARNING).mode == lrv.MODE_LEARNING
-        assert lrv.lrv_estimate(p).mode == lrv.MODE_IN_SAMPLE
 
     def test_ar1_consistency(self):
         # For projected AR(1) products the estimate must stabilize; check
