@@ -242,7 +242,8 @@ def _cmd_experiment(args):
         cases=tuple(args.cases.split(",")),
         dims=_ints(args.dims),
         scenario=args.scenario,
-        change_times=_ints(args.change_times),
+        change_times=(None if args.change_times is None
+                      else _ints(args.change_times)),
         tests=tuple(args.tests.split(",")),
         learning_length=args.learning_length,
         level=args.level,
@@ -325,7 +326,9 @@ def build_parser():
     p.add_argument("--cases", default="I")
     p.add_argument("--dims", default="10")
     p.add_argument("--scenario", default="none", choices=harness.SCENARIOS)
-    p.add_argument("--change-times", default="600")
+    p.add_argument("--change-times", default=None,
+                   help=f"comma-separated change time instants in [1, {harness.HORIZON}) "
+                        f"(change scenarios only; default {harness.DEFAULT_CHANGE_TIME})")
     p.add_argument("--tests", default="q-breve,v-breve")
     p.add_argument("--learning-length", type=int, default=None,
                    help="time instants of separate learning data that estimate the LRV")

@@ -6,6 +6,14 @@ innovation scales, coordinate-dependent AR coefficients, changes injected
 in either the innovation scale or the coefficients after a given time
 instant, and long-run variances estimated in-sample or on learning
 blocks stacked in front of the samples (``cptest`` carves them off).
+
+A cell generates its replications in batches through
+``simgen.gen_ar1_panels``: replication r is rep 2r of the panel config
+and rep 2r + 1 of the learning config, whatever the batch.  A batch holds
+as many replications as fit the generator buffers into
+``PANEL_CHUNK_BYTES``, so memory stays bounded for any replication count,
+and the tests still run once per replication on C-contiguous samples.
+Results do not depend on the batch size.
 """
 
 from __future__ import annotations
@@ -29,8 +37,12 @@ CASE_SIZES = {
     "III": (500, 450, 550, 600),
     "IV": (1000, 900, 1100, 950),
 }
+DEFAULT_CHANGE_TIME = 600
 SIGMA_PRE = (1.0, 1.5, 0.7, 1.0)
 SIGMA_POST = (1.0, 0.7, 1.2, 1.0)
+
+# Generator buffer of one batch of replications, (T, K, R, d) float64.
+PANEL_CHUNK_BYTES = 16 * 2 ** 20
 
 SCENARIOS = ("none", "sigma-change", "coefficient-change")
 MODE_IN_SAMPLE = "in-sample"
@@ -73,7 +85,7 @@ class ExperimentConfig:
     cases: tuple = ("I",)
     dims: tuple = (10,)
     scenario: str = "none"
-    change_times: tuple = (600,)
+    change_times: Optional[tuple] = None  # time instants; None: DEFAULT_CHANGE_TIME
     tests: tuple = limits.BRIDGE_KINDS
     learning_length: Optional[int] = None  # time instants; None: in-sample
     level: float = 0.95
@@ -87,6 +99,15 @@ class ExperimentConfig:
             raise ConfigurationError("replications must be >= 1")
         if self.scenario not in SCENARIOS:
             raise ConfigurationError(f"unknown scenario {self.scenario!r}")
+        if self.scenario == "none":
+            if self.change_times is not None:
+                raise ConfigurationError("change_times apply to the change scenarios only")
+        else:
+            if self.change_times is None:
+                self.change_times = (DEFAULT_CHANGE_TIME,)
+            if not self.change_times or any(not 1 <= t < HORIZON for t in self.change_times):
+                raise ConfigurationError(
+                    f"change_times must lie in [1, {HORIZON}), got {self.change_times}")
         for c in self.cases:
             if c not in CASE_SIZES:
                 raise ConfigurationError(f"unknown case {c!r}")
@@ -151,6 +172,29 @@ def _learning_sizes(case, cfg):
                  for omega in rates)
 
 
+def _replications(panel_cfg, learning_cfg, n):
+    """Yield (r, samples) for replications r < n, generated in batches.
+
+    Replication r's panel is rep 2r of ``panel_cfg``; its learning blocks,
+    rep 2r + 1 of ``learning_cfg``, are stacked in front of the samples.
+    A batch holds as many replications as fit PANEL_CHUNK_BYTES of
+    generator buffer.
+    """
+    configs = [c for c in (panel_cfg, learning_cfg) if c is not None]
+    per_rep = sum(8 * c.K * c.d * (c.burn_in + max(c.N)) for c in configs)
+    chunk = max(1, PANEL_CHUNK_BYTES // per_rep)
+    for first in range(0, n, chunk):
+        block = range(first, min(first + chunk, n))
+        panels = simgen.gen_ar1_panels(panel_cfg, [2 * r for r in block])
+        if learning_cfg is not None:
+            learning = simgen.gen_ar1_panels(learning_cfg, [2 * r + 1 for r in block])
+        for i, r in enumerate(block):
+            samples = panels[i].samples
+            if learning_cfg is not None:
+                samples = [np.vstack([b, y]) for b, y in zip(learning[i].samples, samples)]
+            yield r, samples
+
+
 def run_cell(case, d, scenario, change_time, cfg: ExperimentConfig, cell_index):
     """Run every requested test on one (case, d, scenario, time) cell."""
     t0 = time.perf_counter()
@@ -165,14 +209,10 @@ def run_cell(case, d, scenario, change_time, cfg: ExperimentConfig, cell_index):
             rho0=base_kwargs["rho0"], sigma0=SIGMA_PRE, seed=seed)
 
     rejections = {t: 0 for t in cfg.tests}
-    for r in range(cfg.replications):
+    for r, samples in _replications(panel_cfg, learning_cfg, cfg.replications):
         proj_seed = _cell_seed(seed, r + 1)
         w = simgen.gen_dirichlet_projection(d, proj_seed)
         pair = sumproc.ProjectionPair.from_vectors(w)
-        samples = simgen.gen_ar1_panel(panel_cfg, rep=2 * r).samples
-        if learning_cfg is not None:
-            blocks = simgen.gen_ar1_panel(learning_cfg, rep=2 * r + 1).samples
-            samples = [np.vstack([b, y]) for b, y in zip(blocks, samples)]
         specs = [cptest.TestSpec(kind=t, projection=pair, level=cfg.level,
                                  learning_length=learning_sizes,
                                  n_grid=cfg.critval_n_grid, n_rep=cfg.critval_n_rep,

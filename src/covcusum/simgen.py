@@ -10,6 +10,17 @@ All randomness is keyed by (seed, sample index, replication id) through
 ``numpy.random.SeedSequence`` feeding the counter-based Philox generator,
 so independent replications can be generated in any order, on any number
 of workers, with identical results.
+
+``gen_ar1_panels`` generates the panels of many replications in one
+batch.  It runs the plain recursion ``y[t] = rho * y[t-1] + eps[t]`` from
+rest as one Python loop over time, vectorised across (sample,
+replication, coordinate).  The K samples are aligned at their last row;
+the rows before a sample starts hold zeros, which the recursion keeps
+exactly zero, and ``rho`` switches per sample at ``burn_in + tau``.  One
+multiply and one add per step is the exact arithmetic of the order-1
+transposed direct-form filter (``scipy.signal.lfilter``), which earlier
+versions ran per sample and coordinate: panels are bitwise the same.
+``gen_ar1_panel`` is the batch of one replication.
 """
 
 from __future__ import annotations
@@ -124,23 +135,52 @@ def sample_rng(seed, sample, rep=0):
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _ar1_filter(eps, rho, y_prev):
-    """Run d AR(1) recursions y_i = rho_v * y_{i-1} + eps_i sharing eps.
+def gen_ar1_panels(config: PanelConfig, reps: Sequence[int]) -> list:
+    """Generate the panels of replications ``reps`` of ``config`` together.
 
-    ``y_prev`` is the state before the first innovation.  Returns an
-    (len(eps), d) matrix.
+    Panel ``i`` is the one ``gen_ar1_panel(config, reps[i])`` returns:
+    each replication draws from its own (seed, sample, rep) streams, so
+    how replications are grouped into calls never changes a panel.  One
+    step of the recursion updates every (sample, replication, coordinate)
+    at once.  The work buffer holds ``burn_in + max(N)`` rows of K * R * d
+    floats for R = ``len(reps)``; callers bound its size by choosing R.
     """
-    # Imported here: scipy.signal takes most of a second to import, and
-    # commands that generate no panel should not pay it.
-    from scipy.signal import lfilter
+    K, d, burn_in = config.K, config.d, config.burn_in
+    R = len(reps)
+    totals = [burn_in + n for n in config.N]
+    T = max(totals)
+    starts = [T - n for n in totals]  # samples are aligned at their last row
 
-    n = eps.shape[0]
-    d = rho.shape[0]
-    out = np.empty((n, d))
-    for v in range(d):
-        zi = np.array([rho[v] * y_prev[v]])
-        out[:, v], _ = lfilter([1.0], [1.0, -rho[v]], eps, zi=zi)
-    return out
+    eps = np.zeros((K, R, T))
+    for j in range(K):
+        sd = np.full(totals[j], config.sigma0[j])
+        if config.tau is not None and config.sigma1 is not None:
+            sd[burn_in + config.tau[j]:] = config.sigma1[j]
+        for i, rep in enumerate(reps):
+            draws = sample_rng(config.seed, j, rep).standard_normal(totals[j])
+            eps[j, i, starts[j]:] = draws * sd
+
+    # y[t] = rho * y[t-1] + eps[t]: the arithmetic of an order-1 IIR filter
+    # started from rest, so rows before a sample's start stay exactly zero.
+    y = np.empty((T, K, R, d))
+    y[:] = eps.transpose(2, 0, 1)[..., None]  # one broadcast beats a fill per draw
+    rho = np.empty((K, R, d))  # full shape: each step is one contiguous multiply
+    rho[:] = np.asarray(config.rho0)
+    switch = {}  # row -> samples whose coefficients change from that row on
+    if config.tau is not None and config.rho1 is not None:
+        for j in range(K):
+            switch.setdefault(starts[j] + burn_in + config.tau[j], []).append(j)
+    step = np.empty((K, R, d))
+    for t in range(1, T):
+        for j in switch.get(t, ()):
+            rho[j] = config.rho1
+        np.multiply(rho, y[t - 1], out=step)
+        y[t] += step
+
+    # One C-contiguous (R, N_j, d) copy per sample; panel i gets row i of each.
+    tested = [np.ascontiguousarray(y[T - n:, j].transpose(1, 0, 2))
+              for j, n in enumerate(config.N)]
+    return [Panel(samples=[s[i] for s in tested], config=config) for i in range(R)]
 
 
 def gen_ar1_panel(config: PanelConfig, rep: int = 0) -> Panel:
@@ -149,30 +189,7 @@ def gen_ar1_panel(config: PanelConfig, rep: int = 0) -> Panel:
     One scalar innovation per (sample, time) drives all d coordinates.
     ``rep`` selects an independent replication stream for Monte Carlo use.
     """
-    rho0 = np.asarray(config.rho0)
-    rho1 = np.asarray(config.rho1) if config.rho1 is not None else rho0
-    samples = []
-    for j in range(config.K):
-        rng = sample_rng(config.seed, j, rep)
-        n_obs = config.N[j]
-        n_total = config.burn_in + n_obs
-        sd = np.full(n_total, config.sigma0[j])
-        tau = config.tau[j] if config.tau is not None else None
-        if tau is not None and config.sigma1 is not None:
-            sd[config.burn_in + tau:] = config.sigma1[j]
-        eps = rng.standard_normal(n_total) * sd
-
-        y0 = np.zeros(config.d)
-        if tau is None or config.rho1 is None:
-            y = _ar1_filter(eps, rho0, y0)
-        else:
-            # Parameter switch at i = tau + 1; state carries over, no re-burn-in.
-            split = config.burn_in + tau
-            pre = _ar1_filter(eps[:split], rho0, y0)
-            post = _ar1_filter(eps[split:], rho1, pre[-1] if split else y0)
-            y = np.vstack([pre, post])
-        samples.append(y[config.burn_in:])
-    return Panel(samples=samples, config=config)
+    return gen_ar1_panels(config, [rep])[0]
 
 
 def gen_dirichlet_projection(d: int, seed: int) -> np.ndarray:

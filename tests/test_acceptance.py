@@ -186,11 +186,12 @@ def test_criterion_8_pooled_endpoint_normality():
                           for s, n in zip(harness.SIGMA_PRE, sizes)))
     pair = ProjectionPair.from_vectors(v)
     z = np.empty(5000)
-    for r in range(len(z)):
-        panel = simgen.gen_ar1_panel(cfg, rep=r)
-        num = sum(sumproc.project(y, pair).s[-1] - n * t
-                  for y, n, t in zip(panel.samples, sizes, targets))
-        z[r] = num / denom
+    for first in range(0, len(z), 50):
+        reps = range(first, first + 50)
+        for r, panel in zip(reps, simgen.gen_ar1_panels(cfg, reps)):
+            num = sum(sumproc.project(y, pair).s[-1] - n * t
+                      for y, n, t in zip(panel.samples, sizes, targets))
+            z[r] = num / denom
     ks = scipy.stats.kstest(z, "norm").statistic
     _verdict(8, "pooled endpoint central limit behavior", ks < 0.05,
              f"(KS distance {ks:.4f})")

@@ -371,16 +371,25 @@ class TestCritvalCommand:
         assert "workers" in capsys.readouterr().err
 
 
-def test_import_loads_no_scipy():
-    # scipy.signal dominates the import time; only panel generation needs it.
+def test_import_loads_no_scipy(tmp_path):
+    # scipy is a test-only dependency: importing the CLI, generating a
+    # panel and running a small experiment must not load it.
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, covcusum.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    simulate = ["simulate", "--out-dir", str(tmp_path), "--K", "2", "--d", "3",
+                "--N", "40,50", "--rho0", "0.3", "--sigma0", "1.0,1.5", "--seed", "5"]
+    experiment = ["experiment", "--replications", "2", "--cases", "I", "--dims", "2",
+                  "--scenario", "sigma-change", "--seed", "5", *FAST]
+    code = ("import sys, covcusum.cli\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(loaded())\n"
+            f"for argv in ({simulate!r}, {experiment!r}):\n"
+            "    assert covcusum.cli.main(argv) == 0\n"
+            "    print(loaded())\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout
-    assert out.strip() == "[]"
+    assert [line for line in out.splitlines() if line.startswith("[")] == ["[]"] * 3
 
 
 class TestExperimentCommand:
@@ -440,12 +449,15 @@ class TestExperimentCommand:
         assert [r["lrv_mode"] for r in rows] == [mode, mode]
 
     @pytest.mark.parametrize("bad", [["--replications", "0"], ["--n-grid", "10"],
-                                     ["--workers", "0"], ["--dims", "0"]],
-                             ids=["replications", "n-grid", "workers", "dims"])
+                                     ["--workers", "0"], ["--dims", "0"],
+                                     ["--scenario", "sigma-change", "--change-times", "5000"],
+                                     ["--scenario", "none", "--change-times", "600"]],
+                             ids=["replications", "n-grid", "workers", "dims",
+                                  "change-time-beyond-horizon", "change-time-without-change"])
     def test_refused_config_draws_no_seed_and_no_panel(self, bad, capsys, monkeypatch):
         calls = []
-        generate = simgen.gen_ar1_panel
-        monkeypatch.setattr(simgen, "gen_ar1_panel",
+        generate = simgen.gen_ar1_panels
+        monkeypatch.setattr(simgen, "gen_ar1_panels",
                             lambda *a, **k: calls.append(1) or generate(*a, **k))
         rc = cli.main(["experiment", "--replications", "2", "--cases", "I", "--dims", "2",
                        *FAST, *bad])

@@ -285,9 +285,8 @@ class TestPowerOrdering:
             cfg = simgen.PanelConfig(K=1, d=1, N=(n,), rho0=(0.2,),
                                      sigma0=(1.0,), tau=(tau,),
                                      sigma1=(sigma1,), seed=77)
-            counts.append(sum(
-                cptest.run_test(simgen.gen_ar1_panel(cfg, rep=r), spec).reject
-                for r in range(500)))
+            counts.append(sum(cptest.run_test(panel, spec).reject
+                              for panel in simgen.gen_ar1_panels(cfg, range(500))))
         assert counts == sorted(counts)
 
 

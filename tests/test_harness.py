@@ -73,10 +73,18 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("bad, match", [
         (dict(critval_n_grid=10), "n_grid"), (dict(critval_n_rep=10), "n_rep"),
         (dict(level=1.5), "level"), (dict(workers=0), "workers"),
-        (dict(learning_length=0), "learning_length"), (dict(dims=(10, 0)), "dims")])
+        (dict(learning_length=0), "learning_length"), (dict(dims=(10, 0)), "dims"),
+        (dict(scenario="sigma-change", change_times=(5000,)), "change_times"),
+        (dict(scenario="coefficient-change", change_times=(600, 1200)), "change_times"),
+        (dict(scenario="sigma-change", change_times=(0,)), "change_times"),
+        (dict(scenario="none", change_times=(600,)), "change_times")])
     def test_rejects_bad_settings(self, bad, match):
         with pytest.raises(ConfigurationError, match=match):
             ExperimentConfig(**bad)
+
+    def test_change_time_defaults_to_mid_horizon(self):
+        assert ExperimentConfig(scenario="sigma-change").change_times == (600,)
+        assert ExperimentConfig(scenario="none").change_times is None
 
 
 class TestLearningSizes:
@@ -150,6 +158,30 @@ class TestRunExperiment:
                                scenario="none", seed=106, **FAST)
         harness.run_cell("I", 2, "none", 0, cfg, 0)
         assert len(calls) == 4 * 3
+
+    @pytest.mark.parametrize("scenario, learning_length", [
+        ("none", None), ("coefficient-change", 500)])
+    def test_rows_independent_of_batch_size(self, monkeypatch, scenario, learning_length):
+        # One replication per batch, a few, or all in one: the same rows.
+        cfg = ExperimentConfig(replications=5, cases=("I",), dims=(2,), scenario=scenario,
+                               learning_length=learning_length, seed=107, **FAST)
+        calls = []
+        generate = harness.simgen.gen_ar1_panels
+        monkeypatch.setattr(harness.simgen, "gen_ar1_panels",
+                            lambda c, reps: calls.append(len(reps)) or generate(c, reps))
+        tables = {}
+        for budget in (1, 150_000, 2 ** 40):
+            calls.clear()
+            monkeypatch.setattr(harness, "PANEL_CHUNK_BYTES", budget)
+            rows = harness.run_cell("I", 2, scenario, 600, cfg, 0)
+            tables[budget] = [{**r.__dict__, "wall_time": None} for r in rows]
+            configs = 1 if learning_length is None else 2
+            assert sum(calls) == 5 * configs
+            if budget == 1:
+                assert calls == [1] * (5 * configs)
+            if budget == 2 ** 40:
+                assert calls == [5] * configs
+        assert tables[1] == tables[150_000] == tables[2 ** 40]
 
     def test_cells_independent_of_grid_composition(self):
         # A cell's result must not change when other cells join the grid.

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,57 @@ class TestGenAr1Panel:
         cfg = make_config(N=(n,), tau=(tau,), rho1=(0.9,), seed=13)
         y = simgen.gen_ar1_panel(cfg).samples[0][:, 0]
         assert y[tau + 500:].var() == pytest.approx(1.0 / (1 - 0.81), rel=0.05)
+
+
+CASE_I = dict(K=4, d=3, N=(100, 120, 70, 90), rho0=(0.15, 0.4, 0.6),
+              sigma0=(1.0, 1.5, 0.7, 1.0), seed=9)
+
+
+class TestGenAr1Panels:
+    @pytest.mark.parametrize("overrides", [
+        {},
+        dict(sigma1=(1.0, 0.7, 1.2, 1.0), tau=(50, 60, 35, 45)),
+        dict(rho1=(0.45, -0.7, 0.9), tau=(50, 60, 35, 45)),
+        dict(rho1=(0.45, -0.7, 0.9), tau=(1, 1, 1, 1)),
+        dict(rho1=(0.45, -0.7, 0.9), sigma1=(2.0, 0.5, 1.0, 3.0), tau=(100, 120, 70, 90)),
+        dict(burn_in=0, rho1=(0.45, -0.7, 0.9), tau=(1, 120, 2, 45)),
+        dict(K=1, d=1, N=(120,), rho0=(0.2,), sigma0=(1.0,), tau=(60,), sigma1=(2.6,)),
+        dict(d=1, rho0=(-0.5,), rho1=(0.5,), tau=(1, 120, 35, 90)),
+    ], ids=["null", "sigma-change", "coefficient-change", "tau-1", "tau-N",
+            "burn-in-0", "K-1", "d-1"])
+    def test_batch_equals_one_panel_per_call(self, overrides):
+        cfg = simgen.PanelConfig(**{**CASE_I, **overrides})
+        reps = [5, 0, 3]
+        batch = simgen.gen_ar1_panels(cfg, reps)
+        assert len(batch) == len(reps)
+        for panel, rep in zip(batch, reps):
+            alone = simgen.gen_ar1_panel(cfg, rep)
+            assert panel.sizes == alone.sizes == cfg.N
+            for y, ref in zip(panel.samples, alone.samples):
+                assert y.flags.c_contiguous and y.shape == (len(ref), cfg.d)
+                assert np.array_equal(y, ref)
+
+    # sha256 of one small panel's bytes per scenario, as the earlier
+    # generator (scipy.signal.lfilter per sample and coordinate) made them.
+    GOLDEN = {
+        "none": "87a338c7e1f7f58b64352dedc21fc9ac9577f8e49b6df4aad53090b23a7a5819",
+        "sigma-change": "de0d6cf5afe53c23d6ef1e4f3f06e1633eec356c5a65fbebf0d846d539606450",
+        "coefficient-change":
+            "5056e2005e090def35e29ebf71fc69afcbfe4e42a4c47d7b48e5b134f711581d",
+    }
+
+    @pytest.mark.parametrize("scenario", sorted(GOLDEN))
+    def test_panel_bytes_are_pinned(self, scenario):
+        kwargs = dict(K=2, d=3, N=(12, 9), rho0=(0.1, 0.4, -0.3), sigma0=(1.0, 1.5),
+                      burn_in=5, seed=2024)
+        if scenario == "sigma-change":
+            kwargs.update(sigma1=(2.0, 0.5), tau=(6, 4))
+        elif scenario == "coefficient-change":
+            kwargs.update(rho1=(0.7, -0.2, 0.5), tau=(6, 4))
+        cfg = simgen.PanelConfig(**kwargs)
+        for panel in (simgen.gen_ar1_panel(cfg, 3), simgen.gen_ar1_panels(cfg, [1, 3])[1]):
+            digest = hashlib.sha256(b"".join(y.tobytes() for y in panel.samples))
+            assert digest.hexdigest() == self.GOLDEN[scenario]
 
 
 class TestDirichletProjection:
