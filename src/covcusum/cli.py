@@ -111,17 +111,24 @@ def parse_config_file(path):
     return out
 
 
-def _floats(text):
-    return tuple(float(x) for x in str(text).split(","))
+def _number(item, name, kind=float):
+    """``item`` as a ``kind``; a malformed item is refused naming setting ``name``."""
+    try:
+        return kind(item)
+    except ValueError:
+        raise ConfigurationError(
+            f"{name}: {str(item).strip()!r} is not {'an integer' if kind is int else 'a number'}"
+        ) from None
 
 
-def _spread(text, n):
+def _numbers(text, name, kind=float):
+    """The comma-separated items of ``text``, each read by ``_number``."""
+    return tuple(_number(x, name, kind) for x in str(text).split(","))
+
+
+def _spread(text, name, n):
     """A comma list as given, or a scalar repeated ``n`` times."""
-    return _floats(text) if "," in str(text) else (float(text),) * n
-
-
-def _ints(text):
-    return tuple(int(x) for x in str(text).split(","))
+    return _numbers(text, name) if "," in str(text) else (_number(text, name),) * n
 
 
 def _resolve_seed(args):
@@ -152,27 +159,29 @@ def _cmd_simulate(args):
     cfg_values = parse_config_file(args.config) if args.config else {}
 
     def get(key, fallback=None):
-        flag = getattr(args, key, None)
+        """Setting ``key`` and the name it came by: its flag, else its config key."""
+        flag = getattr(args, key)
         if flag is not None:
-            return flag
-        return cfg_values.get(f"panel.{key}", fallback)
+            return flag, "--" + key.replace("_", "-")
+        return cfg_values.get(f"panel.{key}", fallback), f"panel.{key}"
 
-    seed = _resolve_seed(args) if args.seed is not None or "panel.seed" not in cfg_values \
-        else int(cfg_values["panel.seed"])
-    K = int(get("K", 1))
-    d = int(get("d", 1))
-    N = _ints(get("N", "100"))
-    kwargs = dict(K=K, d=d, N=N, rho0=_spread(get("rho0", "0"), d),
-                  sigma0=_spread(get("sigma0", "1"), K), seed=seed,
-                  burn_in=int(get("burn_in", simgen.DEFAULT_BURN_IN)))
+    K = _number(*get("K", 1), int)
+    d = _number(*get("d", 1), int)
+    kwargs = dict(K=K, d=d, N=_numbers(*get("N", "100"), int),
+                  rho0=_spread(*get("rho0", "0"), d), sigma0=_spread(*get("sigma0", "1"), K),
+                  burn_in=_number(*get("burn_in", simgen.DEFAULT_BURN_IN), int))
     for key, n in (("rho1", d), ("sigma1", K)):
-        if get(key) is not None:
-            kwargs[key] = _spread(get(key), n)
-    tau = get("tau")
-    if tau is not None:
-        kwargs["tau"] = _ints(tau)
+        text, name = get(key)
+        if text is not None:
+            kwargs[key] = _spread(text, name, n)
+    text, name = get("tau")
+    if text is not None:
+        kwargs["tau"] = _numbers(text, name, int)
 
-    config = simgen.PanelConfig(**kwargs)
+    config = simgen.PanelConfig(**kwargs)  # refused settings draw no seed
+    text, name = get("seed")
+    seed = _resolve_seed(args) if text is None else _number(text, name, int)
+    config = dataclasses.replace(config, seed=seed)
     panel = simgen.gen_ar1_panel(config, rep=args.rep)
     os.makedirs(args.out_dir, exist_ok=True)
     paths = simgen.export_panel_csv(panel, args.out_dir)
@@ -190,7 +199,7 @@ def _cmd_test(args):
     seed = _critval_request(args, len(args.data)).seed
     samples, v, w = load_bundle(args.data, args.v, args.w)
     pair = sumproc.ProjectionPair.from_vectors(v, w)
-    targets = None if args.targets is None else list(_floats(args.targets))
+    targets = None if args.targets is None else list(_numbers(args.targets, "--targets"))
     spec = cptest.TestSpec(
         kind=args.kind, projection=pair, level=args.level, targets=targets,
         learning_length=args.learning_length,
@@ -217,8 +226,8 @@ def _cmd_test(args):
 
 def _cmd_critval(args):
     req = _critval_request(args, args.K,
-                           alpha_weights=_floats(args.alpha) if args.alpha else None,
-                           kappa=_floats(args.kappa) if args.kappa else None)
+                           alpha_weights=_numbers(args.alpha, "--alpha") if args.alpha else None,
+                           kappa=_numbers(args.kappa, "--kappa") if args.kappa else None)
     value = limits.critical_value(req, workers=args.workers)
     method = limits.method_of(req.kind)
     print(f"{req.kind} K={req.K} level={req.level:.4g}: {value:.4g} ({method})")
@@ -240,10 +249,10 @@ def _cmd_experiment(args):
     cfg = harness.ExperimentConfig(
         replications=args.replications,
         cases=tuple(args.cases.split(",")),
-        dims=_ints(args.dims),
+        dims=_numbers(args.dims, "--dims", int),
         scenario=args.scenario,
         change_times=(None if args.change_times is None
-                      else _ints(args.change_times)),
+                      else _numbers(args.change_times, "--change-times", int)),
         tests=tuple(args.tests.split(",")),
         learning_length=args.learning_length,
         level=args.level,

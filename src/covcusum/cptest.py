@@ -4,16 +4,18 @@ Sum-of-squares statistics (one maximally selected CUSUM per sample,
 standardized by its long-run variance, then summed) and pooled statistics
 (grid maximum of the summed partial-sum deviations).  The "-breve"
 variants recenter by the in-sample endpoint and therefore need no target
-bilinear form; the plain variants require known targets.  Long-run
-variances come from the tested data, or from ``TestSpec.learning_length``
-leading rows of each sample, which are then not tested.
+bilinear form; the plain variants require known targets.  Every sample
+is projected through one shared pair of weight vectors.  Long-run
+variances are always estimated: from the tested data, or from
+``TestSpec.learning_length`` leading rows of each sample, which are then
+not tested.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,11 +30,12 @@ class TestSpec:
     __test__ = False  # keep pytest from collecting this dataclass
 
     kind: str
-    projection: object  # ProjectionPair, or list of pairs for q kinds
+    projection: sumproc.ProjectionPair  # shared by every sample
     level: float = 0.95
     targets: Optional[Sequence] = None  # one float or length-N_j array per sample
-    learning_length: Optional[Sequence[int]] = None  # one int, or one per sample
-    alpha_sq_override: Optional[Sequence[float]] = None
+    # Leading rows per sample (one int, or one per sample) that estimate the
+    # long-run variance and are not tested; None estimates it in-sample.
+    learning_length: Optional[Sequence[int]] = None
     n_grid: int = limits.DEFAULT_N_GRID
     n_rep: int = limits.DEFAULT_N_REP
     seed: int = 0
@@ -45,13 +48,9 @@ class TestSpec:
             raise ConfigurationError(f"kind {self.kind!r} requires targets")
         if bridge and self.targets is not None:
             raise ConfigurationError(f"kind {self.kind!r} forbids targets")
-        if self.kind in limits.POOLED_KINDS and isinstance(self.projection, (list, tuple)):
+        if not isinstance(self.projection, sumproc.ProjectionPair):
             raise ConfigurationError(
-                "pooled kinds require one shared projection pair, not per-sample pairs"
-            )
-        if self.alpha_sq_override is not None and self.learning_length is not None:
-            raise ConfigurationError(
-                "alpha_sq_override and learning_length exclude each other")
+                f"projection must be one ProjectionPair, got {type(self.projection).__name__}")
 
 
 @dataclass
@@ -74,20 +73,7 @@ class TestReport:
     method: str  # how the critical value was obtained: "corrected" or "mc"
 
     def to_dict(self):
-        return {
-            "statistic": self.statistic,
-            "critical_value": self.critical_value,
-            "level": self.level,
-            "reject": self.reject,
-            "per_sample": [
-                {"alpha_sq": s.alpha_sq, "bandwidth": s.bandwidth, "argmax_k": s.argmax_k}
-                for s in self.per_sample
-            ],
-            "sample_sizes": list(self.sample_sizes),
-            "kind": self.kind,
-            "seed": self.seed,
-            "method": self.method,
-        }
+        return asdict(self)
 
     def to_json(self, **kwargs):
         return json.dumps(self.to_dict(), **kwargs)
@@ -97,16 +83,6 @@ def _samples_of(panel):
     if isinstance(panel, Panel):
         return panel.samples
     return [np.asarray(s, dtype=float) for s in panel]
-
-
-def _pairs_of(spec, K):
-    if isinstance(spec.projection, (list, tuple)):
-        if len(spec.projection) != K:
-            raise ConfigurationError(
-                f"got {len(spec.projection)} projection pairs for {K} samples"
-            )
-        return list(spec.projection)
-    return [spec.projection] * K
 
 
 def _split_learning(samples, spec):
@@ -132,13 +108,13 @@ def _split_learning(samples, spec):
     return blocks, rest
 
 
-def _summary_key(spec, K):
+def _summary_key(spec):
     """The spec fields a PanelSummary depends on, as comparable bytes."""
     def flat(x):
         return None if x is None else np.asarray(x, dtype=float).tobytes()
 
-    pairs = tuple((flat(p.v), flat(p.w)) for p in _pairs_of(spec, K))
-    return pairs, flat(spec.learning_length), flat(spec.alpha_sq_override)
+    pair = spec.projection
+    return flat(pair.v), flat(pair.w), flat(spec.learning_length)
 
 
 @dataclass
@@ -171,20 +147,17 @@ def _summarize(samples, spec) -> PanelSummary:
     is projected separately.  A non-finite projected product raises
     ``CovCusumError`` naming the sample.
     """
-    pairs = _pairs_of(spec, len(samples))
+    pair = spec.projection
     blocks, data = _split_learning(samples, spec)
     projected, ests = [], []
-    for j, (y, pair) in enumerate(zip(data, pairs)):
+    for j, y in enumerate(data):
         ps = _project_finite(y, pair, j, "tested")
-        if spec.alpha_sq_override is not None:
-            est = lrv.LrvEstimate(alpha_sq=float(spec.alpha_sq_override[j]),
-                                  bandwidth=0.0, n_lags=0)
-        else:
-            source = ps if blocks is None else _project_finite(blocks[j], pair, j, "learning")
-            try:
-                est = lrv.lrv_estimate(source.p)
-            except DegenerateLrvError as exc:
-                raise DegenerateLrvError(f"sample {j}: {exc}", sample_index=j) from exc
+        source = ps if blocks is None else _project_finite(blocks[j], pair, j, "learning")
+        try:
+            est = lrv.lrv_estimate(source.p)
+        except DegenerateLrvError as exc:
+            raise DegenerateLrvError(f"sample {j}: {exc}", sample_index=j) from exc
+        # Finite products can still overflow the kernel sum.
         if not 0.0 < est.alpha_sq < math.inf:
             raise DegenerateLrvError(
                 f"sample {j}: degenerate long-run variance {est.alpha_sq!r}", sample_index=j)
@@ -238,16 +211,16 @@ def run_tests(panel, specs: Sequence[TestSpec], workers: int = 1) -> list:
     """Run several tests on one panel, projecting each sample once.
 
     The specs may differ in kind, level, targets and critical-value
-    settings, but must share ``projection``, ``learning_length`` and
-    ``alpha_sq_override``.  Returns one report per spec, equal to what
-    ``run_test`` returns for it.  ``workers`` threads simulate a v kind's
-    critical value; the reports do not depend on it.
+    settings, but must share ``projection`` and ``learning_length``.
+    Returns one report per spec, equal to what ``run_test`` returns for
+    it.  ``workers`` threads simulate a v kind's critical value; the
+    reports do not depend on it.
     """
     samples = _samples_of(panel)
-    if len({_summary_key(spec, len(samples)) for spec in specs}) != 1:
+    if len({_summary_key(spec) for spec in specs}) != 1:
         raise ConfigurationError(
-            "run_tests needs at least one spec, and all specs must share projection, "
-            "learning_length and alpha_sq_override")
+            "run_tests needs at least one spec, and all specs must share projection "
+            "and learning_length")
     summary = _summarize(samples, specs[0])
     return [_evaluate(summary, spec, workers) for spec in specs]
 

@@ -97,6 +97,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ConfigurationError("replications must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
         if self.scenario not in SCENARIOS:
             raise ConfigurationError(f"unknown scenario {self.scenario!r}")
         if self.scenario == "none":
@@ -143,9 +145,6 @@ class CellResult:
     n_rep: int
     wall_time: float
     seed: int
-
-    def key(self):
-        return (self.case, self.d, self.scenario, self.change_time, self.test)
 
 
 def _cell_seed(master_seed, cell_index):

@@ -173,15 +173,17 @@ class CritValRequest:
             raise ConfigurationError("n_grid must be >= 100")
         if method_of(self.kind) == "mc" and self.n_rep < 1000:
             raise ConfigurationError("n_rep must be >= 1000")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
         if self.alpha_weights is not None:
             aw = tuple(float(a) for a in np.atleast_1d(self.alpha_weights))
-            if len(aw) != self.K or any(a <= 0 for a in aw):
-                raise ConfigurationError("alpha_weights must be K positive reals")
+            if len(aw) != self.K or not all(0 < a < math.inf for a in aw):
+                raise ConfigurationError("alpha_weights must be K positive finite reals")
             object.__setattr__(self, "alpha_weights", aw)
         if self.kappa is not None:
             kp = tuple(float(k) for k in np.atleast_1d(self.kappa))
-            if len(kp) != self.K or any(k <= 0 for k in kp):
-                raise ConfigurationError("kappa must be K positive reals")
+            if len(kp) != self.K or not all(0 < k < math.inf for k in kp):
+                raise ConfigurationError("kappa must be K positive finite reals")
             if sum(kp) > 1.0 + 1e-9:
                 raise ConfigurationError("kappa entries must sum to at most 1")
             object.__setattr__(self, "kappa", kp)
@@ -202,10 +204,6 @@ class PathExtrema:
     bb_min: np.ndarray
     n_grid: int
     seed: int
-
-    @property
-    def n_rep(self):
-        return self.bm_max.shape[0]
 
     @property
     def K(self):

@@ -111,6 +111,8 @@ class PanelConfig:
 
         if self.burn_in < 0:
             raise ConfigurationError("burn_in must be non-negative")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -145,6 +147,8 @@ def gen_ar1_panels(config: PanelConfig, reps: Sequence[int]) -> list:
     at once.  The work buffer holds ``burn_in + max(N)`` rows of K * R * d
     floats for R = ``len(reps)``; callers bound its size by choosing R.
     """
+    if min(reps, default=0) < 0:
+        raise ConfigurationError(f"reps must be non-negative, got {min(reps)}")
     K, d, burn_in = config.K, config.d, config.burn_in
     R = len(reps)
     totals = [burn_in + n for n in config.N]

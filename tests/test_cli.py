@@ -171,6 +171,11 @@ class TestSimulateCommand:
                        "--rho0", "1.5"])
         assert rc == 2
 
+    def test_refused_panel_draws_no_seed(self, tmp_path, capsys):
+        rc = cli.main(["simulate", "--out-dir", str(tmp_path), "--K", "0"])
+        assert rc == 2
+        assert "seed:" not in capsys.readouterr().out
+
 
 class TestTestCommand:
     def _panel_files(self, tmp_path, K=2, n=80, d=2, seed=3):
@@ -464,6 +469,44 @@ class TestExperimentCommand:
         assert rc == 2
         assert "seed:" not in capsys.readouterr().out
         assert calls == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    # Malformed numbers in list flags and config values.
+    (["experiment", "--scenario", "sigma-change", "--change-times", "6x0"],
+     "--change-times: '6x0' is not an integer"),
+    (["experiment", "--dims", "2.5"], "--dims: '2.5' is not an integer"),
+    (["critval", "--kind", "v-breve", "--K", "2", "--alpha", "1,x", "--kappa", "0.5,0.5"],
+     "--alpha: 'x' is not a number"),
+    (["simulate", "--out-dir", "{tmp}", "--N", "10,y"], "--N: 'y' is not an integer"),
+    (["simulate", "--out-dir", "{tmp}", "--K", "x"], "--K: 'x' is not an integer"),
+    (["simulate", "--out-dir", "{tmp}", "--config", "{tmp}/cfg"],
+     "panel.N: 'y' is not an integer"),
+    # Negative seeds and replications.
+    (["simulate", "--out-dir", "{tmp}", "--seed", "-1"], "seed must be non-negative"),
+    (["simulate", "--out-dir", "{tmp}", "--seed", "1", "--rep", "-1"],
+     "reps must be non-negative"),
+    (["experiment", "--seed", "-1"], "seed must be non-negative"),
+    (["critval", "--kind", "v-breve", "--K", "1", "--alpha", "1", "--kappa", "1",
+      "--seed", "-1"], "seed must be non-negative"),
+    (["test", "--kind", "v-breve", "--data", "{tmp}/x.csv", "--v", "{tmp}/v.txt",
+      "--seed", "-1"], "seed must be non-negative"),
+    # Non-finite critical-value weights.
+    (["critval", "--kind", "v-breve", "--K", "1", "--alpha", "nan", "--kappa", "1",
+      "--n-rep", "1000", "--seed", "1"], "alpha_weights must be K positive finite reals"),
+    (["critval", "--kind", "v-breve", "--K", "1", "--alpha", "inf", "--kappa", "1",
+      "--n-rep", "1000", "--seed", "1"], "alpha_weights must be K positive finite reals"),
+    (["critval", "--kind", "v-breve", "--K", "2", "--alpha", "1,1", "--kappa", "nan,0.5",
+      "--n-rep", "1000", "--seed", "1"], "kappa must be K positive finite reals"),
+], ids=["change-times", "dims", "critval-alpha", "simulate-N", "simulate-K", "config-N",
+        "simulate-seed", "simulate-rep", "experiment-seed", "critval-seed", "test-seed",
+        "alpha-nan", "alpha-inf", "kappa-nan"])
+def test_bad_input_exits_two_naming_it(argv, message, tmp_path, capsys):
+    write_lines(tmp_path / "cfg", ["panel.N = 10,y"])
+    rc = cli.main([a.format(tmp=tmp_path) for a in argv])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

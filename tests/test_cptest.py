@@ -24,6 +24,13 @@ def random_panel(K, n, d, seed):
     return [rng.standard_normal((n, d)) for _ in range(K)]
 
 
+def fix_scales(monkeypatch, *alpha_sq):
+    """Patch ``lrv_estimate`` to return the scales ``alpha_sq`` in turn, cycling."""
+    scales = itertools.cycle(alpha_sq)
+    monkeypatch.setattr(lrv, "lrv_estimate", lambda p: lrv.LrvEstimate(
+        alpha_sq=next(scales), bandwidth=0.0, n_lags=0))
+
+
 class TestSpecValidation:
     def test_unknown_kind(self):
         with pytest.raises(ConfigurationError):
@@ -40,40 +47,42 @@ class TestSpecValidation:
                 TestSpec(kind=kind, projection=PAIR_1D,
                          targets=[1.0])
 
-    def test_pooled_kinds_forbid_per_sample_pairs(self):
-        with pytest.raises(ConfigurationError):
-            TestSpec(kind="v-breve", projection=[PAIR_1D, PAIR_1D])
+    def test_projection_must_be_one_pair(self):
+        for kind in limits.KINDS:
+            targets = None if kind in limits.BRIDGE_KINDS else [1.0]
+            with pytest.raises(ConfigurationError, match="one ProjectionPair, got list"):
+                TestSpec(kind=kind, projection=[PAIR_1D, PAIR_1D], targets=targets)
 
 
 class TestHandValues:
-    def test_q_breve_tiny(self):
+    def test_q_breve_tiny(self, monkeypatch):
         # Bridge (0, -1.5/sqrt(2), 0) with unit scale: max square 1.125.
-        spec = TestSpec(kind="q-breve", projection=PAIR_1D,
-                        alpha_sq_override=[1.0], seed=1, **SMALL)
+        fix_scales(monkeypatch, 1.0)
+        spec = TestSpec(kind="q-breve", projection=PAIR_1D, seed=1, **SMALL)
         rep = cptest.run_test(tiny_panel(), spec)
         assert rep.statistic == pytest.approx(1.125, rel=1e-12)
         assert rep.per_sample[0].argmax_k == 1
         assert rep.sample_sizes == (2,)
 
-    def test_v_breve_tiny(self):
-        spec = TestSpec(kind="v-breve", projection=PAIR_1D,
-                        alpha_sq_override=[1.0], seed=1, **SMALL)
+    def test_v_breve_tiny(self, monkeypatch):
+        fix_scales(monkeypatch, 1.0)
+        spec = TestSpec(kind="v-breve", projection=PAIR_1D, seed=1, **SMALL)
         rep = cptest.run_test(tiny_panel(), spec)
         assert rep.statistic == pytest.approx(1.5 / math.sqrt(2), rel=1e-12)
 
-    def test_q_matches_q_breve_when_target_is_mean(self):
+    def test_q_matches_q_breve_when_target_is_mean(self, monkeypatch):
         # Centering at the in-sample mean product reproduces the bridge.
+        fix_scales(monkeypatch, 1.0)
         spec_q = TestSpec(kind="q", projection=PAIR_1D,
-                          targets=[2.5],
-                          alpha_sq_override=[1.0], seed=1, **SMALL)
+                          targets=[2.5], seed=1, **SMALL)
         rep = cptest.run_test(tiny_panel(), spec_q)
         assert rep.statistic == pytest.approx(1.125, rel=1e-12)
 
-    def test_v_with_zero_target(self):
+    def test_v_with_zero_target(self, monkeypatch):
         # Plain pooled deviation from target 0: max |s_k| / sqrt(2) = 5/sqrt(2).
+        fix_scales(monkeypatch, 1.0)
         spec = TestSpec(kind="v", projection=PAIR_1D,
-                        targets=[0.0],
-                        alpha_sq_override=[1.0], seed=1, **SMALL)
+                        targets=[0.0], seed=1, **SMALL)
         rep = cptest.run_test(tiny_panel(), spec)
         assert rep.statistic == pytest.approx(5.0 / math.sqrt(2), rel=1e-12)
 
@@ -132,15 +141,15 @@ def brute_force_v_breve(samples, pair):
 
 
 class TestBruteForceEquivalence:
-    def test_v_breve_matches_brute_force(self):
+    def test_v_breve_matches_brute_force(self, monkeypatch):
+        fix_scales(monkeypatch, 1.0)
         rng = np.random.default_rng(11)
         pair = ProjectionPair.from_vectors([0.7, 0.3])
         for trial in range(25):
             K = int(rng.integers(1, 4))
             samples = [rng.standard_normal((int(rng.integers(5, 16)), 2))
                        for _ in range(K)]
-            spec = TestSpec(kind="v-breve", projection=pair,
-                            alpha_sq_override=[1.0] * K, seed=4, **SMALL)
+            spec = TestSpec(kind="v-breve", projection=pair, seed=4, **SMALL)
             rep = cptest.run_test(samples, spec)
             assert rep.statistic == pytest.approx(
                 brute_force_v_breve(samples, pair), rel=1e-10)
@@ -156,7 +165,7 @@ class TestLearningMode:
         # The carved block is excluded from the tested stretch.
         assert rep.sample_sizes == (150, 150)
 
-    def test_explicit_learning_data(self):
+    def test_explicit_learning_data(self, monkeypatch):
         # Learning data kept apart reach the test stacked in front of the sample.
         pair = ProjectionPair.from_vectors([0.5, 0.5])
         sample = random_panel(1, 100, 2, seed=9)[0]
@@ -168,8 +177,8 @@ class TestLearningMode:
         alpha_sq = lrv.lrv_estimate(sumproc.project(learn, pair).p).alpha_sq
         assert rep.per_sample[0].alpha_sq == alpha_sq
         # The tested stretch is the sample itself.
-        scaled = TestSpec(kind="q-breve", projection=pair, alpha_sq_override=[alpha_sq],
-                          seed=5, **SMALL)
+        fix_scales(monkeypatch, alpha_sq)
+        scaled = TestSpec(kind="q-breve", projection=pair, seed=5, **SMALL)
         assert rep.statistic == cptest.run_test([sample], scaled).statistic
 
     def test_learning_length_too_long_rejected(self):
@@ -186,19 +195,12 @@ class TestLearningMode:
         with pytest.raises(ConfigurationError, match="2 learning lengths for 3 samples"):
             cptest.run_test(random_panel(3, 80, 2, seed=1), spec)
 
-    def test_override_with_learning_length_refused(self):
-        # An override replaces the estimate, so carved blocks would go unused.
-        with pytest.raises(ConfigurationError, match="exclude each other"):
-            TestSpec(kind="q-breve", projection=PAIR_1D, alpha_sq_override=[1.0],
-                     learning_length=20, seed=5, **SMALL)
-
 
 class TestDegenerate:
     def test_constant_sample_raises_with_index(self):
         panel = [np.random.default_rng(0).standard_normal((50, 1)),
                  np.ones((50, 1))]
-        spec = TestSpec(kind="q-breve", projection=[PAIR_1D, PAIR_1D],
-                        seed=6, **SMALL)
+        spec = TestSpec(kind="q-breve", projection=PAIR_1D, seed=6, **SMALL)
         with pytest.raises(DegenerateLrvError) as exc:
             cptest.run_test(panel, spec)
         assert exc.value.sample_index == 1
@@ -213,9 +215,10 @@ class TestDegenerate:
         with pytest.raises(CovCusumError, match="sample 1: non-finite"):
             cptest.run_test(panel, spec)
 
-    def test_nonpositive_override_rejected(self):
-        spec = TestSpec(kind="q-breve", projection=PAIR_1D,
-                        alpha_sq_override=[0.0], seed=6, **SMALL)
+    def test_nonpositive_override_rejected(self, monkeypatch):
+        # An estimate that is not in (0, inf) never standardizes a statistic.
+        fix_scales(monkeypatch, 0.0)
+        spec = TestSpec(kind="q-breve", projection=PAIR_1D, seed=6, **SMALL)
         with pytest.raises(DegenerateLrvError):
             cptest.run_test(tiny_panel(), spec)
 
@@ -230,14 +233,15 @@ class TestDegenerate:
 
 
 class TestCriticalValue:
-    def test_memo_matches_fresh_value(self):
+    def test_memo_matches_fresh_value(self, monkeypatch):
         # The two weight vectors agree to 4 significant figures; the second
         # critical value must not be served from the first one's entry.
         panel = random_panel(2, 60, 1, seed=15)
-        reports = [cptest.run_test(panel, TestSpec(kind="v-breve", projection=PAIR_1D,
-                                                   alpha_sq_override=[a, 1.0],
-                                                   seed=4242, **SMALL))
-                   for a in (1.0, 1.00002)]
+        spec = TestSpec(kind="v-breve", projection=PAIR_1D, seed=4242, **SMALL)
+        reports = []
+        for a in (1.0, 1.00002):
+            fix_scales(monkeypatch, a, 1.0)
+            reports.append(cptest.run_test(panel, spec))
         fresh = limits.critical_value(limits.CritValRequest(
             kind="v-breve", K=2, level=0.95,
             alpha_weights=(math.sqrt(1.00002), 1.0), kappa=(0.5, 0.5),
@@ -336,13 +340,6 @@ class TestDispatchAndReport:
         assert d["sample_sizes"] == [60, 60]
         assert len(d["per_sample"]) == 2
         assert d["reject"] == rep.reject
-
-    def test_wrong_pair_count_rejected(self):
-        panel = random_panel(3, 30, 1, seed=14)
-        spec = TestSpec(kind="q-breve", projection=[PAIR_1D, PAIR_1D], seed=9,
-                        **SMALL)
-        with pytest.raises(ConfigurationError):
-            cptest.run_test(panel, spec)
 
     @pytest.mark.parametrize("kind", ["q", "v"])
     @pytest.mark.parametrize("count", [2, 4])

@@ -340,6 +340,15 @@ class TestCriticalValue:
         with pytest.raises(ConfigurationError):
             CritValRequest(kind="v", K=2, level=0.95,
                            alpha_weights=(1.0, 1.0), kappa=(0.9, 0.9))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match="alpha_weights"):
+                CritValRequest(kind="v", K=2, level=0.95,
+                               alpha_weights=(1.0, bad), kappa=(0.5, 0.5))
+            with pytest.raises(ConfigurationError, match="kappa"):
+                CritValRequest(kind="v", K=2, level=0.95,
+                               alpha_weights=(1.0, 1.0), kappa=(bad, 0.5))
+        with pytest.raises(ConfigurationError, match="seed"):
+            CritValRequest(kind="v-breve", K=1, level=0.95, seed=-1)
 
     def test_empirical_quantile_convention(self):
         draws = np.arange(1.0, 101.0)
