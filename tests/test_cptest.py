@@ -53,6 +53,10 @@ class TestSpecValidation:
             with pytest.raises(ConfigurationError, match="one ProjectionPair, got list"):
                 TestSpec(kind=kind, projection=[PAIR_1D, PAIR_1D], targets=targets)
 
+    def test_pooled_kinds_forbid_per_sample_pairs(self):
+        with pytest.raises(ConfigurationError):
+            TestSpec(kind="v-breve", projection=[PAIR_1D, PAIR_1D])
+
 
 class TestHandValues:
     def test_q_breve_tiny(self, monkeypatch):
@@ -340,6 +344,14 @@ class TestDispatchAndReport:
         assert d["sample_sizes"] == [60, 60]
         assert len(d["per_sample"]) == 2
         assert d["reject"] == rep.reject
+
+    def test_wrong_pair_count_rejected(self):
+        # A list of pairs, whatever its length, is refused when the spec is built.
+        panel = random_panel(3, 30, 1, seed=14)
+        with pytest.raises(ConfigurationError):
+            spec = TestSpec(kind="q-breve", projection=[PAIR_1D, PAIR_1D], seed=9,
+                            **SMALL)
+            cptest.run_test(panel, spec)
 
     @pytest.mark.parametrize("kind", ["q", "v"])
     @pytest.mark.parametrize("count", [2, 4])
