@@ -18,20 +18,19 @@ cfg = simgen.PanelConfig(K=4, d=d, N=(100, 120, 70, 90), rho0=tuple(rho),
                          sigma0=sigma,
                          sigma1=(1.0, 0.7, 1.2, 1.0), tau=(50, 60, 35, 45),
                          seed=777)
-panel = simgen.gen_ar1_panel(cfg)
+samples = simgen.gen_ar1_panel(cfg)
 
 v = simgen.gen_dirichlet_projection(d, seed=3)
 pair = ProjectionPair.from_vectors(v)
 targets = [simgen.ar1_bilinear_target(rho, s, v, v) for s in sigma]
 
-for kind in ("q", "q-breve", "v", "v-breve"):
-    spec = cptest.TestSpec(
-        kind=kind, projection=pair, level=0.95,
-        targets=targets if kind in ("q", "v") else None,
-        n_grid=1000, n_rep=50_000, seed=42)
-    report = cptest.run_test(panel, spec)
+specs = [cptest.TestSpec(kind=kind, level=0.95,
+                         targets=targets if kind in ("q", "v") else None,
+                         n_grid=1000, n_rep=50_000, seed=42)
+         for kind in ("q", "q-breve", "v", "v-breve")]
+for report in cptest.run_tests(samples, pair, specs):
     flag = "REJECT" if report.reject else "accept"
-    print(f"{kind:8s} statistic {report.statistic:8.4f}  "
+    print(f"{report.kind:8s} statistic {report.statistic:8.4f}  "
           f"critical {report.critical_value:8.4f}  -> {flag}")
     for j, s in enumerate(report.per_sample):
         print(f"         sample {j}: alpha_sq {s.alpha_sq:.4f}, "

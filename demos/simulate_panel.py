@@ -16,13 +16,13 @@ rho = 0.1 + 0.5 * np.arange(1, d + 1) / d
 cfg = simgen.PanelConfig(K=4, d=d, N=(100, 120, 70, 90),
                          rho0=tuple(rho), sigma0=(1.0, 1.5, 0.7, 1.0),
                          seed=12345)
-panel = simgen.gen_ar1_panel(cfg)
-print("sample sizes:", panel.sizes)
+samples = simgen.gen_ar1_panel(cfg)
+print("sample sizes:", tuple(len(y) for y in samples))
 
 v = simgen.gen_dirichlet_projection(d, seed=1)
 print("projection vector:", np.round(v, 4))
 
-for j, (y, sigma) in enumerate(zip(panel.samples, cfg.sigma0)):
+for j, (y, sigma) in enumerate(zip(samples, cfg.sigma0)):
     target = simgen.ar1_bilinear_target(rho, sigma, v, v)
     empirical = np.mean((y @ v) ** 2)
     print(f"sample {j}: v'Cov v target {target:.4f}, empirical {empirical:.4f}")
@@ -32,7 +32,7 @@ broken = simgen.PanelConfig(K=4, d=d, N=(100, 120, 70, 90),
                             rho0=tuple(rho), sigma0=(1.0, 1.5, 0.7, 1.0),
                             sigma1=(1.0, 0.7, 1.2, 1.0), tau=(50, 60, 35, 45),
                             seed=12345)
-y1 = simgen.gen_ar1_panel(broken).samples[1] @ v
+y1 = simgen.gen_ar1_panel(broken)[1] @ v
 print("\nafter the change in sample 1:")
 print(f"  pre-change mean square  {np.mean(y1[:60] ** 2):.4f}")
 print(f"  post-change mean square {np.mean(y1[60:] ** 2):.4f}")

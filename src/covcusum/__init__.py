@@ -9,7 +9,7 @@ from .errors import (
     IngestionError,
     ShapeError,
 )
-from .simgen import Panel, PanelConfig, gen_ar1_panel, gen_dirichlet_projection
+from .simgen import PanelConfig, gen_ar1_panel, gen_dirichlet_projection
 from .sumproc import (
     ProjectedSample,
     ProjectionPair,

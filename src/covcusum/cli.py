@@ -76,6 +76,8 @@ def _load_vector(path, expected_d):
     if len(values) != expected_d:
         raise IngestionError(
             f"{path}: projection vector has length {len(values)}, expected {expected_d}")
+    if not values.any():
+        raise IngestionError(f"{path}: projection vector must not be all-zero")
     return values[:, 0]
 
 
@@ -92,11 +94,17 @@ def load_bundle(data_paths, v_path=None, w_path=None):
     return samples, v, w
 
 
-def parse_config_file(path):
-    """Flat key-value config with dotted section prefixes.
+# The panel settings ``simulate`` reads from a config file.
+CONFIG_KEYS = {f"panel.{name}" for name in
+               ("K", "d", "N", "rho0", "rho1", "sigma0", "sigma1", "tau", "burn_in", "seed")}
 
-    Lines are ``section.key = value``; '#' starts a comment; values may be
-    comma-separated lists.  Returns a flat dict of strings.
+
+def parse_config_file(path):
+    """Flat key-value config of ``simulate``'s panel settings.
+
+    Lines are ``panel.key = value``; '#' starts a comment; values may be
+    comma-separated lists.  A key outside ``CONFIG_KEYS`` is refused with
+    ``file:line``.  Returns a flat dict of strings.
     """
     out = {}
     with open(path) as fh:
@@ -106,8 +114,10 @@ def parse_config_file(path):
                 continue
             if "=" not in line:
                 raise ConfigurationError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in CONFIG_KEYS:
+                raise ConfigurationError(f"{path}:{lineno}: unknown setting {key!r}")
+            out[key] = value
     return out
 
 
@@ -179,12 +189,14 @@ def _cmd_simulate(args):
         kwargs["tau"] = _numbers(text, name, int)
 
     config = simgen.PanelConfig(**kwargs)  # refused settings draw no seed
+    if args.rep < 0:
+        raise ConfigurationError(f"reps must be non-negative, got {args.rep}")
     text, name = get("seed")
     seed = _resolve_seed(args) if text is None else _number(text, name, int)
     config = dataclasses.replace(config, seed=seed)
-    panel = simgen.gen_ar1_panel(config, rep=args.rep)
+    samples = simgen.gen_ar1_panel(config, rep=args.rep)
     os.makedirs(args.out_dir, exist_ok=True)
-    paths = simgen.export_panel_csv(panel, args.out_dir)
+    paths = simgen.export_panel_csv(samples, args.out_dir)
     for p in paths:
         print(p)
     return 0
@@ -196,15 +208,14 @@ def _cmd_simulate(args):
 def _cmd_test(args):
     if args.v is None:
         raise ConfigurationError("test requires a projection vector (--v)")
-    seed = _critval_request(args, len(args.data)).seed
+    targets = None if args.targets is None else list(_numbers(args.targets, "--targets"))
+    spec = cptest.TestSpec(kind=args.kind, level=args.level, targets=targets,
+                           n_grid=args.n_grid, n_rep=args.n_rep)  # refused settings draw no seed
+    spec = dataclasses.replace(spec, seed=_critval_request(args, len(args.data)).seed)
     samples, v, w = load_bundle(args.data, args.v, args.w)
     pair = sumproc.ProjectionPair.from_vectors(v, w)
-    targets = None if args.targets is None else list(_numbers(args.targets, "--targets"))
-    spec = cptest.TestSpec(
-        kind=args.kind, projection=pair, level=args.level, targets=targets,
-        learning_length=args.learning_length,
-        n_grid=args.n_grid, n_rep=args.n_rep, seed=seed)
-    report = cptest.run_test(samples, spec, workers=args.workers)
+    report = cptest.run_test(samples, pair, spec, learning_length=args.learning_length,
+                             workers=args.workers)
 
     print(f"kind            {report.kind}")
     print(f"statistic       {report.statistic:.4g}")

@@ -4,15 +4,17 @@ Sum-of-squares statistics (one maximally selected CUSUM per sample,
 standardized by its long-run variance, then summed) and pooled statistics
 (grid maximum of the summed partial-sum deviations).  The "-breve"
 variants recenter by the in-sample endpoint and therefore need no target
-bilinear form; the plain variants require known targets.  Every sample
-is projected through one shared pair of weight vectors.  Long-run
-variances are always estimated: from the tested data, or from
-``TestSpec.learning_length`` leading rows of each sample, which are then
-not tested.
+bilinear form; the plain variants require known targets.  A panel is a
+list of K observation matrices, all projected through the one pair of
+weight vectors passed with it; a ``TestSpec`` holds one test's settings.
+Long-run variances are always estimated: from the tested data, or from
+``learning_length`` leading rows of each sample, which are then not
+tested.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -21,8 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import limits, lrv, sumproc
-from .errors import ConfigurationError, CovCusumError, DegenerateLrvError
-from .simgen import Panel
+from .errors import ConfigurationError, CovCusumError, DegenerateLrvError, ShapeError
 
 
 @dataclass
@@ -30,12 +31,8 @@ class TestSpec:
     __test__ = False  # keep pytest from collecting this dataclass
 
     kind: str
-    projection: sumproc.ProjectionPair  # shared by every sample
     level: float = 0.95
     targets: Optional[Sequence] = None  # one float or length-N_j array per sample
-    # Leading rows per sample (one int, or one per sample) that estimate the
-    # long-run variance and are not tested; None estimates it in-sample.
-    learning_length: Optional[Sequence[int]] = None
     n_grid: int = limits.DEFAULT_N_GRID
     n_rep: int = limits.DEFAULT_N_REP
     seed: int = 0
@@ -48,9 +45,9 @@ class TestSpec:
             raise ConfigurationError(f"kind {self.kind!r} requires targets")
         if bridge and self.targets is not None:
             raise ConfigurationError(f"kind {self.kind!r} forbids targets")
-        if not isinstance(self.projection, sumproc.ProjectionPair):
-            raise ConfigurationError(
-                f"projection must be one ProjectionPair, got {type(self.projection).__name__}")
+        for j, target in enumerate(() if bridge else self.targets):
+            if not np.all(np.isfinite(target)):
+                raise ConfigurationError(f"sample {j}: target is not finite")
 
 
 @dataclass
@@ -79,21 +76,26 @@ class TestReport:
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def _samples_of(panel):
-    if isinstance(panel, Panel):
-        return panel.samples
-    return [np.asarray(s, dtype=float) for s in panel]
+@contextlib.contextmanager
+def _naming_sample(j):
+    """Prefix a refusal raised while handling sample j with ``sample j:``."""
+    try:
+        yield
+    except DegenerateLrvError as exc:
+        raise DegenerateLrvError(f"sample {j}: {exc}", sample_index=j) from exc
+    except ShapeError as exc:
+        raise ShapeError(f"sample {j}: {exc}") from exc
 
 
-def _split_learning(samples, spec):
-    """Carve ``spec.learning_length`` leading rows off each sample.
+def _split_learning(samples, learning_length):
+    """Carve ``learning_length`` leading rows off each sample.
 
     Returns the learning blocks (None without a length) and the stretches
     that enter the test.
     """
-    if spec.learning_length is None:
+    if learning_length is None:
         return None, samples
-    lengths = np.atleast_1d(spec.learning_length).astype(int)
+    lengths = np.atleast_1d(learning_length).astype(int)
     if lengths.size not in (1, len(samples)):
         raise ConfigurationError(
             f"got {lengths.size} learning lengths for {len(samples)} samples")
@@ -106,15 +108,6 @@ def _split_learning(samples, spec):
         blocks.append(y[:L])
         rest.append(y[L:])
     return blocks, rest
-
-
-def _summary_key(spec):
-    """The spec fields a PanelSummary depends on, as comparable bytes."""
-    def flat(x):
-        return None if x is None else np.asarray(x, dtype=float).tobytes()
-
-    pair = spec.projection
-    return flat(pair.v), flat(pair.w), flat(spec.learning_length)
 
 
 @dataclass
@@ -140,27 +133,23 @@ def _project_finite(y, pair, j, stretch):
     return ps
 
 
-def _summarize(samples, spec) -> PanelSummary:
+def _summarize(samples, pair, learning_length) -> PanelSummary:
     """Project each tested sample once and estimate its long-run variance.
 
     In-sample estimates reuse the tested projection; only a learning block
-    is projected separately.  A non-finite projected product raises
-    ``CovCusumError`` naming the sample.
+    is projected separately.  A non-finite projected product, or a stretch
+    too short to estimate from, raises ``CovCusumError`` naming the sample.
     """
-    pair = spec.projection
-    blocks, data = _split_learning(samples, spec)
+    blocks, data = _split_learning(samples, learning_length)
     projected, ests = [], []
     for j, y in enumerate(data):
-        ps = _project_finite(y, pair, j, "tested")
-        source = ps if blocks is None else _project_finite(blocks[j], pair, j, "learning")
-        try:
+        with _naming_sample(j):
+            ps = _project_finite(y, pair, j, "tested")
+            source = ps if blocks is None else _project_finite(blocks[j], pair, j, "learning")
             est = lrv.lrv_estimate(source.p)
-        except DegenerateLrvError as exc:
-            raise DegenerateLrvError(f"sample {j}: {exc}", sample_index=j) from exc
-        # Finite products can still overflow the kernel sum.
-        if not 0.0 < est.alpha_sq < math.inf:
-            raise DegenerateLrvError(
-                f"sample {j}: degenerate long-run variance {est.alpha_sq!r}", sample_index=j)
+            # Finite products can still overflow the kernel sum.
+            if not 0.0 < est.alpha_sq < math.inf:
+                raise DegenerateLrvError(f"degenerate long-run variance {est.alpha_sq!r}")
         projected.append(ps)
         ests.append(est)
     return PanelSummary(sizes=tuple(ps.n for ps in projected),
@@ -173,7 +162,10 @@ def _statistic(summary, spec):
     targets = [None] * K if spec.targets is None else list(spec.targets)
     if len(targets) != K:
         raise ConfigurationError(f"got {len(targets)} targets for {K} samples")
-    devs = [sumproc.unscaled_deviation(ps, t) for ps, t in zip(summary.projected, targets)]
+    devs = []
+    for j, (ps, t) in enumerate(zip(summary.projected, targets)):
+        with _naming_sample(j):
+            devs.append(sumproc.unscaled_deviation(ps, t))
     if spec.kind in limits.POOLED_KINDS:
         root_total = math.sqrt(sum(summary.sizes))
         return sumproc.pooled_d_grid_max([f / root_total for f in devs])
@@ -207,24 +199,27 @@ def _evaluate(summary, spec, workers) -> TestReport:
                       method=method)
 
 
-def run_tests(panel, specs: Sequence[TestSpec], workers: int = 1) -> list:
+def run_tests(panel, projection: sumproc.ProjectionPair, specs: Sequence[TestSpec],
+              learning_length: Optional[Sequence[int]] = None, workers: int = 1) -> list:
     """Run several tests on one panel, projecting each sample once.
 
-    The specs may differ in kind, level, targets and critical-value
-    settings, but must share ``projection`` and ``learning_length``.
+    ``panel`` is a list of K observation matrices (rows are time points),
+    all projected through the one pair ``projection``.  ``learning_length``
+    leading rows per sample (one int, or one per sample) estimate the
+    long-run variance and are not tested; None estimates it in-sample.
     Returns one report per spec, equal to what ``run_test`` returns for
     it.  ``workers`` threads simulate a v kind's critical value; the
     reports do not depend on it.
     """
-    samples = _samples_of(panel)
-    if len({_summary_key(spec) for spec in specs}) != 1:
+    if not isinstance(projection, sumproc.ProjectionPair):
         raise ConfigurationError(
-            "run_tests needs at least one spec, and all specs must share projection "
-            "and learning_length")
-    summary = _summarize(samples, specs[0])
+            f"projection must be one ProjectionPair, got {type(projection).__name__}")
+    samples = [np.asarray(s, dtype=float) for s in panel]
+    summary = _summarize(samples, projection, learning_length)
     return [_evaluate(summary, spec, workers) for spec in specs]
 
 
-def run_test(panel, spec: TestSpec, workers: int = 1) -> TestReport:
-    """Run the test named by ``spec.kind`` on a K-sample panel."""
-    return run_tests(panel, [spec], workers=workers)[0]
+def run_test(panel, projection: sumproc.ProjectionPair, spec: TestSpec,
+             learning_length: Optional[Sequence[int]] = None, workers: int = 1) -> TestReport:
+    """Run the test named by ``spec.kind`` on a K-sample panel; see ``run_tests``."""
+    return run_tests(panel, projection, [spec], learning_length, workers)[0]

@@ -12,7 +12,8 @@ A cell generates its replications in batches through
 and rep 2r + 1 of the learning config, whatever the batch.  A batch holds
 as many replications as fit the generator buffers into
 ``PANEL_CHUNK_BYTES``, so memory stays bounded for any replication count,
-and the tests still run once per replication on C-contiguous samples.
+and the tests, specified once per cell, still run once per replication
+on C-contiguous samples with that replication's projection pair.
 Results do not depend on the batch size.
 """
 
@@ -188,9 +189,9 @@ def _replications(panel_cfg, learning_cfg, n):
         if learning_cfg is not None:
             learning = simgen.gen_ar1_panels(learning_cfg, [2 * r + 1 for r in block])
         for i, r in enumerate(block):
-            samples = panels[i].samples
+            samples = panels[i]
             if learning_cfg is not None:
-                samples = [np.vstack([b, y]) for b, y in zip(learning[i].samples, samples)]
+                samples = [np.vstack([b, y]) for b, y in zip(learning[i], samples)]
             yield r, samples
 
 
@@ -207,17 +208,15 @@ def run_cell(case, d, scenario, change_time, cfg: ExperimentConfig, cell_index):
             K=4, d=d, N=learning_sizes,
             rho0=base_kwargs["rho0"], sigma0=SIGMA_PRE, seed=seed)
 
+    specs = [cptest.TestSpec(kind=t, level=cfg.level, n_grid=cfg.critval_n_grid,
+                             n_rep=cfg.critval_n_rep, seed=seed)
+             for t in cfg.tests]
     rejections = {t: 0 for t in cfg.tests}
     for r, samples in _replications(panel_cfg, learning_cfg, cfg.replications):
-        proj_seed = _cell_seed(seed, r + 1)
-        w = simgen.gen_dirichlet_projection(d, proj_seed)
+        w = simgen.gen_dirichlet_projection(d, _cell_seed(seed, r + 1))
         pair = sumproc.ProjectionPair.from_vectors(w)
-        specs = [cptest.TestSpec(kind=t, projection=pair, level=cfg.level,
-                                 learning_length=learning_sizes,
-                                 n_grid=cfg.critval_n_grid, n_rep=cfg.critval_n_rep,
-                                 seed=seed)
-                 for t in cfg.tests]
-        reports = cptest.run_tests(samples, specs, workers=cfg.workers)
+        reports = cptest.run_tests(samples, pair, specs, learning_length=learning_sizes,
+                                   workers=cfg.workers)
         for t, report in zip(cfg.tests, reports):
             rejections[t] += int(report.reject)
 

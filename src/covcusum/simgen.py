@@ -1,6 +1,7 @@
 """Synthetic K-sample AR(1) panel generation and Dirichlet projection draws.
 
-Each sample j consists of N_j observations of a d-dimensional vector whose
+A panel is a list of K sample arrays, one row per time point.  Each
+sample j consists of N_j observations of a d-dimensional vector whose
 coordinates are AR(1) processes with coordinate-specific coefficients, all
 driven by one shared scalar innovation sequence per sample.  An optional
 regime switch (AR coefficients and/or innovation scale) can be injected
@@ -25,7 +26,7 @@ versions ran per sample and coordinate: panels are bitwise the same.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -115,22 +116,6 @@ class PanelConfig:
             raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
 
 
-@dataclass
-class Panel:
-    """K observation matrices (N_j rows, d columns) plus the generating config."""
-
-    samples: list
-    config: PanelConfig
-
-    @property
-    def K(self):
-        return len(self.samples)
-
-    @property
-    def sizes(self):
-        return tuple(s.shape[0] for s in self.samples)
-
-
 def sample_rng(seed, sample, rep=0):
     """Deterministic per-(seed, sample, replication) Philox generator."""
     ss = np.random.SeedSequence(int(seed), spawn_key=(int(sample), int(rep)))
@@ -140,7 +125,8 @@ def sample_rng(seed, sample, rep=0):
 def gen_ar1_panels(config: PanelConfig, reps: Sequence[int]) -> list:
     """Generate the panels of replications ``reps`` of ``config`` together.
 
-    Panel ``i`` is the one ``gen_ar1_panel(config, reps[i])`` returns:
+    A panel is a list of K C-contiguous (N_j, d) sample arrays.  Panel
+    ``i`` is the one ``gen_ar1_panel(config, reps[i])`` returns:
     each replication draws from its own (seed, sample, rep) streams, so
     how replications are grouped into calls never changes a panel.  One
     step of the recursion updates every (sample, replication, coordinate)
@@ -184,11 +170,11 @@ def gen_ar1_panels(config: PanelConfig, reps: Sequence[int]) -> list:
     # One C-contiguous (R, N_j, d) copy per sample; panel i gets row i of each.
     tested = [np.ascontiguousarray(y[T - n:, j].transpose(1, 0, 2))
               for j, n in enumerate(config.N)]
-    return [Panel(samples=[s[i] for s in tested], config=config) for i in range(R)]
+    return [[s[i] for s in tested] for i in range(R)]
 
 
-def gen_ar1_panel(config: PanelConfig, rep: int = 0) -> Panel:
-    """Generate one panel from ``config``, bit-reproducible for fixed seed.
+def gen_ar1_panel(config: PanelConfig, rep: int = 0) -> list:
+    """Generate one panel, a list of K samples, bit-reproducible for fixed seed.
 
     One scalar innovation per (sample, time) drives all d coordinates.
     ``rep`` selects an independent replication stream for Monte Carlo use.
@@ -227,12 +213,12 @@ def ar1_bilinear_target(rho, sigma, v, w) -> float:
     return float(np.asarray(v) @ cov @ np.asarray(w))
 
 
-def export_panel_csv(panel: Panel, directory, prefix="sample"):
+def export_panel_csv(samples, directory, prefix="sample"):
     """Write one CSV per sample (rows=time, cols=coordinates, no header)."""
     import os
 
     paths = []
-    for j, y in enumerate(panel.samples):
+    for j, y in enumerate(samples):
         path = os.path.join(str(directory), f"{prefix}_{j + 1}.csv")
         np.savetxt(path, y, delimiter=",", fmt="%.17g")
         paths.append(path)

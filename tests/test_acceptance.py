@@ -104,9 +104,8 @@ def test_criterion_5_grid_max_brute_force_equality(monkeypatch):
         val, _ = sumproc.pooled_d_grid_max(procs)
         brute = max(abs(sum(f[i] for f, i in zip(procs, idx)))
                     for idx in itertools.product(*[range(len(f)) for f in procs]))
-        spec = cptest.TestSpec(kind="v-breve", projection=pair, seed=1,
-                               n_grid=500, n_rep=20_000)
-        stat = cptest.run_test(samples, spec).statistic
+        spec = cptest.TestSpec(kind="v-breve", seed=1, n_grid=500, n_rep=20_000)
+        stat = cptest.run_test(samples, pair, spec).statistic
         if not (val == brute and stat == brute):
             failures += 1
     _verdict(5, "separable grid maximum equals enumeration", failures == 0,
@@ -127,28 +126,21 @@ def test_criterion_6_bridge_and_projection_invariances():
     small = dict(n_grid=500, n_rep=20_000, seed=2)
 
     def breve_stats():
-        return (cptest.run_test(
-                    panel, cptest.TestSpec(kind="q-breve",
-                                           projection=ProjectionPair.from_vectors(v),
-                                           **small)).statistic,
-                cptest.run_test(
-                    panel, cptest.TestSpec(kind="v-breve",
-                                           projection=ProjectionPair.from_vectors(v),
-                                           **small)).statistic)
+        return (cptest.run_test(panel, ProjectionPair.from_vectors(v),
+                                cptest.TestSpec(kind="q-breve", **small)).statistic,
+                cptest.run_test(panel, ProjectionPair.from_vectors(v),
+                                cptest.TestSpec(kind="v-breve", **small)).statistic)
 
     before = breve_stats()
     # Interleave a target-dependent run; the target-free statistics must
     # not move under any choice of target values.
-    cptest.run_test(panel, cptest.TestSpec(
-        kind="q", projection=ProjectionPair.from_vectors(v),
-        targets=list(rng.standard_normal(2)), **small))
+    cptest.run_test(panel, ProjectionPair.from_vectors(v), cptest.TestSpec(
+        kind="q", targets=list(rng.standard_normal(2)), **small))
     after = breve_stats()
     target_free = before == after
 
-    scaled = cptest.run_test(
-        panel, cptest.TestSpec(kind="q-breve",
-                               projection=ProjectionPair.from_vectors(9.0 * v),
-                               **small)).statistic
+    scaled = cptest.run_test(panel, ProjectionPair.from_vectors(9.0 * v),
+                             cptest.TestSpec(kind="q-breve", **small)).statistic
     scale_gap = abs(scaled - before[0]) / before[0]
     ok = endpoints_exact and target_free and scale_gap <= 1e-10
     _verdict(6, "bridge endpoints and invariances", ok,
@@ -193,7 +185,7 @@ def test_criterion_8_pooled_endpoint_normality():
         reps = range(first, first + 50)
         for r, panel in zip(reps, simgen.gen_ar1_panels(cfg, reps)):
             num = sum(sumproc.project(y, pair).s[-1] - n * t
-                      for y, n, t in zip(panel.samples, sizes, targets))
+                      for y, n, t in zip(panel, sizes, targets))
             z[r] = num / denom
     ks = scipy.stats.kstest(z, "norm").statistic
     _verdict(8, "pooled endpoint central limit behavior", ks < 0.05,

@@ -148,7 +148,7 @@ class TestSimulateCommand:
         cfg = simgen.PanelConfig(K=2, d=3, N=(20, 30), rho0=(0.1, 0.2, 0.3),
                                  sigma0=(1.0, 2.0), seed=42)
         panel = simgen.gen_ar1_panel(cfg)
-        for p, y in zip(paths, panel.samples):
+        for p, y in zip(paths, panel):
             np.testing.assert_array_equal(np.loadtxt(p, delimiter=","), y)
 
     def test_config_file_drives_simulation(self, tmp_path, capsys):
@@ -172,9 +172,20 @@ class TestSimulateCommand:
         assert rc == 2
 
     def test_refused_panel_draws_no_seed(self, tmp_path, capsys):
-        rc = cli.main(["simulate", "--out-dir", str(tmp_path), "--K", "0"])
+        for bad in (["--K", "0"], ["--rep", "-1"]):
+            rc = cli.main(["simulate", "--out-dir", str(tmp_path), *bad])
+            assert rc == 2
+            assert "seed:" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key", ["panel.sigma", "simulate.bogus"])
+    def test_unknown_config_key_refused_naming_line(self, tmp_path, capsys, key):
+        cfg = tmp_path / "cfg"
+        write_lines(cfg, ["panel.K = 1", f"{key} = 5"])
+        rc = cli.main(["simulate", "--out-dir", str(tmp_path / "out"), "--config", str(cfg)])
         assert rc == 2
-        assert "seed:" not in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert f"{cfg}:2: unknown setting {key!r}" in captured.err
+        assert "seed:" not in captured.out
 
 
 class TestTestCommand:
@@ -261,6 +272,34 @@ class TestTestCommand:
         rc = cli.main(["test", "--data", *data, "--kind", "v-breve"] + FAST)
         assert rc == 2
         assert "seed:" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind, targets, bad", [("q", "nan,1", 0), ("v", "1,inf", 1)])
+    def test_non_finite_target_refused_before_seed_and_files(self, tmp_path, capsys,
+                                                             kind, targets, bad):
+        rc = cli.main(["test", "--data", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"),
+                       "--v", str(tmp_path / "v.txt"), "--kind", kind,
+                       "--targets", targets] + FAST)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "seed:" not in captured.out
+        assert f"sample {bad}: target is not finite" in captured.err
+
+    def test_short_sample_refused_naming_it(self, tmp_path, capsys):
+        data, v = self._panel_files(tmp_path)
+        write_lines(Path(data[1]), Path(data[1]).read_text().splitlines()[:3])
+        rc = cli.main(["test", "--data", *data, "--v", v, "--kind", "q-breve",
+                       "--seed", "5"] + FAST)
+        assert rc == 1
+        assert "sample 1: need at least 4 observations, got 3" in capsys.readouterr().err
+
+    def test_all_zero_vector_refused_naming_file(self, tmp_path, capsys):
+        data, _ = self._panel_files(tmp_path)
+        v = tmp_path / "zero.txt"
+        write_lines(v, ["0", "0"])
+        rc = cli.main(["test", "--data", *data, "--v", str(v), "--kind", "q-breve",
+                       "--seed", "5"] + FAST)
+        assert rc == 1
+        assert f"{v}: projection vector must not be all-zero" in capsys.readouterr().err
 
     def test_learning_length_carves_leading_rows(self, tmp_path):
         data, v = self._panel_files(tmp_path)

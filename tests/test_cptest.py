@@ -6,7 +6,7 @@ import pytest
 
 from covcusum import cptest, limits, lrv, simgen, sumproc
 from covcusum.cptest import TestSpec
-from covcusum.errors import ConfigurationError, CovCusumError, DegenerateLrvError
+from covcusum.errors import ConfigurationError, CovCusumError, DegenerateLrvError, ShapeError
 from covcusum.sumproc import ProjectionPair
 
 SMALL = dict(n_grid=500, n_rep=20_000)
@@ -34,60 +34,66 @@ def fix_scales(monkeypatch, *alpha_sq):
 class TestSpecValidation:
     def test_unknown_kind(self):
         with pytest.raises(ConfigurationError):
-            TestSpec(kind="w", projection=PAIR_1D)
+            TestSpec(kind="w")
 
     def test_plain_kinds_require_targets(self):
         for kind in ("q", "v"):
             with pytest.raises(ConfigurationError, match="targets"):
-                TestSpec(kind=kind, projection=PAIR_1D)
+                TestSpec(kind=kind)
 
     def test_breve_kinds_forbid_targets(self):
         for kind in ("q-breve", "v-breve"):
             with pytest.raises(ConfigurationError, match="targets"):
-                TestSpec(kind=kind, projection=PAIR_1D,
-                         targets=[1.0])
+                TestSpec(kind=kind, targets=[1.0])
+
+    @pytest.mark.parametrize("kind", ["q", "v"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, np.array([1.0, np.nan]),
+                                     np.array([-np.inf, 1.0])],
+                             ids=["float-nan", "float-inf", "array-nan", "array-inf"])
+    def test_non_finite_targets_refused(self, kind, bad):
+        with pytest.raises(ConfigurationError, match="sample 1: target is not finite"):
+            TestSpec(kind=kind, targets=[1.0, bad])
 
     def test_projection_must_be_one_pair(self):
         for kind in limits.KINDS:
             targets = None if kind in limits.BRIDGE_KINDS else [1.0]
             with pytest.raises(ConfigurationError, match="one ProjectionPair, got list"):
-                TestSpec(kind=kind, projection=[PAIR_1D, PAIR_1D], targets=targets)
+                cptest.run_test(tiny_panel(), [PAIR_1D, PAIR_1D],
+                                TestSpec(kind=kind, targets=targets))
 
     def test_pooled_kinds_forbid_per_sample_pairs(self):
         with pytest.raises(ConfigurationError):
-            TestSpec(kind="v-breve", projection=[PAIR_1D, PAIR_1D])
+            cptest.run_test(tiny_panel(), [PAIR_1D, PAIR_1D], TestSpec(kind="v-breve"))
 
 
 class TestHandValues:
     def test_q_breve_tiny(self, monkeypatch):
         # Bridge (0, -1.5/sqrt(2), 0) with unit scale: max square 1.125.
         fix_scales(monkeypatch, 1.0)
-        spec = TestSpec(kind="q-breve", projection=PAIR_1D, seed=1, **SMALL)
-        rep = cptest.run_test(tiny_panel(), spec)
+        spec = TestSpec(kind="q-breve", seed=1, **SMALL)
+        rep = cptest.run_test(tiny_panel(), PAIR_1D, spec)
         assert rep.statistic == pytest.approx(1.125, rel=1e-12)
         assert rep.per_sample[0].argmax_k == 1
         assert rep.sample_sizes == (2,)
 
     def test_v_breve_tiny(self, monkeypatch):
         fix_scales(monkeypatch, 1.0)
-        spec = TestSpec(kind="v-breve", projection=PAIR_1D, seed=1, **SMALL)
-        rep = cptest.run_test(tiny_panel(), spec)
+        spec = TestSpec(kind="v-breve", seed=1, **SMALL)
+        rep = cptest.run_test(tiny_panel(), PAIR_1D, spec)
         assert rep.statistic == pytest.approx(1.5 / math.sqrt(2), rel=1e-12)
 
     def test_q_matches_q_breve_when_target_is_mean(self, monkeypatch):
         # Centering at the in-sample mean product reproduces the bridge.
         fix_scales(monkeypatch, 1.0)
-        spec_q = TestSpec(kind="q", projection=PAIR_1D,
-                          targets=[2.5], seed=1, **SMALL)
-        rep = cptest.run_test(tiny_panel(), spec_q)
+        spec_q = TestSpec(kind="q", targets=[2.5], seed=1, **SMALL)
+        rep = cptest.run_test(tiny_panel(), PAIR_1D, spec_q)
         assert rep.statistic == pytest.approx(1.125, rel=1e-12)
 
     def test_v_with_zero_target(self, monkeypatch):
         # Plain pooled deviation from target 0: max |s_k| / sqrt(2) = 5/sqrt(2).
         fix_scales(monkeypatch, 1.0)
-        spec = TestSpec(kind="v", projection=PAIR_1D,
-                        targets=[0.0], seed=1, **SMALL)
-        rep = cptest.run_test(tiny_panel(), spec)
+        spec = TestSpec(kind="v", targets=[0.0], seed=1, **SMALL)
+        rep = cptest.run_test(tiny_panel(), PAIR_1D, spec)
         assert rep.statistic == pytest.approx(5.0 / math.sqrt(2), rel=1e-12)
 
 
@@ -95,37 +101,25 @@ class TestInvariances:
     def test_q_breve_invariant_under_projection_scaling(self):
         panel = random_panel(2, 80, 3, seed=5)
         v = np.array([0.2, 0.5, 0.3])
-        a = TestSpec(kind="q-breve",
-                     projection=ProjectionPair.from_vectors(v),
-                     seed=2, **SMALL)
-        b = TestSpec(kind="q-breve",
-                     projection=ProjectionPair.from_vectors(7.0 * v),
-                     seed=2, **SMALL)
-        ra = cptest.run_test(panel, a)
-        rb = cptest.run_test(panel, b)
+        spec = TestSpec(kind="q-breve", seed=2, **SMALL)
+        ra = cptest.run_test(panel, ProjectionPair.from_vectors(v), spec)
+        rb = cptest.run_test(panel, ProjectionPair.from_vectors(7.0 * v), spec)
         # The products scale by 49 and alpha^2 by 49^2; the ratio cancels.
         assert rb.statistic == pytest.approx(ra.statistic, rel=1e-10)
 
     def test_v_breve_argmax_invariant_under_projection_scaling(self):
         panel = random_panel(3, 40, 2, seed=6)
         v = np.array([0.6, 0.4])
-        a = TestSpec(kind="v-breve",
-                     projection=ProjectionPair.from_vectors(v),
-                     seed=2, **SMALL)
-        b = TestSpec(kind="v-breve",
-                     projection=ProjectionPair.from_vectors(3.0 * v),
-                     seed=2, **SMALL)
-        ra = cptest.run_test(panel, a)
-        rb = cptest.run_test(panel, b)
+        spec = TestSpec(kind="v-breve", seed=2, **SMALL)
+        ra = cptest.run_test(panel, ProjectionPair.from_vectors(v), spec)
+        rb = cptest.run_test(panel, ProjectionPair.from_vectors(3.0 * v), spec)
         assert [s.argmax_k for s in ra.per_sample] == \
                [s.argmax_k for s in rb.per_sample]
 
     def test_decision_consistency(self):
         panel = random_panel(2, 100, 2, seed=7)
-        spec = TestSpec(kind="q-breve",
-                        projection=ProjectionPair.from_vectors([0.5, 0.5]),
-                        seed=3, **SMALL)
-        rep = cptest.run_test(panel, spec)
+        spec = TestSpec(kind="q-breve", seed=3, **SMALL)
+        rep = cptest.run_test(panel, ProjectionPair.from_vectors([0.5, 0.5]), spec)
         assert rep.reject == (rep.statistic > rep.critical_value)
         assert rep.critical_value > 0
 
@@ -153,8 +147,8 @@ class TestBruteForceEquivalence:
             K = int(rng.integers(1, 4))
             samples = [rng.standard_normal((int(rng.integers(5, 16)), 2))
                        for _ in range(K)]
-            spec = TestSpec(kind="v-breve", projection=pair, seed=4, **SMALL)
-            rep = cptest.run_test(samples, spec)
+            spec = TestSpec(kind="v-breve", seed=4, **SMALL)
+            rep = cptest.run_test(samples, pair, spec)
             assert rep.statistic == pytest.approx(
                 brute_force_v_breve(samples, pair), rel=1e-10)
 
@@ -162,10 +156,9 @@ class TestBruteForceEquivalence:
 class TestLearningMode:
     def test_learning_carved_from_front(self):
         panel = random_panel(2, 200, 2, seed=8)
-        spec = TestSpec(kind="q-breve",
-                        projection=ProjectionPair.from_vectors([0.5, 0.5]),
-                        learning_length=50, seed=5, **SMALL)
-        rep = cptest.run_test(panel, spec)
+        spec = TestSpec(kind="q-breve", seed=5, **SMALL)
+        rep = cptest.run_test(panel, ProjectionPair.from_vectors([0.5, 0.5]), spec,
+                              learning_length=50)
         # The carved block is excluded from the tested stretch.
         assert rep.sample_sizes == (150, 150)
 
@@ -174,39 +167,36 @@ class TestLearningMode:
         pair = ProjectionPair.from_vectors([0.5, 0.5])
         sample = random_panel(1, 100, 2, seed=9)[0]
         learn = random_panel(1, 400, 2, seed=10)[0]
-        spec = TestSpec(kind="q-breve", projection=pair, learning_length=400,
-                        seed=5, **SMALL)
-        rep = cptest.run_test([np.vstack([learn, sample])], spec)
+        spec = TestSpec(kind="q-breve", seed=5, **SMALL)
+        rep = cptest.run_test([np.vstack([learn, sample])], pair, spec, learning_length=400)
         assert rep.sample_sizes == (100,)
         alpha_sq = lrv.lrv_estimate(sumproc.project(learn, pair).p).alpha_sq
         assert rep.per_sample[0].alpha_sq == alpha_sq
         # The tested stretch is the sample itself.
         fix_scales(monkeypatch, alpha_sq)
-        scaled = TestSpec(kind="q-breve", projection=pair, seed=5, **SMALL)
-        assert rep.statistic == cptest.run_test([sample], scaled).statistic
+        assert rep.statistic == cptest.run_test([sample], pair, spec).statistic
 
     def test_learning_length_too_long_rejected(self):
-        spec = TestSpec(kind="q-breve",
-                        projection=ProjectionPair.from_vectors([0.5, 0.5]),
-                        learning_length=50, seed=5, **SMALL)
+        spec = TestSpec(kind="q-breve", seed=5, **SMALL)
         with pytest.raises(ConfigurationError):
-            cptest.run_test(random_panel(1, 50, 2, seed=1), spec)
+            cptest.run_test(random_panel(1, 50, 2, seed=1),
+                            ProjectionPair.from_vectors([0.5, 0.5]), spec, learning_length=50)
 
     def test_one_learning_length_per_sample(self):
-        spec = TestSpec(kind="q-breve",
-                        projection=ProjectionPair.from_vectors([0.5, 0.5]),
-                        learning_length=[20, 30], seed=5, **SMALL)
+        spec = TestSpec(kind="q-breve", seed=5, **SMALL)
         with pytest.raises(ConfigurationError, match="2 learning lengths for 3 samples"):
-            cptest.run_test(random_panel(3, 80, 2, seed=1), spec)
+            cptest.run_test(random_panel(3, 80, 2, seed=1),
+                            ProjectionPair.from_vectors([0.5, 0.5]), spec,
+                            learning_length=[20, 30])
 
 
 class TestDegenerate:
     def test_constant_sample_raises_with_index(self):
         panel = [np.random.default_rng(0).standard_normal((50, 1)),
                  np.ones((50, 1))]
-        spec = TestSpec(kind="q-breve", projection=PAIR_1D, seed=6, **SMALL)
+        spec = TestSpec(kind="q-breve", seed=6, **SMALL)
         with pytest.raises(DegenerateLrvError) as exc:
-            cptest.run_test(panel, spec)
+            cptest.run_test(panel, PAIR_1D, spec)
         assert exc.value.sample_index == 1
 
     @pytest.mark.parametrize("learning_length", [None, 20],
@@ -214,25 +204,32 @@ class TestDegenerate:
     def test_nan_sample_raises_naming_sample(self, learning_length):
         panel = random_panel(2, 80, 2, seed=3)
         panel[1][5, 0] = np.nan
-        spec = TestSpec(kind="q-breve", projection=ProjectionPair.from_vectors([0.5, 0.5]),
-                        learning_length=learning_length, seed=6, **SMALL)
+        spec = TestSpec(kind="q-breve", seed=6, **SMALL)
         with pytest.raises(CovCusumError, match="sample 1: non-finite"):
-            cptest.run_test(panel, spec)
+            cptest.run_test(panel, ProjectionPair.from_vectors([0.5, 0.5]), spec,
+                            learning_length=learning_length)
+
+    def test_short_sample_raises_naming_sample(self):
+        panel = random_panel(2, 30, 1, seed=3)
+        panel[1] = panel[1][:3]
+        spec = TestSpec(kind="q-breve", seed=6, **SMALL)
+        with pytest.raises(ShapeError, match="sample 1: need at least 4 observations, got 3"):
+            cptest.run_test(panel, PAIR_1D, spec)
 
     def test_nonpositive_override_rejected(self, monkeypatch):
         # An estimate that is not in (0, inf) never standardizes a statistic.
         fix_scales(monkeypatch, 0.0)
-        spec = TestSpec(kind="q-breve", projection=PAIR_1D, seed=6, **SMALL)
+        spec = TestSpec(kind="q-breve", seed=6, **SMALL)
         with pytest.raises(DegenerateLrvError):
-            cptest.run_test(tiny_panel(), spec)
+            cptest.run_test(tiny_panel(), PAIR_1D, spec)
 
     def test_degenerate_estimate_raises_with_index(self):
         # Products alternate 1, 2: the kernel estimate is non-positive, so
         # lrv_estimate refuses it instead of returning a scale.
         alternating = np.sqrt(np.tile([1.0, 2.0], 50)).reshape(100, 1)
-        spec = TestSpec(kind="q-breve", projection=PAIR_1D, seed=6, **SMALL)
+        spec = TestSpec(kind="q-breve", seed=6, **SMALL)
         with pytest.raises(DegenerateLrvError) as exc:
-            cptest.run_test([alternating], spec)
+            cptest.run_test([alternating], PAIR_1D, spec)
         assert exc.value.sample_index == 0
 
 
@@ -241,11 +238,11 @@ class TestCriticalValue:
         # The two weight vectors agree to 4 significant figures; the second
         # critical value must not be served from the first one's entry.
         panel = random_panel(2, 60, 1, seed=15)
-        spec = TestSpec(kind="v-breve", projection=PAIR_1D, seed=4242, **SMALL)
+        spec = TestSpec(kind="v-breve", seed=4242, **SMALL)
         reports = []
         for a in (1.0, 1.00002):
             fix_scales(monkeypatch, a, 1.0)
-            reports.append(cptest.run_test(panel, spec))
+            reports.append(cptest.run_test(panel, PAIR_1D, spec))
         fresh = limits.critical_value(limits.CritValRequest(
             kind="v-breve", K=2, level=0.95,
             alpha_weights=(math.sqrt(1.00002), 1.0), kappa=(0.5, 0.5),
@@ -256,8 +253,7 @@ class TestCriticalValue:
     def test_report_names_method_and_the_seed_it_used(self):
         panel = random_panel(2, 60, 1, seed=15)
         for kind, method, seed in (("q-breve", "corrected", None), ("v-breve", "mc", 4242)):
-            report = cptest.run_test(panel, TestSpec(kind=kind, projection=PAIR_1D,
-                                                     seed=4242, **SMALL))
+            report = cptest.run_test(panel, PAIR_1D, TestSpec(kind=kind, seed=4242, **SMALL))
             assert (report.method, report.seed) == (method, seed)
             assert (report.to_dict()["method"], report.to_dict()["seed"]) == (method, seed)
 
@@ -275,9 +271,8 @@ class TestSizeBracket:
                   for _ in range(500)]
         for kind in ("q", "q-breve", "v", "v-breve"):
             targets = [target] * K if kind in ("q", "v") else None
-            spec = TestSpec(kind=kind, projection=pair, level=0.95,
-                            targets=targets, seed=10, **SMALL)
-            rate = np.mean([cptest.run_test(p, spec).reject for p in panels])
+            spec = TestSpec(kind=kind, level=0.95, targets=targets, seed=10, **SMALL)
+            rate = np.mean([cptest.run_test(p, pair, spec).reject for p in panels])
             assert 0.02 <= rate <= 0.09, (kind, rate)
 
 
@@ -287,13 +282,13 @@ class TestPowerOrdering:
         # replication batches never decreases with the break size.
         n, tau = 120, 60
         pair = ProjectionPair.from_vectors([1.0])
-        spec = TestSpec(kind="q-breve", projection=pair, seed=11, **SMALL)
+        spec = TestSpec(kind="q-breve", seed=11, **SMALL)
         counts = []
         for sigma1 in (1.3, 1.8, 2.6):
             cfg = simgen.PanelConfig(K=1, d=1, N=(n,), rho0=(0.2,),
                                      sigma0=(1.0,), tau=(tau,),
                                      sigma1=(sigma1,), seed=77)
-            counts.append(sum(cptest.run_test(panel, spec).reject
+            counts.append(sum(cptest.run_test(panel, pair, spec).reject
                               for panel in simgen.gen_ar1_panels(cfg, range(500))))
         assert counts == sorted(counts)
 
@@ -307,9 +302,9 @@ class TestPowerOrdering:
                                      sigma1=(3.0,), seed=31)
         pair = ProjectionPair.from_vectors([0.5, 0.5])
         for kind in ("q-breve", "v-breve"):
-            spec = TestSpec(kind=kind, projection=pair, seed=7, **SMALL)
-            s_null = cptest.run_test(simgen.gen_ar1_panel(null_cfg), spec).statistic
-            s_alt = cptest.run_test(simgen.gen_ar1_panel(alt_cfg), spec).statistic
+            spec = TestSpec(kind=kind, seed=7, **SMALL)
+            s_null = cptest.run_test(simgen.gen_ar1_panel(null_cfg), pair, spec).statistic
+            s_alt = cptest.run_test(simgen.gen_ar1_panel(alt_cfg), pair, spec).statistic
             assert s_alt > 3.0 * s_null
 
 
@@ -318,27 +313,19 @@ class TestDispatchAndReport:
         panel = random_panel(3, 70, 2, seed=12)
         pair = ProjectionPair.from_vectors([0.6, 0.4])
         targets = [0.52, 0.5, 0.55]
-        specs = [TestSpec(kind=kind, projection=pair, seed=8,
+        specs = [TestSpec(kind=kind, seed=8,
                           targets=targets if kind in ("q", "v") else None, **SMALL)
                  for kind in ("q", "q-breve", "v", "v-breve")]
-        together = cptest.run_tests(panel, specs)
+        together = cptest.run_tests(panel, pair, specs)
         assert [r.to_dict() for r in together] == \
-               [cptest.run_test(panel, spec).to_dict() for spec in specs]
-
-    def test_run_tests_rejects_different_projections(self):
-        panel = random_panel(2, 60, 2, seed=12)
-        specs = [TestSpec(kind="q-breve", projection=ProjectionPair.from_vectors(v),
-                          seed=8, **SMALL)
-                 for v in ([0.6, 0.4], [0.5, 0.5])]
-        with pytest.raises(ConfigurationError, match="share"):
-            cptest.run_tests(panel, specs)
+               [cptest.run_test(panel, pair, spec).to_dict() for spec in specs]
 
     def test_report_json_round_trip(self):
         import json
 
         panel = random_panel(2, 60, 1, seed=13)
-        spec = TestSpec(kind="v-breve", projection=PAIR_1D, seed=9, **SMALL)
-        rep = cptest.run_test(panel, spec)
+        spec = TestSpec(kind="v-breve", seed=9, **SMALL)
+        rep = cptest.run_test(panel, PAIR_1D, spec)
         d = json.loads(rep.to_json())
         assert d["kind"] == "v-breve"
         assert d["sample_sizes"] == [60, 60]
@@ -346,18 +333,23 @@ class TestDispatchAndReport:
         assert d["reject"] == rep.reject
 
     def test_wrong_pair_count_rejected(self):
-        # A list of pairs, whatever its length, is refused when the spec is built.
+        # A list of pairs, whatever its length, is refused.
         panel = random_panel(3, 30, 1, seed=14)
         with pytest.raises(ConfigurationError):
-            spec = TestSpec(kind="q-breve", projection=[PAIR_1D, PAIR_1D], seed=9,
-                            **SMALL)
-            cptest.run_test(panel, spec)
+            spec = TestSpec(kind="q-breve", seed=9, **SMALL)
+            cptest.run_test(panel, [PAIR_1D, PAIR_1D], spec)
+
+    @pytest.mark.parametrize("kind", ["q", "v"])
+    def test_wrong_target_length_names_sample(self, kind):
+        panel = random_panel(2, 30, 1, seed=14)
+        spec = TestSpec(kind=kind, targets=[np.ones(30), np.ones(29)], seed=9, **SMALL)
+        with pytest.raises(ShapeError, match="sample 1: target length"):
+            cptest.run_test(panel, PAIR_1D, spec)
 
     @pytest.mark.parametrize("kind", ["q", "v"])
     @pytest.mark.parametrize("count", [2, 4])
     def test_wrong_target_count_rejected(self, kind, count):
         panel = random_panel(3, 30, 1, seed=14)
-        spec = TestSpec(kind=kind, projection=PAIR_1D, targets=[1.0] * count, seed=9,
-                        **SMALL)
+        spec = TestSpec(kind=kind, targets=[1.0] * count, seed=9, **SMALL)
         with pytest.raises(ConfigurationError, match=f"got {count} targets for 3 samples"):
-            cptest.run_test(panel, spec)
+            cptest.run_test(panel, PAIR_1D, spec)

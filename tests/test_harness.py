@@ -131,9 +131,9 @@ class TestRunExperiment:
         # the block sizes as learning_length, which cptest carves off.
         seen = []
         run_tests = harness.cptest.run_tests
-        monkeypatch.setattr(harness.cptest, "run_tests", lambda samples, specs, **k: (
-            seen.append(([len(y) for y in samples], specs[0].learning_length))
-            or run_tests(samples, specs, **k)))
+        monkeypatch.setattr(harness.cptest, "run_tests", lambda samples, pair, specs, **k: (
+            seen.append(([len(y) for y in samples], k["learning_length"]))
+            or run_tests(samples, pair, specs, **k)))
         cfg = ExperimentConfig(replications=2, cases=("I",), dims=(2,), scenario="none",
                                learning_length=500, seed=103, **FAST)
         harness.run_cell("I", 2, "none", 0, cfg, 0)

@@ -132,7 +132,7 @@ class TestLrvEstimate:
         # means, an estimator independent of the kernel route.
         cfg = simgen.PanelConfig(K=1, d=1, N=(100_000,), rho0=(0.5,),
                                  sigma0=(1.0,), seed=8)
-        y = simgen.gen_ar1_panel(cfg).samples[0][:, 0]
+        y = simgen.gen_ar1_panel(cfg)[0][:, 0]
         p = y * y
         est = lrv.lrv_estimate(p)
         b = 500

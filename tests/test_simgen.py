@@ -42,14 +42,14 @@ class TestGenAr1Panel:
                                  rho0=(0.1, 0.2, 0.3), sigma0=(1, 1.5, 0.7, 1),
                                  seed=5)
         panel = simgen.gen_ar1_panel(cfg)
-        assert panel.sizes == (100, 120, 70, 90)
-        for y in panel.samples:
+        assert tuple(map(len, panel)) == (100, 120, 70, 90)
+        for y in panel:
             assert y.shape[1] == 3
             assert np.all(np.isfinite(y))
 
     def test_white_noise_case(self):
         cfg = make_config(rho0=(0.0,), N=(100_000,))
-        y = simgen.gen_ar1_panel(cfg).samples[0][:, 0]
+        y = simgen.gen_ar1_panel(cfg)[0][:, 0]
         assert abs(y.mean()) < 0.02
         assert abs(y.var() - 1.0) < 0.02
         lag1 = np.corrcoef(y[:-1], y[1:])[0, 1]
@@ -58,7 +58,7 @@ class TestGenAr1Panel:
     def test_ar1_stationary_variance(self):
         # Var = sigma^2 / (1 - rho^2) = 4/3 for rho = 0.5.
         cfg = make_config(N=(100_000,), seed=7)
-        y = simgen.gen_ar1_panel(cfg).samples[0][:, 0]
+        y = simgen.gen_ar1_panel(cfg)[0][:, 0]
         assert y.var() == pytest.approx(4.0 / 3.0, rel=0.02)
 
     def test_determinism(self):
@@ -66,20 +66,20 @@ class TestGenAr1Panel:
                           sigma0=(1.0, 2.0))
         a = simgen.gen_ar1_panel(cfg, rep=3)
         b = simgen.gen_ar1_panel(cfg, rep=3)
-        for ya, yb in zip(a.samples, b.samples):
+        for ya, yb in zip(a, b):
             np.testing.assert_array_equal(ya, yb)
 
     def test_replications_differ(self):
         cfg = make_config()
-        a = simgen.gen_ar1_panel(cfg, rep=0).samples[0]
-        b = simgen.gen_ar1_panel(cfg, rep=1).samples[0]
+        a = simgen.gen_ar1_panel(cfg, rep=0)[0]
+        b = simgen.gen_ar1_panel(cfg, rep=1)[0]
         assert not np.array_equal(a, b)
 
     def test_shared_innovation_across_coordinates(self):
         # With equal rho all coordinates see the same innovation stream,
         # hence are identical.
         cfg = make_config(d=3, rho0=(0.5, 0.5, 0.5))
-        y = simgen.gen_ar1_panel(cfg).samples[0]
+        y = simgen.gen_ar1_panel(cfg)[0]
         np.testing.assert_array_equal(y[:, 0], y[:, 1])
         np.testing.assert_array_equal(y[:, 0], y[:, 2])
 
@@ -87,7 +87,7 @@ class TestGenAr1Panel:
         n = 30_000
         tau = 10_000
         cfg = make_config(N=(n,), tau=(tau,), sigma1=(2.0,), seed=11)
-        y = simgen.gen_ar1_panel(cfg).samples[0][:, 0]
+        y = simgen.gen_ar1_panel(cfg)[0][:, 0]
         post_var = y[tau + 200:].var()  # skip the transition
         expected = 4.0 / (1 - 0.25)
         assert post_var == pytest.approx(expected, rel=0.05)
@@ -98,7 +98,7 @@ class TestGenAr1Panel:
         n = 30_000
         tau = 10_000
         cfg = make_config(N=(n,), tau=(tau,), rho1=(0.9,), seed=13)
-        y = simgen.gen_ar1_panel(cfg).samples[0][:, 0]
+        y = simgen.gen_ar1_panel(cfg)[0][:, 0]
         assert y[tau + 500:].var() == pytest.approx(1.0 / (1 - 0.81), rel=0.05)
 
 
@@ -125,8 +125,8 @@ class TestGenAr1Panels:
         assert len(batch) == len(reps)
         for panel, rep in zip(batch, reps):
             alone = simgen.gen_ar1_panel(cfg, rep)
-            assert panel.sizes == alone.sizes == cfg.N
-            for y, ref in zip(panel.samples, alone.samples):
+            assert tuple(map(len, panel)) == tuple(map(len, alone)) == cfg.N
+            for y, ref in zip(panel, alone):
                 assert y.flags.c_contiguous and y.shape == (len(ref), cfg.d)
                 assert np.array_equal(y, ref)
 
@@ -149,7 +149,7 @@ class TestGenAr1Panels:
             kwargs.update(rho1=(0.7, -0.2, 0.5), tau=(6, 4))
         cfg = simgen.PanelConfig(**kwargs)
         for panel in (simgen.gen_ar1_panel(cfg, 3), simgen.gen_ar1_panels(cfg, [1, 3])[1]):
-            digest = hashlib.sha256(b"".join(y.tobytes() for y in panel.samples))
+            digest = hashlib.sha256(b"".join(y.tobytes() for y in panel))
             assert digest.hexdigest() == self.GOLDEN[scenario]
 
 
@@ -186,7 +186,7 @@ class TestBilinearTarget:
         rho = np.array([0.2, 0.5, 0.8])
         cfg = simgen.PanelConfig(K=1, d=d, N=(200_000,), rho0=tuple(rho),
                                  sigma0=(1.3,), seed=21)
-        y = simgen.gen_ar1_panel(cfg).samples[0]
+        y = simgen.gen_ar1_panel(cfg)[0]
         v = np.array([0.5, 0.25, 0.25])
         target = simgen.ar1_bilinear_target(rho, 1.3, v, v)
         empirical = np.mean((y @ v) ** 2)
@@ -199,6 +199,6 @@ def test_export_panel_csv_round_trip(tmp_path):
     panel = simgen.gen_ar1_panel(cfg)
     paths = simgen.export_panel_csv(panel, tmp_path)
     assert len(paths) == 2
-    for path, y in zip(paths, panel.samples):
+    for path, y in zip(paths, panel):
         loaded = np.loadtxt(path, delimiter=",")
         np.testing.assert_array_equal(loaded, y)
