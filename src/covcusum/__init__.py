@@ -11,7 +11,6 @@ from .errors import (
 )
 from .simgen import PanelConfig, gen_ar1_panel, gen_dirichlet_projection
 from .sumproc import (
-    ProjectedSample,
     ProjectionPair,
     per_sample_max_sq,
     pooled_d_grid_max,

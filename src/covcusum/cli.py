@@ -209,13 +209,18 @@ def _cmd_test(args):
     if args.v is None:
         raise ConfigurationError("test requires a projection vector (--v)")
     targets = None if args.targets is None else list(_numbers(args.targets, "--targets"))
+    if targets is not None and len(targets) != len(args.data):
+        raise ConfigurationError(
+            f"--targets: got {len(targets)} values for {len(args.data)} --data files")
+    if args.learning_length is not None and args.learning_length < 1:
+        raise ConfigurationError(f"--learning-length must be >= 1, got {args.learning_length}")
     spec = cptest.TestSpec(kind=args.kind, level=args.level, targets=targets,
                            n_grid=args.n_grid, n_rep=args.n_rep)  # refused settings draw no seed
     spec = dataclasses.replace(spec, seed=_critval_request(args, len(args.data)).seed)
     samples, v, w = load_bundle(args.data, args.v, args.w)
     pair = sumproc.ProjectionPair.from_vectors(v, w)
-    report = cptest.run_test(samples, pair, spec, learning_length=args.learning_length,
-                             workers=args.workers)
+    report = cptest.run_test([sumproc.project(y, pair) for y in samples], spec,
+                             learning_length=args.learning_length, workers=args.workers)
 
     print(f"kind            {report.kind}")
     print(f"statistic       {report.statistic:.4g}")

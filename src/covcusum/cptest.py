@@ -5,11 +5,12 @@ standardized by its long-run variance, then summed) and pooled statistics
 (grid maximum of the summed partial-sum deviations).  The "-breve"
 variants recenter by the in-sample endpoint and therefore need no target
 bilinear form; the plain variants require known targets.  A panel is a
-list of K observation matrices, all projected through the one pair of
-weight vectors passed with it; a ``TestSpec`` holds one test's settings.
-Long-run variances are always estimated: from the tested data, or from
-``learning_length`` leading rows of each sample, which are then not
-tested.
+list of K product series p = (Yv)(Yw), one per sample, all projected by
+the caller through one pair of weight vectors (``sumproc.project``); a
+``TestSpec`` holds one test's settings.  Long-run variances are always
+estimated: from the tested products, or from ``learning_length`` leading
+products of each series, which are then not tested.  Refusals count
+samples and observations from 1, as ``covcusum test`` numbers its files.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class TestSpec:
             raise ConfigurationError(f"kind {self.kind!r} requires targets")
         if bridge and self.targets is not None:
             raise ConfigurationError(f"kind {self.kind!r} forbids targets")
-        for j, target in enumerate(() if bridge else self.targets):
+        for j, target in enumerate(() if bridge else self.targets, start=1):
             if not np.all(np.isfinite(target)):
                 raise ConfigurationError(f"sample {j}: target is not finite")
 
@@ -78,82 +79,84 @@ class TestReport:
 
 @contextlib.contextmanager
 def _naming_sample(j):
-    """Prefix a refusal raised while handling sample j with ``sample j:``."""
+    """Prefix a refusal raised while handling list index j with ``sample j + 1:``.
+
+    A ``DegenerateLrvError`` keeps the 0-based list index as ``sample_index``.
+    """
     try:
         yield
     except DegenerateLrvError as exc:
-        raise DegenerateLrvError(f"sample {j}: {exc}", sample_index=j) from exc
+        raise DegenerateLrvError(f"sample {j + 1}: {exc}", sample_index=j) from exc
     except ShapeError as exc:
-        raise ShapeError(f"sample {j}: {exc}") from exc
+        raise ShapeError(f"sample {j + 1}: {exc}") from exc
 
 
-def _split_learning(samples, learning_length):
-    """Carve ``learning_length`` leading rows off each sample.
+def _series(panel):
+    """The panel's product series as float arrays; each must be 1-d and finite."""
+    series = [np.asarray(p, dtype=float) for p in panel]
+    for j, p in enumerate(series, start=1):
+        if p.ndim != 1:
+            raise ShapeError(f"sample {j}: expected a 1-d product series, got ndim={p.ndim}")
+        bad = np.flatnonzero(~np.isfinite(p))
+        if bad.size:
+            raise CovCusumError(
+                f"sample {j}: non-finite product at observation {bad[0] + 1}")
+    return series
 
-    Returns the learning blocks (None without a length) and the stretches
-    that enter the test.
+
+def _split_learning(series, learning_length):
+    """Split ``learning_length`` leading products off each series.
+
+    Returns the stretches that estimate the long-run variances and those
+    that enter the test; without a length they are the same.
     """
     if learning_length is None:
-        return None, samples
+        return series, series
     lengths = np.atleast_1d(learning_length).astype(int)
-    if lengths.size not in (1, len(samples)):
+    if lengths.size not in (1, len(series)):
         raise ConfigurationError(
-            f"got {lengths.size} learning lengths for {len(samples)} samples")
-    blocks, rest = [], []
-    for j, (y, L) in enumerate(zip(samples, np.resize(lengths, len(samples)))):
-        if not 0 < L < y.shape[0]:
+            f"got {lengths.size} learning lengths for {len(series)} samples")
+    learning, tested = [], []
+    for j, (p, L) in enumerate(zip(series, np.resize(lengths, len(series))), start=1):
+        if not 0 < L < len(p):
             raise ConfigurationError(
-                f"learning_length {L} invalid for sample {j} of size {y.shape[0]}"
+                f"learning_length {L} invalid for sample {j} of size {len(p)}"
             )
-        blocks.append(y[:L])
-        rest.append(y[L:])
-    return blocks, rest
+        learning.append(p[:L])
+        tested.append(p[L:])
+    return learning, tested
 
 
 @dataclass
 class PanelSummary:
     """Per-sample quantities that every statistic kind is a function of.
 
-    ``projected[j]`` is sample j's tested stretch after projection and
-    ``lrv[j]`` the estimate that standardizes it, positive and finite.
+    ``sums[j]`` holds the running sums of sample j's tested products and
+    ``lrv[j]`` the estimate that standardizes them, positive and finite.
     """
 
     sizes: tuple
-    projected: list
+    sums: list
     lrv: list
 
 
-def _project_finite(y, pair, j, stretch):
-    """Project sample j's ``stretch`` and refuse non-finite products."""
-    ps = sumproc.project(y, pair)
-    bad = np.flatnonzero(~np.isfinite(ps.p))
-    if bad.size:
-        raise CovCusumError(
-            f"sample {j}: non-finite projected product at {stretch} observation {bad[0]}")
-    return ps
+def _summarize(panel, learning_length) -> PanelSummary:
+    """Running sums of each tested stretch and its long-run variance.
 
-
-def _summarize(samples, pair, learning_length) -> PanelSummary:
-    """Project each tested sample once and estimate its long-run variance.
-
-    In-sample estimates reuse the tested projection; only a learning block
-    is projected separately.  A non-finite projected product, or a stretch
-    too short to estimate from, raises ``CovCusumError`` naming the sample.
+    A series that is not 1-d or not finite, or a stretch too short to
+    estimate from, raises ``CovCusumError`` naming the sample.
     """
-    blocks, data = _split_learning(samples, learning_length)
-    projected, ests = [], []
-    for j, y in enumerate(data):
+    learning, tested = _split_learning(_series(panel), learning_length)
+    ests = []
+    for j, p in enumerate(learning):
         with _naming_sample(j):
-            ps = _project_finite(y, pair, j, "tested")
-            source = ps if blocks is None else _project_finite(blocks[j], pair, j, "learning")
-            est = lrv.lrv_estimate(source.p)
+            est = lrv.lrv_estimate(p)
             # Finite products can still overflow the kernel sum.
             if not 0.0 < est.alpha_sq < math.inf:
                 raise DegenerateLrvError(f"degenerate long-run variance {est.alpha_sq!r}")
-        projected.append(ps)
         ests.append(est)
-    return PanelSummary(sizes=tuple(ps.n for ps in projected),
-                        projected=projected, lrv=ests)
+    return PanelSummary(sizes=tuple(len(p) for p in tested),
+                        sums=[sumproc.kahan_cumsum(p) for p in tested], lrv=ests)
 
 
 def _statistic(summary, spec):
@@ -163,9 +166,9 @@ def _statistic(summary, spec):
     if len(targets) != K:
         raise ConfigurationError(f"got {len(targets)} targets for {K} samples")
     devs = []
-    for j, (ps, t) in enumerate(zip(summary.projected, targets)):
+    for j, (s, t) in enumerate(zip(summary.sums, targets)):
         with _naming_sample(j):
-            devs.append(sumproc.unscaled_deviation(ps, t))
+            devs.append(sumproc.unscaled_deviation(s, t))
     if spec.kind in limits.POOLED_KINDS:
         root_total = math.sqrt(sum(summary.sizes))
         return sumproc.pooled_d_grid_max([f / root_total for f in devs])
@@ -199,27 +202,23 @@ def _evaluate(summary, spec, workers) -> TestReport:
                       method=method)
 
 
-def run_tests(panel, projection: sumproc.ProjectionPair, specs: Sequence[TestSpec],
+def run_tests(panel, specs: Sequence[TestSpec],
               learning_length: Optional[Sequence[int]] = None, workers: int = 1) -> list:
-    """Run several tests on one panel, projecting each sample once.
+    """Run several tests on one panel, summarizing each sample once.
 
-    ``panel`` is a list of K observation matrices (rows are time points),
-    all projected through the one pair ``projection``.  ``learning_length``
-    leading rows per sample (one int, or one per sample) estimate the
+    ``panel`` is a list of K product series, ``sumproc.project`` of each
+    sample through one pair of weight vectors.  ``learning_length``
+    leading products per series (one int, or one per sample) estimate the
     long-run variance and are not tested; None estimates it in-sample.
     Returns one report per spec, equal to what ``run_test`` returns for
     it.  ``workers`` threads simulate a v kind's critical value; the
     reports do not depend on it.
     """
-    if not isinstance(projection, sumproc.ProjectionPair):
-        raise ConfigurationError(
-            f"projection must be one ProjectionPair, got {type(projection).__name__}")
-    samples = [np.asarray(s, dtype=float) for s in panel]
-    summary = _summarize(samples, projection, learning_length)
+    summary = _summarize(panel, learning_length)
     return [_evaluate(summary, spec, workers) for spec in specs]
 
 
-def run_test(panel, projection: sumproc.ProjectionPair, spec: TestSpec,
-             learning_length: Optional[Sequence[int]] = None, workers: int = 1) -> TestReport:
+def run_test(panel, spec: TestSpec, learning_length: Optional[Sequence[int]] = None,
+             workers: int = 1) -> TestReport:
     """Run the test named by ``spec.kind`` on a K-sample panel; see ``run_tests``."""
-    return run_tests(panel, projection, [spec], learning_length, workers)[0]
+    return run_tests(panel, [spec], learning_length, workers)[0]

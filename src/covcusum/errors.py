@@ -22,6 +22,8 @@ class DegenerateLrvError(CovCusumError, RuntimeError):
 
     Standardized statistics must not be computed from a degenerate
     estimate, so callers are expected to abort rather than recover.
+    ``sample_index`` is the sample's 0-based index in the panel list; the
+    message counts samples from 1.
     """
 
     def __init__(self, message, sample_index=None):

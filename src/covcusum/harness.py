@@ -5,16 +5,17 @@ four sample-size cases over a horizon of 1200 time instants, per-sample
 innovation scales, coordinate-dependent AR coefficients, changes injected
 in either the innovation scale or the coefficients after a given time
 instant, and long-run variances estimated in-sample or on learning
-blocks stacked in front of the samples (``cptest`` carves them off).
+blocks, whose products go in front of the samples' (``cptest`` splits
+them off).
 
 A cell generates its replications in batches through
 ``simgen.gen_ar1_panels``: replication r is rep 2r of the panel config
 and rep 2r + 1 of the learning config, whatever the batch.  A batch holds
 as many replications as fit the generator buffers into
-``PANEL_CHUNK_BYTES``, so memory stays bounded for any replication count,
-and the tests, specified once per cell, still run once per replication
-on C-contiguous samples with that replication's projection pair.
-Results do not depend on the batch size.
+``PANEL_CHUNK_BYTES``, so memory stays bounded for any replication count.
+The tests, specified once per cell, run once per replication on its
+samples projected once through that replication's pair.  Results do not
+depend on the batch size.
 """
 
 from __future__ import annotations
@@ -91,8 +92,8 @@ class ExperimentConfig:
     learning_length: Optional[int] = None  # time instants; None: in-sample
     level: float = 0.95
     seed: int = 0
-    critval_n_grid: int = 2000
-    critval_n_rep: int = 100_000
+    critval_n_grid: int = limits.DEFAULT_N_GRID
+    critval_n_rep: int = limits.DEFAULT_N_REP
     workers: int = 1
 
     def __post_init__(self):
@@ -173,11 +174,11 @@ def _learning_sizes(case, cfg):
 
 
 def _replications(panel_cfg, learning_cfg, n):
-    """Yield (r, samples) for replications r < n, generated in batches.
+    """Yield (r, samples, blocks) for replications r < n, generated in batches.
 
-    Replication r's panel is rep 2r of ``panel_cfg``; its learning blocks,
-    rep 2r + 1 of ``learning_cfg``, are stacked in front of the samples.
-    A batch holds as many replications as fit PANEL_CHUNK_BYTES of
+    Replication r's samples are rep 2r of ``panel_cfg``; its learning
+    blocks are rep 2r + 1 of ``learning_cfg``, or None without one.  A
+    batch holds as many replications as fit PANEL_CHUNK_BYTES of
     generator buffer.
     """
     configs = [c for c in (panel_cfg, learning_cfg) if c is not None]
@@ -189,10 +190,7 @@ def _replications(panel_cfg, learning_cfg, n):
         if learning_cfg is not None:
             learning = simgen.gen_ar1_panels(learning_cfg, [2 * r + 1 for r in block])
         for i, r in enumerate(block):
-            samples = panels[i]
-            if learning_cfg is not None:
-                samples = [np.vstack([b, y]) for b, y in zip(learning[i], samples)]
-            yield r, samples
+            yield r, panels[i], None if learning_cfg is None else learning[i]
 
 
 def run_cell(case, d, scenario, change_time, cfg: ExperimentConfig, cell_index):
@@ -212,11 +210,15 @@ def run_cell(case, d, scenario, change_time, cfg: ExperimentConfig, cell_index):
                              n_rep=cfg.critval_n_rep, seed=seed)
              for t in cfg.tests]
     rejections = {t: 0 for t in cfg.tests}
-    for r, samples in _replications(panel_cfg, learning_cfg, cfg.replications):
+    for r, samples, blocks in _replications(panel_cfg, learning_cfg, cfg.replications):
         w = simgen.gen_dirichlet_projection(d, _cell_seed(seed, r + 1))
         pair = sumproc.ProjectionPair.from_vectors(w)
-        reports = cptest.run_tests(samples, pair, specs, learning_length=learning_sizes,
+        panel = [sumproc.project(y, pair) for y in samples]
+        if blocks is not None:
+            panel = [np.concatenate([sumproc.project(b, pair), p]) for b, p in zip(blocks, panel)]
+        reports = cptest.run_tests(panel, specs, learning_length=learning_sizes,
                                    workers=cfg.workers)
+        del panel  # not held while the next batch is generated (peak RSS)
         for t, report in zip(cfg.tests, reports):
             rejections[t] += int(report.reject)
 

@@ -4,7 +4,8 @@ The monitored scalar per observation is p_i = (v'Y_i)(w'Y_i); its running
 sums S_k reproduce the bilinear form of the unnormalized sample covariance
 partial sums.  No d x d matrix is ever materialized: projecting first costs
 O(N d) instead of O(N d^2) and gives identical values by bilinearity.
-``unscaled_deviation`` gives the deviation from a target, or the bridge.
+``unscaled_deviation`` of S = ``kahan_cumsum(project(...))`` gives the
+deviation from a target, or the bridge.
 """
 
 from __future__ import annotations
@@ -64,24 +65,8 @@ class ProjectionPair:
         return self.v.shape[0]
 
 
-@dataclass
-class ProjectedSample:
-    """Scalar series of one sample after projection.
-
-    p = (v'Y) * (w'Y) elementwise, s = running sums of p with s[0] = 0 and
-    len(s) = n + 1.
-    """
-
-    p: np.ndarray
-    s: np.ndarray
-
-    @property
-    def n(self):
-        return len(self.p)
-
-
-def project(sample: np.ndarray, pair: ProjectionPair) -> ProjectedSample:
-    """Project one observation matrix (rows=time) through a vector pair."""
+def project(sample: np.ndarray, pair: ProjectionPair) -> np.ndarray:
+    """Product series p = (Yv) * (Yw) of one observation matrix (rows=time)."""
     sample = np.asarray(sample, dtype=float)
     if sample.ndim != 2:
         raise ShapeError(f"sample must be a 2-d matrix, got ndim={sample.ndim}")
@@ -89,8 +74,7 @@ def project(sample: np.ndarray, pair: ProjectionPair) -> ProjectedSample:
         raise ShapeError(
             f"sample has {sample.shape[1]} columns but projection vectors have length {pair.d}"
         )
-    p = (sample @ pair.v) * (sample @ pair.w)
-    return ProjectedSample(p=p, s=kahan_cumsum(p))
+    return (sample @ pair.v) * (sample @ pair.w)
 
 
 def _cumulative_target(target, n):
@@ -103,22 +87,23 @@ def _cumulative_target(target, n):
     return kahan_cumsum(target)
 
 
-def unscaled_deviation(ps: ProjectedSample, target=None) -> np.ndarray:
+def unscaled_deviation(s: np.ndarray, target=None) -> np.ndarray:
     """Partial-sum deviation S_k - sum_{i<=k} target_i, or the bridge S_k - (k/N) S_N.
 
-    Length N + 1 for k = 0..N, not yet scaled: the sum-of-squares kinds
-    divide it by sqrt(N), the pooled kinds by sqrt(N_total).  With
-    ``target=None`` the deviation is target-free and both endpoints are
-    zero bit-exactly; otherwise entry 0 is exactly zero.
+    ``s`` = S_0..S_N, from ``kahan_cumsum``.  Length N + 1 for k = 0..N,
+    not yet scaled: the sum-of-squares kinds divide it by sqrt(N), the
+    pooled kinds by sqrt(N_total).  With ``target=None`` the deviation is
+    target-free and both endpoints are zero bit-exactly; otherwise entry 0
+    is exactly zero.
     """
-    n = ps.n
+    n = len(s) - 1
     if n < 1:
         raise ShapeError("empty sample")
     if target is None:
-        out = ps.s - (np.arange(n + 1) / n) * ps.s[n]
+        out = s - (np.arange(n + 1) / n) * s[n]
         out[n] = 0.0
     else:
-        out = ps.s - _cumulative_target(target, n)
+        out = s - _cumulative_target(target, n)
     out[0] = 0.0
     return out
 

@@ -17,6 +17,7 @@ import scipy.stats
 from covcusum import cli, cptest, harness, limits, lrv, simgen, sumproc
 from covcusum.limits import CritValRequest
 from covcusum.sumproc import ProjectionPair
+from panels import products
 
 
 def _verdict(num, name, ok, detail=""):
@@ -95,7 +96,7 @@ def test_criterion_5_grid_max_brute_force_equality(monkeypatch):
         n_total = sum(y.shape[0] for y in samples)
         procs = []
         for y in samples:
-            s = sumproc.project(y, pair).s
+            s = sumproc.kahan_cumsum(sumproc.project(y, pair))
             n = len(s) - 1
             f = s - np.arange(n + 1) / n * s[n]
             f[0] = 0.0
@@ -105,7 +106,7 @@ def test_criterion_5_grid_max_brute_force_equality(monkeypatch):
         brute = max(abs(sum(f[i] for f, i in zip(procs, idx)))
                     for idx in itertools.product(*[range(len(f)) for f in procs]))
         spec = cptest.TestSpec(kind="v-breve", seed=1, n_grid=500, n_rep=20_000)
-        stat = cptest.run_test(samples, pair, spec).statistic
+        stat = cptest.run_test(products(samples, pair), spec).statistic
         if not (val == brute and stat == brute):
             failures += 1
     _verdict(5, "separable grid maximum equals enumeration", failures == 0,
@@ -118,7 +119,7 @@ def test_criterion_6_bridge_and_projection_invariances():
     for _ in range(50):
         y = rng.standard_normal((int(rng.integers(2, 40)), 1))
         delta = sumproc.unscaled_deviation(
-            sumproc.project(y, ProjectionPair.from_vectors([1.0])))
+            sumproc.kahan_cumsum(sumproc.project(y, ProjectionPair.from_vectors([1.0]))))
         endpoints_exact &= delta[0] == 0.0 and delta[-1] == 0.0
 
     panel = [rng.standard_normal((90, 3)) for _ in range(2)]
@@ -126,20 +127,20 @@ def test_criterion_6_bridge_and_projection_invariances():
     small = dict(n_grid=500, n_rep=20_000, seed=2)
 
     def breve_stats():
-        return (cptest.run_test(panel, ProjectionPair.from_vectors(v),
+        return (cptest.run_test(products(panel, ProjectionPair.from_vectors(v)),
                                 cptest.TestSpec(kind="q-breve", **small)).statistic,
-                cptest.run_test(panel, ProjectionPair.from_vectors(v),
+                cptest.run_test(products(panel, ProjectionPair.from_vectors(v)),
                                 cptest.TestSpec(kind="v-breve", **small)).statistic)
 
     before = breve_stats()
     # Interleave a target-dependent run; the target-free statistics must
     # not move under any choice of target values.
-    cptest.run_test(panel, ProjectionPair.from_vectors(v), cptest.TestSpec(
+    cptest.run_test(products(panel, ProjectionPair.from_vectors(v)), cptest.TestSpec(
         kind="q", targets=list(rng.standard_normal(2)), **small))
     after = breve_stats()
     target_free = before == after
 
-    scaled = cptest.run_test(panel, ProjectionPair.from_vectors(9.0 * v),
+    scaled = cptest.run_test(products(panel, ProjectionPair.from_vectors(9.0 * v)),
                              cptest.TestSpec(kind="q-breve", **small)).statistic
     scale_gap = abs(scaled - before[0]) / before[0]
     ok = endpoints_exact and target_free and scale_gap <= 1e-10
@@ -184,7 +185,7 @@ def test_criterion_8_pooled_endpoint_normality():
     for first in range(0, len(z), 50):
         reps = range(first, first + 50)
         for r, panel in zip(reps, simgen.gen_ar1_panels(cfg, reps)):
-            num = sum(sumproc.project(y, pair).s[-1] - n * t
+            num = sum(sumproc.kahan_cumsum(sumproc.project(y, pair))[-1] - n * t
                       for y, n, t in zip(panel, sizes, targets))
             z[r] = num / denom
     ks = scipy.stats.kstest(z, "norm").statistic

@@ -282,7 +282,21 @@ class TestTestCommand:
         assert rc == 2
         captured = capsys.readouterr()
         assert "seed:" not in captured.out
-        assert f"sample {bad}: target is not finite" in captured.err
+        # Samples count from 1, as the per-sample lines of a report do.
+        assert f"sample {bad + 1}: target is not finite" in captured.err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--targets", "1,2,3"], "--targets: got 3 values for 2 --data files"),
+        (["--targets", "1,2", "--learning-length", "0"], "--learning-length must be >= 1, got 0"),
+    ], ids=["target-count", "learning-length"])
+    def test_panel_settings_refused_before_seed_and_files(self, tmp_path, capsys,
+                                                          flags, message):
+        rc = cli.main(["test", "--data", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"),
+                       "--v", str(tmp_path / "v.txt"), "--kind", "v", *flags] + FAST)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "seed:" not in captured.out
+        assert message in captured.err
 
     def test_short_sample_refused_naming_it(self, tmp_path, capsys):
         data, v = self._panel_files(tmp_path)
@@ -290,7 +304,7 @@ class TestTestCommand:
         rc = cli.main(["test", "--data", *data, "--v", v, "--kind", "q-breve",
                        "--seed", "5"] + FAST)
         assert rc == 1
-        assert "sample 1: need at least 4 observations, got 3" in capsys.readouterr().err
+        assert "sample 2: need at least 4 observations, got 3" in capsys.readouterr().err
 
     def test_all_zero_vector_refused_naming_file(self, tmp_path, capsys):
         data, _ = self._panel_files(tmp_path)

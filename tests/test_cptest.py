@@ -8,10 +8,12 @@ from covcusum import cptest, limits, lrv, simgen, sumproc
 from covcusum.cptest import TestSpec
 from covcusum.errors import ConfigurationError, CovCusumError, DegenerateLrvError, ShapeError
 from covcusum.sumproc import ProjectionPair
+from panels import products
 
 SMALL = dict(n_grid=500, n_rep=20_000)
 
 PAIR_1D = ProjectionPair.from_vectors([1.0])
+PAIR_2D = ProjectionPair.from_vectors([0.5, 0.5])
 
 
 def tiny_panel():
@@ -51,19 +53,17 @@ class TestSpecValidation:
                                      np.array([-np.inf, 1.0])],
                              ids=["float-nan", "float-inf", "array-nan", "array-inf"])
     def test_non_finite_targets_refused(self, kind, bad):
-        with pytest.raises(ConfigurationError, match="sample 1: target is not finite"):
+        with pytest.raises(ConfigurationError, match="sample 2: target is not finite"):
             TestSpec(kind=kind, targets=[1.0, bad])
 
-    def test_projection_must_be_one_pair(self):
-        for kind in limits.KINDS:
-            targets = None if kind in limits.BRIDGE_KINDS else [1.0]
-            with pytest.raises(ConfigurationError, match="one ProjectionPair, got list"):
-                cptest.run_test(tiny_panel(), [PAIR_1D, PAIR_1D],
-                                TestSpec(kind=kind, targets=targets))
-
-    def test_pooled_kinds_forbid_per_sample_pairs(self):
-        with pytest.raises(ConfigurationError):
-            cptest.run_test(tiny_panel(), [PAIR_1D, PAIR_1D], TestSpec(kind="v-breve"))
+    @pytest.mark.parametrize("kind", limits.KINDS)
+    def test_matrix_panel_refused_naming_sample(self, kind):
+        # The tests take product series; a panel of observation matrices
+        # is refused, whatever the kind, naming the sample (counted from 1).
+        targets = None if kind in limits.BRIDGE_KINDS else [1.0, 1.0]
+        panel = [np.array([1.0, 4.0]), np.array([[1.0], [2.0]])]
+        with pytest.raises(ShapeError, match="sample 2: expected a 1-d product series"):
+            cptest.run_test(panel, TestSpec(kind=kind, targets=targets))
 
 
 class TestHandValues:
@@ -71,7 +71,7 @@ class TestHandValues:
         # Bridge (0, -1.5/sqrt(2), 0) with unit scale: max square 1.125.
         fix_scales(monkeypatch, 1.0)
         spec = TestSpec(kind="q-breve", seed=1, **SMALL)
-        rep = cptest.run_test(tiny_panel(), PAIR_1D, spec)
+        rep = cptest.run_test(products(tiny_panel(), PAIR_1D), spec)
         assert rep.statistic == pytest.approx(1.125, rel=1e-12)
         assert rep.per_sample[0].argmax_k == 1
         assert rep.sample_sizes == (2,)
@@ -79,21 +79,21 @@ class TestHandValues:
     def test_v_breve_tiny(self, monkeypatch):
         fix_scales(monkeypatch, 1.0)
         spec = TestSpec(kind="v-breve", seed=1, **SMALL)
-        rep = cptest.run_test(tiny_panel(), PAIR_1D, spec)
+        rep = cptest.run_test(products(tiny_panel(), PAIR_1D), spec)
         assert rep.statistic == pytest.approx(1.5 / math.sqrt(2), rel=1e-12)
 
     def test_q_matches_q_breve_when_target_is_mean(self, monkeypatch):
         # Centering at the in-sample mean product reproduces the bridge.
         fix_scales(monkeypatch, 1.0)
         spec_q = TestSpec(kind="q", targets=[2.5], seed=1, **SMALL)
-        rep = cptest.run_test(tiny_panel(), PAIR_1D, spec_q)
+        rep = cptest.run_test(products(tiny_panel(), PAIR_1D), spec_q)
         assert rep.statistic == pytest.approx(1.125, rel=1e-12)
 
     def test_v_with_zero_target(self, monkeypatch):
         # Plain pooled deviation from target 0: max |s_k| / sqrt(2) = 5/sqrt(2).
         fix_scales(monkeypatch, 1.0)
         spec = TestSpec(kind="v", targets=[0.0], seed=1, **SMALL)
-        rep = cptest.run_test(tiny_panel(), PAIR_1D, spec)
+        rep = cptest.run_test(products(tiny_panel(), PAIR_1D), spec)
         assert rep.statistic == pytest.approx(5.0 / math.sqrt(2), rel=1e-12)
 
 
@@ -102,8 +102,8 @@ class TestInvariances:
         panel = random_panel(2, 80, 3, seed=5)
         v = np.array([0.2, 0.5, 0.3])
         spec = TestSpec(kind="q-breve", seed=2, **SMALL)
-        ra = cptest.run_test(panel, ProjectionPair.from_vectors(v), spec)
-        rb = cptest.run_test(panel, ProjectionPair.from_vectors(7.0 * v), spec)
+        ra = cptest.run_test(products(panel, ProjectionPair.from_vectors(v)), spec)
+        rb = cptest.run_test(products(panel, ProjectionPair.from_vectors(7.0 * v)), spec)
         # The products scale by 49 and alpha^2 by 49^2; the ratio cancels.
         assert rb.statistic == pytest.approx(ra.statistic, rel=1e-10)
 
@@ -111,15 +111,15 @@ class TestInvariances:
         panel = random_panel(3, 40, 2, seed=6)
         v = np.array([0.6, 0.4])
         spec = TestSpec(kind="v-breve", seed=2, **SMALL)
-        ra = cptest.run_test(panel, ProjectionPair.from_vectors(v), spec)
-        rb = cptest.run_test(panel, ProjectionPair.from_vectors(3.0 * v), spec)
+        ra = cptest.run_test(products(panel, ProjectionPair.from_vectors(v)), spec)
+        rb = cptest.run_test(products(panel, ProjectionPair.from_vectors(3.0 * v)), spec)
         assert [s.argmax_k for s in ra.per_sample] == \
                [s.argmax_k for s in rb.per_sample]
 
     def test_decision_consistency(self):
         panel = random_panel(2, 100, 2, seed=7)
         spec = TestSpec(kind="q-breve", seed=3, **SMALL)
-        rep = cptest.run_test(panel, ProjectionPair.from_vectors([0.5, 0.5]), spec)
+        rep = cptest.run_test(products(panel, PAIR_2D), spec)
         assert rep.reject == (rep.statistic > rep.critical_value)
         assert rep.critical_value > 0
 
@@ -148,7 +148,7 @@ class TestBruteForceEquivalence:
             samples = [rng.standard_normal((int(rng.integers(5, 16)), 2))
                        for _ in range(K)]
             spec = TestSpec(kind="v-breve", seed=4, **SMALL)
-            rep = cptest.run_test(samples, pair, spec)
+            rep = cptest.run_test(products(samples, pair), spec)
             assert rep.statistic == pytest.approx(
                 brute_force_v_breve(samples, pair), rel=1e-10)
 
@@ -157,36 +157,36 @@ class TestLearningMode:
     def test_learning_carved_from_front(self):
         panel = random_panel(2, 200, 2, seed=8)
         spec = TestSpec(kind="q-breve", seed=5, **SMALL)
-        rep = cptest.run_test(panel, ProjectionPair.from_vectors([0.5, 0.5]), spec,
+        rep = cptest.run_test(products(panel, PAIR_2D), spec,
                               learning_length=50)
         # The carved block is excluded from the tested stretch.
         assert rep.sample_sizes == (150, 150)
 
     def test_explicit_learning_data(self, monkeypatch):
-        # Learning data kept apart reach the test stacked in front of the sample.
+        # Learning products kept apart reach the test in front of the sample's.
         pair = ProjectionPair.from_vectors([0.5, 0.5])
         sample = random_panel(1, 100, 2, seed=9)[0]
         learn = random_panel(1, 400, 2, seed=10)[0]
         spec = TestSpec(kind="q-breve", seed=5, **SMALL)
-        rep = cptest.run_test([np.vstack([learn, sample])], pair, spec, learning_length=400)
+        panel = [np.concatenate(products([learn, sample], pair))]
+        rep = cptest.run_test(panel, spec, learning_length=400)
         assert rep.sample_sizes == (100,)
-        alpha_sq = lrv.lrv_estimate(sumproc.project(learn, pair).p).alpha_sq
+        alpha_sq = lrv.lrv_estimate(sumproc.project(learn, pair)).alpha_sq
         assert rep.per_sample[0].alpha_sq == alpha_sq
         # The tested stretch is the sample itself.
         fix_scales(monkeypatch, alpha_sq)
-        assert rep.statistic == cptest.run_test([sample], pair, spec).statistic
+        assert rep.statistic == cptest.run_test(products([sample], pair), spec).statistic
 
     def test_learning_length_too_long_rejected(self):
         spec = TestSpec(kind="q-breve", seed=5, **SMALL)
         with pytest.raises(ConfigurationError):
-            cptest.run_test(random_panel(1, 50, 2, seed=1),
-                            ProjectionPair.from_vectors([0.5, 0.5]), spec, learning_length=50)
+            cptest.run_test(products(random_panel(1, 50, 2, seed=1), PAIR_2D), spec,
+                            learning_length=50)
 
     def test_one_learning_length_per_sample(self):
         spec = TestSpec(kind="q-breve", seed=5, **SMALL)
         with pytest.raises(ConfigurationError, match="2 learning lengths for 3 samples"):
-            cptest.run_test(random_panel(3, 80, 2, seed=1),
-                            ProjectionPair.from_vectors([0.5, 0.5]), spec,
+            cptest.run_test(products(random_panel(3, 80, 2, seed=1), PAIR_2D), spec,
                             learning_length=[20, 30])
 
 
@@ -196,7 +196,7 @@ class TestDegenerate:
                  np.ones((50, 1))]
         spec = TestSpec(kind="q-breve", seed=6, **SMALL)
         with pytest.raises(DegenerateLrvError) as exc:
-            cptest.run_test(panel, PAIR_1D, spec)
+            cptest.run_test(products(panel, PAIR_1D), spec)
         assert exc.value.sample_index == 1
 
     @pytest.mark.parametrize("learning_length", [None, 20],
@@ -205,23 +205,23 @@ class TestDegenerate:
         panel = random_panel(2, 80, 2, seed=3)
         panel[1][5, 0] = np.nan
         spec = TestSpec(kind="q-breve", seed=6, **SMALL)
-        with pytest.raises(CovCusumError, match="sample 1: non-finite"):
-            cptest.run_test(panel, ProjectionPair.from_vectors([0.5, 0.5]), spec,
+        with pytest.raises(CovCusumError, match="sample 2: non-finite"):
+            cptest.run_test(products(panel, PAIR_2D), spec,
                             learning_length=learning_length)
 
     def test_short_sample_raises_naming_sample(self):
         panel = random_panel(2, 30, 1, seed=3)
         panel[1] = panel[1][:3]
         spec = TestSpec(kind="q-breve", seed=6, **SMALL)
-        with pytest.raises(ShapeError, match="sample 1: need at least 4 observations, got 3"):
-            cptest.run_test(panel, PAIR_1D, spec)
+        with pytest.raises(ShapeError, match="sample 2: need at least 4 observations, got 3"):
+            cptest.run_test(products(panel, PAIR_1D), spec)
 
     def test_nonpositive_override_rejected(self, monkeypatch):
         # An estimate that is not in (0, inf) never standardizes a statistic.
         fix_scales(monkeypatch, 0.0)
         spec = TestSpec(kind="q-breve", seed=6, **SMALL)
         with pytest.raises(DegenerateLrvError):
-            cptest.run_test(tiny_panel(), PAIR_1D, spec)
+            cptest.run_test(products(tiny_panel(), PAIR_1D), spec)
 
     def test_degenerate_estimate_raises_with_index(self):
         # Products alternate 1, 2: the kernel estimate is non-positive, so
@@ -229,7 +229,7 @@ class TestDegenerate:
         alternating = np.sqrt(np.tile([1.0, 2.0], 50)).reshape(100, 1)
         spec = TestSpec(kind="q-breve", seed=6, **SMALL)
         with pytest.raises(DegenerateLrvError) as exc:
-            cptest.run_test([alternating], PAIR_1D, spec)
+            cptest.run_test(products([alternating], PAIR_1D), spec)
         assert exc.value.sample_index == 0
 
 
@@ -242,7 +242,7 @@ class TestCriticalValue:
         reports = []
         for a in (1.0, 1.00002):
             fix_scales(monkeypatch, a, 1.0)
-            reports.append(cptest.run_test(panel, PAIR_1D, spec))
+            reports.append(cptest.run_test(products(panel, PAIR_1D), spec))
         fresh = limits.critical_value(limits.CritValRequest(
             kind="v-breve", K=2, level=0.95,
             alpha_weights=(math.sqrt(1.00002), 1.0), kappa=(0.5, 0.5),
@@ -253,7 +253,8 @@ class TestCriticalValue:
     def test_report_names_method_and_the_seed_it_used(self):
         panel = random_panel(2, 60, 1, seed=15)
         for kind, method, seed in (("q-breve", "corrected", None), ("v-breve", "mc", 4242)):
-            report = cptest.run_test(panel, PAIR_1D, TestSpec(kind=kind, seed=4242, **SMALL))
+            report = cptest.run_test(products(panel, PAIR_1D),
+                                     TestSpec(kind=kind, seed=4242, **SMALL))
             assert (report.method, report.seed) == (method, seed)
             assert (report.to_dict()["method"], report.to_dict()["seed"]) == (method, seed)
 
@@ -272,7 +273,7 @@ class TestSizeBracket:
         for kind in ("q", "q-breve", "v", "v-breve"):
             targets = [target] * K if kind in ("q", "v") else None
             spec = TestSpec(kind=kind, level=0.95, targets=targets, seed=10, **SMALL)
-            rate = np.mean([cptest.run_test(p, pair, spec).reject for p in panels])
+            rate = np.mean([cptest.run_test(products(p, pair), spec).reject for p in panels])
             assert 0.02 <= rate <= 0.09, (kind, rate)
 
 
@@ -288,7 +289,7 @@ class TestPowerOrdering:
             cfg = simgen.PanelConfig(K=1, d=1, N=(n,), rho0=(0.2,),
                                      sigma0=(1.0,), tau=(tau,),
                                      sigma1=(sigma1,), seed=77)
-            counts.append(sum(cptest.run_test(panel, pair, spec).reject
+            counts.append(sum(cptest.run_test(products(panel, pair), spec).reject
                               for panel in simgen.gen_ar1_panels(cfg, range(500))))
         assert counts == sorted(counts)
 
@@ -303,8 +304,10 @@ class TestPowerOrdering:
         pair = ProjectionPair.from_vectors([0.5, 0.5])
         for kind in ("q-breve", "v-breve"):
             spec = TestSpec(kind=kind, seed=7, **SMALL)
-            s_null = cptest.run_test(simgen.gen_ar1_panel(null_cfg), pair, spec).statistic
-            s_alt = cptest.run_test(simgen.gen_ar1_panel(alt_cfg), pair, spec).statistic
+            s_null = cptest.run_test(products(simgen.gen_ar1_panel(null_cfg), pair),
+                                     spec).statistic
+            s_alt = cptest.run_test(products(simgen.gen_ar1_panel(alt_cfg), pair),
+                                    spec).statistic
             assert s_alt > 3.0 * s_null
 
 
@@ -316,35 +319,28 @@ class TestDispatchAndReport:
         specs = [TestSpec(kind=kind, seed=8,
                           targets=targets if kind in ("q", "v") else None, **SMALL)
                  for kind in ("q", "q-breve", "v", "v-breve")]
-        together = cptest.run_tests(panel, pair, specs)
+        together = cptest.run_tests(products(panel, pair), specs)
         assert [r.to_dict() for r in together] == \
-               [cptest.run_test(panel, pair, spec).to_dict() for spec in specs]
+               [cptest.run_test(products(panel, pair), spec).to_dict() for spec in specs]
 
     def test_report_json_round_trip(self):
         import json
 
         panel = random_panel(2, 60, 1, seed=13)
         spec = TestSpec(kind="v-breve", seed=9, **SMALL)
-        rep = cptest.run_test(panel, PAIR_1D, spec)
+        rep = cptest.run_test(products(panel, PAIR_1D), spec)
         d = json.loads(rep.to_json())
         assert d["kind"] == "v-breve"
         assert d["sample_sizes"] == [60, 60]
         assert len(d["per_sample"]) == 2
         assert d["reject"] == rep.reject
 
-    def test_wrong_pair_count_rejected(self):
-        # A list of pairs, whatever its length, is refused.
-        panel = random_panel(3, 30, 1, seed=14)
-        with pytest.raises(ConfigurationError):
-            spec = TestSpec(kind="q-breve", seed=9, **SMALL)
-            cptest.run_test(panel, [PAIR_1D, PAIR_1D], spec)
-
     @pytest.mark.parametrize("kind", ["q", "v"])
     def test_wrong_target_length_names_sample(self, kind):
         panel = random_panel(2, 30, 1, seed=14)
         spec = TestSpec(kind=kind, targets=[np.ones(30), np.ones(29)], seed=9, **SMALL)
-        with pytest.raises(ShapeError, match="sample 1: target length"):
-            cptest.run_test(panel, PAIR_1D, spec)
+        with pytest.raises(ShapeError, match="sample 2: target length"):
+            cptest.run_test(products(panel, PAIR_1D), spec)
 
     @pytest.mark.parametrize("kind", ["q", "v"])
     @pytest.mark.parametrize("count", [2, 4])
@@ -352,4 +348,4 @@ class TestDispatchAndReport:
         panel = random_panel(3, 30, 1, seed=14)
         spec = TestSpec(kind=kind, targets=[1.0] * count, seed=9, **SMALL)
         with pytest.raises(ConfigurationError, match=f"got {count} targets for 3 samples"):
-            cptest.run_test(panel, PAIR_1D, spec)
+            cptest.run_test(products(panel, PAIR_1D), spec)

@@ -127,19 +127,19 @@ class TestRunExperiment:
         assert all(r.lrv_mode == harness.MODE_LEARNING for r in rows)
 
     def test_learning_blocks_stacked_in_front(self, monkeypatch):
-        # run_tests gets each sample with its learning block in front and
-        # the block sizes as learning_length, which cptest carves off.
+        # run_tests gets each sample's products with its learning block's in
+        # front and the block sizes as learning_length, which cptest splits off.
         seen = []
         run_tests = harness.cptest.run_tests
-        monkeypatch.setattr(harness.cptest, "run_tests", lambda samples, pair, specs, **k: (
-            seen.append(([len(y) for y in samples], k["learning_length"]))
-            or run_tests(samples, pair, specs, **k)))
+        monkeypatch.setattr(harness.cptest, "run_tests", lambda panel, specs, **k: (
+            seen.append(([p.shape for p in panel], k["learning_length"]))
+            or run_tests(panel, specs, **k)))
         cfg = ExperimentConfig(replications=2, cases=("I",), dims=(2,), scenario="none",
                                learning_length=500, seed=103, **FAST)
         harness.run_cell("I", 2, "none", 0, cfg, 0)
         learning = (41, 50, 29, 37)
         sizes = [n + m for n, m in zip(harness.CASE_SIZES["I"], learning)]
-        assert seen == [(sizes, learning)] * 2
+        assert seen == [([(n,) for n in sizes], learning)] * 2
 
     def test_in_sample_by_default(self):
         cfg = ExperimentConfig(replications=2, cases=("I",), dims=(2,),

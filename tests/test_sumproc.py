@@ -11,36 +11,31 @@ from covcusum.errors import DegenerateLrvError, ShapeError
 from covcusum.sumproc import ProjectionPair
 
 
-def scaled(ps, target=None):
+def scaled(s, target=None):
     """The deviation scaled by 1/sqrt(N), as the sum-of-squares kinds use it."""
-    return sumproc.unscaled_deviation(ps, target) / math.sqrt(ps.n)
-
-
-def ps_from_s(s):
-    """Build a ProjectedSample with the given running sums."""
-    s = np.asarray(s, dtype=float)
-    return sumproc.ProjectedSample(p=np.diff(s), s=s)
+    return sumproc.unscaled_deviation(s, target) / math.sqrt(len(s) - 1)
 
 
 class TestProject:
     def test_zero_matrix(self):
         pair = ProjectionPair.from_vectors([1.0, 2.0])
-        ps = sumproc.project(np.zeros((4, 2)), pair)
-        assert np.all(ps.p == 0)
-        assert np.all(ps.s == 0)
-        assert len(ps.s) == 5
+        p = sumproc.project(np.zeros((4, 2)), pair)
+        s = sumproc.kahan_cumsum(p)
+        assert np.all(p == 0)
+        assert np.all(s == 0)
+        assert len(s) == 5
 
     def test_hand_example_1d(self):
         pair = ProjectionPair.from_vectors([1.0])
-        ps = sumproc.project(np.array([[1.0], [2.0]]), pair)
-        np.testing.assert_array_equal(ps.p, [1.0, 4.0])
-        np.testing.assert_array_equal(ps.s, [0.0, 1.0, 5.0])
+        p = sumproc.project(np.array([[1.0], [2.0]]), pair)
+        np.testing.assert_array_equal(p, [1.0, 4.0])
+        np.testing.assert_array_equal(sumproc.kahan_cumsum(p), [0.0, 1.0, 5.0])
 
     def test_hand_example_2d(self):
         pair = ProjectionPair.from_vectors([1.0, 0.0], [0.0, 1.0])
-        ps = sumproc.project(np.array([[1.0, 2.0], [3.0, 4.0]]), pair)
-        np.testing.assert_array_equal(ps.p, [2.0, 12.0])
-        np.testing.assert_array_equal(ps.s, [0.0, 2.0, 14.0])
+        p = sumproc.project(np.array([[1.0, 2.0], [3.0, 4.0]]), pair)
+        np.testing.assert_array_equal(p, [2.0, 12.0])
+        np.testing.assert_array_equal(sumproc.kahan_cumsum(p), [0.0, 2.0, 14.0])
 
     def test_dimension_mismatch(self):
         pair = ProjectionPair.from_vectors([1.0, 2.0])
@@ -54,16 +49,18 @@ class TestProject:
         w = rng.standard_normal(4)
         base = sumproc.project(y, ProjectionPair.from_vectors(v, w))
         scaled = sumproc.project(y, ProjectionPair.from_vectors(2.0 * v, w))
-        np.testing.assert_allclose(scaled.p, 2.0 * base.p, rtol=1e-15)
-        np.testing.assert_allclose(scaled.s, 2.0 * base.s, rtol=1e-12)
+        np.testing.assert_allclose(scaled, 2.0 * base, rtol=1e-15)
+        np.testing.assert_allclose(sumproc.kahan_cumsum(scaled),
+                                   2.0 * sumproc.kahan_cumsum(base), rtol=1e-12)
 
     def test_partial_sum_consistency(self):
         rng = np.random.default_rng(1)
         y = rng.standard_normal((100, 3))
         pair = ProjectionPair.from_vectors(rng.standard_normal(3))
-        ps = sumproc.project(y, pair)
-        np.testing.assert_allclose(np.diff(ps.s), ps.p, atol=1e-12)
-        assert ps.s[0] == 0.0
+        p = sumproc.project(y, pair)
+        s = sumproc.kahan_cumsum(p)
+        np.testing.assert_allclose(np.diff(s), p, atol=1e-12)
+        assert s[0] == 0.0
 
 
 class TestProjectionPair:
@@ -79,23 +76,23 @@ class TestProjectionPair:
 
 class TestDProcess:
     def test_zero_data_zero_target(self):
-        ps = ps_from_s([0.0, 0.0, 0.0])
-        np.testing.assert_array_equal(scaled(ps, 0.0), [0.0, 0.0, 0.0])
+        s = np.array([0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(scaled(s, 0.0), [0.0, 0.0, 0.0])
 
     def test_hand_example_zero_target(self):
-        ps = ps_from_s([0.0, 1.0, 5.0])
+        s = np.array([0.0, 1.0, 5.0])
         np.testing.assert_allclose(
-            scaled(ps, 0.0), [0.0, 1 / math.sqrt(2), 5 / math.sqrt(2)])
+            scaled(s, 0.0), [0.0, 1 / math.sqrt(2), 5 / math.sqrt(2)])
 
     def test_hand_example_constant_target(self):
-        ps = ps_from_s([0.0, 1.0, 5.0])
+        s = np.array([0.0, 1.0, 5.0])
         np.testing.assert_allclose(
-            scaled(ps, 2.5), [0.0, -1.5 / math.sqrt(2), 0.0], atol=1e-15)
+            scaled(s, 2.5), [0.0, -1.5 / math.sqrt(2), 0.0], atol=1e-15)
 
     def test_sequence_target_length_mismatch(self):
-        ps = ps_from_s([0.0, 1.0, 5.0])
+        s = np.array([0.0, 1.0, 5.0])
         with pytest.raises(ShapeError):
-            scaled(ps, np.array([1.0, 2.0, 3.0]))
+            scaled(s, np.array([1.0, 2.0, 3.0]))
 
 
 class TestBridgeProcess:
@@ -103,28 +100,28 @@ class TestBridgeProcess:
         rng = np.random.default_rng(2)
         for _ in range(20):
             n = rng.integers(1, 30)
-            ps = ps_from_s(np.concatenate([[0.0], np.cumsum(rng.standard_normal(n))]))
-            delta = scaled(ps)
+            s = np.concatenate([[0.0], np.cumsum(rng.standard_normal(n))])
+            delta = scaled(s)
             assert delta[0] == 0.0
             assert delta[-1] == 0.0
 
     def test_hand_example(self):
-        ps = ps_from_s([0.0, 1.0, 5.0])
+        s = np.array([0.0, 1.0, 5.0])
         np.testing.assert_allclose(
-            scaled(ps), [0.0, -1.5 / math.sqrt(2), 0.0], atol=1e-15)
-        assert scaled(ps)[1] == pytest.approx(-1.06066, abs=1e-5)
+            scaled(s), [0.0, -1.5 / math.sqrt(2), 0.0], atol=1e-15)
+        assert scaled(s)[1] == pytest.approx(-1.06066, abs=1e-5)
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ShapeError):
-            scaled(ps_from_s([0.0]))
+            scaled(np.array([0.0]))
 
     def test_independent_of_targets(self):
         # The bridge (no target) is a pure function of the running sums; a
         # deviation from a target computed in between leaves it unchanged.
-        ps = ps_from_s([0.0, 3.0, 1.0, 4.0])
-        before = scaled(ps).copy()
-        _ = scaled(ps, 123.4)
-        np.testing.assert_array_equal(scaled(ps), before)
+        s = np.array([0.0, 3.0, 1.0, 4.0])
+        before = scaled(s).copy()
+        _ = scaled(s, 123.4)
+        np.testing.assert_array_equal(scaled(s), before)
 
 
 def brute_force_grid_max(processes):
