@@ -149,15 +149,6 @@ def _resolve_seed(args):
     return seed
 
 
-def _critval_request(args, K, **weights):
-    """Validate the critical-value settings, then draw the seed if the kind simulates."""
-    req = limits.CritValRequest(kind=args.kind, K=K, level=args.level, n_grid=args.n_grid,
-                                n_rep=args.n_rep, **weights)
-    if limits.method_of(req.kind) == "mc":
-        req = dataclasses.replace(req, seed=_resolve_seed(args))
-    return req
-
-
 def _fmt(x, digits=17):
     return f"{x:.{digits}g}"
 
@@ -216,7 +207,8 @@ def _cmd_test(args):
         raise ConfigurationError(f"--learning-length must be >= 1, got {args.learning_length}")
     spec = cptest.TestSpec(kind=args.kind, level=args.level, targets=targets,
                            n_grid=args.n_grid, n_rep=args.n_rep)  # refused settings draw no seed
-    spec = dataclasses.replace(spec, seed=_critval_request(args, len(args.data)).seed)
+    if limits.method_of(spec.kind) == "mc":
+        spec = dataclasses.replace(spec, seed=_resolve_seed(args))
     samples, v, w = load_bundle(args.data, args.v, args.w)
     pair = sumproc.ProjectionPair.from_vectors(v, w)
     report = cptest.run_test([sumproc.project(y, pair) for y in samples], spec,
@@ -241,9 +233,12 @@ def _cmd_test(args):
 
 
 def _cmd_critval(args):
-    req = _critval_request(args, args.K,
-                           alpha_weights=_numbers(args.alpha, "--alpha") if args.alpha else None,
-                           kappa=_numbers(args.kappa, "--kappa") if args.kappa else None)
+    req = limits.CritValRequest(
+        kind=args.kind, K=args.K, level=args.level, n_grid=args.n_grid, n_rep=args.n_rep,
+        alpha_weights=_numbers(args.alpha, "--alpha") if args.alpha else None,
+        kappa=_numbers(args.kappa, "--kappa") if args.kappa else None)  # refused: no seed
+    if limits.method_of(req.kind) == "mc":
+        req = dataclasses.replace(req, seed=_resolve_seed(args))
     value = limits.critical_value(req, workers=args.workers)
     method = limits.method_of(req.kind)
     print(f"{req.kind} K={req.K} level={req.level:.4g}: {value:.4g} ({method})")

@@ -39,8 +39,7 @@ class TestSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in limits.KINDS:
-            raise ConfigurationError(f"unknown statistic kind {self.kind!r}")
+        limits.check_settings(self.kind, self.level, self.n_grid, self.n_rep, self.seed)
         bridge = self.kind in limits.BRIDGE_KINDS
         if not bridge and self.targets is None:
             raise ConfigurationError(f"kind {self.kind!r} requires targets")

@@ -99,8 +99,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ConfigurationError("replications must be >= 1")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
         if self.scenario not in SCENARIOS:
             raise ConfigurationError(f"unknown scenario {self.scenario!r}")
         if self.scenario == "none":
@@ -117,12 +115,14 @@ class ExperimentConfig:
                 raise ConfigurationError(f"unknown case {c!r}")
         if min(self.dims, default=0) < 1:
             raise ConfigurationError("dims must be >= 1")
+        if not self.tests:
+            raise ConfigurationError("tests must name at least one kind")
         for t in self.tests:
             if t not in limits.BRIDGE_KINDS:
                 raise ConfigurationError(
                     f"experiment supports the target-free kinds, got {t!r}")
-            limits.CritValRequest(kind=t, K=4, level=self.level,
-                                  n_grid=self.critval_n_grid, n_rep=self.critval_n_rep)
+            limits.check_settings(t, self.level, self.critval_n_grid, self.critval_n_rep,
+                                  self.seed)
         limits._check_workers(self.workers)
         if self.learning_length is not None and self.learning_length < 1:
             raise ConfigurationError("learning_length must be >= 1 time instant")

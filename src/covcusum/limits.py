@@ -151,8 +151,24 @@ def method_of(kind: str) -> str:
     return "corrected" if kind in CORRECTED_KINDS else "mc"
 
 
+def check_settings(kind: str, level: float, n_grid: int, n_rep: int, seed: int) -> None:
+    """Refuse a critical-value setting; ``n_rep`` only for the kinds that read it."""
+    if kind not in KINDS:
+        raise ConfigurationError(f"unknown statistic kind {kind!r}")
+    if not 0.0 < level < 1.0:
+        raise ConfigurationError(f"level must be in (0, 1), got {level}")
+    if n_grid < 100:
+        raise ConfigurationError("n_grid must be >= 100")
+    if method_of(kind) == "mc" and n_rep < 1000:
+        raise ConfigurationError("n_rep must be >= 1000")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be non-negative, got {seed}")
+
+
 @dataclass(frozen=True)
 class CritValRequest:
+    """A complete request: pooled kinds carry ``alpha_weights`` and ``kappa``, others neither."""
+
     kind: str
     K: int
     level: float
@@ -163,24 +179,19 @@ class CritValRequest:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigurationError(f"unknown statistic kind {self.kind!r}")
+        check_settings(self.kind, self.level, self.n_grid, self.n_rep, self.seed)
         if self.K < 1:
             raise ConfigurationError("K must be >= 1")
-        if not 0.0 < self.level < 1.0:
-            raise ConfigurationError(f"level must be in (0, 1), got {self.level}")
-        if self.n_grid < 100:
-            raise ConfigurationError("n_grid must be >= 100")
-        if method_of(self.kind) == "mc" and self.n_rep < 1000:
-            raise ConfigurationError("n_rep must be >= 1000")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
-        if self.alpha_weights is not None:
+        pooled = self.kind in POOLED_KINDS
+        if (self.alpha_weights is not None, self.kappa is not None) != (pooled, pooled):
+            raise ConfigurationError(
+                f"kind {self.kind!r} " + ("requires alpha_weights and kappa" if pooled
+                                          else "takes no alpha_weights or kappa"))
+        if pooled:
             aw = tuple(float(a) for a in np.atleast_1d(self.alpha_weights))
             if len(aw) != self.K or not all(0 < a < math.inf for a in aw):
                 raise ConfigurationError("alpha_weights must be K positive finite reals")
             object.__setattr__(self, "alpha_weights", aw)
-        if self.kappa is not None:
             kp = tuple(float(k) for k in np.atleast_1d(self.kappa))
             if len(kp) != self.K or not all(0 < k < math.inf for k in kp):
                 raise ConfigurationError("kappa must be K positive finite reals")
@@ -204,10 +215,6 @@ class PathExtrema:
     bb_min: np.ndarray
     n_grid: int
     seed: int
-
-    @property
-    def K(self):
-        return self.bm_max.shape[1]
 
 
 def _block_extrema(seed, block_index, j, n_block, n_grid):
@@ -287,24 +294,6 @@ def simulate_path_extrema(K: int, n_grid: int, n_rep: int, seed: int,
     return out
 
 
-def functional_draws(req: CritValRequest, extrema: PathExtrema) -> np.ndarray:
-    """Per-replication draws of the requested null functional."""
-    if extrema.K < req.K:
-        raise ConfigurationError("extrema were simulated for fewer samples than requested")
-    if req.kind in BRIDGE_KINDS:
-        hi, lo = extrema.bb_max[:, : req.K], extrema.bb_min[:, : req.K]
-    else:
-        hi, lo = extrema.bm_max[:, : req.K], extrema.bm_min[:, : req.K]
-    if req.kind not in POOLED_KINDS:
-        return (np.maximum(hi, -lo) ** 2).sum(axis=1)
-    # Pooled kinds: sup over the grid of |sum_j c_j B_j(s_j)| with positive
-    # weights c_j = alpha_j sqrt(kappa_j) separates per coordinate.
-    if req.alpha_weights is None or req.kappa is None:
-        raise ConfigurationError(f"kind {req.kind!r} requires alpha_weights and kappa")
-    c = np.asarray(req.alpha_weights) * np.sqrt(np.asarray(req.kappa))
-    return np.maximum(hi @ c, -(lo @ c))
-
-
 def empirical_quantile(draws: np.ndarray, level: float) -> float:
     """Order statistic at ceil(level * n); deterministic and conservative."""
     n = len(draws)
@@ -323,5 +312,9 @@ def critical_value(req: CritValRequest, workers: int = 1) -> float:
     _check_workers(workers)
     if method_of(req.kind) == "corrected":
         return _corrected_quantile(req.kind, req.K, req.level, req.n_grid)
-    extrema = simulate_path_extrema(req.K, req.n_grid, req.n_rep, req.seed, workers=workers)
-    return empirical_quantile(functional_draws(req, extrema), req.level)
+    ext = simulate_path_extrema(req.K, req.n_grid, req.n_rep, req.seed, workers=workers)
+    hi, lo = (ext.bb_max, ext.bb_min) if req.kind in BRIDGE_KINDS else (ext.bm_max, ext.bm_min)
+    # The grid supremum of |sum_j c_j B_j(s_j)| with positive weights
+    # c_j = alpha_j sqrt(kappa_j) separates per coordinate.
+    c = np.asarray(req.alpha_weights) * np.sqrt(req.kappa)
+    return empirical_quantile(np.maximum(hi @ c, -(lo @ c)), req.level)

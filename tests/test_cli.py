@@ -392,6 +392,30 @@ class TestCritvalCommand:
         rc = cli.main(["critval", "--kind", "v", "--K", "2", "--seed", "1"] + FAST)
         assert rc == 2
 
+    @pytest.mark.parametrize("weights", [[], ["--alpha", "1,2,1"], ["--kappa", ".3,.3,.4"]],
+                             ids=["none", "alpha-only", "kappa-only"])
+    def test_incomplete_weights_refused_before_seed_and_paths(self, weights, capsys,
+                                                              monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("an incomplete request must not simulate")
+
+        monkeypatch.setattr(limits, "simulate_path_extrema", no_simulation)
+        rc = cli.main(["critval", "--kind", "v-breve", "--K", "3", "--workers", "1",
+                       *weights])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "seed:" not in captured.out
+        assert "requires alpha_weights and kappa" in captured.err
+
+    @pytest.mark.parametrize("kind", limits.CORRECTED_KINDS)
+    def test_corrected_kinds_refuse_weights(self, kind, capsys):
+        rc = cli.main(["critval", "--kind", kind, "--K", "2", "--alpha", "1,2",
+                       "--kappa", ".5,.5"] + FAST)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "takes no alpha_weights or kappa" in captured.err
+
     def test_omitted_seed_is_printed(self, capsys):
         rc = cli.main(["critval", "--kind", "v-breve", "--K", "1", "--alpha", "1.0",
                        "--kappa", "1.0", "--workers", "1"] + FAST)

@@ -38,6 +38,17 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError):
             TestSpec(kind="w")
 
+    @pytest.mark.parametrize("kind, bad, match", [
+        ("v-breve", dict(level=1.5), "level"), ("q-breve", dict(level=0.0), "level"),
+        ("v-breve", dict(n_grid=5), "n_grid"), ("q-breve", dict(n_grid=99), "n_grid"),
+        ("v-breve", dict(n_rep=3), "n_rep"), ("v-breve", dict(seed=-1), "seed")])
+    def test_critical_value_settings_refused_at_construction(self, kind, bad, match):
+        with pytest.raises(ConfigurationError, match=match):
+            TestSpec(kind=kind, **bad)
+
+    def test_n_rep_read_by_mc_kinds_only(self):
+        assert TestSpec(kind="q-breve", n_rep=3).n_rep == 3
+
     def test_plain_kinds_require_targets(self):
         for kind in ("q", "v"):
             with pytest.raises(ConfigurationError, match="targets"):

@@ -238,9 +238,13 @@ class TestCorrectedLaw:
     @pytest.mark.parametrize("K", [1, 4])
     def test_inside_mc_order_statistic_interval(self, oracle_extrema, kind, K):
         # 99% distribution-free interval for the 0.95 quantile of the
-        # n_grid = 1000 law from 1e5 simulated draws; K = 1 uses column 0.
+        # n_grid = 1000 law from 1e5 simulated draws of sum_j sup|B_j|^2;
+        # K = 1 uses column 0.
         req = CritValRequest(kind=kind, K=K, level=0.95, n_grid=1000)
-        draws = np.sort(limits.functional_draws(req, oracle_extrema))
+        law = "bm" if kind == "q" else "bb"
+        hi = getattr(oracle_extrema, f"{law}_max")[:, :K]
+        lo = getattr(oracle_extrema, f"{law}_min")[:, :K]
+        draws = np.sort((np.maximum(hi, -lo) ** 2).sum(axis=1))
         n = len(draws)
         lo = int(scipy.stats.binom.ppf(0.005, n, 0.95))
         hi = int(scipy.stats.binom.ppf(0.995, n, 0.95)) + 1
@@ -326,9 +330,15 @@ class TestCriticalValue:
         assert len(vals) == 1
 
     def test_missing_weights_rejected(self):
-        req = CritValRequest(kind="v", K=2, level=0.95, seed=1, **SMALL)
-        with pytest.raises(ConfigurationError):
-            limits.critical_value(req)
+        with pytest.raises(ConfigurationError, match="requires alpha_weights and kappa"):
+            CritValRequest(kind="v", K=2, level=0.95, seed=1, **SMALL)
+
+    @pytest.mark.parametrize("kind", limits.KINDS)
+    @pytest.mark.parametrize("given", ["alpha_weights", "kappa"])
+    def test_incomplete_or_surplus_weights_refused(self, kind, given):
+        # A pooled kind needs both weights, a corrected kind takes neither.
+        with pytest.raises(ConfigurationError, match=f"kind '{kind}' (requires|takes no)"):
+            CritValRequest(kind=kind, K=1, level=0.95, **{given: (1.0,)})
 
     def test_invalid_requests_rejected(self):
         with pytest.raises(ConfigurationError):
