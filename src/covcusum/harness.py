@@ -173,13 +173,14 @@ def _learning_sizes(case, cfg):
                  for omega in rates)
 
 
-def _replications(panel_cfg, learning_cfg, n):
-    """Yield (r, samples, blocks) for replications r < n, generated in batches.
+def _panels(panel_cfg, learning_cfg, n, d, seed):
+    """Yield the product panel of each replication r < n, generated in batches.
 
-    Replication r's samples are rep 2r of ``panel_cfg``; its learning
-    blocks are rep 2r + 1 of ``learning_cfg``, or None without one.  A
-    batch holds as many replications as fit PANEL_CHUNK_BYTES of
-    generator buffer.
+    Replication r's samples are rep 2r of ``panel_cfg`` and its learning
+    blocks, without a ``learning_cfg`` none, rep 2r + 1 of it; each is
+    projected through r's own Dirichlet pair, learning products in front.
+    A batch holds as many replications as fit PANEL_CHUNK_BYTES of
+    generator buffer, and is released before the next is generated.
     """
     configs = [c for c in (panel_cfg, learning_cfg) if c is not None]
     per_rep = sum(8 * c.K * c.d * (c.burn_in + max(c.N)) for c in configs)
@@ -187,10 +188,17 @@ def _replications(panel_cfg, learning_cfg, n):
     for first in range(0, n, chunk):
         block = range(first, min(first + chunk, n))
         panels = simgen.gen_ar1_panels(panel_cfg, [2 * r for r in block])
-        if learning_cfg is not None:
-            learning = simgen.gen_ar1_panels(learning_cfg, [2 * r + 1 for r in block])
-        for i, r in enumerate(block):
-            yield r, panels[i], None if learning_cfg is None else learning[i]
+        learning = ([None] * len(block) if learning_cfg is None
+                    else simgen.gen_ar1_panels(learning_cfg, [2 * r + 1 for r in block]))
+        for r, samples, blocks in zip(block, panels, learning):
+            w = simgen.gen_dirichlet_projection(d, _cell_seed(seed, r + 1))
+            pair = sumproc.ProjectionPair.from_vectors(w)
+            products = [sumproc.project(y, pair) for y in samples]
+            if blocks is not None:
+                products = [np.concatenate([sumproc.project(b, pair), p])
+                            for b, p in zip(blocks, products)]
+            yield products
+        del panels, learning, samples, blocks
 
 
 def run_cell(case, d, scenario, change_time, cfg: ExperimentConfig, cell_index):
@@ -210,15 +218,9 @@ def run_cell(case, d, scenario, change_time, cfg: ExperimentConfig, cell_index):
                              n_rep=cfg.critval_n_rep, seed=seed)
              for t in cfg.tests]
     rejections = {t: 0 for t in cfg.tests}
-    for r, samples, blocks in _replications(panel_cfg, learning_cfg, cfg.replications):
-        w = simgen.gen_dirichlet_projection(d, _cell_seed(seed, r + 1))
-        pair = sumproc.ProjectionPair.from_vectors(w)
-        panel = [sumproc.project(y, pair) for y in samples]
-        if blocks is not None:
-            panel = [np.concatenate([sumproc.project(b, pair), p]) for b, p in zip(blocks, panel)]
+    for panel in _panels(panel_cfg, learning_cfg, cfg.replications, d, seed):
         reports = cptest.run_tests(panel, specs, learning_length=learning_sizes,
                                    workers=cfg.workers)
-        del panel  # not held while the next batch is generated (peak RSS)
         for t, report in zip(cfg.tests, reports):
             rejections[t] += int(report.reject)
 

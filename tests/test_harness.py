@@ -1,5 +1,6 @@
 import csv
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -183,6 +184,31 @@ class TestRunExperiment:
             if budget == 2 ** 40:
                 assert calls == [5] * configs
         assert tables[1] == tables[150_000] == tables[2 ** 40]
+
+    @pytest.mark.parametrize("learning_length", [None, 500], ids=["in-sample", "learning"])
+    def test_batch_released_before_next_is_generated(self, monkeypatch, learning_length):
+        # Weak references to every sample array of a batch and to the copy
+        # it views: none may be alive when the next batch's generation
+        # starts, or a cell would hold two batches at once.
+        alive = {}  # batch (its first replication) -> weak references
+        generate = harness.simgen.gen_ar1_panels
+
+        def tracking(config, reps):
+            batch = reps[0] // 2
+            held = [b for b, refs in alive.items()
+                    if b != batch and any(ref() is not None for ref in refs)]
+            assert held == [], f"arrays of batches {held} alive"
+            panels = generate(config, reps)
+            alive.setdefault(batch, []).extend(
+                weakref.ref(a) for panel in panels for y in panel for a in (y, y.base))
+            return panels
+
+        monkeypatch.setattr(harness.simgen, "gen_ar1_panels", tracking)
+        monkeypatch.setattr(harness, "PANEL_CHUNK_BYTES", 200_000)
+        cfg = ExperimentConfig(replications=7, cases=("I",), dims=(3,), tests=("q-breve",),
+                               learning_length=learning_length, seed=108)
+        harness.run_cell("I", 3, "none", 0, cfg, 0)
+        assert len(alive) >= 3
 
     def test_cells_independent_of_grid_composition(self):
         # A cell's result must not change when other cells join the grid.
