@@ -12,11 +12,20 @@ beta = -zeta(1/2) / sqrt(2 pi) (Broadie, Glasserman & Kou 1997, Math.
 Finance 7:325), so the law used is that of (sup - beta / sqrt(n_grid))^2.
 These values depend on (kind, K, level, n_grid) only; method "corrected".
 
-The pooled kinds ``v`` and ``v-breve`` weight the samples by the data, so
-they are simulated (method "mc").  Their K-dimensional grid suprema
-separate per coordinate, so the simulation only needs the per-path
-extrema of each independent motion/bridge, drawn on a pool of ``workers``
-threads with the same numbers for any worker count.
+The pooled kinds ``v`` and ``v-breve`` weight the samples by the data,
+c_j = alpha_j sqrt(kappa_j), so they are simulated (method "mc").  Their
+K-dimensional grid suprema separate per coordinate, so the simulation
+only needs the per-path extrema of each independent motion/bridge, drawn
+on a pool of ``workers`` threads with the same numbers for any worker
+count.  Path streams are keyed apart from the panel streams of
+``simgen``, so a seed shared by a panel and a critical value never draws
+the same numbers for both.
+
+This module owns the critical-value settings.  ``check_settings`` refuses
+a bad kind, level, ``n_grid``, ``n_rep`` or seed wherever a request is
+specified (``CritValRequest``, ``cptest.TestSpec``,
+``harness.ExperimentConfig``), and a ``CritValRequest`` is complete or
+refused when made: the pooled kinds carry both weights, the others none.
 
 This module owns every memo of a critical value, and both are exact:
 ``_corrected_quantile`` is memoized on its arguments, and the most recent
@@ -50,6 +59,9 @@ _BLOCK = 2048
 # n_block x n_grid matrix.
 _CHUNK = 64
 _EXTREMA_CACHE_SIZE = 4
+# First word of every path stream's spawn key ("path" in ASCII): panel
+# streams are keyed (sample, rep) from the same seeds (``simgen.sample_rng``).
+_PATH_STREAMS = 0x70617468
 
 # -zeta(1/2) / sqrt(2 pi): the grid maximum of a Brownian motion with n
 # steps sits this many multiples of 1/sqrt(n) below the continuous one.
@@ -218,12 +230,12 @@ class PathExtrema:
 
 
 def _block_extrema(seed, block_index, j, n_block, n_grid):
-    """Extrema of n_block paths from the (seed, block, sample) stream.
+    """Extrema of n_block paths from the (seed, _PATH_STREAMS, block, sample) stream.
 
     Paths are drawn ``_CHUNK`` rows at a time from one generator, which
     yields the same numbers as drawing the whole block at once.
     """
-    ss = np.random.SeedSequence(int(seed), spawn_key=(int(block_index), int(j)))
+    ss = np.random.SeedSequence(int(seed), spawn_key=(_PATH_STREAMS, int(block_index), int(j)))
     rng = np.random.Generator(np.random.Philox(ss))
     root_n = math.sqrt(n_grid)
     t = np.arange(1, n_grid + 1) / n_grid

@@ -7,7 +7,7 @@ import scipy.special
 import scipy.stats
 from scipy.integrate import quad
 
-from covcusum import limits
+from covcusum import limits, simgen
 from covcusum.errors import ConfigurationError
 from covcusum.limits import CritValRequest
 
@@ -79,7 +79,7 @@ class TestSimulatedPaths:
         # one full-matrix draw from the same (seed, block, sample) stream.
         seed, b, j, n_grid = 5, 3, 1, 300
         rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(seed, spawn_key=(b, j))))
+            np.random.SeedSequence(seed, spawn_key=(limits._PATH_STREAMS, b, j))))
         paths = np.cumsum(rng.standard_normal((n_block, n_grid)) / math.sqrt(n_grid), axis=1)
         ref = [np.maximum(paths.max(axis=1), 0.0), np.minimum(paths.min(axis=1), 0.0)]
         paths -= paths[:, -1:] * (np.arange(1, n_grid + 1) / n_grid)
@@ -87,6 +87,17 @@ class TestSimulatedPaths:
         got = limits._block_extrema(seed, b, j, n_block, n_grid)
         for g, r in zip(got, ref):
             assert np.array_equal(g, r)
+
+
+    @pytest.mark.parametrize("seed", [42, 3386250816931739734])
+    def test_paths_never_reuse_panel_streams(self, seed):
+        # A seed shared by a panel and a critical value (the README quick
+        # start, an experiment cell) must not give the paths the draws of
+        # the panel's innovations.
+        extrema = limits.simulate_path_extrema(1, 100, 1, seed, cache=False)
+        walk = np.cumsum(simgen.sample_rng(seed, 0, 0).standard_normal(100) / 10.0)
+        assert (extrema.bm_max[0, 0], extrema.bm_min[0, 0]) != (
+            max(walk.max(), 0.0), min(walk.min(), 0.0))
 
 
 class TestExtremaCache:
