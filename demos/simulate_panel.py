@@ -22,7 +22,7 @@ print("sample sizes:", tuple(len(y) for y in samples))
 v = simgen.gen_dirichlet_projection(d, seed=1)
 print("projection vector:", np.round(v, 4))
 
-for j, (y, sigma) in enumerate(zip(samples, cfg.sigma0)):
+for j, (y, sigma) in enumerate(zip(samples, cfg.sigma0), start=1):
     target = simgen.ar1_bilinear_target(rho, sigma, v, v)
     empirical = np.mean((y @ v) ** 2)
     print(f"sample {j}: v'Cov v target {target:.4f}, empirical {empirical:.4f}")
@@ -33,6 +33,6 @@ broken = simgen.PanelConfig(K=4, d=d, N=(100, 120, 70, 90),
                             sigma1=(1.0, 0.7, 1.2, 1.0), tau=(50, 60, 35, 45),
                             seed=12345)
 y1 = simgen.gen_ar1_panel(broken)[1] @ v
-print("\nafter the change in sample 1:")
+print("\nafter the change in sample 2:")
 print(f"  pre-change mean square  {np.mean(y1[:60] ** 2):.4f}")
 print(f"  post-change mean square {np.mean(y1[60:] ** 2):.4f}")
