@@ -236,7 +236,7 @@ def _cmd_critval(args):
     req = limits.CritValRequest(
         kind=args.kind, K=args.K, level=args.level, n_grid=args.n_grid, n_rep=args.n_rep,
         alpha_weights=_numbers(args.alpha, "--alpha") if args.alpha else None,
-        kappa=_numbers(args.kappa, "--kappa") if args.kappa else None)  # refused: no seed
+        kappa=_numbers(args.kappa, "--kappa") if args.kappa else None)  # refused: draws no seed
     if limits.method_of(req.kind) == "mc":
         req = dataclasses.replace(req, seed=_resolve_seed(args))
     value = limits.critical_value(req, workers=args.workers)

@@ -176,8 +176,8 @@ def _learning_sizes(case, cfg):
 def _panels(panel_cfg, learning_cfg, n, d, seed):
     """Yield the product panel of each replication r < n, generated in batches.
 
-    Replication r's samples are rep 2r of ``panel_cfg`` and its learning
-    blocks, without a ``learning_cfg`` none, rep 2r + 1 of it; each is
+    Replication r's samples are rep 2r of ``panel_cfg``, and its learning
+    blocks, if there is a ``learning_cfg``, rep 2r + 1 of that.  Both are
     projected through r's own Dirichlet pair, learning products in front.
     A batch holds as many replications as fit PANEL_CHUNK_BYTES of
     generator buffer, and is released before the next is generated.

@@ -17,17 +17,12 @@ c_j = alpha_j sqrt(kappa_j), so they are simulated (method "mc").  Their
 K-dimensional grid suprema separate per coordinate, so the simulation
 only needs the per-path extrema of each independent motion/bridge, drawn
 on a pool of ``workers`` threads with the same numbers for any worker
-count.  Path streams are keyed apart from the panel streams of
-``simgen``, so a seed shared by a panel and a critical value never draws
-the same numbers for both.
+count, from streams keyed apart from ``simgen``'s panel streams.
 
-This module owns the critical-value settings.  ``check_settings`` refuses
-a bad kind, level, ``n_grid``, ``n_rep`` or seed wherever a request is
-specified (``CritValRequest``, ``cptest.TestSpec``,
-``harness.ExperimentConfig``), and a ``CritValRequest`` is complete or
-refused when made: the pooled kinds carry both weights, the others none.
-
-This module owns every memo of a critical value, and both are exact:
+This module owns the critical-value settings: ``check_settings`` refuses
+a bad one for ``CritValRequest``, ``cptest.TestSpec`` and
+``harness.ExperimentConfig`` alike, and a request is complete or refused
+when made.  It owns every memo of a critical value, and both are exact:
 ``_corrected_quantile`` is memoized on its arguments, and the most recent
 few extrema simulations on (K, n_grid, n_rep, seed).  The data-dependent
 weights of the v kinds are applied afresh on each request, which is cheap.
