@@ -8,8 +8,8 @@ Input files: a sample CSV has one row per time point and one column per
 coordinate; a vector file has one value per line.  Blank lines are
 skipped, and a first line that is not numeric is a header.  Cells are
 parsed by numpy; a non-numeric or non-finite cell, or a row of another
-width, is refused with ``file:line``.  ``--n-rep`` is read by the ``v``
-kinds only.
+width, is refused with ``file:line``, and a refusal about one sample
+names its ``--data`` file.  ``--n-rep`` is read by the ``v`` kinds only.
 """
 
 from __future__ import annotations
@@ -211,8 +211,13 @@ def _cmd_test(args):
         spec = dataclasses.replace(spec, seed=_resolve_seed(args))
     samples, v, w = load_bundle(args.data, args.v, args.w)
     pair = sumproc.ProjectionPair.from_vectors(v, w)
-    report = cptest.run_test([sumproc.project(y, pair) for y in samples], spec,
-                             learning_length=args.learning_length, workers=args.workers)
+    try:
+        report = cptest.run_test([sumproc.project(y, pair) for y in samples], spec,
+                                 learning_length=args.learning_length, workers=args.workers)
+    except CovCusumError as exc:
+        if exc.sample_index is None:
+            raise
+        raise type(exc)(f"{args.data[exc.sample_index]}: {exc}", exc.sample_index) from exc
 
     print(f"kind            {report.kind}")
     print(f"statistic       {report.statistic:.4g}")

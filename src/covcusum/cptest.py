@@ -10,7 +10,8 @@ the caller through one pair of weight vectors (``sumproc.project``); a
 ``TestSpec`` holds one test's settings.  Long-run variances are always
 estimated: from the tested products, or from ``learning_length`` leading
 products of each series, which are then not tested.  Refusals count
-samples and observations from 1, as ``covcusum test`` numbers its files.
+samples and observations from 1, as ``covcusum test`` numbers its files,
+and a refusal about one sample keeps its 0-based ``sample_index``.
 """
 
 from __future__ import annotations
@@ -78,28 +79,24 @@ class TestReport:
 
 @contextlib.contextmanager
 def _naming_sample(j):
-    """Prefix a refusal raised while handling list index j with ``sample j + 1:``.
-
-    A ``DegenerateLrvError`` keeps the 0-based list index as ``sample_index``.
-    """
+    """Prefix a refusal raised while handling list index j with ``sample j + 1:``."""
     try:
         yield
-    except DegenerateLrvError as exc:
-        raise DegenerateLrvError(f"sample {j + 1}: {exc}", sample_index=j) from exc
-    except ShapeError as exc:
-        raise ShapeError(f"sample {j + 1}: {exc}") from exc
+    except (DegenerateLrvError, ShapeError) as exc:
+        raise type(exc)(f"sample {j + 1}: {exc}", sample_index=j) from exc
 
 
 def _series(panel):
     """The panel's product series as float arrays; each must be 1-d and finite."""
     series = [np.asarray(p, dtype=float) for p in panel]
-    for j, p in enumerate(series, start=1):
+    for j, p in enumerate(series):
         if p.ndim != 1:
-            raise ShapeError(f"sample {j}: expected a 1-d product series, got ndim={p.ndim}")
+            raise ShapeError(f"sample {j + 1}: expected a 1-d product series, "
+                             f"got ndim={p.ndim}", sample_index=j)
         bad = np.flatnonzero(~np.isfinite(p))
         if bad.size:
-            raise CovCusumError(
-                f"sample {j}: non-finite product at observation {bad[0] + 1}")
+            raise CovCusumError(f"sample {j + 1}: non-finite product at observation "
+                                f"{bad[0] + 1}", sample_index=j)
     return series
 
 
@@ -116,11 +113,11 @@ def _split_learning(series, learning_length):
         raise ConfigurationError(
             f"got {lengths.size} learning lengths for {len(series)} samples")
     learning, tested = [], []
-    for j, (p, L) in enumerate(zip(series, np.resize(lengths, len(series))), start=1):
+    for j, (p, L) in enumerate(zip(series, np.resize(lengths, len(series)))):
         if not 0 < L < len(p):
             raise ConfigurationError(
-                f"learning_length {L} invalid for sample {j} of size {len(p)}"
-            )
+                f"learning_length {L} invalid for sample {j + 1} of size {len(p)}",
+                sample_index=j)
         learning.append(p[:L])
         tested.append(p[L:])
     return learning, tested
@@ -149,11 +146,7 @@ def _summarize(panel, learning_length) -> PanelSummary:
     ests = []
     for j, p in enumerate(learning):
         with _naming_sample(j):
-            est = lrv.lrv_estimate(p)
-            # Finite products can still overflow the kernel sum.
-            if not 0.0 < est.alpha_sq < math.inf:
-                raise DegenerateLrvError(f"degenerate long-run variance {est.alpha_sq!r}")
-        ests.append(est)
+            ests.append(lrv.lrv_estimate(p))
     return PanelSummary(sizes=tuple(len(p) for p in tested),
                         sums=[sumproc.kahan_cumsum(p) for p in tested], lrv=ests)
 

@@ -2,7 +2,16 @@
 
 
 class CovCusumError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    A refusal about one sample of a panel keeps that sample's 0-based
+    index in the panel list as ``sample_index`` (else None); its message
+    counts samples from 1.
+    """
+
+    def __init__(self, message, sample_index=None):
+        super().__init__(message)
+        self.sample_index = sample_index
 
 
 class ConfigurationError(CovCusumError, ValueError):
@@ -22,10 +31,4 @@ class DegenerateLrvError(CovCusumError, RuntimeError):
 
     Standardized statistics must not be computed from a degenerate
     estimate, so callers are expected to abort rather than recover.
-    ``sample_index`` is the sample's 0-based index in the panel list; the
-    message counts samples from 1.
     """
-
-    def __init__(self, message, sample_index=None):
-        super().__init__(message)
-        self.sample_index = sample_index

@@ -11,8 +11,8 @@ them off).
 A cell generates its replications in batches through
 ``simgen.gen_ar1_panels``: replication r is rep 2r of the panel config
 and rep 2r + 1 of the learning config, whatever the batch.  A batch holds
-as many replications as fit the generator buffers into
-``PANEL_CHUNK_BYTES``, so memory stays bounded for any replication count.
+as many replications as fit the generator buffers, whose views are the
+samples, into ``PANEL_CHUNK_BYTES``: memory is bounded for any count.
 The tests, specified once per cell, run once per replication on its
 samples projected once through that replication's pair.  Results do not
 depend on the batch size.
@@ -21,6 +21,7 @@ depend on the batch size.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import time
@@ -201,11 +202,11 @@ def _panels(panel_cfg, learning_cfg, n, d, seed):
         del panels, learning, samples, blocks
 
 
-def run_cell(case, d, scenario, change_time, cfg: ExperimentConfig, cell_index):
-    """Run every requested test on one (case, d, scenario, time) cell."""
+def run_cell(case, d, change_time, cfg: ExperimentConfig, cell_index):
+    """Run every test of ``cfg`` on one cell; ``change_time`` is None under ``none``."""
     t0 = time.perf_counter()
     seed = _cell_seed(cfg.seed, cell_index)
-    base_kwargs = _panel_config(case, d, scenario, change_time)
+    base_kwargs = _panel_config(case, d, cfg.scenario, change_time)
     panel_cfg = simgen.PanelConfig(seed=seed, **base_kwargs)
     learning_sizes = learning_cfg = None
     if cfg.learning_length is not None:
@@ -230,8 +231,7 @@ def run_cell(case, d, scenario, change_time, cfg: ExperimentConfig, cell_index):
     for t in cfg.tests:
         p = rejections[t] / n
         results.append(CellResult(
-            case=case, d=d, scenario=scenario,
-            change_time=None if scenario == "none" else change_time,
+            case=case, d=d, scenario=cfg.scenario, change_time=change_time,
             test=t, lrv_mode=MODE_IN_SAMPLE if cfg.learning_length is None else MODE_LEARNING,
             rate=p, stderr=math.sqrt(p * (1 - p) / n),
             n_rep=n, wall_time=wall_time, seed=seed))
@@ -244,19 +244,9 @@ def run_experiment(cfg: ExperimentConfig):
     Each cell draws from its own seed stream, so adding or removing cells
     never perturbs the others.
     """
-    cells = []
-    idx = 0
-    times = cfg.change_times if cfg.scenario != "none" else (None,)
-    for case in cfg.cases:
-        for d in cfg.dims:
-            for ct in times:
-                cells.append((case, d, cfg.scenario, ct, idx))
-                idx += 1
-    results = []
-    for case, d, scenario, ct, i in cells:
-        results.extend(run_cell(case, d, scenario, ct if ct is not None else 0,
-                                cfg, i))
-    return results
+    cells = itertools.product(cfg.cases, cfg.dims, cfg.change_times or (None,))
+    return [row for i, (case, d, ct) in enumerate(cells)
+            for row in run_cell(case, d, ct, cfg, i)]
 
 
 def results_to_csv(results, path):

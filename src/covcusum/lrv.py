@@ -72,13 +72,15 @@ def _ar1_bandwidth(c: np.ndarray, g0: float):
     return qs_bandwidth(clamped, len(c)), abs(rho) > RHO_CLAMP
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below, not warned
 def lrv_estimate(p) -> LrvEstimate:
     """Kernel long-run variance estimate of the product series ``p``.
 
     alpha_sq = Gamma(0) + 2 sum_{h=1}^{m} k(h / S) Gamma(h) with the QS
     kernel, the AR(1) bandwidth S of ``_ar1_bandwidth`` and
-    m = min(ceil(3 S), N - 1); S = 0 gives Gamma(0).  A constant series or
-    a non-positive result raises ``DegenerateLrvError``.
+    m = min(ceil(3 S), N - 1); S = 0 gives Gamma(0).  A constant series, a
+    non-finite Gamma(0) (finite products can overflow it) or a result that
+    is not positive and finite raises ``DegenerateLrvError``.
     """
     p = np.asarray(p, dtype=float)
     n = len(p)
@@ -88,6 +90,8 @@ def lrv_estimate(p) -> LrvEstimate:
     g0 = _autocov(c, 0)
     if g0 <= 0.0:
         raise DegenerateLrvError("constant product series: long-run variance undefined")
+    if not g0 < math.inf:
+        raise DegenerateLrvError(f"non-finite autocovariance {g0!r}")
 
     bw, rho_clamped = _ar1_bandwidth(c, g0)
     if bw <= 0.0:
@@ -98,7 +102,7 @@ def lrv_estimate(p) -> LrvEstimate:
     for h in range(1, m + 1):
         total += 2.0 * qs_weight(h / bw) * _autocov(c, h)
 
-    if total <= 0.0:
-        raise DegenerateLrvError(f"non-positive long-run variance estimate {total!r}")
+    if not 0.0 < total < math.inf:
+        raise DegenerateLrvError(f"non-positive or non-finite long-run variance {total!r}")
     return LrvEstimate(alpha_sq=float(total), bandwidth=bw, n_lags=m,
                        rho_clamped=rho_clamped)

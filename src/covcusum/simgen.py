@@ -15,12 +15,13 @@ of workers, with identical results.
 ``gen_ar1_panels`` generates the panels of many replications in one
 batch.  It runs the plain recursion ``y[t] = rho * y[t-1] + eps[t]`` from
 rest as one Python loop over time, vectorised across (sample,
-replication, coordinate).  The K samples are aligned at their last row;
-the rows before a sample starts hold zeros, which the recursion keeps
-exactly zero, and ``rho`` switches per sample at ``burn_in + tau``.  One
-multiply and one add per step is the exact arithmetic of the order-1
-transposed direct-form filter (``scipy.signal.lfilter``), which earlier
-versions ran per sample and coordinate: panels are bitwise the same.
+replication, coordinate), in one buffer whose views are the samples.
+The K samples are aligned at their last row; the rows before a sample
+starts hold zeros, which the recursion keeps exactly zero, and ``rho``
+switches per sample at ``burn_in + tau``.  One multiply and one add per
+step is the exact arithmetic of the order-1 transposed direct-form filter
+(``scipy.signal.lfilter``), which earlier versions ran per sample and
+coordinate: panels are bitwise the same.
 ``gen_ar1_panel`` is the batch of one replication.
 """
 
@@ -125,13 +126,14 @@ def sample_rng(seed, sample, rep=0):
 def gen_ar1_panels(config: PanelConfig, reps: Sequence[int]) -> list:
     """Generate the panels of replications ``reps`` of ``config`` together.
 
-    A panel is a list of K C-contiguous (N_j, d) sample arrays.  Panel
-    ``i`` is the one ``gen_ar1_panel(config, reps[i])`` returns:
+    A panel is a list of K (N_j, d) sample arrays.  Panel ``i`` holds the
+    values ``gen_ar1_panel(config, reps[i])`` returns:
     each replication draws from its own (seed, sample, rep) streams, so
     how replications are grouped into calls never changes a panel.  One
     step of the recursion updates every (sample, replication, coordinate)
-    at once.  The work buffer holds ``burn_in + max(N)`` rows of K * R * d
-    floats for R = ``len(reps)``; callers bound its size by choosing R.
+    at once in a (T, K, R, d) buffer y, T = ``burn_in + max(N)`` and
+    R = ``len(reps)``; callers bound its size by choosing R.  Sample j of
+    panel i is the view ``y[T - N_j:, j, i]``, not a copy.
     """
     if min(reps, default=0) < 0:
         raise ConfigurationError(f"reps must be non-negative, got {min(reps)}")
@@ -166,11 +168,7 @@ def gen_ar1_panels(config: PanelConfig, reps: Sequence[int]) -> list:
             rho[j] = config.rho1
         np.multiply(rho, y[t - 1], out=step)
         y[t] += step
-
-    # One C-contiguous (R, N_j, d) copy per sample; panel i gets row i of each.
-    tested = [np.ascontiguousarray(y[T - n:, j].transpose(1, 0, 2))
-              for j, n in enumerate(config.N)]
-    return [[s[i] for s in tested] for i in range(R)]
+    return [[y[T - n:, j, i] for j, n in enumerate(config.N)] for i in range(R)]
 
 
 def gen_ar1_panel(config: PanelConfig, rep: int = 0) -> list:

@@ -298,13 +298,36 @@ class TestTestCommand:
         assert "seed:" not in captured.out
         assert message in captured.err
 
-    def test_short_sample_refused_naming_it(self, tmp_path, capsys):
+    @pytest.mark.parametrize("rows, flags, rc, message", [
+        (lambda y: y[:3], [], 1, "sample 2: need at least 4 observations, got 3"),
+        (lambda y: np.ones_like(y), [], 1, "sample 2: constant product series"),
+        (lambda y: y[:30], ["--learning-length", "50"], 2,
+         "learning_length 50 invalid for sample 2 of size 30"),
+        pytest.param(lambda y: 1e200 * y, [], 1,
+                     "sample 2: non-finite product at observation 1",
+                     marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")),
+        (lambda y: 1e100 * y, [], 1, "sample 2: non-finite autocovariance inf"),
+    ], ids=["short", "constant", "learning-length", "non-finite-product", "overflow"])
+    def test_sample_refusal_names_its_file(self, tmp_path, capsys, rows, flags, rc, message):
         data, v = self._panel_files(tmp_path)
-        write_lines(Path(data[1]), Path(data[1]).read_text().splitlines()[:3])
-        rc = cli.main(["test", "--data", *data, "--v", v, "--kind", "q-breve",
-                       "--seed", "5"] + FAST)
-        assert rc == 1
-        assert "sample 2: need at least 4 observations, got 3" in capsys.readouterr().err
+        y = np.loadtxt(data[1], delimiter=",")
+        np.savetxt(data[1], rows(y), delimiter=",", fmt="%.17g")
+        assert cli.main(["test", "--data", *data, "--v", v, "--kind", "q-breve",
+                         "--seed", "5", *flags] + FAST) == rc
+        assert f"{data[1]}: {message}" in capsys.readouterr().err
+
+    def test_overflowing_lrv_refused_without_traceback(self, tmp_path):
+        # Finite products around 1e200 overflow the autocovariances.
+        data, v = self._panel_files(tmp_path)
+        np.savetxt(data[1], 1e100 * np.loadtxt(data[1], delimiter=","), delimiter=",",
+                   fmt="%.17g")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-m", "covcusum.cli", "test", "--data", *data,
+                              "--v", v, "--kind", "q-breve", *FAST],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 1
+        assert out.stderr == f"error: {data[1]}: sample 2: non-finite autocovariance inf\n"
 
     def test_all_zero_vector_refused_naming_file(self, tmp_path, capsys):
         data, _ = self._panel_files(tmp_path)

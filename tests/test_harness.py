@@ -138,7 +138,7 @@ class TestRunExperiment:
             or run_tests(panel, specs, **k)))
         cfg = ExperimentConfig(replications=2, cases=("I",), dims=(2,), scenario="none",
                                learning_length=500, seed=103, **FAST)
-        harness.run_cell("I", 2, "none", 0, cfg, 0)
+        harness.run_cell("I", 2, None, cfg, 0)
         learning = (41, 50, 29, 37)
         sizes = [n + m for n, m in zip(harness.CASE_SIZES["I"], learning)]
         assert seen == [([(n,) for n in sizes], learning)] * 2
@@ -158,7 +158,7 @@ class TestRunExperiment:
                             lambda *a, **k: calls.append(1) or project(*a, **k))
         cfg = ExperimentConfig(replications=3, cases=("I",), dims=(2,),
                                scenario="none", seed=106, **FAST)
-        harness.run_cell("I", 2, "none", 0, cfg, 0)
+        harness.run_cell("I", 2, None, cfg, 0)
         assert len(calls) == 4 * 3
 
     @pytest.mark.parametrize("scenario, learning_length", [
@@ -167,6 +167,7 @@ class TestRunExperiment:
         # One replication per batch, a few, or all in one: the same rows.
         cfg = ExperimentConfig(replications=5, cases=("I",), dims=(2,), scenario=scenario,
                                learning_length=learning_length, seed=107, **FAST)
+        (change_time,) = cfg.change_times or (None,)
         calls = []
         generate = harness.simgen.gen_ar1_panels
         monkeypatch.setattr(harness.simgen, "gen_ar1_panels",
@@ -175,7 +176,7 @@ class TestRunExperiment:
         for budget in (1, 150_000, 2 ** 40):
             calls.clear()
             monkeypatch.setattr(harness, "PANEL_CHUNK_BYTES", budget)
-            rows = harness.run_cell("I", 2, scenario, 600, cfg, 0)
+            rows = harness.run_cell("I", 2, change_time, cfg, 0)
             tables[budget] = [{**r.__dict__, "wall_time": None} for r in rows]
             configs = 1 if learning_length is None else 2
             assert sum(calls) == 5 * configs
@@ -187,7 +188,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("learning_length", [None, 500], ids=["in-sample", "learning"])
     def test_batch_released_before_next_is_generated(self, monkeypatch, learning_length):
-        # Weak references to every sample array of a batch and to the copy
+        # Weak references to every sample array of a batch and to the buffer
         # it views: none may be alive when the next batch's generation
         # starts, or a cell would hold two batches at once.
         alive = {}  # batch (its first replication) -> weak references
@@ -207,7 +208,7 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "PANEL_CHUNK_BYTES", 200_000)
         cfg = ExperimentConfig(replications=7, cases=("I",), dims=(3,), tests=("q-breve",),
                                learning_length=learning_length, seed=108)
-        harness.run_cell("I", 3, "none", 0, cfg, 0)
+        harness.run_cell("I", 3, None, cfg, 0)
         assert len(alive) >= 3
 
     def test_cells_independent_of_grid_composition(self):

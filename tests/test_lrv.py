@@ -112,6 +112,12 @@ class TestLrvEstimate:
         with pytest.raises(DegenerateLrvError, match="non-positive"):
             lrv.lrv_estimate(np.tile([1.0, 2.0], 50))
 
+    def test_overflowing_autocovariance_refused(self):
+        # Finite products whose squares overflow: refused, not a ValueError
+        # from the bandwidth or a RuntimeWarning.
+        with pytest.raises(DegenerateLrvError, match="non-finite autocovariance"):
+            lrv.lrv_estimate(np.array([1e200, -1e200, 1e200, -1e200, 3e200]))
+
     def test_scale_equivariance(self):
         rng = np.random.default_rng(3)
         p = rng.standard_normal(2000) ** 2

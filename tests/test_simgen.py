@@ -127,8 +127,17 @@ class TestGenAr1Panels:
             alone = simgen.gen_ar1_panel(cfg, rep)
             assert tuple(map(len, panel)) == tuple(map(len, alone)) == cfg.N
             for y, ref in zip(panel, alone):
-                assert y.flags.c_contiguous and y.shape == (len(ref), cfg.d)
+                assert y.shape == (len(ref), cfg.d)
                 assert np.array_equal(y, ref)
+
+    def test_batch_samples_view_one_buffer(self):
+        # The K samples of every replication are views of the batch's one
+        # generator buffer, not copies of it.
+        cfg = simgen.PanelConfig(**CASE_I)
+        batch = simgen.gen_ar1_panels(cfg, [5, 0, 3])
+        buffer = batch[0][0].base
+        assert buffer.shape == (cfg.burn_in + max(cfg.N), cfg.K, 3, cfg.d)
+        assert all(y.base is buffer for panel in batch for y in panel)
 
     # sha256 of one small panel's bytes per scenario, as the earlier
     # generator (scipy.signal.lfilter per sample and coordinate) made them.
