@@ -10,6 +10,11 @@ skipped, and a first line that is not numeric is a header.  Cells are
 parsed by numpy; a non-numeric or non-finite cell, or a row of another
 width, is refused with ``file:line``, and a refusal about one sample
 names its ``--data`` file.  ``--n-rep`` is read by the ``v`` kinds only.
+
+``test`` streams each ``--data`` file in blocks of ``BLOCK_ROWS`` data
+lines, projecting each block as soon as it is parsed, so a sample costs
+O(BLOCK_ROWS d + N) memory.  ``sumproc.project`` reduces each row on its
+own, so the product series does not depend on the block size.
 """
 
 from __future__ import annotations
@@ -29,6 +34,11 @@ from . import cptest, harness, limits, simgen, sumproc
 from .errors import ConfigurationError, CovCusumError, IngestionError
 
 
+# Data lines parsed and projected at a time: a block of a wide sample
+# stays near a megabyte, and each block costs one ``np.loadtxt`` call.
+BLOCK_ROWS = 64
+
+
 def _data_lines(fh, linenos):
     """Yield the data lines of ``fh``, recording the physical number of each."""
     for lineno, line in enumerate(fh, start=1):
@@ -46,26 +56,43 @@ def _is_numeric(line):
     return True
 
 
-def _load_matrix(path):
-    """Rows of numbers from a CSV file, refusing bad input with ``file:line``."""
+def _row_blocks(path):
+    """Successive (rows, d) blocks of a CSV file, refusing bad input with ``file:line``.
+
+    A block holds ``BLOCK_ROWS`` data lines; the last may hold fewer.
+    """
     linenos = []
+    width = None
     with open(path) as fh:
         lines = _data_lines(fh, linenos)
-        first = next(lines, None)
-        if first is None:
-            raise IngestionError(f"{path}: no data rows")
-        try:
-            values = np.loadtxt(itertools.chain([first], lines), delimiter=",",
-                                ndmin=2, comments=None)
-        except ValueError as exc:
-            # loadtxt parses each line before pulling the next: the last recorded is bad.
-            reason = str(exc).split(" at row")[0]
-            raise IngestionError(f"{path}:{linenos[-1]}: {reason}") from exc
-    bad = ~np.isfinite(values).all(axis=1)
-    if bad.any():
-        raise IngestionError(
-            f"{path}:{linenos[int(np.argmax(bad))]}: non-finite value (nan or inf)")
-    return values
+        # Peek first: loadtxt warns on an empty block.
+        for first in lines:
+            del linenos[:-1]
+            n_cols = first.count(",") + 1  # loadtxt's field count, delimiter "," and no quotes
+            if width is not None and n_cols != width:
+                raise IngestionError(
+                    f"{path}:{linenos[0]}: the number of columns changed from {width} to {n_cols}")
+            try:
+                block = np.loadtxt(
+                    itertools.chain([first], itertools.islice(lines, BLOCK_ROWS - 1)),
+                    delimiter=",", ndmin=2, comments=None)
+            except ValueError as exc:
+                # loadtxt parses each line before pulling the next: the last recorded is bad.
+                reason = str(exc).split(" at row")[0]
+                raise IngestionError(f"{path}:{linenos[-1]}: {reason}") from exc
+            bad = ~np.isfinite(block).all(axis=1)
+            if bad.any():
+                raise IngestionError(
+                    f"{path}:{linenos[int(np.argmax(bad))]}: non-finite value (nan or inf)")
+            width = block.shape[1]
+            yield block
+    if width is None:
+        raise IngestionError(f"{path}: no data rows")
+
+
+def _load_matrix(path):
+    """Rows of numbers from a CSV file, refusing bad input with ``file:line``."""
+    return np.concatenate(list(_row_blocks(path)))
 
 
 def _load_vector(path, expected_d):
@@ -81,17 +108,28 @@ def _load_vector(path, expected_d):
     return values[:, 0]
 
 
-def load_bundle(data_paths, v_path=None, w_path=None):
-    """Load sample CSVs and vector files as ``(samples, v, w)``; see the module docstring."""
-    samples = [_load_matrix(p) for p in data_paths]
-    d = samples[0].shape[1]
-    for path, y in zip(data_paths, samples):
-        if y.shape[1] != d:
+def load_bundle(data_paths, v_path, w_path=None):
+    """Product series of sample CSVs through vector files, as ``(products, pair)``.
+
+    Each file is streamed through ``sumproc.project`` in blocks, so no
+    (N, d) sample is held.  The vectors are read after the first block
+    of the first file, which gives d; see the module docstring.
+    """
+    pair = None
+    products = []
+    for path in data_paths:
+        blocks = _row_blocks(path)
+        first = next(blocks)
+        if pair is None:
+            d = first.shape[1]
+            pair = sumproc.ProjectionPair.from_vectors(
+                _load_vector(v_path, d), _load_vector(w_path, d) if w_path else None)
+        elif first.shape[1] != pair.d:
             raise IngestionError(
-                f"{path}: has {y.shape[1]} columns but first sample has {d}")
-    v = _load_vector(v_path, d) if v_path else None
-    w = _load_vector(w_path, d) if w_path else None
-    return samples, v, w
+                f"{path}: has {first.shape[1]} columns but first sample has {pair.d}")
+        products.append(np.concatenate(
+            [sumproc.project(block, pair) for block in itertools.chain([first], blocks)]))
+    return products, pair
 
 
 # The panel settings ``simulate`` reads from a config file.
@@ -209,11 +247,10 @@ def _cmd_test(args):
                            n_grid=args.n_grid, n_rep=args.n_rep)  # refused settings draw no seed
     if limits.method_of(spec.kind) == "mc":
         spec = dataclasses.replace(spec, seed=_resolve_seed(args))
-    samples, v, w = load_bundle(args.data, args.v, args.w)
-    pair = sumproc.ProjectionPair.from_vectors(v, w)
+    products, _ = load_bundle(args.data, args.v, args.w)
     try:
-        report = cptest.run_test([sumproc.project(y, pair) for y in samples], spec,
-                                 learning_length=args.learning_length, workers=args.workers)
+        report = cptest.run_test(products, spec, learning_length=args.learning_length,
+                                 workers=args.workers)
     except CovCusumError as exc:
         if exc.sample_index is None:
             raise

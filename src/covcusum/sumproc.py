@@ -4,6 +4,8 @@ The monitored scalar per observation is p_i = (v'Y_i)(w'Y_i); its running
 sums S_k reproduce the bilinear form of the unnormalized sample covariance
 partial sums.  No d x d matrix is ever materialized: projecting first costs
 O(N d) instead of O(N d^2) and gives identical values by bilinearity.
+Each row is reduced on its own, so a sample streamed through ``project``
+in row blocks gives the bits of the whole sample projected at once.
 ``unscaled_deviation`` of S = ``kahan_cumsum(project(...))`` gives the
 deviation from a target, or the bridge.
 """
@@ -66,7 +68,14 @@ class ProjectionPair:
 
 
 def project(sample: np.ndarray, pair: ProjectionPair) -> np.ndarray:
-    """Product series p = (Yv) * (Yw) of one observation matrix (rows=time)."""
+    """Product series p = (Yv) * (Yw) of one observation matrix (rows=time).
+
+    Each row's dot products are reduced within that row (``einsum``, not
+    BLAS, whose blocking depends on the whole matrix), so projecting a
+    sample in row blocks and concatenating gives the same bits as
+    projecting it whole.  An overflow is left to ``cptest``, which
+    refuses a non-finite product naming its observation.
+    """
     sample = np.asarray(sample, dtype=float)
     if sample.ndim != 2:
         raise ShapeError(f"sample must be a 2-d matrix, got ndim={sample.ndim}")
@@ -74,7 +83,10 @@ def project(sample: np.ndarray, pair: ProjectionPair) -> np.ndarray:
         raise ShapeError(
             f"sample has {sample.shape[1]} columns but projection vectors have length {pair.d}"
         )
-    return (sample @ pair.v) * (sample @ pair.w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        yv = np.einsum("ij,j->i", sample, pair.v)
+        yw = yv if pair.w is pair.v else np.einsum("ij,j->i", sample, pair.w)
+        return yv * yw
 
 
 def _cumulative_target(target, n):

@@ -5,13 +5,14 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from covcusum import cli, limits, simgen
+from covcusum import cli, cptest, limits, simgen, sumproc
 from covcusum.errors import IngestionError
 
 FAST = ["--n-grid", "500", "--n-rep", "20000"]
@@ -70,11 +71,12 @@ class TestLoaders:
             cli._load_vector(f, expected_d=3)
 
     def test_bundle_column_mismatch(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a, b, v = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "v.txt"
         write_lines(a, ["1,2"])
         write_lines(b, ["1,2,3"])
+        write_lines(v, ["0.5", "0.5"])
         with pytest.raises(IngestionError, match="columns"):
-            cli.load_bundle([a, b])
+            cli.load_bundle([a, b], v)
 
     @pytest.mark.parametrize("text", ["c1,c2\n", "\n  \n\t\n", ""],
                              ids=["header-only", "blank", "empty"])
@@ -100,6 +102,63 @@ class TestLoaders:
         with pytest.raises(IngestionError, match=rf"^.*bad\.csv:{lineno}: "):
             cli._load_matrix(f)
 
+    @pytest.mark.parametrize("bad_row, reason", [
+        ("3", "the number of columns changed from 2 to 1"),
+        ("3,4,5", "the number of columns changed from 2 to 3"),
+        ("3,x", "could not convert string 'x' to float64"),
+        ("3,nan", "non-finite value (nan or inf)"),
+    ], ids=["ragged", "wide", "non-numeric", "nan"])
+    @pytest.mark.parametrize("at", ["last-of-block", "first-of-next"])
+    @pytest.mark.parametrize("via", ["matrix", "bundle"])
+    def test_bad_row_at_block_boundary_names_physical_line(self, tmp_path, bad_row, reason,
+                                                           at, via):
+        n = cli.BLOCK_ROWS
+        rows = ["1,2"] * (2 * n + 5)
+        rows[n - 1 if at == "last-of-block" else n] = bad_row
+        # A header, and a blank line before every tenth data row.
+        lines = ["c1,c2"] + [ln for i, row in enumerate(rows)
+                             for ln in (([""] if i % 10 == 0 else []) + [row])]
+        f, v = tmp_path / "bad.csv", tmp_path / "v.txt"
+        write_lines(f, lines)
+        write_lines(v, ["0.5", "0.5"])
+        lineno = lines.index(bad_row) + 1
+        with pytest.raises(IngestionError) as exc:
+            cli._load_matrix(f) if via == "matrix" else cli.load_bundle([f], v)
+        assert str(exc.value) == f"{f}:{lineno}: {reason}"
+
+    @pytest.mark.parametrize("via", ["matrix", "bundle"])
+    def test_narrower_second_block_names_its_first_line(self, tmp_path, via):
+        n = cli.BLOCK_ROWS
+        f, v = tmp_path / "bad.csv", tmp_path / "v.txt"
+        write_lines(f, ["1,2,3"] * n + ["1,2"] * n)
+        write_lines(v, ["0.5"] * 3)
+        with pytest.raises(IngestionError) as exc:
+            cli._load_matrix(f) if via == "matrix" else cli.load_bundle([f], v)
+        assert str(exc.value) == f"{f}:{n + 1}: the number of columns changed from 3 to 2"
+
+    def test_vectors_read_after_first_block_of_first_file(self, tmp_path):
+        a, b, v = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "v.txt"
+        write_lines(a, ["1,2"])
+        write_lines(b, ["1,x"])
+        write_lines(v, ["0.5"] * 3)
+        with pytest.raises(IngestionError, match=r"v\.txt: projection vector has length 3"):
+            cli.load_bundle([a, b], v)
+
+    def test_bundle_holds_no_sample(self, tmp_path):
+        # A (4000, 250) sample is 8 MB as float64; streaming holds a block at a time.
+        rng = np.random.default_rng(0)
+        f, v = tmp_path / "wide.csv", tmp_path / "v.txt"
+        np.savetxt(f, rng.standard_normal((4000, 250)), delimiter=",", fmt="%.3f")
+        np.savetxt(v, rng.dirichlet(np.ones(250)))
+        tracemalloc.start()
+        try:
+            products, _ = cli.load_bundle([f], v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert products[0].shape == (4000,)
+        assert peak < 4000 * 250 * 8 / 4
+
     def test_two_column_vector_rejected(self, tmp_path):
         f = tmp_path / "v.txt"
         write_lines(f, ["0.5,0.5", "0.5,0.5"])
@@ -115,10 +174,10 @@ class TestLoaders:
         a, v = tmp_path / "a.csv", tmp_path / "v.txt"
         write_lines(a, ["1,2", "3,4"])
         write_lines(v, ["0.5", "0.5"])
-        samples, v_vec, w_vec = cli.load_bundle([a], v)
-        np.testing.assert_array_equal(samples[0], [[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(v_vec, [0.5, 0.5])
-        assert w_vec is None
+        products, pair = cli.load_bundle([a], v)
+        np.testing.assert_array_equal(products[0], [1.5 ** 2, 3.5 ** 2])
+        np.testing.assert_array_equal(pair.v, [0.5, 0.5])
+        assert pair.w is pair.v
 
 
 class TestConfigFile:
@@ -303,9 +362,7 @@ class TestTestCommand:
         (lambda y: np.ones_like(y), [], 1, "sample 2: constant product series"),
         (lambda y: y[:30], ["--learning-length", "50"], 2,
          "learning_length 50 invalid for sample 2 of size 30"),
-        pytest.param(lambda y: 1e200 * y, [], 1,
-                     "sample 2: non-finite product at observation 1",
-                     marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")),
+        (lambda y: 1e200 * y, [], 1, "sample 2: non-finite product at observation 1"),
         (lambda y: 1e100 * y, [], 1, "sample 2: non-finite autocovariance inf"),
     ], ids=["short", "constant", "learning-length", "non-finite-product", "overflow"])
     def test_sample_refusal_names_its_file(self, tmp_path, capsys, rows, flags, rc, message):
@@ -328,6 +385,37 @@ class TestTestCommand:
                              env=env, capture_output=True, text=True, timeout=120)
         assert out.returncode == 1
         assert out.stderr == f"error: {data[1]}: sample 2: non-finite autocovariance inf\n"
+
+    def test_overflowing_product_refused_without_warning(self, tmp_path):
+        data, v = self._panel_files(tmp_path)
+        np.savetxt(data[1], 1e200 * np.loadtxt(data[1], delimiter=","), delimiter=",",
+                   fmt="%.17g")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-m", "covcusum.cli", "test", "--data", *data,
+                              "--v", v, "--kind", "q-breve", *FAST],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 1
+        assert out.stderr == f"error: {data[1]}: sample 2: non-finite product at observation 1\n"
+
+    @pytest.mark.parametrize("learning_length", [None, 20])
+    @pytest.mark.parametrize("kind", limits.KINDS)
+    def test_streamed_report_equals_whole_sample_report(self, tmp_path, kind, learning_length):
+        data, v = self._panel_files(tmp_path, n=150, d=3)
+        bridge = kind in limits.BRIDGE_KINDS
+        out = tmp_path / "report.json"
+        flags = [] if learning_length is None else ["--learning-length", str(learning_length)]
+        flags += [] if bridge else ["--targets", "1,1"]
+        assert cli.main(["test", "--data", *data, "--v", v, "--kind", kind, "--seed", "5",
+                         "--n-grid", "100", "--n-rep", "1000", "--workers", "1",
+                         "--out", str(out), *flags]) == 0
+        pair = sumproc.ProjectionPair.from_vectors(cli._load_vector(v, 3))
+        spec = cptest.TestSpec(kind=kind, targets=None if bridge else [1.0, 1.0],
+                               n_grid=100, n_rep=1000,
+                               seed=5 if limits.method_of(kind) == "mc" else 0)
+        report = cptest.run_test([sumproc.project(cli._load_matrix(p), pair) for p in data],
+                                 spec, learning_length=learning_length)
+        assert out.read_text() == report.to_json(indent=2) + "\n"
 
     def test_all_zero_vector_refused_naming_file(self, tmp_path, capsys):
         data, _ = self._panel_files(tmp_path)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covcusum import sumproc
+from covcusum import simgen, sumproc
 from covcusum.errors import DegenerateLrvError, ShapeError
 from covcusum.sumproc import ProjectionPair
 
@@ -52,6 +52,26 @@ class TestProject:
         np.testing.assert_allclose(scaled, 2.0 * base, rtol=1e-15)
         np.testing.assert_allclose(sumproc.kahan_cumsum(scaled),
                                    2.0 * sumproc.kahan_cumsum(base), rtol=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 10, 2000])
+    @pytest.mark.parametrize("layout", ["contiguous", "generator-view"])
+    def test_row_splits_give_identical_bits(self, d, layout):
+        # A streamed projection (cli.load_bundle) must equal the whole one.
+        rng = np.random.default_rng(d)
+        if layout == "contiguous":
+            y = rng.standard_normal((150, d)) * 10.0 ** rng.uniform(-3, 3, size=d)
+        else:
+            cfg = simgen.PanelConfig(K=2, d=d, N=(90, 150), rho0=(0.3,) * d,
+                                     sigma0=(1.0, 2.0), seed=d)
+            y = simgen.gen_ar1_panels(cfg, [0, 1])[1][1]
+            assert not y.flags.c_contiguous
+        pair = ProjectionPair.from_vectors(rng.standard_normal(d), rng.dirichlet(np.ones(d)))
+        whole = sumproc.project(y, pair)
+        random_cuts = sorted(rng.choice(149, 9, replace=False) + 1)
+        for cuts in ([1], [64, 128], [1, 2, 3, 67], random_cuts):
+            parts = np.split(y, cuts)
+            np.testing.assert_array_equal(
+                np.concatenate([sumproc.project(part, pair) for part in parts]), whole)
 
     def test_partial_sum_consistency(self):
         rng = np.random.default_rng(1)
