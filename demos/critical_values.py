@@ -7,7 +7,8 @@ squared bridge statistic follows the Kolmogorov law squared (95% point
 law K times, with each supremum shifted down by 0.5826 / sqrt(n_grid) to
 match the grid of n_grid points the statistics use, so the anchors print
 slightly below theory.  The pooled statistic weights the samples by the
-data and is simulated.
+data; its value is a Monte Carlo quantile over exact draws of each
+sample's maximum and minimum.
 """
 
 from covcusum import limits
@@ -29,4 +30,4 @@ req = CritValRequest(kind="v-breve", K=4, level=0.95,
                      alpha_weights=(1.0, 1.5, 0.7, 1.0),
                      kappa=(100 / 380, 120 / 380, 70 / 380, 90 / 380),
                      seed=5)
-print(f"  K=4: {limits.critical_value(req):.4f}")
+print(f"  K=4: {limits.critical_value(req):.4f} ({limits.method_of('v-breve')})")

@@ -245,7 +245,7 @@ def _cmd_test(args):
         raise ConfigurationError(f"--learning-length must be >= 1, got {args.learning_length}")
     spec = cptest.TestSpec(kind=args.kind, level=args.level, targets=targets,
                            n_grid=args.n_grid, n_rep=args.n_rep)  # refused settings draw no seed
-    if limits.method_of(spec.kind) == "mc":
+    if limits.method_of(spec.kind) == "exact-mc":
         spec = dataclasses.replace(spec, seed=_resolve_seed(args))
     products, _ = load_bundle(args.data, args.v, args.w)
     try:
@@ -279,14 +279,14 @@ def _cmd_critval(args):
         kind=args.kind, K=args.K, level=args.level, n_grid=args.n_grid, n_rep=args.n_rep,
         alpha_weights=_numbers(args.alpha, "--alpha") if args.alpha else None,
         kappa=_numbers(args.kappa, "--kappa") if args.kappa else None)  # refused: draws no seed
-    if limits.method_of(req.kind) == "mc":
+    if limits.method_of(req.kind) == "exact-mc":
         req = dataclasses.replace(req, seed=_resolve_seed(args))
     value = limits.critical_value(req, workers=args.workers)
     method = limits.method_of(req.kind)
     print(f"{req.kind} K={req.K} level={req.level:.4g}: {value:.4g} ({method})")
     if args.out:
         # n_rep and seed of a "corrected" value did not enter it: empty cells.
-        mc = method == "mc"
+        mc = method == "exact-mc"
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["kind", "K", "level", "value", "n_grid", "n_rep", "seed", "method"])
@@ -341,12 +341,12 @@ def build_parser():
     def common(p):
         seeded(p)
         p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                       help="threads simulating the paths of a v-kind critical value")
+                       help="threads drawing the extrema of a v-kind critical value")
         p.add_argument("--level", type=float, default=0.95)
         p.add_argument("--n-grid", type=int, default=limits.DEFAULT_N_GRID,
                        help="grid points of the supremum the critical value is for")
         p.add_argument("--n-rep", type=int, default=limits.DEFAULT_N_REP,
-                       help="simulated replications (v kinds only)")
+                       help="exact draws of the per-sample extrema (v kinds only)")
 
     p = sub.add_parser("simulate", help="generate a synthetic panel as CSVs")
     seeded(p)

@@ -68,7 +68,7 @@ class TestReport:
     sample_sizes: tuple
     kind: str
     seed: Optional[int]  # None when the critical value used no seed
-    method: str  # how the critical value was obtained: "corrected" or "mc"
+    method: str  # how the critical value was obtained: "corrected" or "exact-mc"
 
     def to_dict(self):
         return asdict(self)
@@ -190,7 +190,7 @@ def _evaluate(summary, spec, workers) -> TestReport:
     return TestReport(statistic=float(stat), critical_value=float(crit),
                       level=spec.level, reject=bool(stat > crit),
                       per_sample=infos, sample_sizes=summary.sizes,
-                      kind=spec.kind, seed=spec.seed if method == "mc" else None,
+                      kind=spec.kind, seed=spec.seed if method == "exact-mc" else None,
                       method=method)
 
 
@@ -203,7 +203,7 @@ def run_tests(panel, specs: Sequence[TestSpec],
     leading products per series (one int, or one per sample) estimate the
     long-run variance and are not tested; None estimates it in-sample.
     Returns one report per spec, equal to what ``run_test`` returns for
-    it.  ``workers`` threads simulate a v kind's critical value; the
+    it.  ``workers`` threads draw a v kind's critical value; the
     reports do not depend on it.
     """
     summary = _summarize(panel, learning_length)

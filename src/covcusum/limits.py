@@ -13,20 +13,28 @@ Finance 7:325), so the law used is that of (sup - beta / sqrt(n_grid))^2.
 These values depend on (kind, K, level, n_grid) only; method "corrected".
 
 The pooled kinds ``v`` and ``v-breve`` weight the samples by the data,
-c_j = alpha_j sqrt(kappa_j), so they are simulated (method "mc").  Their
-K-dimensional grid suprema separate per coordinate, so the simulation
-only needs the per-path extrema of each independent motion/bridge, drawn
-on a pool of ``workers`` threads with the same numbers for any worker
-count, from streams keyed apart from ``simgen``'s panel streams.
+c_j = alpha_j sqrt(kappa_j).  Their grid supremum separates per
+coordinate: it is max(sum_j c_j M+_j, sum_j c_j M-_j), where (M+, M-) is
+the (max, -min) pair of one motion or bridge.  ``draw_extrema`` draws
+those pairs exactly from their joint law (method "exact-mc"): M+ from its
+marginal, M- from its conditional law given M+ through a quantile table
+built on first use and Newton steps on the series.  Each draw is
+shifted by the same beta / sqrt(n_grid), and the critical value is the
+Monte Carlo quantile of the weighted sums.  Draws come from streams keyed
+apart from ``simgen``'s panel streams, on a pool of ``workers`` threads
+with the same numbers for any worker count.  ``simulate_path_extrema``
+still simulates the paths themselves; it is the tests' oracle and no
+critical value uses it.
 
 This module owns the critical-value settings: ``check_settings`` refuses
 a bad one for ``CritValRequest``, ``cptest.TestSpec`` and
 ``harness.ExperimentConfig`` alike, and a request is complete or refused
-when made.  It owns every memo of a critical value, and both are exact:
-``_corrected_quantile`` is memoized on its arguments, and the most recent
-few extrema simulations on (K, n_grid, n_rep, seed).  The data-dependent
-weights of the v kinds are applied afresh on each request, which is cheap.
-Callers ask ``critical_value`` and keep no cache of their own.
+when made.  It owns every memo of a critical value, and all are exact:
+``_corrected_quantile`` is memoized on its arguments, the most recent few
+draw sets on (law, K, n_rep, seed), and the quantile tables on the law.
+The data-dependent weights and the shift of the v kinds are applied
+afresh on each request, which is cheap.  Callers ask ``critical_value``
+and keep no cache of their own.
 """
 
 from __future__ import annotations
@@ -155,7 +163,7 @@ def _corrected_quantile(kind: str, K: int, level: float, n_grid: int,
 
 def method_of(kind: str) -> str:
     """How ``critical_value`` obtains the value for ``kind``."""
-    return "corrected" if kind in CORRECTED_KINDS else "mc"
+    return "corrected" if kind in CORRECTED_KINDS else "exact-mc"
 
 
 def check_settings(kind: str, level: float, n_grid: int, n_rep: int, seed: int) -> None:
@@ -166,7 +174,7 @@ def check_settings(kind: str, level: float, n_grid: int, n_rep: int, seed: int) 
         raise ConfigurationError(f"level must be in (0, 1), got {level}")
     if n_grid < 100:
         raise ConfigurationError("n_grid must be >= 100")
-    if method_of(kind) == "mc" and n_rep < 1000:
+    if method_of(kind) == "exact-mc" and n_rep < 1000:
         raise ConfigurationError("n_rep must be >= 1000")
     if seed < 0:
         raise ConfigurationError(f"seed must be non-negative, got {seed}")
@@ -252,9 +260,17 @@ def _block_extrema(seed, block_index, j, n_block, n_grid):
     return tuple(out)
 
 
-# Insertion-ordered; holds at most _EXTREMA_CACHE_SIZE entries, oldest
-# evicted first.
+# Insertion-ordered; each holds at most _EXTREMA_CACHE_SIZE entries, oldest
+# evicted first (``_remember``).
 _extrema_cache: dict = {}
+_draws_cache: dict = {}
+
+
+def _remember(cache, key, value):
+    cache[key] = value
+    while len(cache) > _EXTREMA_CACHE_SIZE:
+        del cache[next(iter(cache))]
+    return value
 
 
 def _check_workers(workers):
@@ -262,43 +278,46 @@ def _check_workers(workers):
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
 
 
-def simulate_path_extrema(K: int, n_grid: int, n_rep: int, seed: int,
-                          workers: int = 1, cache: bool = True) -> PathExtrema:
-    """Simulate per-path extrema for K independent motions and bridges.
+def _fill_blocks(arrays, workers, block):
+    """Fill (n_rep, K) ``arrays`` in blocks of _BLOCK rows per sample.
 
-    Replications are generated in fixed-size blocks keyed by
-    (seed, block index, sample index), on a pool of at most ``workers``
-    threads, so the result is identical for any worker count.  The latest
-    few results are memoized on (K, n_grid, n_rep, seed).
+    ``block(b, j, n)`` returns one part per array: the n replications of
+    block b of sample j, drawn from their own (seed, block, sample) stream.
+    The tasks run on a pool of at most ``workers`` threads, and the result
+    is identical for any worker count.
     """
-    _check_workers(workers)
-    key = (K, n_grid, n_rep, seed)
-    if cache and key in _extrema_cache:
-        return _extrema_cache[key]
-
-    n_blocks = (n_rep + _BLOCK - 1) // _BLOCK
-    arrays = [np.empty((n_rep, K)) for _ in range(4)]
+    n_rep, K = arrays[0].shape
 
     def fill(b, j):
         lo = b * _BLOCK
         hi = min(lo + _BLOCK, n_rep)
-        parts = _block_extrema(seed, b, j, hi - lo, n_grid)
-        for arr, part in zip(arrays, parts):
+        for arr, part in zip(arrays, block(b, j, hi - lo)):
             arr[lo:hi, j] = part
 
-    tasks = [(b, j) for b in range(n_blocks) for j in range(K)]
+    tasks = [(b, j) for b in range((n_rep + _BLOCK - 1) // _BLOCK) for j in range(K)]
     # Imported on first use, to keep it out of every command's start-up.
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         list(pool.map(lambda t: fill(*t), tasks))
 
+
+def simulate_path_extrema(K: int, n_grid: int, n_rep: int, seed: int,
+                          workers: int = 1, cache: bool = True) -> PathExtrema:
+    """Simulate per-path extrema for K independent motions and bridges.
+
+    Replications are generated by ``_fill_blocks`` on at most ``workers``
+    threads, with the same numbers for any worker count.  The latest few
+    results are memoized on (K, n_grid, n_rep, seed).
+    """
+    _check_workers(workers)
+    key = (K, n_grid, n_rep, seed)
+    if cache and key in _extrema_cache:
+        return _extrema_cache[key]
+    arrays = [np.empty((n_rep, K)) for _ in range(4)]
+    _fill_blocks(arrays, workers, lambda b, j, n: _block_extrema(seed, b, j, n, n_grid))
     out = PathExtrema(*arrays, n_grid=n_grid, seed=seed)
-    if cache:
-        _extrema_cache[key] = out
-        while len(_extrema_cache) > _EXTREMA_CACHE_SIZE:
-            del _extrema_cache[next(iter(_extrema_cache))]
-    return out
+    return _remember(_extrema_cache, key, out) if cache else out
 
 
 def empirical_quantile(draws: np.ndarray, level: float) -> float:
@@ -308,20 +327,210 @@ def empirical_quantile(draws: np.ndarray, level: float) -> float:
     return float(np.partition(draws, k - 1)[k - 1])
 
 
+# ------------------------------------------------ exact draws of the extrema
+#
+# (M+, M-) = (max, -min) of one motion ("bm") or bridge ("bb") on [0, 1].
+# M+ is drawn from its marginal, M- from its conditional law given M+ = a,
+# G(b | a) = d_a F(a, b) / f(a), through a table of its quantile function
+# and Newton steps on the series.
+
+# Steps of the quantile table in sqrt(a) and in logit(u); u is kept within
+# [_U_CLAMP, 1 - _U_CLAMP], and a row at most _A_MAX[law] is read, which
+# M+ exceeds with probability below 1e-10.
+_T_STEP = 0.04
+_W_STEP = 0.5
+_U_CLAMP = 1e-10
+_A_MAX = {"bm": 6.5, "bb": 3.5}
+# How far out the reflections of each law's series reach, in units of x
+# in exp(-2 x^2) (bridge) and exp(-x^2 / 2) (motion): exp(-32) either way.
+_SERIES_REACH = {"bm": 8.0, "bb": 4.0}
+# Exponents are floored here: exp of an argument whose result underflows
+# is 50 times slower than exp(-700) = 1e-304, which is as good as zero.
+_EXP_FLOOR = -700.0
+_SERIES_CHUNK = 512
+_NEWTON_TOL = 3e-4
+
+
+def _conditional_cdf(law: str, a, b):
+    """G(b | a), 1 - G(b | a) and dG/db of M- given M+ = a, for a > 0.
+
+    With s = a + b the range, both laws are sums over reflections m s +- a:
+
+    - Bridge: F(a, b) = sum_k [exp(-2 k^2 s^2) - exp(-2 (k s + a)^2)]
+      (Feller 1951; Kuiper's statistic) and f(a) = 4 h(a), h(x) = x exp(-2 x^2),
+      give G = 1 + sum_{m>=1} [(m+1) h(ms+a) + (m-1) h(ms-a) - 2m h(ms)] / h(a).
+    - Motion: F(a, b) = sum_k [Phi(a - 2ks) - Phi(-b - 2ks) - Phi(-a - 2ks)
+      + Phi(-b - 2a - 2ks)] (two-barrier images; Borodin & Salminen) and
+      f(a) = 2 phi(a) give G = 1 + sum_{m>=1} (-1)^m [(m+1) phi(ms+a)
+      - (m-1) phi(ms-a)] / phi(a).
+
+    The sum is -(1 - G), returned on its own so that the upper tail keeps
+    its relative precision.  Terms run to m s = _SERIES_REACH[law] + 2 s at
+    the least range s of a chunk; the first term left out is of order
+    exp(-32) of the leading one.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    shape = a.shape
+    a, b = a.ravel(), b.ravel()
+    # Chunks of similar range, each summed only as far as its least range needs.
+    order = np.argsort(a + b, kind="stable")
+    rest, dens = np.empty(a.size), np.empty(a.size)
+    for lo in range(0, a.size, _SERIES_CHUNK):
+        idx = order[lo:lo + _SERIES_CHUNK]
+        rest[idx], dens[idx] = _series(law, a[idx], b[idx])
+    return (1.0 + rest).reshape(shape), (-rest).reshape(shape), dens.reshape(shape)
+
+
+def _series(law, a, b):
+    """The sum -(1 - G) and dG/db of ``_conditional_cdf`` at 1-D a and b."""
+    s = a + b
+    m = np.arange(1.0, int(_SERIES_REACH[law] / float(np.min(s))) + 3)
+    n_shift = 3 if law == "bb" else 2
+    shift = np.repeat([1.0, -1.0, 0.0][:n_shift], len(m))
+    m = np.tile(m, n_shift)
+    x = np.multiply.outer(m, s)
+    x += np.multiply.outer(shift, a)  # the reflections m s + shift a
+    e = x * x
+    e -= a * a
+    if law == "bb":
+        coef = np.where(shift == 0.0, -2.0 * m, m + shift)
+        e *= -2.0
+        np.exp(np.maximum(e, _EXP_FLOOR, out=e), out=e)
+        val = x * e
+        x *= val
+        x *= -4.0
+        x += e  # (1 - 4 x^2) exp(-2 x^2)
+        return coef @ val / a, (coef * m) @ x / a
+    coef = (1.0 - 2.0 * (m % 2)) * (m + shift) * shift
+    e *= -0.5
+    np.exp(np.maximum(e, _EXP_FLOOR, out=e), out=e)
+    x *= e
+    return coef @ e, -((coef * m) @ x)
+
+
+def _newton(law, a, y, w, max_steps):
+    """Solve logit G(exp(y) | a) = w for y by Newton steps on log b.
+
+    ``a``, ``y`` and ``w`` broadcast to the shape of the result.  Each
+    entry takes steps until one is below _NEWTON_TOL, which leaves an error
+    of the order of its square, or until ``max_steps``.
+    """
+    shape = np.broadcast_shapes(np.shape(a), np.shape(y), np.shape(w))
+    a, w = (np.broadcast_to(x, shape).ravel() for x in (a, w))
+    y = np.array(np.broadcast_to(y, shape)).ravel()
+    todo = np.arange(y.size)
+    for _ in range(max_steps):
+        b = np.exp(y[todo])
+        G, Gc, g = _conditional_cdf(law, a[todo], b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = (np.log(G) - np.log(Gc) - w[todo]) * G * Gc / (g * b)
+        step = np.clip(np.nan_to_num(step, nan=0.0), -1.0, 1.0)
+        y[todo] -= step
+        todo = todo[np.abs(step) > _NEWTON_TOL]
+        if not todo.size:
+            break
+    return y.reshape(shape)
+
+
+@functools.lru_cache(maxsize=None)
+def _quantile_table(law: str) -> np.ndarray:
+    """log G^{-1}(u | a) at a = ((i + 1/2) _T_STEP)^2 and logit u = w_j.
+
+    Built on first use.  Each row starts from a 64-point geometric grid in
+    b, and ``_newton`` takes it from there.  The table depends on the law
+    only.
+    """
+    n_t = int(math.sqrt(_A_MAX[law]) / _T_STEP) + 3
+    a = ((np.arange(n_t) + 0.5) * _T_STEP)[:, None] ** 2
+    w = _w_nodes()
+    # P(M+ + M- < 0.3) < 1e-20: no quantile in the table lies below it.
+    grid = np.geomspace(np.maximum(0.3 - a[:, 0], 1e-14), 8.0, 64, axis=1)
+    G, Gc, _ = _conditional_cdf(law, a, grid)
+    score = np.log(np.maximum(G, 1e-300)) - np.log(np.maximum(Gc, 1e-300))
+    y = np.stack([np.interp(w, sc, np.log(gr)) for sc, gr in zip(score, grid)])
+    return _newton(law, a, y, w, 12)
+
+
+def _w_nodes():
+    w_max = math.log((1.0 - _U_CLAMP) / _U_CLAMP)
+    n = int(w_max / _W_STEP) + 3
+    return np.arange(-n, n + 1) * _W_STEP
+
+
+def _lagrange_weights(x, n):
+    """Cubic Lagrange weights (4, len(x)) on nodes i-1..i+2 around x, i in [1, n - 3]."""
+    i = np.clip(np.floor(x).astype(np.intp), 1, n - 3)
+    t = x - i
+    return i, np.stack([-t * (t - 1) * (t - 2) / 6, (t + 1) * (t - 1) * (t - 2) / 2,
+                        -(t + 1) * t * (t - 2) / 2, (t + 1) * t * (t - 1) / 6])
+
+
+def _conditional_quantile(law: str, a: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The b with G(b | a) = u: bicubic table lookup, then ``_newton``."""
+    table = _quantile_table(law)
+    n_t, n_w = table.shape
+    u = np.clip(u, _U_CLAMP, 1.0 - _U_CLAMP)
+    w = np.log(u) - np.log1p(-u)
+    i, wa = _lagrange_weights(np.sqrt(np.minimum(a, _A_MAX[law])) / _T_STEP - 0.5, n_t)
+    j, ww = _lagrange_weights(w / _W_STEP + (n_w - 1) / 2, n_w)
+    stencil = (np.arange(4)[:, None] * n_w + np.arange(4))[:, :, None]
+    cells = table.ravel()[(i - 1) * n_w + (j - 1) + stencil]  # (4, 4, len(a))
+    y = (wa * (cells * ww).sum(axis=1)).sum(axis=0)
+    polish = a > 0.0  # the bridge's series divides by a
+    if polish.any():
+        y[polish] = _newton(law, a[polish], y[polish], w[polish], 4)
+    return np.exp(y)
+
+
+def _block_draws(law, seed, block_index, j, n_block):
+    """(M+, M-) of n_block motions or bridges from the (seed, _PATH_STREAMS, block, sample) stream.
+
+    Bridge: P(M+ > a) = exp(-2 a^2), so M+ = sqrt(E / 2) with E standard
+    exponential.  Motion: M+ = |B(1)| in law (reflection), half-normal.
+    """
+    ss = np.random.SeedSequence(int(seed), spawn_key=(_PATH_STREAMS, int(block_index), int(j)))
+    rng = np.random.Generator(np.random.Philox(ss))
+    if law == "bb":
+        a = np.sqrt(0.5 * rng.standard_exponential(n_block))
+    else:
+        a = np.abs(rng.standard_normal(n_block))
+    return a, _conditional_quantile(law, a, rng.random(n_block))
+
+
+def draw_extrema(law: str, K: int, n_rep: int, seed: int, workers: int = 1):
+    """Exact draws of (M+, M-) for K independent motions ("bm") or bridges ("bb").
+
+    Returns two (n_rep, K) arrays, drawn by ``_fill_blocks`` on at most
+    ``workers`` threads with the same numbers for any worker count.  The
+    latest few results are memoized on (law, K, n_rep, seed).
+    """
+    _check_workers(workers)
+    key = (law, K, n_rep, seed)
+    if key in _draws_cache:
+        return _draws_cache[key]
+    arrays = (np.empty((n_rep, K)), np.empty((n_rep, K)))
+    _quantile_table(law)  # built once, before the threads share it
+    _fill_blocks(arrays, workers, lambda b, j, n: _block_draws(law, seed, b, j, n))
+    return _remember(_draws_cache, key, arrays)
+
+
 def critical_value(req: CritValRequest, workers: int = 1) -> float:
     """Critical value of the requested statistic at its level.
 
     The q kinds use ``_corrected_quantile``, which ignores ``req.seed``,
     ``req.n_rep`` and ``workers``; the v kinds are Monte Carlo quantiles
-    of extrema simulated on ``workers`` threads.  A worker count below 1 is
-    a ``ConfigurationError`` for every kind.
+    over ``draw_extrema``, drawn on ``workers`` threads and shifted by
+    beta / sqrt(n_grid).  A worker count below 1 is a
+    ``ConfigurationError`` for every kind.
     """
     _check_workers(workers)
     if method_of(req.kind) == "corrected":
         return _corrected_quantile(req.kind, req.K, req.level, req.n_grid)
-    ext = simulate_path_extrema(req.K, req.n_grid, req.n_rep, req.seed, workers=workers)
-    hi, lo = (ext.bb_max, ext.bb_min) if req.kind in BRIDGE_KINDS else (ext.bm_max, ext.bm_min)
+    law = "bb" if req.kind in BRIDGE_KINDS else "bm"
+    hi, lo = draw_extrema(law, req.K, req.n_rep, req.seed, workers=workers)
+    shift = BGK_BETA / math.sqrt(req.n_grid)
     # The grid supremum of |sum_j c_j B_j(s_j)| with positive weights
     # c_j = alpha_j sqrt(kappa_j) separates per coordinate.
     c = np.asarray(req.alpha_weights) * np.sqrt(req.kappa)
-    return empirical_quantile(np.maximum(hi @ c, -(lo @ c)), req.level)
+    return empirical_quantile(np.maximum(np.maximum(hi - shift, 0.0) @ c,
+                                         np.maximum(lo - shift, 0.0) @ c), req.level)

@@ -293,15 +293,15 @@ class TestTestCommand:
         report = json.loads(out.read_text())
         assert (report["method"], report["seed"]) == ("corrected", None)
 
-    def test_workers_reach_path_simulation(self, tmp_path, monkeypatch):
+    def test_workers_reach_extrema_draws(self, tmp_path, monkeypatch):
         data, v = self._panel_files(tmp_path)
         seen = []
-        simulate = limits.simulate_path_extrema
-        monkeypatch.setattr(limits, "simulate_path_extrema",
-                            lambda *a, **k: seen.append(k["workers"]) or simulate(*a, **k))
+        draw = limits.draw_extrema
+        monkeypatch.setattr(limits, "draw_extrema",
+                            lambda *a, **k: seen.append(k["workers"]) or draw(*a, **k))
         reports = []
         for workers in ("1", "2"):
-            monkeypatch.setattr(limits, "_extrema_cache", {})
+            monkeypatch.setattr(limits, "_draws_cache", {})
             out = tmp_path / f"report-{workers}.json"
             rc = cli.main(["test", "--data", *data, "--v", v, "--kind", "v-breve",
                            "--seed", "5", "--workers", workers, "--out", str(out)] + FAST)
@@ -309,7 +309,7 @@ class TestTestCommand:
             reports.append(out.read_bytes())
         assert seen == [1, 2]
         assert reports[0] == reports[1]
-        assert json.loads(reports[0])["method"] == "mc"
+        assert json.loads(reports[0])["method"] == "exact-mc"
 
     def test_missing_file_exit_code_one(self, tmp_path):
         rc = cli.main(["test", "--data", str(tmp_path / "nope.csv"),
@@ -412,7 +412,7 @@ class TestTestCommand:
         pair = sumproc.ProjectionPair.from_vectors(cli._load_vector(v, 3))
         spec = cptest.TestSpec(kind=kind, targets=None if bridge else [1.0, 1.0],
                                n_grid=100, n_rep=1000,
-                               seed=5 if limits.method_of(kind) == "mc" else 0)
+                               seed=5 if limits.method_of(kind) == "exact-mc" else 0)
         report = cptest.run_test([sumproc.project(cli._load_matrix(p), pair) for p in data],
                                  spec, learning_length=learning_length)
         assert out.read_text() == report.to_json(indent=2) + "\n"
@@ -495,9 +495,9 @@ class TestCritvalCommand:
                        "--alpha", "1.0,2.0", "--kappa", "0.5,0.5", "--seed", "13",
                        "--workers", "1", "--out", str(out)] + FAST)
         assert rc == 0
-        assert "(mc)" in capsys.readouterr().out
+        assert "(exact-mc)" in capsys.readouterr().out
         (row,) = csv.DictReader(out.read_text().splitlines())
-        assert (row["n_rep"], row["seed"], row["method"]) == ("20000", "13", "mc")
+        assert (row["n_rep"], row["seed"], row["method"]) == ("20000", "13", "exact-mc")
 
     def test_missing_weights_exit_code_two(self):
         rc = cli.main(["critval", "--kind", "v", "--K", "2", "--seed", "1"] + FAST)
@@ -511,6 +511,7 @@ class TestCritvalCommand:
             raise AssertionError("an incomplete request must not simulate")
 
         monkeypatch.setattr(limits, "simulate_path_extrema", no_simulation)
+        monkeypatch.setattr(limits, "draw_extrema", no_simulation)
         rc = cli.main(["critval", "--kind", "v-breve", "--K", "3", "--workers", "1",
                        *weights])
         assert rc == 2
@@ -599,14 +600,14 @@ class TestExperimentCommand:
         assert out_csv.read_text().startswith("case,")
         assert json.loads(out_json.read_text())[0]["n_rep"] == 3
 
-    def test_workers_reach_path_simulation(self, tmp_path, monkeypatch):
+    def test_workers_reach_extrema_draws(self, tmp_path, monkeypatch):
         seen = []
-        simulate = limits.simulate_path_extrema
-        monkeypatch.setattr(limits, "simulate_path_extrema",
-                            lambda *a, **k: seen.append(k["workers"]) or simulate(*a, **k))
+        draw = limits.draw_extrema
+        monkeypatch.setattr(limits, "draw_extrema",
+                            lambda *a, **k: seen.append(k["workers"]) or draw(*a, **k))
         tables = []
         for workers in ("1", "2"):
-            monkeypatch.setattr(limits, "_extrema_cache", {})
+            monkeypatch.setattr(limits, "_draws_cache", {})
             out_csv = tmp_path / f"res-{workers}.csv"
             rc = cli.main(["experiment", "--replications", "2", "--cases", "I",
                            "--dims", "2", "--scenario", "none", "--seed", "17",

@@ -263,7 +263,7 @@ class TestCriticalValue:
 
     def test_report_names_method_and_the_seed_it_used(self):
         panel = random_panel(2, 60, 1, seed=15)
-        for kind, method, seed in (("q-breve", "corrected", None), ("v-breve", "mc", 4242)):
+        for kind, method, seed in (("q-breve", "corrected", None), ("v-breve", "exact-mc", 4242)):
             report = cptest.run_test(products(panel, PAIR_1D),
                                      TestSpec(kind=kind, seed=4242, **SMALL))
             assert (report.method, report.seed) == (method, seed)

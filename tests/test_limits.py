@@ -100,20 +100,33 @@ class TestSimulatedPaths:
             max(walk.max(), 0.0), min(walk.min(), 0.0))
 
 
+def _arrays(result):
+    if isinstance(result, tuple):
+        return result
+    return result.bm_max, result.bm_min, result.bb_max, result.bb_min
+
+
 class TestExtremaCache:
-    def test_cache_is_bounded_and_evicted_keys_replay(self):
-        limits._extrema_cache.clear()
-        first = limits.simulate_path_extrema(1, 100, 1000, seed=0)
+    @pytest.mark.parametrize("cache_name,call,first_key", [
+        ("_extrema_cache", lambda seed: limits.simulate_path_extrema(1, 100, 1000, seed=seed),
+         (1, 100, 1000, 0)),
+        ("_draws_cache", lambda seed: limits.draw_extrema("bb", 1, 1000, seed=seed),
+         ("bb", 1, 1000, 0)),
+    ], ids=["paths", "draws"])
+    def test_cache_is_bounded_and_evicted_keys_replay(self, cache_name, call, first_key):
+        cache = getattr(limits, cache_name)
+        cache.clear()
+        first = call(0)
         for seed in range(1, 3 * limits._EXTREMA_CACHE_SIZE):
-            latest = limits.simulate_path_extrema(1, 100, 1000, seed=seed)
-            assert len(limits._extrema_cache) <= limits._EXTREMA_CACHE_SIZE
-        assert (1, 100, 1000, 0) not in limits._extrema_cache
-        assert limits.simulate_path_extrema(1, 100, 1000, seed=seed) is latest
-        again = limits.simulate_path_extrema(1, 100, 1000, seed=0)
+            latest = call(seed)
+            assert len(cache) <= limits._EXTREMA_CACHE_SIZE
+        assert first_key not in cache
+        assert call(seed) is latest
+        again = call(0)
         assert again is not first
-        for name in ("bm_max", "bm_min", "bb_max", "bb_min"):
-            assert np.array_equal(getattr(again, name), getattr(first, name))
-        limits._extrema_cache.clear()
+        for x, y in zip(_arrays(again), _arrays(first)):
+            assert np.array_equal(x, y)
+        cache.clear()
 
 
 class _RecordingPool:
@@ -147,12 +160,17 @@ class TestWorkers:
         # n_rep 3000 is two blocks; with K = 2 that is four tasks.
         for workers in (1, 3, 1000):
             limits.simulate_path_extrema(2, 100, 3000, seed=1, workers=workers, cache=False)
-        assert pool_sizes == [1, 3, 4]
+            limits._draws_cache.clear()
+            limits.draw_extrema("bb", 2, 3000, seed=1, workers=workers)
+        assert pool_sizes == [1, 1, 3, 3, 4, 4]
+        limits._draws_cache.clear()
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_worker_count_below_one_refused_before_any_pool(self, pool_sizes, workers):
         with pytest.raises(ConfigurationError, match="workers"):
             limits.simulate_path_extrema(1, 100, 1000, seed=1, workers=workers, cache=False)
+        with pytest.raises(ConfigurationError, match="workers"):
+            limits.draw_extrema("bm", 1, 1000, seed=1, workers=workers)
         for kind, extra in (("q-breve", {}),
                             ("v-breve", dict(alpha_weights=(1.0,), kappa=(1.0,)))):
             with pytest.raises(ConfigurationError, match="workers"):
@@ -268,6 +286,7 @@ class TestCorrectedLaw:
             raise AssertionError("q kinds must not simulate")
 
         monkeypatch.setattr(limits, "simulate_path_extrema", no_simulation)
+        monkeypatch.setattr(limits, "draw_extrema", no_simulation)
         values = {limits.critical_value(
                       CritValRequest(kind=kind, K=3, level=0.95, n_grid=1000,
                                      n_rep=n_rep, seed=seed), workers=workers)
@@ -296,7 +315,127 @@ class TestCorrectedLaw:
 
     def test_method_names(self):
         assert [limits.method_of(k) for k in limits.KINDS] == [
-            "corrected", "mc", "corrected", "mc"]
+            "corrected", "exact-mc", "corrected", "exact-mc"]
+
+
+def _joint_cdf(law, a, b):
+    """P(M+ < a, M- < b) of one bridge ("bb") or motion ("bm") on [0, 1].
+
+    Written from the closed forms, independently of ``limits``: Feller's
+    series for the bridge, the two-barrier image sum for the motion.
+    """
+    s = a + b
+    k = np.arange(-60, 61)
+    if law == "bb":
+        return np.sum(np.exp(-2.0 * (k * s) ** 2) - np.exp(-2.0 * (k * s + a) ** 2))
+    phi = scipy.stats.norm.cdf
+    return np.sum(phi(a - 2 * k * s) - phi(-b - 2 * k * s)
+                  - phi(-a - 2 * k * s) + phi(-b - 2 * a - 2 * k * s))
+
+
+def _marginal_density(law, a):
+    return 4.0 * a * math.exp(-2.0 * a * a) if law == "bb" else 2.0 * scipy.stats.norm.pdf(a)
+
+
+def _max_at(law, u1):
+    """M+ at marginal probability u1: inverse of 1 - exp(-2 a^2), or of the half-normal."""
+    if law == "bb":
+        return math.sqrt(-math.log1p(-u1) / 2.0)
+    return float(scipy.stats.norm.ppf((1.0 + u1) / 2.0))
+
+
+def _bisect_conditional(law, a, u, steps=60):
+    """b with G(b | a) = u, by bisection on ``limits._conditional_cdf``."""
+    lo, hi = np.zeros_like(a), np.full_like(a, 10.0)
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        G, Gc, _ = limits._conditional_cdf(law, a, mid)
+        below = np.where(u < 0.5, G < u, Gc > 1.0 - u)
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _kuiper_cdf(x):
+    k = np.arange(1, 200)[:, None]
+    x = np.atleast_1d(x)[None, :]
+    return 1.0 - 2.0 * np.sum((4.0 * k * k * x * x - 1.0) * np.exp(-2.0 * k * k * x * x), axis=0)
+
+
+class TestExactDraws:
+    @pytest.mark.parametrize("law", ["bm", "bb"])
+    def test_conditional_cdf_is_the_derivative_of_the_joint_law(self, law):
+        h = 1e-5
+        for a in (0.05, 0.3, 1.0, 2.5):
+            for b in (0.1, 0.4, 1.0, 2.0):
+                G, Gc, g = limits._conditional_cdf(law, a, b)
+                d_a = (_joint_cdf(law, a + h, b) - _joint_cdf(law, a - h, b)) / (2 * h)
+                assert G == pytest.approx(d_a / _marginal_density(law, a), abs=1e-6)
+                assert G + Gc == pytest.approx(1.0, abs=1e-12)
+                up, down = (limits._conditional_cdf(law, a, b + e)[0] for e in (h, -h))
+                assert g == pytest.approx((up - down) / (2 * h), rel=1e-5, abs=1e-7)
+
+    @pytest.mark.parametrize("law", ["bm", "bb"])
+    def test_table_inverse_matches_bisection_on_the_series(self, law):
+        # Both tails of M- and of M+, and an M+ below 0.02.
+        a = np.array([_max_at(law, u1) for u1 in (1e-4, 0.02, 0.5, 0.98, 1 - 1e-6)])
+        u = np.array([1e-9, 1e-6, 0.01, 0.5, 0.99, 1 - 1e-6, 1 - 1e-9])
+        a, u = (x.ravel() for x in np.meshgrid(a, u))
+        assert a.min() < 0.02
+        np.testing.assert_allclose(limits._conditional_quantile(law, a, u),
+                                   _bisect_conditional(law, a, u), rtol=0, atol=1e-6)
+
+    def test_bridge_range_follows_kuiper_law(self):
+        # M+ + M- of a bridge has Kuiper's law.  1.95 / sqrt(n) is the 0.1%
+        # critical value of the Kolmogorov-Smirnov distance.
+        hi, lo = limits.draw_extrema("bb", 1, 40_000, seed=11)
+        ks = scipy.stats.kstest((hi + lo)[:, 0], _kuiper_cdf).statistic
+        assert ks <= 1.95 / math.sqrt(40_000)
+
+    @pytest.mark.parametrize("kind", limits.POOLED_KINDS)
+    def test_k1_inside_order_statistic_interval_of_the_shifted_series(self, kind):
+        # For one sample the statistic is max(sup|B| - beta / sqrt(n_grid), 0),
+        # and the critical value is its k-th order statistic of n draws, at
+        # which the law's cdf is Beta(k, n + 1 - k) distributed.
+        req = CritValRequest(kind=kind, K=1, level=0.95, alpha_weights=(1.0,),
+                             kappa=(1.0,), seed=31)
+        cdf = limits.sup_abs_bb_cdf if kind == "v-breve" else limits.sup_abs_bm_cdf
+        shift = limits.BGK_BETA / math.sqrt(req.n_grid)
+        p = cdf((limits.critical_value(req) + shift) ** 2)
+        n = req.n_rep
+        k = math.ceil(0.95 * n)
+        assert (scipy.stats.beta.ppf(0.005, k, n + 1 - k) <= p
+                <= scipy.stats.beta.ppf(0.995, k, n + 1 - k))
+
+    @pytest.mark.parametrize("kind", limits.POOLED_KINDS)
+    @pytest.mark.parametrize("K", [1, 4])
+    def test_inside_path_mc_order_statistic_interval(self, oracle_extrema, kind, K):
+        # 99% distribution-free interval for the 0.95 quantile of the
+        # n_grid = 1000 pooled supremum from 1e5 simulated paths (seed 99),
+        # weighted as in a Case IV cell.  The exact draws use another seed,
+        # and 4e5 of them, so that their own error is half the oracle's.
+        alpha = np.array([1.0, 1.5, 0.7, 1.0][:K])
+        sizes = np.array([1000, 900, 1100, 950][:K])
+        kappa = sizes / sizes.sum()
+        law = "bb" if kind == "v-breve" else "bm"
+        c = alpha * np.sqrt(kappa)
+        hi = getattr(oracle_extrema, f"{law}_max")[:, :K]
+        lo = getattr(oracle_extrema, f"{law}_min")[:, :K]
+        draws = np.sort(np.maximum(hi @ c, -(lo @ c)))
+        n = len(draws)
+        first = int(scipy.stats.binom.ppf(0.005, n, 0.95))
+        last = int(scipy.stats.binom.ppf(0.995, n, 0.95)) + 1
+        value = limits.critical_value(CritValRequest(
+            kind=kind, K=K, level=0.95, alpha_weights=tuple(alpha), kappa=tuple(kappa),
+            n_grid=1000, n_rep=400_000, seed=2026))
+        assert draws[first - 1] <= value <= draws[last - 1]
+
+    @pytest.mark.parametrize("seed", [42, 3386250816931739734])
+    def test_draws_never_reuse_panel_streams(self, seed):
+        # A motion's M+ is |z| for the first normal z of its stream; a panel's
+        # first innovation is the first normal of the (seed, 0, 0) stream.
+        hi, _ = limits.draw_extrema("bm", 1, 1, seed)
+        assert hi[0, 0] != abs(simgen.sample_rng(seed, 0, 0).standard_normal())
+        limits._draws_cache.clear()
 
 
 class TestCriticalValue:
@@ -336,7 +475,7 @@ class TestCriticalValue:
                              seed=17, **SMALL)
         vals = set()
         for workers in (1, 2, 8):
-            limits._extrema_cache.clear()
+            limits._draws_cache.clear()
             vals.add(limits.critical_value(req, workers=workers))
         assert len(vals) == 1
 
