@@ -21,7 +21,6 @@ from .lrv import LrvEstimate, autocov_hat, lrv_estimate, qs_weight
 from .limits import (
     CritValRequest,
     critical_value,
-    simulate_path_extrema,
     sup_abs_bb_cdf,
     sup_abs_bm_cdf,
 )

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import limits, lrv, sumproc
-from .errors import ConfigurationError, CovCusumError, DegenerateLrvError, ShapeError
+from .errors import ConfigurationError, CovCusumError, ShapeError
 
 
 @dataclass
@@ -82,7 +82,7 @@ def _naming_sample(j):
     """Prefix a refusal raised while handling list index j with ``sample j + 1:``."""
     try:
         yield
-    except (DegenerateLrvError, ShapeError) as exc:
+    except CovCusumError as exc:
         raise type(exc)(f"sample {j + 1}: {exc}", sample_index=j) from exc
 
 
@@ -90,13 +90,12 @@ def _series(panel):
     """The panel's product series as float arrays; each must be 1-d and finite."""
     series = [np.asarray(p, dtype=float) for p in panel]
     for j, p in enumerate(series):
-        if p.ndim != 1:
-            raise ShapeError(f"sample {j + 1}: expected a 1-d product series, "
-                             f"got ndim={p.ndim}", sample_index=j)
-        bad = np.flatnonzero(~np.isfinite(p))
-        if bad.size:
-            raise CovCusumError(f"sample {j + 1}: non-finite product at observation "
-                                f"{bad[0] + 1}", sample_index=j)
+        with _naming_sample(j):
+            if p.ndim != 1:
+                raise ShapeError(f"expected a 1-d product series, got ndim={p.ndim}")
+            bad = np.flatnonzero(~np.isfinite(p))
+            if bad.size:
+                raise CovCusumError(f"non-finite product at observation {bad[0] + 1}")
     return series
 
 

@@ -67,14 +67,15 @@ def sampling_rates(sizes: Sequence[int]) -> tuple:
     return tuple(n / HORIZON for n in sizes)
 
 
-def change_time_mapping(time_instant: float, rates: Sequence[float],
-                        sizes: Sequence[int]) -> tuple:
+def change_time_mapping(time_instant: float, sizes: Sequence[int]) -> tuple:
     """Map a physical change time to per-sample indices floor(omega_j t).
 
-    Clamped into [1, N_j]; a time at the end of the horizon maps to N_j.
+    omega_j = N_j / HORIZON (``sampling_rates``), so a sample larger than
+    the horizon is refused.  Clamped into [1, N_j]; a time at the end of
+    the horizon maps to N_j.
     """
     taus = []
-    for omega, n in zip(rates, sizes):
+    for omega, n in zip(sampling_rates(sizes), sizes):
         if not 0.0 < omega <= 1.0:
             raise ConfigurationError(f"sampling rate {omega} outside (0, 1]")
         tau = int(math.floor(omega * time_instant))
@@ -157,14 +158,11 @@ def _cell_seed(master_seed, cell_index):
 
 def _panel_config(case, d, scenario, change_time):
     sizes = CASE_SIZES[case]
-    rates = sampling_rates(sizes)
     kwargs = dict(K=4, d=d, N=sizes, rho0=tuple(rho_pre(d)), sigma0=SIGMA_PRE)
     if scenario == "sigma-change":
-        kwargs.update(sigma1=SIGMA_POST,
-                      tau=change_time_mapping(change_time, rates, sizes))
+        kwargs.update(sigma1=SIGMA_POST, tau=change_time_mapping(change_time, sizes))
     elif scenario == "coefficient-change":
-        kwargs.update(rho1=tuple(rho_post(d)),
-                      tau=change_time_mapping(change_time, rates, sizes))
+        kwargs.update(rho1=tuple(rho_post(d)), tau=change_time_mapping(change_time, sizes))
     return kwargs
 
 

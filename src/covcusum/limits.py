@@ -23,8 +23,9 @@ shifted by the same beta / sqrt(n_grid), and the critical value is the
 Monte Carlo quantile of the weighted sums.  Draws come from streams keyed
 apart from ``simgen``'s panel streams, on a pool of ``workers`` threads
 with the same numbers for any worker count.  ``simulate_path_extrema``
-still simulates the paths themselves; it is the tests' oracle and no
-critical value uses it.
+still simulates the paths themselves and returns the same (M+, M-) pair
+of each law; it is the tests' oracle, the package does not export it,
+and no critical value uses it.
 
 This module owns the critical-value settings: ``check_settings`` refuses
 a bad one for ``CritValRequest``, ``cptest.TestSpec`` and
@@ -32,9 +33,10 @@ a bad one for ``CritValRequest``, ``cptest.TestSpec`` and
 when made.  It owns every memo of a critical value, and all are exact:
 ``_corrected_quantile`` is memoized on its arguments, the most recent few
 draw sets on (law, K, n_rep, seed), and the quantile tables on the law.
-The data-dependent weights and the shift of the v kinds are applied
-afresh on each request, which is cheap.  Callers ask ``critical_value``
-and keep no cache of their own.
+Memoized arrays are read-only, so that no caller can change a later
+result by writing into one.  The data-dependent weights and the shift
+of the v kinds are applied afresh on each request, which is cheap.
+Callers ask ``critical_value`` and keep no cache of their own.
 """
 
 from __future__ import annotations
@@ -215,25 +217,9 @@ class CritValRequest:
             object.__setattr__(self, "kappa", kp)
 
 
-@dataclass
-class PathExtrema:
-    """Per-replication, per-sample extrema of B and its bridge on [0, 1].
-
-    Arrays have shape (n_rep, K).  These are sufficient for every grid
-    supremum used here: sup |B| = max(bm_max, -bm_min) and the pooled
-    supremum of a positively weighted sum separates per coordinate.
-    """
-
-    bm_max: np.ndarray
-    bm_min: np.ndarray
-    bb_max: np.ndarray
-    bb_min: np.ndarray
-    n_grid: int
-    seed: int
-
-
 def _block_extrema(seed, block_index, j, n_block, n_grid):
-    """Extrema of n_block paths from the (seed, _PATH_STREAMS, block, sample) stream.
+    """(M+, M-) of n_block motions, then of their bridges, from the
+    (seed, _PATH_STREAMS, block, sample) stream, each on a grid of n_grid steps.
 
     Paths are drawn ``_CHUNK`` rows at a time from one generator, which
     yields the same numbers as drawing the whole block at once.
@@ -252,11 +238,11 @@ def _block_extrema(seed, block_index, j, n_block, n_grid):
         p /= root_n
         np.cumsum(p, axis=1, out=p)
         np.maximum(p.max(axis=1), 0.0, out=out[0, lo:hi])
-        np.minimum(p.min(axis=1), 0.0, out=out[1, lo:hi])
+        np.maximum(-p.min(axis=1), 0.0, out=out[1, lo:hi])
         np.multiply(p[:, -1:], t, out=dr)
         p -= dr
         np.maximum(p.max(axis=1), 0.0, out=out[2, lo:hi])
-        np.minimum(p.min(axis=1), 0.0, out=out[3, lo:hi])
+        np.maximum(-p.min(axis=1), 0.0, out=out[3, lo:hi])
     return tuple(out)
 
 
@@ -284,7 +270,7 @@ def _fill_blocks(arrays, workers, block):
     ``block(b, j, n)`` returns one part per array: the n replications of
     block b of sample j, drawn from their own (seed, block, sample) stream.
     The tasks run on a pool of at most ``workers`` threads, and the result
-    is identical for any worker count.
+    is identical for any worker count.  The filled arrays are read-only.
     """
     n_rep, K = arrays[0].shape
 
@@ -300,15 +286,19 @@ def _fill_blocks(arrays, workers, block):
 
     with ThreadPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         list(pool.map(lambda t: fill(*t), tasks))
+    for arr in arrays:
+        arr.flags.writeable = False
 
 
 def simulate_path_extrema(K: int, n_grid: int, n_rep: int, seed: int,
-                          workers: int = 1, cache: bool = True) -> PathExtrema:
-    """Simulate per-path extrema for K independent motions and bridges.
+                          workers: int = 1, cache: bool = True) -> dict:
+    """Simulate (M+, M-) of K independent motions and bridges on n_grid steps.
 
-    Replications are generated by ``_fill_blocks`` on at most ``workers``
-    threads, with the same numbers for any worker count.  The latest few
-    results are memoized on (K, n_grid, n_rep, seed).
+    Returns {"bm": (M+, M-), "bb": (M+, M-)}, read-only (n_rep, K) arrays
+    as ``draw_extrema`` returns them for one law.  Replications are
+    generated by ``_fill_blocks`` on at most ``workers`` threads, with the
+    same numbers for any worker count.  The latest few results are
+    memoized on (K, n_grid, n_rep, seed).
     """
     _check_workers(workers)
     key = (K, n_grid, n_rep, seed)
@@ -316,7 +306,7 @@ def simulate_path_extrema(K: int, n_grid: int, n_rep: int, seed: int,
         return _extrema_cache[key]
     arrays = [np.empty((n_rep, K)) for _ in range(4)]
     _fill_blocks(arrays, workers, lambda b, j, n: _block_extrema(seed, b, j, n, n_grid))
-    out = PathExtrema(*arrays, n_grid=n_grid, seed=seed)
+    out = {"bm": tuple(arrays[:2]), "bb": tuple(arrays[2:])}
     return _remember(_extrema_cache, key, out) if cache else out
 
 
@@ -448,7 +438,9 @@ def _quantile_table(law: str) -> np.ndarray:
     G, Gc, _ = _conditional_cdf(law, a, grid)
     score = np.log(np.maximum(G, 1e-300)) - np.log(np.maximum(Gc, 1e-300))
     y = np.stack([np.interp(w, sc, np.log(gr)) for sc, gr in zip(score, grid)])
-    return _newton(law, a, y, w, 12)
+    table = _newton(law, a, y, w, 12)
+    table.flags.writeable = False
+    return table
 
 
 def _w_nodes():
@@ -500,9 +492,9 @@ def _block_draws(law, seed, block_index, j, n_block):
 def draw_extrema(law: str, K: int, n_rep: int, seed: int, workers: int = 1):
     """Exact draws of (M+, M-) for K independent motions ("bm") or bridges ("bb").
 
-    Returns two (n_rep, K) arrays, drawn by ``_fill_blocks`` on at most
-    ``workers`` threads with the same numbers for any worker count.  The
-    latest few results are memoized on (law, K, n_rep, seed).
+    Returns two read-only (n_rep, K) arrays, drawn by ``_fill_blocks`` on
+    at most ``workers`` threads with the same numbers for any worker count.
+    The latest few results are memoized on (law, K, n_rep, seed).
     """
     _check_workers(workers)
     key = (law, K, n_rep, seed)

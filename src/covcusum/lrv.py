@@ -57,8 +57,6 @@ def qs_weight(x: float) -> float:
 
 def qs_bandwidth(rho: float, n: int) -> float:
     """Bandwidth rule 1.3221 (a(2) n)^{1/5} with AR(1) plug-in a(2)."""
-    if rho == 0.0:
-        return 0.0
     a2 = 4.0 * rho ** 2 / (1.0 - rho) ** 4
     return QS_BANDWIDTH_CONST * (a2 * n) ** 0.2
 
@@ -94,9 +92,6 @@ def lrv_estimate(p) -> LrvEstimate:
         raise DegenerateLrvError(f"non-finite autocovariance {g0!r}")
 
     bw, rho_clamped = _ar1_bandwidth(c, g0)
-    if bw <= 0.0:
-        return LrvEstimate(alpha_sq=g0, bandwidth=0.0, n_lags=0, rho_clamped=rho_clamped)
-
     m = min(math.ceil(TRUNCATION_BANDWIDTHS * bw), n - 1)
     total = g0
     for h in range(1, m + 1):

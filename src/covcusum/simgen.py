@@ -20,8 +20,7 @@ The K samples are aligned at their last row; the rows before a sample
 starts hold zeros, which the recursion keeps exactly zero, and ``rho``
 switches per sample at ``burn_in + tau``.  One multiply and one add per
 step is the exact arithmetic of the order-1 transposed direct-form filter
-(``scipy.signal.lfilter``), which earlier versions ran per sample and
-coordinate: panels are bitwise the same.
+(``scipy.signal.lfilter``).
 ``gen_ar1_panel`` is the batch of one replication.
 """
 
@@ -189,8 +188,6 @@ def gen_dirichlet_projection(d: int, seed: int) -> np.ndarray:
     """
     if d < 1:
         raise ConfigurationError("d must be >= 1")
-    if d == 1:
-        return np.ones(1)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
     theta = rng.uniform(size=d)
     g = rng.gamma(shape=theta)

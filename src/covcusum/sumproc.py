@@ -26,8 +26,7 @@ def kahan_cumsum(values: np.ndarray) -> np.ndarray:
     The sequential running sums of ``np.cumsum`` are corrected by the
     running sum of each step's exact rounding error (TwoSum), so every
     prefix is as accurate as if summed in twice the working precision
-    (Ogita, Rump & Oishi 2005, Sum2).  Deterministic: no result depends on
-    how per-sample work is scheduled across threads.
+    (Ogita, Rump & Oishi 2005, Sum2).
     """
     values = np.asarray(values, dtype=float)
     out = np.zeros(len(values) + 1)

@@ -32,22 +32,19 @@ class TestDesignConstants:
 
 class TestChangeTimeMapping:
     def test_case_one_midpoint(self):
-        sizes = harness.CASE_SIZES["I"]
-        rates = harness.sampling_rates(sizes)
-        assert harness.change_time_mapping(600, rates, sizes) == (50, 60, 35, 45)
+        assert harness.change_time_mapping(600, harness.CASE_SIZES["I"]) == (50, 60, 35, 45)
 
     def test_end_of_horizon_maps_to_full_size(self):
         sizes = harness.CASE_SIZES["II"]
-        rates = harness.sampling_rates(sizes)
-        assert harness.change_time_mapping(1200, rates, sizes) == sizes
+        assert harness.change_time_mapping(1200, sizes) == sizes
 
     def test_early_time_clamped_to_one(self):
-        sizes = (100,)
-        assert harness.change_time_mapping(0.5, (100 / 1200,), sizes) == (1,)
+        assert harness.change_time_mapping(0.5, (100,)) == (1,)
 
     def test_bad_rate_rejected(self):
-        with pytest.raises(ConfigurationError):
-            harness.change_time_mapping(600, (1.5,), (1800,))
+        # A sample of 1800 over the 1200-instant horizon has rate 1.5.
+        with pytest.raises(ConfigurationError, match="sampling rate 1.5 outside"):
+            harness.change_time_mapping(600, (1800,))
 
 
 class TestExperimentConfig:

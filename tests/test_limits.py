@@ -68,8 +68,9 @@ class TestSimulatedPaths:
         # the series cdf is the independent oracle.
         # Fine grid: the supremum of a discretized path is biased low by
         # O(1/sqrt(n_grid)), which would dominate at coarse resolution.
-        extrema = limits.simulate_path_extrema(1, 20_000, 20_000, seed=4, cache=False)
-        sup_bb = np.maximum(extrema.bb_max[:, 0], -extrema.bb_min[:, 0])
+        hi, lo = limits.simulate_path_extrema(1, 20_000, 20_000, seed=4, workers=2,
+                                              cache=False)["bb"]
+        sup_bb = np.maximum(hi[:, 0], lo[:, 0])
         expected, _ = quad(lambda x: 1.0 - limits.sup_abs_bb_cdf(x ** 2), 1e-9, 10.0)
         assert sup_bb.mean() == pytest.approx(expected, abs=0.01)
 
@@ -81,9 +82,9 @@ class TestSimulatedPaths:
         rng = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(seed, spawn_key=(limits._PATH_STREAMS, b, j))))
         paths = np.cumsum(rng.standard_normal((n_block, n_grid)) / math.sqrt(n_grid), axis=1)
-        ref = [np.maximum(paths.max(axis=1), 0.0), np.minimum(paths.min(axis=1), 0.0)]
+        ref = [np.maximum(paths.max(axis=1), 0.0), np.maximum(-paths.min(axis=1), 0.0)]
         paths -= paths[:, -1:] * (np.arange(1, n_grid + 1) / n_grid)
-        ref += [np.maximum(paths.max(axis=1), 0.0), np.minimum(paths.min(axis=1), 0.0)]
+        ref += [np.maximum(paths.max(axis=1), 0.0), np.maximum(-paths.min(axis=1), 0.0)]
         got = limits._block_extrema(seed, b, j, n_block, n_grid)
         for g, r in zip(got, ref):
             assert np.array_equal(g, r)
@@ -94,21 +95,15 @@ class TestSimulatedPaths:
         # A seed shared by a panel and a critical value (the README quick
         # start, an experiment cell) must not give the paths the draws of
         # the panel's innovations.
-        extrema = limits.simulate_path_extrema(1, 100, 1, seed, cache=False)
+        hi, lo = limits.simulate_path_extrema(1, 100, 1, seed, cache=False)["bm"]
         walk = np.cumsum(simgen.sample_rng(seed, 0, 0).standard_normal(100) / 10.0)
-        assert (extrema.bm_max[0, 0], extrema.bm_min[0, 0]) != (
-            max(walk.max(), 0.0), min(walk.min(), 0.0))
-
-
-def _arrays(result):
-    if isinstance(result, tuple):
-        return result
-    return result.bm_max, result.bm_min, result.bb_max, result.bb_min
+        assert (hi[0, 0], lo[0, 0]) != (max(walk.max(), 0.0), max(-walk.min(), 0.0))
 
 
 class TestExtremaCache:
     @pytest.mark.parametrize("cache_name,call,first_key", [
-        ("_extrema_cache", lambda seed: limits.simulate_path_extrema(1, 100, 1000, seed=seed),
+        ("_extrema_cache",
+         lambda seed: limits.simulate_path_extrema(1, 100, 1000, seed=seed)["bm"],
          (1, 100, 1000, 0)),
         ("_draws_cache", lambda seed: limits.draw_extrema("bb", 1, 1000, seed=seed),
          ("bb", 1, 1000, 0)),
@@ -124,9 +119,26 @@ class TestExtremaCache:
         assert call(seed) is latest
         again = call(0)
         assert again is not first
-        for x, y in zip(_arrays(again), _arrays(first)):
-            assert np.array_equal(x, y)
+        assert np.array_equal(again, first)
         cache.clear()
+
+    def test_memoized_arrays_are_read_only(self):
+        # Writing into a returned array would change every later critical
+        # value that reads the memo; it is refused instead.
+        req = CritValRequest(kind="v-breve", K=2, level=0.95, alpha_weights=(1.0, 1.5),
+                             kappa=(0.5, 0.5), seed=23, n_grid=500, n_rep=2000)
+        limits._draws_cache.clear()
+        before = limits.critical_value(req)
+        memos = [*limits.draw_extrema("bb", 2, 2000, seed=23), limits._quantile_table("bb"),
+                 *limits.simulate_path_extrema(1, 100, 1000, seed=23)["bb"]]
+        for a in memos:
+            with pytest.raises(ValueError, match="read-only"):
+                a *= 2.0
+        assert limits.critical_value(req) == before
+        limits._draws_cache.clear()  # redrawn through the quantile table
+        assert limits.critical_value(req) == before
+        limits._draws_cache.clear()
+        limits._extrema_cache.clear()
 
 
 class _RecordingPool:
@@ -181,7 +193,7 @@ class TestWorkers:
 
 @pytest.fixture(scope="module")
 def oracle_extrema():
-    return limits.simulate_path_extrema(4, 1000, 100_000, seed=99, cache=False)
+    return limits.simulate_path_extrema(4, 1000, 100_000, seed=99, workers=2, cache=False)
 
 
 # The y-grid on which the series are checked against independent formulas.
@@ -270,10 +282,8 @@ class TestCorrectedLaw:
         # n_grid = 1000 law from 1e5 simulated draws of sum_j sup|B_j|^2;
         # K = 1 uses column 0.
         req = CritValRequest(kind=kind, K=K, level=0.95, n_grid=1000)
-        law = "bm" if kind == "q" else "bb"
-        hi = getattr(oracle_extrema, f"{law}_max")[:, :K]
-        lo = getattr(oracle_extrema, f"{law}_min")[:, :K]
-        draws = np.sort((np.maximum(hi, -lo) ** 2).sum(axis=1))
+        hi, lo = oracle_extrema["bm" if kind == "q" else "bb"]
+        draws = np.sort((np.maximum(hi[:, :K], lo[:, :K]) ** 2).sum(axis=1))
         n = len(draws)
         lo = int(scipy.stats.binom.ppf(0.005, n, 0.95))
         hi = int(scipy.stats.binom.ppf(0.995, n, 0.95)) + 1
@@ -416,11 +426,9 @@ class TestExactDraws:
         alpha = np.array([1.0, 1.5, 0.7, 1.0][:K])
         sizes = np.array([1000, 900, 1100, 950][:K])
         kappa = sizes / sizes.sum()
-        law = "bb" if kind == "v-breve" else "bm"
         c = alpha * np.sqrt(kappa)
-        hi = getattr(oracle_extrema, f"{law}_max")[:, :K]
-        lo = getattr(oracle_extrema, f"{law}_min")[:, :K]
-        draws = np.sort(np.maximum(hi @ c, -(lo @ c)))
+        hi, lo = oracle_extrema["bb" if kind == "v-breve" else "bm"]
+        draws = np.sort(np.maximum(hi[:, :K] @ c, lo[:, :K] @ c))
         n = len(draws)
         first = int(scipy.stats.binom.ppf(0.005, n, 0.95))
         last = int(scipy.stats.binom.ppf(0.995, n, 0.95)) + 1
@@ -522,8 +530,8 @@ def test_series_vs_monte_carlo_cdf_agreement():
     # Probe the upper-tail region where critical values are read off; in
     # the body of the law the known downward discretization bias of the
     # supremum shifts the empirical cdf up by more than 0.01 at this grid.
-    extrema = limits.simulate_path_extrema(1, 2000, 100_000, seed=19)
-    sup_bb = np.maximum(extrema.bb_max[:, 0], -extrema.bb_min[:, 0])
+    hi, lo = limits.simulate_path_extrema(1, 2000, 100_000, seed=19, workers=2)["bb"]
+    sup_bb = np.maximum(hi[:, 0], lo[:, 0])
     probes = np.linspace(1.2, 2.1, 10)
     for x in probes:
         emp = np.mean(sup_bb <= x)

@@ -98,7 +98,7 @@ class TestLrvEstimate:
         assert lrv.autocov_hat(p, 1) == 0.0
         est = lrv.lrv_estimate(p)
         assert est.alpha_sq == 0.5
-        assert est.bandwidth == 0.0
+        assert est.bandwidth == 0.0 and math.copysign(1.0, est.bandwidth) == 1.0
         assert est.n_lags == 0
         assert not est.rho_clamped
 
