@@ -101,14 +101,14 @@ class TestSimulatedPaths:
 
 
 class TestExtremaCache:
-    @pytest.mark.parametrize("cache_name,call,first_key", [
+    @pytest.mark.parametrize("cache_name,call,pairs,first_key", [
         ("_extrema_cache",
-         lambda seed: limits.simulate_path_extrema(1, 100, 1000, seed=seed)["bm"],
-         (1, 100, 1000, 0)),
+         lambda seed: limits.simulate_path_extrema(1, 100, 1000, seed=seed),
+         lambda r: [r["bm"], r["bb"]], (1, 100, 1000, 0)),
         ("_draws_cache", lambda seed: limits.draw_extrema("bb", 1, 1000, seed=seed),
-         ("bb", 1, 1000, 0)),
+         lambda r: [r], ("bb", 1, 1000, 0)),
     ], ids=["paths", "draws"])
-    def test_cache_is_bounded_and_evicted_keys_replay(self, cache_name, call, first_key):
+    def test_cache_is_bounded_and_evicted_keys_replay(self, cache_name, call, pairs, first_key):
         cache = getattr(limits, cache_name)
         cache.clear()
         first = call(0)
@@ -119,7 +119,8 @@ class TestExtremaCache:
         assert call(seed) is latest
         again = call(0)
         assert again is not first
-        assert np.array_equal(again, first)
+        assert all(np.array_equal(x, y)
+                   for p, q in zip(pairs(again), pairs(first)) for x, y in zip(p, q))
         cache.clear()
 
     def test_memoized_arrays_are_read_only(self):
@@ -176,6 +177,14 @@ class TestWorkers:
             limits.draw_extrema("bb", 2, 3000, seed=1, workers=workers)
         assert pool_sizes == [1, 1, 3, 3, 4, 4]
         limits._draws_cache.clear()
+
+    def test_paths_independent_of_worker_count(self):
+        # Two blocks of two samples: four tasks, run on one, two or eight threads.
+        ref = limits.simulate_path_extrema(2, 100, 3000, seed=1, workers=1, cache=False)
+        for workers in (2, 8):
+            got = limits.simulate_path_extrema(2, 100, 3000, seed=1, workers=workers, cache=False)
+            for law in ("bm", "bb"):
+                assert all(np.array_equal(g, r) for g, r in zip(got[law], ref[law]))
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_worker_count_below_one_refused_before_any_pool(self, pool_sizes, workers):
