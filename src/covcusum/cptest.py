@@ -12,6 +12,12 @@ estimated: from the tested products, or from ``learning_length`` leading
 products of each series, which are then not tested.  Refusals count
 samples and observations from 1, as ``covcusum test`` numbers its files,
 and a refusal about one sample keeps its 0-based ``sample_index``.
+
+One pipeline serves one panel and a batch of R panels alike: sample j of
+a batch is an (R, N_j) array whose row r is replication r's series, and
+``run_batch`` summarizes and tests every row at once.  ``run_tests`` is
+the batch of one panel, so a replication tested in a batch gets the
+report it gets alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -86,17 +92,35 @@ def _naming_sample(j):
         raise type(exc)(f"sample {j + 1}: {exc}", sample_index=j) from exc
 
 
-def _series(panel):
-    """The panel's product series as float arrays; each must be 1-d and finite."""
-    series = [np.asarray(p, dtype=float) for p in panel]
+def _series(batch):
+    """The batch's (R, N_j) product series as float arrays, one R for all; each must be finite."""
+    series = [np.asarray(p, dtype=float) for p in batch]
+    if not series:
+        raise ConfigurationError("a panel needs at least one sample")
     for j, p in enumerate(series):
         with _naming_sample(j):
-            if p.ndim != 1:
-                raise ShapeError(f"expected a 1-d product series, got ndim={p.ndim}")
+            if p.ndim != 2:
+                raise ShapeError(f"expected an (R, N) batch of product series, got ndim={p.ndim}")
+            if len(p) != len(series[0]):
+                raise ShapeError(f"{len(p)} replications, but sample 1 has {len(series[0])}")
             bad = np.flatnonzero(~np.isfinite(p))
             if bad.size:
-                raise CovCusumError(f"non-finite product at observation {bad[0] + 1}")
+                raise CovCusumError(
+                    f"non-finite product at observation {bad[0] % p.shape[1] + 1}")
     return series
+
+
+def _learning_lengths(learning_length, K):
+    """One whole learning length per sample; a bool or a fraction is refused."""
+    given = learning_length if np.ndim(learning_length) else [learning_length]
+    lengths = []
+    for L in given:
+        if isinstance(L, (bool, np.bool_)) or not float(L).is_integer():
+            raise ConfigurationError(f"learning_length must be a whole number, got {L!r}")
+        lengths.append(int(L))
+    if len(lengths) not in (1, K):
+        raise ConfigurationError(f"got {len(lengths)} learning lengths for {K} samples")
+    return lengths * K if len(lengths) == 1 else lengths
 
 
 def _split_learning(series, learning_length):
@@ -107,18 +131,14 @@ def _split_learning(series, learning_length):
     """
     if learning_length is None:
         return series, series
-    lengths = np.atleast_1d(learning_length).astype(int)
-    if lengths.size not in (1, len(series)):
-        raise ConfigurationError(
-            f"got {lengths.size} learning lengths for {len(series)} samples")
     learning, tested = [], []
-    for j, (p, L) in enumerate(zip(series, np.resize(lengths, len(series)))):
-        if not 0 < L < len(p):
+    for j, (p, L) in enumerate(zip(series, _learning_lengths(learning_length, len(series)))):
+        if not 0 < L < p.shape[1]:
             raise ConfigurationError(
-                f"learning_length {L} invalid for sample {j + 1} of size {len(p)}",
+                f"learning_length {L} invalid for sample {j + 1} of size {p.shape[1]}",
                 sample_index=j)
-        learning.append(p[:L])
-        tested.append(p[L:])
+        learning.append(p[:, :L])
+        tested.append(p[:, L:])
     return learning, tested
 
 
@@ -126,8 +146,9 @@ def _split_learning(series, learning_length):
 class PanelSummary:
     """Per-sample quantities that every statistic kind is a function of.
 
-    ``sums[j]`` holds the running sums of sample j's tested products and
-    ``lrv[j]`` the estimate that standardizes them, positive and finite.
+    ``sums[j]`` holds the (R, N_j + 1) running sums of sample j's tested
+    products and ``lrv[j]`` the estimates that standardize them, (R,)
+    arrays of positive and finite values.
     """
 
     sizes: tuple
@@ -135,62 +156,120 @@ class PanelSummary:
     lrv: list
 
 
-def _summarize(panel, learning_length) -> PanelSummary:
+def _summarize(batch, learning_length) -> PanelSummary:
     """Running sums of each tested stretch and its long-run variance.
 
-    A series that is not 1-d or not finite, or a stretch too short to
-    estimate from, raises ``CovCusumError`` naming the sample.
+    A series that is not finite, or a stretch too short to estimate
+    from, raises ``CovCusumError`` naming the sample.
     """
-    learning, tested = _split_learning(_series(panel), learning_length)
+    learning, tested = _split_learning(_series(batch), learning_length)
     ests = []
     for j, p in enumerate(learning):
         with _naming_sample(j):
-            ests.append(lrv.lrv_estimate(p))
-    return PanelSummary(sizes=tuple(len(p) for p in tested),
+            ests.append(lrv.lrv_estimates(p))
+    return PanelSummary(sizes=tuple(p.shape[1] for p in tested),
                         sums=[sumproc.kahan_cumsum(p) for p in tested], lrv=ests)
 
 
 def _statistic(summary, spec):
-    """Value of ``spec.kind`` on the summary, with per-sample argmax indices."""
+    """Values of ``spec.kind`` on the summary, (R,), with (R, K) argmax indices."""
     K = len(summary.sizes)
     targets = [None] * K if spec.targets is None else list(spec.targets)
     if len(targets) != K:
         raise ConfigurationError(f"got {len(targets)} targets for {K} samples")
-    devs = []
-    for j, (s, t) in enumerate(zip(summary.sums, targets)):
-        with _naming_sample(j):
-            devs.append(sumproc.unscaled_deviation(s, t))
-    if spec.kind in limits.POOLED_KINDS:
-        root_total = math.sqrt(sum(summary.sizes))
-        return sumproc.pooled_d_grid_max([f / root_total for f in devs])
+    pooled = spec.kind in limits.POOLED_KINDS
+    root_total = math.sqrt(sum(summary.sizes))
+
+    def scaled_deviations():
+        # One (R, N_j + 1) deviation at a time, scaled in place, so that a
+        # batch holds few such arrays at once.
+        for j, (s, t, n) in enumerate(zip(summary.sums, targets, summary.sizes)):
+            with _naming_sample(j):
+                f = sumproc.unscaled_deviation(s, t)
+            f /= root_total if pooled else math.sqrt(n)
+            yield f
+
+    if pooled:
+        return sumproc.pooled_d_grid_max(scaled_deviations())
     stat = 0.0
     argmax = []
-    for f, n, est in zip(devs, summary.sizes, summary.lrv):
-        val, k = sumproc.per_sample_max_sq(f / math.sqrt(n), math.sqrt(est.alpha_sq))
-        stat += val
+    for f, est in zip(scaled_deviations(), summary.lrv):
+        val, k = sumproc.per_sample_max_sq(f, np.sqrt(est.alpha_sq))
+        stat = stat + val
         argmax.append(k)
-    return stat, argmax
+    return stat, np.stack(argmax, axis=-1)
 
 
-def _evaluate(summary, spec, workers) -> TestReport:
-    stat, argmax = _statistic(summary, spec)
-    alphas = kappas = None
-    if spec.kind in limits.POOLED_KINDS:
-        n_total = sum(summary.sizes)
-        alphas = tuple(math.sqrt(e.alpha_sq) for e in summary.lrv)
-        kappas = tuple(n / n_total for n in summary.sizes)
-    crit = limits.critical_value(limits.CritValRequest(
-        kind=spec.kind, K=len(summary.sizes), level=spec.level,
-        alpha_weights=alphas, kappa=kappas,
-        n_grid=spec.n_grid, n_rep=spec.n_rep, seed=spec.seed), workers)
-    method = limits.method_of(spec.kind)
-    infos = [PerSampleInfo(alpha_sq=e.alpha_sq, bandwidth=e.bandwidth, argmax_k=k)
-             for e, k in zip(summary.lrv, argmax)]
-    return TestReport(statistic=float(stat), critical_value=float(crit),
-                      level=spec.level, reject=bool(stat > crit),
-                      per_sample=infos, sample_sizes=summary.sizes,
-                      kind=spec.kind, seed=spec.seed if method == "exact-mc" else None,
-                      method=method)
+def _critical_values(summary, spec, R, workers):
+    """The (R,) critical values: one for the q kinds, one per replication for the v kinds."""
+    def request(alphas=None, kappas=None):
+        return limits.CritValRequest(
+            kind=spec.kind, K=len(summary.sizes), level=spec.level,
+            alpha_weights=alphas, kappa=kappas,
+            n_grid=spec.n_grid, n_rep=spec.n_rep, seed=spec.seed)
+
+    if spec.kind not in limits.POOLED_KINDS:
+        return np.full(R, limits.critical_value(request(), workers))
+    n_total = sum(summary.sizes)
+    kappas = tuple(n / n_total for n in summary.sizes)
+    alphas = np.sqrt(np.stack([e.alpha_sq for e in summary.lrv], axis=-1))
+    return np.array([limits.critical_value(request(tuple(a), kappas), workers)
+                     for a in alphas])
+
+
+@dataclass
+class BatchReport:
+    """One test on a batch of R panels: entry r of each array belongs to panel r.
+
+    ``alpha_sq``, ``bandwidth`` and ``argmax_k`` are (R, K) arrays.
+    """
+
+    statistic: np.ndarray
+    critical_value: np.ndarray
+    reject: np.ndarray
+    alpha_sq: np.ndarray
+    bandwidth: np.ndarray
+    argmax_k: np.ndarray
+    spec: TestSpec
+    sample_sizes: tuple
+
+    def report(self, r: int) -> TestReport:
+        """Panel r's ``TestReport``."""
+        method = limits.method_of(self.spec.kind)
+        infos = [PerSampleInfo(alpha_sq=float(a), bandwidth=float(b), argmax_k=int(k))
+                 for a, b, k in zip(self.alpha_sq[r], self.bandwidth[r], self.argmax_k[r])]
+        return TestReport(statistic=float(self.statistic[r]),
+                          critical_value=float(self.critical_value[r]),
+                          level=self.spec.level, reject=bool(self.reject[r]),
+                          per_sample=infos, sample_sizes=self.sample_sizes,
+                          kind=self.spec.kind,
+                          seed=self.spec.seed if method == "exact-mc" else None,
+                          method=method)
+
+
+def run_batch(batch, specs: Sequence[TestSpec],
+              learning_length: Optional[Sequence[int]] = None, workers: int = 1) -> list:
+    """Run several tests on every panel of a batch, summarizing each sample once.
+
+    ``batch`` holds one (R, N_j) array per sample, row r of which is
+    panel r's product series.  ``learning_length`` leading products per
+    series (one whole number, or one per sample) estimate the long-run
+    variance and are not tested; None estimates it in-sample.  Returns one
+    ``BatchReport`` per spec.  ``workers`` threads draw a v kind's
+    critical value; the reports do not depend on it.
+    """
+    summary = _summarize(batch, learning_length)
+    R = len(summary.sums[0])
+    alpha_sq = np.stack([e.alpha_sq for e in summary.lrv], axis=-1)
+    bandwidth = np.stack([e.bandwidth for e in summary.lrv], axis=-1)
+    reports = []
+    for spec in specs:
+        stat, argmax = _statistic(summary, spec)
+        crit = _critical_values(summary, spec, R, workers)
+        reports.append(BatchReport(statistic=stat, critical_value=crit, reject=stat > crit,
+                                   alpha_sq=alpha_sq, bandwidth=bandwidth, argmax_k=argmax,
+                                   spec=spec, sample_sizes=summary.sizes))
+    return reports
 
 
 def run_tests(panel, specs: Sequence[TestSpec],
@@ -198,15 +277,18 @@ def run_tests(panel, specs: Sequence[TestSpec],
     """Run several tests on one panel, summarizing each sample once.
 
     ``panel`` is a list of K product series, ``sumproc.project`` of each
-    sample through one pair of weight vectors.  ``learning_length``
-    leading products per series (one int, or one per sample) estimate the
-    long-run variance and are not tested; None estimates it in-sample.
-    Returns one report per spec, equal to what ``run_test`` returns for
-    it.  ``workers`` threads draw a v kind's critical value; the
-    reports do not depend on it.
+    sample through one pair of weight vectors; it is tested as a batch of
+    one (``run_batch``).  Returns one report per spec, equal to what
+    ``run_test`` returns for it.
     """
-    summary = _summarize(panel, learning_length)
-    return [_evaluate(summary, spec, workers) for spec in specs]
+    batch = []
+    for j, p in enumerate(panel):
+        p = np.asarray(p, dtype=float)
+        with _naming_sample(j):
+            if p.ndim != 1:
+                raise ShapeError(f"expected a 1-d product series, got ndim={p.ndim}")
+        batch.append(p[None])
+    return [b.report(0) for b in run_batch(batch, specs, learning_length, workers)]
 
 
 def run_test(panel, spec: TestSpec, learning_length: Optional[Sequence[int]] = None,

@@ -13,9 +13,11 @@ A cell generates its replications in batches through
 and rep 2r + 1 of the learning config, whatever the batch.  A batch holds
 as many replications as fit the generator buffers, whose views are the
 samples, into ``PANEL_CHUNK_BYTES``: memory is bounded for any count.
-The tests, specified once per cell, run once per replication on its
-samples projected once through that replication's pair.  Results do not
-depend on the batch size.
+Each sample of a batch is projected once, every replication through its
+own pair, into an (R, N_j) array, and the tests, specified once per cell,
+run on the whole batch at once (``cptest.run_batch``); the cell counts
+the rejections of the batch's decisions.  Results do not depend on the
+batch size.
 """
 
 from __future__ import annotations
@@ -135,7 +137,7 @@ class CellResult:
     """Rejection rate of one test on one cell.
 
     ``wall_time`` is the wall time of the whole cell in seconds, shared by
-    all its tests: they run on one summary of each replication's panel.
+    all its tests: they run on one summary of each batch of panels.
     """
 
     case: str
@@ -172,32 +174,34 @@ def _learning_sizes(case, cfg):
                  for omega in rates)
 
 
-def _panels(panel_cfg, learning_cfg, n, d, seed):
-    """Yield the product panel of each replication r < n, generated in batches.
+def _batches(panel_cfg, learning_cfg, n, d, seed):
+    """Yield the products of the replications r < n, one batch at a time.
 
     Replication r's samples are rep 2r of ``panel_cfg``, and its learning
     blocks, if there is a ``learning_cfg``, rep 2r + 1 of that.  Both are
     projected through r's own Dirichlet pair, learning products in front.
-    A batch holds as many replications as fit PANEL_CHUNK_BYTES of
-    generator buffer, and is released before the next is generated.
+    A batch of R replications is one (R, N_j) array per sample, and holds
+    as many replications as fit PANEL_CHUNK_BYTES of generator buffer.
+    The buffer is released before the batch is yielded, and the batch
+    before the next is generated, if the caller lets go of it too.
     """
     configs = [c for c in (panel_cfg, learning_cfg) if c is not None]
     per_rep = sum(8 * c.K * c.d * (c.burn_in + max(c.N)) for c in configs)
     chunk = max(1, PANEL_CHUNK_BYTES // per_rep)
     for first in range(0, n, chunk):
         block = range(first, min(first + chunk, n))
-        panels = simgen.gen_ar1_panels(panel_cfg, [2 * r for r in block])
-        learning = ([None] * len(block) if learning_cfg is None
-                    else simgen.gen_ar1_panels(learning_cfg, [2 * r + 1 for r in block]))
-        for r, samples, blocks in zip(block, panels, learning):
-            w = simgen.gen_dirichlet_projection(d, _cell_seed(seed, r + 1))
-            pair = sumproc.ProjectionPair.from_vectors(w)
-            products = [sumproc.project(y, pair) for y in samples]
-            if blocks is not None:
-                products = [np.concatenate([sumproc.project(b, pair), p])
-                            for b, p in zip(blocks, products)]
-            yield products
-        del panels, learning, samples, blocks
+        pair = sumproc.ProjectionPair.from_vectors(np.stack(
+            [simgen.gen_dirichlet_projection(d, _cell_seed(seed, r + 1)) for r in block]))
+        samples = simgen.gen_ar1_panels(panel_cfg, [2 * r for r in block])
+        products = [sumproc.project(y, pair) for y in samples]
+        del samples
+        if learning_cfg is not None:
+            blocks = simgen.gen_ar1_panels(learning_cfg, [2 * r + 1 for r in block])
+            products = [np.concatenate([sumproc.project(b, pair), p], axis=1)
+                        for b, p in zip(blocks, products)]
+            del blocks
+        yield products
+        del products
 
 
 def run_cell(case, d, change_time, cfg: ExperimentConfig, cell_index):
@@ -217,11 +221,12 @@ def run_cell(case, d, change_time, cfg: ExperimentConfig, cell_index):
                              n_rep=cfg.critval_n_rep, seed=seed)
              for t in cfg.tests]
     rejections = {t: 0 for t in cfg.tests}
-    for panel in _panels(panel_cfg, learning_cfg, cfg.replications, d, seed):
-        reports = cptest.run_tests(panel, specs, learning_length=learning_sizes,
+    for batch in _batches(panel_cfg, learning_cfg, cfg.replications, d, seed):
+        reports = cptest.run_batch(batch, specs, learning_length=learning_sizes,
                                    workers=cfg.workers)
+        del batch  # not held while the next batch is generated
         for t, report in zip(cfg.tests, reports):
-            rejections[t] += int(report.reject)
+            rejections[t] += int(np.count_nonzero(report.reject))
 
     wall_time = time.perf_counter() - t0
     results = []

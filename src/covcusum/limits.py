@@ -33,10 +33,12 @@ a bad one for ``CritValRequest``, ``cptest.TestSpec`` and
 when made.  It owns every memo of a critical value, and all are exact:
 ``_corrected_quantile`` is memoized on its arguments, the most recent few
 draw sets on (law, K, n_rep, seed), and the quantile tables on the law.
-Memoized arrays are read-only, so that no caller can change a later
-result by writing into one.  The data-dependent weights and the shift
-of the v kinds are applied afresh on each request, which is cheap.
-Callers ask ``critical_value`` and keep no cache of their own.
+A draw set's entry also holds its draws shifted by beta / sqrt(n_grid),
+one copy per ``n_grid`` asked for, so they are evicted and cleared with
+it.  Memoized arrays are read-only, so that no caller can change a later
+result by writing into one.  The data-dependent weights of the v kinds
+are applied afresh on each request, which is cheap.  Callers ask
+``critical_value`` and keep no cache of their own.
 """
 
 from __future__ import annotations
@@ -247,7 +249,8 @@ def _block_extrema(seed, block_index, j, n_block, n_grid):
 
 
 # Insertion-ordered; each holds at most _EXTREMA_CACHE_SIZE entries, oldest
-# evicted first (``_remember``).
+# evicted first (``_remember``).  A ``_draws_cache`` entry is the draw set's
+# (M+, M-) arrays and a dict of their shifted copies by n_grid.
 _extrema_cache: dict = {}
 _draws_cache: dict = {}
 
@@ -499,11 +502,27 @@ def draw_extrema(law: str, K: int, n_rep: int, seed: int, workers: int = 1):
     _check_workers(workers)
     key = (law, K, n_rep, seed)
     if key in _draws_cache:
-        return _draws_cache[key]
+        return _draws_cache[key][0]
     arrays = (np.empty((n_rep, K)), np.empty((n_rep, K)))
     _quantile_table(law)  # built once, before the threads share it
     _fill_blocks(arrays, workers, lambda b, j, n: _block_draws(law, seed, b, j, n))
-    return _remember(_draws_cache, key, arrays)
+    return _remember(_draws_cache, key, (arrays, {}))[0]
+
+
+def _shifted_extrema(law: str, K: int, n_rep: int, seed: int, n_grid: int, workers: int):
+    """max(M - beta / sqrt(n_grid), 0) of both ``draw_extrema`` arrays.
+
+    Memoized, read-only, in the draw set's ``_draws_cache`` entry.
+    """
+    draws = draw_extrema(law, K, n_rep, seed, workers=workers)
+    shifted = _draws_cache[law, K, n_rep, seed][1]
+    if n_grid not in shifted:
+        shift = BGK_BETA / math.sqrt(n_grid)
+        pair = tuple(np.maximum(a - shift, 0.0) for a in draws)
+        for a in pair:
+            a.flags.writeable = False
+        shifted[n_grid] = pair
+    return shifted[n_grid]
 
 
 def critical_value(req: CritValRequest, workers: int = 1) -> float:
@@ -519,10 +538,8 @@ def critical_value(req: CritValRequest, workers: int = 1) -> float:
     if method_of(req.kind) == "corrected":
         return _corrected_quantile(req.kind, req.K, req.level, req.n_grid)
     law = "bb" if req.kind in BRIDGE_KINDS else "bm"
-    hi, lo = draw_extrema(law, req.K, req.n_rep, req.seed, workers=workers)
-    shift = BGK_BETA / math.sqrt(req.n_grid)
+    hi, lo = _shifted_extrema(law, req.K, req.n_rep, req.seed, req.n_grid, workers)
     # The grid supremum of |sum_j c_j B_j(s_j)| with positive weights
     # c_j = alpha_j sqrt(kappa_j) separates per coordinate.
     c = np.asarray(req.alpha_weights) * np.sqrt(req.kappa)
-    return empirical_quantile(np.maximum(np.maximum(hi - shift, 0.0) @ c,
-                                         np.maximum(lo - shift, 0.0) @ c), req.level)
+    return empirical_quantile(np.maximum(hi @ c, lo @ c), req.level)

@@ -22,6 +22,8 @@ TRUNCATION_BANDWIDTHS = 3.0
 
 @dataclass
 class LrvEstimate:
+    """One series' estimate; from ``lrv_estimates``, each field holds one entry per series."""
+
     alpha_sq: float
     bandwidth: float
     n_lags: int
@@ -38,66 +40,91 @@ def autocov_hat(p, h: int) -> float:
     n = len(p)
     if not 0 <= h < n:
         raise ShapeError(f"lag {h} out of range for series of length {n}")
-    return _autocov(p - p.mean(), h)
+    return float(_autocov(p - p.mean(), h))
 
 
-def _autocov(c: np.ndarray, h: int) -> float:
-    """Lag-h autocovariance of the already centered series ``c``."""
-    return float(c[: len(c) - h] @ c[h:]) / len(c)
+def _autocov(c: np.ndarray, h: int) -> np.ndarray:
+    """Lag-h autocovariance of each already centered series along the last axis of ``c``.
+
+    Each series is reduced on its own, so its value does not depend on
+    the other series of a batch.
+    """
+    n = c.shape[-1]
+    return np.einsum("...i,...i->...", c[..., : n - h], c[..., h:]) / n
 
 
-def qs_weight(x: float) -> float:
-    """Quadratic spectral kernel, k(0) = 1, symmetric, |k| <= 1."""
+def qs_weight(x):
+    """Quadratic spectral kernel, k(0) = 1, symmetric, |k| <= 1.
+
+    ``x`` is a float or an array (same shape back).
+    """
+    x = np.asarray(x, dtype=float)
     z = 6.0 * math.pi * x / 5.0
-    if abs(z) < 1e-3:
-        # Taylor branch: sin(z)/z - cos(z) cancels catastrophically near 0.
-        return 1.0 - z ** 2 / 10.0 + z ** 4 / 280.0
-    return 25.0 / (12.0 * math.pi ** 2 * x ** 2) * (math.sin(z) / z - math.cos(z))
+    # Taylor branch: sin(z)/z - cos(z) cancels catastrophically near 0.
+    near = 1.0 - z ** 2 / 10.0 + z ** 4 / 280.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # x = 0 takes the Taylor branch
+        far = 25.0 / (12.0 * math.pi ** 2 * x ** 2) * (np.sin(z) / z - np.cos(z))
+    out = np.where(np.abs(z) < 1e-3, near, far)
+    return float(out) if out.ndim == 0 else out
 
 
-def qs_bandwidth(rho: float, n: int) -> float:
-    """Bandwidth rule 1.3221 (a(2) n)^{1/5} with AR(1) plug-in a(2)."""
+def qs_bandwidth(rho, n: int):
+    """Bandwidth rule 1.3221 (a(2) n)^{1/5} with AR(1) plug-in a(2), for a float or an array."""
     a2 = 4.0 * rho ** 2 / (1.0 - rho) ** 4
     return QS_BANDWIDTH_CONST * (a2 * n) ** 0.2
 
 
-def _ar1_bandwidth(c: np.ndarray, g0: float):
-    """QS bandwidth from the lag-1 autocorrelation of the centered series
-    ``c``, clamped to [-0.97, 0.97] to stay finite on near-unit-root series,
-    and whether it was clamped."""
-    rho = _autocov(c, 1) / g0
-    clamped = min(max(rho, -RHO_CLAMP), RHO_CLAMP)
-    return qs_bandwidth(clamped, len(c)), abs(rho) > RHO_CLAMP
+def lrv_estimate(p) -> LrvEstimate:
+    """Kernel long-run variance estimate of the product series ``p``; see ``lrv_estimates``."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1:
+        raise ShapeError(f"expected a 1-d product series, got ndim={p.ndim}")
+    est = lrv_estimates(p[None])
+    return LrvEstimate(alpha_sq=float(est.alpha_sq[0]), bandwidth=float(est.bandwidth[0]),
+                       n_lags=int(est.n_lags[0]), rho_clamped=bool(est.rho_clamped[0]))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below, not warned
-def lrv_estimate(p) -> LrvEstimate:
-    """Kernel long-run variance estimate of the product series ``p``.
+def lrv_estimates(p) -> LrvEstimate:
+    """Kernel long-run variance estimates of the rows of the (R, N) array ``p``.
 
-    alpha_sq = Gamma(0) + 2 sum_{h=1}^{m} k(h / S) Gamma(h) with the QS
-    kernel, the AR(1) bandwidth S of ``_ar1_bandwidth`` and
-    m = min(ceil(3 S), N - 1); S = 0 gives Gamma(0).  A constant series, a
-    non-finite Gamma(0) (finite products can overflow it) or a result that
-    is not positive and finite raises ``DegenerateLrvError``.
+    alpha_sq = Gamma(0) + 2 sum_{h=1}^{m} k(h / S) Gamma(h) per row, with
+    the QS kernel and the AR(1) plug-in bandwidth S of the row's lag-1
+    autocorrelation, clamped to [-0.97, 0.97] to stay finite on
+    near-unit-root series; m = min(ceil(3 S), N - 1), and S = 0 gives
+    Gamma(0).  Gamma(h) is computed for every row up to the largest m,
+    and each row's weights beyond its own m are zero.  Returns an
+    ``LrvEstimate`` of (R,) arrays; row r equals the estimate of row r
+    alone.  A constant row, a non-finite Gamma(0) (finite products can
+    overflow it) or a result that is not positive and finite raises
+    ``DegenerateLrvError``.
     """
     p = np.asarray(p, dtype=float)
-    n = len(p)
+    if p.ndim != 2:
+        raise ShapeError(f"expected an (R, N) batch of product series, got ndim={p.ndim}")
+    n = p.shape[1]
     if n < 4:
         raise ShapeError(f"need at least 4 observations, got {n}")
-    c = p - p.mean()
+    c = p - p.mean(axis=1, keepdims=True)
     g0 = _autocov(c, 0)
-    if g0 <= 0.0:
+    if np.any(g0 <= 0.0):
         raise DegenerateLrvError("constant product series: long-run variance undefined")
-    if not g0 < math.inf:
-        raise DegenerateLrvError(f"non-finite autocovariance {g0!r}")
+    if not np.all(g0 < math.inf):
+        raise DegenerateLrvError(f"non-finite autocovariance {float(g0[~(g0 < math.inf)][0])!r}")
 
-    bw, rho_clamped = _ar1_bandwidth(c, g0)
-    m = min(math.ceil(TRUNCATION_BANDWIDTHS * bw), n - 1)
+    rho = _autocov(c, 1) / g0
+    bw = qs_bandwidth(np.clip(rho, -RHO_CLAMP, RHO_CLAMP), n)
+    m = np.minimum(np.ceil(TRUNCATION_BANDWIDTHS * bw), n - 1).astype(int)
+    h = np.arange(1, m.max() + 1)
+    inside = h <= m[:, None]
+    x = np.divide(h, bw[:, None], out=np.zeros(inside.shape), where=inside)
+    weights = np.where(inside, 2.0 * qs_weight(x), 0.0)
     total = g0
-    for h in range(1, m + 1):
-        total += 2.0 * qs_weight(h / bw) * _autocov(c, h)
+    for i, lag in enumerate(h):
+        total = total + weights[:, i] * _autocov(c, lag)
 
-    if not 0.0 < total < math.inf:
-        raise DegenerateLrvError(f"non-positive or non-finite long-run variance {total!r}")
-    return LrvEstimate(alpha_sq=float(total), bandwidth=bw, n_lags=m,
-                       rho_clamped=rho_clamped)
+    bad = ~((0.0 < total) & (total < math.inf))
+    if bad.any():
+        raise DegenerateLrvError(
+            f"non-positive or non-finite long-run variance {float(total[bad][0])!r}")
+    return LrvEstimate(alpha_sq=total, bandwidth=bw, n_lags=m, rho_clamped=np.abs(rho) > RHO_CLAMP)

@@ -12,10 +12,11 @@ All randomness is keyed by (seed, sample index, replication id) through
 so independent replications can be generated in any order, on any number
 of workers, with identical results.
 
-``gen_ar1_panels`` generates the panels of many replications in one
-batch.  It runs the plain recursion ``y[t] = rho * y[t-1] + eps[t]`` from
-rest as one Python loop over time, vectorised across (sample,
-replication, coordinate), in one buffer whose views are the samples.
+``gen_ar1_panels`` generates many replications in one batch.  It runs
+the plain recursion ``y[t] = rho * y[t-1] + eps[t]`` from rest as one
+Python loop over time, vectorised across (sample, replication,
+coordinate), in one buffer whose views are the samples: one (N_j, R, d)
+view per sample, holding every replication.
 The K samples are aligned at their last row; the rows before a sample
 starts hold zeros, which the recursion keeps exactly zero, and ``rho``
 switches per sample at ``burn_in + tau``.  One multiply and one add per
@@ -123,16 +124,16 @@ def sample_rng(seed, sample, rep=0):
 
 
 def gen_ar1_panels(config: PanelConfig, reps: Sequence[int]) -> list:
-    """Generate the panels of replications ``reps`` of ``config`` together.
+    """Generate the samples of replications ``reps`` of ``config`` together.
 
-    A panel is a list of K (N_j, d) sample arrays.  Panel ``i`` holds the
-    values ``gen_ar1_panel(config, reps[i])`` returns:
-    each replication draws from its own (seed, sample, rep) streams, so
-    how replications are grouped into calls never changes a panel.  One
-    step of the recursion updates every (sample, replication, coordinate)
-    at once in a (T, K, R, d) buffer y, T = ``burn_in + max(N)`` and
-    R = ``len(reps)``; callers bound its size by choosing R.  Sample j of
-    panel i is the view ``y[T - N_j:, j, i]``, not a copy.
+    Returns a batch: one (N_j, R, d) array per sample, R = ``len(reps)``,
+    whose ``[:, i]`` is sample j of the panel ``gen_ar1_panel(config,
+    reps[i])`` returns.  Each replication draws from its own (seed,
+    sample, rep) streams, so how replications are grouped into calls
+    never changes a panel.  One step of the recursion updates every
+    (sample, replication, coordinate) at once in a (T, K, R, d) buffer y,
+    T = ``burn_in + max(N)``; callers bound its size by choosing R.
+    Sample j of the batch is the view ``y[T - N_j:, j]``, not a copy.
     """
     if min(reps, default=0) < 0:
         raise ConfigurationError(f"reps must be non-negative, got {min(reps)}")
@@ -167,7 +168,7 @@ def gen_ar1_panels(config: PanelConfig, reps: Sequence[int]) -> list:
             rho[j] = config.rho1
         np.multiply(rho, y[t - 1], out=step)
         y[t] += step
-    return [[y[T - n:, j, i] for j, n in enumerate(config.N)] for i in range(R)]
+    return [y[T - n:, j] for j, n in enumerate(config.N)]
 
 
 def gen_ar1_panel(config: PanelConfig, rep: int = 0) -> list:
@@ -176,7 +177,7 @@ def gen_ar1_panel(config: PanelConfig, rep: int = 0) -> list:
     One scalar innovation per (sample, time) drives all d coordinates.
     ``rep`` selects an independent replication stream for Monte Carlo use.
     """
-    return gen_ar1_panels(config, [rep])[0]
+    return [y[:, 0] for y in gen_ar1_panels(config, [rep])]
 
 
 def gen_dirichlet_projection(d: int, seed: int) -> np.ndarray:

@@ -8,12 +8,18 @@ Each row is reduced on its own, so a sample streamed through ``project``
 in row blocks gives the bits of the whole sample projected at once.
 ``unscaled_deviation`` of S = ``kahan_cumsum(project(...))`` gives the
 deviation from a target, or the bridge.
+
+A batch of R replications of a sample travels as one array with a
+leading replication axis: ``project`` maps an (N, R, d) batch to (R, N)
+product series, and the running sums, deviations and maxima below work
+along the last axis, so row r carries the bits replication r would have
+on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -21,7 +27,7 @@ from .errors import DegenerateLrvError, ShapeError
 
 
 def kahan_cumsum(values: np.ndarray) -> np.ndarray:
-    """Compensated running sums with a leading zero: out[k] = sum(values[:k]).
+    """Compensated running sums with a leading zero: out[..., k] = sum(values[..., :k]).
 
     The sequential running sums of ``np.cumsum`` are corrected by the
     running sum of each step's exact rounding error (TwoSum), so every
@@ -29,18 +35,25 @@ def kahan_cumsum(values: np.ndarray) -> np.ndarray:
     (Ogita, Rump & Oishi 2005, Sum2).
     """
     values = np.asarray(values, dtype=float)
-    out = np.zeros(len(values) + 1)
-    np.cumsum(values, out=out[1:])
-    prev, total = out[:-1], out[1:]
+    out = np.zeros(values.shape[:-1] + (values.shape[-1] + 1,))
+    np.cumsum(values, axis=-1, out=out[..., 1:])
+    prev, total = out[..., :-1], out[..., 1:]
     added = total - prev
-    err = (prev - (total - added)) + (values - added)
-    total += np.cumsum(err)
+    err = total - added
+    np.subtract(prev, err, out=err)  # prev - (total - added), in place to bound a batch's memory
+    np.subtract(values, added, out=added)
+    err += added
+    total += np.cumsum(err, axis=-1, out=added)
     return out
 
 
 @dataclass(frozen=True)
 class ProjectionPair:
-    """A pair of weight vectors with their recorded l1 norms."""
+    """A pair of weight vectors with their recorded l1 norms.
+
+    The vectors are d-vectors, or (R, d) stacks whose row r projects
+    replication r of a batch, with one norm per row.
+    """
 
     v: np.ndarray
     w: np.ndarray
@@ -51,41 +64,45 @@ class ProjectionPair:
     def from_vectors(cls, v, w=None):
         v = np.asarray(v, dtype=float)
         w = v if w is None else np.asarray(w, dtype=float)
-        if v.ndim != 1 or w.ndim != 1 or v.shape != w.shape:
-            raise ShapeError(f"v and w must be 1-d of equal length, got {v.shape}, {w.shape}")
+        if v.ndim not in (1, 2) or v.shape != w.shape:
+            raise ShapeError(
+                f"v and w must be 1-d, or (R, d) stacks, of equal shape, got {v.shape}, {w.shape}")
         if not (np.all(np.isfinite(v)) and np.all(np.isfinite(w))):
             raise ShapeError("projection vectors must be finite")
-        l1_v = float(np.abs(v).sum())
-        l1_w = float(np.abs(w).sum())
-        if l1_v == 0.0 or l1_w == 0.0:
+        l1_v = np.abs(v).sum(axis=-1)
+        l1_w = np.abs(w).sum(axis=-1)
+        if np.any(l1_v == 0.0) or np.any(l1_w == 0.0):
             raise ShapeError("projection vectors must not be all-zero")
+        if v.ndim == 1:
+            l1_v, l1_w = float(l1_v), float(l1_w)
         return cls(v=v, w=w, l1_v=l1_v, l1_w=l1_w)
 
     @property
     def d(self):
-        return self.v.shape[0]
+        return self.v.shape[-1]
 
 
 def project(sample: np.ndarray, pair: ProjectionPair) -> np.ndarray:
     """Product series p = (Yv) * (Yw) of one observation matrix (rows=time).
 
-    Each row's dot products are reduced within that row (``einsum``, not
+    A batch of R replications is an (N, R, d) array, such as a generator
+    buffer's strided view, projected through a pair of (R, d) stacks
+    into an (R, N) array whose row r is replication r's series.  Each
+    row's dot products are reduced within that row (``einsum``, not
     BLAS, whose blocking depends on the whole matrix), so projecting a
-    sample in row blocks and concatenating gives the same bits as
-    projecting it whole.  An overflow is left to ``cptest``, which
-    refuses a non-finite product naming its observation.
+    sample in row blocks and concatenating, or in a batch, gives the
+    same bits as projecting it whole and alone.  An overflow is left to
+    ``cptest``, which refuses a non-finite product naming its observation.
     """
     sample = np.asarray(sample, dtype=float)
-    if sample.ndim != 2:
-        raise ShapeError(f"sample must be a 2-d matrix, got ndim={sample.ndim}")
-    if sample.shape[1] != pair.d:
-        raise ShapeError(
-            f"sample has {sample.shape[1]} columns but projection vectors have length {pair.d}"
-        )
+    if sample.shape[1:] != pair.v.shape:
+        raise ShapeError(f"a sample of shape {sample.shape} does not fit projection vectors "
+                         f"of shape {pair.v.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        yv = np.einsum("ij,j->i", sample, pair.v)
-        yw = yv if pair.w is pair.v else np.einsum("ij,j->i", sample, pair.w)
-        return yv * yw
+        # Reduced in the sample's memory order, then laid out one series per row.
+        yv = np.einsum("n...d,...d->n...", sample, pair.v, out=np.empty(sample.shape[:-1]))
+        yw = yv if pair.w is pair.v else np.einsum("n...d,...d->n...", sample, pair.w)
+        return np.ascontiguousarray(np.moveaxis(np.multiply(yv, yw, out=yv), 0, -1))
 
 
 def _cumulative_target(target, n):
@@ -101,59 +118,78 @@ def _cumulative_target(target, n):
 def unscaled_deviation(s: np.ndarray, target=None) -> np.ndarray:
     """Partial-sum deviation S_k - sum_{i<=k} target_i, or the bridge S_k - (k/N) S_N.
 
-    ``s`` = S_0..S_N, from ``kahan_cumsum``.  Length N + 1 for k = 0..N,
+    ``s`` = S_0..S_N along its last axis, from ``kahan_cumsum``; one
+    target serves every row of a batch.  Length N + 1 for k = 0..N,
     not yet scaled: the sum-of-squares kinds divide it by sqrt(N), the
     pooled kinds by sqrt(N_total).  With ``target=None`` the deviation is
     target-free and both endpoints are zero bit-exactly; otherwise entry 0
     is exactly zero.
     """
-    n = len(s) - 1
+    n = np.shape(s)[-1] - 1
     if n < 1:
         raise ShapeError("empty sample")
     if target is None:
-        out = s - (np.arange(n + 1) / n) * s[n]
-        out[n] = 0.0
+        out = s - (np.arange(n + 1) / n) * s[..., n:]
+        out[..., n] = 0.0
     else:
         out = s - _cumulative_target(target, n)
-    out[0] = 0.0
+    out[..., 0] = 0.0
     return out
 
 
-def pooled_d_grid_max(processes: Sequence[np.ndarray]):
-    """Maximum of |sum_j f_j(k_j)| over the full product grid.
+def pooled_d_grid_max(processes: Iterable[np.ndarray]):
+    """Maximum of |sum_j f_j(k_j)| over the full product grid, one process at a time.
 
     Because the objective is additive across samples, the grid maximum
     separates: it is the larger of sum_j max f_j and sum_j max(-f_j),
     computable in O(sum_j N_j) instead of O(prod_j N_j).  Returns
     (value, multi-index); per-sample argmax ties break to the smallest
     index, and a tie between the two branches resolves to the positive one.
+    For (R, N_j + 1) batches the value is an (R,) array and the indices
+    an (R, K) one.
     """
-    if not processes:
-        raise ShapeError("no processes given")
     pos_total = 0.0
     neg_total = 0.0
     pos_idx = []
     neg_idx = []
     for f in processes:
         f = np.asarray(f, dtype=float)
-        if f.ndim != 1 or len(f) < 1:
-            raise ShapeError("each process must be a non-empty 1-d array")
-        i_max = int(np.argmax(f))
-        i_min = int(np.argmin(f))
-        pos_total += f[i_max]
-        neg_total += -f[i_min]
+        if f.ndim not in (1, 2) or f.shape[-1] < 1:
+            raise ShapeError("each process must be a non-empty 1-d array or (R, N) batch")
+        i_max = np.argmax(f, axis=-1)
+        i_min = np.argmin(f, axis=-1)
+        pos_total = pos_total + _take(f, i_max)
+        neg_total = neg_total - _take(f, i_min)
         pos_idx.append(i_max)
         neg_idx.append(i_min)
-    if pos_total >= neg_total:
-        return pos_total, tuple(pos_idx)
-    return neg_total, tuple(neg_idx)
+    if not pos_idx:
+        raise ShapeError("no processes given")
+    pos = pos_total >= neg_total
+    value = np.where(pos, pos_total, neg_total)
+    idx = np.where(pos[..., None], np.stack(pos_idx, axis=-1), np.stack(neg_idx, axis=-1))
+    if value.ndim == 0:
+        return float(value), tuple(int(i) for i in idx)
+    return value, idx
 
 
-def per_sample_max_sq(process: np.ndarray, alpha: float):
-    """Maximum squared standardized value max_k (f(k)/alpha)^2 with argmax."""
-    if not alpha > 0.0:
-        raise DegenerateLrvError(f"scale must be positive, got {alpha}")
-    f = np.asarray(process, dtype=float)
-    sq = (f / alpha) ** 2
-    i = int(np.argmax(sq))
-    return float(sq[i]), i
+def per_sample_max_sq(process: np.ndarray, alpha):
+    """Maximum squared standardized value max_k (f(k)/alpha)^2 with argmax.
+
+    For an (R, N + 1) batch ``alpha`` holds one scale per row, and the
+    values and argmax indices are (R,) arrays.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    bad = ~(alpha > 0.0)
+    if bad.any():
+        raise DegenerateLrvError(f"scale must be positive, got {float(alpha[bad][0])}")
+    sq = np.divide(process, alpha[..., None])
+    sq *= sq
+    i = np.argmax(sq, axis=-1)
+    if sq.ndim == 1:
+        return float(sq[i]), int(i)
+    return _take(sq, i), i
+
+
+def _take(f, i):
+    """f[..., i] with one index per row."""
+    return np.take_along_axis(f, i[..., None], axis=-1)[..., 0]

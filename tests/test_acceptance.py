@@ -84,8 +84,9 @@ def test_criterion_4_power_scale_change_learning():
 def test_criterion_5_grid_max_brute_force_equality(monkeypatch):
     # A unit scale for every sample, which lrv_estimate would refuse to
     # estimate from the shortest (2-row) samples.
-    monkeypatch.setattr(lrv, "lrv_estimate", lambda p: lrv.LrvEstimate(
-        alpha_sq=1.0, bandwidth=0.0, n_lags=0))
+    monkeypatch.setattr(lrv, "lrv_estimates", lambda p: lrv.LrvEstimate(
+        alpha_sq=np.ones(len(p)), bandwidth=np.zeros(len(p)),
+        n_lags=np.zeros(len(p), dtype=int)))
     rng = np.random.default_rng(505)
     pair = ProjectionPair.from_vectors([0.6, 0.4])
     failures = 0
@@ -184,9 +185,10 @@ def test_criterion_8_pooled_endpoint_normality():
     z = np.empty(5000)
     for first in range(0, len(z), 50):
         reps = range(first, first + 50)
-        for r, panel in zip(reps, simgen.gen_ar1_panels(cfg, reps)):
-            num = sum(sumproc.kahan_cumsum(sumproc.project(y, pair))[-1] - n * t
-                      for y, n, t in zip(panel, sizes, targets))
+        batch = simgen.gen_ar1_panels(cfg, reps)
+        for i, r in enumerate(reps):
+            num = sum(sumproc.kahan_cumsum(sumproc.project(y[:, i], pair))[-1] - n * t
+                      for y, n, t in zip(batch, sizes, targets))
             z[r] = num / denom
     ks = scipy.stats.kstest(z, "norm").statistic
     _verdict(8, "pooled endpoint central limit behavior", ks < 0.05,

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from covcusum import cptest, limits, lrv, simgen, sumproc
+from covcusum import cptest, harness, limits, lrv, simgen, sumproc
 from covcusum.cptest import TestSpec
 from covcusum.errors import ConfigurationError, CovCusumError, DegenerateLrvError, ShapeError
 from covcusum.sumproc import ProjectionPair
@@ -27,10 +27,11 @@ def random_panel(K, n, d, seed):
 
 
 def fix_scales(monkeypatch, *alpha_sq):
-    """Patch ``lrv_estimate`` to return the scales ``alpha_sq`` in turn, cycling."""
+    """Patch ``lrv_estimates`` to give each sample the scales ``alpha_sq`` in turn, cycling."""
     scales = itertools.cycle(alpha_sq)
-    monkeypatch.setattr(lrv, "lrv_estimate", lambda p: lrv.LrvEstimate(
-        alpha_sq=next(scales), bandwidth=0.0, n_lags=0))
+    monkeypatch.setattr(lrv, "lrv_estimates", lambda p: lrv.LrvEstimate(
+        alpha_sq=np.full(len(p), next(scales)), bandwidth=np.zeros(len(p)),
+        n_lags=np.zeros(len(p), dtype=int)))
 
 
 class TestSpecValidation:
@@ -194,6 +195,23 @@ class TestLearningMode:
             cptest.run_test(products(random_panel(1, 50, 2, seed=1), PAIR_2D), spec,
                             learning_length=50)
 
+    @pytest.mark.parametrize("given, named", [(20.9, 20.9), (True, True), ([20, 20.5], 20.5),
+                                              (np.float64(math.nan), math.nan)],
+                             ids=["fraction", "bool", "one-of-several", "nan"])
+    def test_learning_length_not_a_whole_number_refused(self, given, named):
+        # 20.9 would have tested 80 of 100 products, truncated to 20.
+        spec = TestSpec(kind="q-breve", seed=5, **SMALL)
+        with pytest.raises(ConfigurationError,
+                           match=rf"learning_length must be a whole number, got .*{named}"):
+            cptest.run_test(products(random_panel(2, 100, 2, seed=1), PAIR_2D), spec,
+                            learning_length=given)
+
+    def test_integral_float_learning_length_is_that_length(self):
+        panel = products(random_panel(2, 100, 2, seed=1), PAIR_2D)
+        spec = TestSpec(kind="q-breve", seed=5, **SMALL)
+        assert (cptest.run_test(panel, spec, learning_length=20.0).to_dict()
+                == cptest.run_test(panel, spec, learning_length=20).to_dict())
+
     def test_one_learning_length_per_sample(self):
         spec = TestSpec(kind="q-breve", seed=5, **SMALL)
         with pytest.raises(ConfigurationError, match="2 learning lengths for 3 samples"):
@@ -300,8 +318,9 @@ class TestPowerOrdering:
             cfg = simgen.PanelConfig(K=1, d=1, N=(n,), rho0=(0.2,),
                                      sigma0=(1.0,), tau=(tau,),
                                      sigma1=(sigma1,), seed=77)
-            counts.append(sum(cptest.run_test(products(panel, pair), spec).reject
-                              for panel in simgen.gen_ar1_panels(cfg, range(500))))
+            (batch,) = simgen.gen_ar1_panels(cfg, range(500))
+            counts.append(sum(cptest.run_test(products([y], pair), spec).reject
+                              for y in batch.transpose(1, 0, 2)))
         assert counts == sorted(counts)
 
 
@@ -320,6 +339,60 @@ class TestPowerOrdering:
             s_alt = cptest.run_test(products(simgen.gen_ar1_panel(alt_cfg), pair),
                                     spec).statistic
             assert s_alt > 3.0 * s_null
+
+
+class TestBatch:
+    KINDS_SPECS = [TestSpec(kind=kind, seed=3, n_grid=500, n_rep=2000,
+                            targets=[1.6, 3.5, 0.8, 1.6] if kind in ("q", "v") else None)
+                   for kind in limits.KINDS]
+
+    @pytest.mark.parametrize("learning_length", [None, 20], ids=["in-sample", "learning"])
+    def test_every_replication_equals_its_panel_alone(self, learning_length):
+        # Case I, d = 3: each replication of a batch gets, bit for bit, the
+        # report run_tests gives its panel alone.
+        d, reps = 3, [0, 1, 2, 3]
+        cfg = simgen.PanelConfig(K=4, d=d, N=harness.CASE_SIZES["I"],
+                                 rho0=tuple(harness.rho_pre(d)), sigma0=harness.SIGMA_PRE,
+                                 seed=21)
+        samples = simgen.gen_ar1_panels(cfg, reps)
+        vectors = np.stack([simgen.gen_dirichlet_projection(d, 40 + r) for r in reps])
+        batch = [sumproc.project(y, ProjectionPair.from_vectors(vectors)) for y in samples]
+        results = cptest.run_batch(batch, self.KINDS_SPECS, learning_length=learning_length)
+        for r in range(len(reps)):
+            panel = products([y[:, r] for y in samples], ProjectionPair.from_vectors(vectors[r]))
+            assert all(np.array_equal(p, b[r]) for p, b in zip(panel, batch))
+            alone = cptest.run_tests(panel, self.KINDS_SPECS, learning_length=learning_length)
+            for result, report in zip(results, alone):
+                assert result.report(r) == report
+                assert result.statistic[r] == report.statistic
+                assert result.critical_value[r] == report.critical_value
+                assert result.reject[r] == report.reject
+                for j, info in enumerate(report.per_sample):
+                    assert (result.alpha_sq[r, j], result.bandwidth[r, j],
+                            result.argmax_k[r, j]) == (info.alpha_sq, info.bandwidth,
+                                                       info.argmax_k)
+
+    def test_refusal_in_one_replication_names_its_sample(self):
+        rng = np.random.default_rng(9)
+        batch = [rng.standard_normal((3, 50)) ** 2 for _ in range(3)]
+        spec = TestSpec(kind="q-breve", seed=6, **SMALL)
+        cptest.run_batch(batch, [spec])
+        bad = [p.copy() for p in batch]
+        bad[1][1, 7] = np.inf
+        with pytest.raises(CovCusumError, match="sample 2: non-finite product at observation 8"
+                           ) as exc:
+            cptest.run_batch(bad, [spec])
+        assert exc.value.sample_index == 1
+        constant = [p.copy() for p in batch]
+        constant[2][1] = 4.0
+        with pytest.raises(DegenerateLrvError, match="sample 3: constant product series") as exc:
+            cptest.run_batch(constant, [spec])
+        assert exc.value.sample_index == 2
+
+    def test_samples_of_unequal_replication_counts_refused(self):
+        batch = [np.ones((3, 50)), np.ones((2, 50))]
+        with pytest.raises(ShapeError, match="sample 2: 2 replications, but sample 1 has 3"):
+            cptest.run_batch(batch, [TestSpec(kind="q-breve", seed=6, **SMALL)])
 
 
 class TestDispatchAndReport:

@@ -126,19 +126,19 @@ class TestRunExperiment:
         assert all(r.lrv_mode == harness.MODE_LEARNING for r in rows)
 
     def test_learning_blocks_stacked_in_front(self, monkeypatch):
-        # run_tests gets each sample's products with its learning block's in
+        # run_batch gets each sample's products with its learning block's in
         # front and the block sizes as learning_length, which cptest splits off.
         seen = []
-        run_tests = harness.cptest.run_tests
-        monkeypatch.setattr(harness.cptest, "run_tests", lambda panel, specs, **k: (
-            seen.append(([p.shape for p in panel], k["learning_length"]))
-            or run_tests(panel, specs, **k)))
+        run_batch = harness.cptest.run_batch
+        monkeypatch.setattr(harness.cptest, "run_batch", lambda batch, specs, **k: (
+            seen.append(([p.shape for p in batch], k["learning_length"]))
+            or run_batch(batch, specs, **k)))
         cfg = ExperimentConfig(replications=2, cases=("I",), dims=(2,), scenario="none",
                                learning_length=500, seed=103, **FAST)
         harness.run_cell("I", 2, None, cfg, 0)
         learning = (41, 50, 29, 37)
         sizes = [n + m for n, m in zip(harness.CASE_SIZES["I"], learning)]
-        assert seen == [([(n,) for n in sizes], learning)] * 2
+        assert seen == [([(2, n) for n in sizes], learning)]
 
     def test_in_sample_by_default(self):
         cfg = ExperimentConfig(replications=2, cases=("I",), dims=(2,),
@@ -147,16 +147,21 @@ class TestRunExperiment:
         rows = harness.run_experiment(cfg)
         assert all(r.lrv_mode == harness.MODE_IN_SAMPLE for r in rows)
 
-    def test_cell_projects_each_sample_once(self, monkeypatch):
-        # Both kinds share one summary per replication: K = 4 projections.
-        calls = []
+    @pytest.mark.parametrize("budget", [1, 2 ** 40], ids=["one-per-batch", "one-batch"])
+    def test_cell_projects_each_sample_once(self, monkeypatch, budget):
+        # Both kinds share one summary per batch: every row of every
+        # replication's samples is projected exactly once.
+        rows = []
         project = sumproc.project
         monkeypatch.setattr(sumproc, "project",
-                            lambda *a, **k: calls.append(1) or project(*a, **k))
+                            lambda y, pair: rows.append(y.shape[0] * y.shape[1])
+                            or project(y, pair))
+        monkeypatch.setattr(harness, "PANEL_CHUNK_BYTES", budget)
         cfg = ExperimentConfig(replications=3, cases=("I",), dims=(2,),
                                scenario="none", seed=106, **FAST)
         harness.run_cell("I", 2, None, cfg, 0)
-        assert len(calls) == 4 * 3
+        assert sum(rows) == 3 * sum(harness.CASE_SIZES["I"])
+        assert len(rows) == 4 * (3 if budget == 1 else 1)
 
     @pytest.mark.parametrize("scenario, learning_length", [
         ("none", None), ("coefficient-change", 500)])
@@ -196,10 +201,10 @@ class TestRunExperiment:
             held = [b for b, refs in alive.items()
                     if b != batch and any(ref() is not None for ref in refs)]
             assert held == [], f"arrays of batches {held} alive"
-            panels = generate(config, reps)
+            samples = generate(config, reps)
             alive.setdefault(batch, []).extend(
-                weakref.ref(a) for panel in panels for y in panel for a in (y, y.base))
-            return panels
+                weakref.ref(a) for y in samples for a in (y, y.base))
+            return samples
 
         monkeypatch.setattr(harness.simgen, "gen_ar1_panels", tracking)
         monkeypatch.setattr(harness, "PANEL_CHUNK_BYTES", 200_000)

@@ -142,6 +142,35 @@ class TestExtremaCache:
         limits._extrema_cache.clear()
 
 
+    def test_shifted_draws_memo_equals_a_fresh_shift(self):
+        # One draw set serves two n_grid: each memoized shift equals the
+        # shift made afresh, is read-only, and goes when the draws go.
+        limits._draws_cache.clear()
+        hi, lo = limits.draw_extrema("bb", 2, 2000, seed=31)
+        c = np.array([1.0, 1.5]) * np.sqrt([0.5, 0.5])
+        memos = {}
+        for n_grid in (500, 2000):
+            shift = limits.BGK_BETA / math.sqrt(n_grid)
+            memo = limits._shifted_extrema("bb", 2, 2000, 31, n_grid, 1)
+            assert limits._shifted_extrema("bb", 2, 2000, 31, n_grid, 1) is memo
+            fresh = [np.maximum(a - shift, 0.0) for a in (hi, lo)]
+            assert all(np.array_equal(m, f) for m, f in zip(memo, fresh))
+            for a in memo:
+                with pytest.raises(ValueError, match="read-only"):
+                    a *= 2.0
+            req = CritValRequest(kind="v-breve", K=2, level=0.95, alpha_weights=(1.0, 1.5),
+                                 kappa=(0.5, 0.5), n_grid=n_grid, n_rep=2000, seed=31)
+            assert limits.critical_value(req) == limits.empirical_quantile(
+                np.maximum(fresh[0] @ c, fresh[1] @ c), 0.95)
+            memos[n_grid] = memo
+        assert sorted(limits._draws_cache["bb", 2, 2000, 31][1]) == [500, 2000]
+        limits._draws_cache.clear()
+        again = limits._shifted_extrema("bb", 2, 2000, 31, 500, 1)
+        assert again is not memos[500]
+        assert all(np.array_equal(a, m) for a, m in zip(again, memos[500]))
+        limits._draws_cache.clear()
+
+
 class _RecordingPool:
     """Stands in for ThreadPoolExecutor: records its size and maps serially."""
 

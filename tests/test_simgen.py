@@ -122,22 +122,22 @@ class TestGenAr1Panels:
         cfg = simgen.PanelConfig(**{**CASE_I, **overrides})
         reps = [5, 0, 3]
         batch = simgen.gen_ar1_panels(cfg, reps)
-        assert len(batch) == len(reps)
-        for panel, rep in zip(batch, reps):
+        assert [y.shape for y in batch] == [(n, len(reps), cfg.d) for n in cfg.N]
+        for i, rep in enumerate(reps):
             alone = simgen.gen_ar1_panel(cfg, rep)
-            assert tuple(map(len, panel)) == tuple(map(len, alone)) == cfg.N
-            for y, ref in zip(panel, alone):
-                assert y.shape == (len(ref), cfg.d)
-                assert np.array_equal(y, ref)
+            assert tuple(map(len, alone)) == cfg.N
+            for y, ref in zip(batch, alone):
+                assert ref.shape == (len(ref), cfg.d)
+                assert np.array_equal(y[:, i], ref)
 
     def test_batch_samples_view_one_buffer(self):
         # The K samples of every replication are views of the batch's one
         # generator buffer, not copies of it.
         cfg = simgen.PanelConfig(**CASE_I)
         batch = simgen.gen_ar1_panels(cfg, [5, 0, 3])
-        buffer = batch[0][0].base
+        buffer = batch[0].base
         assert buffer.shape == (cfg.burn_in + max(cfg.N), cfg.K, 3, cfg.d)
-        assert all(y.base is buffer for panel in batch for y in panel)
+        assert all(y.base is buffer for y in batch)
 
     # sha256 of one small panel's bytes per scenario, as the earlier
     # generator (scipy.signal.lfilter per sample and coordinate) made them.
@@ -157,7 +157,8 @@ class TestGenAr1Panels:
         elif scenario == "coefficient-change":
             kwargs.update(rho1=(0.7, -0.2, 0.5), tau=(6, 4))
         cfg = simgen.PanelConfig(**kwargs)
-        for panel in (simgen.gen_ar1_panel(cfg, 3), simgen.gen_ar1_panels(cfg, [1, 3])[1]):
+        for panel in (simgen.gen_ar1_panel(cfg, 3),
+                      [y[:, 1] for y in simgen.gen_ar1_panels(cfg, [1, 3])]):
             digest = hashlib.sha256(b"".join(y.tobytes() for y in panel))
             assert digest.hexdigest() == self.GOLDEN[scenario]
 

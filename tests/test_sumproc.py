@@ -63,7 +63,7 @@ class TestProject:
         else:
             cfg = simgen.PanelConfig(K=2, d=d, N=(90, 150), rho0=(0.3,) * d,
                                      sigma0=(1.0, 2.0), seed=d)
-            y = simgen.gen_ar1_panels(cfg, [0, 1])[1][1]
+            y = simgen.gen_ar1_panels(cfg, [0, 1])[1][:, 1]
             assert not y.flags.c_contiguous
         pair = ProjectionPair.from_vectors(rng.standard_normal(d), rng.dirichlet(np.ones(d)))
         whole = sumproc.project(y, pair)
