@@ -248,9 +248,16 @@ def _cmd_test(args):
     if limits.method_of(spec.kind) == "exact-mc":
         spec = dataclasses.replace(spec, seed=_resolve_seed(args))
     products, _ = load_bundle(args.data, args.v, args.w)
+    L = args.learning_length
     try:
-        report = cptest.run_test(products, spec, learning_length=args.learning_length,
-                                 workers=args.workers)
+        if L is not None:
+            cptest._series([p[None] for p in products])  # numbers a bad product by its file row
+            for j, p in enumerate(products):
+                if L >= len(p):
+                    raise ConfigurationError(f"learning_length {L} invalid for sample {j + 1} "
+                                             f"of size {len(p)}", sample_index=j)
+        learning = None if L is None else [p[:L] for p in products]
+        report = cptest.run_test([p[L:] for p in products], spec, learning, workers=args.workers)
     except CovCusumError as exc:
         if exc.sample_index is None:
             raise

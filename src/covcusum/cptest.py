@@ -8,8 +8,8 @@ bilinear form; the plain variants require known targets.  A panel is a
 list of K product series p = (Yv)(Yw), one per sample, all projected by
 the caller through one pair of weight vectors (``sumproc.project``); a
 ``TestSpec`` holds one test's settings.  Long-run variances are always
-estimated: from the tested products, or from ``learning_length`` leading
-products of each series, which are then not tested.  Refusals count
+estimated: from the tested products, or from a learning series per
+sample, projected through the same pair and not tested.  Refusals count
 samples and observations from 1, as ``covcusum test`` numbers its files,
 and a refusal about one sample keeps its 0-based ``sample_index``.
 
@@ -46,7 +46,8 @@ class TestSpec:
     seed: int = 0
 
     def __post_init__(self):
-        limits.check_settings(self.kind, self.level, self.n_grid, self.n_rep, self.seed)
+        self.n_grid, self.n_rep, self.seed = limits.check_settings(
+            self.kind, self.level, self.n_grid, self.n_rep, self.seed)
         bridge = self.kind in limits.BRIDGE_KINDS
         if not bridge and self.targets is None:
             raise ConfigurationError(f"kind {self.kind!r} requires targets")
@@ -110,38 +111,6 @@ def _series(batch):
     return series
 
 
-def _learning_lengths(learning_length, K):
-    """One whole learning length per sample; a bool or a fraction is refused."""
-    given = learning_length if np.ndim(learning_length) else [learning_length]
-    lengths = []
-    for L in given:
-        if isinstance(L, (bool, np.bool_)) or not float(L).is_integer():
-            raise ConfigurationError(f"learning_length must be a whole number, got {L!r}")
-        lengths.append(int(L))
-    if len(lengths) not in (1, K):
-        raise ConfigurationError(f"got {len(lengths)} learning lengths for {K} samples")
-    return lengths * K if len(lengths) == 1 else lengths
-
-
-def _split_learning(series, learning_length):
-    """Split ``learning_length`` leading products off each series.
-
-    Returns the stretches that estimate the long-run variances and those
-    that enter the test; without a length they are the same.
-    """
-    if learning_length is None:
-        return series, series
-    learning, tested = [], []
-    for j, (p, L) in enumerate(zip(series, _learning_lengths(learning_length, len(series)))):
-        if not 0 < L < p.shape[1]:
-            raise ConfigurationError(
-                f"learning_length {L} invalid for sample {j + 1} of size {p.shape[1]}",
-                sample_index=j)
-        learning.append(p[:, :L])
-        tested.append(p[:, L:])
-    return learning, tested
-
-
 @dataclass
 class PanelSummary:
     """Per-sample quantities that every statistic kind is a function of.
@@ -156,13 +125,20 @@ class PanelSummary:
     lrv: list
 
 
-def _summarize(batch, learning_length) -> PanelSummary:
-    """Running sums of each tested stretch and its long-run variance.
+def _summarize(batch, learning) -> PanelSummary:
+    """Running sums of each tested series and its long-run variance.
 
-    A series that is not finite, or a stretch too short to estimate
-    from, raises ``CovCusumError`` naming the sample.
+    The variances are estimated on ``learning``, one series per sample,
+    or in-sample without it.  A series that is not finite, or one too
+    short to estimate from, raises ``CovCusumError`` naming the sample.
     """
-    learning, tested = _split_learning(_series(batch), learning_length)
+    tested = _series(batch)
+    if learning is not None and len(learning) != len(tested):
+        raise ConfigurationError(f"got {len(learning)} learning series for {len(tested)} samples")
+    learning = tested if learning is None else _series(learning)
+    if len(learning[0]) != len(tested[0]):
+        raise ShapeError(f"{len(learning[0])} learning replications, but the batch has "
+                         f"{len(tested[0])}")
     ests = []
     for j, p in enumerate(learning):
         with _naming_sample(j):
@@ -247,18 +223,17 @@ class BatchReport:
                           method=method)
 
 
-def run_batch(batch, specs: Sequence[TestSpec],
-              learning_length: Optional[Sequence[int]] = None, workers: int = 1) -> list:
+def run_batch(batch, specs: Sequence[TestSpec], learning=None, workers: int = 1) -> list:
     """Run several tests on every panel of a batch, summarizing each sample once.
 
     ``batch`` holds one (R, N_j) array per sample, row r of which is
-    panel r's product series.  ``learning_length`` leading products per
-    series (one whole number, or one per sample) estimate the long-run
-    variance and are not tested; None estimates it in-sample.  Returns one
-    ``BatchReport`` per spec.  ``workers`` threads draw a v kind's
-    critical value; the reports do not depend on it.
+    panel r's product series.  ``learning`` holds one (R, L_j) array per
+    sample, whose rows estimate the long-run variances and are not
+    tested; None estimates them in-sample.  Returns one ``BatchReport``
+    per spec.  ``workers`` threads draw a v kind's critical value; the
+    reports do not depend on it.
     """
-    summary = _summarize(batch, learning_length)
+    summary = _summarize(batch, learning)
     R = len(summary.sums[0])
     alpha_sq = np.stack([e.alpha_sq for e in summary.lrv], axis=-1)
     bandwidth = np.stack([e.bandwidth for e in summary.lrv], axis=-1)
@@ -272,15 +247,8 @@ def run_batch(batch, specs: Sequence[TestSpec],
     return reports
 
 
-def run_tests(panel, specs: Sequence[TestSpec],
-              learning_length: Optional[Sequence[int]] = None, workers: int = 1) -> list:
-    """Run several tests on one panel, summarizing each sample once.
-
-    ``panel`` is a list of K product series, ``sumproc.project`` of each
-    sample through one pair of weight vectors; it is tested as a batch of
-    one (``run_batch``).  Returns one report per spec, equal to what
-    ``run_test`` returns for it.
-    """
+def _batch_of_one(panel):
+    """The K 1-d product series of ``panel`` as (1, N_j) arrays."""
     batch = []
     for j, p in enumerate(panel):
         p = np.asarray(p, dtype=float)
@@ -288,10 +256,23 @@ def run_tests(panel, specs: Sequence[TestSpec],
             if p.ndim != 1:
                 raise ShapeError(f"expected a 1-d product series, got ndim={p.ndim}")
         batch.append(p[None])
-    return [b.report(0) for b in run_batch(batch, specs, learning_length, workers)]
+    return batch
 
 
-def run_test(panel, spec: TestSpec, learning_length: Optional[Sequence[int]] = None,
-             workers: int = 1) -> TestReport:
+def run_tests(panel, specs: Sequence[TestSpec], learning=None, workers: int = 1) -> list:
+    """Run several tests on one panel, summarizing each sample once.
+
+    ``panel`` is a list of K product series, ``sumproc.project`` of each
+    sample through one pair of weight vectors, and ``learning`` None or
+    K more, projected through the same pair, that estimate the long-run
+    variances instead; they are tested as a batch of one
+    (``run_batch``).  Returns one report per spec, equal to what
+    ``run_test`` returns for it.
+    """
+    learning = None if learning is None else _batch_of_one(learning)
+    return [b.report(0) for b in run_batch(_batch_of_one(panel), specs, learning, workers)]
+
+
+def run_test(panel, spec: TestSpec, learning=None, workers: int = 1) -> TestReport:
     """Run the test named by ``spec.kind`` on a K-sample panel; see ``run_tests``."""
-    return run_tests(panel, [spec], learning_length, workers)[0]
+    return run_tests(panel, [spec], learning, workers)[0]

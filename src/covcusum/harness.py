@@ -5,19 +5,18 @@ four sample-size cases over a horizon of 1200 time instants, per-sample
 innovation scales, coordinate-dependent AR coefficients, changes injected
 in either the innovation scale or the coefficients after a given time
 instant, and long-run variances estimated in-sample or on learning
-blocks, whose products go in front of the samples' (``cptest`` splits
-them off).
+blocks of their own.
 
 A cell generates its replications in batches through
 ``simgen.gen_ar1_panels``: replication r is rep 2r of the panel config
 and rep 2r + 1 of the learning config, whatever the batch.  A batch holds
 as many replications as fit the generator buffers, whose views are the
 samples, into ``PANEL_CHUNK_BYTES``: memory is bounded for any count.
-Each sample of a batch is projected once, every replication through its
-own pair, into an (R, N_j) array, and the tests, specified once per cell,
-run on the whole batch at once (``cptest.run_batch``); the cell counts
-the rejections of the batch's decisions.  Results do not depend on the
-batch size.
+Each sample and learning block of a batch is projected once, every
+replication through its own pair, into an (R, N_j) or (R, L_j) array, and
+the tests, specified once per cell, run on the whole batch at once
+(``cptest.run_batch``); the cell counts the rejections of the batch's
+decisions.  Results do not depend on the batch size.
 """
 
 from __future__ import annotations
@@ -101,6 +100,7 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        self.replications = limits.whole_number(self.replications, "replications")
         if self.replications < 1:
             raise ConfigurationError("replications must be >= 1")
         if self.scenario not in SCENARIOS:
@@ -117,6 +117,7 @@ class ExperimentConfig:
         for c in self.cases:
             if c not in CASE_SIZES:
                 raise ConfigurationError(f"unknown case {c!r}")
+        self.dims = tuple(limits.whole_number(d, "dims") for d in self.dims)
         if min(self.dims, default=0) < 1:
             raise ConfigurationError("dims must be >= 1")
         if not self.tests:
@@ -125,11 +126,13 @@ class ExperimentConfig:
             if t not in limits.BRIDGE_KINDS:
                 raise ConfigurationError(
                     f"experiment supports the target-free kinds, got {t!r}")
-            limits.check_settings(t, self.level, self.critval_n_grid, self.critval_n_rep,
-                                  self.seed)
+            self.critval_n_grid, self.critval_n_rep, self.seed = limits.check_settings(
+                t, self.level, self.critval_n_grid, self.critval_n_rep, self.seed)
         limits._check_workers(self.workers)
-        if self.learning_length is not None and self.learning_length < 1:
-            raise ConfigurationError("learning_length must be >= 1 time instant")
+        if self.learning_length is not None:
+            self.learning_length = limits.whole_number(self.learning_length, "learning_length")
+            if self.learning_length < 1:
+                raise ConfigurationError("learning_length must be >= 1 time instant")
 
 
 @dataclass
@@ -179,10 +182,10 @@ def _batches(panel_cfg, learning_cfg, n, d, seed):
 
     Replication r's samples are rep 2r of ``panel_cfg``, and its learning
     blocks, if there is a ``learning_cfg``, rep 2r + 1 of that.  Both are
-    projected through r's own Dirichlet pair, learning products in front.
-    A batch of R replications is one (R, N_j) array per sample, and holds
-    as many replications as fit PANEL_CHUNK_BYTES of generator buffer.
-    The buffer is released before the batch is yielded, and the batch
+    projected through r's own Dirichlet pair.  A batch of R replications,
+    one (R, N_j) array per sample and one (R, L_j) array per learning block
+    or None, holds as many as fit PANEL_CHUNK_BYTES of generator buffer.
+    Each buffer is released before the batch is yielded, and the batch
     before the next is generated, if the caller lets go of it too.
     """
     configs = [c for c in (panel_cfg, learning_cfg) if c is not None]
@@ -192,15 +195,10 @@ def _batches(panel_cfg, learning_cfg, n, d, seed):
         block = range(first, min(first + chunk, n))
         pair = sumproc.ProjectionPair.from_vectors(np.stack(
             [simgen.gen_dirichlet_projection(d, _cell_seed(seed, r + 1)) for r in block]))
-        samples = simgen.gen_ar1_panels(panel_cfg, [2 * r for r in block])
-        products = [sumproc.project(y, pair) for y in samples]
-        del samples
-        if learning_cfg is not None:
-            blocks = simgen.gen_ar1_panels(learning_cfg, [2 * r + 1 for r in block])
-            products = [np.concatenate([sumproc.project(b, pair), p], axis=1)
-                        for b, p in zip(blocks, products)]
-            del blocks
-        yield products
+        products = [[sumproc.project(y, pair)
+                     for y in simgen.gen_ar1_panels(c, [2 * r + i for r in block])]
+                    for i, c in enumerate(configs)]
+        yield products[0], products[1] if learning_cfg is not None else None
         del products
 
 
@@ -210,21 +208,19 @@ def run_cell(case, d, change_time, cfg: ExperimentConfig, cell_index):
     seed = _cell_seed(cfg.seed, cell_index)
     base_kwargs = _panel_config(case, d, cfg.scenario, change_time)
     panel_cfg = simgen.PanelConfig(seed=seed, **base_kwargs)
-    learning_sizes = learning_cfg = None
+    learning_cfg = None
     if cfg.learning_length is not None:
-        learning_sizes = _learning_sizes(case, cfg)
         learning_cfg = simgen.PanelConfig(
-            K=4, d=d, N=learning_sizes,
+            K=4, d=d, N=_learning_sizes(case, cfg),
             rho0=base_kwargs["rho0"], sigma0=SIGMA_PRE, seed=seed)
 
     specs = [cptest.TestSpec(kind=t, level=cfg.level, n_grid=cfg.critval_n_grid,
                              n_rep=cfg.critval_n_rep, seed=seed)
              for t in cfg.tests]
     rejections = {t: 0 for t in cfg.tests}
-    for batch in _batches(panel_cfg, learning_cfg, cfg.replications, d, seed):
-        reports = cptest.run_batch(batch, specs, learning_length=learning_sizes,
-                                   workers=cfg.workers)
-        del batch  # not held while the next batch is generated
+    for batch, learning in _batches(panel_cfg, learning_cfg, cfg.replications, d, seed):
+        reports = cptest.run_batch(batch, specs, learning, workers=cfg.workers)
+        del batch, learning  # not held while the next batch is generated
         for t, report in zip(cfg.tests, reports):
             rejections[t] += int(np.count_nonzero(report.reject))
 

@@ -29,8 +29,9 @@ and no critical value uses it.
 
 This module owns the critical-value settings: ``check_settings`` refuses
 a bad one for ``CritValRequest``, ``cptest.TestSpec`` and
-``harness.ExperimentConfig`` alike, and a request is complete or refused
-when made.  It owns every memo of a critical value, and all are exact:
+``harness.ExperimentConfig`` alike, ``whole_number`` any integer setting
+that is a bool or a fraction, and a request is complete or refused when
+made.  It owns every memo of a critical value, and all are exact:
 ``_corrected_quantile`` is memoized on its arguments, the most recent few
 draw sets on (law, K, n_rep, seed), and the quantile tables on the law.
 A draw set's entry also holds its draws shifted by beta / sqrt(n_grid),
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -170,18 +172,27 @@ def method_of(kind: str) -> str:
     return "corrected" if kind in CORRECTED_KINDS else "exact-mc"
 
 
-def check_settings(kind: str, level: float, n_grid: int, n_rep: int, seed: int) -> None:
-    """Refuse a critical-value setting; ``n_rep`` only for the kinds that read it."""
+def whole_number(value, name: str) -> int:
+    """``value``, an integral real, as an int; anything else is refused naming ``name``."""
+    if (isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer()):
+        raise ConfigurationError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def check_settings(kind: str, level: float, n_grid: int, n_rep: int, seed: int) -> tuple:
+    """(n_grid, n_rep, seed) as ints, or a refusal; ``n_rep`` only for the kinds that read it."""
     if kind not in KINDS:
         raise ConfigurationError(f"unknown statistic kind {kind!r}")
     if not 0.0 < level < 1.0:
         raise ConfigurationError(f"level must be in (0, 1), got {level}")
-    if n_grid < 100:
+    if (n_grid := whole_number(n_grid, "n_grid")) < 100:
         raise ConfigurationError("n_grid must be >= 100")
-    if method_of(kind) == "exact-mc" and n_rep < 1000:
+    if method_of(kind) == "exact-mc" and (n_rep := whole_number(n_rep, "n_rep")) < 1000:
         raise ConfigurationError("n_rep must be >= 1000")
-    if seed < 0:
+    if (seed := whole_number(seed, "seed")) < 0:
         raise ConfigurationError(f"seed must be non-negative, got {seed}")
+    return n_grid, n_rep, seed
 
 
 @dataclass(frozen=True)
@@ -198,7 +209,10 @@ class CritValRequest:
     seed: int = 0
 
     def __post_init__(self):
-        check_settings(self.kind, self.level, self.n_grid, self.n_rep, self.seed)
+        settings = check_settings(self.kind, self.level, self.n_grid, self.n_rep, self.seed)
+        for name, value in zip(("n_grid", "n_rep", "seed", "K"),
+                               (*settings, whole_number(self.K, "K"))):
+            object.__setattr__(self, name, value)
         if self.K < 1:
             raise ConfigurationError("K must be >= 1")
         pooled = self.kind in POOLED_KINDS
@@ -263,7 +277,7 @@ def _remember(cache, key, value):
 
 
 def _check_workers(workers):
-    if workers < 1:
+    if whole_number(workers, "workers") < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
 
 

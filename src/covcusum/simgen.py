@@ -193,8 +193,8 @@ def gen_dirichlet_projection(d: int, seed: int) -> np.ndarray:
     theta = rng.uniform(size=d)
     g = rng.gamma(shape=theta)
     total = g.sum()
-    if total <= 0.0:  # all-zero draw has probability zero but guard anyway
-        return np.full(d, 1.0 / d)
+    if total <= 0.0:  # small-theta draws underflow to 0: 0.13% of all at d = 1,
+        return np.full(d, 1.0 / d)  # where [1.0] is also what the draw gives
     return g / total
 
 

@@ -179,9 +179,9 @@ def per_sample_max_sq(process: np.ndarray, alpha):
     values and argmax indices are (R,) arrays.
     """
     alpha = np.asarray(alpha, dtype=float)
-    bad = ~(alpha > 0.0)
+    bad = ~((alpha > 0.0) & (alpha < np.inf))
     if bad.any():
-        raise DegenerateLrvError(f"scale must be positive, got {float(alpha[bad][0])}")
+        raise DegenerateLrvError(f"scale must be positive and finite, got {float(alpha[bad][0])}")
     sq = np.divide(process, alpha[..., None])
     sq *= sq
     i = np.argmax(sq, axis=-1)

@@ -363,8 +363,11 @@ class TestTestCommand:
         (lambda y: y[:30], ["--learning-length", "50"], 2,
          "learning_length 50 invalid for sample 2 of size 30"),
         (lambda y: 1e200 * y, [], 1, "sample 2: non-finite product at observation 1"),
+        (lambda y: np.concatenate([y[:24], 1e200 * y[24:]]), ["--learning-length", "20"], 1,
+         "sample 2: non-finite product at observation 25"),
         (lambda y: 1e100 * y, [], 1, "sample 2: non-finite autocovariance inf"),
-    ], ids=["short", "constant", "learning-length", "non-finite-product", "overflow"])
+    ], ids=["short", "constant", "learning-length", "non-finite-product",
+            "non-finite-tested-product", "overflow"])
     def test_sample_refusal_names_its_file(self, tmp_path, capsys, rows, flags, rc, message):
         data, v = self._panel_files(tmp_path)
         y = np.loadtxt(data[1], delimiter=",")
@@ -413,8 +416,10 @@ class TestTestCommand:
         spec = cptest.TestSpec(kind=kind, targets=None if bridge else [1.0, 1.0],
                                n_grid=100, n_rep=1000,
                                seed=5 if limits.method_of(kind) == "exact-mc" else 0)
-        report = cptest.run_test([sumproc.project(cli._load_matrix(p), pair) for p in data],
-                                 spec, learning_length=learning_length)
+        panel = [sumproc.project(cli._load_matrix(p), pair) for p in data]
+        L = learning_length or 0
+        learning = None if learning_length is None else [p[:L] for p in panel]
+        report = cptest.run_test([p[L:] for p in panel], spec, learning)
         assert out.read_text() == report.to_json(indent=2) + "\n"
 
     def test_all_zero_vector_refused_naming_file(self, tmp_path, capsys):

@@ -42,7 +42,8 @@ class TestSpecValidation:
     @pytest.mark.parametrize("kind, bad, match", [
         ("v-breve", dict(level=1.5), "level"), ("q-breve", dict(level=0.0), "level"),
         ("v-breve", dict(n_grid=5), "n_grid"), ("q-breve", dict(n_grid=99), "n_grid"),
-        ("v-breve", dict(n_rep=3), "n_rep"), ("v-breve", dict(seed=-1), "seed")])
+        ("v-breve", dict(n_rep=3), "n_rep"), ("v-breve", dict(seed=-1), "seed"),
+        ("q-breve", dict(n_grid=1000.5), "n_grid"), ("v-breve", dict(seed=True), "seed")])
     def test_critical_value_settings_refused_at_construction(self, kind, bad, match):
         with pytest.raises(ConfigurationError, match=match):
             TestSpec(kind=kind, **bad)
@@ -166,22 +167,20 @@ class TestBruteForceEquivalence:
 
 
 class TestLearningMode:
-    def test_learning_carved_from_front(self):
-        panel = random_panel(2, 200, 2, seed=8)
+    def test_learning_series_not_tested(self):
+        p = products(random_panel(2, 200, 2, seed=8), PAIR_2D)
         spec = TestSpec(kind="q-breve", seed=5, **SMALL)
-        rep = cptest.run_test(products(panel, PAIR_2D), spec,
-                              learning_length=50)
-        # The carved block is excluded from the tested stretch.
+        rep = cptest.run_test([x[50:] for x in p], spec, [x[:50] for x in p])
+        # Only the tested series count towards the sample sizes.
         assert rep.sample_sizes == (150, 150)
 
     def test_explicit_learning_data(self, monkeypatch):
-        # Learning products kept apart reach the test in front of the sample's.
+        # Learning products kept apart estimate the long-run variance.
         pair = ProjectionPair.from_vectors([0.5, 0.5])
         sample = random_panel(1, 100, 2, seed=9)[0]
         learn = random_panel(1, 400, 2, seed=10)[0]
         spec = TestSpec(kind="q-breve", seed=5, **SMALL)
-        panel = [np.concatenate(products([learn, sample], pair))]
-        rep = cptest.run_test(panel, spec, learning_length=400)
+        rep = cptest.run_test(products([sample], pair), spec, products([learn], pair))
         assert rep.sample_sizes == (100,)
         alpha_sq = lrv.lrv_estimate(sumproc.project(learn, pair)).alpha_sq
         assert rep.per_sample[0].alpha_sq == alpha_sq
@@ -189,34 +188,40 @@ class TestLearningMode:
         fix_scales(monkeypatch, alpha_sq)
         assert rep.statistic == cptest.run_test(products([sample], pair), spec).statistic
 
-    def test_learning_length_too_long_rejected(self):
+    def test_empty_tested_series_refused(self):
+        p = products(random_panel(1, 50, 2, seed=1), PAIR_2D)[0]
         spec = TestSpec(kind="q-breve", seed=5, **SMALL)
-        with pytest.raises(ConfigurationError):
-            cptest.run_test(products(random_panel(1, 50, 2, seed=1), PAIR_2D), spec,
-                            learning_length=50)
+        with pytest.raises(ShapeError, match="sample 1: empty sample"):
+            cptest.run_test([p[50:]], spec, [p])
 
-    @pytest.mark.parametrize("given, named", [(20.9, 20.9), (True, True), ([20, 20.5], 20.5),
-                                              (np.float64(math.nan), math.nan)],
-                             ids=["fraction", "bool", "one-of-several", "nan"])
-    def test_learning_length_not_a_whole_number_refused(self, given, named):
-        # 20.9 would have tested 80 of 100 products, truncated to 20.
+    def test_learning_count_other_than_k_refused(self):
+        p = products(random_panel(3, 80, 2, seed=1), PAIR_2D)
         spec = TestSpec(kind="q-breve", seed=5, **SMALL)
-        with pytest.raises(ConfigurationError,
-                           match=rf"learning_length must be a whole number, got .*{named}"):
-            cptest.run_test(products(random_panel(2, 100, 2, seed=1), PAIR_2D), spec,
-                            learning_length=given)
+        with pytest.raises(ConfigurationError, match="got 2 learning series for 3 samples"):
+            cptest.run_test(p, spec, p[:2])
 
-    def test_integral_float_learning_length_is_that_length(self):
-        panel = products(random_panel(2, 100, 2, seed=1), PAIR_2D)
-        spec = TestSpec(kind="q-breve", seed=5, **SMALL)
-        assert (cptest.run_test(panel, spec, learning_length=20.0).to_dict()
-                == cptest.run_test(panel, spec, learning_length=20).to_dict())
+    def test_learning_replications_other_than_batch_refused(self):
+        rng = np.random.default_rng(9)
+        batch = [rng.standard_normal((3, 50)) ** 2 for _ in range(2)]
+        spec = TestSpec(kind="q-breve", seed=6, **SMALL)
+        with pytest.raises(ShapeError, match="2 learning replications, but the batch has 3"):
+            cptest.run_batch(batch, [spec], [p[:2] for p in batch])
 
-    def test_one_learning_length_per_sample(self):
-        spec = TestSpec(kind="q-breve", seed=5, **SMALL)
-        with pytest.raises(ConfigurationError, match="2 learning lengths for 3 samples"):
-            cptest.run_test(products(random_panel(3, 80, 2, seed=1), PAIR_2D), spec,
-                            learning_length=[20, 30])
+    def test_non_finite_learning_product_names_sample(self):
+        p = products(random_panel(2, 80, 2, seed=3), PAIR_2D)
+        learning = [x.copy() for x in p]
+        learning[1][6] = np.inf
+        spec = TestSpec(kind="q-breve", seed=6, **SMALL)
+        with pytest.raises(CovCusumError,
+                           match="sample 2: non-finite product at observation 7") as exc:
+            cptest.run_test(p, spec, learning)
+        assert exc.value.sample_index == 1
+
+    def test_short_learning_series_refused(self):
+        p = products(random_panel(2, 80, 2, seed=3), PAIR_2D)
+        spec = TestSpec(kind="q-breve", seed=6, **SMALL)
+        with pytest.raises(ShapeError, match="sample 2: need at least 4 observations, got 3"):
+            cptest.run_test(p, spec, [p[0], p[1][:3]])
 
 
 class TestDegenerate:
@@ -234,9 +239,11 @@ class TestDegenerate:
         panel = random_panel(2, 80, 2, seed=3)
         panel[1][5, 0] = np.nan
         spec = TestSpec(kind="q-breve", seed=6, **SMALL)
+        p = products(panel, PAIR_2D)
+        L = learning_length or 0
+        learning = None if learning_length is None else [x[:L] for x in p]
         with pytest.raises(CovCusumError, match="sample 2: non-finite"):
-            cptest.run_test(products(panel, PAIR_2D), spec,
-                            learning_length=learning_length)
+            cptest.run_test([x[L:] for x in p], spec, learning)
 
     def test_short_sample_raises_naming_sample(self):
         panel = random_panel(2, 30, 1, seed=3)
@@ -357,11 +364,14 @@ class TestBatch:
         samples = simgen.gen_ar1_panels(cfg, reps)
         vectors = np.stack([simgen.gen_dirichlet_projection(d, 40 + r) for r in reps])
         batch = [sumproc.project(y, ProjectionPair.from_vectors(vectors)) for y in samples]
-        results = cptest.run_batch(batch, self.KINDS_SPECS, learning_length=learning_length)
+        L = learning_length or 0
+        learning = None if learning_length is None else [b[:, :L] for b in batch]
+        results = cptest.run_batch([b[:, L:] for b in batch], self.KINDS_SPECS, learning)
         for r in range(len(reps)):
             panel = products([y[:, r] for y in samples], ProjectionPair.from_vectors(vectors[r]))
             assert all(np.array_equal(p, b[r]) for p, b in zip(panel, batch))
-            alone = cptest.run_tests(panel, self.KINDS_SPECS, learning_length=learning_length)
+            alone = cptest.run_tests([p[L:] for p in panel], self.KINDS_SPECS,
+                                     None if learning is None else [p[:L] for p in panel])
             for result, report in zip(results, alone):
                 assert result.report(r) == report
                 assert result.statistic[r] == report.statistic

@@ -76,10 +76,28 @@ class TestExperimentConfig:
         (dict(scenario="coefficient-change", change_times=(600, 1200)), "change_times"),
         (dict(scenario="sigma-change", change_times=(0,)), "change_times"),
         (dict(scenario="none", change_times=(600,)), "change_times"),
-        (dict(tests=()), "tests")])
+        (dict(tests=()), "tests"),
+        # replications 2.5 used to pass here and fail in run_experiment with
+        # a TypeError; learning_length 2.5 ran to completion.
+        (dict(replications=2.5), "replications must be a whole number"),
+        (dict(replications=True), "replications must be a whole number"),
+        (dict(dims=(10, 2.5)), "dims must be a whole number"),
+        (dict(learning_length=2.5), "learning_length must be a whole number"),
+        (dict(learning_length=True), "learning_length must be a whole number"),
+        (dict(seed=1.5), "seed must be a whole number"),
+        (dict(critval_n_grid=1000.5), "n_grid must be a whole number"),
+        (dict(workers=1.5), "workers must be a whole number")])
     def test_rejects_bad_settings(self, bad, match):
         with pytest.raises(ConfigurationError, match=match):
             ExperimentConfig(**bad)
+
+    def test_integral_floats_are_those_ints(self):
+        cfg = ExperimentConfig(replications=np.int64(3), dims=(2.0,), learning_length=500.0,
+                               seed=np.uint8(7), critval_n_grid=500.0, critval_n_rep=1000.0)
+        assert (cfg.replications, cfg.dims, cfg.learning_length, cfg.seed,
+                cfg.critval_n_grid, cfg.critval_n_rep) == (3, (2,), 500, 7, 500, 1000)
+        assert all(type(x) is int for x in (cfg.replications, *cfg.dims, cfg.learning_length,
+                                            cfg.seed, cfg.critval_n_grid, cfg.critval_n_rep))
 
     def test_change_time_defaults_to_mid_horizon(self):
         assert ExperimentConfig(scenario="sigma-change").change_times == (600,)
@@ -125,20 +143,18 @@ class TestRunExperiment:
         rows = harness.run_experiment(cfg)
         assert all(r.lrv_mode == harness.MODE_LEARNING for r in rows)
 
-    def test_learning_blocks_stacked_in_front(self, monkeypatch):
-        # run_batch gets each sample's products with its learning block's in
-        # front and the block sizes as learning_length, which cptest splits off.
+    def test_learning_blocks_passed_beside_samples(self, monkeypatch):
+        # run_batch gets each sample's products and, apart, its learning block's.
         seen = []
         run_batch = harness.cptest.run_batch
-        monkeypatch.setattr(harness.cptest, "run_batch", lambda batch, specs, **k: (
-            seen.append(([p.shape for p in batch], k["learning_length"]))
-            or run_batch(batch, specs, **k)))
+        monkeypatch.setattr(harness.cptest, "run_batch", lambda batch, specs, learning, **k: (
+            seen.append(([p.shape for p in batch], [p.shape for p in learning]))
+            or run_batch(batch, specs, learning, **k)))
         cfg = ExperimentConfig(replications=2, cases=("I",), dims=(2,), scenario="none",
                                learning_length=500, seed=103, **FAST)
         harness.run_cell("I", 2, None, cfg, 0)
-        learning = (41, 50, 29, 37)
-        sizes = [n + m for n, m in zip(harness.CASE_SIZES["I"], learning)]
-        assert seen == [([(2, n) for n in sizes], learning)]
+        assert seen == [([(2, n) for n in harness.CASE_SIZES["I"]],
+                         [(2, m) for m in (41, 50, 29, 37)])]
 
     def test_in_sample_by_default(self):
         cfg = ExperimentConfig(replications=2, cases=("I",), dims=(2,),

@@ -215,7 +215,7 @@ class TestWorkers:
             for law in ("bm", "bb"):
                 assert all(np.array_equal(g, r) for g, r in zip(got[law], ref[law]))
 
-    @pytest.mark.parametrize("workers", [0, -1])
+    @pytest.mark.parametrize("workers", [0, -1, 1.5, True])
     def test_worker_count_below_one_refused_before_any_pool(self, pool_sizes, workers):
         with pytest.raises(ConfigurationError, match="workers"):
             limits.simulate_path_extrema(1, 100, 1000, seed=1, workers=workers, cache=False)
@@ -555,6 +555,33 @@ class TestCriticalValue:
                                alpha_weights=(1.0, 1.0), kappa=(bad, 0.5))
         with pytest.raises(ConfigurationError, match="seed"):
             CritValRequest(kind="v-breve", K=1, level=0.95, seed=-1)
+
+    @pytest.mark.parametrize("name, value", [
+        ("seed", 1.5), ("seed", True), ("n_grid", 1000.5), ("n_rep", 2000.5),
+        ("K", 2.5), ("K", np.bool_(True)), ("seed", "1"), ("n_grid", math.nan)])
+    def test_integer_setting_not_a_whole_number_refused(self, name, value):
+        # seed 1.5 used to give seed 1's value, and K 2.5 an AttributeError.
+        settings = dict(kind="v-breve", K=2, level=0.95, alpha_weights=(1.0, 1.5),
+                        kappa=(0.5, 0.5), n_rep=2000, seed=1)
+        with pytest.raises(ConfigurationError, match=f"{name} must be a whole number, got "):
+            CritValRequest(**{**settings, name: value})
+
+    def test_unread_n_rep_not_checked(self):
+        assert CritValRequest(kind="q-breve", K=1, level=0.95, n_rep=2.5).n_rep == 2.5
+
+    @pytest.mark.parametrize("kind", ["q-breve", "v-breve"])
+    def test_integral_floats_and_numpy_integers_are_those_ints(self, kind):
+        weights = dict(alpha_weights=(1.0, 1.5), kappa=(0.5, 0.5)) if kind == "v-breve" else {}
+        req = CritValRequest(kind=kind, K=2, level=0.95, n_grid=500, n_rep=2000, seed=1,
+                             **weights)
+        for K, n_grid, n_rep, seed in [(2.0, 500.0, 2000.0, 1.0),
+                                       (np.int64(2), np.int32(500), np.int64(2000), np.uint8(1))]:
+            same = CritValRequest(kind=kind, K=K, level=0.95, n_grid=n_grid, n_rep=n_rep,
+                                  seed=seed, **weights)
+            assert same == req
+            read = ("K", "n_grid", "seed") + (("n_rep",) if weights else ())
+            assert all(type(getattr(same, f)) is int for f in read)
+            assert limits.critical_value(same, workers=np.int64(1)) == limits.critical_value(req)
 
     def test_empirical_quantile_convention(self):
         draws = np.arange(1.0, 101.0)

@@ -99,7 +99,10 @@ def _panel():
 def test_report(kind, learning_length):
     targets = None if kind in limits.BRIDGE_KINDS else (0.9, 1.9, 0.45)
     spec = cptest.TestSpec(kind=kind, targets=targets, n_rep=2000, seed=3)
-    report = cptest.run_test(_panel(), spec, learning_length=learning_length)
+    panel = _panel()
+    L = learning_length or 0
+    learning = None if learning_length is None else [p[:L] for p in panel]
+    report = cptest.run_test([p[L:] for p in panel], spec, learning)
     statistic, crit, reject, per_sample = REPORT_PINS[kind, learning_length]
     assert report.statistic == pytest.approx(statistic, rel=1e-9, abs=0)
     assert report.critical_value == pytest.approx(crit, rel=1e-9, abs=0)

@@ -222,8 +222,10 @@ class TestPerSampleMaxSq:
         assert k0 == k1
 
     def test_nonpositive_scale_rejected(self):
-        with pytest.raises(DegenerateLrvError):
-            sumproc.per_sample_max_sq(np.zeros(3), 0.0)
+        # An infinite scale would standardize every deviation to 0, an accept.
+        for scale in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(DegenerateLrvError, match="scale must be positive and finite"):
+                sumproc.per_sample_max_sq(np.array([0.0, 5.0, 0.0]), scale)
 
     def test_argmax_smallest_index_on_tie(self):
         f = np.array([0.0, 2.0, -2.0])
