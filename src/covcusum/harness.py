@@ -111,9 +111,13 @@ class ExperimentConfig:
         else:
             if self.change_times is None:
                 self.change_times = (DEFAULT_CHANGE_TIME,)
+            self.change_times = tuple(limits.whole_number(t, "change_times")
+                                      for t in self.change_times)
             if not self.change_times or any(not 1 <= t < HORIZON for t in self.change_times):
                 raise ConfigurationError(
                     f"change_times must lie in [1, {HORIZON}), got {self.change_times}")
+        if not self.cases:
+            raise ConfigurationError("cases must name at least one case")
         for c in self.cases:
             if c not in CASE_SIZES:
                 raise ConfigurationError(f"unknown case {c!r}")
@@ -122,10 +126,12 @@ class ExperimentConfig:
             raise ConfigurationError("dims must be >= 1")
         if not self.tests:
             raise ConfigurationError("tests must name at least one kind")
-        for t in self.tests:
+        for i, t in enumerate(self.tests):
             if t not in limits.BRIDGE_KINDS:
                 raise ConfigurationError(
                     f"experiment supports the target-free kinds, got {t!r}")
+            if t in self.tests[:i]:  # its rejections would be counted twice
+                raise ConfigurationError(f"tests name {t!r} twice")
             self.critval_n_grid, self.critval_n_rep, self.seed = limits.check_settings(
                 t, self.level, self.critval_n_grid, self.critval_n_rep, self.seed)
         limits._check_workers(self.workers)

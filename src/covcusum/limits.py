@@ -27,10 +27,13 @@ still simulates the paths themselves and returns the same (M+, M-) pair
 of each law; it is the tests' oracle, the package does not export it,
 and no critical value uses it.
 
-This module owns the critical-value settings: ``check_settings`` refuses
-a bad one for ``CritValRequest``, ``cptest.TestSpec`` and
-``harness.ExperimentConfig`` alike, ``whole_number`` any integer setting
-that is a bool or a fraction, and a request is complete or refused when
+This module owns the critical-value settings and the readers of every
+numeric setting: ``check_settings`` refuses a bad one for
+``CritValRequest``, ``cptest.TestSpec`` and ``harness.ExperimentConfig``
+alike, ``whole_number`` any integer setting that is a bool or a fraction,
+``real_vector`` any vector setting (weights here, the panel coefficients
+and scales of ``simgen.PanelConfig``) of another length or with an entry
+out of range or not a real, and a request is complete or refused when
 made.  It owns every memo of a critical value, and all are exact:
 ``_corrected_quantile`` is memoized on its arguments, the most recent few
 draw sets on (law, K, n_rep, seed), and the quantile tables on the law.
@@ -180,6 +183,19 @@ def whole_number(value, name: str) -> int:
     return int(value)
 
 
+def real_vector(values, length: int, name: str, low: float, high: float, rule: str) -> tuple:
+    """``values``, ``length`` reals in the open interval (low, high), as floats; anything
+    else (a value outside, a bool or non-real entry, a scalar) is refused stating ``rule``."""
+    try:  # a non-real entry reads as nan, which no interval holds
+        out = tuple(float(v) if isinstance(v, numbers.Real) and not isinstance(v, bool)
+                    else math.nan for v in values)
+    except (TypeError, OverflowError):
+        out = ()
+    if len(out) != length or not all(low < v < high for v in out):
+        raise ConfigurationError(f"{name} must be {rule}, got {values!r}")
+    return out
+
+
 def check_settings(kind: str, level: float, n_grid: int, n_rep: int, seed: int) -> tuple:
     """(n_grid, n_rep, seed) as ints, or a refusal; ``n_rep`` only for the kinds that read it."""
     if kind not in KINDS:
@@ -221,16 +237,11 @@ class CritValRequest:
                 f"kind {self.kind!r} " + ("requires alpha_weights and kappa" if pooled
                                           else "takes no alpha_weights or kappa"))
         if pooled:
-            aw = tuple(float(a) for a in np.atleast_1d(self.alpha_weights))
-            if len(aw) != self.K or not all(0 < a < math.inf for a in aw):
-                raise ConfigurationError("alpha_weights must be K positive finite reals")
-            object.__setattr__(self, "alpha_weights", aw)
-            kp = tuple(float(k) for k in np.atleast_1d(self.kappa))
-            if len(kp) != self.K or not all(0 < k < math.inf for k in kp):
-                raise ConfigurationError("kappa must be K positive finite reals")
-            if sum(kp) > 1.0 + 1e-9:
+            for name in ("alpha_weights", "kappa"):
+                object.__setattr__(self, name, real_vector(
+                    getattr(self, name), self.K, name, 0.0, math.inf, "K positive finite reals"))
+            if sum(self.kappa) > 1.0 + 1e-9:
                 raise ConfigurationError("kappa entries must sum to at most 1")
-            object.__setattr__(self, "kappa", kp)
 
 
 def _block_extrema(seed, block_index, j, n_block, n_grid):

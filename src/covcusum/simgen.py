@@ -10,7 +10,8 @@ after a per-sample change index.
 All randomness is keyed by (seed, sample index, replication id) through
 ``numpy.random.SeedSequence`` feeding the counter-based Philox generator,
 so independent replications can be generated in any order, on any number
-of workers, with identical results.
+of workers, with identical results.  Settings are read by ``limits``'
+``whole_number`` and ``real_vector``: a bad one is refused, never truncated.
 
 ``gen_ar1_panels`` generates many replications in one batch.  It runs
 the plain recursion ``y[t] = rho * y[t-1] + eps[t]`` from rest as one
@@ -27,33 +28,27 @@ step is the exact arithmetic of the order-1 transposed direct-form filter
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import limits
 from .errors import ConfigurationError
 
 DEFAULT_BURN_IN = 500
 
 
-def _as_float_vector(x, length, name):
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if arr.ndim != 1 or arr.size != length:
-        raise ConfigurationError(f"{name} must have length {length}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigurationError(f"{name} contains non-finite values")
-    return arr
-
-
 @dataclass(frozen=True)
 class PanelConfig:
-    """Configuration for one K-sample AR(1) panel.
+    """Configuration for one K-sample AR(1) panel, each setting an int or a tuple.
 
-    ``rho0``/``rho1`` are per-coordinate AR coefficients (length d),
-    ``sigma0``/``sigma1`` per-sample innovation standard deviations
-    (length K), ``tau`` per-sample change indices: observation ``tau[j]``
-    is the last one generated under the pre-change regime.
+    ``rho0``/``rho1`` are per-coordinate AR coefficients (length d, in
+    (-1, 1)), ``sigma0``/``sigma1`` per-sample innovation standard
+    deviations (length K, positive), ``tau`` per-sample change indices:
+    observation ``tau[j]`` is the last one generated under the pre-change
+    regime.
     """
 
     K: int
@@ -68,53 +63,33 @@ class PanelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ConfigurationError("K must be >= 1")
-        if self.d < 1:
-            raise ConfigurationError("d must be >= 1")
-        N = tuple(int(n) for n in np.atleast_1d(self.N))
-        if len(N) != self.K or any(n < 1 for n in N):
-            raise ConfigurationError(f"N must be {self.K} positive integers, got {self.N}")
-        object.__setattr__(self, "N", N)
-
-        rho0 = _as_float_vector(self.rho0, self.d, "rho0")
-        if np.any(np.abs(rho0) >= 1.0):
-            raise ConfigurationError("rho0 entries must satisfy |rho| < 1")
-        object.__setattr__(self, "rho0", tuple(rho0))
-
-        sigma0 = _as_float_vector(self.sigma0, self.K, "sigma0")
-        if np.any(sigma0 <= 0.0):
-            raise ConfigurationError("sigma0 entries must be strictly positive")
-        object.__setattr__(self, "sigma0", tuple(sigma0))
-
-        if self.rho1 is not None:
-            rho1 = _as_float_vector(self.rho1, self.d, "rho1")
-            if np.any(np.abs(rho1) >= 1.0):
-                raise ConfigurationError("rho1 entries must satisfy |rho| < 1")
-            object.__setattr__(self, "rho1", tuple(rho1))
-        if self.sigma1 is not None:
-            sigma1 = _as_float_vector(self.sigma1, self.K, "sigma1")
-            if np.any(sigma1 <= 0.0):
-                raise ConfigurationError("sigma1 entries must be strictly positive")
-            object.__setattr__(self, "sigma1", tuple(sigma1))
+        for name, least, rule in (("K", 1, ">= 1"), ("d", 1, ">= 1"),
+                                  ("burn_in", 0, "non-negative"), ("seed", 0, "non-negative")):
+            value = limits.whole_number(getattr(self, name), name)
+            if value < least:
+                raise ConfigurationError(f"{name} must be {rule}, got {value}")
+            object.__setattr__(self, name, value)
+        K, d = self.K, self.d
+        for name, length, low, high, rule in (
+                ("N", K, 0.0, math.inf, "K positive whole numbers"),
+                ("rho0", d, -1.0, 1.0, "d reals in (-1, 1)"),
+                ("sigma0", K, 0.0, math.inf, "K positive finite reals"),
+                ("rho1", d, -1.0, 1.0, "d reals in (-1, 1)"),
+                ("sigma1", K, 0.0, math.inf, "K positive finite reals"),
+                ("tau", K, 0.0, math.inf, "K positive whole numbers")):
+            value = getattr(self, name)
+            if value is not None or name in ("N", "rho0", "sigma0"):  # the change is optional
+                value = limits.real_vector(value, length, name, low, high, rule)
+                if name in ("N", "tau"):
+                    value = tuple(limits.whole_number(v, name) for v in value)
+                object.__setattr__(self, name, value)
 
         if self.tau is not None:
-            tau = tuple(int(t) for t in np.atleast_1d(self.tau))
-            if len(tau) != self.K:
-                raise ConfigurationError(f"tau must have length {self.K}")
-            for j, t in enumerate(tau):
-                if not 1 <= t <= self.N[j]:
-                    raise ConfigurationError(
-                        f"tau[{j}]={t} out of range [1, {self.N[j]}]"
-                    )
+            for j, (t, n) in enumerate(zip(self.tau, self.N)):
+                if t > n:
+                    raise ConfigurationError(f"tau[{j}]={t} out of range [1, {n}]")
             if self.rho1 is None and self.sigma1 is None:
                 raise ConfigurationError("tau given but neither rho1 nor sigma1 present")
-            object.__setattr__(self, "tau", tau)
-
-        if self.burn_in < 0:
-            raise ConfigurationError("burn_in must be non-negative")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
 
 
 def sample_rng(seed, sample, rep=0):
@@ -135,6 +110,7 @@ def gen_ar1_panels(config: PanelConfig, reps: Sequence[int]) -> list:
     T = ``burn_in + max(N)``; callers bound its size by choosing R.
     Sample j of the batch is the view ``y[T - N_j:, j]``, not a copy.
     """
+    reps = [limits.whole_number(rep, "reps") for rep in reps]
     if min(reps, default=0) < 0:
         raise ConfigurationError(f"reps must be non-negative, got {min(reps)}")
     K, d, burn_in = config.K, config.d, config.burn_in
@@ -187,9 +163,12 @@ def gen_dirichlet_projection(d: int, seed: int) -> np.ndarray:
     the vector is Gamma(theta_v, 1) draws normalized by their sum, hence
     non-negative with l1 norm one.
     """
+    d, seed = limits.whole_number(d, "d"), limits.whole_number(seed, "seed")
     if d < 1:
         raise ConfigurationError("d must be >= 1")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    if seed < 0:
+        raise ConfigurationError(f"seed must be non-negative, got {seed}")
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     theta = rng.uniform(size=d)
     g = rng.gamma(shape=theta)
     total = g.sum()

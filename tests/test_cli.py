@@ -670,6 +670,8 @@ class TestExperimentCommand:
     (["experiment", "--scenario", "sigma-change", "--change-times", "6x0"],
      "--change-times: '6x0' is not an integer"),
     (["experiment", "--dims", "2.5"], "--dims: '2.5' is not an integer"),
+    # A kind named twice used to print two rows at twice its rejection rate.
+    (["experiment", "--tests", "q-breve,q-breve"], "tests name 'q-breve' twice"),
     (["critval", "--kind", "v-breve", "--K", "2", "--alpha", "1,x", "--kappa", "0.5,0.5"],
      "--alpha: 'x' is not a number"),
     (["simulate", "--out-dir", "{tmp}", "--N", "10,y"], "--N: 'y' is not an integer"),
@@ -692,7 +694,7 @@ class TestExperimentCommand:
       "--n-rep", "1000", "--seed", "1"], "alpha_weights must be K positive finite reals"),
     (["critval", "--kind", "v-breve", "--K", "2", "--alpha", "1,1", "--kappa", "nan,0.5",
       "--n-rep", "1000", "--seed", "1"], "kappa must be K positive finite reals"),
-], ids=["change-times", "dims", "critval-alpha", "simulate-N", "simulate-K", "config-N",
+], ids=["change-times", "dims", "repeated-test", "critval-alpha", "simulate-N", "simulate-K", "config-N",
         "simulate-seed", "simulate-rep", "experiment-seed", "critval-seed", "test-seed",
         "alpha-nan", "alpha-inf", "kappa-nan"])
 def test_bad_input_exits_two_naming_it(argv, message, tmp_path, capsys):

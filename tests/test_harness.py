@@ -86,7 +86,15 @@ class TestExperimentConfig:
         (dict(learning_length=True), "learning_length must be a whole number"),
         (dict(seed=1.5), "seed must be a whole number"),
         (dict(critval_n_grid=1000.5), "n_grid must be a whole number"),
-        (dict(workers=1.5), "workers must be a whole number")])
+        (dict(workers=1.5), "workers must be a whole number"),
+        (dict(cases=()), "cases must name at least one case"),
+        # A kind named twice had both reports counted into one rejection rate.
+        (dict(tests=("q-breve", "v-breve", "q-breve")), "tests name 'q-breve' twice"),
+        # change_times (True,) ran at time 1 and (600.5,) was accepted.
+        (dict(scenario="sigma-change", change_times=(True,)),
+         "change_times must be a whole number, got True"),
+        (dict(scenario="sigma-change", change_times=(600.5,)),
+         "change_times must be a whole number, got 600.5")])
     def test_rejects_bad_settings(self, bad, match):
         with pytest.raises(ConfigurationError, match=match):
             ExperimentConfig(**bad)
@@ -98,6 +106,8 @@ class TestExperimentConfig:
                 cfg.critval_n_grid, cfg.critval_n_rep) == (3, (2,), 500, 7, 500, 1000)
         assert all(type(x) is int for x in (cfg.replications, *cfg.dims, cfg.learning_length,
                                             cfg.seed, cfg.critval_n_grid, cfg.critval_n_rep))
+        cfg = ExperimentConfig(scenario="sigma-change", change_times=[np.int64(300), 600.0])
+        assert cfg.change_times == (300, 600) and all(type(t) is int for t in cfg.change_times)
 
     def test_change_time_defaults_to_mid_horizon(self):
         assert ExperimentConfig(scenario="sigma-change").change_times == (600,)

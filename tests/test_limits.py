@@ -546,19 +546,25 @@ class TestCriticalValue:
         with pytest.raises(ConfigurationError):
             CritValRequest(kind="v", K=2, level=0.95,
                            alpha_weights=(1.0, 1.0), kappa=(0.9, 0.9))
-        for bad in (math.nan, math.inf):
-            with pytest.raises(ConfigurationError, match="alpha_weights"):
+        # A string, bool or complex entry used to be read as a float or to
+        # raise numpy's ValueError; 10**400 overflows a float.
+        for bad in (math.nan, math.inf, "x", "0.5", True, 0.5 + 0j, 10 ** 400):
+            with pytest.raises(ConfigurationError,
+                               match="alpha_weights must be K positive finite reals, got"):
                 CritValRequest(kind="v", K=2, level=0.95,
                                alpha_weights=(1.0, bad), kappa=(0.5, 0.5))
-            with pytest.raises(ConfigurationError, match="kappa"):
+            with pytest.raises(ConfigurationError,
+                               match="kappa must be K positive finite reals, got"):
                 CritValRequest(kind="v", K=2, level=0.95,
                                alpha_weights=(1.0, 1.0), kappa=(bad, 0.5))
+        with pytest.raises(ConfigurationError, match="alpha_weights must be K positive"):
+            CritValRequest(kind="v", K=1, level=0.95, alpha_weights=1.0, kappa=(1.0,))
         with pytest.raises(ConfigurationError, match="seed"):
             CritValRequest(kind="v-breve", K=1, level=0.95, seed=-1)
 
     @pytest.mark.parametrize("name, value", [
         ("seed", 1.5), ("seed", True), ("n_grid", 1000.5), ("n_rep", 2000.5),
-        ("K", 2.5), ("K", np.bool_(True)), ("seed", "1"), ("n_grid", math.nan)])
+        ("K", 2.5), ("K", np.bool_(True)), ("K", "2"), ("seed", "1"), ("n_grid", math.nan)])
     def test_integer_setting_not_a_whole_number_refused(self, name, value):
         # seed 1.5 used to give seed 1's value, and K 2.5 an AttributeError.
         settings = dict(kind="v-breve", K=2, level=0.95, alpha_weights=(1.0, 1.5),

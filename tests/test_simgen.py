@@ -34,6 +34,32 @@ class TestPanelConfig:
         with pytest.raises(ConfigurationError, match="N"):
             make_config(K=2, N=(100,), sigma0=(1.0, 1.0))
 
+    @pytest.mark.parametrize("overrides, match", [
+        # Each of these used to be truncated (seed 1.5 gave seed 1's panel,
+        # N 50.9 gave 50) or to fail later with a TypeError or ValueError.
+        (dict(seed=1.5), "seed must be a whole number, got 1.5"),
+        (dict(seed=True), "seed must be a whole number, got True"),
+        (dict(N=(50.9,)), "N must be a whole number, got 50.9"),
+        (dict(N=(True,)), r"N must be K positive whole numbers, got \(True,\)"),
+        (dict(N=100), "N must be K positive whole numbers, got 100"),
+        (dict(tau=(20.7,), sigma1=(2.0,)), "tau must be a whole number, got 20.7"),
+        (dict(tau=(0,), sigma1=(2.0,)), "tau must be K positive whole numbers"),
+        (dict(burn_in=2.5), "burn_in must be a whole number, got 2.5"),
+        (dict(d=2.5, rho0=(0.1, 0.2)), "d must be a whole number, got 2.5"),
+        (dict(K="2"), "K must be a whole number, got '2'"),
+        (dict(rho0=("x",)), r"rho0 must be d reals in \(-1, 1\), got \('x',\)"),
+        (dict(rho0=("0.5",)), "rho0 must be d reals"),
+        (dict(rho0=(0.1, 0.2)), "rho0 must be d reals"),
+        (dict(rho1=(np.nan,), tau=(50,)), "rho1 must be d reals"),
+        (dict(sigma0=(1 + 0j,)), "sigma0 must be K positive finite reals"),
+        (dict(sigma1=(np.inf,), tau=(50,)), "sigma1 must be K positive finite reals, got"),
+    ], ids=["seed-fraction", "seed-bool", "N-fraction", "N-bool", "N-scalar", "tau-fraction",
+            "tau-zero", "burn-in-fraction", "d-fraction", "K-string", "rho0-not-a-number",
+            "rho0-string", "rho0-length", "rho1-nan", "sigma0-complex", "sigma1-inf"])
+    def test_setting_refused_naming_it(self, overrides, match):
+        with pytest.raises(ConfigurationError, match=match):
+            make_config(**overrides)
+
 
 class TestGenAr1Panel:
     def test_sample_shapes_match_config(self):
@@ -161,6 +187,36 @@ class TestGenAr1Panels:
                       [y[:, 1] for y in simgen.gen_ar1_panels(cfg, [1, 3])]):
             digest = hashlib.sha256(b"".join(y.tobytes() for y in panel))
             assert digest.hexdigest() == self.GOLDEN[scenario]
+
+
+    @pytest.mark.parametrize("number", [float, np.int64], ids=["integral-float", "numpy"])
+    def test_integral_settings_give_the_plain_int_bytes(self, number):
+        kwargs = dict(K=2, d=3, N=(12, 9), rho0=(0.1, 0.4, -0.3), sigma0=(1.0, 1.5),
+                      rho1=(0.7, -0.2, 0.5), tau=(6, 4), burn_in=5, seed=2024)
+        cfg = simgen.PanelConfig(**kwargs)
+        same = simgen.PanelConfig(**{**kwargs, "N": (number(12), number(9)),
+                                     "burn_in": number(5), "seed": number(2024)})
+        assert same == cfg
+        assert all(type(n) is int for n in (*same.N, same.burn_in, same.seed))
+        for y, ref in zip(simgen.gen_ar1_panels(same, [number(3)]), simgen.gen_ar1_panels(cfg, [3])):
+            assert y.tobytes() == ref.tobytes()
+        digest = hashlib.sha256(b"".join(y.tobytes() for y in simgen.gen_ar1_panel(same, 3)))
+        assert digest.hexdigest() == self.GOLDEN["coefficient-change"]
+        assert np.array_equal(simgen.gen_dirichlet_projection(number(3), number(2024)),
+                              simgen.gen_dirichlet_projection(3, 2024))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: simgen.gen_ar1_panels(make_config(), [0.5]), "reps must be a whole number, got 0.5"),
+    (lambda: simgen.gen_ar1_panels(make_config(), [-1]), "reps must be non-negative"),
+    (lambda: simgen.gen_dirichlet_projection(3, 1.5), "seed must be a whole number, got 1.5"),
+    (lambda: simgen.gen_dirichlet_projection(3, -1), "seed must be non-negative, got -1"),
+    (lambda: simgen.gen_dirichlet_projection(2.5, 1), "d must be a whole number, got 2.5"),
+], ids=["reps-fraction", "reps-negative", "seed-fraction", "seed-negative", "d-fraction"])
+def test_generator_argument_refused_naming_it(call, match):
+    # reps 0.5 used to give rep 0's panel and seed 1.5 seed 1's vector.
+    with pytest.raises(ConfigurationError, match=match):
+        call()
 
 
 class TestDirichletProjection:
