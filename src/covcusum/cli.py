@@ -23,7 +23,6 @@ import argparse
 import csv
 import dataclasses
 import itertools
-import json
 import os
 import secrets
 import sys
@@ -113,11 +112,12 @@ def load_bundle(data_paths, v_path, w_path=None):
 
     Each file is streamed through ``sumproc.project`` in blocks, so no
     (N, d) sample is held.  The vectors are read after the first block
-    of the first file, which gives d; see the module docstring.
+    of the first file, which gives d; see the module docstring.  A
+    non-finite product is refused numbered by its row of the file.
     """
     pair = None
     products = []
-    for path in data_paths:
+    for j, path in enumerate(data_paths):
         blocks = _row_blocks(path)
         first = next(blocks)
         if pair is None:
@@ -129,6 +129,9 @@ def load_bundle(data_paths, v_path, w_path=None):
                 f"{path}: has {first.shape[1]} columns but first sample has {pair.d}")
         products.append(np.concatenate(
             [sumproc.project(block, pair) for block in itertools.chain([first], blocks)]))
+        if not (finite := np.isfinite(products[-1])).all():
+            raise CovCusumError(f"{path}: sample {j + 1}: non-finite product at observation "
+                                f"{np.argmin(finite) + 1}", sample_index=j)
     return products, pair
 
 
@@ -251,7 +254,6 @@ def _cmd_test(args):
     L = args.learning_length
     try:
         if L is not None:
-            cptest._series([p[None] for p in products])  # numbers a bad product by its file row
             for j, p in enumerate(products):
                 if L >= len(p):
                     raise ConfigurationError(f"learning_length {L} invalid for sample {j + 1} "
@@ -347,7 +349,7 @@ def build_parser():
 
     def common(p):
         seeded(p)
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+        p.add_argument("--workers", type=int, default=1,
                        help="threads drawing the extrema of a v-kind critical value")
         p.add_argument("--level", type=float, default=0.95)
         p.add_argument("--n-grid", type=int, default=limits.DEFAULT_N_GRID,

@@ -126,15 +126,17 @@ class ExperimentConfig:
             raise ConfigurationError("dims must be >= 1")
         if not self.tests:
             raise ConfigurationError("tests must name at least one kind")
-        for i, t in enumerate(self.tests):
+        for t in self.tests:
             if t not in limits.BRIDGE_KINDS:
                 raise ConfigurationError(
                     f"experiment supports the target-free kinds, got {t!r}")
-            if t in self.tests[:i]:  # its rejections would be counted twice
-                raise ConfigurationError(f"tests name {t!r} twice")
             self.critval_n_grid, self.critval_n_rep, self.seed = limits.check_settings(
                 t, self.level, self.critval_n_grid, self.critval_n_rep, self.seed)
-        limits._check_workers(self.workers)
+        for name in ("cases", "dims", "change_times", "tests"):  # no cell or rate twice
+            values = getattr(self, name) or ()
+            if twice := [v for i, v in enumerate(values) if v in values[:i]]:
+                raise ConfigurationError(f"{name} name {twice[0]!r} twice")
+        limits.check_workers(self.workers)
         if self.learning_length is not None:
             self.learning_length = limits.whole_number(self.learning_length, "learning_length")
             if self.learning_length < 1:
@@ -160,11 +162,6 @@ class CellResult:
     n_rep: int
     wall_time: float
     seed: int
-
-
-def _cell_seed(master_seed, cell_index):
-    ss = np.random.SeedSequence(int(master_seed), spawn_key=(int(cell_index),))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def _panel_config(case, d, scenario, change_time):
@@ -200,7 +197,7 @@ def _batches(panel_cfg, learning_cfg, n, d, seed):
     for first in range(0, n, chunk):
         block = range(first, min(first + chunk, n))
         pair = sumproc.ProjectionPair.from_vectors(np.stack(
-            [simgen.gen_dirichlet_projection(d, _cell_seed(seed, r + 1)) for r in block]))
+            [simgen.gen_dirichlet_projection(d, limits.child_seed(seed, r + 1)) for r in block]))
         products = [[sumproc.project(y, pair)
                      for y in simgen.gen_ar1_panels(c, [2 * r + i for r in block])]
                     for i, c in enumerate(configs)]
@@ -211,7 +208,7 @@ def _batches(panel_cfg, learning_cfg, n, d, seed):
 def run_cell(case, d, change_time, cfg: ExperimentConfig, cell_index):
     """Run every test of ``cfg`` on one cell; ``change_time`` is None under ``none``."""
     t0 = time.perf_counter()
-    seed = _cell_seed(cfg.seed, cell_index)
+    seed = limits.child_seed(cfg.seed, cell_index)
     base_kwargs = _panel_config(case, d, cfg.scenario, change_time)
     panel_cfg = simgen.PanelConfig(seed=seed, **base_kwargs)
     learning_cfg = None

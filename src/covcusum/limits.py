@@ -20,21 +20,22 @@ those pairs exactly from their joint law (method "exact-mc"): M+ from its
 marginal, M- from its conditional law given M+ through a quantile table
 built on first use and Newton steps on the series.  Each draw is
 shifted by the same beta / sqrt(n_grid), and the critical value is the
-Monte Carlo quantile of the weighted sums.  Draws come from streams keyed
-apart from ``simgen``'s panel streams, on a pool of ``workers`` threads
-with the same numbers for any worker count.  ``simulate_path_extrema``
-still simulates the paths themselves and returns the same (M+, M-) pair
-of each law; it is the tests' oracle, the package does not export it,
-and no critical value uses it.
+Monte Carlo quantile of the weighted sums.  Draws come from their own
+``stream``s, on a pool of ``workers`` threads with the same numbers for
+any worker count.  ``simulate_path_extrema`` still simulates the paths
+themselves and returns the same (M+, M-) pair of each law; it is the
+tests' oracle, the package does not export it, and no critical value
+uses it.
 
-This module owns the critical-value settings and the readers of every
-numeric setting: ``check_settings`` refuses a bad one for
-``CritValRequest``, ``cptest.TestSpec`` and ``harness.ExperimentConfig``
-alike, ``whole_number`` any integer setting that is a bool or a fraction,
-``real_vector`` any vector setting (weights here, the panel coefficients
-and scales of ``simgen.PanelConfig``) of another length or with an entry
-out of range or not a real, and a request is complete or refused when
-made.  It owns every memo of a critical value, and all are exact:
+This module owns every random ``stream`` and ``child_seed``, and the
+readers of every setting: ``check_settings`` refuses a bad critical-value
+setting for ``CritValRequest``, ``cptest.TestSpec`` and
+``harness.ExperimentConfig`` alike, ``check_workers`` a worker count
+below 1, ``whole_number`` an integer setting that is a bool or a
+fraction, and ``real_vector`` a vector setting (weights here, the panel
+coefficients and scales of ``simgen.PanelConfig``) of another length or
+with an entry out of range or not a real; a request is complete or
+refused when made.  It owns every memo of a critical value, and all are exact:
 ``_corrected_quantile`` is memoized on its arguments, the most recent few
 draw sets on (law, K, n_rep, seed), and the quantile tables on the law.
 A draw set's entry also holds its draws shifted by beta / sqrt(n_grid),
@@ -71,9 +72,7 @@ _BLOCK = 2048
 # n_block x n_grid matrix.
 _CHUNK = 64
 _EXTREMA_CACHE_SIZE = 4
-# First word of every path stream's spawn key ("path" in ASCII): panel
-# streams are keyed (sample, rep) from the same seeds (``simgen.sample_rng``).
-_PATH_STREAMS = 0x70617468
+_PATH_STREAMS = 0x70617468  # "path" in ASCII; see ``stream``
 
 # -zeta(1/2) / sqrt(2 pi): the grid maximum of a Brownian motion with n
 # steps sits this many multiples of 1/sqrt(n) below the continuous one.
@@ -196,6 +195,27 @@ def real_vector(values, length: int, name: str, low: float, high: float, rule: s
     return out
 
 
+def stream(seed, *key) -> np.random.Generator:
+    """The Philox generator of ``SeedSequence(seed, spawn_key=key)``; a bad word is refused.
+
+    Every draw comes from one, and the key spaces never meet, for they differ
+    in length: panel innovations are keyed (sample, rep) (``simgen``), the
+    extrema of ``_fill_blocks`` (_PATH_STREAMS, block, sample), a Dirichlet
+    projection ().  Distinct (seed, key) give independent streams for any
+    seed below 2**128.  Cell and projection seeds come from ``child_seed``.
+    """
+    if (seed := whole_number(seed, "seed")) < 0:
+        raise ConfigurationError(f"seed must be non-negative, got {seed}")
+    ss = np.random.SeedSequence(seed, spawn_key=tuple(whole_number(k, "key") for k in key))
+    return np.random.Generator(np.random.Philox(ss))
+
+
+def child_seed(seed, i) -> int:
+    """The i-th 64-bit seed derived from ``seed``, as a cell's from its experiment's."""
+    ss = np.random.SeedSequence(whole_number(seed, "seed"), spawn_key=(whole_number(i, "key"),))
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
 def check_settings(kind: str, level: float, n_grid: int, n_rep: int, seed: int) -> tuple:
     """(n_grid, n_rep, seed) as ints, or a refusal; ``n_rep`` only for the kinds that read it."""
     if kind not in KINDS:
@@ -251,8 +271,7 @@ def _block_extrema(seed, block_index, j, n_block, n_grid):
     Paths are drawn ``_CHUNK`` rows at a time from one generator, which
     yields the same numbers as drawing the whole block at once.
     """
-    ss = np.random.SeedSequence(int(seed), spawn_key=(_PATH_STREAMS, int(block_index), int(j)))
-    rng = np.random.Generator(np.random.Philox(ss))
+    rng = stream(seed, _PATH_STREAMS, block_index, j)
     root_n = math.sqrt(n_grid)
     t = np.arange(1, n_grid + 1) / n_grid
     out = np.empty((4, n_block))
@@ -287,7 +306,8 @@ def _remember(cache, key, value):
     return value
 
 
-def _check_workers(workers):
+def check_workers(workers):
+    """Refuse a worker count that is not a whole number of at least 1."""
     if whole_number(workers, "workers") < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
 
@@ -328,7 +348,7 @@ def simulate_path_extrema(K: int, n_grid: int, n_rep: int, seed: int,
     same numbers for any worker count.  The latest few results are
     memoized on (K, n_grid, n_rep, seed).
     """
-    _check_workers(workers)
+    check_workers(workers)
     key = (K, n_grid, n_rep, seed)
     if cache and key in _extrema_cache:
         return _extrema_cache[key]
@@ -508,8 +528,7 @@ def _block_draws(law, seed, block_index, j, n_block):
     Bridge: P(M+ > a) = exp(-2 a^2), so M+ = sqrt(E / 2) with E standard
     exponential.  Motion: M+ = |B(1)| in law (reflection), half-normal.
     """
-    ss = np.random.SeedSequence(int(seed), spawn_key=(_PATH_STREAMS, int(block_index), int(j)))
-    rng = np.random.Generator(np.random.Philox(ss))
+    rng = stream(seed, _PATH_STREAMS, block_index, j)
     if law == "bb":
         a = np.sqrt(0.5 * rng.standard_exponential(n_block))
     else:
@@ -524,7 +543,7 @@ def draw_extrema(law: str, K: int, n_rep: int, seed: int, workers: int = 1):
     at most ``workers`` threads with the same numbers for any worker count.
     The latest few results are memoized on (law, K, n_rep, seed).
     """
-    _check_workers(workers)
+    check_workers(workers)
     key = (law, K, n_rep, seed)
     if key in _draws_cache:
         return _draws_cache[key][0]
@@ -559,7 +578,7 @@ def critical_value(req: CritValRequest, workers: int = 1) -> float:
     beta / sqrt(n_grid).  A worker count below 1 is a
     ``ConfigurationError`` for every kind.
     """
-    _check_workers(workers)
+    check_workers(workers)
     if method_of(req.kind) == "corrected":
         return _corrected_quantile(req.kind, req.K, req.level, req.n_grid)
     law = "bb" if req.kind in BRIDGE_KINDS else "bm"

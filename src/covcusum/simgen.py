@@ -7,21 +7,20 @@ driven by one shared scalar innovation sequence per sample.  An optional
 regime switch (AR coefficients and/or innovation scale) can be injected
 after a per-sample change index.
 
-All randomness is keyed by (seed, sample index, replication id) through
-``numpy.random.SeedSequence`` feeding the counter-based Philox generator,
-so independent replications can be generated in any order, on any number
-of workers, with identical results.  Settings are read by ``limits``'
-``whole_number`` and ``real_vector``: a bad one is refused, never truncated.
+Each sample of each replication draws from its own ``limits.stream``,
+keyed (sample index, replication id), so independent replications can be
+generated in any order, on any number of workers, with identical results.
+Settings are read by ``limits``' ``whole_number`` and ``real_vector``: a
+bad one is refused, never truncated.
 
 ``gen_ar1_panels`` generates many replications in one batch.  It runs
 the plain recursion ``y[t] = rho * y[t-1] + eps[t]`` from rest as one
 Python loop over time, vectorised across (sample, replication,
 coordinate), in one buffer whose views are the samples: one (N_j, R, d)
 view per sample, holding every replication.
-The K samples are aligned at their last row; the rows before a sample
-starts hold zeros, which the recursion keeps exactly zero, and ``rho``
-switches per sample at ``burn_in + tau``.  One multiply and one add per
-step is the exact arithmetic of the order-1 transposed direct-form filter
+Every sample starts at row 0, and ``rho`` switches per sample at
+``burn_in + tau``.  One multiply and one add per step is the exact
+arithmetic of the order-1 transposed direct-form filter
 (``scipy.signal.lfilter``).
 ``gen_ar1_panel`` is the batch of one replication.
 """
@@ -29,6 +28,7 @@ step is the exact arithmetic of the order-1 transposed direct-form filter
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -92,12 +92,6 @@ class PanelConfig:
                 raise ConfigurationError("tau given but neither rho1 nor sigma1 present")
 
 
-def sample_rng(seed, sample, rep=0):
-    """Deterministic per-(seed, sample, replication) Philox generator."""
-    ss = np.random.SeedSequence(int(seed), spawn_key=(int(sample), int(rep)))
-    return np.random.Generator(np.random.Philox(ss))
-
-
 def gen_ar1_panels(config: PanelConfig, reps: Sequence[int]) -> list:
     """Generate the samples of replications ``reps`` of ``config`` together.
 
@@ -108,43 +102,36 @@ def gen_ar1_panels(config: PanelConfig, reps: Sequence[int]) -> list:
     never changes a panel.  One step of the recursion updates every
     (sample, replication, coordinate) at once in a (T, K, R, d) buffer y,
     T = ``burn_in + max(N)``; callers bound its size by choosing R.
-    Sample j of the batch is the view ``y[T - N_j:, j]``, not a copy.
+    Sample j of the batch is the view ``y[burn_in:burn_in + N_j, j]``, not a copy.
     """
     reps = [limits.whole_number(rep, "reps") for rep in reps]
     if min(reps, default=0) < 0:
         raise ConfigurationError(f"reps must be non-negative, got {min(reps)}")
     K, d, burn_in = config.K, config.d, config.burn_in
     R = len(reps)
-    totals = [burn_in + n for n in config.N]
-    T = max(totals)
-    starts = [T - n for n in totals]  # samples are aligned at their last row
+    T = burn_in + max(config.N)
 
     eps = np.zeros((K, R, T))
-    for j in range(K):
-        sd = np.full(totals[j], config.sigma0[j])
+    for j, n in enumerate(config.N):
+        sd = np.full(burn_in + n, config.sigma0[j])
         if config.tau is not None and config.sigma1 is not None:
             sd[burn_in + config.tau[j]:] = config.sigma1[j]
         for i, rep in enumerate(reps):
-            draws = sample_rng(config.seed, j, rep).standard_normal(totals[j])
-            eps[j, i, starts[j]:] = draws * sd
+            eps[j, i, :len(sd)] = limits.stream(config.seed, j, rep).standard_normal(len(sd)) * sd
 
-    # y[t] = rho * y[t-1] + eps[t]: the arithmetic of an order-1 IIR filter
-    # started from rest, so rows before a sample's start stay exactly zero.
+    # y[t] = rho * y[t-1] + eps[t]: the arithmetic of an order-1 IIR filter started from rest.
     y = np.empty((T, K, R, d))
     y[:] = eps.transpose(2, 0, 1)[..., None]  # one broadcast beats a fill per draw
     rho = np.empty((K, R, d))  # full shape: each step is one contiguous multiply
     rho[:] = np.asarray(config.rho0)
-    switch = {}  # row -> samples whose coefficients change from that row on
-    if config.tau is not None and config.rho1 is not None:
-        for j in range(K):
-            switch.setdefault(starts[j] + burn_in + config.tau[j], []).append(j)
+    switches = config.tau is not None and config.rho1 is not None
     step = np.empty((K, R, d))
     for t in range(1, T):
-        for j in switch.get(t, ()):
-            rho[j] = config.rho1
+        if switches:  # the samples whose coefficients change from row t on
+            rho[np.equal(config.tau, t - burn_in)] = config.rho1
         np.multiply(rho, y[t - 1], out=step)
         y[t] += step
-    return [y[T - n:, j] for j, n in enumerate(config.N)]
+    return [y[burn_in:burn_in + n, j] for j, n in enumerate(config.N)]
 
 
 def gen_ar1_panel(config: PanelConfig, rep: int = 0) -> list:
@@ -163,12 +150,9 @@ def gen_dirichlet_projection(d: int, seed: int) -> np.ndarray:
     the vector is Gamma(theta_v, 1) draws normalized by their sum, hence
     non-negative with l1 norm one.
     """
-    d, seed = limits.whole_number(d, "d"), limits.whole_number(seed, "seed")
-    if d < 1:
+    if (d := limits.whole_number(d, "d")) < 1:
         raise ConfigurationError("d must be >= 1")
-    if seed < 0:
-        raise ConfigurationError(f"seed must be non-negative, got {seed}")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = limits.stream(seed)
     theta = rng.uniform(size=d)
     g = rng.gamma(shape=theta)
     total = g.sum()
@@ -188,13 +172,11 @@ def ar1_bilinear_target(rho, sigma, v, w) -> float:
     return float(np.asarray(v) @ cov @ np.asarray(w))
 
 
-def export_panel_csv(samples, directory, prefix="sample"):
-    """Write one CSV per sample (rows=time, cols=coordinates, no header)."""
-    import os
-
+def export_panel_csv(samples, directory):
+    """Write one CSV per sample, sample_<j>.csv (rows=time, cols=coordinates, no header)."""
     paths = []
     for j, y in enumerate(samples):
-        path = os.path.join(str(directory), f"{prefix}_{j + 1}.csv")
+        path = os.path.join(str(directory), f"sample_{j + 1}.csv")
         np.savetxt(path, y, delimiter=",", fmt="%.17g")
         paths.append(path)
     return paths

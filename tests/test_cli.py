@@ -650,9 +650,11 @@ class TestExperimentCommand:
     @pytest.mark.parametrize("bad", [["--replications", "0"], ["--n-grid", "10"],
                                      ["--workers", "0"], ["--dims", "0"],
                                      ["--scenario", "sigma-change", "--change-times", "5000"],
-                                     ["--scenario", "none", "--change-times", "600"]],
+                                     ["--scenario", "none", "--change-times", "600"],
+                                     ["--cases", "I,I"]],
                              ids=["replications", "n-grid", "workers", "dims",
-                                  "change-time-beyond-horizon", "change-time-without-change"])
+                                  "change-time-beyond-horizon", "change-time-without-change",
+                                  "repeated-case"])
     def test_refused_config_draws_no_seed_and_no_panel(self, bad, capsys, monkeypatch):
         calls = []
         generate = simgen.gen_ar1_panels
@@ -694,9 +696,15 @@ class TestExperimentCommand:
       "--n-rep", "1000", "--seed", "1"], "alpha_weights must be K positive finite reals"),
     (["critval", "--kind", "v-breve", "--K", "2", "--alpha", "1,1", "--kappa", "nan,0.5",
       "--n-rep", "1000", "--seed", "1"], "kappa must be K positive finite reals"),
+    # A cell named twice printed two like rows from two cell seeds.
+    (["experiment", "--cases", "I,I"], "cases name 'I' twice"),
+    (["experiment", "--dims", "2,2"], "dims name 2 twice"),
+    (["experiment", "--scenario", "sigma-change", "--change-times", "600,600"],
+     "change_times name 600 twice"),
 ], ids=["change-times", "dims", "repeated-test", "critval-alpha", "simulate-N", "simulate-K", "config-N",
         "simulate-seed", "simulate-rep", "experiment-seed", "critval-seed", "test-seed",
-        "alpha-nan", "alpha-inf", "kappa-nan"])
+        "alpha-nan", "alpha-inf", "kappa-nan", "repeated-case", "repeated-dim",
+        "repeated-change-time"])
 def test_bad_input_exits_two_naming_it(argv, message, tmp_path, capsys):
     write_lines(tmp_path / "cfg", ["panel.N = 10,y"])
     rc = cli.main([a.format(tmp=tmp_path) for a in argv])

@@ -94,7 +94,12 @@ class TestExperimentConfig:
         (dict(scenario="sigma-change", change_times=(True,)),
          "change_times must be a whole number, got True"),
         (dict(scenario="sigma-change", change_times=(600.5,)),
-         "change_times must be a whole number, got 600.5")])
+         "change_times must be a whole number, got 600.5"),
+        # A cell named twice printed two like rows from two cell seeds.
+        (dict(cases=("I", "II", "I")), "cases name 'I' twice"),
+        (dict(dims=(2, 2.0)), "dims name 2 twice"),
+        (dict(scenario="sigma-change", change_times=(600, 300, 600)),
+         "change_times name 600 twice")])
     def test_rejects_bad_settings(self, bad, match):
         with pytest.raises(ConfigurationError, match=match):
             ExperimentConfig(**bad)

@@ -7,7 +7,7 @@ import scipy.special
 import scipy.stats
 from scipy.integrate import quad
 
-from covcusum import limits, simgen
+from covcusum import limits
 from covcusum.errors import ConfigurationError
 from covcusum.limits import CritValRequest
 
@@ -96,7 +96,7 @@ class TestSimulatedPaths:
         # start, an experiment cell) must not give the paths the draws of
         # the panel's innovations.
         hi, lo = limits.simulate_path_extrema(1, 100, 1, seed, cache=False)["bm"]
-        walk = np.cumsum(simgen.sample_rng(seed, 0, 0).standard_normal(100) / 10.0)
+        walk = np.cumsum(limits.stream(seed, 0, 0).standard_normal(100) / 10.0)
         assert (hi[0, 0], lo[0, 0]) != (max(walk.max(), 0.0), max(-walk.min(), 0.0))
 
 
@@ -480,7 +480,7 @@ class TestExactDraws:
         # A motion's M+ is |z| for the first normal z of its stream; a panel's
         # first innovation is the first normal of the (seed, 0, 0) stream.
         hi, _ = limits.draw_extrema("bm", 1, 1, seed)
-        assert hi[0, 0] != abs(simgen.sample_rng(seed, 0, 0).standard_normal())
+        assert hi[0, 0] != abs(limits.stream(seed, 0, 0).standard_normal())
         limits._draws_cache.clear()
 
 
@@ -564,9 +564,15 @@ class TestCriticalValue:
 
     @pytest.mark.parametrize("name, value", [
         ("seed", 1.5), ("seed", True), ("n_grid", 1000.5), ("n_rep", 2000.5),
-        ("K", 2.5), ("K", np.bool_(True)), ("K", "2"), ("seed", "1"), ("n_grid", math.nan)])
+        ("K", 2.5), ("K", np.bool_(True)), ("K", "2"), ("seed", "1"), ("n_grid", math.nan),
+        # simgen.sample_rng(1.5, 0) used to be the stream of seed 1.
+        ("stream", (1.5, 0)), ("stream", (True, 0)), ("stream", (1, 0.9))])
     def test_integer_setting_not_a_whole_number_refused(self, name, value):
         # seed 1.5 used to give seed 1's value, and K 2.5 an AttributeError.
+        if name == "stream":
+            with pytest.raises(ConfigurationError, match=r"(seed|key) must be a whole number"):
+                limits.stream(*value)
+            return
         settings = dict(kind="v-breve", K=2, level=0.95, alpha_weights=(1.0, 1.5),
                         kappa=(0.5, 0.5), n_rep=2000, seed=1)
         with pytest.raises(ConfigurationError, match=f"{name} must be a whole number, got "):
