@@ -14,7 +14,10 @@ names its ``--data`` file.  ``--n-rep`` is read by the ``v`` kinds only.
 ``test`` streams each ``--data`` file in blocks of ``BLOCK_ROWS`` data
 lines, projecting each block as soon as it is parsed, so a sample costs
 O(BLOCK_ROWS d + N) memory.  ``sumproc.project`` reduces each row on its
-own, so the product series does not depend on the block size.
+own, so the product series does not depend on the block size.  With
+``--workers`` above 1, ``test`` parses up to that many ``--data`` files
+at once, each in its own process, and checks them in file order: the
+numbers and the first refusal are the same for every worker count.
 """
 
 from __future__ import annotations
@@ -107,32 +110,57 @@ def _load_vector(path, expected_d):
     return values[:, 0]
 
 
-def load_bundle(data_paths, v_path, w_path=None):
+def _sample_products(path, pair):
+    """The (N,) product series of one sample CSV through ``pair``, streamed in blocks;
+    a width other than ``pair.d`` is refused.  A worker process of ``load_bundle`` runs it."""
+    blocks = _row_blocks(path)
+    first = next(blocks)
+    if first.shape[1] != pair.d:
+        raise IngestionError(f"{path}: has {first.shape[1]} columns but first sample has {pair.d}")
+    return np.concatenate(
+        [sumproc.project(block, pair) for block in itertools.chain([first], blocks)])
+
+
+def load_bundle(data_paths, v_path, w_path=None, workers=1):
     """Product series of sample CSVs through vector files, as ``(products, pair)``.
 
     Each file is streamed through ``sumproc.project`` in blocks, so no
     (N, d) sample is held.  The vectors are read after the first block
-    of the first file, which gives d; see the module docstring.  A
-    non-finite product is refused numbered by its row of the file.
+    of the first file, which gives d; see the module docstring.  The
+    files are then parsed on a pool of ``min(workers, K)`` processes,
+    and each is checked in file order: the first refusal is that of
+    the first bad file, and the products are the same for any worker
+    count.  A non-finite product is refused numbered by its row of the file.
     """
-    pair = None
+    workers = min(limits.check_workers(workers), len(data_paths))
+    d = next(_row_blocks(data_paths[0])).shape[1]
+    pair = sumproc.ProjectionPair.from_vectors(
+        _load_vector(v_path, d), _load_vector(w_path, d) if w_path else None)
+    if workers == 1:
+        return _checked(data_paths, map(_sample_products, data_paths,
+                                        itertools.repeat(pair))), pair
+    # Imported on first use, to keep them out of every command's start-up.  A
+    # forkserver child starts clean, where a forked one would copy the threads.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("forkserver"))
+    try:
+        return _checked(data_paths, pool.map(_sample_products, data_paths,
+                                             itertools.repeat(pair))), pair
+    finally:
+        pool.shutdown(cancel_futures=True)  # a refusal waits for no later file
+
+
+def _checked(data_paths, results):
+    """The product series of ``results``, taken in file order, each refused if not finite."""
     products = []
-    for j, path in enumerate(data_paths):
-        blocks = _row_blocks(path)
-        first = next(blocks)
-        if pair is None:
-            d = first.shape[1]
-            pair = sumproc.ProjectionPair.from_vectors(
-                _load_vector(v_path, d), _load_vector(w_path, d) if w_path else None)
-        elif first.shape[1] != pair.d:
-            raise IngestionError(
-                f"{path}: has {first.shape[1]} columns but first sample has {pair.d}")
-        products.append(np.concatenate(
-            [sumproc.project(block, pair) for block in itertools.chain([first], blocks)]))
-        if not (finite := np.isfinite(products[-1])).all():
+    for j, (path, p) in enumerate(zip(data_paths, results)):
+        if not (finite := np.isfinite(p)).all():
             raise CovCusumError(f"{path}: sample {j + 1}: non-finite product at observation "
                                 f"{np.argmin(finite) + 1}", sample_index=j)
-    return products, pair
+        products.append(p)
+    return products
 
 
 # The panel settings ``simulate`` reads from a config file.
@@ -240,6 +268,7 @@ def _cmd_simulate(args):
 def _cmd_test(args):
     if args.v is None:
         raise ConfigurationError("test requires a projection vector (--v)")
+    limits.check_workers(args.workers)
     targets = None if args.targets is None else list(_numbers(args.targets, "--targets"))
     if targets is not None and len(targets) != len(args.data):
         raise ConfigurationError(
@@ -250,7 +279,7 @@ def _cmd_test(args):
                            n_grid=args.n_grid, n_rep=args.n_rep)  # refused settings draw no seed
     if limits.method_of(spec.kind) == "exact-mc":
         spec = dataclasses.replace(spec, seed=_resolve_seed(args))
-    products, _ = load_bundle(args.data, args.v, args.w)
+    products, _ = load_bundle(args.data, args.v, args.w, workers=args.workers)
     L = args.learning_length
     try:
         if L is not None:
@@ -350,7 +379,9 @@ def build_parser():
     def common(p):
         seeded(p)
         p.add_argument("--workers", type=int, default=1,
-                       help="threads drawing the extrema of a v-kind critical value")
+                       help="threads drawing the extrema of a v-kind critical value; "
+                            "test also parses up to this many --data files at once, in "
+                            "separate processes (the numbers are the same for every count)")
         p.add_argument("--level", type=float, default=0.95)
         p.add_argument("--n-grid", type=int, default=limits.DEFAULT_N_GRID,
                        help="grid points of the supremum the critical value is for")

@@ -30,12 +30,14 @@ uses it.
 This module owns every random ``stream`` and ``child_seed``, and the
 readers of every setting: ``check_settings`` refuses a bad critical-value
 setting for ``CritValRequest``, ``cptest.TestSpec`` and
-``harness.ExperimentConfig`` alike, ``check_workers`` a worker count
-below 1, ``whole_number`` an integer setting that is a bool or a
-fraction, and ``real_vector`` a vector setting (weights here, the panel
-coefficients and scales of ``simgen.PanelConfig``) of another length or
-with an entry out of range or not a real; a request is complete or
-refused when made.  It owns every memo of a critical value, and all are exact:
+``harness.ExperimentConfig`` alike, ``check_seed`` a seed outside
+[0, 2**64) for them, ``simgen.PanelConfig`` and every stream,
+``check_workers`` a worker count below 1, ``whole_number`` an integer
+setting that is a bool or a fraction, and ``real_vector`` a vector
+setting (weights here, the panel coefficients and scales of
+``simgen.PanelConfig``) of another length or with an entry out of range
+or not a real; a request is complete or refused when made.  It owns
+every memo of a critical value, and all are exact:
 ``_corrected_quantile`` is memoized on its arguments, the most recent few
 draw sets on (law, K, n_rep, seed), and the quantile tables on the law.
 A draw set's entry also holds its draws shifted by beta / sqrt(n_grid),
@@ -195,24 +197,38 @@ def real_vector(values, length: int, name: str, low: float, high: float, rule: s
     return out
 
 
+def check_seed(seed) -> int:
+    """``seed``, a whole number in [0, 2**64), as an int; anything else is refused.
+
+    ``SeedSequence`` pads a seed below 2**128 to four words before the key
+    and a wider one not, so a wider seed could draw another key's stream:
+    ``stream(7 + (5 << 128))`` would be ``stream(7, 5)``.
+    """
+    if (seed := whole_number(seed, "seed")) < 0:
+        raise ConfigurationError(f"seed must be non-negative, got {seed}")
+    if seed >= 2**64:
+        raise ConfigurationError(f"seed must be below 2**64, got {seed}")
+    return seed
+
+
 def stream(seed, *key) -> np.random.Generator:
     """The Philox generator of ``SeedSequence(seed, spawn_key=key)``; a bad word is refused.
 
     Every draw comes from one, and the key spaces never meet, for they differ
     in length: panel innovations are keyed (sample, rep) (``simgen``), the
     extrema of ``_fill_blocks`` (_PATH_STREAMS, block, sample), a Dirichlet
-    projection ().  Distinct (seed, key) give independent streams for any
-    seed below 2**128.  Cell and projection seeds come from ``child_seed``.
+    projection ().  Distinct (seed, key) give independent streams, for
+    ``check_seed`` reads the seed.  Cell and projection seeds come from
+    ``child_seed``.
     """
-    if (seed := whole_number(seed, "seed")) < 0:
-        raise ConfigurationError(f"seed must be non-negative, got {seed}")
-    ss = np.random.SeedSequence(seed, spawn_key=tuple(whole_number(k, "key") for k in key))
+    ss = np.random.SeedSequence(check_seed(seed),
+                                spawn_key=tuple(whole_number(k, "key") for k in key))
     return np.random.Generator(np.random.Philox(ss))
 
 
 def child_seed(seed, i) -> int:
     """The i-th 64-bit seed derived from ``seed``, as a cell's from its experiment's."""
-    ss = np.random.SeedSequence(whole_number(seed, "seed"), spawn_key=(whole_number(i, "key"),))
+    ss = np.random.SeedSequence(check_seed(seed), spawn_key=(whole_number(i, "key"),))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -226,9 +242,7 @@ def check_settings(kind: str, level: float, n_grid: int, n_rep: int, seed: int) 
         raise ConfigurationError("n_grid must be >= 100")
     if method_of(kind) == "exact-mc" and (n_rep := whole_number(n_rep, "n_rep")) < 1000:
         raise ConfigurationError("n_rep must be >= 1000")
-    if (seed := whole_number(seed, "seed")) < 0:
-        raise ConfigurationError(f"seed must be non-negative, got {seed}")
-    return n_grid, n_rep, seed
+    return n_grid, n_rep, check_seed(seed)
 
 
 @dataclass(frozen=True)
@@ -306,10 +320,11 @@ def _remember(cache, key, value):
     return value
 
 
-def check_workers(workers):
-    """Refuse a worker count that is not a whole number of at least 1."""
-    if whole_number(workers, "workers") < 1:
+def check_workers(workers) -> int:
+    """``workers`` as an int; a count that is not a whole number of at least 1 is refused."""
+    if (workers := whole_number(workers, "workers")) < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    return workers
 
 
 def _fill_blocks(arrays, workers, block):

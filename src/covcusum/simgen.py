@@ -64,11 +64,12 @@ class PanelConfig:
 
     def __post_init__(self):
         for name, least, rule in (("K", 1, ">= 1"), ("d", 1, ">= 1"),
-                                  ("burn_in", 0, "non-negative"), ("seed", 0, "non-negative")):
+                                  ("burn_in", 0, "non-negative")):
             value = limits.whole_number(getattr(self, name), name)
             if value < least:
                 raise ConfigurationError(f"{name} must be {rule}, got {value}")
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "seed", limits.check_seed(self.seed))
         K, d = self.K, self.d
         for name, length, low, high, rule in (
                 ("N", K, 0.0, math.inf, "K positive whole numbers"),

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from covcusum import cli, cptest, limits, simgen, sumproc
-from covcusum.errors import IngestionError
+from covcusum.errors import CovCusumError, IngestionError
 
 FAST = ["--n-grid", "500", "--n-rep", "20000"]
 
@@ -70,13 +70,15 @@ class TestLoaders:
         with pytest.raises(IngestionError, match="length 2"):
             cli._load_vector(f, expected_d=3)
 
-    def test_bundle_column_mismatch(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bundle_column_mismatch(self, tmp_path, workers):
         a, b, v = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "v.txt"
         write_lines(a, ["1,2"])
         write_lines(b, ["1,2,3"])
         write_lines(v, ["0.5", "0.5"])
-        with pytest.raises(IngestionError, match="columns"):
-            cli.load_bundle([a, b], v)
+        with pytest.raises(IngestionError) as exc:
+            cli.load_bundle([a, b], v, workers=workers)
+        assert str(exc.value) == f"{b}: has 3 columns but first sample has 2"
 
     @pytest.mark.parametrize("text", ["c1,c2\n", "\n  \n\t\n", ""],
                              ids=["header-only", "blank", "empty"])
@@ -109,9 +111,10 @@ class TestLoaders:
         ("3,nan", "non-finite value (nan or inf)"),
     ], ids=["ragged", "wide", "non-numeric", "nan"])
     @pytest.mark.parametrize("at", ["last-of-block", "first-of-next"])
-    @pytest.mark.parametrize("via", ["matrix", "bundle"])
+    @pytest.mark.parametrize("via, workers", [("matrix", 1), ("bundle", 1), ("bundle", 2)],
+                             ids=["matrix", "bundle", "bundle-2-workers"])
     def test_bad_row_at_block_boundary_names_physical_line(self, tmp_path, bad_row, reason,
-                                                           at, via):
+                                                           at, via, workers):
         n = cli.BLOCK_ROWS
         rows = ["1,2"] * (2 * n + 5)
         rows[n - 1 if at == "last-of-block" else n] = bad_row
@@ -122,8 +125,10 @@ class TestLoaders:
         write_lines(f, lines)
         write_lines(v, ["0.5", "0.5"])
         lineno = lines.index(bad_row) + 1
+        # Two files, so that two workers make a pool.
         with pytest.raises(IngestionError) as exc:
-            cli._load_matrix(f) if via == "matrix" else cli.load_bundle([f], v)
+            cli._load_matrix(f) if via == "matrix" else cli.load_bundle([f, f], v,
+                                                                        workers=workers)
         assert str(exc.value) == f"{f}:{lineno}: {reason}"
 
     @pytest.mark.parametrize("via", ["matrix", "bundle"])
@@ -136,13 +141,39 @@ class TestLoaders:
             cli._load_matrix(f) if via == "matrix" else cli.load_bundle([f], v)
         assert str(exc.value) == f"{f}:{n + 1}: the number of columns changed from 3 to 2"
 
-    def test_vectors_read_after_first_block_of_first_file(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_vectors_read_after_first_block_of_first_file(self, tmp_path, workers):
         a, b, v = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "v.txt"
         write_lines(a, ["1,2"])
         write_lines(b, ["1,x"])
         write_lines(v, ["0.5"] * 3)
         with pytest.raises(IngestionError, match=r"v\.txt: projection vector has length 3"):
-            cli.load_bundle([a, b], v)
+            cli.load_bundle([a, b], v, workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_bad_file_is_refused_at_any_worker_count(self, tmp_path, workers):
+        # File 1 parses but its products overflow; file 2 does not parse.
+        a, b, v = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "v.txt"
+        write_lines(a, ["1,2", "1e200,1e200", "3,4"])
+        write_lines(b, ["1,2", "1,x"])
+        write_lines(v, ["0.5", "0.5"])
+        with pytest.raises(CovCusumError) as exc:
+            cli.load_bundle([a, b], v, workers=workers)
+        assert type(exc.value) is CovCusumError and exc.value.sample_index == 0
+        assert str(exc.value) == f"{a}: sample 1: non-finite product at observation 2"
+
+    def test_products_equal_at_one_and_two_workers(self, tmp_path):
+        cfg = simgen.PanelConfig(K=3, d=4, N=(150, 90, 200), rho0=(0.3,) * 4,
+                                 sigma0=(1.0, 2.0, 0.5), seed=11)
+        data = simgen.export_panel_csv(simgen.gen_ar1_panel(cfg), tmp_path)
+        v, w = tmp_path / "v.txt", tmp_path / "w.txt"
+        write_lines(v, ["0.1", "0.2", "0.3", "0.4"])
+        write_lines(w, ["0.4", "-0.3", "0.2", "0.1"])
+        (one, pair), (two, _) = (cli.load_bundle(data, v, w, workers=n) for n in (1, 2))
+        assert [len(p) for p in one] == [150, 90, 200]
+        assert all(np.array_equal(p, q) for p, q in zip(one, two))
+        assert all(np.array_equal(p, sumproc.project(cli._load_matrix(f), pair))
+                   for p, f in zip(two, data))
 
     def test_bundle_holds_no_sample(self, tmp_path):
         # A (4000, 250) sample is 8 MB as float64; streaming holds a block at a time.
@@ -170,12 +201,15 @@ class TestLoaders:
         write_lines(f, ["weight", "0.25", "", "0.75"])
         np.testing.assert_array_equal(cli._load_vector(f, expected_d=2), [0.25, 0.75])
 
-    def test_bundle_returns_samples_and_vectors(self, tmp_path):
-        a, v = tmp_path / "a.csv", tmp_path / "v.txt"
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bundle_returns_samples_and_vectors(self, tmp_path, workers):
+        a, b, v = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "v.txt"
         write_lines(a, ["1,2", "3,4"])
+        write_lines(b, ["5,6"])
         write_lines(v, ["0.5", "0.5"])
-        products, pair = cli.load_bundle([a], v)
+        products, pair = cli.load_bundle([a, b], v, workers=workers)
         np.testing.assert_array_equal(products[0], [1.5 ** 2, 3.5 ** 2])
+        np.testing.assert_array_equal(products[1], [5.5 ** 2])
         np.testing.assert_array_equal(pair.v, [0.5, 0.5])
         assert pair.w is pair.v
 
@@ -310,6 +344,24 @@ class TestTestCommand:
         assert seen == [1, 2]
         assert reports[0] == reports[1]
         assert json.loads(reports[0])["method"] == "exact-mc"
+
+    @pytest.mark.parametrize("kind", limits.KINDS)
+    def test_report_and_stdout_equal_at_one_and_two_workers(self, tmp_path, capsys, kind):
+        data, v = self._panel_files(tmp_path, K=3, n=120, d=3)
+        targets = [] if kind in limits.BRIDGE_KINDS else ["--targets", "1,1,1"]
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"report-{workers}.json"
+            assert cli.main(["test", "--data", *data, "--v", v, "--kind", kind, "--seed", "5",
+                             "--workers", workers, "--out", str(out), *targets] + FAST) == 0
+            outputs.append((out.read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+
+    def test_worker_count_refused_before_files(self, tmp_path, capsys):
+        rc = cli.main(["test", "--kind", "q-breve", "--workers", "0",
+                       "--data", str(tmp_path / "missing.csv"), "--v", str(tmp_path / "v.txt")])
+        assert rc == 2
+        assert capsys.readouterr().err == "configuration error: workers must be >= 1, got 0\n"
 
     def test_missing_file_exit_code_one(self, tmp_path):
         rc = cli.main(["test", "--data", str(tmp_path / "nope.csv"),
@@ -589,6 +641,37 @@ def test_import_loads_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout
     assert [line for line in out.splitlines() if line.startswith("[")] == ["[]"] * 3
+
+
+def test_import_loads_no_process_pool():
+    # The worker processes of ``test`` must not slow every command's start-up.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, covcusum.cli\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out == "[]\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--out-dir", "{tmp}/out"],
+    ["critval", "--kind", "v-breve", "--K", "1", "--alpha", "1", "--kappa", "1",
+     "--out", "{tmp}/out/critval.csv"],
+    ["experiment", "--replications", "2", "--dims", "2", "--out-csv", "{tmp}/out/cell.csv"],
+    ["test", "--kind", "v-breve", "--data", "{tmp}/x.csv", "--v", "{tmp}/v.txt",
+     "--out", "{tmp}/out/report.json"],
+], ids=["simulate", "critval", "experiment", "test"])
+def test_seed_of_2_to_the_64_refused_before_any_output(argv, tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(limits, "stream", lambda *a, **k: calls.append(a))
+    (tmp_path / "out").mkdir()
+    rc = cli.main([a.format(tmp=tmp_path) for a in argv] + ["--seed", str(2**64)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: seed must be below 2**64, got {2**64}\n")
+    assert calls == [] and list((tmp_path / "out").iterdir()) == []
 
 
 class TestExperimentCommand:

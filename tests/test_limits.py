@@ -578,6 +578,22 @@ class TestCriticalValue:
         with pytest.raises(ConfigurationError, match=f"{name} must be a whole number, got "):
             CritValRequest(**{**settings, name: value})
 
+    def test_seed_of_2_to_the_64_or_more_refused(self):
+        # SeedSequence pads a seed below 2**128 to four words before the key
+        # and a wider one not: this seed drew the normals of (7, _PATH_STREAMS, 3, 1).
+        wide = 7 + (limits._PATH_STREAMS << 128)
+        assert limits.stream(7, limits._PATH_STREAMS, 3, 1).standard_normal() == \
+            np.random.Generator(np.random.Philox(np.random.SeedSequence(
+                wide, spawn_key=(3, 1)))).standard_normal()
+        for refuse in (lambda: limits.stream(wide, 3, 1), lambda: limits.stream(2**64),
+                       lambda: limits.child_seed(2**64, 0),
+                       lambda: CritValRequest(kind="v-breve", K=1, level=0.95,
+                                              alpha_weights=(1.0,), kappa=(1.0,), seed=2**64)):
+            with pytest.raises(ConfigurationError, match=r"^seed must be below 2\*\*64, got "):
+                refuse()
+        assert limits.check_seed(np.uint64(2**64 - 1)) == 2**64 - 1
+        limits.stream(2**64 - 1, 3, 1)
+
     def test_unread_n_rep_not_checked(self):
         assert CritValRequest(kind="q-breve", K=1, level=0.95, n_rep=2.5).n_rep == 2.5
 

@@ -53,9 +53,11 @@ class TestPanelConfig:
         (dict(rho1=(np.nan,), tau=(50,)), "rho1 must be d reals"),
         (dict(sigma0=(1 + 0j,)), "sigma0 must be K positive finite reals"),
         (dict(sigma1=(np.inf,), tau=(50,)), "sigma1 must be K positive finite reals, got"),
+        (dict(seed=2**64), r"seed must be below 2\*\*64, got 18446744073709551616"),
     ], ids=["seed-fraction", "seed-bool", "N-fraction", "N-bool", "N-scalar", "tau-fraction",
             "tau-zero", "burn-in-fraction", "d-fraction", "K-string", "rho0-not-a-number",
-            "rho0-string", "rho0-length", "rho1-nan", "sigma0-complex", "sigma1-inf"])
+            "rho0-string", "rho0-length", "rho1-nan", "sigma0-complex", "sigma1-inf",
+            "seed-2-to-the-64"])
     def test_setting_refused_naming_it(self, overrides, match):
         with pytest.raises(ConfigurationError, match=match):
             make_config(**overrides)
