@@ -16,8 +16,9 @@ lines, projecting each block as soon as it is parsed, so a sample costs
 O(BLOCK_ROWS d + N) memory.  ``sumproc.project`` reduces each row on its
 own, so the product series does not depend on the block size.  With
 ``--workers`` above 1, ``test`` parses up to that many ``--data`` files
-at once, each in its own process, and checks them in file order: the
-numbers and the first refusal are the same for every worker count.
+at once, each in its own process.  The function that reads a file refuses
+it, and refusals come in file order: the numbers and the first refusal are
+the same for every worker count.
 """
 
 from __future__ import annotations
@@ -110,15 +111,19 @@ def _load_vector(path, expected_d):
     return values[:, 0]
 
 
-def _sample_products(path, pair):
-    """The (N,) product series of one sample CSV through ``pair``, streamed in blocks;
-    a width other than ``pair.d`` is refused.  A worker process of ``load_bundle`` runs it."""
+def _sample_products(j, path, pair):
+    """Sample ``j``'s (N,) product series through ``pair``, streamed from ``path`` in blocks;
+    a width other than ``pair.d``, or a non-finite product (by file row), is refused."""
     blocks = _row_blocks(path)
     first = next(blocks)
     if first.shape[1] != pair.d:
         raise IngestionError(f"{path}: has {first.shape[1]} columns but first sample has {pair.d}")
-    return np.concatenate(
+    products = np.concatenate(
         [sumproc.project(block, pair) for block in itertools.chain([first], blocks)])
+    if not (finite := np.isfinite(products)).all():
+        raise CovCusumError(f"{path}: sample {j + 1}: non-finite product at observation "
+                            f"{np.argmin(finite) + 1}", sample_index=j)
+    return products
 
 
 def load_bundle(data_paths, v_path, w_path=None, workers=1):
@@ -126,19 +131,19 @@ def load_bundle(data_paths, v_path, w_path=None, workers=1):
 
     Each file is streamed through ``sumproc.project`` in blocks, so no
     (N, d) sample is held.  The vectors are read after the first block
-    of the first file, which gives d; see the module docstring.  The
-    files are then parsed on a pool of ``min(workers, K)`` processes,
-    and each is checked in file order: the first refusal is that of
-    the first bad file, and the products are the same for any worker
-    count.  A non-finite product is refused numbered by its row of the file.
+    of the first file, which gives d; see the module docstring.  Each
+    file is then read and refused by ``_sample_products`` on a pool of
+    ``min(workers, K)`` processes, in file order: the first refusal is
+    that of the first bad file, and the products are the same for any
+    worker count.
     """
     workers = min(limits.check_workers(workers), len(data_paths))
     d = next(_row_blocks(data_paths[0])).shape[1]
     pair = sumproc.ProjectionPair.from_vectors(
         _load_vector(v_path, d), _load_vector(w_path, d) if w_path else None)
+    args = (range(len(data_paths)), data_paths, itertools.repeat(pair))
     if workers == 1:
-        return _checked(data_paths, map(_sample_products, data_paths,
-                                        itertools.repeat(pair))), pair
+        return list(map(_sample_products, *args)), pair
     # Imported on first use, to keep them out of every command's start-up.  A
     # forkserver child starts clean, where a forked one would copy the threads.
     import multiprocessing
@@ -146,21 +151,9 @@ def load_bundle(data_paths, v_path, w_path=None, workers=1):
 
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("forkserver"))
     try:
-        return _checked(data_paths, pool.map(_sample_products, data_paths,
-                                             itertools.repeat(pair))), pair
+        return list(pool.map(_sample_products, *args)), pair
     finally:
         pool.shutdown(cancel_futures=True)  # a refusal waits for no later file
-
-
-def _checked(data_paths, results):
-    """The product series of ``results``, taken in file order, each refused if not finite."""
-    products = []
-    for j, (path, p) in enumerate(zip(data_paths, results)):
-        if not (finite := np.isfinite(p)).all():
-            raise CovCusumError(f"{path}: sample {j + 1}: non-finite product at observation "
-                                f"{np.argmin(finite) + 1}", sample_index=j)
-        products.append(p)
-    return products
 
 
 # The panel settings ``simulate`` reads from a config file.

@@ -49,11 +49,17 @@ class TestSpec:
         self.n_grid, self.n_rep, self.seed = limits.check_settings(
             self.kind, self.level, self.n_grid, self.n_rep, self.seed)
         bridge = self.kind in limits.BRIDGE_KINDS
-        if not bridge and self.targets is None:
-            raise ConfigurationError(f"kind {self.kind!r} requires targets")
-        if bridge and self.targets is not None:
-            raise ConfigurationError(f"kind {self.kind!r} forbids targets")
-        for j, target in enumerate(() if bridge else self.targets, start=1):
+        if bridge != (self.targets is None):
+            raise ConfigurationError(
+                f"kind {self.kind!r} {'forbids' if bridge else 'requires'} targets")
+        try:
+            targets = () if bridge else [np.asarray(t) for t in self.targets]
+        except (TypeError, ValueError):  # not a sequence, or a ragged target
+            raise ConfigurationError("targets must hold one real or array of reals per sample, "
+                                     f"got {self.targets!r}") from None
+        for j, target in enumerate(targets, start=1):
+            if target.dtype.kind not in "iuf":
+                raise ConfigurationError(f"sample {j}: non-real targets entry {target.tolist()!r}")
             if not np.all(np.isfinite(target)):
                 raise ConfigurationError(f"sample {j}: target is not finite")
 
@@ -93,21 +99,34 @@ def _naming_sample(j):
         raise type(exc)(f"sample {j + 1}: {exc}", sample_index=j) from exc
 
 
+def _as_batch(panel, ndim=2):
+    """Each series, numeric and ``ndim``-d or refused naming its sample, as an (R, N_j) array."""
+    series = []
+    for j, p in enumerate(panel):
+        with _naming_sample(j):
+            try:
+                p = np.asarray(p, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ShapeError(f"not a numeric product series: {exc}") from None
+            if p.ndim != ndim:
+                what = "a 1-d product series" if ndim == 1 else "an (R, N) batch of product series"
+                raise ShapeError(f"expected {what}, got ndim={p.ndim}")
+        series.append(np.atleast_2d(p))
+    return series
+
+
 def _series(batch):
     """The batch's (R, N_j) product series as float arrays, one R for all; each must be finite."""
-    series = [np.asarray(p, dtype=float) for p in batch]
+    series = _as_batch(batch)
     if not series:
         raise ConfigurationError("a panel needs at least one sample")
     for j, p in enumerate(series):
         with _naming_sample(j):
-            if p.ndim != 2:
-                raise ShapeError(f"expected an (R, N) batch of product series, got ndim={p.ndim}")
             if len(p) != len(series[0]):
                 raise ShapeError(f"{len(p)} replications, but sample 1 has {len(series[0])}")
-            bad = np.flatnonzero(~np.isfinite(p))
-            if bad.size:
+            if not (finite := np.isfinite(p)).all():
                 raise CovCusumError(
-                    f"non-finite product at observation {bad[0] % p.shape[1] + 1}")
+                    f"non-finite product at observation {np.argmin(finite) % p.shape[1] + 1}")
     return series
 
 
@@ -247,18 +266,6 @@ def run_batch(batch, specs: Sequence[TestSpec], learning=None, workers: int = 1)
     return reports
 
 
-def _batch_of_one(panel):
-    """The K 1-d product series of ``panel`` as (1, N_j) arrays."""
-    batch = []
-    for j, p in enumerate(panel):
-        p = np.asarray(p, dtype=float)
-        with _naming_sample(j):
-            if p.ndim != 1:
-                raise ShapeError(f"expected a 1-d product series, got ndim={p.ndim}")
-        batch.append(p[None])
-    return batch
-
-
 def run_tests(panel, specs: Sequence[TestSpec], learning=None, workers: int = 1) -> list:
     """Run several tests on one panel, summarizing each sample once.
 
@@ -269,8 +276,8 @@ def run_tests(panel, specs: Sequence[TestSpec], learning=None, workers: int = 1)
     (``run_batch``).  Returns one report per spec, equal to what
     ``run_test`` returns for it.
     """
-    learning = None if learning is None else _batch_of_one(learning)
-    return [b.report(0) for b in run_batch(_batch_of_one(panel), specs, learning, workers)]
+    learning = None if learning is None else _as_batch(learning, 1)
+    return [b.report(0) for b in run_batch(_as_batch(panel, 1), specs, learning, workers)]
 
 
 def run_test(panel, spec: TestSpec, learning=None, workers: int = 1) -> TestReport:

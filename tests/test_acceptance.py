@@ -36,12 +36,11 @@ def test_criterion_1_pooled_sum_critical_value():
              f"(value {value:.4g}, target 7.08 +- 0.15, {elapsed:.1f}s)")
 
 
-def test_criterion_2_bridge_supremum_law():
+def test_criterion_2_bridge_supremum_law(bridge_suprema):
     series_at_95 = limits.sup_abs_bb_cdf(1.358 ** 2)
     ok_series = abs(series_at_95 - 0.95) <= 0.001
 
-    hi, lo = limits.simulate_path_extrema(1, 2000, 100_000, seed=2025, workers=2)["bb"]
-    sup_bb = np.maximum(hi[:, 0], lo[:, 0])
+    sup_bb = bridge_suprema  # seed 2025, shared with test_limits
     # Probes span the upper-quantile region the tests actually read; the
     # body of the law carries a known downward discretization bias of the
     # supremum that exceeds the tolerance at this grid resolution.

@@ -69,6 +69,17 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError, match="sample 2: target is not finite"):
             TestSpec(kind=kind, targets=[1.0, bad])
 
+    @pytest.mark.parametrize("kind", ["q", "v"])
+    @pytest.mark.parametrize("targets, match", [
+        (["x"], "sample 1: non-real targets entry 'x'"),
+        ([1.0, None], "sample 2: non-real targets entry None"),
+        (5, "targets must hold one real or array of reals per sample, got 5")],
+        ids=["string", "none", "scalar"])
+    def test_non_real_targets_refused(self, kind, targets, match):
+        # Refused when the spec is made, not by numpy's TypeError or enumerate's.
+        with pytest.raises(ConfigurationError, match=match):
+            TestSpec(kind=kind, targets=targets)
+
     @pytest.mark.parametrize("kind", limits.KINDS)
     def test_matrix_panel_refused_naming_sample(self, kind):
         # The tests take product series; a panel of observation matrices
@@ -77,6 +88,27 @@ class TestSpecValidation:
         panel = [np.array([1.0, 4.0]), np.array([[1.0], [2.0]])]
         with pytest.raises(ShapeError, match="sample 2: expected a 1-d product series"):
             cptest.run_test(panel, TestSpec(kind=kind, targets=targets))
+
+
+    @pytest.mark.parametrize("run, error, match, index", [
+        (lambda spec: cptest.run_test([], spec), ConfigurationError,
+         "a panel needs at least one sample", None),
+        (lambda spec: cptest.run_batch([np.zeros(5)], [spec]), ShapeError,
+         r"sample 1: expected an \(R, N\) batch of product series, got ndim=1", 0),
+        (lambda spec: cptest.run_test([np.arange(1.0, 7.0), [1, 2, "x", 4, 5, 6]], spec),
+         ShapeError, "sample 2: not a numeric product series: could not convert", 1),
+        (lambda spec: cptest.run_test([np.arange(1.0, 7.0)] * 2, spec,
+                                      [[1, 2, "x", 4, 5, 6], np.arange(1.0, 7.0)]),
+         ShapeError, "sample 1: not a numeric product series: could not convert", 0),
+        (lambda spec: cptest.run_batch([np.ones((2, 6)), [[1, 2, 3, "x", 5, 6]] * 2], [spec]),
+         ShapeError, "sample 2: not a numeric product series: could not convert", 1)],
+        ids=["empty-panel", "1-d-in-batch", "non-numeric", "non-numeric-learning",
+             "non-numeric-in-batch"])
+    def test_malformed_panel_refused(self, run, error, match, index):
+        # A non-numeric series is refused naming its sample, not by numpy's bare ValueError.
+        with pytest.raises(error, match=match) as exc:
+            run(TestSpec(kind="q-breve", seed=5, **SMALL))
+        assert exc.value.sample_index == index
 
 
 class TestHandValues:

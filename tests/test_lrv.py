@@ -112,6 +112,15 @@ class TestLrvEstimate:
         with pytest.raises(DegenerateLrvError, match="non-positive"):
             lrv.lrv_estimate(np.tile([1.0, 2.0], 50))
 
+    @pytest.mark.parametrize("estimate, p, match", [
+        (lrv.lrv_estimate, np.zeros((2, 5)), "expected a 1-d product series, got ndim=2"),
+        (lrv.lrv_estimates, np.zeros(5),
+         r"expected an \(R, N\) batch of product series, got ndim=1")],
+        ids=["one", "batch"])
+    def test_wrong_ndim_refused(self, estimate, p, match):
+        with pytest.raises(ShapeError, match=match):
+            estimate(p)
+
     def test_overflowing_autocovariance_refused(self):
         # Finite products whose squares overflow: refused, not a ValueError
         # from the bandwidth or a RuntimeWarning.

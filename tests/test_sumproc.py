@@ -93,6 +93,13 @@ class TestProjectionPair:
         with pytest.raises(ShapeError):
             ProjectionPair.from_vectors([0.0, 0.0])
 
+    @pytest.mark.parametrize("vectors, match", [
+        (([1, 2], [1, 2, 3]), r"v and w must be 1-d, or \(R, d\) stacks, of equal shape"),
+        (([1, np.nan],), "projection vectors must be finite")], ids=["shape", "non-finite"])
+    def test_malformed_vectors_refused(self, vectors, match):
+        with pytest.raises(ShapeError, match=match):
+            ProjectionPair.from_vectors(*vectors)
+
 
 class TestDProcess:
     def test_zero_data_zero_target(self):
@@ -167,6 +174,13 @@ class TestPooledGridMax:
         val, idx = sumproc.pooled_d_grid_max([f1, f2])
         assert val == 5.0
         assert idx == (2, 1)
+
+    @pytest.mark.parametrize("processes, match", [
+        ([np.zeros((2, 2, 2))], "each process must be a non-empty 1-d array or"),
+        ([], "no processes given")], ids=["3-d", "none"])
+    def test_malformed_processes_refused(self, processes, match):
+        with pytest.raises(ShapeError, match=match):
+            sumproc.pooled_d_grid_max(processes)
 
     def test_matches_brute_force_randomized(self):
         rng = np.random.default_rng(3)
