@@ -46,7 +46,7 @@ class TestSpec:
     seed: int = 0
 
     def __post_init__(self):
-        self.n_grid, self.n_rep, self.seed = limits.check_settings(
+        self.level, self.n_grid, self.n_rep, self.seed = limits.check_settings(
             self.kind, self.level, self.n_grid, self.n_rep, self.seed)
         bridge = self.kind in limits.BRIDGE_KINDS
         if bridge != (self.targets is None):
@@ -100,14 +100,11 @@ def _naming_sample(j):
 
 
 def _as_batch(panel, ndim=2):
-    """Each series, numeric and ``ndim``-d or refused naming its sample, as an (R, N_j) array."""
+    """Each series, real and ``ndim``-d or refused naming its sample, as an (R, N_j) array."""
     series = []
     for j, p in enumerate(panel):
         with _naming_sample(j):
-            try:
-                p = np.asarray(p, dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise ShapeError(f"not a numeric product series: {exc}") from None
+            p = sumproc.as_real(p, "product series")
             if p.ndim != ndim:
                 what = "a 1-d product series" if ndim == 1 else "an (R, N) batch of product series"
                 raise ShapeError(f"expected {what}, got ndim={p.ndim}")
@@ -196,20 +193,16 @@ def _statistic(summary, spec):
 
 
 def _critical_values(summary, spec, R, workers):
-    """The (R,) critical values: one for the q kinds, one per replication for the v kinds."""
-    def request(alphas=None, kappas=None):
-        return limits.CritValRequest(
-            kind=spec.kind, K=len(summary.sizes), level=spec.level,
-            alpha_weights=alphas, kappa=kappas,
-            n_grid=spec.n_grid, n_rep=spec.n_rep, seed=spec.seed)
-
-    if spec.kind not in limits.POOLED_KINDS:
-        return np.full(R, limits.critical_value(request(), workers))
-    n_total = sum(summary.sizes)
-    kappas = tuple(n / n_total for n in summary.sizes)
-    alphas = np.sqrt(np.stack([e.alpha_sq for e in summary.lrv], axis=-1))
-    return np.array([limits.critical_value(request(tuple(a), kappas), workers)
-                     for a in alphas])
+    """The (R,) critical values of one request: one value for the q kinds, and for the v
+    kinds one per replication, from its row of the (R, K) weight stack."""
+    weights = {}
+    if spec.kind in limits.POOLED_KINDS:
+        n_total = sum(summary.sizes)
+        weights = dict(alpha_weights=np.sqrt(np.stack([e.alpha_sq for e in summary.lrv], axis=-1)),
+                       kappa=tuple(n / n_total for n in summary.sizes))
+    req = limits.CritValRequest(kind=spec.kind, K=len(summary.sizes), level=spec.level,
+                                n_grid=spec.n_grid, n_rep=spec.n_rep, seed=spec.seed, **weights)
+    return np.full(R, limits.critical_value(req, workers))
 
 
 @dataclass

@@ -130,7 +130,7 @@ class ExperimentConfig:
             if t not in limits.BRIDGE_KINDS:
                 raise ConfigurationError(
                     f"experiment supports the target-free kinds, got {t!r}")
-            self.critval_n_grid, self.critval_n_rep, self.seed = limits.check_settings(
+            self.level, self.critval_n_grid, self.critval_n_rep, self.seed = limits.check_settings(
                 t, self.level, self.critval_n_grid, self.critval_n_rep, self.seed)
         for name in ("cases", "dims", "change_times", "tests"):  # no cell or rate twice
             values = getattr(self, name) or ()

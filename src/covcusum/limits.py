@@ -40,12 +40,11 @@ or not a real; a request is complete or refused when made.  It owns
 every memo of a critical value, and all are exact:
 ``_corrected_quantile`` is memoized on its arguments, the most recent few
 draw sets on (law, K, n_rep, seed), and the quantile tables on the law.
-A draw set's entry also holds its draws shifted by beta / sqrt(n_grid),
-one copy per ``n_grid`` asked for, so they are evicted and cleared with
-it.  Memoized arrays are read-only, so that no caller can change a later
-result by writing into one.  The data-dependent weights of the v kinds
-are applied afresh on each request, which is cheap.  Callers ask
-``critical_value`` and keep no cache of their own.
+Memoized arrays are read-only, so that no caller can change a later
+result by writing into one.  A v-kind request carries one row of weights
+or an (R, K) stack of them, one row per replication of a batch; each call
+shifts the draws by beta / sqrt(n_grid) once and weights them afresh for
+every row.  Callers ask ``critical_value`` and keep no cache of their own.
 """
 
 from __future__ import annotations
@@ -233,21 +232,24 @@ def child_seed(seed, i) -> int:
 
 
 def check_settings(kind: str, level: float, n_grid: int, n_rep: int, seed: int) -> tuple:
-    """(n_grid, n_rep, seed) as ints, or a refusal; ``n_rep`` only for the kinds that read it."""
+    """(level, n_grid, n_rep, seed) as a float and ints, or a refusal; ``n_rep`` only if read."""
     if kind not in KINDS:
         raise ConfigurationError(f"unknown statistic kind {kind!r}")
-    if not 0.0 < level < 1.0:
-        raise ConfigurationError(f"level must be in (0, 1), got {level}")
+    if not (isinstance(level, numbers.Real) and 0.0 < level < 1.0):
+        raise ConfigurationError(f"level must be in (0, 1), got {level!r}")
     if (n_grid := whole_number(n_grid, "n_grid")) < 100:
         raise ConfigurationError("n_grid must be >= 100")
     if method_of(kind) == "exact-mc" and (n_rep := whole_number(n_rep, "n_rep")) < 1000:
         raise ConfigurationError("n_rep must be >= 1000")
-    return n_grid, n_rep, check_seed(seed)
+    return float(level), n_grid, n_rep, check_seed(seed)
 
 
 @dataclass(frozen=True)
 class CritValRequest:
-    """A complete request: pooled kinds carry ``alpha_weights`` and ``kappa``, others neither."""
+    """A complete request: pooled kinds carry ``alpha_weights`` and ``kappa``, others neither.
+
+    ``alpha_weights`` is K reals, or an (R, K) stack whose row r weights replication r.
+    """
 
     kind: str
     K: int
@@ -260,7 +262,7 @@ class CritValRequest:
 
     def __post_init__(self):
         settings = check_settings(self.kind, self.level, self.n_grid, self.n_rep, self.seed)
-        for name, value in zip(("n_grid", "n_rep", "seed", "K"),
+        for name, value in zip(("level", "n_grid", "n_rep", "seed", "K"),
                                (*settings, whole_number(self.K, "K"))):
             object.__setattr__(self, name, value)
         if self.K < 1:
@@ -271,9 +273,13 @@ class CritValRequest:
                 f"kind {self.kind!r} " + ("requires alpha_weights and kappa" if pooled
                                           else "takes no alpha_weights or kappa"))
         if pooled:
-            for name in ("alpha_weights", "kappa"):
-                object.__setattr__(self, name, real_vector(
-                    getattr(self, name), self.K, name, 0.0, math.inf, "K positive finite reals"))
+            def read(values, name="alpha_weights"):
+                return real_vector(values, self.K, name, 0.0, math.inf, "K positive finite reals")
+
+            alphas = self.alpha_weights  # an (R, K) stack is read row by row
+            object.__setattr__(self, "alpha_weights", tuple(map(read, alphas))
+                               if np.asarray(alphas, dtype=object).ndim == 2 else read(alphas))
+            object.__setattr__(self, "kappa", read(self.kappa, "kappa"))
             if sum(self.kappa) > 1.0 + 1e-9:
                 raise ConfigurationError("kappa entries must sum to at most 1")
 
@@ -307,8 +313,7 @@ def _block_extrema(seed, block_index, j, n_block, n_grid):
 
 
 # Insertion-ordered; each holds at most _EXTREMA_CACHE_SIZE entries, oldest
-# evicted first (``_remember``).  A ``_draws_cache`` entry is the draw set's
-# (M+, M-) arrays and a dict of their shifted copies by n_grid.
+# evicted first (``_remember``).
 _extrema_cache: dict = {}
 _draws_cache: dict = {}
 
@@ -561,44 +566,35 @@ def draw_extrema(law: str, K: int, n_rep: int, seed: int, workers: int = 1):
     check_workers(workers)
     key = (law, K, n_rep, seed)
     if key in _draws_cache:
-        return _draws_cache[key][0]
+        return _draws_cache[key]
     arrays = (np.empty((n_rep, K)), np.empty((n_rep, K)))
     _quantile_table(law)  # built once, before the threads share it
     _fill_blocks(arrays, workers, lambda b, j, n: _block_draws(law, seed, b, j, n))
-    return _remember(_draws_cache, key, (arrays, {}))[0]
+    return _remember(_draws_cache, key, arrays)
 
 
-def _shifted_extrema(law: str, K: int, n_rep: int, seed: int, n_grid: int, workers: int):
-    """max(M - beta / sqrt(n_grid), 0) of both ``draw_extrema`` arrays.
-
-    Memoized, read-only, in the draw set's ``_draws_cache`` entry.
-    """
-    draws = draw_extrema(law, K, n_rep, seed, workers=workers)
-    shifted = _draws_cache[law, K, n_rep, seed][1]
-    if n_grid not in shifted:
-        shift = BGK_BETA / math.sqrt(n_grid)
-        pair = tuple(np.maximum(a - shift, 0.0) for a in draws)
-        for a in pair:
-            a.flags.writeable = False
-        shifted[n_grid] = pair
-    return shifted[n_grid]
-
-
-def critical_value(req: CritValRequest, workers: int = 1) -> float:
+def critical_value(req: CritValRequest, workers: int = 1) -> float | np.ndarray:
     """Critical value of the requested statistic at its level.
 
     The q kinds use ``_corrected_quantile``, which ignores ``req.seed``,
     ``req.n_rep`` and ``workers``; the v kinds are Monte Carlo quantiles
     over ``draw_extrema``, drawn on ``workers`` threads and shifted by
-    beta / sqrt(n_grid).  A worker count below 1 is a
+    beta / sqrt(n_grid) once per call.  Returns a float, or an (R,)
+    array for an (R, K) stack of ``alpha_weights``, whose entry r is the
+    float that row r alone gives.  A worker count below 1 is a
     ``ConfigurationError`` for every kind.
     """
     check_workers(workers)
     if method_of(req.kind) == "corrected":
         return _corrected_quantile(req.kind, req.K, req.level, req.n_grid)
     law = "bb" if req.kind in BRIDGE_KINDS else "bm"
-    hi, lo = _shifted_extrema(law, req.K, req.n_rep, req.seed, req.n_grid, workers)
+    shift = BGK_BETA / math.sqrt(req.n_grid)
+    hi, lo = (np.maximum(a - shift, 0.0)
+              for a in draw_extrema(law, req.K, req.n_rep, req.seed, workers=workers))
     # The grid supremum of |sum_j c_j B_j(s_j)| with positive weights
-    # c_j = alpha_j sqrt(kappa_j) separates per coordinate.
+    # c_j = alpha_j sqrt(kappa_j) separates per coordinate.  One matrix-vector
+    # product per row gives each row of a stack the bits of its own request.
     c = np.asarray(req.alpha_weights) * np.sqrt(req.kappa)
-    return empirical_quantile(np.maximum(hi @ c, lo @ c), req.level)
+    values = np.array([empirical_quantile(np.maximum(hi @ row, lo @ row), req.level)
+                       for row in np.atleast_2d(c)])
+    return values if c.ndim == 2 else float(values[0])

@@ -47,6 +47,16 @@ def kahan_cumsum(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def as_real(values, what: str) -> np.ndarray:
+    """``values`` as a float array, or a ``ShapeError``: not a real, or not a numeric, ``what``."""
+    try:
+        if not np.iscomplexobj(values):
+            return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ShapeError(f"not a numeric {what}: {exc}") from None
+    raise ShapeError(f"not a real {what}")
+
+
 @dataclass(frozen=True)
 class ProjectionPair:
     """A pair of weight vectors with their recorded l1 norms.
@@ -62,8 +72,8 @@ class ProjectionPair:
 
     @classmethod
     def from_vectors(cls, v, w=None):
-        v = np.asarray(v, dtype=float)
-        w = v if w is None else np.asarray(w, dtype=float)
+        v = as_real(v, "projection vector")
+        w = v if w is None else as_real(w, "projection vector")
         if v.ndim not in (1, 2) or v.shape != w.shape:
             raise ShapeError(
                 f"v and w must be 1-d, or (R, d) stacks, of equal shape, got {v.shape}, {w.shape}")

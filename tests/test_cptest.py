@@ -43,10 +43,18 @@ class TestSpecValidation:
         ("v-breve", dict(level=1.5), "level"), ("q-breve", dict(level=0.0), "level"),
         ("v-breve", dict(n_grid=5), "n_grid"), ("q-breve", dict(n_grid=99), "n_grid"),
         ("v-breve", dict(n_rep=3), "n_rep"), ("v-breve", dict(seed=-1), "seed"),
-        ("q-breve", dict(n_grid=1000.5), "n_grid"), ("v-breve", dict(seed=True), "seed")])
+        ("q-breve", dict(n_grid=1000.5), "n_grid"), ("v-breve", dict(seed=True), "seed"),
+        # A level that is not a real used to raise a bare TypeError.
+        ("q-breve", dict(level="0.5"), r"level must be in \(0, 1\), got '0.5'"),
+        ("v-breve", dict(level=None), r"level must be in \(0, 1\), got None"),
+        ("q-breve", dict(level=[0.5]), r"level must be in \(0, 1\), got \[0.5\]"),
+        ("v-breve", dict(level=0.95 + 0j), r"level must be in \(0, 1\), got \(0.95\+0j\)")])
     def test_critical_value_settings_refused_at_construction(self, kind, bad, match):
         with pytest.raises(ConfigurationError, match=match):
             TestSpec(kind=kind, **bad)
+
+    def test_level_read_as_a_float(self):
+        assert type(TestSpec(kind="q-breve", level=np.float32(0.5)).level) is float
 
     def test_n_rep_read_by_mc_kinds_only(self):
         assert TestSpec(kind="q-breve", n_rep=3).n_rep == 3
@@ -101,9 +109,14 @@ class TestSpecValidation:
                                       [[1, 2, "x", 4, 5, 6], np.arange(1.0, 7.0)]),
          ShapeError, "sample 1: not a numeric product series: could not convert", 0),
         (lambda spec: cptest.run_batch([np.ones((2, 6)), [[1, 2, 3, "x", 5, 6]] * 2], [spec]),
-         ShapeError, "sample 2: not a numeric product series: could not convert", 1)],
+         ShapeError, "sample 2: not a numeric product series: could not convert", 1),
+        # A complex series used to be tested on its real part, with a ComplexWarning.
+        (lambda spec: cptest.run_test([np.arange(1.0, 7.0) + 5j, np.arange(1.0, 7.0)], spec),
+         ShapeError, "^sample 1: not a real product series$", 0),
+        (lambda spec: cptest.run_test([np.arange(1.0, 7.0), [1, 2, 3 + 1j, 4, 5, 6]], spec),
+         ShapeError, "^sample 2: not a real product series$", 1)],
         ids=["empty-panel", "1-d-in-batch", "non-numeric", "non-numeric-learning",
-             "non-numeric-in-batch"])
+             "non-numeric-in-batch", "complex", "complex-list"])
     def test_malformed_panel_refused(self, run, error, match, index):
         # A non-numeric series is refused naming its sample, not by numpy's bare ValueError.
         with pytest.raises(error, match=match) as exc:

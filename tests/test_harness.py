@@ -71,6 +71,9 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("bad, match", [
         (dict(critval_n_grid=10), "n_grid"), (dict(critval_n_rep=10), "n_rep"),
         (dict(level=1.5), "level"), (dict(workers=0), "workers"),
+        # A level that is not a real used to raise a bare TypeError.
+        (dict(level="0.5"), "level must be in"), (dict(level=None), "level must be in"),
+        (dict(level=[0.5]), "level must be in"), (dict(level=0.95 + 0j), "level must be in"),
         (dict(learning_length=0), "learning_length"), (dict(dims=(10, 0)), "dims"),
         (dict(scenario="sigma-change", change_times=(5000,)), "change_times"),
         (dict(scenario="coefficient-change", change_times=(600, 1200)), "change_times"),

@@ -142,32 +142,27 @@ class TestExtremaCache:
         limits._extrema_cache.clear()
 
 
-    def test_shifted_draws_memo_equals_a_fresh_shift(self):
-        # One draw set serves two n_grid: each memoized shift equals the
-        # shift made afresh, is read-only, and goes when the draws go.
+    def test_shift_made_per_call_leaves_the_memo_unshifted(self):
+        # One draw set serves two n_grid: each value is the quantile of a
+        # fresh shift, and the memoized draws stay read-only and unshifted.
         limits._draws_cache.clear()
         hi, lo = limits.draw_extrema("bb", 2, 2000, seed=31)
+        before = [a.copy() for a in (hi, lo)]
         c = np.array([1.0, 1.5]) * np.sqrt([0.5, 0.5])
-        memos = {}
         for n_grid in (500, 2000):
             shift = limits.BGK_BETA / math.sqrt(n_grid)
-            memo = limits._shifted_extrema("bb", 2, 2000, 31, n_grid, 1)
-            assert limits._shifted_extrema("bb", 2, 2000, 31, n_grid, 1) is memo
-            fresh = [np.maximum(a - shift, 0.0) for a in (hi, lo)]
-            assert all(np.array_equal(m, f) for m, f in zip(memo, fresh))
-            for a in memo:
-                with pytest.raises(ValueError, match="read-only"):
-                    a *= 2.0
+            fresh = [np.maximum(a - shift, 0.0) for a in before]
             req = CritValRequest(kind="v-breve", K=2, level=0.95, alpha_weights=(1.0, 1.5),
                                  kappa=(0.5, 0.5), n_grid=n_grid, n_rep=2000, seed=31)
             assert limits.critical_value(req) == limits.empirical_quantile(
                 np.maximum(fresh[0] @ c, fresh[1] @ c), 0.95)
-            memos[n_grid] = memo
-        assert sorted(limits._draws_cache["bb", 2, 2000, 31][1]) == [500, 2000]
-        limits._draws_cache.clear()
-        again = limits._shifted_extrema("bb", 2, 2000, 31, 500, 1)
-        assert again is not memos[500]
-        assert all(np.array_equal(a, m) for a, m in zip(again, memos[500]))
+        memo = limits.draw_extrema("bb", 2, 2000, seed=31)
+        assert memo is limits._draws_cache["bb", 2, 2000, 31]
+        assert all(m is a for m, a in zip(memo, (hi, lo)))
+        for m, b in zip(memo, before):
+            assert np.array_equal(m, b)
+            with pytest.raises(ValueError, match="read-only"):
+                m *= 2.0
         limits._draws_cache.clear()
 
 
@@ -525,6 +520,34 @@ class TestCriticalValue:
             vals.add(limits.critical_value(req, workers=workers))
         assert len(vals) == 1
 
+    @pytest.mark.parametrize("kind", limits.POOLED_KINDS)
+    def test_weight_stack_equals_one_request_per_row(self, kind):
+        # An (R, K) stack is R requests in one call, bit for bit, at either
+        # n_grid of one draw set.
+        stack = np.random.default_rng(3).uniform(0.2, 3.0, size=(5, 3))
+        kappa = (0.2, 0.3, 0.5)
+        limits._draws_cache.clear()
+        for n_grid in (500, 2000):
+            settings = dict(kind=kind, K=3, level=0.95, kappa=kappa, n_grid=n_grid,
+                            n_rep=2000, seed=29)
+            got = limits.critical_value(CritValRequest(alpha_weights=stack, **settings))
+            rows = [limits.critical_value(CritValRequest(alpha_weights=tuple(a), **settings))
+                    for a in stack]
+            assert got.shape == (5,)
+            assert np.array_equal(got, rows)
+            listed = CritValRequest(alpha_weights=stack.tolist(), **settings)
+            assert np.array_equal(limits.critical_value(listed), got)
+        limits._draws_cache.clear()
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan, -1.0, "x", (1.0,), (1.0, 1.0, 1.0)])
+    def test_weight_stack_with_one_bad_row_refused(self, bad):
+        rows = [[1.0, 1.5], [0.5, 2.0], [2.0, 1.0]]
+        rows[1] = list(bad) if isinstance(bad, tuple) else [0.5, bad]
+        with pytest.raises(ConfigurationError,
+                           match="alpha_weights must be K positive finite reals, got"):
+            CritValRequest(kind="v-breve", K=2, level=0.95, alpha_weights=rows,
+                           kappa=(0.5, 0.5))
+
     def test_missing_weights_rejected(self):
         with pytest.raises(ConfigurationError, match="requires alpha_weights and kappa"):
             CritValRequest(kind="v", K=2, level=0.95, seed=1, **SMALL)
@@ -543,6 +566,9 @@ class TestCriticalValue:
             CritValRequest(kind="q", K=0, level=0.95)
         with pytest.raises(ConfigurationError):
             CritValRequest(kind="q", K=1, level=1.5)
+        for bad in ("0.5", None, [0.5], 0.95 + 0j):  # used to raise a bare TypeError
+            with pytest.raises(ConfigurationError, match=r"level must be in \(0, 1\), got "):
+                CritValRequest(kind="q", K=1, level=bad)
         with pytest.raises(ConfigurationError):
             CritValRequest(kind="q", K=1, level=0.95, n_grid=10)
         with pytest.raises(ConfigurationError):

@@ -95,7 +95,13 @@ class TestProjectionPair:
 
     @pytest.mark.parametrize("vectors, match", [
         (([1, 2], [1, 2, 3]), r"v and w must be 1-d, or \(R, d\) stacks, of equal shape"),
-        (([1, np.nan],), "projection vectors must be finite")], ids=["shape", "non-finite"])
+        (([1, np.nan],), "projection vectors must be finite"),
+        # A complex entry used to raise a bare TypeError, and a complex array
+        # was cast to its real part.
+        (([0.5 + 1j, 0.5],), "^not a real projection vector$"),
+        (([0.5, 0.5], np.array([0.5, 0.5j])), "^not a real projection vector$"),
+        ((["x", 0.5],), "^not a numeric projection vector: could not convert")],
+        ids=["shape", "non-finite", "complex", "complex-array", "non-numeric"])
     def test_malformed_vectors_refused(self, vectors, match):
         with pytest.raises(ShapeError, match=match):
             ProjectionPair.from_vectors(*vectors)
