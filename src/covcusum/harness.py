@@ -8,15 +8,14 @@ instant, and long-run variances estimated in-sample or on learning
 blocks of their own.
 
 A cell generates its replications in batches through
-``simgen.gen_ar1_panels``: replication r is rep 2r of the panel config
-and rep 2r + 1 of the learning config, whatever the batch.  A batch holds
-as many replications as fit the generator buffers, whose views are the
-samples, into ``PANEL_CHUNK_BYTES``: memory is bounded for any count.
-Each sample and learning block of a batch is projected once, every
-replication through its own pair, into an (R, N_j) or (R, L_j) array, and
-the tests, specified once per cell, run on the whole batch at once
+``simgen.gen_ar1_blocks``: replication r is rep 2r of the panel config
+and rep 2r + 1 of the learning config, whatever the batch.  Each sample's
+rows are projected as a small block of the recursion makes them, every
+replication through its own pair, into an (R, N_j) or (R, L_j) array.
+``PANEL_CHUNK_BYTES`` bounds memory for any count and any d.  The tests,
+specified once per cell, run on the whole batch at once
 (``cptest.run_batch``); the cell counts the rejections of the batch's
-decisions.  Results do not depend on the batch size.
+decisions.  Results do not depend on the batch or block size.
 """
 
 from __future__ import annotations
@@ -45,8 +44,8 @@ DEFAULT_CHANGE_TIME = 600
 SIGMA_PRE = (1.0, 1.5, 0.7, 1.0)
 SIGMA_POST = (1.0, 0.7, 1.2, 1.0)
 
-# Generator buffer of one batch of replications, (T, K, R, d) float64.
-PANEL_CHUNK_BYTES = 16 * 2 ** 20
+# Bounds a batch's innovations, products and state, and apart its row block, at any d.
+PANEL_CHUNK_BYTES = 4 * 2 ** 20
 
 SCENARIOS = ("none", "sigma-change", "coefficient-change")
 MODE_IN_SAMPLE = "in-sample"
@@ -183,24 +182,30 @@ def _learning_sizes(case, cfg):
 def _batches(panel_cfg, learning_cfg, n, d, seed):
     """Yield the products of the replications r < n, one batch at a time.
 
-    Replication r's samples are rep 2r of ``panel_cfg``, and its learning
-    blocks, if there is a ``learning_cfg``, rep 2r + 1 of that.  Both are
-    projected through r's own Dirichlet pair.  A batch of R replications,
-    one (R, N_j) array per sample and one (R, L_j) array per learning block
-    or None, holds as many as fit PANEL_CHUNK_BYTES of generator buffer.
-    Each buffer is released before the batch is yielded, and the batch
-    before the next is generated, if the caller lets go of it too.
+    Replication r is rep 2r of ``panel_cfg`` and rep 2r + 1 of ``learning_cfg``,
+    if any, projected through r's own pair: one (R, N_j) array per sample and
+    one (R, L_j) array per learning block or None.  Per sample, it holds T
+    innovations, N_j products and 4 d of state (rho, step, a row, the pair);
+    a row block takes a quarter of the budget.  A batch is released before
+    the next is generated, if the caller lets go of it too.
     """
     configs = [c for c in (panel_cfg, learning_cfg) if c is not None]
-    per_rep = sum(8 * c.K * c.d * (c.burn_in + max(c.N)) for c in configs)
+    per_rep = sum(8 * (c.K * (c.burn_in + max(c.N) + 4 * d) + sum(c.N)) for c in configs)
     chunk = max(1, PANEL_CHUNK_BYTES // per_rep)
     for first in range(0, n, chunk):
         block = range(first, min(first + chunk, n))
         pair = sumproc.ProjectionPair.from_vectors(np.stack(
             [simgen.gen_dirichlet_projection(d, limits.child_seed(seed, r + 1)) for r in block]))
-        products = [[sumproc.project(y, pair)
-                     for y in simgen.gen_ar1_panels(c, [2 * r + i for r in block])]
-                    for i, c in enumerate(configs)]
+        products = [[np.empty((len(block), m)) for m in c.N] for c in configs]
+        for i, c in enumerate(configs):
+            rows = np.empty((min(max(1, PANEL_CHUNK_BYTES // (32 * c.K * len(block) * d)),
+                                 c.burn_in + max(c.N)), c.K, len(block), d))
+            for s, y in simgen.gen_ar1_blocks(c, [2 * r + i for r in block], rows):
+                for j, m in enumerate(c.N):
+                    lo, hi = max(s, 0), min(s + len(y), m)
+                    if lo < hi:
+                        products[i][j][:, lo:hi] = sumproc.project(y[lo - s:hi - s, j], pair)
+        del rows, y
         yield products[0], products[1] if learning_cfg is not None else None
         del products
 

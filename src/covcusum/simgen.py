@@ -13,16 +13,14 @@ generated in any order, on any number of workers, with identical results.
 Settings are read by ``limits``' ``whole_number`` and ``real_vector``: a
 bad one is refused, never truncated.
 
-``gen_ar1_panels`` generates many replications in one batch.  It runs
-the plain recursion ``y[t] = rho * y[t-1] + eps[t]`` from rest as one
-Python loop over time, vectorised across (sample, replication,
-coordinate), in one buffer whose views are the samples: one (N_j, R, d)
-view per sample, holding every replication.
-Every sample starts at row 0, and ``rho`` switches per sample at
-``burn_in + tau``.  One multiply and one add per step is the exact
-arithmetic of the order-1 transposed direct-form filter
-(``scipy.signal.lfilter``).
-``gen_ar1_panel`` is the batch of one replication.
+``gen_ar1_blocks`` runs the recursion ``y[t] = rho * y[t-1] + eps[t]``
+from rest, one Python loop over time vectorised across (sample,
+replication, coordinate), through a caller's block of rows, yielding it
+each time it is full.  Every sample starts at row 0, and ``rho`` switches
+per sample at ``burn_in + tau``.  One multiply and one add per step is the
+exact arithmetic of the order-1 transposed direct-form filter
+(``scipy.signal.lfilter``).  ``gen_ar1_panels`` runs many replications in
+one block of every row, whose views are its samples; ``gen_ar1_panel`` one.
 """
 
 from __future__ import annotations
@@ -93,6 +91,39 @@ class PanelConfig:
                 raise ConfigurationError("tau given but neither rho1 nor sigma1 present")
 
 
+def gen_ar1_blocks(config: PanelConfig, reps: Sequence[int], rows: np.ndarray):
+    """Fill ``rows``, (B, K, R, d), with rows of the recursion; yield (s, block) when full.
+
+    The block, ``rows`` or last its head, holds observations s, s + 1, ... (burn-in below 0).
+    """
+    reps = [limits.whole_number(rep, "reps") for rep in reps]
+    if min(reps, default=0) < 0:
+        raise ConfigurationError(f"reps must be non-negative, got {min(reps)}")
+    burn_in = config.burn_in
+    T = burn_in + max(config.N)
+    eps = np.zeros((T, config.K, len(reps)))
+    for j, n in enumerate(config.N):
+        sd = np.full(burn_in + n, config.sigma0[j])
+        if config.tau is not None and config.sigma1 is not None:
+            sd[burn_in + config.tau[j]:] = config.sigma1[j]
+        for i, rep in enumerate(reps):
+            eps[:len(sd), j, i] = limits.stream(config.seed, j, rep).standard_normal(len(sd)) * sd
+
+    # y[t] = rho * y[t-1] + eps[t]: the arithmetic of an order-1 IIR filter started from rest.
+    rho = np.broadcast_to(config.rho0, rows.shape[1:]).copy()  # full: one contiguous multiply
+    changes = set(config.tau or ()) if config.rho1 is not None else set()  # where rho switches
+    step = np.zeros(rows.shape[1:])  # rho * y[t-1], zero before row 0
+    for t0 in range(0, T, len(rows)):
+        y = rows[:T - t0]
+        y[:] = eps[t0:t0 + len(y), ..., None]  # one broadcast beats a fill per draw
+        for i in range(len(y)):
+            y[i] += step
+            if t0 + i + 1 - burn_in in changes:  # the samples that switch from the next row on
+                rho[np.equal(config.tau, t0 + i + 1 - burn_in)] = config.rho1
+            np.multiply(rho, y[i], out=step)
+        yield t0 - burn_in, y
+
+
 def gen_ar1_panels(config: PanelConfig, reps: Sequence[int]) -> list:
     """Generate the samples of replications ``reps`` of ``config`` together.
 
@@ -100,39 +131,13 @@ def gen_ar1_panels(config: PanelConfig, reps: Sequence[int]) -> list:
     whose ``[:, i]`` is sample j of the panel ``gen_ar1_panel(config,
     reps[i])`` returns.  Each replication draws from its own (seed,
     sample, rep) streams, so how replications are grouped into calls
-    never changes a panel.  One step of the recursion updates every
-    (sample, replication, coordinate) at once in a (T, K, R, d) buffer y,
-    T = ``burn_in + max(N)``; callers bound its size by choosing R.
-    Sample j of the batch is the view ``y[burn_in:burn_in + N_j, j]``, not a copy.
+    never changes a panel.  The recursion fills one (T, K, R, d) block y,
+    T = ``burn_in + max(N)``, and sample j is its view ``y[burn_in:burn_in + N_j, j]``.
     """
-    reps = [limits.whole_number(rep, "reps") for rep in reps]
-    if min(reps, default=0) < 0:
-        raise ConfigurationError(f"reps must be non-negative, got {min(reps)}")
-    K, d, burn_in = config.K, config.d, config.burn_in
-    R = len(reps)
-    T = burn_in + max(config.N)
-
-    eps = np.zeros((K, R, T))
-    for j, n in enumerate(config.N):
-        sd = np.full(burn_in + n, config.sigma0[j])
-        if config.tau is not None and config.sigma1 is not None:
-            sd[burn_in + config.tau[j]:] = config.sigma1[j]
-        for i, rep in enumerate(reps):
-            eps[j, i, :len(sd)] = limits.stream(config.seed, j, rep).standard_normal(len(sd)) * sd
-
-    # y[t] = rho * y[t-1] + eps[t]: the arithmetic of an order-1 IIR filter started from rest.
-    y = np.empty((T, K, R, d))
-    y[:] = eps.transpose(2, 0, 1)[..., None]  # one broadcast beats a fill per draw
-    rho = np.empty((K, R, d))  # full shape: each step is one contiguous multiply
-    rho[:] = np.asarray(config.rho0)
-    switches = config.tau is not None and config.rho1 is not None
-    step = np.empty((K, R, d))
-    for t in range(1, T):
-        if switches:  # the samples whose coefficients change from row t on
-            rho[np.equal(config.tau, t - burn_in)] = config.rho1
-        np.multiply(rho, y[t - 1], out=step)
-        y[t] += step
-    return [y[burn_in:burn_in + n, j] for j, n in enumerate(config.N)]
+    reps = list(reps)  # any iterable, read once
+    y = np.empty((config.burn_in + max(config.N), config.K, len(reps), config.d))
+    next(gen_ar1_blocks(config, reps, y))  # the one block
+    return [y[config.burn_in:config.burn_in + n, j] for j, n in enumerate(config.N)]
 
 
 def gen_ar1_panel(config: PanelConfig, rep: int = 0) -> list:

@@ -95,8 +95,8 @@ class ProjectionPair:
 def project(sample: np.ndarray, pair: ProjectionPair) -> np.ndarray:
     """Product series p = (Yv) * (Yw) of one observation matrix (rows=time).
 
-    A batch of R replications is an (N, R, d) array, such as a generator
-    buffer's strided view, projected through a pair of (R, d) stacks
+    A batch of R replications is an (N, R, d) array, such as a sample's
+    view in a row block of the recursion, projected through (R, d) stacks
     into an (R, N) array whose row r is replication r's series.  Each
     row's dot products are reduced within that row (``einsum``, not
     BLAS, whose blocking depends on the whole matrix), so projecting a

@@ -740,8 +740,8 @@ class TestExperimentCommand:
                                   "repeated-case"])
     def test_refused_config_draws_no_seed_and_no_panel(self, bad, capsys, monkeypatch):
         calls = []
-        generate = simgen.gen_ar1_panels
-        monkeypatch.setattr(simgen, "gen_ar1_panels",
+        generate = simgen.gen_ar1_blocks
+        monkeypatch.setattr(simgen, "gen_ar1_blocks",
                             lambda *a, **k: calls.append(1) or generate(*a, **k))
         rc = cli.main(["experiment", "--replications", "2", "--cases", "I", "--dims", "2",
                        *FAST, *bad])

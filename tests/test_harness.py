@@ -1,11 +1,12 @@
 import csv
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from covcusum import harness, sumproc
+from covcusum import harness, limits, simgen, sumproc
 from covcusum.errors import ConfigurationError
 from covcusum.harness import ExperimentConfig
 
@@ -184,7 +185,8 @@ class TestRunExperiment:
     @pytest.mark.parametrize("budget", [1, 2 ** 40], ids=["one-per-batch", "one-batch"])
     def test_cell_projects_each_sample_once(self, monkeypatch, budget):
         # Both kinds share one summary per batch: every row of every
-        # replication's samples is projected exactly once.
+        # replication's samples is projected exactly once, a row block
+        # (here one row, or the whole recursion) at a time.
         rows = []
         project = sumproc.project
         monkeypatch.setattr(sumproc, "project",
@@ -195,7 +197,7 @@ class TestRunExperiment:
                                scenario="none", seed=106, **FAST)
         harness.run_cell("I", 2, None, cfg, 0)
         assert sum(rows) == 3 * sum(harness.CASE_SIZES["I"])
-        assert len(rows) == 4 * (3 if budget == 1 else 1)
+        assert len(rows) == (3 * sum(harness.CASE_SIZES["I"]) if budget == 1 else 4)
 
     @pytest.mark.parametrize("scenario, learning_length", [
         ("none", None), ("coefficient-change", 500)])
@@ -205,11 +207,11 @@ class TestRunExperiment:
                                learning_length=learning_length, seed=107, **FAST)
         (change_time,) = cfg.change_times or (None,)
         calls = []
-        generate = harness.simgen.gen_ar1_panels
-        monkeypatch.setattr(harness.simgen, "gen_ar1_panels",
-                            lambda c, reps: calls.append(len(reps)) or generate(c, reps))
+        generate = harness.simgen.gen_ar1_blocks
+        monkeypatch.setattr(harness.simgen, "gen_ar1_blocks", lambda c, reps, rows: (
+            calls.append(len(reps)) or generate(c, reps, rows)))
         tables = {}
-        for budget in (1, 150_000, 2 ** 40):
+        for budget in (1, 100_000, 2 ** 40):
             calls.clear()
             monkeypatch.setattr(harness, "PANEL_CHUNK_BYTES", budget)
             rows = harness.run_cell("I", 2, change_time, cfg, 0)
@@ -218,34 +220,95 @@ class TestRunExperiment:
             assert sum(calls) == 5 * configs
             if budget == 1:
                 assert calls == [1] * (5 * configs)
+            if budget == 100_000:
+                assert 1 < max(calls) < 5
             if budget == 2 ** 40:
                 assert calls == [5] * configs
-        assert tables[1] == tables[150_000] == tables[2 ** 40]
+        assert tables[1] == tables[100_000] == tables[2 ** 40]
+
+    @pytest.mark.parametrize("scenario, learning_length", [
+        ("none", None), ("sigma-change", None), ("coefficient-change", 500)])
+    def test_products_are_those_of_the_generated_panels(self, monkeypatch, scenario,
+                                                        learning_length):
+        # Projected a row block at a time as the recursion makes them, a
+        # batch's products are bit for bit those of its whole panels; the
+        # budget puts block edges inside burn-in, at burn_in and at
+        # burn_in + tau for every sample.
+        cfg = ExperimentConfig(replications=3, cases=("I",), dims=(2,), scenario=scenario,
+                               learning_length=learning_length, seed=109, **FAST)
+        (change_time,) = cfg.change_times or (None,)
+        kwargs = harness._panel_config("I", 2, scenario, change_time)
+        panel_cfg = simgen.PanelConfig(seed=9, **kwargs)
+        learning_cfg = None if learning_length is None else simgen.PanelConfig(
+            K=4, d=2, N=harness._learning_sizes("I", cfg), rho0=kwargs["rho0"],
+            sigma0=harness.SIGMA_PRE, seed=9)
+        edges = set()  # each block's first observation, burn-in below 0
+        generate = simgen.gen_ar1_blocks
+        monkeypatch.setattr(simgen, "gen_ar1_blocks", lambda c, reps, rows: (
+            (edges.add(s), (s, y))[1] for s, y in generate(c, reps, rows)))
+        monkeypatch.setattr(harness, "PANEL_CHUNK_BYTES", 1280)  # row blocks of 5 rows
+
+        first = 0
+        for batch, learning in harness._batches(panel_cfg, learning_cfg, 3, 2, 9):
+            block = range(first, first + len(batch[0]))
+            first = block.stop
+            pair = sumproc.ProjectionPair.from_vectors(np.stack(
+                [simgen.gen_dirichlet_projection(2, limits.child_seed(9, r + 1)) for r in block]))
+            for products, config, i in ((batch, panel_cfg, 0), (learning, learning_cfg, 1)):
+                if config is not None:
+                    panels = simgen.gen_ar1_panels(config, [2 * r + i for r in block])
+                    assert all(np.array_equal(p, sumproc.project(y, pair))
+                               for p, y in zip(products, panels, strict=True))
+        assert first == 3
+        assert min(edges) < -5 and 0 in edges and set(panel_cfg.tau or ()) <= edges
+
+    def test_wide_cell_memory_does_not_grow_with_d(self):
+        # A d = 2000 replication's recursion is 38 MiB; a cell holds its
+        # innovations, products, recursion state and one row block.
+        cfg = ExperimentConfig(replications=3, cases=("I",), dims=(2000,), scenario="none",
+                               seed=110, **FAST)
+        harness.run_cell("I", 2000, None, cfg, 0)  # warm: the critical values' draws
+        tracemalloc.start()
+        try:
+            harness.run_cell("I", 2000, None, cfg, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * harness.PANEL_CHUNK_BYTES
 
     @pytest.mark.parametrize("learning_length", [None, 500], ids=["in-sample", "learning"])
     def test_batch_released_before_next_is_generated(self, monkeypatch, learning_length):
-        # Weak references to every sample array of a batch and to the buffer
-        # it views: none may be alive when the next batch's generation
+        # Weak references to a batch's innovations, row blocks and
+        # products: none may be alive when the next batch's generation
         # starts, or a cell would hold two batches at once.
         alive = {}  # batch (its first replication) -> weak references
-        generate = harness.simgen.gen_ar1_panels
+        generate = harness.simgen.gen_ar1_blocks
+        run_batch = harness.cptest.run_batch
 
-        def tracking(config, reps):
+        def tracking(config, reps, rows):
             batch = reps[0] // 2
             held = [b for b, refs in alive.items()
                     if b != batch and any(ref() is not None for ref in refs)]
             assert held == [], f"arrays of batches {held} alive"
-            samples = generate(config, reps)
-            alive.setdefault(batch, []).extend(
-                weakref.ref(a) for y in samples for a in (y, y.base))
-            return samples
+            refs = alive.setdefault(batch, [])
+            refs.append(weakref.ref(rows))
+            recursion = generate(config, reps, rows)
+            yield next(recursion)
+            refs.append(weakref.ref(recursion.gi_frame.f_locals["eps"]))  # the innovations
+            yield from recursion
 
-        monkeypatch.setattr(harness.simgen, "gen_ar1_panels", tracking)
-        monkeypatch.setattr(harness, "PANEL_CHUNK_BYTES", 200_000)
+        def testing(batch, specs, learning, **kwargs):
+            alive[max(alive)].extend(weakref.ref(p) for p in batch + (learning or []))
+            return run_batch(batch, specs, learning, **kwargs)
+
+        monkeypatch.setattr(harness.simgen, "gen_ar1_blocks", tracking)
+        monkeypatch.setattr(harness.cptest, "run_batch", testing)
+        monkeypatch.setattr(harness, "PANEL_CHUNK_BYTES", 50_000)
         cfg = ExperimentConfig(replications=7, cases=("I",), dims=(3,), tests=("q-breve",),
                                learning_length=learning_length, seed=108)
         harness.run_cell("I", 3, None, cfg, 0)
         assert len(alive) >= 3
+        assert all(len(refs) == (6 if learning_length else 3) * 2 for refs in alive.values())
 
     def test_cells_independent_of_grid_composition(self):
         # A cell's result must not change when other cells join the grid.

@@ -149,7 +149,7 @@ class TestGenAr1Panels:
     def test_batch_equals_one_panel_per_call(self, overrides):
         cfg = simgen.PanelConfig(**{**CASE_I, **overrides})
         reps = [5, 0, 3]
-        batch = simgen.gen_ar1_panels(cfg, reps)
+        batch = simgen.gen_ar1_panels(cfg, iter(reps))  # any iterable of reps, read once
         assert [y.shape for y in batch] == [(n, len(reps), cfg.d) for n in cfg.N]
         for i, rep in enumerate(reps):
             alone = simgen.gen_ar1_panel(cfg, rep)
