@@ -281,7 +281,7 @@ def _cmd_test(args):
                     raise ConfigurationError(f"learning_length {L} invalid for sample {j + 1} "
                                              f"of size {len(p)}", sample_index=j)
         learning = None if L is None else [p[:L] for p in products]
-        report = cptest.run_test([p[L:] for p in products], spec, learning, workers=args.workers)
+        report = cptest.run_test([p[L:] for p in products], spec, learning)
     except CovCusumError as exc:
         if exc.sample_index is None:
             raise
@@ -306,13 +306,14 @@ def _cmd_test(args):
 
 
 def _cmd_critval(args):
+    limits.check_workers(args.workers)
     req = limits.CritValRequest(
         kind=args.kind, K=args.K, level=args.level, n_grid=args.n_grid, n_rep=args.n_rep,
         alpha_weights=_numbers(args.alpha, "--alpha") if args.alpha else None,
         kappa=_numbers(args.kappa, "--kappa") if args.kappa else None)  # refused: draws no seed
     if limits.method_of(req.kind) == "exact-mc":
         req = dataclasses.replace(req, seed=_resolve_seed(args))
-    value = limits.critical_value(req, workers=args.workers)
+    value = limits.critical_value(req)
     method = limits.method_of(req.kind)
     print(f"{req.kind} K={req.K} level={req.level:.4g}: {value:.4g} ({method})")
     if args.out:
@@ -372,9 +373,9 @@ def build_parser():
     def common(p):
         seeded(p)
         p.add_argument("--workers", type=int, default=1,
-                       help="threads drawing the extrema of a v-kind critical value; "
-                            "test also parses up to this many --data files at once, in "
-                            "separate processes (the numbers are the same for every count)")
+                       help="test: processes parsing --data files at once; critval and "
+                            "experiment: checked, changes nothing today (the numbers are "
+                            "the same for every count)")
         p.add_argument("--level", type=float, default=0.95)
         p.add_argument("--n-grid", type=int, default=limits.DEFAULT_N_GRID,
                        help="grid points of the supremum the critical value is for")

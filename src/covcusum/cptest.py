@@ -192,7 +192,7 @@ def _statistic(summary, spec):
     return stat, np.stack(argmax, axis=-1)
 
 
-def _critical_values(summary, spec, R, workers):
+def _critical_values(summary, spec, R):
     """The (R,) critical values of one request: one value for the q kinds, and for the v
     kinds one per replication, from its row of the (R, K) weight stack."""
     weights = {}
@@ -202,7 +202,7 @@ def _critical_values(summary, spec, R, workers):
                        kappa=tuple(n / n_total for n in summary.sizes))
     req = limits.CritValRequest(kind=spec.kind, K=len(summary.sizes), level=spec.level,
                                 n_grid=spec.n_grid, n_rep=spec.n_rep, seed=spec.seed, **weights)
-    return np.full(R, limits.critical_value(req, workers))
+    return np.full(R, limits.critical_value(req))
 
 
 @dataclass
@@ -235,15 +235,14 @@ class BatchReport:
                           method=method)
 
 
-def run_batch(batch, specs: Sequence[TestSpec], learning=None, workers: int = 1) -> list:
+def run_batch(batch, specs: Sequence[TestSpec], learning=None) -> list:
     """Run several tests on every panel of a batch, summarizing each sample once.
 
     ``batch`` holds one (R, N_j) array per sample, row r of which is
     panel r's product series.  ``learning`` holds one (R, L_j) array per
     sample, whose rows estimate the long-run variances and are not
     tested; None estimates them in-sample.  Returns one ``BatchReport``
-    per spec.  ``workers`` threads draw a v kind's critical value; the
-    reports do not depend on it.
+    per spec.
     """
     summary = _summarize(batch, learning)
     R = len(summary.sums[0])
@@ -252,14 +251,14 @@ def run_batch(batch, specs: Sequence[TestSpec], learning=None, workers: int = 1)
     reports = []
     for spec in specs:
         stat, argmax = _statistic(summary, spec)
-        crit = _critical_values(summary, spec, R, workers)
+        crit = _critical_values(summary, spec, R)
         reports.append(BatchReport(statistic=stat, critical_value=crit, reject=stat > crit,
                                    alpha_sq=alpha_sq, bandwidth=bandwidth, argmax_k=argmax,
                                    spec=spec, sample_sizes=summary.sizes))
     return reports
 
 
-def run_tests(panel, specs: Sequence[TestSpec], learning=None, workers: int = 1) -> list:
+def run_tests(panel, specs: Sequence[TestSpec], learning=None) -> list:
     """Run several tests on one panel, summarizing each sample once.
 
     ``panel`` is a list of K product series, ``sumproc.project`` of each
@@ -270,9 +269,9 @@ def run_tests(panel, specs: Sequence[TestSpec], learning=None, workers: int = 1)
     ``run_test`` returns for it.
     """
     learning = None if learning is None else _as_batch(learning, 1)
-    return [b.report(0) for b in run_batch(_as_batch(panel, 1), specs, learning, workers)]
+    return [b.report(0) for b in run_batch(_as_batch(panel, 1), specs, learning)]
 
 
-def run_test(panel, spec: TestSpec, learning=None, workers: int = 1) -> TestReport:
+def run_test(panel, spec: TestSpec, learning=None) -> TestReport:
     """Run the test named by ``spec.kind`` on a K-sample panel; see ``run_tests``."""
-    return run_tests(panel, [spec], learning, workers)[0]
+    return run_tests(panel, [spec], learning)[0]

@@ -227,7 +227,7 @@ def run_cell(case, d, change_time, cfg: ExperimentConfig, cell_index):
              for t in cfg.tests]
     rejections = {t: 0 for t in cfg.tests}
     for batch, learning in _batches(panel_cfg, learning_cfg, cfg.replications, d, seed):
-        reports = cptest.run_batch(batch, specs, learning, workers=cfg.workers)
+        reports = cptest.run_batch(batch, specs, learning)
         del batch, learning  # not held while the next batch is generated
         for t, report in zip(cfg.tests, reports):
             rejections[t] += int(np.count_nonzero(report.reject))

@@ -20,12 +20,11 @@ those pairs exactly from their joint law (method "exact-mc"): M+ from its
 marginal, M- from its conditional law given M+ through a quantile table
 built on first use and Newton steps on the series.  Each draw is
 shifted by the same beta / sqrt(n_grid), and the critical value is the
-Monte Carlo quantile of the weighted sums.  Draws come from their own
-``stream``s, on a pool of ``workers`` threads with the same numbers for
-any worker count.  ``simulate_path_extrema`` still simulates the paths
-themselves and returns the same (M+, M-) pair of each law; it is the
-tests' oracle, the package does not export it, and no critical value
-uses it.
+Monte Carlo quantile of the weighted sums.  Each block of draws comes
+from its own ``stream``.  ``simulate_path_extrema`` still simulates the
+paths themselves, on a pool of ``workers`` threads, and returns the same
+(M+, M-) pair of each law; it is the tests' oracle, the package does not
+export it, and no critical value uses it.
 
 This module owns every random ``stream`` and ``child_seed``, and the
 readers of every setting: ``check_settings`` refuses a bad critical-value
@@ -332,13 +331,14 @@ def check_workers(workers) -> int:
     return workers
 
 
-def _fill_blocks(arrays, workers, block):
+def _fill_blocks(arrays, block, map_=map):
     """Fill (n_rep, K) ``arrays`` in blocks of _BLOCK rows per sample.
 
     ``block(b, j, n)`` returns one part per array: the n replications of
     block b of sample j, drawn from their own (seed, block, sample) stream.
-    The tasks run on a pool of at most ``workers`` threads, and the result
-    is identical for any worker count.  The filled arrays are read-only.
+    The (block, sample) tasks go through ``map_`` in one order; each fills
+    its own rows, so the result is the same through any map that runs
+    them all.  The filled arrays are read-only.
     """
     n_rep, K = arrays[0].shape
 
@@ -349,11 +349,7 @@ def _fill_blocks(arrays, workers, block):
             arr[lo:hi, j] = part
 
     tasks = [(b, j) for b in range((n_rep + _BLOCK - 1) // _BLOCK) for j in range(K)]
-    # Imported on first use, to keep it out of every command's start-up.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        list(pool.map(lambda t: fill(*t), tasks))
+    list(map_(lambda t: fill(*t), tasks))
     for arr in arrays:
         arr.flags.writeable = False
 
@@ -364,16 +360,21 @@ def simulate_path_extrema(K: int, n_grid: int, n_rep: int, seed: int,
 
     Returns {"bm": (M+, M-), "bb": (M+, M-)}, read-only (n_rep, K) arrays
     as ``draw_extrema`` returns them for one law.  Replications are
-    generated by ``_fill_blocks`` on at most ``workers`` threads, with the
-    same numbers for any worker count.  The latest few results are
-    memoized on (K, n_grid, n_rep, seed).
+    generated by ``_fill_blocks`` on a pool of at most ``workers`` threads,
+    with the same numbers for any worker count.  The latest few results
+    are memoized on (K, n_grid, n_rep, seed).
     """
     check_workers(workers)
     key = (K, n_grid, n_rep, seed)
     if cache and key in _extrema_cache:
         return _extrema_cache[key]
     arrays = [np.empty((n_rep, K)) for _ in range(4)]
-    _fill_blocks(arrays, workers, lambda b, j, n: _block_extrema(seed, b, j, n, n_grid))
+    # Imported on first use, to keep it out of every command's start-up.
+    from concurrent.futures import ThreadPoolExecutor
+
+    n_tasks = (n_rep + _BLOCK - 1) // _BLOCK * K  # those of ``_fill_blocks``
+    with ThreadPoolExecutor(max_workers=min(workers, n_tasks)) as pool:
+        _fill_blocks(arrays, lambda b, j, n: _block_extrema(seed, b, j, n, n_grid), pool.map)
     out = {"bm": tuple(arrays[:2]), "bb": tuple(arrays[2:])}
     return _remember(_extrema_cache, key, out) if cache else out
 
@@ -556,41 +557,36 @@ def _block_draws(law, seed, block_index, j, n_block):
     return a, _conditional_quantile(law, a, rng.random(n_block))
 
 
-def draw_extrema(law: str, K: int, n_rep: int, seed: int, workers: int = 1):
+def draw_extrema(law: str, K: int, n_rep: int, seed: int):
     """Exact draws of (M+, M-) for K independent motions ("bm") or bridges ("bb").
 
-    Returns two read-only (n_rep, K) arrays, drawn by ``_fill_blocks`` on
-    at most ``workers`` threads with the same numbers for any worker count.
-    The latest few results are memoized on (law, K, n_rep, seed).
+    Returns two read-only (n_rep, K) arrays, drawn block by block by
+    ``_fill_blocks``.  The latest few results are memoized on
+    (law, K, n_rep, seed).
     """
-    check_workers(workers)
     key = (law, K, n_rep, seed)
     if key in _draws_cache:
         return _draws_cache[key]
     arrays = (np.empty((n_rep, K)), np.empty((n_rep, K)))
-    _quantile_table(law)  # built once, before the threads share it
-    _fill_blocks(arrays, workers, lambda b, j, n: _block_draws(law, seed, b, j, n))
+    _fill_blocks(arrays, lambda b, j, n: _block_draws(law, seed, b, j, n))
     return _remember(_draws_cache, key, arrays)
 
 
-def critical_value(req: CritValRequest, workers: int = 1) -> float | np.ndarray:
+def critical_value(req: CritValRequest) -> float | np.ndarray:
     """Critical value of the requested statistic at its level.
 
-    The q kinds use ``_corrected_quantile``, which ignores ``req.seed``,
-    ``req.n_rep`` and ``workers``; the v kinds are Monte Carlo quantiles
-    over ``draw_extrema``, drawn on ``workers`` threads and shifted by
-    beta / sqrt(n_grid) once per call.  Returns a float, or an (R,)
-    array for an (R, K) stack of ``alpha_weights``, whose entry r is the
-    float that row r alone gives.  A worker count below 1 is a
-    ``ConfigurationError`` for every kind.
+    The q kinds use ``_corrected_quantile``, which ignores ``req.seed``
+    and ``req.n_rep``; the v kinds are Monte Carlo quantiles over
+    ``draw_extrema``, shifted by beta / sqrt(n_grid) once per call.
+    Returns a float, or an (R,) array for an (R, K) stack of
+    ``alpha_weights``, whose entry r is the float that row r alone gives.
     """
-    check_workers(workers)
     if method_of(req.kind) == "corrected":
         return _corrected_quantile(req.kind, req.K, req.level, req.n_grid)
     law = "bb" if req.kind in BRIDGE_KINDS else "bm"
     shift = BGK_BETA / math.sqrt(req.n_grid)
     hi, lo = (np.maximum(a - shift, 0.0)
-              for a in draw_extrema(law, req.K, req.n_rep, req.seed, workers=workers))
+              for a in draw_extrema(law, req.K, req.n_rep, req.seed))
     # The grid supremum of |sum_j c_j B_j(s_j)| with positive weights
     # c_j = alpha_j sqrt(kappa_j) separates per coordinate.  One matrix-vector
     # product per row gives each row of a stack the bits of its own request.

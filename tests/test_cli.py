@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import os
@@ -20,6 +21,15 @@ FAST = ["--n-grid", "500", "--n-rep", "20000"]
 
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.fixture
+def no_thread_pool(monkeypatch):
+    """Make starting a thread pool fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
 
 
 class TestLoaders:
@@ -327,12 +337,8 @@ class TestTestCommand:
         report = json.loads(out.read_text())
         assert (report["method"], report["seed"]) == ("corrected", None)
 
-    def test_workers_reach_extrema_draws(self, tmp_path, monkeypatch):
+    def test_extrema_draws_start_no_thread_pool(self, tmp_path, monkeypatch, no_thread_pool):
         data, v = self._panel_files(tmp_path)
-        seen = []
-        draw = limits.draw_extrema
-        monkeypatch.setattr(limits, "draw_extrema",
-                            lambda *a, **k: seen.append(k["workers"]) or draw(*a, **k))
         reports = []
         for workers in ("1", "2"):
             monkeypatch.setattr(limits, "_draws_cache", {})
@@ -341,7 +347,6 @@ class TestTestCommand:
                            "--seed", "5", "--workers", workers, "--out", str(out)] + FAST)
             assert rc == 0
             reports.append(out.read_bytes())
-        assert seen == [1, 2]
         assert reports[0] == reports[1]
         assert json.loads(reports[0])["method"] == "exact-mc"
 
@@ -620,6 +625,13 @@ class TestCritvalCommand:
         rc = cli.main(["critval", "--kind", "q-breve", "--K", "1", "--workers", "0"] + FAST)
         assert rc == 2
         assert "workers" in capsys.readouterr().err
+        # No seed is drawn for a refused v-breve request either.
+        rc = cli.main(["critval", "--kind", "v-breve", "--K", "2", "--alpha", "1,1",
+                       "--kappa", "0.5,0.5", "--workers", "0"] + FAST)
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert "seed:" not in out
+        assert err == "configuration error: workers must be >= 1, got 0\n"
 
 
 def test_import_loads_no_scipy(tmp_path):
@@ -688,25 +700,20 @@ class TestExperimentCommand:
         assert out_csv.read_text().startswith("case,")
         assert json.loads(out_json.read_text())[0]["n_rep"] == 3
 
-    def test_workers_reach_extrema_draws(self, tmp_path, monkeypatch):
-        seen = []
-        draw = limits.draw_extrema
-        monkeypatch.setattr(limits, "draw_extrema",
-                            lambda *a, **k: seen.append(k["workers"]) or draw(*a, **k))
+    def test_extrema_draws_start_no_thread_pool(self, tmp_path, monkeypatch, no_thread_pool):
         tables = []
         for workers in ("1", "2"):
             monkeypatch.setattr(limits, "_draws_cache", {})
             out_csv = tmp_path / f"res-{workers}.csv"
             rc = cli.main(["experiment", "--replications", "2", "--cases", "I",
                            "--dims", "2", "--scenario", "none", "--seed", "17",
-                           "--workers", workers, "--out-csv", str(out_csv)] + FAST)
+                           "--tests", "v-breve", "--workers", workers,
+                           "--out-csv", str(out_csv)] + FAST)
             assert rc == 0
             rows = list(csv.DictReader(out_csv.read_text().splitlines()))
             for row in rows:
                 del row["wall_time"]
             tables.append(rows)
-        # One v-breve critical-value call per batch, for all its replications.
-        assert seen == [1, 2]
         assert tables[0] == tables[1]
 
     def test_unknown_scenario_rejected_by_parser(self):

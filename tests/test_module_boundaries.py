@@ -1,4 +1,5 @@
-"""Each covcusum module keeps its private names, and ``limits`` alone builds random streams."""
+"""Each covcusum module keeps its private names, ``limits`` alone builds random streams,
+and two functions alone start pools of threads or processes."""
 
 import ast
 from pathlib import Path
@@ -8,10 +9,22 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "covcusum"
 # The only functions that may name numpy's seeding and bit-generator classes.
 STREAM_OWNERS = {("limits", "stream"), ("limits", "child_seed")}
+# The only functions that may name the executors of concurrent.futures.
+POOL_OWNERS = {("cli", "load_bundle"), ("limits", "simulate_path_extrema")}
 
 
 def _private(name):
     return name.startswith("_") and not name.endswith("__")
+
+
+def _named_outside(tree, stem, names, owners):
+    """(line, name) of each node of ``tree`` that names one of ``names``
+    outside the functions ``owners`` of module ``stem``."""
+    owned = {id(n) for node in tree.body if isinstance(node, ast.FunctionDef)
+             and (stem, node.name) in owners for n in ast.walk(node)}
+    return [(node.lineno, name) for node in ast.walk(tree) if id(node) not in owned
+            and (name := getattr(node, "attr", None) or getattr(node, "id", None)
+                 or (node.name if isinstance(node, ast.alias) else None)) in names]
 
 
 def _trespasses(path):
@@ -21,9 +34,8 @@ def _trespasses(path):
     siblings = {a.asname or a.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
                 for a in node.names}
-    owned = {id(n) for node in tree.body if isinstance(node, ast.FunctionDef)
-             and (path.stem, node.name) in STREAM_OWNERS for n in ast.walk(node)}
-    found = []
+    found = [f"{line}: builds a stream with {name}" for line, name in
+             _named_outside(tree, path.stem, ("SeedSequence", "Philox"), STREAM_OWNERS)]
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
             found += [f"{node.lineno}: imports {node.module}.{a.name}"
@@ -31,12 +43,15 @@ def _trespasses(path):
         elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
               and node.value.id in siblings and _private(node.attr)):
             found.append(f"{node.lineno}: reads {node.value.id}.{node.attr}")
-        name = getattr(node, "attr", None) or getattr(node, "id", None)
-        if name in ("SeedSequence", "Philox") and id(node) not in owned:
-            found.append(f"{node.lineno}: builds a stream with {name}")
     return found
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_reads_and_streams_only_in_limits(path):
     assert _trespasses(path) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_pools_only_in_their_owners(path):
+    pools = ("ThreadPoolExecutor", "ProcessPoolExecutor")
+    assert _named_outside(ast.parse(path.read_text()), path.stem, pools, POOL_OWNERS) == []
