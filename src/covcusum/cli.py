@@ -111,9 +111,9 @@ def _load_vector(path, expected_d):
     return values[:, 0]
 
 
-def _sample_products(j, path, pair):
-    """Sample ``j``'s (N,) product series through ``pair``, streamed from ``path`` in blocks;
-    a width other than ``pair.d``, or a non-finite product (by file row), is refused."""
+def _sample_products(j, path, pair, learning_length=None):
+    """Sample ``j``'s (N,) products through ``pair``, streamed from ``path`` in blocks; refuses
+    a width other than ``pair.d``, a non-finite product (by file row) and N <= learning_length."""
     blocks = _row_blocks(path)
     first = next(blocks)
     if first.shape[1] != pair.d:
@@ -123,10 +123,13 @@ def _sample_products(j, path, pair):
     if not (finite := np.isfinite(products)).all():
         raise CovCusumError(f"{path}: sample {j + 1}: non-finite product at observation "
                             f"{np.argmin(finite) + 1}", sample_index=j)
+    if learning_length is not None and learning_length >= len(products):
+        raise ConfigurationError(f"{path}: learning_length {learning_length} invalid for sample "
+                                 f"{j + 1} of size {len(products)}", sample_index=j)
     return products
 
 
-def load_bundle(data_paths, v_path, w_path=None, workers=1):
+def load_bundle(data_paths, v_path, w_path=None, workers=1, learning_length=None):
     """Product series of sample CSVs through vector files, as ``(products, pair)``.
 
     Each file is streamed through ``sumproc.project`` in blocks, so no
@@ -134,14 +137,15 @@ def load_bundle(data_paths, v_path, w_path=None, workers=1):
     of the first file, which gives d; see the module docstring.  Each
     file is then read and refused by ``_sample_products`` on a pool of
     ``min(workers, K)`` processes, in file order: the first refusal is
-    that of the first bad file, and the products are the same for any
-    worker count.
+    that of the first bad file, be it a sample no longer than
+    ``learning_length``, and the products are the same for any worker count.
     """
     workers = min(limits.check_workers(workers), len(data_paths))
     d = next(_row_blocks(data_paths[0])).shape[1]
     pair = sumproc.ProjectionPair.from_vectors(
         _load_vector(v_path, d), _load_vector(w_path, d) if w_path else None)
-    args = (range(len(data_paths)), data_paths, itertools.repeat(pair))
+    args = (range(len(data_paths)), data_paths, itertools.repeat(pair),
+            itertools.repeat(learning_length))
     if workers == 1:
         return list(map(_sample_products, *args)), pair
     # Imported on first use, to keep them out of every command's start-up.  A
@@ -272,14 +276,9 @@ def _cmd_test(args):
                            n_grid=args.n_grid, n_rep=args.n_rep)  # refused settings draw no seed
     if limits.method_of(spec.kind) == "exact-mc":
         spec = dataclasses.replace(spec, seed=_resolve_seed(args))
-    products, _ = load_bundle(args.data, args.v, args.w, workers=args.workers)
     L = args.learning_length
+    products, _ = load_bundle(args.data, args.v, args.w, args.workers, L)
     try:
-        if L is not None:
-            for j, p in enumerate(products):
-                if L >= len(p):
-                    raise ConfigurationError(f"learning_length {L} invalid for sample {j + 1} "
-                                             f"of size {len(p)}", sample_index=j)
         learning = None if L is None else [p[:L] for p in products]
         report = cptest.run_test([p[L:] for p in products], spec, learning)
     except CovCusumError as exc:

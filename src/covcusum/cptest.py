@@ -113,10 +113,12 @@ def _as_batch(panel, ndim=2):
 
 
 def _series(batch):
-    """The batch's (R, N_j) product series as float arrays, one R for all; each must be finite."""
+    """The batch's (R, N_j) product series as float arrays, one R >= 1 for all; each finite."""
     series = _as_batch(batch)
     if not series:
         raise ConfigurationError("a panel needs at least one sample")
+    if not len(series[0]):
+        raise ShapeError("a batch needs at least one replication")
     for j, p in enumerate(series):
         with _naming_sample(j):
             if len(p) != len(series[0]):

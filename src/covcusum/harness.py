@@ -99,6 +99,9 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("cases", "dims", "change_times", "tests"):  # not read one character a time
+            if isinstance(value := getattr(self, name), str):
+                raise ConfigurationError(f"{name} must be a sequence, not the string {value!r}")
         self.replications = limits.whole_number(self.replications, "replications")
         if self.replications < 1:
             raise ConfigurationError("replications must be >= 1")

@@ -275,9 +275,10 @@ class CritValRequest:
             def read(values, name="alpha_weights"):
                 return real_vector(values, self.K, name, 0.0, math.inf, "K positive finite reals")
 
-            alphas = self.alpha_weights  # an (R, K) stack is read row by row
+            alphas = self.alpha_weights  # an (R, K) stack is read row by row; R = 0 is refused
             object.__setattr__(self, "alpha_weights", tuple(map(read, alphas))
-                               if np.asarray(alphas, dtype=object).ndim == 2 else read(alphas))
+                               if np.asarray(alphas, dtype=object).ndim == 2 and len(alphas)
+                               else read(alphas))
             object.__setattr__(self, "kappa", read(self.kappa, "kappa"))
             if sum(self.kappa) > 1.0 + 1e-9:
                 raise ConfigurationError("kappa entries must sum to at most 1")

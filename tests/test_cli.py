@@ -433,6 +433,20 @@ class TestTestCommand:
                          "--seed", "5", *flags] + FAST) == rc
         assert f"{data[1]}: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_learning_length_refusal_comes_in_file_order(self, tmp_path, capsys, workers):
+        # File 1 is shorter than --learning-length; file 2 does not parse at its line 201.
+        data, v = self._panel_files(tmp_path, n=250)
+        y = np.loadtxt(data[0], delimiter=",")
+        np.savetxt(data[0], y[:50], delimiter=",", fmt="%.17g")
+        lines = Path(data[1]).read_text().splitlines()
+        lines[200] = "1,x"
+        write_lines(Path(data[1]), lines)
+        assert cli.main(["test", "--data", *data, "--v", v, "--kind", "q-breve",
+                         "--learning-length", "60", "--workers", str(workers)] + FAST) == 2
+        assert capsys.readouterr().err == (f"configuration error: {data[0]}: "
+                                           "learning_length 60 invalid for sample 1 of size 50\n")
+
     def test_overflowing_lrv_refused_without_traceback(self, tmp_path):
         # Finite products around 1e200 overflow the autocovariances.
         data, v = self._panel_files(tmp_path)

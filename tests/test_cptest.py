@@ -114,9 +114,12 @@ class TestSpecValidation:
         (lambda spec: cptest.run_test([np.arange(1.0, 7.0) + 5j, np.arange(1.0, 7.0)], spec),
          ShapeError, "^sample 1: not a real product series$", 0),
         (lambda spec: cptest.run_test([np.arange(1.0, 7.0), [1, 2, 3 + 1j, 4, 5, 6]], spec),
-         ShapeError, "^sample 2: not a real product series$", 1)],
+         ShapeError, "^sample 2: not a real product series$", 1),
+        # A batch of no replications used to fail in lrv_estimates with numpy's ValueError.
+        (lambda spec: cptest.run_batch([np.zeros((0, 50)), np.zeros((0, 60))], [spec]),
+         ShapeError, "^a batch needs at least one replication$", None)],
         ids=["empty-panel", "1-d-in-batch", "non-numeric", "non-numeric-learning",
-             "non-numeric-in-batch", "complex", "complex-list"])
+             "non-numeric-in-batch", "complex", "complex-list", "no-replications"])
     def test_malformed_panel_refused(self, run, error, match, index):
         # A non-numeric series is refused naming its sample, not by numpy's bare ValueError.
         with pytest.raises(error, match=match) as exc:

@@ -103,7 +103,16 @@ class TestExperimentConfig:
         (dict(cases=("I", "II", "I")), "cases name 'I' twice"),
         (dict(dims=(2, 2.0)), "dims name 2 twice"),
         (dict(scenario="sigma-change", change_times=(600, 300, 600)),
-         "change_times name 600 twice")])
+         "change_times name 600 twice"),
+        # A bare string was read one character at a time: "I" passed by accident,
+        # "II" named 'I' twice and "IV" an unknown case 'V'.
+        (dict(cases="I"), "cases must be a sequence, not the string 'I'"),
+        (dict(cases="II"), "cases must be a sequence, not the string 'II'"),
+        (dict(cases="IV"), "cases must be a sequence, not the string 'IV'"),
+        (dict(tests="v-breve"), "tests must be a sequence, not the string 'v-breve'"),
+        (dict(dims="10"), "dims must be a sequence, not the string '10'"),
+        (dict(scenario="sigma-change", change_times="600"),
+         "change_times must be a sequence, not the string '600'")])
     def test_rejects_bad_settings(self, bad, match):
         with pytest.raises(ConfigurationError, match=match):
             ExperimentConfig(**bad)

@@ -529,10 +529,12 @@ class TestCriticalValue:
             assert np.array_equal(limits.critical_value(listed), got)
         limits._draws_cache.clear()
 
-    @pytest.mark.parametrize("bad", [0.0, math.nan, -1.0, "x", (1.0,), (1.0, 1.0, 1.0)])
+    @pytest.mark.parametrize("bad", [0.0, math.nan, -1.0, "x", (1.0,), (1.0, 1.0, 1.0), "empty"])
     def test_weight_stack_with_one_bad_row_refused(self, bad):
         rows = [[1.0, 1.5], [0.5, 2.0], [2.0, 1.0]]
         rows[1] = list(bad) if isinstance(bad, tuple) else [0.5, bad]
+        if bad == "empty":  # a stack of no rows was accepted as (), and critical_value failed
+            rows = np.zeros((0, 2))
         with pytest.raises(ConfigurationError,
                            match="alpha_weights must be K positive finite reals, got"):
             CritValRequest(kind="v-breve", K=2, level=0.95, alpha_weights=rows,
