@@ -135,9 +135,9 @@ def load_bundle(data_paths, v_path, w_path=None, workers=1, learning_length=None
     Each file is streamed through ``sumproc.project`` in blocks, so no
     (N, d) sample is held.  The vectors are read after the first block
     of the first file, which gives d; see the module docstring.  Each
-    file is then read and refused by ``_sample_products`` on a pool of
-    ``min(workers, K)`` processes, in file order: the first refusal is
-    that of the first bad file, be it a sample no longer than
+    file is then read and refused by ``_sample_products`` on ``min(workers,
+    K)`` processes (``limits.process_map``), in file order: the first
+    refusal is that of the first bad file, be it a sample no longer than
     ``learning_length``, and the products are the same for any worker count.
     """
     workers = min(limits.check_workers(workers), len(data_paths))
@@ -146,18 +146,8 @@ def load_bundle(data_paths, v_path, w_path=None, workers=1, learning_length=None
         _load_vector(v_path, d), _load_vector(w_path, d) if w_path else None)
     args = (range(len(data_paths)), data_paths, itertools.repeat(pair),
             itertools.repeat(learning_length))
-    if workers == 1:
-        return list(map(_sample_products, *args)), pair
-    # Imported on first use, to keep them out of every command's start-up.  A
-    # forkserver child starts clean, where a forked one would copy the threads.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("forkserver"))
-    try:
-        return list(pool.map(_sample_products, *args)), pair
-    finally:
-        pool.shutdown(cancel_futures=True)  # a refusal waits for no later file
+    with limits.process_map(workers) as map_:
+        return list(map_(_sample_products, *args)), pair
 
 
 # The panel settings ``simulate`` reads from a config file.
@@ -372,9 +362,10 @@ def build_parser():
     def common(p):
         seeded(p)
         p.add_argument("--workers", type=int, default=1,
-                       help="test: processes parsing --data files at once; critval and "
-                            "experiment: checked, changes nothing today (the numbers are "
-                            "the same for every count)")
+                       help="test: processes parsing --data files at once; experiment: "
+                            "processes running parts of a cell's batches at once; critval: "
+                            "checked, changes nothing.  A pool of forked processes starts in "
+                            "about 15 ms; the numbers are the same for every count")
         p.add_argument("--level", type=float, default=0.95)
         p.add_argument("--n-grid", type=int, default=limits.DEFAULT_N_GRID,
                        help="grid points of the supremum the critical value is for")

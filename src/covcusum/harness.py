@@ -14,13 +14,16 @@ rows are projected as a small block of the recursion makes them, every
 replication through its own pair, into an (R, N_j) or (R, L_j) array.
 ``PANEL_CHUNK_BYTES`` bounds memory for any count and any d.  The tests,
 specified once per cell, run on the whole batch at once
-(``cptest.run_batch``); the cell counts the rejections of the batch's
-decisions.  Results do not depend on the batch or block size.
+(``cptest.run_batch``).  A cell adds up the rejections of its parts:
+min(workers, batches) runs of whole batches, on one pool of forked
+processes for the grid (``limits.process_map``), and none for a grid of
+one-batch cells.  Results do not depend on the batch, block or part size.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import math
@@ -138,7 +141,7 @@ class ExperimentConfig:
             values = getattr(self, name) or ()
             if twice := [v for i, v in enumerate(values) if v in values[:i]]:
                 raise ConfigurationError(f"{name} name {twice[0]!r} twice")
-        limits.check_workers(self.workers)
+        self.workers = limits.check_workers(self.workers)
         if self.learning_length is not None:
             self.learning_length = limits.whole_number(self.learning_length, "learning_length")
             if self.learning_length < 1:
@@ -182,8 +185,32 @@ def _learning_sizes(case, cfg):
                  for omega in rates)
 
 
-def _batches(panel_cfg, learning_cfg, n, d, seed):
-    """Yield the products of the replications r < n, one batch at a time.
+def _cell_configs(case, d, change_time, cfg, cell_index):
+    """The panel config of one cell and its learning config or None, on the cell's seed."""
+    seed = limits.child_seed(cfg.seed, cell_index)
+    base_kwargs = _panel_config(case, d, cfg.scenario, change_time)
+    learning_cfg = None
+    if cfg.learning_length is not None:
+        learning_cfg = simgen.PanelConfig(
+            K=4, d=d, N=_learning_sizes(case, cfg),
+            rho0=base_kwargs["rho0"], sigma0=SIGMA_PRE, seed=seed)
+    return simgen.PanelConfig(seed=seed, **base_kwargs), learning_cfg
+
+
+def _parts(panel_cfg, learning_cfg, cfg):
+    """A cell's replications as min(workers, batches) contiguous ranges of whole batches,
+    each stepping by the batch size: ``PANEL_CHUNK_BYTES`` over a replication's share."""
+    configs = [c for c in (panel_cfg, learning_cfg) if c is not None]
+    per_rep = sum(8 * (c.K * (c.burn_in + max(c.N) + 4 * c.d) + sum(c.N)) for c in configs)
+    size = max(1, PANEL_CHUNK_BYTES // per_rep)
+    batches = -(-cfg.replications // size)
+    n = min(cfg.workers, batches)
+    edges = [min(i * batches // n * size, cfg.replications) for i in range(n + 1)]
+    return [range(a, b, size) for a, b in zip(edges, edges[1:])]
+
+
+def _batches(panel_cfg, learning_cfg, reps):
+    """Yield the products of the replications of ``reps`` in batches of ``reps.step``.
 
     Replication r is rep 2r of ``panel_cfg`` and rep 2r + 1 of ``learning_cfg``,
     if any, projected through r's own pair: one (R, N_j) array per sample and
@@ -193,10 +220,9 @@ def _batches(panel_cfg, learning_cfg, n, d, seed):
     the next is generated, if the caller lets go of it too.
     """
     configs = [c for c in (panel_cfg, learning_cfg) if c is not None]
-    per_rep = sum(8 * (c.K * (c.burn_in + max(c.N) + 4 * d) + sum(c.N)) for c in configs)
-    chunk = max(1, PANEL_CHUNK_BYTES // per_rep)
-    for first in range(0, n, chunk):
-        block = range(first, min(first + chunk, n))
+    d, seed = panel_cfg.d, panel_cfg.seed
+    for first in reps:
+        block = range(first, min(first + reps.step, reps.stop))
         pair = sumproc.ProjectionPair.from_vectors(np.stack(
             [simgen.gen_dirichlet_projection(d, limits.child_seed(seed, r + 1)) for r in block]))
         products = [[np.empty((len(block), m)) for m in c.N] for c in configs]
@@ -213,33 +239,34 @@ def _batches(panel_cfg, learning_cfg, n, d, seed):
         del products
 
 
-def run_cell(case, d, change_time, cfg: ExperimentConfig, cell_index):
-    """Run every test of ``cfg`` on one cell; ``change_time`` is None under ``none``."""
-    t0 = time.perf_counter()
-    seed = limits.child_seed(cfg.seed, cell_index)
-    base_kwargs = _panel_config(case, d, cfg.scenario, change_time)
-    panel_cfg = simgen.PanelConfig(seed=seed, **base_kwargs)
-    learning_cfg = None
-    if cfg.learning_length is not None:
-        learning_cfg = simgen.PanelConfig(
-            K=4, d=d, N=_learning_sizes(case, cfg),
-            rho0=base_kwargs["rho0"], sigma0=SIGMA_PRE, seed=seed)
+def _rejections(panel_cfg, learning_cfg, specs, reps):
+    """Rejections of each of ``specs`` among the replications ``reps`` of a cell."""
+    counts = [0] * len(specs)
+    for batch, learning in _batches(panel_cfg, learning_cfg, reps):
+        reports = cptest.run_batch(batch, specs, learning)
+        del batch, learning  # not held while the next batch is generated
+        counts = [c + int(np.count_nonzero(r.reject)) for c, r in zip(counts, reports)]
+    return counts
 
+
+def run_cell(case, d, change_time, cfg: ExperimentConfig, cell_index, map_=map):
+    """Run every test of ``cfg`` on one cell, its parts through ``map_``; ``change_time``
+    is None under ``none``."""
+    t0 = time.perf_counter()
+    panel_cfg, learning_cfg = _cell_configs(case, d, change_time, cfg, cell_index)
+    seed = panel_cfg.seed
     specs = [cptest.TestSpec(kind=t, level=cfg.level, n_grid=cfg.critval_n_grid,
                              n_rep=cfg.critval_n_rep, seed=seed)
              for t in cfg.tests]
-    rejections = {t: 0 for t in cfg.tests}
-    for batch, learning in _batches(panel_cfg, learning_cfg, cfg.replications, d, seed):
-        reports = cptest.run_batch(batch, specs, learning)
-        del batch, learning  # not held while the next batch is generated
-        for t, report in zip(cfg.tests, reports):
-            rejections[t] += int(np.count_nonzero(report.reject))
+    parts = map_(functools.partial(_rejections, panel_cfg, learning_cfg, specs),
+                 _parts(panel_cfg, learning_cfg, cfg))
+    rejections = [sum(counts) for counts in zip(*parts)]
 
     wall_time = time.perf_counter() - t0
     results = []
     n = cfg.replications
-    for t in cfg.tests:
-        p = rejections[t] / n
+    for t, r in zip(cfg.tests, rejections):
+        p = r / n
         results.append(CellResult(
             case=case, d=d, scenario=cfg.scenario, change_time=change_time,
             test=t, lrv_mode=MODE_IN_SAMPLE if cfg.learning_length is None else MODE_LEARNING,
@@ -252,11 +279,14 @@ def run_experiment(cfg: ExperimentConfig):
     """Run the full grid of cells; deterministic for a fixed master seed.
 
     Each cell draws from its own seed stream, so adding or removing cells
-    never perturbs the others.
+    never perturbs the others.  The pool has as many processes as a cell
+    has parts at most, and is none if that is one; the rows are the same.
     """
-    cells = itertools.product(cfg.cases, cfg.dims, cfg.change_times or (None,))
-    return [row for i, (case, d, ct) in enumerate(cells)
-            for row in run_cell(case, d, ct, cfg, i)]
+    cells = list(enumerate(itertools.product(cfg.cases, cfg.dims, cfg.change_times or (None,))))
+    workers = max(len(_parts(*_cell_configs(case, d, ct, cfg, i), cfg))
+                  for i, (case, d, ct) in cells)
+    with limits.process_map(workers) as map_:
+        return [row for i, (case, d, ct) in cells for row in run_cell(case, d, ct, cfg, i, map_)]
 
 
 def results_to_csv(results, path):

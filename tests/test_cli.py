@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -13,8 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from covcusum import cli, cptest, limits, simgen, sumproc
-from covcusum.errors import CovCusumError, IngestionError
+from covcusum import cli, cptest, harness, limits, simgen, sumproc
+from covcusum.errors import (ConfigurationError, CovCusumError, DegenerateLrvError,
+                              IngestionError)
 
 FAST = ["--n-grid", "500", "--n-rep", "20000"]
 
@@ -30,6 +32,34 @@ def no_thread_pool(monkeypatch):
         raise AssertionError("a thread pool was started")
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+
+
+def _threads():
+    """This process's threads: Python's count, and on Linux the kernel's (else None)."""
+    status = Path("/proc/self/status")
+    kernel = None
+    if status.exists():
+        kernel = next(int(line.split()[1]) for line in status.read_text().splitlines()
+                      if line.startswith("Threads:"))
+    return threading.active_count(), kernel
+
+
+@pytest.fixture(scope="session")
+def fork_threads():
+    """``_threads()`` at each later fork of this process, read in the parent just after it.
+
+    An at-fork hook cannot be removed, so it is registered once a session.
+    """
+    forks = []
+    os.register_at_fork(after_in_parent=lambda: forks.append(_threads()))
+    return forks
+
+
+def _cut_wall_time(path):
+    """The lines of a results CSV without its wall_time column."""
+    rows = list(csv.reader(path.read_text().splitlines()))
+    cut = rows[0].index("wall_time")
+    return [",".join(r[:cut] + r[cut + 1:]) for r in rows]
 
 
 class TestLoaders:
@@ -729,6 +759,66 @@ class TestExperimentCommand:
                 del row["wall_time"]
             tables.append(rows)
         assert tables[0] == tables[1]
+
+    # Case I at d = 2 in batches of 2 replications (or 1 with a learning block): 5
+    # replications make at least 3 batches, so 2 and 3 workers fork a pool.  Seed 21
+    # rejects in every table, so a part whose rejections were lost would show.
+    @pytest.mark.parametrize("flags", [
+        ["--scenario", "sigma-change"], ["--learning-length", "300"],
+        ["--scenario", "coefficient-change", "--change-times", "300,900"]],
+        ids=["in-sample", "learning-length", "two-change-times"])
+    def test_table_equal_at_one_two_and_three_workers(self, tmp_path, monkeypatch, flags):
+        monkeypatch.setattr(harness, "PANEL_CHUNK_BYTES", 50_000)
+        tables = []
+        for workers in ("1", "2", "3"):
+            out_csv = tmp_path / f"res-{workers}.csv"
+            assert cli.main(["experiment", "--replications", "5", "--cases", "I", "--dims", "2",
+                             "--seed", "21", "--workers", workers, *flags,
+                             "--out-csv", str(out_csv)] + FAST) == 0
+            tables.append(_cut_wall_time(out_csv))
+        assert tables[0] == tables[1] == tables[2]
+        assert len(tables[0]) == (5 if "--change-times" in flags else 3)
+
+    @pytest.mark.parametrize("error, status", [(DegenerateLrvError, 1),
+                                               (ConfigurationError, 2)])
+    def test_refusal_in_a_worker_reaches_the_cli_unchanged(self, monkeypatch, capsys, error,
+                                                           status):
+        # Batches of 2, 2 and 1 replications; the last one's tests are refused, at two
+        # workers in the second forked process.
+        run_batch = cptest.run_batch
+
+        def refusing(batch, specs, learning):
+            if len(batch[0]) == 1:
+                raise error("sample 2: refused in the last batch", sample_index=1)
+            return run_batch(batch, specs, learning)
+
+        monkeypatch.setattr(cptest, "run_batch", refusing)
+        monkeypatch.setattr(harness, "PANEL_CHUNK_BYTES", 50_000)
+        outcomes = []
+        for workers in ("1", "2"):
+            rc = cli.main(["experiment", "--replications", "5", "--cases", "I", "--dims", "2",
+                           "--seed", "19", "--workers", workers] + FAST)
+            outcomes.append((rc, capsys.readouterr().err))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == status
+        assert outcomes[0][1].endswith(": sample 2: refused in the last batch\n")
+
+    @pytest.mark.parametrize("command", ["experiment", "test"])
+    def test_pools_fork_with_one_thread(self, tmp_path, monkeypatch, fork_threads, command):
+        monkeypatch.setattr(harness, "PANEL_CHUNK_BYTES", 50_000)
+        if command == "experiment":
+            args = ["experiment", "--replications", "5", "--cases", "I", "--dims", "2"]
+        else:
+            cfg = simgen.PanelConfig(K=2, d=2, N=(80, 80), rho0=(0.2, 0.2),
+                                     sigma0=(1.0, 1.0), seed=3)
+            v = tmp_path / "v.txt"
+            write_lines(v, ["0.5", "0.5"])
+            args = ["test", "--kind", "v-breve", "--v", str(v), "--data",
+                    *map(str, simgen.export_panel_csv(simgen.gen_ar1_panel(cfg), tmp_path))]
+        fork_threads.clear()
+        assert cli.main(args + ["--seed", "19", "--workers", "2"] + FAST) == 0
+        kernel = 1 if Path("/proc/self/status").exists() else None
+        assert fork_threads == [(1, kernel)] * 2
 
     def test_unknown_scenario_rejected_by_parser(self):
         with pytest.raises(SystemExit):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import tracemalloc
 import weakref
@@ -118,12 +119,16 @@ class TestExperimentConfig:
             ExperimentConfig(**bad)
 
     def test_integral_floats_are_those_ints(self):
+        # workers=2.0 used to be stored as the float it was given.
         cfg = ExperimentConfig(replications=np.int64(3), dims=(2.0,), learning_length=500.0,
-                               seed=np.uint8(7), critval_n_grid=500.0, critval_n_rep=1000.0)
+                               seed=np.uint8(7), critval_n_grid=500.0, critval_n_rep=1000.0,
+                               workers=2.0)
         assert (cfg.replications, cfg.dims, cfg.learning_length, cfg.seed,
-                cfg.critval_n_grid, cfg.critval_n_rep) == (3, (2,), 500, 7, 500, 1000)
+                cfg.critval_n_grid, cfg.critval_n_rep, cfg.workers) == (3, (2,), 500, 7, 500,
+                                                                         1000, 2)
         assert all(type(x) is int for x in (cfg.replications, *cfg.dims, cfg.learning_length,
-                                            cfg.seed, cfg.critval_n_grid, cfg.critval_n_rep))
+                                            cfg.seed, cfg.critval_n_grid, cfg.critval_n_rep,
+                                            cfg.workers))
         cfg = ExperimentConfig(scenario="sigma-change", change_times=[np.int64(300), 600.0])
         assert cfg.change_times == (300, 600) and all(type(t) is int for t in cfg.change_times)
 
@@ -258,7 +263,7 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "PANEL_CHUNK_BYTES", 1280)  # row blocks of 5 rows
 
         first = 0
-        for batch, learning in harness._batches(panel_cfg, learning_cfg, 3, 2, 9):
+        for batch, learning in harness._batches(panel_cfg, learning_cfg, range(3)):
             block = range(first, first + len(batch[0]))
             first = block.stop
             pair = sumproc.ProjectionPair.from_vectors(np.stack(
@@ -329,6 +334,70 @@ class TestRunExperiment:
         rows_both = [r for r in harness.run_experiment(both) if r.d == 2]
         for ra, rb in zip(rows_lone, rows_both):
             assert ra.rate == rb.rate
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Stands in for ProcessPoolExecutor: each pool started is recorded as its size, start
+    method and the items it mapped, and its tasks run in this process."""
+    import concurrent.futures
+
+    started = []
+
+    class Spy:
+        def __init__(self, max_workers, mp_context):
+            self.items = []
+            started.append((max_workers, mp_context.get_start_method(), self.items))
+
+        def map(self, fn, items):
+            self.items.extend(items := list(items))
+            return map(fn, items)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    return started
+
+
+class TestWorkers:
+    # Case I at d = 2 in batches of 2 replications (a PANEL_CHUNK_BYTES of 50 000), with a
+    # change, so that the parts' rejections add up to rates above 0.
+    @pytest.mark.parametrize("workers, replications, size, parts", [
+        (2, 5, 2, [(0, 2), (2, 5)]),
+        (3, 5, 3, [(0, 2), (2, 4), (4, 5)]),
+        (3, 4, 2, [(0, 2), (2, 4)]),  # two batches: a pool of two
+        (3, 2, None, [(0, 2)])],  # one batch: no pool
+        ids=["2-workers", "3-workers", "3-workers-2-batches", "3-workers-1-batch"])
+    def test_pool_has_one_process_per_part(self, monkeypatch, pools, workers, replications,
+                                           size, parts):
+        monkeypatch.setattr(harness, "PANEL_CHUNK_BYTES", 50_000)
+        cfg = ExperimentConfig(replications=replications, cases=("I",), dims=(2,), seed=111,
+                               scenario="sigma-change", workers=workers, **FAST)
+        rows = harness.run_experiment(cfg)
+        if size is None:
+            assert pools == []
+        else:
+            (got_size, method, items), = pools
+            assert (got_size, method) == (size, "fork")
+            assert [(r.start, r.stop) for r in items] == parts
+        serial = harness.run_experiment(dataclasses.replace(cfg, workers=1))
+        assert [{**r.__dict__, "wall_time": None} for r in rows] == [
+            {**r.__dict__, "wall_time": None} for r in serial]
+
+    def test_one_pool_serves_every_cell(self, monkeypatch, pools):
+        monkeypatch.setattr(harness, "PANEL_CHUNK_BYTES", 50_000)
+        cfg = ExperimentConfig(replications=3, cases=("I",), dims=(2,), seed=112, workers=2,
+                               scenario="coefficient-change", change_times=(300, 900), **FAST)
+        harness.run_experiment(cfg)
+        (size, _, items), = pools
+        assert size == 2 and [(r.start, r.stop) for r in items] == [(0, 2), (2, 3)] * 2
+
+    def test_one_batch_cells_start_no_pool(self, pools):
+        cfg = ExperimentConfig(replications=40, cases=("I", "II"), dims=(2,), seed=113,
+                               workers=3, **FAST)
+        harness.run_experiment(cfg)
+        assert pools == []
 
 
 class TestResultsExport:

@@ -10,7 +10,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "covcusum"
 # The only functions that may name numpy's seeding and bit-generator classes.
 STREAM_OWNERS = {("limits", "stream"), ("limits", "child_seed")}
 # The only functions that may name the executors of concurrent.futures.
-POOL_OWNERS = {("cli", "load_bundle"), ("limits", "simulate_path_extrema")}
+POOL_OWNERS = {("limits", "process_map"), ("limits", "simulate_path_extrema")}
 
 
 def _private(name):
