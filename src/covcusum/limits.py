@@ -22,9 +22,9 @@ built on first use and Newton steps on the series.  Each draw is
 shifted by the same beta / sqrt(n_grid), and the critical value is the
 Monte Carlo quantile of the weighted sums.  Each block of draws comes
 from its own ``stream``.  ``simulate_path_extrema`` still simulates the
-paths themselves, on a pool of ``workers`` threads, and returns the same
-(M+, M-) pair of each law; it is the tests' oracle, the package does not
-export it, and no critical value uses it.
+paths themselves, on ``process_map`` of ``workers`` processes, and
+returns the same (M+, M-) pair of each law; it is the tests' oracle, the
+package does not export it, and no critical value uses it.
 
 This module owns every random ``stream`` and ``child_seed``, and the
 readers of every setting: ``check_settings`` refuses a bad critical-value
@@ -340,8 +340,8 @@ def process_map(workers):
     processes, shut down on leaving without starting its queued tasks.
 
     A fork pool runs its first tasks in about 15 ms, a forkserver one in 0.4 s.  The
-    package starts no thread before a pool and OpenBLAS stops its own at a fork, so the
-    process forks with one thread, and no child holds a lock another thread took.
+    package starts no thread and OpenBLAS stops its own at a fork, so the process forks
+    with one thread, and no child holds a lock another thread took.
     """
     if workers == 1:
         yield map
@@ -362,20 +362,16 @@ def _fill_blocks(arrays, block, map_=map):
 
     ``block(b, j, n)`` returns one part per array: the n replications of
     block b of sample j, drawn from their own (seed, block, sample) stream.
-    The (block, sample) tasks go through ``map_`` in one order; each fills
-    its own rows, so the result is the same through any map that runs
-    them all.  The filled arrays are read-only.
+    ``map_(block, bs, js, ns)`` runs the (block, sample) tasks and returns
+    their parts in task order, which are written here; so the result is the
+    same through any map that runs them all.  The filled arrays are read-only.
     """
     n_rep, K = arrays[0].shape
-
-    def fill(b, j):
-        lo = b * _BLOCK
-        hi = min(lo + _BLOCK, n_rep)
-        for arr, part in zip(arrays, block(b, j, hi - lo)):
-            arr[lo:hi, j] = part
-
-    tasks = [(b, j) for b in range((n_rep + _BLOCK - 1) // _BLOCK) for j in range(K)]
-    list(map_(lambda t: fill(*t), tasks))
+    tasks = [(b, j, min(_BLOCK, n_rep - b * _BLOCK))
+             for b in range((n_rep + _BLOCK - 1) // _BLOCK) for j in range(K)]
+    for (b, j, n), parts in zip(tasks, map_(block, *zip(*tasks))):
+        for arr, part in zip(arrays, parts):
+            arr[b * _BLOCK:b * _BLOCK + n, j] = part
     for arr in arrays:
         arr.flags.writeable = False
 
@@ -386,21 +382,18 @@ def simulate_path_extrema(K: int, n_grid: int, n_rep: int, seed: int,
 
     Returns {"bm": (M+, M-), "bb": (M+, M-)}, read-only (n_rep, K) arrays
     as ``draw_extrema`` returns them for one law.  Replications are
-    generated by ``_fill_blocks`` on a pool of at most ``workers`` threads,
-    with the same numbers for any worker count.  The latest few results
-    are memoized on (K, n_grid, n_rep, seed).
+    generated by ``_fill_blocks`` on ``process_map`` of at most ``workers``
+    processes, with the same numbers for any worker count.  The latest few
+    results are memoized on (K, n_grid, n_rep, seed).
     """
     check_workers(workers)
     key = (K, n_grid, n_rep, seed)
     if cache and key in _extrema_cache:
         return _extrema_cache[key]
     arrays = [np.empty((n_rep, K)) for _ in range(4)]
-    # Imported on first use, to keep it out of every command's start-up.
-    from concurrent.futures import ThreadPoolExecutor
-
     n_tasks = (n_rep + _BLOCK - 1) // _BLOCK * K  # those of ``_fill_blocks``
-    with ThreadPoolExecutor(max_workers=min(workers, n_tasks)) as pool:
-        _fill_blocks(arrays, lambda b, j, n: _block_extrema(seed, b, j, n, n_grid), pool.map)
+    with process_map(min(workers, n_tasks)) as map_:
+        _fill_blocks(arrays, functools.partial(_block_extrema, seed, n_grid=n_grid), map_)
     out = {"bm": tuple(arrays[:2]), "bb": tuple(arrays[2:])}
     return _remember(_extrema_cache, key, out) if cache else out
 
@@ -594,7 +587,7 @@ def draw_extrema(law: str, K: int, n_rep: int, seed: int):
     if key in _draws_cache:
         return _draws_cache[key]
     arrays = (np.empty((n_rep, K)), np.empty((n_rep, K)))
-    _fill_blocks(arrays, lambda b, j, n: _block_draws(law, seed, b, j, n))
+    _fill_blocks(arrays, functools.partial(_block_draws, law, seed))
     return _remember(_draws_cache, key, arrays)
 
 

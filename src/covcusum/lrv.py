@@ -37,6 +37,8 @@ def autocov_hat(p, h: int) -> float:
     the partial-sum scaling the estimate standardizes.
     """
     p = np.asarray(p, dtype=float)
+    if p.ndim != 1:
+        raise ShapeError(f"expected a 1-d product series, got ndim={p.ndim}")
     n = len(p)
     if not 0 <= h < n:
         raise ShapeError(f"lag {h} out of range for series of length {n}")

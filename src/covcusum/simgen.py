@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import limits
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ShapeError
 
 DEFAULT_BURN_IN = 500
 
@@ -92,13 +92,16 @@ class PanelConfig:
 
 
 def gen_ar1_blocks(config: PanelConfig, reps: Sequence[int], rows: np.ndarray):
-    """Fill ``rows``, (B, K, R, d), with rows of the recursion; yield (s, block) when full.
+    """Fill ``rows``, (B >= 1, K, R, d), with rows of the recursion; yield (s, block) when full.
 
     The block, ``rows`` or last its head, holds observations s, s + 1, ... (burn-in below 0).
     """
     reps = [limits.whole_number(rep, "reps") for rep in reps]
     if min(reps, default=0) < 0:
         raise ConfigurationError(f"reps must be non-negative, got {min(reps)}")
+    if np.shape(rows)[1:] != (config.K, len(reps), config.d) or len(rows) < 1:
+        raise ShapeError(f"rows must be (B >= 1, K={config.K}, R={len(reps)}, d={config.d}), "
+                         f"got {np.shape(rows)}")
     burn_in = config.burn_in
     T = burn_in + max(config.N)
     eps = np.zeros((T, config.K, len(reps)))

@@ -135,6 +135,8 @@ def unscaled_deviation(s: np.ndarray, target=None) -> np.ndarray:
     target-free and both endpoints are zero bit-exactly; otherwise entry 0
     is exactly zero.
     """
+    if np.ndim(s) < 1:
+        raise ShapeError(f"expected partial sums S_0..S_N along the last axis, got {s!r}")
     n = np.shape(s)[-1] - 1
     if n < 1:
         raise ShapeError("empty sample")

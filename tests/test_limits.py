@@ -1,3 +1,5 @@
+import contextlib
+import functools
 import math
 
 import numpy as np
@@ -166,29 +168,17 @@ class TestExtremaCache:
         limits._draws_cache.clear()
 
 
-class _RecordingPool:
-    """Stands in for ThreadPoolExecutor: records its size and maps serially."""
-
-    def __init__(self, sizes, max_workers):
-        sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    import concurrent.futures
-
+    """The worker counts ``limits.process_map`` is entered with; each maps serially."""
     sizes = []
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
-                        lambda max_workers: _RecordingPool(sizes, max_workers))
+
+    @contextlib.contextmanager
+    def recording_map(workers):
+        sizes.append(workers)
+        yield map
+
+    monkeypatch.setattr(limits, "process_map", recording_map)
     return sizes
 
 
@@ -200,7 +190,7 @@ class TestWorkers:
         assert pool_sizes == [1, 3, 4]
 
     def test_paths_independent_of_worker_count(self):
-        # Two blocks of two samples: four tasks, run on one, two or eight threads.
+        # Two blocks of two samples: four tasks, run on one, two or eight processes.
         ref = limits.simulate_path_extrema(2, 100, 3000, seed=1, workers=1, cache=False)
         for workers in (2, 8):
             got = limits.simulate_path_extrema(2, 100, 3000, seed=1, workers=workers, cache=False)
@@ -504,8 +494,11 @@ class TestCriticalValue:
         # tasks backwards, as a pool might finish them, gives the same bits.
         limits._draws_cache.clear()
         arrays = (np.empty((5000, 3)), np.empty((5000, 3)))
-        limits._fill_blocks(arrays, lambda b, j, n: limits._block_draws("bb", 17, b, j, n),
-                            lambda fn, tasks: map(fn, tasks[::-1]))
+
+        def backwards(fn, *columns):  # runs the last task first, returns in task order
+            return list(map(fn, *(c[::-1] for c in columns)))[::-1]
+
+        limits._fill_blocks(arrays, functools.partial(limits._block_draws, "bb", 17), backwards)
         drawn = limits.draw_extrema("bb", 3, 5000, seed=17)
         assert all(np.array_equal(a, d) for a, d in zip(arrays, drawn))
         limits._draws_cache.clear()

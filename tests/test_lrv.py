@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from covcusum import lrv, simgen
+from covcusum import lrv, simgen, sumproc
 from covcusum.errors import DegenerateLrvError, ShapeError
 
 
@@ -154,3 +154,14 @@ class TestLrvEstimate:
         batches = p[: (len(p) // b) * b].reshape(-1, b).mean(axis=1)
         batch_lrv = b * batches.var()
         assert est.alpha_sq == pytest.approx(batch_lrv, rel=0.15)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: lrv.autocov_hat(np.zeros((3, 10)), 1), "expected a 1-d product series, got ndim=2"),
+    (lambda: lrv.autocov_hat(np.zeros((1, 10)), 1), "expected a 1-d product series, got ndim=2"),
+    (lambda: sumproc.unscaled_deviation(5.0), "expected partial sums"),
+], ids=["autocov-rows", "autocov-one-row", "deviation-scalar"])
+def test_malformed_array_refused_by_name(call, match):
+    # A (1, N) array is one row, not a series of length 1.
+    with pytest.raises(ShapeError, match=match):
+        call()

@@ -1,5 +1,5 @@
 """Each covcusum module keeps its private names, ``limits`` alone builds random streams,
-and two functions alone start pools of threads or processes."""
+one function alone starts pools, and no module starts a thread."""
 
 import ast
 from pathlib import Path
@@ -10,7 +10,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "covcusum"
 # The only functions that may name numpy's seeding and bit-generator classes.
 STREAM_OWNERS = {("limits", "stream"), ("limits", "child_seed")}
 # The only functions that may name the executors of concurrent.futures.
-POOL_OWNERS = {("limits", "process_map"), ("limits", "simulate_path_extrema")}
+POOL_OWNERS = {("limits", "process_map")}
 
 
 def _private(name):
@@ -24,6 +24,7 @@ def _named_outside(tree, stem, names, owners):
              and (stem, node.name) in owners for n in ast.walk(node)}
     return [(node.lineno, name) for node in ast.walk(tree) if id(node) not in owned
             and (name := getattr(node, "attr", None) or getattr(node, "id", None)
+                 or getattr(node, "module", None)
                  or (node.name if isinstance(node, ast.alias) else None)) in names]
 
 
@@ -55,3 +56,9 @@ def test_no_private_reads_and_streams_only_in_limits(path):
 def test_pools_only_in_their_owners(path):
     pools = ("ThreadPoolExecutor", "ProcessPoolExecutor")
     assert _named_outside(ast.parse(path.read_text()), path.stem, pools, POOL_OWNERS) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_threads(path):
+    threads = ("threading", "_thread", "ThreadPoolExecutor")
+    assert _named_outside(ast.parse(path.read_text()), path.stem, threads, set()) == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from covcusum import simgen
-from covcusum.errors import ConfigurationError
+from covcusum.errors import ConfigurationError, ShapeError
 
 
 def make_config(**overrides):
@@ -272,3 +272,11 @@ def test_export_panel_csv_round_trip(tmp_path):
     for path, y in zip(paths, panel):
         loaded = np.loadtxt(path, delimiter=",")
         np.testing.assert_array_equal(loaded, y)
+
+
+@pytest.mark.parametrize("shape", [(0, 1, 1, 1), (4, 2, 1, 1), (4, 1, 1, 3), (4, 1, 2, 1)],
+                         ids=["no-rows", "wrong-K", "wrong-d", "wrong-R"])
+def test_row_buffer_of_another_shape_refused(shape):
+    # Two replication columns for one rep would both get that rep's innovations.
+    with pytest.raises(ShapeError, match=r"rows must be \(B >= 1, K=1, R=1, d=1\)"):
+        next(simgen.gen_ar1_blocks(make_config(), [0], np.empty(shape)))
