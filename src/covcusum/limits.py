@@ -37,14 +37,15 @@ setting that is a bool or a fraction, and ``real_vector`` a vector
 setting (weights here, the panel coefficients and scales of
 ``simgen.PanelConfig``) of another length or with an entry out of range
 or not a real; a request is complete or refused when made.  It owns
-every memo of a critical value, and all are exact:
-``_corrected_quantile`` is memoized on its arguments, the most recent few
-draw sets on (law, K, n_rep, seed), and the quantile tables on the law.
-Memoized arrays are read-only, so that no caller can change a later
-result by writing into one.  A v-kind request carries one row of weights
-or an (R, K) stack of them, one row per replication of a batch; each call
-shifts the draws by beta / sqrt(n_grid) once and weights them afresh for
-every row.  Callers ask ``critical_value`` and keep no cache of their own.
+every memo of a critical value, and all are exact ``functools.lru_cache``
+memos on their arguments: ``_corrected_quantile``, the quantile tables,
+and the few most recently used draw sets (``draw_extrema``) and path sets
+(``simulate_path_extrema``).  Memoized arrays are read-only, so that no
+caller can change a later result by writing into one.  A v-kind request
+carries one row of weights or an (R, K) stack of them, one row per
+replication of a batch; each call shifts the draws by beta / sqrt(n_grid)
+once and weights them afresh for every row.  Callers ask
+``critical_value`` and keep no cache of their own.
 """
 
 from __future__ import annotations
@@ -98,8 +99,8 @@ def sup_abs_bm_cdf(y):
     Alternating reflection series in the bound ``y`` on the squared
     supremum, a float or an array (same shape back): 0 at y = 0, 1 at inf.
     """
-    y = np.asarray(y, dtype=float)
-    if np.isnan(y).any() or y.min() < 0.0:
+    y = np.asarray(y, dtype=float) + 0.0  # -0.0 reads as 0.0
+    if np.isnan(y).any() or y.min(initial=math.inf) < 0.0:
         raise ValueError(f"argument must be non-negative and not nan, got {y}")
     total = np.zeros_like(y)
     with np.errstate(divide="ignore"):  # y = 0: exp(-inf) = 0
@@ -115,7 +116,7 @@ def sup_abs_bb_cdf(y):
     Theta-function series for ``y`` in (0, inf], a float or an array alike.
     """
     y = np.asarray(y, dtype=float)
-    if np.isnan(y).any() or y.min() <= 0.0:
+    if np.isnan(y).any() or y.min(initial=math.inf) <= 0.0:
         raise ValueError(f"argument must be positive and not nan, got {y}")
     total = np.zeros_like(y)
     for l in range(1, _series_terms(y) + 1):
@@ -314,19 +315,6 @@ def _block_extrema(seed, block_index, j, n_block, n_grid):
     return tuple(out)
 
 
-# Insertion-ordered; each holds at most _EXTREMA_CACHE_SIZE entries, oldest
-# evicted first (``_remember``).
-_extrema_cache: dict = {}
-_draws_cache: dict = {}
-
-
-def _remember(cache, key, value):
-    cache[key] = value
-    while len(cache) > _EXTREMA_CACHE_SIZE:
-        del cache[next(iter(cache))]
-    return value
-
-
 def check_workers(workers) -> int:
     """``workers`` as an int; a count that is not a whole number of at least 1 is refused."""
     if (workers := whole_number(workers, "workers")) < 1:
@@ -383,19 +371,21 @@ def simulate_path_extrema(K: int, n_grid: int, n_rep: int, seed: int,
     Returns {"bm": (M+, M-), "bb": (M+, M-)}, read-only (n_rep, K) arrays
     as ``draw_extrema`` returns them for one law.  Replications are
     generated by ``_fill_blocks`` on ``process_map`` of at most ``workers``
-    processes, with the same numbers for any worker count.  The latest few
-    results are memoized on (K, n_grid, n_rep, seed).
+    processes, with the same numbers for any worker count.  With ``cache``
+    the few most recently used results are memoized on (K, n_grid, n_rep,
+    seed, workers).
     """
-    check_workers(workers)
-    key = (K, n_grid, n_rep, seed)
-    if cache and key in _extrema_cache:
-        return _extrema_cache[key]
+    workers = check_workers(workers)
+    return (_path_extrema if cache else _path_extrema.__wrapped__)(K, n_grid, n_rep, seed, workers)
+
+
+@functools.lru_cache(maxsize=_EXTREMA_CACHE_SIZE)
+def _path_extrema(K, n_grid, n_rep, seed, workers):
     arrays = [np.empty((n_rep, K)) for _ in range(4)]
     n_tasks = (n_rep + _BLOCK - 1) // _BLOCK * K  # those of ``_fill_blocks``
     with process_map(min(workers, n_tasks)) as map_:
         _fill_blocks(arrays, functools.partial(_block_extrema, seed, n_grid=n_grid), map_)
-    out = {"bm": tuple(arrays[:2]), "bb": tuple(arrays[2:])}
-    return _remember(_extrema_cache, key, out) if cache else out
+    return {"bm": tuple(arrays[:2]), "bb": tuple(arrays[2:])}
 
 
 def empirical_quantile(draws: np.ndarray, level: float) -> float:
@@ -576,19 +566,17 @@ def _block_draws(law, seed, block_index, j, n_block):
     return a, _conditional_quantile(law, a, rng.random(n_block))
 
 
-def draw_extrema(law: str, K: int, n_rep: int, seed: int):
+@functools.lru_cache(maxsize=_EXTREMA_CACHE_SIZE)
+def draw_extrema(law: str, K: int, n_rep: int, seed: int, /):
     """Exact draws of (M+, M-) for K independent motions ("bm") or bridges ("bb").
 
     Returns two read-only (n_rep, K) arrays, drawn block by block by
-    ``_fill_blocks``.  The latest few results are memoized on
-    (law, K, n_rep, seed).
+    ``_fill_blocks``.  The few most recently used results are memoized on
+    (law, K, n_rep, seed), which are positional so that a draw set has one key.
     """
-    key = (law, K, n_rep, seed)
-    if key in _draws_cache:
-        return _draws_cache[key]
     arrays = (np.empty((n_rep, K)), np.empty((n_rep, K)))
     _fill_blocks(arrays, functools.partial(_block_draws, law, seed))
-    return _remember(_draws_cache, key, arrays)
+    return arrays
 
 
 def critical_value(req: CritValRequest) -> float | np.ndarray:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateLrvError, ShapeError
+from .limits import whole_number
 
 QS_BANDWIDTH_CONST = 1.3221
 RHO_CLAMP = 0.97
@@ -39,7 +40,7 @@ def autocov_hat(p, h: int) -> float:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1:
         raise ShapeError(f"expected a 1-d product series, got ndim={p.ndim}")
-    n = len(p)
+    n, h = len(p), whole_number(h, "lag")
     if not 0 <= h < n:
         raise ShapeError(f"lag {h} out of range for series of length {n}")
     return float(_autocov(p - p.mean(), h))

@@ -135,9 +135,9 @@ def unscaled_deviation(s: np.ndarray, target=None) -> np.ndarray:
     target-free and both endpoints are zero bit-exactly; otherwise entry 0
     is exactly zero.
     """
-    if np.ndim(s) < 1:
+    if (s := as_real(s, "partial sums")).ndim < 1:
         raise ShapeError(f"expected partial sums S_0..S_N along the last axis, got {s!r}")
-    n = np.shape(s)[-1] - 1
+    n = s.shape[-1] - 1
     if n < 1:
         raise ShapeError("empty sample")
     if target is None:
@@ -190,6 +190,8 @@ def per_sample_max_sq(process: np.ndarray, alpha):
     For an (R, N + 1) batch ``alpha`` holds one scale per row, and the
     values and argmax indices are (R,) arrays.
     """
+    if np.ndim(process) not in (1, 2) or np.shape(process)[-1] < 1:
+        raise ShapeError("the process must be a non-empty 1-d array or (R, N) batch")
     alpha = np.asarray(alpha, dtype=float)
     bad = ~((alpha > 0.0) & (alpha < np.inf))
     if bad.any():

@@ -197,7 +197,7 @@ def test_criterion_8_pooled_endpoint_normality():
 def test_criterion_9_worker_count_determinism(tmp_path):
     outputs = []
     for workers in (1, 2, 8):
-        limits._draws_cache.clear()
+        limits.draw_extrema.cache_clear()
         out = tmp_path / f"crit-{workers}.csv"
         rc = cli.main(["critval", "--kind", "v-breve", "--K", "3",
                        "--alpha", "1.0,1.5,0.7", "--kappa", "0.3,0.3,0.4",

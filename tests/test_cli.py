@@ -1,4 +1,3 @@
-import concurrent.futures
 import csv
 import json
 import os
@@ -23,15 +22,6 @@ FAST = ["--n-grid", "500", "--n-rep", "20000"]
 
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n")
-
-
-@pytest.fixture
-def no_thread_pool(monkeypatch):
-    """Make starting a thread pool fail the test."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("a thread pool was started")
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
 
 
 def _threads():
@@ -367,11 +357,11 @@ class TestTestCommand:
         report = json.loads(out.read_text())
         assert (report["method"], report["seed"]) == ("corrected", None)
 
-    def test_extrema_draws_start_no_thread_pool(self, tmp_path, monkeypatch, no_thread_pool):
+    def test_fresh_extrema_draws_equal_at_one_and_two_workers(self, tmp_path):
         data, v = self._panel_files(tmp_path)
         reports = []
         for workers in ("1", "2"):
-            monkeypatch.setattr(limits, "_draws_cache", {})
+            limits.draw_extrema.cache_clear()
             out = tmp_path / f"report-{workers}.json"
             rc = cli.main(["test", "--data", *data, "--v", v, "--kind", "v-breve",
                            "--seed", "5", "--workers", workers, "--out", str(out)] + FAST)
@@ -744,10 +734,10 @@ class TestExperimentCommand:
         assert out_csv.read_text().startswith("case,")
         assert json.loads(out_json.read_text())[0]["n_rep"] == 3
 
-    def test_extrema_draws_start_no_thread_pool(self, tmp_path, monkeypatch, no_thread_pool):
+    def test_fresh_extrema_draws_equal_at_one_and_two_workers(self, tmp_path):
         tables = []
         for workers in ("1", "2"):
-            monkeypatch.setattr(limits, "_draws_cache", {})
+            limits.draw_extrema.cache_clear()
             out_csv = tmp_path / f"res-{workers}.csv"
             rc = cli.main(["experiment", "--replications", "2", "--cases", "I",
                            "--dims", "2", "--scenario", "none", "--seed", "17",

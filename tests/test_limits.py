@@ -20,6 +20,11 @@ class TestSupAbsBmCdf:
     def test_zero(self):
         assert limits.sup_abs_bm_cdf(0.0) == 0.0
 
+    def test_negative_zero_is_zero(self):
+        # exp(-c / -0.0) = exp(+inf) turned the series into nan, with a warning.
+        assert limits.sup_abs_bm_cdf(-0.0) == 0.0
+        np.testing.assert_array_equal(limits.sup_abs_bm_cdf(np.array([-0.0, 0.0])), [0.0, 0.0])
+
     def test_total_mass(self):
         assert limits.sup_abs_bm_cdf(1e6) == pytest.approx(1.0, abs=1e-12)
 
@@ -59,9 +64,10 @@ class TestSupAbsBbCdf:
     def test_monotone(self):
         assert limits.sup_abs_bb_cdf(1.0) < limits.sup_abs_bb_cdf(2.0)
 
-    def test_nonpositive_rejected(self):
+    @pytest.mark.parametrize("y", [0.0, -0.0])
+    def test_nonpositive_rejected(self, y):
         with pytest.raises(ValueError):
-            limits.sup_abs_bb_cdf(0.0)
+            limits.sup_abs_bb_cdf(y)
 
 
 class TestSimulatedPaths:
@@ -103,52 +109,52 @@ class TestSimulatedPaths:
 
 
 class TestExtremaCache:
-    @pytest.mark.parametrize("cache_name,call,pairs,first_key", [
-        ("_extrema_cache",
-         lambda seed: limits.simulate_path_extrema(1, 100, 1000, seed=seed),
-         lambda r: [r["bm"], r["bb"]], (1, 100, 1000, 0)),
-        ("_draws_cache", lambda seed: limits.draw_extrema("bb", 1, 1000, seed=seed),
-         lambda r: [r], ("bb", 1, 1000, 0)),
+    @pytest.mark.parametrize("memo_name,call,pairs", [
+        ("_path_extrema", lambda seed: limits.simulate_path_extrema(1, 100, 1000, seed=seed),
+         lambda r: [r["bm"], r["bb"]]),
+        ("draw_extrema", lambda seed: limits.draw_extrema("bb", 1, 1000, seed), lambda r: [r]),
     ], ids=["paths", "draws"])
-    def test_cache_is_bounded_and_evicted_keys_replay(self, cache_name, call, pairs, first_key):
-        cache = getattr(limits, cache_name)
-        cache.clear()
+    def test_cache_is_bounded_and_evicted_keys_replay(self, memo_name, call, pairs):
+        memo = getattr(limits, memo_name)
+        memo.cache_clear()
         first = call(0)
         for seed in range(1, 3 * limits._EXTREMA_CACHE_SIZE):
             latest = call(seed)
-            assert len(cache) <= limits._EXTREMA_CACHE_SIZE
-        assert first_key not in cache
+            assert memo.cache_info().currsize <= limits._EXTREMA_CACHE_SIZE
+        assert memo.cache_info().maxsize == limits._EXTREMA_CACHE_SIZE
         assert call(seed) is latest
-        again = call(0)
+        misses = memo.cache_info().misses
+        again = call(0)  # evicted: drawn afresh
+        assert memo.cache_info().misses == misses + 1
         assert again is not first
         assert all(np.array_equal(x, y)
                    for p, q in zip(pairs(again), pairs(first)) for x, y in zip(p, q))
-        cache.clear()
+        memo.cache_clear()
 
     def test_memoized_arrays_are_read_only(self):
         # Writing into a returned array would change every later critical
         # value that reads the memo; it is refused instead.
         req = CritValRequest(kind="v-breve", K=2, level=0.95, alpha_weights=(1.0, 1.5),
                              kappa=(0.5, 0.5), seed=23, n_grid=500, n_rep=2000)
-        limits._draws_cache.clear()
+        limits.draw_extrema.cache_clear()
         before = limits.critical_value(req)
-        memos = [*limits.draw_extrema("bb", 2, 2000, seed=23), limits._quantile_table("bb"),
+        memos = [*limits.draw_extrema("bb", 2, 2000, 23), limits._quantile_table("bb"),
                  *limits.simulate_path_extrema(1, 100, 1000, seed=23)["bb"]]
         for a in memos:
             with pytest.raises(ValueError, match="read-only"):
                 a *= 2.0
         assert limits.critical_value(req) == before
-        limits._draws_cache.clear()  # redrawn through the quantile table
+        limits.draw_extrema.cache_clear()  # redrawn through the quantile table
         assert limits.critical_value(req) == before
-        limits._draws_cache.clear()
-        limits._extrema_cache.clear()
+        limits.draw_extrema.cache_clear()
+        limits._path_extrema.cache_clear()
 
 
     def test_shift_made_per_call_leaves_the_memo_unshifted(self):
         # One draw set serves two n_grid: each value is the quantile of a
         # fresh shift, and the memoized draws stay read-only and unshifted.
-        limits._draws_cache.clear()
-        hi, lo = limits.draw_extrema("bb", 2, 2000, seed=31)
+        limits.draw_extrema.cache_clear()
+        hi, lo = limits.draw_extrema("bb", 2, 2000, 31)
         before = [a.copy() for a in (hi, lo)]
         c = np.array([1.0, 1.5]) * np.sqrt([0.5, 0.5])
         for n_grid in (500, 2000):
@@ -158,14 +164,21 @@ class TestExtremaCache:
                                  kappa=(0.5, 0.5), n_grid=n_grid, n_rep=2000, seed=31)
             assert limits.critical_value(req) == limits.empirical_quantile(
                 np.maximum(fresh[0] @ c, fresh[1] @ c), 0.95)
-        memo = limits.draw_extrema("bb", 2, 2000, seed=31)
-        assert memo is limits._draws_cache["bb", 2, 2000, 31]
+        hits = limits.draw_extrema.cache_info().hits
+        memo = limits.draw_extrema("bb", 2, 2000, 31)
+        assert limits.draw_extrema.cache_info().hits == hits + 1
         assert all(m is a for m, a in zip(memo, (hi, lo)))
         for m, b in zip(memo, before):
             assert np.array_equal(m, b)
             with pytest.raises(ValueError, match="read-only"):
                 m *= 2.0
-        limits._draws_cache.clear()
+        limits.draw_extrema.cache_clear()
+
+    def test_draws_memoized_on_one_key(self):
+        # Positional-only arguments: a keyword spelling cannot memoize the
+        # same draw set a second time.
+        with pytest.raises(TypeError):
+            limits.draw_extrema("bb", 1, 1000, seed=0)
 
 
 @pytest.fixture
@@ -236,6 +249,11 @@ class TestCorrectedLaw:
                                - scipy.stats.norm.cdf((2 * k - 1) * x))
         expected = terms.sum(axis=0)
         assert np.max(np.abs(limits.sup_abs_bm_cdf(SERIES_YS) - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0)])
+    @pytest.mark.parametrize("cdf", [limits.sup_abs_bm_cdf, limits.sup_abs_bb_cdf])
+    def test_empty_array_keeps_its_shape(self, cdf, shape):
+        assert cdf(np.empty(shape)).shape == shape
 
     def test_array_arguments_keep_the_scalar_refusals(self):
         np.testing.assert_array_equal(limits.sup_abs_bm_cdf(np.array([0.0, 0.0])), [0.0, 0.0])
@@ -409,7 +427,7 @@ class TestExactDraws:
     def test_bridge_range_follows_kuiper_law(self):
         # M+ + M- of a bridge has Kuiper's law.  1.95 / sqrt(n) is the 0.1%
         # critical value of the Kolmogorov-Smirnov distance.
-        hi, lo = limits.draw_extrema("bb", 1, 40_000, seed=11)
+        hi, lo = limits.draw_extrema("bb", 1, 40_000, 11)
         ks = scipy.stats.kstest((hi + lo)[:, 0], _kuiper_cdf).statistic
         assert ks <= 1.95 / math.sqrt(40_000)
 
@@ -455,7 +473,7 @@ class TestExactDraws:
         # first innovation is the first normal of the (seed, 0, 0) stream.
         hi, _ = limits.draw_extrema("bm", 1, 1, seed)
         assert hi[0, 0] != abs(limits.stream(seed, 0, 0).standard_normal())
-        limits._draws_cache.clear()
+        limits.draw_extrema.cache_clear()
 
 
 class TestCriticalValue:
@@ -492,16 +510,16 @@ class TestCriticalValue:
     def test_draws_independent_of_task_order(self):
         # Each (block, sample) task draws from its own stream, so running the
         # tasks backwards, as a pool might finish them, gives the same bits.
-        limits._draws_cache.clear()
+        limits.draw_extrema.cache_clear()
         arrays = (np.empty((5000, 3)), np.empty((5000, 3)))
 
         def backwards(fn, *columns):  # runs the last task first, returns in task order
             return list(map(fn, *(c[::-1] for c in columns)))[::-1]
 
         limits._fill_blocks(arrays, functools.partial(limits._block_draws, "bb", 17), backwards)
-        drawn = limits.draw_extrema("bb", 3, 5000, seed=17)
+        drawn = limits.draw_extrema("bb", 3, 5000, 17)
         assert all(np.array_equal(a, d) for a, d in zip(arrays, drawn))
-        limits._draws_cache.clear()
+        limits.draw_extrema.cache_clear()
 
     @pytest.mark.parametrize("kind", limits.POOLED_KINDS)
     def test_weight_stack_equals_one_request_per_row(self, kind):
@@ -509,7 +527,7 @@ class TestCriticalValue:
         # n_grid of one draw set.
         stack = np.random.default_rng(3).uniform(0.2, 3.0, size=(5, 3))
         kappa = (0.2, 0.3, 0.5)
-        limits._draws_cache.clear()
+        limits.draw_extrema.cache_clear()
         for n_grid in (500, 2000):
             settings = dict(kind=kind, K=3, level=0.95, kappa=kappa, n_grid=n_grid,
                             n_rep=2000, seed=29)
@@ -520,7 +538,7 @@ class TestCriticalValue:
             assert np.array_equal(got, rows)
             listed = CritValRequest(alpha_weights=stack.tolist(), **settings)
             assert np.array_equal(limits.critical_value(listed), got)
-        limits._draws_cache.clear()
+        limits.draw_extrema.cache_clear()
 
     @pytest.mark.parametrize("bad", [0.0, math.nan, -1.0, "x", (1.0,), (1.0, 1.0, 1.0), "empty"])
     def test_weight_stack_with_one_bad_row_refused(self, bad):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from covcusum import lrv, simgen, sumproc
-from covcusum.errors import DegenerateLrvError, ShapeError
+from covcusum.errors import ConfigurationError, DegenerateLrvError, ShapeError
 
 
 class TestAutocovHat:
@@ -156,12 +156,29 @@ class TestLrvEstimate:
         assert est.alpha_sq == pytest.approx(batch_lrv, rel=0.15)
 
 
-@pytest.mark.parametrize("call, match", [
-    (lambda: lrv.autocov_hat(np.zeros((3, 10)), 1), "expected a 1-d product series, got ndim=2"),
-    (lambda: lrv.autocov_hat(np.zeros((1, 10)), 1), "expected a 1-d product series, got ndim=2"),
-    (lambda: sumproc.unscaled_deviation(5.0), "expected partial sums"),
-], ids=["autocov-rows", "autocov-one-row", "deviation-scalar"])
-def test_malformed_array_refused_by_name(call, match):
-    # A (1, N) array is one row, not a series of length 1.
-    with pytest.raises(ShapeError, match=match):
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: lrv.autocov_hat(np.zeros((3, 10)), 1), ShapeError,
+     "expected a 1-d product series, got ndim=2"),
+    (lambda: lrv.autocov_hat(np.zeros((1, 10)), 1), ShapeError,
+     "expected a 1-d product series, got ndim=2"),
+    (lambda: lrv.autocov_hat(np.arange(10.0), True), ConfigurationError,
+     "lag must be a whole number"),
+    (lambda: lrv.autocov_hat(np.arange(10.0), 1.5), ConfigurationError,
+     "lag must be a whole number"),
+    (lambda: sumproc.unscaled_deviation(5.0), ShapeError, "expected partial sums"),
+    (lambda: sumproc.unscaled_deviation(["0", "x"]), ShapeError, "not a numeric partial sums"),
+    (lambda: sumproc.unscaled_deviation([0.0, 1j]), ShapeError, "not a real partial sums"),
+    (lambda: sumproc.per_sample_max_sq(np.array([]), 1.0), ShapeError, "non-empty"),
+    (lambda: sumproc.per_sample_max_sq(np.zeros((2, 0)), [1.0, 1.0]), ShapeError, "non-empty"),
+], ids=["autocov-rows", "autocov-one-row", "autocov-bool-lag", "autocov-fraction-lag",
+        "deviation-scalar", "deviation-non-numeric", "deviation-complex", "max-sq-empty",
+        "max-sq-empty-rows"])
+def test_malformed_array_refused_by_name(call, error, match):
+    # A (1, N) array is one row, not a series of length 1; a lag is a whole number.
+    with pytest.raises(error, match=match):
         call()
+
+
+def test_partial_sums_read_from_a_list():
+    s = [0.0, 1.0, 3.0]
+    assert np.array_equal(sumproc.unscaled_deviation(s), sumproc.unscaled_deviation(np.array(s)))
