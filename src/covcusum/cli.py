@@ -28,7 +28,7 @@ import csv
 import dataclasses
 import itertools
 import os
-import secrets
+import random
 import sys
 
 import numpy as np
@@ -45,7 +45,7 @@ BLOCK_ROWS = 64
 def _data_lines(fh, linenos):
     """Yield the data lines of ``fh``, recording the physical number of each."""
     for lineno, line in enumerate(fh, start=1):
-        if not line.strip() or (lineno == 1 and not _is_numeric(line)):
+        if line.isspace() or (lineno == 1 and not _is_numeric(line)):
             continue
         linenos.append(lineno)
         yield line
@@ -200,7 +200,7 @@ def _spread(text, name, n):
 def _resolve_seed(args):
     if args.seed is not None:
         return int(args.seed)
-    seed = secrets.randbits(63)
+    seed = random.SystemRandom().getrandbits(63)
     print(f"seed: {seed}")
     return seed
 

@@ -40,12 +40,13 @@ or not a real; a request is complete or refused when made.  It owns
 every memo of a critical value, and all are exact ``functools.lru_cache``
 memos on their arguments: ``_corrected_quantile``, the quantile tables,
 and the few most recently used draw sets (``draw_extrema``) and path sets
-(``simulate_path_extrema``).  Memoized arrays are read-only, so that no
-caller can change a later result by writing into one.  A v-kind request
-carries one row of weights or an (R, K) stack of them, one row per
-replication of a batch; each call shifts the draws by beta / sqrt(n_grid)
-once and weights them afresh for every row.  Callers ask
-``critical_value`` and keep no cache of their own.
+(``simulate_path_extrema``).  Memoized arrays, and the mapping that holds
+a path set, are read-only, so that no caller can change a later result by
+writing into one.  A v-kind request carries one row of weights or an
+(R, K) stack of them, one row per replication of a batch; each call
+shifts the draws by beta / sqrt(n_grid) once and weights them afresh for
+every row.  Callers ask ``critical_value`` and keep no cache of their
+own.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ import contextlib
 import functools
 import math
 import numbers
+import types
 from dataclasses import dataclass
 from typing import Optional
 
@@ -365,15 +367,15 @@ def _fill_blocks(arrays, block, map_=map):
 
 
 def simulate_path_extrema(K: int, n_grid: int, n_rep: int, seed: int,
-                          workers: int = 1, cache: bool = True) -> dict:
+                          workers: int = 1, cache: bool = True) -> types.MappingProxyType:
     """Simulate (M+, M-) of K independent motions and bridges on n_grid steps.
 
-    Returns {"bm": (M+, M-), "bb": (M+, M-)}, read-only (n_rep, K) arrays
-    as ``draw_extrema`` returns them for one law.  Replications are
-    generated by ``_fill_blocks`` on ``process_map`` of at most ``workers``
-    processes, with the same numbers for any worker count.  With ``cache``
-    the few most recently used results are memoized on (K, n_grid, n_rep,
-    seed, workers).
+    Returns a read-only mapping {"bm": (M+, M-), "bb": (M+, M-)} of
+    read-only (n_rep, K) arrays, as ``draw_extrema`` returns them for one
+    law.  Replications are generated by ``_fill_blocks`` on ``process_map``
+    of at most ``workers`` processes, with the same numbers for any worker
+    count.  With ``cache`` the few most recently used results are memoized
+    on (K, n_grid, n_rep, seed, workers).
     """
     workers = check_workers(workers)
     return (_path_extrema if cache else _path_extrema.__wrapped__)(K, n_grid, n_rep, seed, workers)
@@ -385,7 +387,7 @@ def _path_extrema(K, n_grid, n_rep, seed, workers):
     n_tasks = (n_rep + _BLOCK - 1) // _BLOCK * K  # those of ``_fill_blocks``
     with process_map(min(workers, n_tasks)) as map_:
         _fill_blocks(arrays, functools.partial(_block_extrema, seed, n_grid=n_grid), map_)
-    return {"bm": tuple(arrays[:2]), "bb": tuple(arrays[2:])}
+    return types.MappingProxyType({"bm": tuple(arrays[:2]), "bb": tuple(arrays[2:])})
 
 
 def empirical_quantile(draws: np.ndarray, level: float) -> float:

@@ -174,11 +174,22 @@ def ar1_bilinear_target(rho, sigma, v, w) -> float:
     """Stationary value of v' Cov(Y) w for the shared-innovation AR(1) model.
 
     With one innovation sequence driving all coordinates,
-    Cov(Y^(a), Y^(b)) = sigma^2 / (1 - rho_a * rho_b).
+    Cov(Y^(a), Y^(b)) = sigma^2 / (1 - rho_a * rho_b).  ``rho`` holds one or
+    more reals in (-1, 1), ``sigma`` is a positive finite real, and ``v``
+    and ``w`` hold as many finite reals as ``rho``; anything else is refused
+    by name.
     """
-    rho = np.asarray(rho, dtype=float)
+    try:
+        d = max(len(rho), 1)
+    except TypeError:  # a scalar, refused below
+        d = 1
+    rho = np.array(limits.real_vector(rho, d, "rho", -1.0, 1.0, "one or more reals in (-1, 1)"))
+    (sigma,) = limits.real_vector((sigma,), 1, "sigma", 0.0, math.inf, "a positive finite real")
+    v, w = (np.array(limits.real_vector(x, d, name, -math.inf, math.inf,
+                                        f"as many finite reals as rho ({d})"))
+            for x, name in ((v, "v"), (w, "w")))
     cov = sigma ** 2 / (1.0 - np.outer(rho, rho))
-    return float(np.asarray(v) @ cov @ np.asarray(w))
+    return float(v @ cov @ w)
 
 
 def export_panel_csv(samples, directory):

@@ -630,6 +630,18 @@ class TestCritvalCommand:
         assert rc == 0
         assert "seed: " in capsys.readouterr().out
 
+    def test_omitted_seed_replays_byte_for_byte(self, tmp_path, capsys):
+        # The seed is 63 bits from the operating system, and printing it is all a replay needs.
+        argv = ["critval", "--kind", "v-breve", "--K", "2", "--alpha", "1.0,1.5",
+                "--kappa", "0.5,0.5", "--workers", "1"] + FAST
+        assert cli.main(argv + ["--out", str(tmp_path / "drawn.csv")]) == 0
+        printed = capsys.readouterr().out
+        seed = int(re.fullmatch(r"seed: (\d+)", printed.splitlines()[0]).group(1))
+        assert 0 <= seed < 2**63
+        assert cli.main(argv + ["--seed", str(seed), "--out", str(tmp_path / "replay.csv")]) == 0
+        assert capsys.readouterr().out == printed.split("\n", 1)[1]
+        assert (tmp_path / "replay.csv").read_bytes() == (tmp_path / "drawn.csv").read_bytes()
+
     @pytest.mark.parametrize("kind", limits.CORRECTED_KINDS)
     def test_corrected_kinds_draw_no_seed(self, kind, capsys):
         rc = cli.main(["critval", "--kind", kind, "--K", "1", "--workers", "1"] + FAST)
@@ -699,6 +711,28 @@ def test_import_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout
     assert out == "[]\n"
+
+
+def test_q_breve_commands_load_no_rng_openssl_or_pool(tmp_path):
+    # A q-kind critical value is a closed-form law: at one worker, critval and
+    # test draw nothing, so they need neither numpy's generators, nor OpenSSL
+    # (which secrets and hashlib load), nor process machinery.
+    cfg = simgen.PanelConfig(K=2, d=2, N=(60, 60), rho0=(0.2, 0.2), sigma0=(1.0, 1.0), seed=3)
+    data = simgen.export_panel_csv(simgen.gen_ar1_panel(cfg), tmp_path)
+    write_lines(tmp_path / "v.txt", ["0.5", "0.5"])
+    critval = ["critval", "--kind", "q-breve", "--K", "2"]
+    test = ["test", "--kind", "q-breve", "--workers", "1", "--data", *data,
+            "--v", str(tmp_path / "v.txt")]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, covcusum.cli\n"
+            f"for argv in ({critval!r}, {test!r}):\n"
+            "    assert covcusum.cli.main(argv) == 0\n"
+            "print(sorted(m for m in ('secrets', 'hashlib', '_hashlib', 'numpy.random',\n"
+            "                         'multiprocessing') if m in sys.modules))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("argv", [

@@ -149,6 +149,22 @@ class TestExtremaCache:
         limits.draw_extrema.cache_clear()
         limits._path_extrema.cache_clear()
 
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_path_set_mapping_is_read_only(self, cache):
+        # A plain dict let r["bb"] = None make every later cached call return None.
+        limits._path_extrema.cache_clear()
+        r = limits.simulate_path_extrema(1, 100, 1000, seed=0, cache=cache)
+        with pytest.raises(TypeError):
+            r["bb"] = None
+        with pytest.raises(TypeError):
+            del r["bm"]
+        again = limits.simulate_path_extrema(1, 100, 1000, seed=0, cache=cache)
+        assert sorted(again) == ["bb", "bm"]
+        for law in ("bm", "bb"):
+            assert all(np.array_equal(x, y) for x, y in zip(again[law], r[law]))
+            assert (again[law][0] is r[law][0]) is cache
+        limits._path_extrema.cache_clear()
+
 
     def test_shift_made_per_call_leaves_the_memo_unshifted(self):
         # One draw set serves two n_grid: each value is the quantile of a

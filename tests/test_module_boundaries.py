@@ -1,5 +1,5 @@
 """Each covcusum module keeps its private names, ``limits`` alone builds random streams,
-one function alone starts pools, and no module starts a thread."""
+one function alone starts pools, no module starts a thread, and none loads OpenSSL."""
 
 import ast
 from pathlib import Path
@@ -62,3 +62,12 @@ def test_pools_only_in_their_owners(path):
 def test_no_threads(path):
     threads = ("threading", "_thread", "ThreadPoolExecutor")
     assert _named_outside(ast.parse(path.read_text()), path.stem, threads, set()) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_loads_openssl(path):
+    # secrets and hashlib load OpenSSL's libcrypto, megabytes of resident memory that
+    # a command drawing no stream does not need; an omitted seed comes from
+    # random.SystemRandom, the generator that secrets wraps.
+    openssl = ("secrets", "hashlib", "_hashlib")
+    assert _named_outside(ast.parse(path.read_text()), path.stem, openssl, set()) == []

@@ -262,6 +262,27 @@ class TestBilinearTarget:
         empirical = np.mean((y @ v) ** 2)
         assert empirical == pytest.approx(target, rel=0.03)
 
+    # rho = 1 used to return inf with a divide-by-zero warning, a short v a raw
+    # matmul error, and sigma = nan a nan target.
+    @pytest.mark.parametrize("rho, sigma, v, w, match", [
+        ([1.0], 1.0, [1.0], [1.0], r"rho must be one or more reals in \(-1, 1\), got \[1.0\]"),
+        ([-1.5, 0.2], 1.0, [1.0, 0.0], [1.0, 0.0], "rho must be one or more reals"),
+        (0.5, 1.0, [1.0], [1.0], "rho must be one or more reals"),
+        ([], 1.0, [], [], "rho must be one or more reals"),
+        ([0.5], float("nan"), [1.0], [1.0], r"sigma must be a positive finite real, got \(nan,\)"),
+        ([0.5], 0.0, [1.0], [1.0], "sigma must be a positive finite real"),
+        ([0.5], float("inf"), [1.0], [1.0], "sigma must be a positive finite real"),
+        ([0.5, 0.2], 1.0, [1.0], [1.0, 0.0],
+         r"v must be as many finite reals as rho \(2\), got \[1.0\]"),
+        ([0.5], 1.0, [1.0], [1.0, 0.0], r"w must be as many finite reals as rho \(1\)"),
+        ([0.5], 1.0, [np.inf], [1.0], "v must be as many finite reals as rho"),
+        ([0.5], 1.0, [1.0], [np.nan], "w must be as many finite reals as rho"),
+    ], ids=["rho-one", "rho-below", "rho-scalar", "rho-empty", "sigma-nan", "sigma-zero",
+            "sigma-inf", "v-short", "w-long", "v-inf", "w-nan"])
+    def test_bad_input_refused_by_name(self, rho, sigma, v, w, match):
+        with pytest.raises(ConfigurationError, match=match):
+            simgen.ar1_bilinear_target(rho, sigma, v, w)
+
 
 def test_export_panel_csv_round_trip(tmp_path):
     cfg = simgen.PanelConfig(K=2, d=2, N=(5, 7), rho0=(0.1, 0.2),
