@@ -4,6 +4,10 @@ Machine-readable output uses 17 significant digits so that replaying a
 printed seed reproduces it byte-identically; human-readable tables use 4.
 Exit codes: 0 success, 1 operational error, 2 invalid configuration.
 
+Importing ``covcusum`` loads no layer.  This module loads ``limits``,
+``simgen`` and ``sumproc``, all that ``critval`` and ``simulate`` run;
+``test`` imports ``cptest`` (and ``lrv``), ``experiment`` ``harness``.
+
 Input files: a sample CSV has one row per time point and one column per
 coordinate; a vector file has one value per line.  Blank lines are
 skipped, and a first line that is not numeric is a header.  Cells are
@@ -33,7 +37,7 @@ import sys
 
 import numpy as np
 
-from . import cptest, harness, limits, simgen, sumproc
+from . import limits, simgen, sumproc
 from .errors import ConfigurationError, CovCusumError, IngestionError
 
 
@@ -159,10 +163,10 @@ def parse_config_file(path):
     """Flat key-value config of ``simulate``'s panel settings.
 
     Lines are ``panel.key = value``; '#' starts a comment; values may be
-    comma-separated lists.  A key outside ``CONFIG_KEYS`` is refused with
-    ``file:line``.  Returns a flat dict of strings.
+    comma-separated lists.  A key outside ``CONFIG_KEYS``, or one set
+    twice, is refused with ``file:line``.  Returns a flat dict of strings.
     """
-    out = {}
+    out, set_at = {}, {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -173,6 +177,10 @@ def parse_config_file(path):
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in CONFIG_KEYS:
                 raise ConfigurationError(f"{path}:{lineno}: unknown setting {key!r}")
+            if key in set_at:
+                raise ConfigurationError(
+                    f"{path}:{lineno}: setting {key!r} already set at line {set_at[key]}")
+            set_at[key] = lineno
             out[key] = value
     return out
 
@@ -192,9 +200,9 @@ def _numbers(text, name, kind=float):
     return tuple(_number(x, name, kind) for x in str(text).split(","))
 
 
-def _spread(text, name, n):
-    """A comma list as given, or a scalar repeated ``n`` times."""
-    return _numbers(text, name) if "," in str(text) else (_number(text, name),) * n
+def _spread(text, name, n, kind=float):
+    """A comma list as given, or a scalar repeated ``n`` times, each item a ``kind``."""
+    return _numbers(text, name, kind) if "," in str(text) else (_number(text, name, kind),) * n
 
 
 def _resolve_seed(args):
@@ -224,7 +232,7 @@ def _cmd_simulate(args):
 
     K = _number(*get("K", 1), int)
     d = _number(*get("d", 1), int)
-    kwargs = dict(K=K, d=d, N=_numbers(*get("N", "100"), int),
+    kwargs = dict(K=K, d=d, N=_spread(*get("N", "100"), K, int),
                   rho0=_spread(*get("rho0", "0"), d), sigma0=_spread(*get("sigma0", "1"), K),
                   burn_in=_number(*get("burn_in", simgen.DEFAULT_BURN_IN), int))
     for key, n in (("rho1", d), ("sigma1", K)):
@@ -253,6 +261,8 @@ def _cmd_simulate(args):
 
 
 def _cmd_test(args):
+    from . import cptest
+
     if args.v is None:
         raise ConfigurationError("test requires a projection vector (--v)")
     limits.check_workers(args.workers)
@@ -320,6 +330,8 @@ def _cmd_critval(args):
 
 
 def _cmd_experiment(args):
+    from . import harness
+
     cfg = harness.ExperimentConfig(
         replications=args.replications,
         cases=tuple(args.cases.split(",")),
@@ -379,7 +391,7 @@ def build_parser():
     p.add_argument("--rep", type=int, default=0)
     for flag in ("K", "d", "rho0", "rho1", "sigma0", "sigma1"):
         p.add_argument(f"--{flag}", default=None)
-    p.add_argument("--N", default=None, help="comma-separated sample sizes")
+    p.add_argument("--N", default=None, help="sample size, or comma-separated sizes per sample")
     p.add_argument("--tau", default=None, help="comma-separated change indices")
     p.add_argument("--burn-in", dest="burn_in", default=None)
     p.set_defaults(func=_cmd_simulate)
@@ -411,10 +423,10 @@ def build_parser():
     p.add_argument("--replications", type=int, default=1000)
     p.add_argument("--cases", default="I")
     p.add_argument("--dims", default="10")
-    p.add_argument("--scenario", default="none", choices=harness.SCENARIOS)
+    p.add_argument("--scenario", default="none", choices=simgen.SCENARIOS)
     p.add_argument("--change-times", default=None,
-                   help=f"comma-separated change time instants in [1, {harness.HORIZON}) "
-                        f"(change scenarios only; default {harness.DEFAULT_CHANGE_TIME})")
+                   help=f"comma-separated change time instants in [1, {simgen.HORIZON}) "
+                        f"(change scenarios only; default {simgen.DEFAULT_CHANGE_TIME})")
     p.add_argument("--tests", default="q-breve,v-breve")
     p.add_argument("--learning-length", type=int, default=None,
                    help="time instants of separate learning data that estimate the LRV")

@@ -35,22 +35,20 @@ import numpy as np
 
 from . import cptest, limits, simgen, sumproc
 from .errors import ConfigurationError
+from .simgen import DEFAULT_CHANGE_TIME, HORIZON, SCENARIOS
 
-HORIZON = 1200
 CASE_SIZES = {
     "I": (100, 120, 70, 90),
     "II": (300, 250, 350, 180),
     "III": (500, 450, 550, 600),
     "IV": (1000, 900, 1100, 950),
 }
-DEFAULT_CHANGE_TIME = 600
 SIGMA_PRE = (1.0, 1.5, 0.7, 1.0)
 SIGMA_POST = (1.0, 0.7, 1.2, 1.0)
 
 # Bounds a batch's innovations, products and state, and apart its row block, at any d.
 PANEL_CHUNK_BYTES = 4 * 2 ** 20
 
-SCENARIOS = ("none", "sigma-change", "coefficient-change")
 MODE_IN_SAMPLE = "in-sample"
 MODE_LEARNING = "learning-sample"
 

@@ -23,8 +23,8 @@ shifted by the same beta / sqrt(n_grid), and the critical value is the
 Monte Carlo quantile of the weighted sums.  Each block of draws comes
 from its own ``stream``.  ``simulate_path_extrema`` still simulates the
 paths themselves, on ``process_map`` of ``workers`` processes, and
-returns the same (M+, M-) pair of each law; it is the tests' oracle, the
-package does not export it, and no critical value uses it.
+returns the same (M+, M-) pair of each law; it is the tests' oracle, and
+no critical value uses it.
 
 This module owns every random ``stream`` and ``child_seed``, and the
 readers of every setting: ``check_settings`` refuses a bad critical-value

@@ -36,6 +36,11 @@ from . import limits
 from .errors import ConfigurationError, ShapeError
 
 DEFAULT_BURN_IN = 500
+# A study spans HORIZON time instants; a scenario names the regime switch (sigma1
+# or rho1) injected after a change time instant, DEFAULT_CHANGE_TIME unless given.
+HORIZON = 1200
+DEFAULT_CHANGE_TIME = 600
+SCENARIOS = ("none", "sigma-change", "coefficient-change")
 
 
 @dataclass(frozen=True)

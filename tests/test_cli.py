@@ -310,6 +310,30 @@ class TestSimulateCommand:
         assert f"{cfg}:2: unknown setting {key!r}" in captured.err
         assert "seed:" not in captured.out
 
+    def test_config_key_set_twice_refused_naming_both_lines(self, tmp_path, capsys):
+        # The second value used to win: this file simulated d = 5.
+        cfg = tmp_path / "cfg"
+        write_lines(cfg, ["panel.d = 3", "# d again", "panel.d = 5"])
+        rc = cli.main(["simulate", "--out-dir", str(tmp_path / "out"), "--config", str(cfg)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert f"{cfg}:3: setting 'panel.d' already set at line 1" in captured.err
+        assert "seed:" not in captured.out
+        assert not (tmp_path / "out").exists()
+
+    def test_one_N_applies_to_every_sample(self, tmp_path, capsys):
+        # The default N of 100 used to be refused for K > 1.
+        for N, sizes in ((["--N", "50"], [50] * 3), ([], [100] * 3)):
+            out = tmp_path / str(len(N))
+            rc = cli.main(["simulate", "--out-dir", str(out), "--seed", "1", "--K", "3", *N])
+            assert rc == 0
+            paths = capsys.readouterr().out.split()
+            assert [len(np.loadtxt(p, delimiter=",")) for p in paths] == sizes
+        rc = cli.main(["simulate", "--out-dir", str(tmp_path), "--seed", "1", "--K", "3",
+                       "--N", "50,60"])
+        assert rc == 2
+        assert "N must be K positive whole numbers" in capsys.readouterr().err
+
 
 class TestTestCommand:
     def _panel_files(self, tmp_path, K=2, n=80, d=2, seed=3):
@@ -725,14 +749,25 @@ def test_q_breve_commands_load_no_rng_openssl_or_pool(tmp_path):
             "--v", str(tmp_path / "v.txt")]
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
+    # Nor do they load the layers they do not run: critval runs limits alone.
     code = ("import sys, covcusum.cli\n"
             f"for argv in ({critval!r}, {test!r}):\n"
             "    assert covcusum.cli.main(argv) == 0\n"
+            "    print('layers:', [m for m in ('covcusum.cptest', 'covcusum.lrv',\n"
+            "                                  'covcusum.harness') if m in sys.modules])\n"
             "print(sorted(m for m in ('secrets', 'hashlib', '_hashlib', 'numpy.random',\n"
             "                         'multiprocessing') if m in sys.modules))\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout
     assert out.splitlines()[-1] == "[]"
+    assert [line for line in out.splitlines() if line.startswith("layers:")] == [
+        "layers: []", "layers: ['covcusum.cptest', 'covcusum.lrv']"]
+    # And the package alone loads no layer.
+    code = ("import sys, covcusum\n"
+            "print(sorted(m for m in sys.modules if m.startswith('covcusum.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.splitlines() == ["[]"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -883,6 +918,19 @@ class TestExperimentCommand:
         assert rc == 2
         assert "seed:" not in capsys.readouterr().out
         assert calls == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "test", "critval", "experiment"])
+def test_help_exits_zero(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # the help is wrapped to the terminal
+    assert text.startswith(f"usage: covcusum {command}")
+    if command == "experiment":
+        assert f"in [1, {simgen.HORIZON})" in text
+        assert f"default {simgen.DEFAULT_CHANGE_TIME})" in text
+        assert "{" + ",".join(simgen.SCENARIOS) + "}" in text
 
 
 @pytest.mark.parametrize("argv, message", [
