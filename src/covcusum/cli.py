@@ -235,13 +235,10 @@ def _cmd_simulate(args):
     kwargs = dict(K=K, d=d, N=_spread(*get("N", "100"), K, int),
                   rho0=_spread(*get("rho0", "0"), d), sigma0=_spread(*get("sigma0", "1"), K),
                   burn_in=_number(*get("burn_in", simgen.DEFAULT_BURN_IN), int))
-    for key, n in (("rho1", d), ("sigma1", K)):
+    for key, n, kind in (("rho1", d, float), ("sigma1", K, float), ("tau", K, int)):
         text, name = get(key)
         if text is not None:
-            kwargs[key] = _spread(text, name, n)
-    text, name = get("tau")
-    if text is not None:
-        kwargs["tau"] = _numbers(text, name, int)
+            kwargs[key] = _spread(text, name, n, kind)
 
     config = simgen.PanelConfig(**kwargs)  # refused settings draw no seed
     if args.rep < 0:
@@ -375,7 +372,7 @@ def build_parser():
         seeded(p)
         p.add_argument("--workers", type=int, default=1,
                        help="test: processes parsing --data files at once; experiment: "
-                            "processes running parts of a cell's batches at once; critval: "
+                            "processes running a cell's batches at once; critval: "
                             "checked, changes nothing.  A pool of forked processes starts in "
                             "about 15 ms; the numbers are the same for every count")
         p.add_argument("--level", type=float, default=0.95)
@@ -392,7 +389,8 @@ def build_parser():
     for flag in ("K", "d", "rho0", "rho1", "sigma0", "sigma1"):
         p.add_argument(f"--{flag}", default=None)
     p.add_argument("--N", default=None, help="sample size, or comma-separated sizes per sample")
-    p.add_argument("--tau", default=None, help="comma-separated change indices")
+    p.add_argument("--tau", default=None,
+                   help="change index, or comma-separated indices per sample")
     p.add_argument("--burn-in", dest="burn_in", default=None)
     p.set_defaults(func=_cmd_simulate)
 

@@ -14,10 +14,10 @@ rows are projected as a small block of the recursion makes them, every
 replication through its own pair, into an (R, N_j) or (R, L_j) array.
 ``PANEL_CHUNK_BYTES`` bounds memory for any count and any d.  The tests,
 specified once per cell, run on the whole batch at once
-(``cptest.run_batch``).  A cell adds up the rejections of its parts:
-min(workers, batches) runs of whole batches, on one pool of forked
-processes for the grid (``limits.process_map``), and none for a grid of
-one-batch cells.  Results do not depend on the batch, block or part size.
+(``cptest.run_batch``).  A batch is one task: a cell adds up the
+rejections of its batches, run on one pool of forked processes for the
+grid (``limits.process_map``), and on none for a grid of one-batch cells.
+Results do not depend on the batch or block size or the worker count.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ CASE_SIZES = {
 SIGMA_PRE = (1.0, 1.5, 0.7, 1.0)
 SIGMA_POST = (1.0, 0.7, 1.2, 1.0)
 
-# Bounds a batch's innovations, products and state, and apart its row block, at any d.
+# Bounds a batch's innovations, products and state, and separately its row block, at any d.
 PANEL_CHUNK_BYTES = 4 * 2 ** 20
 
 MODE_IN_SAMPLE = "in-sample"
@@ -195,60 +195,46 @@ def _cell_configs(case, d, change_time, cfg, cell_index):
     return simgen.PanelConfig(seed=seed, **base_kwargs), learning_cfg
 
 
-def _parts(panel_cfg, learning_cfg, cfg):
-    """A cell's replications as min(workers, batches) contiguous ranges of whole batches,
-    each stepping by the batch size: ``PANEL_CHUNK_BYTES`` over a replication's share."""
+def _batch_size(panel_cfg, learning_cfg):
+    """Replications per batch: ``PANEL_CHUNK_BYTES`` over one replication's share."""
     configs = [c for c in (panel_cfg, learning_cfg) if c is not None]
     per_rep = sum(8 * (c.K * (c.burn_in + max(c.N) + 4 * c.d) + sum(c.N)) for c in configs)
-    size = max(1, PANEL_CHUNK_BYTES // per_rep)
-    batches = -(-cfg.replications // size)
-    n = min(cfg.workers, batches)
-    edges = [min(i * batches // n * size, cfg.replications) for i in range(n + 1)]
-    return [range(a, b, size) for a, b in zip(edges, edges[1:])]
+    return max(1, PANEL_CHUNK_BYTES // per_rep)
 
 
-def _batches(panel_cfg, learning_cfg, reps):
-    """Yield the products of the replications of ``reps`` in batches of ``reps.step``.
+def _batch(panel_cfg, learning_cfg, block):
+    """The products of the replications of ``block``, a range of them.
 
     Replication r is rep 2r of ``panel_cfg`` and rep 2r + 1 of ``learning_cfg``,
     if any, projected through r's own pair: one (R, N_j) array per sample and
     one (R, L_j) array per learning block or None.  Per sample, it holds T
     innovations, N_j products and 4 d of state (rho, step, a row, the pair);
-    a row block takes a quarter of the budget.  A batch is released before
-    the next is generated, if the caller lets go of it too.
+    a row block takes a quarter of the budget.
     """
     configs = [c for c in (panel_cfg, learning_cfg) if c is not None]
     d, seed = panel_cfg.d, panel_cfg.seed
-    for first in reps:
-        block = range(first, min(first + reps.step, reps.stop))
-        pair = sumproc.ProjectionPair.from_vectors(np.stack(
-            [simgen.gen_dirichlet_projection(d, limits.child_seed(seed, r + 1)) for r in block]))
-        products = [[np.empty((len(block), m)) for m in c.N] for c in configs]
-        for i, c in enumerate(configs):
-            rows = np.empty((min(max(1, PANEL_CHUNK_BYTES // (32 * c.K * len(block) * d)),
-                                 c.burn_in + max(c.N)), c.K, len(block), d))
-            for s, y in simgen.gen_ar1_blocks(c, [2 * r + i for r in block], rows):
-                for j, m in enumerate(c.N):
-                    lo, hi = max(s, 0), min(s + len(y), m)
-                    if lo < hi:
-                        products[i][j][:, lo:hi] = sumproc.project(y[lo - s:hi - s, j], pair)
-        del rows, y
-        yield products[0], products[1] if learning_cfg is not None else None
-        del products
+    pair = sumproc.ProjectionPair.from_vectors(np.stack(
+        [simgen.gen_dirichlet_projection(d, limits.child_seed(seed, r + 1)) for r in block]))
+    products = [[np.empty((len(block), m)) for m in c.N] for c in configs]
+    for i, c in enumerate(configs):
+        rows = np.empty((min(max(1, PANEL_CHUNK_BYTES // (32 * c.K * len(block) * d)),
+                             c.burn_in + max(c.N)), c.K, len(block), d))
+        for s, y in simgen.gen_ar1_blocks(c, [2 * r + i for r in block], rows):
+            for j, m in enumerate(c.N):
+                lo, hi = max(s, 0), min(s + len(y), m)
+                if lo < hi:
+                    products[i][j][:, lo:hi] = sumproc.project(y[lo - s:hi - s, j], pair)
+    return products[0], products[1] if learning_cfg is not None else None
 
 
-def _rejections(panel_cfg, learning_cfg, specs, reps):
-    """Rejections of each of ``specs`` among the replications ``reps`` of a cell."""
-    counts = [0] * len(specs)
-    for batch, learning in _batches(panel_cfg, learning_cfg, reps):
-        reports = cptest.run_batch(batch, specs, learning)
-        del batch, learning  # not held while the next batch is generated
-        counts = [c + int(np.count_nonzero(r.reject)) for c, r in zip(counts, reports)]
-    return counts
+def _rejections(panel_cfg, learning_cfg, specs, block):
+    """Rejections of each of ``specs`` among the replications ``block`` of a cell, one batch."""
+    batch, learning = _batch(panel_cfg, learning_cfg, block)
+    return [int(np.count_nonzero(r.reject)) for r in cptest.run_batch(batch, specs, learning)]
 
 
 def run_cell(case, d, change_time, cfg: ExperimentConfig, cell_index, map_=map):
-    """Run every test of ``cfg`` on one cell, its parts through ``map_``; ``change_time``
+    """Run every test of ``cfg`` on one cell, its batches through ``map_``; ``change_time``
     is None under ``none``."""
     t0 = time.perf_counter()
     panel_cfg, learning_cfg = _cell_configs(case, d, change_time, cfg, cell_index)
@@ -256,13 +242,13 @@ def run_cell(case, d, change_time, cfg: ExperimentConfig, cell_index, map_=map):
     specs = [cptest.TestSpec(kind=t, level=cfg.level, n_grid=cfg.critval_n_grid,
                              n_rep=cfg.critval_n_rep, seed=seed)
              for t in cfg.tests]
-    parts = map_(functools.partial(_rejections, panel_cfg, learning_cfg, specs),
-                 _parts(panel_cfg, learning_cfg, cfg))
-    rejections = [sum(counts) for counts in zip(*parts)]
+    n, size = cfg.replications, _batch_size(panel_cfg, learning_cfg)
+    batches = map_(functools.partial(_rejections, panel_cfg, learning_cfg, specs),
+                   (range(a, min(a + size, n)) for a in range(0, n, size)))
+    rejections = [sum(counts) for counts in zip(*batches)]
 
     wall_time = time.perf_counter() - t0
     results = []
-    n = cfg.replications
     for t, r in zip(cfg.tests, rejections):
         p = r / n
         results.append(CellResult(
@@ -277,13 +263,14 @@ def run_experiment(cfg: ExperimentConfig):
     """Run the full grid of cells; deterministic for a fixed master seed.
 
     Each cell draws from its own seed stream, so adding or removing cells
-    never perturbs the others.  The pool has as many processes as a cell
-    has parts at most, and is none if that is one; the rows are the same.
+    never perturbs the others.  The grid's one pool has ``workers`` processes,
+    or fewer if no cell has that many batches, and is none if that is one;
+    its processes take the next batch as they finish one.  The rows are the same.
     """
     cells = list(enumerate(itertools.product(cfg.cases, cfg.dims, cfg.change_times or (None,))))
-    workers = max(len(_parts(*_cell_configs(case, d, ct, cfg, i), cfg))
+    batches = max(-(-cfg.replications // _batch_size(*_cell_configs(case, d, ct, cfg, i)))
                   for i, (case, d, ct) in cells)
-    with limits.process_map(workers) as map_:
+    with limits.process_map(min(cfg.workers, batches)) as map_:
         return [row for i, (case, d, ct) in cells for row in run_cell(case, d, ct, cfg, i, map_)]
 
 

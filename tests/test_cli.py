@@ -334,6 +334,29 @@ class TestSimulateCommand:
         assert rc == 2
         assert "N must be K positive whole numbers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_one_tau_applies_to_every_sample(self, tmp_path, capsys, source):
+        # One tau value used to be refused for K > 1, while one sigma1 value was spread.
+        change = {"tau": "50", "sigma1": "2", "rho1": "0.5"}
+        if source == "flags":
+            args = [f"--{key}={value}" for key, value in change.items()]
+        else:
+            cfg = tmp_path / "cfg"
+            write_lines(cfg, [f"panel.{key} = {value}" for key, value in change.items()])
+            args = ["--config", str(cfg)]
+        rc = cli.main(["simulate", "--out-dir", str(tmp_path / "out"), "--seed", "4",
+                       "--K", "2", "--d", "2", *args])
+        assert rc == 0
+        cfg = simgen.PanelConfig(K=2, d=2, N=(100, 100), rho0=(0.0, 0.0), sigma0=(1.0, 1.0),
+                                 rho1=(0.5, 0.5), sigma1=(2.0, 2.0), tau=(50, 50), seed=4)
+        paths = capsys.readouterr().out.split()
+        for p, y in zip(paths, simgen.gen_ar1_panel(cfg), strict=True):
+            np.testing.assert_array_equal(np.loadtxt(p, delimiter=","), y)
+        rc = cli.main(["simulate", "--out-dir", str(tmp_path), "--seed", "4", "--K", "2",
+                       "--tau", "50,60,70", "--sigma1", "2"])
+        assert rc == 2
+        assert "tau must be K positive whole numbers, got (50, 60, 70)" in capsys.readouterr().err
+
 
 class TestTestCommand:
     def _panel_files(self, tmp_path, K=2, n=80, d=2, seed=3):
@@ -411,6 +434,15 @@ class TestTestCommand:
                        "--data", str(tmp_path / "missing.csv"), "--v", str(tmp_path / "v.txt")])
         assert rc == 2
         assert capsys.readouterr().err == "configuration error: workers must be >= 1, got 0\n"
+
+    def test_refusal_of_no_sample_names_no_file(self, tmp_path, capsys):
+        # The test refuses the level, not a sample: the message carries no --data file.
+        data, v = self._panel_files(tmp_path)
+        rc = cli.main(["test", "--kind", "q-breve", "--level", "0.99999999999999",
+                       "--data", *data, "--v", v])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "configuration error: level 0.99999999999999 is beyond the tabulated law\n")
 
     def test_missing_file_exit_code_one(self, tmp_path):
         rc = cli.main(["test", "--data", str(tmp_path / "nope.csv"),

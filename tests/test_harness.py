@@ -263,7 +263,8 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "PANEL_CHUNK_BYTES", 1280)  # row blocks of 5 rows
 
         first = 0
-        for batch, learning in harness._batches(panel_cfg, learning_cfg, range(3)):
+        for batch, learning in (harness._batch(panel_cfg, learning_cfg, range(r, r + 1))
+                                for r in range(3)):
             block = range(first, first + len(batch[0]))
             first = block.stop
             pair = sumproc.ProjectionPair.from_vectors(np.stack(
@@ -364,7 +365,7 @@ class TestWorkers:
     # Case I at d = 2 in batches of 2 replications (a PANEL_CHUNK_BYTES of 50 000), with a
     # change, so that the parts' rejections add up to rates above 0.
     @pytest.mark.parametrize("workers, replications, size, parts", [
-        (2, 5, 2, [(0, 2), (2, 5)]),
+        (2, 5, 2, [(0, 2), (2, 4), (4, 5)]),
         (3, 5, 3, [(0, 2), (2, 4), (4, 5)]),
         (3, 4, 2, [(0, 2), (2, 4)]),  # two batches: a pool of two
         (3, 2, None, [(0, 2)])],  # one batch: no pool
