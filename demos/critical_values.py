@@ -22,12 +22,12 @@ print(f"  known-target 95%   (theory 5.024): "
 
 print("\nsum-of-squares bridge statistic, level 0.95:")
 for K in (1, 2, 4, 6):
-    value = limits.critical_value(CritValRequest(kind="q-breve", K=K, level=0.95))
-    print(f"  K={K}: {value:.4f} ({limits.method_of('q-breve')})")
+    req = CritValRequest(kind="q-breve", K=K, level=0.95)
+    print(f"  K={K}: {limits.critical_value(req):.4f} ({req.law.method})")
 
 print("\npooled bridge statistic with unequal scales, level 0.95:")
 req = CritValRequest(kind="v-breve", K=4, level=0.95,
                      alpha_weights=(1.0, 1.5, 0.7, 1.0),
                      kappa=(100 / 380, 120 / 380, 70 / 380, 90 / 380),
                      seed=5)
-print(f"  K=4: {limits.critical_value(req):.4f} ({limits.method_of('v-breve')})")
+print(f"  K=4: {limits.critical_value(req):.4f} ({req.law.method})")

@@ -10,10 +10,11 @@ Importing ``covcusum`` loads no layer.  This module loads ``limits``,
 
 Input files: a sample CSV has one row per time point and one column per
 coordinate; a vector file has one value per line.  Blank lines are
-skipped, and a first line that is not numeric is a header.  Cells are
-parsed by numpy; a non-numeric or non-finite cell, or a row of another
-width, is refused with ``file:line``, and a refusal about one sample
-names its ``--data`` file.  ``--n-rep`` is read by the ``v`` kinds only.
+skipped, and a first line that is not numeric after any byte-order mark
+is a header.  Cells are parsed by numpy; a non-numeric or non-finite
+cell, or a row of another width, is refused with ``file:line``, and a
+refusal about one sample names its ``--data`` file.  ``--n-rep`` is read
+by the ``v`` kinds only.
 
 ``test`` streams each ``--data`` file in blocks of ``BLOCK_ROWS`` data
 lines, projecting each block as soon as it is parsed, so a sample costs
@@ -49,6 +50,7 @@ BLOCK_ROWS = 64
 def _data_lines(fh, linenos):
     """Yield the data lines of ``fh``, recording the physical number of each."""
     for lineno, line in enumerate(fh, start=1):
+        line = line.removeprefix("\ufeff") if lineno == 1 else line  # a byte-order mark
         if line.isspace() or (lineno == 1 and not _is_numeric(line)):
             continue
         linenos.append(lineno)
@@ -271,7 +273,8 @@ def _cmd_test(args):
         raise ConfigurationError(f"--learning-length must be >= 1, got {args.learning_length}")
     spec = cptest.TestSpec(kind=args.kind, level=args.level, targets=targets,
                            n_grid=args.n_grid, n_rep=args.n_rep)  # refused settings draw no seed
-    if limits.method_of(spec.kind) == "exact-mc":
+    law = limits.NullLaw(spec.kind, len(args.data), spec.n_grid, spec.n_rep, spec.seed)
+    if law.seed is not None:  # a law that reads no seed draws none
         spec = dataclasses.replace(spec, seed=_resolve_seed(args))
     L = args.learning_length
     products, _ = load_bundle(args.data, args.v, args.w, args.workers, L)
@@ -307,19 +310,17 @@ def _cmd_critval(args):
         kind=args.kind, K=args.K, level=args.level, n_grid=args.n_grid, n_rep=args.n_rep,
         alpha_weights=_numbers(args.alpha, "--alpha") if args.alpha else None,
         kappa=_numbers(args.kappa, "--kappa") if args.kappa else None)  # refused: draws no seed
-    if limits.method_of(req.kind) == "exact-mc":
+    if req.law.seed is not None:
         req = dataclasses.replace(req, seed=_resolve_seed(args))
-    value = limits.critical_value(req)
-    method = limits.method_of(req.kind)
-    print(f"{req.kind} K={req.K} level={req.level:.4g}: {value:.4g} ({method})")
+    value, law = limits.critical_value(req), req.law
+    print(f"{req.kind} K={req.K} level={req.level:.4g}: {value:.4g} ({law.method})")
     if args.out:
-        # n_rep and seed of a "corrected" value did not enter it: empty cells.
-        mc = method == "exact-mc"
+        # An n_rep or seed that did not enter the value is None: an empty cell.
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["kind", "K", "level", "value", "n_grid", "n_rep", "seed", "method"])
             writer.writerow([req.kind, req.K, _fmt(req.level), _fmt(value), req.n_grid,
-                             req.n_rep if mc else "", req.seed if mc else "", method])
+                             law.n_rep, law.seed, law.method])
     return 0
 
 

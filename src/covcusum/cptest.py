@@ -194,19 +194,6 @@ def _statistic(summary, spec):
     return stat, np.stack(argmax, axis=-1)
 
 
-def _critical_values(summary, spec, R):
-    """The (R,) critical values of one request: one value for the q kinds, and for the v
-    kinds one per replication, from its row of the (R, K) weight stack."""
-    weights = {}
-    if spec.kind in limits.POOLED_KINDS:
-        n_total = sum(summary.sizes)
-        weights = dict(alpha_weights=np.sqrt(np.stack([e.alpha_sq for e in summary.lrv], axis=-1)),
-                       kappa=tuple(n / n_total for n in summary.sizes))
-    req = limits.CritValRequest(kind=spec.kind, K=len(summary.sizes), level=spec.level,
-                                n_grid=spec.n_grid, n_rep=spec.n_rep, seed=spec.seed, **weights)
-    return np.full(R, limits.critical_value(req))
-
-
 @dataclass
 class BatchReport:
     """One test on a batch of R panels: entry r of each array belongs to panel r.
@@ -222,19 +209,17 @@ class BatchReport:
     argmax_k: np.ndarray
     spec: TestSpec
     sample_sizes: tuple
+    law: limits.NullLaw  # whose quantiles are the critical values
 
     def report(self, r: int) -> TestReport:
         """Panel r's ``TestReport``."""
-        method = limits.method_of(self.spec.kind)
         infos = [PerSampleInfo(alpha_sq=float(a), bandwidth=float(b), argmax_k=int(k))
                  for a, b, k in zip(self.alpha_sq[r], self.bandwidth[r], self.argmax_k[r])]
         return TestReport(statistic=float(self.statistic[r]),
                           critical_value=float(self.critical_value[r]),
                           level=self.spec.level, reject=bool(self.reject[r]),
                           per_sample=infos, sample_sizes=self.sample_sizes,
-                          kind=self.spec.kind,
-                          seed=self.spec.seed if method == "exact-mc" else None,
-                          method=method)
+                          kind=self.spec.kind, seed=self.law.seed, method=self.law.method)
 
 
 def run_batch(batch, specs: Sequence[TestSpec], learning=None) -> list:
@@ -247,16 +232,19 @@ def run_batch(batch, specs: Sequence[TestSpec], learning=None) -> list:
     per spec.
     """
     summary = _summarize(batch, learning)
-    R = len(summary.sums[0])
+    R, K = len(summary.sums[0]), len(summary.sizes)
     alpha_sq = np.stack([e.alpha_sq for e in summary.lrv], axis=-1)
     bandwidth = np.stack([e.bandwidth for e in summary.lrv], axis=-1)
     reports = []
     for spec in specs:
-        stat, argmax = _statistic(summary, spec)
-        crit = _critical_values(summary, spec, R)
+        stat, argmax = _statistic(summary, spec)  # refuses an empty sample first
+        # Row r weights replication r's pooled law: c_j = alpha_j sqrt(N_j / N).
+        weights = np.sqrt(alpha_sq) * np.sqrt([n / sum(summary.sizes) for n in summary.sizes])
+        law = limits.NullLaw(spec.kind, K, spec.n_grid, spec.n_rep, spec.seed)
+        crit = np.full(R, law.quantile(spec.level, weights))
         reports.append(BatchReport(statistic=stat, critical_value=crit, reject=stat > crit,
                                    alpha_sq=alpha_sq, bandwidth=bandwidth, argmax_k=argmax,
-                                   spec=spec, sample_sizes=summary.sizes))
+                                   spec=spec, sample_sizes=summary.sizes, law=law))
     return reports
 
 

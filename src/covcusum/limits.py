@@ -32,8 +32,8 @@ setting for ``CritValRequest``, ``cptest.TestSpec`` and
 ``harness.ExperimentConfig`` alike, ``check_seed`` a seed outside
 [0, 2**64) for them, ``simgen.PanelConfig`` and every stream,
 ``check_workers`` a worker count below 1 (``process_map`` starts every
-process pool), ``whole_number`` an integer
-setting that is a bool or a fraction, and ``real_vector`` a vector
+process pool), ``whole_number`` an integer setting that is a bool, a
+fraction or below its least value, and ``real_vector`` a vector
 setting (weights here, the panel coefficients and scales of
 ``simgen.PanelConfig``) of another length or with an entry out of range
 or not a real; a request is complete or refused when made.  It owns
@@ -42,11 +42,11 @@ memos on their arguments: ``_corrected_quantile``, the quantile tables,
 and the few most recently used draw sets (``draw_extrema``) and path sets
 (``simulate_path_extrema``).  Memoized arrays, and the mapping that holds
 a path set, are read-only, so that no caller can change a later result by
-writing into one.  A v-kind request carries one row of weights or an
-(R, K) stack of them, one row per replication of a batch; each call
-shifts the draws by beta / sqrt(n_grid) once and weights them afresh for
-every row.  Callers ask ``critical_value`` and keep no cache of their
-own.
+writing into one.  A ``NullLaw`` says how its critical values are reached:
+its ``method``, and the ``n_rep`` and ``seed`` it reads, None for the q
+kinds.  Its ``quantile`` takes K weights or an (R, K) array of them, one
+row per replication of a batch.  Callers ask a law or ``critical_value``
+and keep no cache of their own.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ import functools
 import math
 import numbers
 import types
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -66,7 +66,7 @@ from .errors import ConfigurationError
 KINDS = ("q", "v", "q-breve", "v-breve")
 # Pooled kinds take one grid maximum over all samples; bridge kinds recenter
 # by the endpoint and need no target; corrected kinds have a closed-form
-# critical value (``method_of``).
+# critical value (``NullLaw.method``).
 POOLED_KINDS = ("v", "v-breve")
 BRIDGE_KINDS = ("q-breve", "v-breve")
 CORRECTED_KINDS = ("q", "q-breve")
@@ -174,16 +174,13 @@ def _corrected_quantile(kind: str, K: int, level: float, n_grid: int,
     return float(step * (m - 1 + (K + 1) / 2 + (level - lo) / (hi - lo)))
 
 
-def method_of(kind: str) -> str:
-    """How ``critical_value`` obtains the value for ``kind``."""
-    return "corrected" if kind in CORRECTED_KINDS else "exact-mc"
-
-
-def whole_number(value, name: str) -> int:
-    """``value``, an integral real, as an int; anything else is refused naming ``name``."""
+def whole_number(value, name: str, low: Optional[int] = None) -> int:
+    """``value``, an integral real of at least ``low``, as an int, or a refusal naming ``name``."""
     if (isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real)
             or not float(value).is_integer()):
         raise ConfigurationError(f"{name} must be a whole number, got {value!r}")
+    if low is not None and value < low:
+        raise ConfigurationError(f"{name} must be >= {low}, got {int(value)}")
     return int(value)
 
 
@@ -225,13 +222,13 @@ def stream(seed, *key) -> np.random.Generator:
     ``child_seed``.
     """
     ss = np.random.SeedSequence(check_seed(seed),
-                                spawn_key=tuple(whole_number(k, "key") for k in key))
+                                spawn_key=tuple(whole_number(k, "key", 0) for k in key))
     return np.random.Generator(np.random.Philox(ss))
 
 
 def child_seed(seed, i) -> int:
     """The i-th 64-bit seed derived from ``seed``, as a cell's from its experiment's."""
-    ss = np.random.SeedSequence(check_seed(seed), spawn_key=(whole_number(i, "key"),))
+    ss = np.random.SeedSequence(check_seed(seed), spawn_key=(whole_number(i, "key", 0),))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -243,17 +240,14 @@ def check_settings(kind: str, level: float, n_grid: int, n_rep: int, seed: int) 
         raise ConfigurationError(f"level must be in (0, 1), got {level!r}")
     if (n_grid := whole_number(n_grid, "n_grid")) < 100:
         raise ConfigurationError("n_grid must be >= 100")
-    if method_of(kind) == "exact-mc" and (n_rep := whole_number(n_rep, "n_rep")) < 1000:
+    if kind not in CORRECTED_KINDS and (n_rep := whole_number(n_rep, "n_rep")) < 1000:
         raise ConfigurationError("n_rep must be >= 1000")
     return float(level), n_grid, n_rep, check_seed(seed)
 
 
 @dataclass(frozen=True)
 class CritValRequest:
-    """A complete request: pooled kinds carry ``alpha_weights`` and ``kappa``, others neither.
-
-    ``alpha_weights`` is K reals, or an (R, K) stack whose row r weights replication r.
-    """
+    """A complete request: pooled kinds carry K ``alpha_weights`` and ``kappa``, others neither."""
 
     kind: str
     K: int
@@ -263,6 +257,7 @@ class CritValRequest:
     n_grid: int = DEFAULT_N_GRID
     n_rep: int = DEFAULT_N_REP
     seed: int = 0
+    law: NullLaw = field(init=False)  # whose quantile at ``level`` is the critical value
 
     def __post_init__(self):
         settings = check_settings(self.kind, self.level, self.n_grid, self.n_rep, self.seed)
@@ -277,16 +272,18 @@ class CritValRequest:
                 f"kind {self.kind!r} " + ("requires alpha_weights and kappa" if pooled
                                           else "takes no alpha_weights or kappa"))
         if pooled:
-            def read(values, name="alpha_weights"):
-                return real_vector(values, self.K, name, 0.0, math.inf, "K positive finite reals")
-
-            alphas = self.alpha_weights  # an (R, K) stack is read row by row; R = 0 is refused
-            object.__setattr__(self, "alpha_weights", tuple(map(read, alphas))
-                               if np.asarray(alphas, dtype=object).ndim == 2 and len(alphas)
-                               else read(alphas))
-            object.__setattr__(self, "kappa", read(self.kappa, "kappa"))
+            for name in ("alpha_weights", "kappa"):
+                object.__setattr__(self, name, real_vector(getattr(self, name), self.K, name, 0.0,
+                                                           math.inf, "K positive finite reals"))
             if sum(self.kappa) > 1.0 + 1e-9:
                 raise ConfigurationError("kappa entries must sum to at most 1")
+        object.__setattr__(self, "law", NullLaw(self.kind, self.K, self.n_grid, self.n_rep,
+                                                self.seed))
+
+    @property
+    def weights(self) -> Optional[np.ndarray]:
+        """The K weights c_j = alpha_j sqrt(kappa_j) of a pooled kind's law, else None."""
+        return None if self.kappa is None else np.multiply(self.alpha_weights, np.sqrt(self.kappa))
 
 
 def _block_extrema(seed, block_index, j, n_block, n_grid):
@@ -319,9 +316,7 @@ def _block_extrema(seed, block_index, j, n_block, n_grid):
 
 def check_workers(workers) -> int:
     """``workers`` as an int; a count that is not a whole number of at least 1 is refused."""
-    if (workers := whole_number(workers, "workers")) < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    return workers
+    return whole_number(workers, "workers", 1)
 
 
 @contextlib.contextmanager
@@ -581,25 +576,49 @@ def draw_extrema(law: str, K: int, n_rep: int, seed: int, /):
     return arrays
 
 
-def critical_value(req: CritValRequest) -> float | np.ndarray:
-    """Critical value of the requested statistic at its level.
+@dataclass(frozen=True)
+class NullLaw:
+    """The null law of ``kind``'s statistic for K samples on a grid of ``n_grid`` points,
+    of settings that ``check_settings`` has read.
 
-    The q kinds use ``_corrected_quantile``, which ignores ``req.seed``
-    and ``req.n_rep``; the v kinds are Monte Carlo quantiles over
-    ``draw_extrema``, shifted by beta / sqrt(n_grid) once per call.
-    Returns a float, or an (R,) array for an (R, K) stack of
-    ``alpha_weights``, whose entry r is the float that row r alone gives.
+    ``method`` says how its quantiles are reached: "corrected" for the q kinds,
+    whose ``n_rep`` and ``seed`` are None whatever was given, for they read
+    neither, and "exact-mc" for the v kinds.
     """
-    if method_of(req.kind) == "corrected":
-        return _corrected_quantile(req.kind, req.K, req.level, req.n_grid)
-    law = "bb" if req.kind in BRIDGE_KINDS else "bm"
-    shift = BGK_BETA / math.sqrt(req.n_grid)
-    hi, lo = (np.maximum(a - shift, 0.0)
-              for a in draw_extrema(law, req.K, req.n_rep, req.seed))
-    # The grid supremum of |sum_j c_j B_j(s_j)| with positive weights
-    # c_j = alpha_j sqrt(kappa_j) separates per coordinate.  One matrix-vector
-    # product per row gives each row of a stack the bits of its own request.
-    c = np.asarray(req.alpha_weights) * np.sqrt(req.kappa)
-    values = np.array([empirical_quantile(np.maximum(hi @ row, lo @ row), req.level)
-                       for row in np.atleast_2d(c)])
-    return values if c.ndim == 2 else float(values[0])
+
+    kind: str
+    K: int
+    n_grid: int
+    n_rep: Optional[int]
+    seed: Optional[int]
+    method: str = field(init=False)
+
+    def __post_init__(self):
+        corrected = self.kind in CORRECTED_KINDS
+        object.__setattr__(self, "method", "corrected" if corrected else "exact-mc")
+        if corrected:
+            object.__setattr__(self, "n_rep", None)
+            object.__setattr__(self, "seed", None)
+
+    def quantile(self, level: float, weights=None) -> float | np.ndarray:
+        """The level-quantile; the v kinds weight sample j by c_j = alpha_j sqrt(kappa_j).
+
+        K weights give a float, and an (R, K) array gives an (R,) array whose
+        entry r is the float that row r alone gives.  The q kinds read no weights.
+        """
+        if self.method == "corrected":
+            return _corrected_quantile(self.kind, self.K, level, self.n_grid)
+        shift = BGK_BETA / math.sqrt(self.n_grid)  # once per call, for every row
+        hi, lo = (np.maximum(a - shift, 0.0) for a in draw_extrema(
+            "bb" if self.kind in BRIDGE_KINDS else "bm", self.K, self.n_rep, self.seed))
+        # The grid supremum of |sum_j c_j B_j(s_j)| with positive c_j separates
+        # per coordinate.  One matrix-vector product per row keeps each row's bits.
+        c = np.asarray(weights)
+        values = np.array([empirical_quantile(np.maximum(hi @ row, lo @ row), level)
+                           for row in np.atleast_2d(c)])
+        return values if c.ndim == 2 else float(values[0])
+
+
+def critical_value(req: CritValRequest) -> float:
+    """The critical value of ``req``: its law's quantile at its level and weights."""
+    return req.law.quantile(req.level, req.weights)

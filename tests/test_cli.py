@@ -231,6 +231,20 @@ class TestLoaders:
         write_lines(f, ["weight", "0.25", "", "0.75"])
         np.testing.assert_array_equal(cli._load_vector(f, expected_d=2), [0.25, 0.75])
 
+    @pytest.mark.parametrize("header", [[], ["c1,c2"]], ids=["data-first", "header-first"])
+    def test_byte_order_mark_is_not_a_header(self, tmp_path, header):
+        # A line 1 that began with a BOM read as a header: a sample lost its first
+        # observation, and a vector was refused as one value short.
+        plain, marked, v = tmp_path / "plain.csv", tmp_path / "marked.csv", tmp_path / "v.txt"
+        write_lines(plain, header + ["1,2", "3,4", "5,7"])
+        marked.write_text("\ufeff" + plain.read_text(), encoding="utf-8")
+        v.write_text("\ufeff0.25\n0.75\n", encoding="utf-8")
+        np.testing.assert_array_equal(cli._load_vector(v, expected_d=2), [0.25, 0.75])
+        (got,), _ = cli.load_bundle([marked], v)
+        (want,), _ = cli.load_bundle([plain], v)
+        assert got.shape == (3,)
+        np.testing.assert_array_equal(got, want)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_bundle_returns_samples_and_vectors(self, tmp_path, workers):
         a, b, v = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "v.txt"
@@ -562,7 +576,7 @@ class TestTestCommand:
         pair = sumproc.ProjectionPair.from_vectors(cli._load_vector(v, 3))
         spec = cptest.TestSpec(kind=kind, targets=None if bridge else [1.0, 1.0],
                                n_grid=100, n_rep=1000,
-                               seed=5 if limits.method_of(kind) == "exact-mc" else 0)
+                               seed=5)
         panel = [sumproc.project(cli._load_matrix(p), pair) for p in data]
         L = learning_length or 0
         learning = None if learning_length is None else [p[:L] for p in panel]
@@ -853,7 +867,7 @@ class TestExperimentCommand:
 
     # Case I at d = 2 in batches of 2 replications (or 1 with a learning block): 5
     # replications make at least 3 batches, so 2 and 3 workers fork a pool.  Seed 21
-    # rejects in every table, so a part whose rejections were lost would show.
+    # rejects in every table, so a batch whose rejections were lost would show.
     @pytest.mark.parametrize("flags", [
         ["--scenario", "sigma-change"], ["--learning-length", "300"],
         ["--scenario", "coefficient-change", "--change-times", "300,900"]],

@@ -363,15 +363,15 @@ def pools(monkeypatch):
 
 class TestWorkers:
     # Case I at d = 2 in batches of 2 replications (a PANEL_CHUNK_BYTES of 50 000), with a
-    # change, so that the parts' rejections add up to rates above 0.
-    @pytest.mark.parametrize("workers, replications, size, parts", [
+    # change, so that the batches' rejections add up to rates above 0.
+    @pytest.mark.parametrize("workers, replications, size, batches", [
         (2, 5, 2, [(0, 2), (2, 4), (4, 5)]),
         (3, 5, 3, [(0, 2), (2, 4), (4, 5)]),
         (3, 4, 2, [(0, 2), (2, 4)]),  # two batches: a pool of two
         (3, 2, None, [(0, 2)])],  # one batch: no pool
         ids=["2-workers", "3-workers", "3-workers-2-batches", "3-workers-1-batch"])
-    def test_pool_has_one_process_per_part(self, monkeypatch, pools, workers, replications,
-                                           size, parts):
+    def test_pool_maps_one_task_per_batch(self, monkeypatch, pools, workers, replications,
+                                          size, batches):
         monkeypatch.setattr(harness, "PANEL_CHUNK_BYTES", 50_000)
         cfg = ExperimentConfig(replications=replications, cases=("I",), dims=(2,), seed=111,
                                scenario="sigma-change", workers=workers, **FAST)
@@ -381,7 +381,7 @@ class TestWorkers:
         else:
             (got_size, method, items), = pools
             assert (got_size, method) == (size, "fork")
-            assert [(r.start, r.stop) for r in items] == parts
+            assert [(r.start, r.stop) for r in items] == batches
         serial = harness.run_experiment(dataclasses.replace(cfg, workers=1))
         assert [{**r.__dict__, "wall_time": None} for r in rows] == [
             {**r.__dict__, "wall_time": None} for r in serial]

@@ -11,7 +11,7 @@ from scipy.integrate import quad
 
 from covcusum import limits
 from covcusum.errors import ConfigurationError
-from covcusum.limits import CritValRequest
+from covcusum.limits import DEFAULT_N_GRID, CritValRequest
 
 SMALL = dict(n_grid=500, n_rep=20_000)
 
@@ -370,8 +370,16 @@ class TestCorrectedLaw:
             limits.critical_value(CritValRequest(kind="q-breve", K=2, level=1.0 - 1e-15))
 
     def test_method_names(self):
-        assert [limits.method_of(k) for k in limits.KINDS] == [
-            "corrected", "exact-mc", "corrected", "exact-mc"]
+        laws = [limits.NullLaw(k, 2, 500, 2000, 7) for k in limits.KINDS]
+        assert [law.method for law in laws] == ["corrected", "exact-mc", "corrected", "exact-mc"]
+        assert [(law.n_rep, law.seed) for law in laws] == [(None, None), (2000, 7)] * 2
+        # A q-kind law reads neither, whatever was given; a request holds its law.
+        for n_rep, seed in ((100_000, 0), (2.5, 2**70), (None, None)):
+            law = limits.NullLaw("q-breve", 2, 500, n_rep, seed)
+            assert (law.n_rep, law.seed) == (None, None)
+            assert law == limits.NullLaw("q-breve", 2, 500, 1000, 3)
+        assert CritValRequest(kind="q", K=2, level=0.95, n_rep=2.5, seed=9).law == \
+            limits.NullLaw("q", 2, DEFAULT_N_GRID, None, None)
 
 
 def _joint_cdf(law, a, b):
@@ -539,32 +547,30 @@ class TestCriticalValue:
 
     @pytest.mark.parametrize("kind", limits.POOLED_KINDS)
     def test_weight_stack_equals_one_request_per_row(self, kind):
-        # An (R, K) stack is R requests in one call, bit for bit, at either
-        # n_grid of one draw set.
-        stack = np.random.default_rng(3).uniform(0.2, 3.0, size=(5, 3))
+        # An (R, K) array of weights is R requests in one quantile call, bit for
+        # bit, at either n_grid of one draw set.
+        alphas = np.random.default_rng(3).uniform(0.2, 3.0, size=(5, 3))
         kappa = (0.2, 0.3, 0.5)
         limits.draw_extrema.cache_clear()
         for n_grid in (500, 2000):
             settings = dict(kind=kind, K=3, level=0.95, kappa=kappa, n_grid=n_grid,
                             n_rep=2000, seed=29)
-            got = limits.critical_value(CritValRequest(alpha_weights=stack, **settings))
+            law = limits.NullLaw(kind, 3, n_grid, 2000, 29)
+            got = law.quantile(0.95, alphas * np.sqrt(kappa))
             rows = [limits.critical_value(CritValRequest(alpha_weights=tuple(a), **settings))
-                    for a in stack]
+                    for a in alphas]
             assert got.shape == (5,)
             assert np.array_equal(got, rows)
-            listed = CritValRequest(alpha_weights=stack.tolist(), **settings)
-            assert np.array_equal(limits.critical_value(listed), got)
         limits.draw_extrema.cache_clear()
 
-    @pytest.mark.parametrize("bad", [0.0, math.nan, -1.0, "x", (1.0,), (1.0, 1.0, 1.0), "empty"])
-    def test_weight_stack_with_one_bad_row_refused(self, bad):
-        rows = [[1.0, 1.5], [0.5, 2.0], [2.0, 1.0]]
-        rows[1] = list(bad) if isinstance(bad, tuple) else [0.5, bad]
-        if bad == "empty":  # a stack of no rows was accepted as (), and critical_value failed
-            rows = np.zeros((0, 2))
+    @pytest.mark.parametrize("stack", [[[1.0, 1.5], [0.5, 2.0]], [[1.0, 1.5]] * 3,
+                                       np.ones((2, 2)), np.zeros((0, 2))],
+                             ids=["K-rows", "3-rows", "array", "no-rows"])
+    def test_weight_stack_refused_by_request(self, stack):
+        # A request holds one row of K weights; a stack of rows is the law's to take.
         with pytest.raises(ConfigurationError,
                            match="alpha_weights must be K positive finite reals, got"):
-            CritValRequest(kind="v-breve", K=2, level=0.95, alpha_weights=rows,
+            CritValRequest(kind="v-breve", K=2, level=0.95, alpha_weights=stack,
                            kappa=(0.5, 0.5))
 
     def test_missing_weights_rejected(self):
@@ -595,7 +601,7 @@ class TestCriticalValue:
                            alpha_weights=(1.0, 1.0), kappa=(0.9, 0.9))
         # A string, bool or complex entry used to be read as a float or to
         # raise numpy's ValueError; 10**400 overflows a float.
-        for bad in (math.nan, math.inf, "x", "0.5", True, 0.5 + 0j, 10 ** 400):
+        for bad in (0.0, -1.0, math.nan, math.inf, "x", "0.5", True, 0.5 + 0j, 10 ** 400):
             with pytest.raises(ConfigurationError,
                                match="alpha_weights must be K positive finite reals, got"):
                 CritValRequest(kind="v", K=2, level=0.95,
@@ -624,6 +630,15 @@ class TestCriticalValue:
                         kappa=(0.5, 0.5), n_rep=2000, seed=1)
         with pytest.raises(ConfigurationError, match=f"{name} must be a whole number, got "):
             CritValRequest(**{**settings, name: value})
+
+    @pytest.mark.parametrize("refuse", [lambda: limits.stream(1, -1),
+                                        lambda: limits.stream(1, 0, -3),
+                                        lambda: limits.child_seed(1, -1)],
+                             ids=["stream", "second-word", "child-seed"])
+    def test_negative_stream_key_refused(self, refuse):
+        # numpy's SeedSequence raised a bare "expected non-negative integer".
+        with pytest.raises(ConfigurationError, match=r"^key must be >= 0, got -[13]$"):
+            refuse()
 
     def test_seed_of_2_to_the_64_or_more_refused(self):
         # SeedSequence pads a seed below 2**128 to four words before the key

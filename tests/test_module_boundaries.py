@@ -1,5 +1,6 @@
-"""Each covcusum module keeps its private names, ``limits`` alone builds random streams,
-one function alone starts pools, no module starts a thread, and none loads OpenSSL."""
+"""Each covcusum module keeps its private names, ``limits`` alone builds random streams
+and names the critical-value methods, one function alone starts pools, no module starts a
+thread, and none loads OpenSSL."""
 
 import ast
 from pathlib import Path
@@ -11,6 +12,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "covcusum"
 STREAM_OWNERS = {("limits", "stream"), ("limits", "child_seed")}
 # The only functions that may name the executors of concurrent.futures.
 POOL_OWNERS = {("limits", "process_map")}
+# How a critical value is reached: ``limits.NullLaw`` alone decides it for a kind.
+METHODS = ("corrected", "exact-mc")
 
 
 def _private(name):
@@ -71,3 +74,16 @@ def test_no_module_loads_openssl(path):
     # random.SystemRandom, the generator that secrets wraps.
     openssl = ("secrets", "hashlib", "_hashlib")
     assert _named_outside(ast.parse(path.read_text()), path.stem, openssl, set()) == []
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.stem != "limits"),
+                         ids=lambda p: p.name)
+def test_method_names_only_in_limits(path):
+    # A module that names a method has worked out the method from the kind by itself.
+    tree = ast.parse(path.read_text())
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)}
+    assert [(node.lineno, node.value) for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in METHODS
+            and id(node) not in docstrings] == []
