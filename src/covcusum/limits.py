@@ -38,15 +38,15 @@ setting (weights here, the panel coefficients and scales of
 ``simgen.PanelConfig``) of another length or with an entry out of range
 or not a real; a request is complete or refused when made.  It owns
 every memo of a critical value, and all are exact ``functools.lru_cache``
-memos on their arguments: ``_corrected_quantile``, the quantile tables,
-and the few most recently used draw sets (``draw_extrema``) and path sets
-(``simulate_path_extrema``).  Memoized arrays, and the mapping that holds
-a path set, are read-only, so that no caller can change a later result by
-writing into one.  A ``NullLaw`` says how its critical values are reached:
-its ``method``, and the ``n_rep`` and ``seed`` it reads, None for the q
-kinds.  Its ``quantile`` takes K weights or an (R, K) array of them, one
-row per replication of a batch.  Callers ask a law or ``critical_value``
-and keep no cache of their own.
+memos on their arguments: the quantile tables, and the few most recently
+used sum CDFs of the q kinds' laws (``_sum_cdf``), draw sets
+(``draw_extrema``) and path sets (``simulate_path_extrema``).  Memoized
+arrays, and the mapping that holds a path set, are read-only, so that no
+caller can change a later result by writing into one.  A ``NullLaw`` says
+how its critical values are reached: its ``method``, and the ``n_rep`` and
+``seed`` it reads, None for the q kinds.  Its ``quantile`` takes K weights
+or an (R, K) array of them, one row per replication of a batch.  Callers
+ask a law or ``critical_value`` and keep no cache of their own.
 """
 
 from __future__ import annotations
@@ -147,19 +147,11 @@ def _one_sample_table(kind: str, n_grid: int, step: float) -> np.ndarray:
     return cdf((np.sqrt(np.arange(n + 1) * step) + shift) ** 2)
 
 
-@functools.lru_cache(maxsize=64)
-def _corrected_quantile(kind: str, K: int, level: float, n_grid: int,
-                        step: float = _TABLE_STEP) -> float:
-    """Level-quantile of the sum of K independent copies of X.
-
-    X is the one-sample law of ``_one_sample_table``.  Its cell masses on
-    the y-grid are convolved K-fold by FFT, exactly (the transform is long
-    enough that nothing wraps around).  A sum of K cell indices m stands
-    for the interval of sums around (m + (K + 1) / 2) * step, where the
-    cumulative mass through m is placed; the quantile interpolates
-    linearly between those points.  The result does not depend on any
-    seed or replication count; it is memoized on the exact arguments.
-    """
+@functools.lru_cache(maxsize=_EXTREMA_CACHE_SIZE)
+def _sum_cdf(kind: str, K: int, n_grid: int, step: float, /) -> np.ndarray:
+    """The read-only CDF, at each sum m, of the K cell indices of K independent copies of X:
+    the cell masses of ``_one_sample_table``, convolved K-fold by FFT, exactly (the
+    transform is long enough that nothing wraps around)."""
     cdf = _one_sample_table(kind, n_grid, step)
     mass = np.diff(cdf)
     mass[0] += cdf[0]
@@ -167,8 +159,18 @@ def _corrected_quantile(kind: str, K: int, level: float, n_grid: int,
     n_fft = 1 << (n_sum - 1).bit_length()
     sum_mass = np.fft.irfft(np.fft.rfft(mass, n_fft) ** K, n_fft)[:n_sum]
     sum_cdf = np.cumsum(np.maximum(sum_mass, 0.0))
+    sum_cdf.flags.writeable = False
+    return sum_cdf
+
+
+def _corrected_quantile(kind: str, K: int, level: float, n_grid: int,
+                        step: float = _TABLE_STEP) -> float:
+    """Level-quantile of the sum of K copies of X, which depends on no seed or replication
+    count: a sum m of cell indices stands for the sums around (m + (K + 1) / 2) * step,
+    where ``_sum_cdf`` places the mass through m; it interpolates linearly between them."""
+    sum_cdf = _sum_cdf(kind, K, n_grid, step)
     m = int(np.searchsorted(sum_cdf, level))
-    if not 0 < m < n_sum:
+    if not 0 < m < len(sum_cdf):
         raise ConfigurationError(f"level {level} is beyond the tabulated law")
     lo, hi = sum_cdf[m - 1], sum_cdf[m]
     return float(step * (m - 1 + (K + 1) / 2 + (level - lo) / (hi - lo)))
@@ -211,6 +213,12 @@ def check_seed(seed) -> int:
     return seed
 
 
+def _key_word(k) -> int:
+    if (k := whole_number(k, "key", 0)) >= 2**32:
+        raise ConfigurationError(f"key must be below 2**32, got {k}")
+    return k
+
+
 def stream(seed, *key) -> np.random.Generator:
     """The Philox generator of ``SeedSequence(seed, spawn_key=key)``; a bad word is refused.
 
@@ -218,17 +226,18 @@ def stream(seed, *key) -> np.random.Generator:
     in length: panel innovations are keyed (sample, rep) (``simgen``), the
     extrema of ``_fill_blocks`` (_PATH_STREAMS, block, sample), a Dirichlet
     projection ().  Distinct (seed, key) give independent streams, for
-    ``check_seed`` reads the seed.  Cell and projection seeds come from
-    ``child_seed``.
+    ``check_seed`` reads the seed and each key word is below 2**32
+    (``SeedSequence`` splits a wider word, so ``stream(7, 2**32 + 5)`` would be
+    ``stream(7, 5, 1)``).  Cell and projection seeds come from ``child_seed``.
     """
     ss = np.random.SeedSequence(check_seed(seed),
-                                spawn_key=tuple(whole_number(k, "key", 0) for k in key))
+                                spawn_key=tuple(map(_key_word, key)))
     return np.random.Generator(np.random.Philox(ss))
 
 
 def child_seed(seed, i) -> int:
     """The i-th 64-bit seed derived from ``seed``, as a cell's from its experiment's."""
-    ss = np.random.SeedSequence(check_seed(seed), spawn_key=(whole_number(i, "key", 0),))
+    ss = np.random.SeedSequence(check_seed(seed), spawn_key=(_key_word(i),))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -236,13 +245,18 @@ def check_settings(kind: str, level: float, n_grid: int, n_rep: int, seed: int) 
     """(level, n_grid, n_rep, seed) as a float and ints, or a refusal; ``n_rep`` only if read."""
     if kind not in KINDS:
         raise ConfigurationError(f"unknown statistic kind {kind!r}")
-    if not (isinstance(level, numbers.Real) and 0.0 < level < 1.0):
-        raise ConfigurationError(f"level must be in (0, 1), got {level!r}")
+    level = _check_level(level)
     if (n_grid := whole_number(n_grid, "n_grid")) < 100:
         raise ConfigurationError("n_grid must be >= 100")
     if kind not in CORRECTED_KINDS and (n_rep := whole_number(n_rep, "n_rep")) < 1000:
         raise ConfigurationError("n_rep must be >= 1000")
-    return float(level), n_grid, n_rep, check_seed(seed)
+    return level, n_grid, n_rep, check_seed(seed)
+
+
+def _check_level(level) -> float:
+    if not (isinstance(level, numbers.Real) and 0.0 < level < 1.0):
+        raise ConfigurationError(f"level must be in (0, 1), got {level!r}")
+    return float(level)
 
 
 @dataclass(frozen=True)
@@ -604,19 +618,24 @@ class NullLaw:
         """The level-quantile; the v kinds weight sample j by c_j = alpha_j sqrt(kappa_j).
 
         K weights give a float, and an (R, K) array gives an (R,) array whose
-        entry r is the float that row r alone gives.  The q kinds read no weights.
+        entry r is the float that row r alone gives.  A level outside (0, 1) is
+        refused, and so is a row of weights that is not K positive finite reals,
+        by its index in a stack; the q kinds read no weights.
         """
+        level = _check_level(level)
         if self.method == "corrected":
             return _corrected_quantile(self.kind, self.K, level, self.n_grid)
+        stack = np.asarray(weights, dtype=object).ndim == 2
+        rows = [real_vector(c, self.K, f"weights row {r}" if stack else "weights", 0.0,
+                            math.inf, "K positive finite reals")
+                for r, c in enumerate(weights if stack else [weights])]
         shift = BGK_BETA / math.sqrt(self.n_grid)  # once per call, for every row
         hi, lo = (np.maximum(a - shift, 0.0) for a in draw_extrema(
             "bb" if self.kind in BRIDGE_KINDS else "bm", self.K, self.n_rep, self.seed))
         # The grid supremum of |sum_j c_j B_j(s_j)| with positive c_j separates
         # per coordinate.  One matrix-vector product per row keeps each row's bits.
-        c = np.asarray(weights)
-        values = np.array([empirical_quantile(np.maximum(hi @ row, lo @ row), level)
-                           for row in np.atleast_2d(c)])
-        return values if c.ndim == 2 else float(values[0])
+        values = np.array([empirical_quantile(np.maximum(hi @ c, lo @ c), level) for c in rows])
+        return values if stack else float(values[0])
 
 
 def critical_value(req: CritValRequest) -> float:

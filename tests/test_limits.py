@@ -113,7 +113,9 @@ class TestExtremaCache:
         ("_path_extrema", lambda seed: limits.simulate_path_extrema(1, 100, 1000, seed=seed),
          lambda r: [r["bm"], r["bb"]]),
         ("draw_extrema", lambda seed: limits.draw_extrema("bb", 1, 1000, seed), lambda r: [r]),
-    ], ids=["paths", "draws"])
+        ("_sum_cdf", lambda seed: limits._sum_cdf("q-breve", 2, 100 + seed, limits._TABLE_STEP),
+         lambda r: [(r,)]),
+    ], ids=["paths", "draws", "sum-cdfs"])
     def test_cache_is_bounded_and_evicted_keys_replay(self, memo_name, call, pairs):
         memo = getattr(limits, memo_name)
         memo.cache_clear()
@@ -139,7 +141,8 @@ class TestExtremaCache:
         limits.draw_extrema.cache_clear()
         before = limits.critical_value(req)
         memos = [*limits.draw_extrema("bb", 2, 2000, 23), limits._quantile_table("bb"),
-                 *limits.simulate_path_extrema(1, 100, 1000, seed=23)["bb"]]
+                 *limits.simulate_path_extrema(1, 100, 1000, seed=23)["bb"],
+                 limits._sum_cdf("q-breve", 2, 500, limits._TABLE_STEP)]
         for a in memos:
             with pytest.raises(ValueError, match="read-only"):
                 a *= 2.0
@@ -351,7 +354,8 @@ class TestCorrectedLaw:
         assert len(values) == 1
 
     def test_memoized_on_exact_arguments(self, monkeypatch):
-        limits._corrected_quantile.cache_clear()
+        # One sum CDF per (kind, K, n_grid): a second level of a law is a search in it.
+        limits._sum_cdf.cache_clear()
         tables = []
         table = limits._one_sample_table
         monkeypatch.setattr(limits, "_one_sample_table",
@@ -361,9 +365,15 @@ class TestCorrectedLaw:
         again = limits.critical_value(CritValRequest(kind="q-breve", K=3, level=0.95,
                                                      n_grid=700, n_rep=5000, seed=9))
         assert again == first and len(tables) == 1
+        lower = limits.critical_value(CritValRequest(kind="q-breve", K=3, level=0.9,
+                                                     n_grid=700))
+        assert lower < first and len(tables) == 1
         other = limits.critical_value(CritValRequest(kind="q-breve", K=3, level=0.95,
                                                      n_grid=701))
         assert other != first and len(tables) == 2
+        with pytest.raises(TypeError):  # positional only, so that a law has one key
+            limits._sum_cdf("q-breve", 3, 700, step=limits._TABLE_STEP)
+        limits._sum_cdf.cache_clear()
 
     def test_level_beyond_table_rejected(self):
         with pytest.raises(ConfigurationError, match="beyond the tabulated law"):
@@ -573,6 +583,35 @@ class TestCriticalValue:
             CritValRequest(kind="v-breve", K=2, level=0.95, alpha_weights=stack,
                            kappa=(0.5, 0.5))
 
+    @pytest.mark.parametrize("kind", limits.KINDS)
+    @pytest.mark.parametrize("level", [1.5, 1.0, 0.0, -0.2, math.nan])
+    def test_law_refuses_level_outside_unit_interval(self, kind, level):
+        # The exact-mc law returned its largest or smallest draw, or numpy's bare
+        # ValueError at nan; the corrected law refused with its own text.
+        law = limits.NullLaw(kind, 2, 500, 1000, 3)
+        with pytest.raises(ConfigurationError, match=r"^level must be in \(0, 1\), got "):
+            law.quantile(level, (1.0, 1.5))
+
+    @pytest.mark.parametrize("weights", [(1.0, -1.0), (1.0, math.nan), (1.0, math.inf),
+                                         (1.0, 1.0, 1.0), None],
+                             ids=["negative", "nan", "inf", "three", "none"])
+    def test_law_refuses_weights_not_k_positive_finite_reals(self, weights):
+        # These gave a value of a law the separation does not hold for, a nan that
+        # every statistic is accepted against, inf, or numpy's bare ValueError.
+        law = limits.NullLaw("v-breve", 2, 500, 1000, 3)
+        with pytest.raises(ConfigurationError,
+                           match=r"^weights must be K positive finite reals, got "):
+            law.quantile(0.95, weights)
+
+    def test_law_names_the_bad_row_of_a_weight_stack(self):
+        law = limits.NullLaw("v", 2, 500, 1000, 3)
+        stack = np.array([[1.0, 1.5], [0.5, 2.0], [0.5, math.nan], [1.0, 1.0]])
+        with pytest.raises(ConfigurationError,
+                           match=r"^weights row 2 must be K positive finite reals, got "):
+            law.quantile(0.95, stack)
+        assert law.quantile(0.95, stack[:2]).shape == (2,)
+        limits.draw_extrema.cache_clear()
+
     def test_missing_weights_rejected(self):
         with pytest.raises(ConfigurationError, match="requires alpha_weights and kappa"):
             CritValRequest(kind="v", K=2, level=0.95, seed=1, **SMALL)
@@ -655,6 +694,24 @@ class TestCriticalValue:
                 refuse()
         assert limits.check_seed(np.uint64(2**64 - 1)) == 2**64 - 1
         limits.stream(2**64 - 1, 3, 1)
+
+    def test_stream_key_word_of_2_to_the_32_or_more_refused(self):
+        # SeedSequence splits a wider key word into 32-bit words: stream(7, 2**32 + 5)
+        # drew the normals of stream(7, 5, 1), and child_seed(7, 2**32 + 5) was key (5, 1)'s.
+        def sequence(*key):
+            return np.random.SeedSequence(7, spawn_key=key)
+
+        assert np.random.Generator(np.random.Philox(sequence(2**32 + 5))).standard_normal() \
+            == limits.stream(7, 5, 1).standard_normal()
+        assert np.array_equal(sequence(2**32 + 5).generate_state(1, dtype=np.uint64),
+                              sequence(5, 1).generate_state(1, dtype=np.uint64))
+        for refuse in (lambda: limits.stream(7, 2**32), lambda: limits.stream(7, 2**64),
+                       lambda: limits.stream(7, 5, 2**32), lambda: limits.stream(7, 5, 2**64),
+                       lambda: limits.child_seed(7, 2**32), lambda: limits.child_seed(7, 2**64)):
+            with pytest.raises(ConfigurationError, match=r"^key must be below 2\*\*32, got "):
+                refuse()
+        limits.stream(7, 2**32 - 1, 2**32 - 1)
+        limits.child_seed(7, 2**32 - 1)
 
     def test_unread_n_rep_not_checked(self):
         assert CritValRequest(kind="q-breve", K=1, level=0.95, n_rep=2.5).n_rep == 2.5

@@ -1,6 +1,6 @@
-"""Each covcusum module keeps its private names, ``limits`` alone builds random streams
-and names the critical-value methods, one function alone starts pools, no module starts a
-thread, and none loads OpenSSL."""
+"""Each covcusum module keeps its private names, ``limits`` alone builds random streams,
+names the critical-value methods and memoizes, one function alone starts pools, no module
+starts a thread, and none loads OpenSSL."""
 
 import ast
 from pathlib import Path
@@ -87,3 +87,11 @@ def test_method_names_only_in_limits(path):
     assert [(node.lineno, node.value) for node in ast.walk(tree)
             if isinstance(node, ast.Constant) and node.value in METHODS
             and id(node) not in docstrings] == []
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.stem != "limits"),
+                         ids=lambda p: p.name)
+def test_memos_only_in_limits(path):
+    # Callers ask a law afresh; a memo of their own could outlive the one in limits.
+    memos = ("lru_cache", "cache", "cached_property")
+    assert _named_outside(ast.parse(path.read_text()), path.stem, memos, set()) == []
