@@ -104,11 +104,7 @@ def _as_batch(panel, ndim=2):
     series = []
     for j, p in enumerate(panel):
         with _naming_sample(j):
-            p = sumproc.as_real(p, "product series")
-            if p.ndim != ndim:
-                what = "a 1-d product series" if ndim == 1 else "an (R, N) batch of product series"
-                raise ShapeError(f"expected {what}, got ndim={p.ndim}")
-        series.append(np.atleast_2d(p))
+            series.append(np.atleast_2d(limits.real_array(p, "product series", ndim)))
     return series
 
 

@@ -33,10 +33,12 @@ setting for ``CritValRequest``, ``cptest.TestSpec`` and
 [0, 2**64) for them, ``simgen.PanelConfig`` and every stream,
 ``check_workers`` a worker count below 1 (``process_map`` starts every
 process pool), ``whole_number`` an integer setting that is a bool, a
-fraction or below its least value, and ``real_vector`` a vector
+fraction or below its least value, ``real_vector`` a vector
 setting (weights here, the panel coefficients and scales of
 ``simgen.PanelConfig``) of another length or with an entry out of range
-or not a real; a request is complete or refused when made.  It owns
+or not a real, and ``real_array`` an array argument of any layer that is
+complex, not numeric or of another ndim; a request, and a ``NullLaw``,
+is complete or refused when made.  It owns
 every memo of a critical value, and all are exact ``functools.lru_cache``
 memos on their arguments: the quantile tables, and the few most recently
 used sum CDFs of the q kinds' laws (``_sum_cdf``), draw sets
@@ -61,7 +63,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ShapeError
 
 KINDS = ("q", "v", "q-breve", "v-breve")
 # Pooled kinds take one grid maximum over all samples; bridge kinds recenter
@@ -101,7 +103,7 @@ def sup_abs_bm_cdf(y):
     Alternating reflection series in the bound ``y`` on the squared
     supremum, a float or an array (same shape back): 0 at y = 0, 1 at inf.
     """
-    y = np.asarray(y, dtype=float) + 0.0  # -0.0 reads as 0.0
+    y = real_array(y, "bound") + 0.0  # -0.0 reads as 0.0
     if np.isnan(y).any() or y.min(initial=math.inf) < 0.0:
         raise ValueError(f"argument must be non-negative and not nan, got {y}")
     total = np.zeros_like(y)
@@ -117,7 +119,7 @@ def sup_abs_bb_cdf(y):
 
     Theta-function series for ``y`` in (0, inf], a float or an array alike.
     """
-    y = np.asarray(y, dtype=float)
+    y = real_array(y, "bound")
     if np.isnan(y).any() or y.min(initial=math.inf) <= 0.0:
         raise ValueError(f"argument must be positive and not nan, got {y}")
     total = np.zeros_like(y)
@@ -186,6 +188,23 @@ def whole_number(value, name: str, low: Optional[int] = None) -> int:
     return int(value)
 
 
+def real_array(values, what: str, ndims=None) -> np.ndarray:
+    """``values`` as a float array, uncopied if it is one, or a ``ShapeError`` naming
+    ``what``: not numeric, complex, or of an ndim not in ``ndims`` (an int, a tuple, or
+    None for any)."""
+    try:
+        out = None if np.iscomplexobj(values) else np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ShapeError(f"not a numeric {what}: {exc}") from None
+    if out is None:
+        raise ShapeError(f"not a real {what}")
+    dims = (ndims,) if isinstance(ndims, int) else ndims
+    if dims is not None and out.ndim not in dims:
+        raise ShapeError(f"expected a {' or '.join(f'{d}-d' for d in dims)} {what}, "
+                         f"got ndim={out.ndim}")
+    return out
+
+
 def real_vector(values, length: int, name: str, low: float, high: float, rule: str) -> tuple:
     """``values``, ``length`` reals in the open interval (low, high), as floats; anything
     else (a value outside, a bool or non-real entry, a scalar) is refused stating ``rule``."""
@@ -242,15 +261,11 @@ def child_seed(seed, i) -> int:
 
 
 def check_settings(kind: str, level: float, n_grid: int, n_rep: int, seed: int) -> tuple:
-    """(level, n_grid, n_rep, seed) as a float and ints, or a refusal; ``n_rep`` only if read."""
-    if kind not in KINDS:
-        raise ConfigurationError(f"unknown statistic kind {kind!r}")
-    level = _check_level(level)
-    if (n_grid := whole_number(n_grid, "n_grid")) < 100:
-        raise ConfigurationError("n_grid must be >= 100")
-    if kind not in CORRECTED_KINDS and (n_rep := whole_number(n_rep, "n_rep")) < 1000:
-        raise ConfigurationError("n_rep must be >= 1000")
-    return level, n_grid, n_rep, check_seed(seed)
+    """(level, n_grid, n_rep, seed) as a float and ints, or a refusal; ``n_rep`` only if read.
+    The kind, n_grid and n_rep are read by the ``NullLaw`` they set."""
+    law = NullLaw(kind, 1, n_grid, n_rep, seed)
+    n_rep = n_rep if law.n_rep is None else law.n_rep
+    return _check_level(level), law.n_grid, n_rep, check_seed(seed)
 
 
 def _check_level(level) -> float:
@@ -275,11 +290,10 @@ class CritValRequest:
 
     def __post_init__(self):
         settings = check_settings(self.kind, self.level, self.n_grid, self.n_rep, self.seed)
-        for name, value in zip(("level", "n_grid", "n_rep", "seed", "K"),
-                               (*settings, whole_number(self.K, "K"))):
+        law = NullLaw(self.kind, self.K, self.n_grid, self.n_rep, self.seed)
+        for name, value in zip(("level", "n_grid", "n_rep", "seed", "K", "law"),
+                               (*settings, law.K, law)):
             object.__setattr__(self, name, value)
-        if self.K < 1:
-            raise ConfigurationError("K must be >= 1")
         pooled = self.kind in POOLED_KINDS
         if (self.alpha_weights is not None, self.kappa is not None) != (pooled, pooled):
             raise ConfigurationError(
@@ -291,8 +305,6 @@ class CritValRequest:
                                                            math.inf, "K positive finite reals"))
             if sum(self.kappa) > 1.0 + 1e-9:
                 raise ConfigurationError("kappa entries must sum to at most 1")
-        object.__setattr__(self, "law", NullLaw(self.kind, self.K, self.n_grid, self.n_rep,
-                                                self.seed))
 
     @property
     def weights(self) -> Optional[np.ndarray]:
@@ -400,8 +412,11 @@ def _path_extrema(K, n_grid, n_rep, seed, workers):
 
 
 def empirical_quantile(draws: np.ndarray, level: float) -> float:
-    """Order statistic at ceil(level * n); deterministic and conservative."""
-    n = len(draws)
+    """Order statistic at ceil(level * n) of a non-empty 1-d ``draws``; deterministic and
+    conservative.  A level outside (0, 1) is refused."""
+    draws, level = real_array(draws, "set of draws", 1), _check_level(level)
+    if not (n := len(draws)):
+        raise ShapeError("empty set of draws")
     k = min(max(math.ceil(level * n), 1), n)
     return float(np.partition(draws, k - 1)[k - 1])
 
@@ -592,8 +607,8 @@ def draw_extrema(law: str, K: int, n_rep: int, seed: int, /):
 
 @dataclass(frozen=True)
 class NullLaw:
-    """The null law of ``kind``'s statistic for K samples on a grid of ``n_grid`` points,
-    of settings that ``check_settings`` has read.
+    """The null law of ``kind``'s statistic for K samples on a grid of ``n_grid`` points;
+    a setting it reads is refused when made, in the words of ``check_settings``.
 
     ``method`` says how its quantiles are reached: "corrected" for the q kinds,
     whose ``n_rep`` and ``seed`` are None whatever was given, for they read
@@ -608,11 +623,18 @@ class NullLaw:
     method: str = field(init=False)
 
     def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ConfigurationError(f"unknown statistic kind {self.kind!r}")
+        if (n_grid := whole_number(self.n_grid, "n_grid")) < 100:
+            raise ConfigurationError("n_grid must be >= 100")
         corrected = self.kind in CORRECTED_KINDS
-        object.__setattr__(self, "method", "corrected" if corrected else "exact-mc")
-        if corrected:
-            object.__setattr__(self, "n_rep", None)
-            object.__setattr__(self, "seed", None)
+        if not corrected and (n_rep := whole_number(self.n_rep, "n_rep")) < 1000:
+            raise ConfigurationError("n_rep must be >= 1000")
+        for name, value in (("K", whole_number(self.K, "K", 1)), ("n_grid", n_grid),
+                            ("n_rep", None if corrected else n_rep),
+                            ("seed", None if corrected else check_seed(self.seed)),
+                            ("method", "corrected" if corrected else "exact-mc")):
+            object.__setattr__(self, name, value)
 
     def quantile(self, level: float, weights=None) -> float | np.ndarray:
         """The level-quantile; the v kinds weight sample j by c_j = alpha_j sqrt(kappa_j).

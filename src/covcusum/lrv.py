@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateLrvError, ShapeError
-from .limits import whole_number
+from .limits import real_array, whole_number
 
 QS_BANDWIDTH_CONST = 1.3221
 RHO_CLAMP = 0.97
@@ -37,9 +37,7 @@ def autocov_hat(p, h: int) -> float:
     Centered at the overall mean; the divisor is N (not N - h), matching
     the partial-sum scaling the estimate standardizes.
     """
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1:
-        raise ShapeError(f"expected a 1-d product series, got ndim={p.ndim}")
+    p = real_array(p, "product series", 1)
     n, h = len(p), whole_number(h, "lag")
     if not 0 <= h < n:
         raise ShapeError(f"lag {h} out of range for series of length {n}")
@@ -61,7 +59,7 @@ def qs_weight(x):
 
     ``x`` is a float or an array (same shape back).
     """
-    x = np.asarray(x, dtype=float)
+    x = real_array(x, "kernel argument")
     z = 6.0 * math.pi * x / 5.0
     # Taylor branch: sin(z)/z - cos(z) cancels catastrophically near 0.
     near = 1.0 - z ** 2 / 10.0 + z ** 4 / 280.0
@@ -79,10 +77,7 @@ def qs_bandwidth(rho, n: int):
 
 def lrv_estimate(p) -> LrvEstimate:
     """Kernel long-run variance estimate of the product series ``p``; see ``lrv_estimates``."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1:
-        raise ShapeError(f"expected a 1-d product series, got ndim={p.ndim}")
-    est = lrv_estimates(p[None])
+    est = lrv_estimates(real_array(p, "product series", 1)[None])
     return LrvEstimate(alpha_sq=float(est.alpha_sq[0]), bandwidth=float(est.bandwidth[0]),
                        n_lags=int(est.n_lags[0]), rho_clamped=bool(est.rho_clamped[0]))
 
@@ -102,9 +97,7 @@ def lrv_estimates(p) -> LrvEstimate:
     overflow it) or a result that is not positive and finite raises
     ``DegenerateLrvError``.
     """
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 2:
-        raise ShapeError(f"expected an (R, N) batch of product series, got ndim={p.ndim}")
+    p = real_array(p, "product series", 2)
     n = p.shape[1]
     if n < 4:
         raise ShapeError(f"need at least 4 observations, got {n}")

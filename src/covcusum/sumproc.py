@@ -24,6 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DegenerateLrvError, ShapeError
+from .limits import real_array
 
 
 def kahan_cumsum(values: np.ndarray) -> np.ndarray:
@@ -34,7 +35,7 @@ def kahan_cumsum(values: np.ndarray) -> np.ndarray:
     prefix is as accurate as if summed in twice the working precision
     (Ogita, Rump & Oishi 2005, Sum2).
     """
-    values = np.asarray(values, dtype=float)
+    values = real_array(values, "series", (1, 2))
     out = np.zeros(values.shape[:-1] + (values.shape[-1] + 1,))
     np.cumsum(values, axis=-1, out=out[..., 1:])
     prev, total = out[..., :-1], out[..., 1:]
@@ -45,16 +46,6 @@ def kahan_cumsum(values: np.ndarray) -> np.ndarray:
     err += added
     total += np.cumsum(err, axis=-1, out=added)
     return out
-
-
-def as_real(values, what: str) -> np.ndarray:
-    """``values`` as a float array, or a ``ShapeError``: not a real, or not a numeric, ``what``."""
-    try:
-        if not np.iscomplexobj(values):
-            return np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ShapeError(f"not a numeric {what}: {exc}") from None
-    raise ShapeError(f"not a real {what}")
 
 
 @dataclass(frozen=True)
@@ -72,9 +63,9 @@ class ProjectionPair:
 
     @classmethod
     def from_vectors(cls, v, w=None):
-        v = as_real(v, "projection vector")
-        w = v if w is None else as_real(w, "projection vector")
-        if v.ndim not in (1, 2) or v.shape != w.shape:
+        v = real_array(v, "projection vector", (1, 2))
+        w = v if w is None else real_array(w, "projection vector", (1, 2))
+        if v.shape != w.shape:
             raise ShapeError(
                 f"v and w must be 1-d, or (R, d) stacks, of equal shape, got {v.shape}, {w.shape}")
         if not (np.all(np.isfinite(v)) and np.all(np.isfinite(w))):
@@ -104,7 +95,7 @@ def project(sample: np.ndarray, pair: ProjectionPair) -> np.ndarray:
     same bits as projecting it whole and alone.  An overflow is left to
     ``cptest``, which refuses a non-finite product naming its observation.
     """
-    sample = np.asarray(sample, dtype=float)
+    sample = real_array(sample, "sample")
     if sample.shape[1:] != pair.v.shape:
         raise ShapeError(f"a sample of shape {sample.shape} does not fit projection vectors "
                          f"of shape {pair.v.shape}")
@@ -117,9 +108,8 @@ def project(sample: np.ndarray, pair: ProjectionPair) -> np.ndarray:
 
 def _cumulative_target(target, n):
     """Running sums of the target sequence, length n + 1, leading zero."""
-    if np.ndim(target) == 0:
-        return float(target) * np.arange(n + 1)
-    target = np.asarray(target, dtype=float)
+    if (target := real_array(target, "target", (0, 1))).ndim == 0:
+        return target * np.arange(n + 1)
     if target.shape != (n,):
         raise ShapeError(f"target length {target.shape} does not match sample length {n}")
     return kahan_cumsum(target)
@@ -135,8 +125,7 @@ def unscaled_deviation(s: np.ndarray, target=None) -> np.ndarray:
     target-free and both endpoints are zero bit-exactly; otherwise entry 0
     is exactly zero.
     """
-    if (s := as_real(s, "partial sums")).ndim < 1:
-        raise ShapeError(f"expected partial sums S_0..S_N along the last axis, got {s!r}")
+    s = real_array(s, "partial sums", (1, 2))
     n = s.shape[-1] - 1
     if n < 1:
         raise ShapeError("empty sample")
@@ -165,8 +154,7 @@ def pooled_d_grid_max(processes: Iterable[np.ndarray]):
     pos_idx = []
     neg_idx = []
     for f in processes:
-        f = np.asarray(f, dtype=float)
-        if f.ndim not in (1, 2) or f.shape[-1] < 1:
+        if (f := real_array(f, "process", (1, 2))).shape[-1] < 1:
             raise ShapeError("each process must be a non-empty 1-d array or (R, N) batch")
         i_max = np.argmax(f, axis=-1)
         i_min = np.argmin(f, axis=-1)
@@ -190,9 +178,9 @@ def per_sample_max_sq(process: np.ndarray, alpha):
     For an (R, N + 1) batch ``alpha`` holds one scale per row, and the
     values and argmax indices are (R,) arrays.
     """
-    if np.ndim(process) not in (1, 2) or np.shape(process)[-1] < 1:
+    if (process := real_array(process, "process", (1, 2))).shape[-1] < 1:
         raise ShapeError("the process must be a non-empty 1-d array or (R, N) batch")
-    alpha = np.asarray(alpha, dtype=float)
+    alpha = real_array(alpha, "scale", process.ndim - 1)
     bad = ~((alpha > 0.0) & (alpha < np.inf))
     if bad.any():
         raise DegenerateLrvError(f"scale must be positive and finite, got {float(alpha[bad][0])}")

@@ -102,7 +102,7 @@ class TestSpecValidation:
         (lambda spec: cptest.run_test([], spec), ConfigurationError,
          "a panel needs at least one sample", None),
         (lambda spec: cptest.run_batch([np.zeros(5)], [spec]), ShapeError,
-         r"sample 1: expected an \(R, N\) batch of product series, got ndim=1", 0),
+         "sample 1: expected a 2-d product series, got ndim=1", 0),
         (lambda spec: cptest.run_test([np.arange(1.0, 7.0), [1, 2, "x", 4, 5, 6]], spec),
          ShapeError, "sample 2: not a numeric product series: could not convert", 1),
         (lambda spec: cptest.run_test([np.arange(1.0, 7.0)] * 2, spec,

@@ -10,7 +10,7 @@ import scipy.stats
 from scipy.integrate import quad
 
 from covcusum import limits
-from covcusum.errors import ConfigurationError
+from covcusum.errors import ConfigurationError, ShapeError
 from covcusum.limits import DEFAULT_N_GRID, CritValRequest
 
 SMALL = dict(n_grid=500, n_rep=20_000)
@@ -391,6 +391,20 @@ class TestCorrectedLaw:
         assert CritValRequest(kind="q", K=2, level=0.95, n_rep=2.5, seed=9).law == \
             limits.NullLaw("q", 2, DEFAULT_N_GRID, None, None)
 
+    @pytest.mark.parametrize("args, match", [
+        (("bogus", 2, 500, 2000, 3), "^unknown statistic kind 'bogus'$"),
+        (("v-breve", 2, 5, 2000, 3), "^n_grid must be >= 100$"),
+        (("v-breve", 2, 500, 10, 3), "^n_rep must be >= 1000$"),
+        (("q-breve", 2.5, 2000, None, None), "^K must be a whole number, got 2.5$"),
+        (("v-breve", 0, 500, 2000, 3), "^K must be >= 1"),
+        (("v", 2, 500, 2000, -1), "^seed must be non-negative, got -1$")],
+        ids=["kind", "n_grid", "n_rep", "fractional-K", "no-samples", "seed"])
+    def test_law_refuses_settings_at_construction(self, args, match):
+        # These gave the motion law's value, a value at n_grid 5 or from 10 draws, a bare
+        # AttributeError, the weights' refusal, or a refusal only when draws were made.
+        with pytest.raises(ConfigurationError, match=match):
+            limits.NullLaw(*args)
+
 
 def _joint_cdf(law, a, b):
     """P(M+ < a, M- < b) of one bridge ("bb") or motion ("bm") on [0, 1].
@@ -734,6 +748,17 @@ class TestCriticalValue:
         draws = np.arange(1.0, 101.0)
         # ceil(0.95 * 100) = 95th order statistic.
         assert limits.empirical_quantile(draws, 0.95) == 95.0
+
+    @pytest.mark.parametrize("level", [2.0, -1.0, math.nan])
+    def test_empirical_quantile_refuses_level_outside_unit_interval(self, level):
+        # Levels 2 and -1 gave the largest and the smallest draw, nan numpy's bare ValueError.
+        with pytest.raises(ConfigurationError, match=r"^level must be in \(0, 1\), got "):
+            limits.empirical_quantile(np.arange(1.0, 11.0), level)
+
+    def test_empirical_quantile_refuses_no_draws(self):
+        # No draws used to raise a bare IndexError.
+        with pytest.raises(ShapeError, match="^empty set of draws$"):
+            limits.empirical_quantile(np.array([]), 0.5)
 
 
 def test_series_vs_monte_carlo_cdf_agreement(bridge_suprema):

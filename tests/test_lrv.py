@@ -115,7 +115,7 @@ class TestLrvEstimate:
     @pytest.mark.parametrize("estimate, p, match", [
         (lrv.lrv_estimate, np.zeros((2, 5)), "expected a 1-d product series, got ndim=2"),
         (lrv.lrv_estimates, np.zeros(5),
-         r"expected an \(R, N\) batch of product series, got ndim=1")],
+         "expected a 2-d product series, got ndim=1")],
         ids=["one", "batch"])
     def test_wrong_ndim_refused(self, estimate, p, match):
         with pytest.raises(ShapeError, match=match):
@@ -165,7 +165,8 @@ class TestLrvEstimate:
      "lag must be a whole number"),
     (lambda: lrv.autocov_hat(np.arange(10.0), 1.5), ConfigurationError,
      "lag must be a whole number"),
-    (lambda: sumproc.unscaled_deviation(5.0), ShapeError, "expected partial sums"),
+    (lambda: sumproc.unscaled_deviation(5.0), ShapeError,
+     "expected a 1-d or 2-d partial sums, got ndim=0"),
     (lambda: sumproc.unscaled_deviation(["0", "x"]), ShapeError, "not a numeric partial sums"),
     (lambda: sumproc.unscaled_deviation([0.0, 1j]), ShapeError, "not a real partial sums"),
     (lambda: sumproc.per_sample_max_sq(np.array([]), 1.0), ShapeError, "non-empty"),

@@ -1,6 +1,6 @@
 """Each covcusum module keeps its private names, ``limits`` alone builds random streams,
-names the critical-value methods and memoizes, one function alone starts pools, no module
-starts a thread, and none loads OpenSSL."""
+names the critical-value methods, memoizes and converts arrays to float, one function alone
+starts pools, no module starts a thread, and none loads OpenSSL."""
 
 import ast
 from pathlib import Path
@@ -95,3 +95,15 @@ def test_memos_only_in_limits(path):
     # Callers ask a law afresh; a memo of their own could outlive the one in limits.
     memos = ("lru_cache", "cache", "cached_property")
     assert _named_outside(ast.parse(path.read_text()), path.stem, memos, set()) == []
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.stem != "limits"),
+                         ids=lambda p: p.name)
+def test_float_conversions_only_in_limits(path):
+    # An array argument is read by limits.real_array, which refuses a complex, non-numeric
+    # or wrong-ndim array by name; np.asarray(x, dtype=float) takes a complex array's real part.
+    assert [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("asarray", "array")
+            and any(ast.unparse(dtype) in ("float", "np.float64") for dtype in
+                    node.args[1:2] + [k.value for k in node.keywords if k.arg == "dtype"])] == []

@@ -182,7 +182,7 @@ class TestPooledGridMax:
         assert idx == (2, 1)
 
     @pytest.mark.parametrize("processes, match", [
-        ([np.zeros((2, 2, 2))], "each process must be a non-empty 1-d array or"),
+        ([np.zeros((2, 2, 2))], "expected a 1-d or 2-d process, got ndim=3"),
         ([], "no processes given")], ids=["3-d", "none"])
     def test_malformed_processes_refused(self, processes, match):
         with pytest.raises(ShapeError, match=match):
