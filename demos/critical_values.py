@@ -12,22 +12,21 @@ sample's maximum and minimum.
 """
 
 from covcusum import limits
-from covcusum.limits import CritValRequest
+from covcusum.limits import NullLaw
 
 print("single sample, closed-form anchors:")
 print(f"  bridge 95% point   (theory 1.844): "
-      f"{limits.critical_value(CritValRequest(kind='q-breve', K=1, level=0.95)):.4f}")
+      f"{limits.critical_value(NullLaw('q-breve', 1), 0.95):.4f}")
 print(f"  known-target 95%   (theory 5.024): "
-      f"{limits.critical_value(CritValRequest(kind='q', K=1, level=0.95)):.4f}")
+      f"{limits.critical_value(NullLaw('q', 1), 0.95):.4f}")
 
 print("\nsum-of-squares bridge statistic, level 0.95:")
 for K in (1, 2, 4, 6):
-    req = CritValRequest(kind="q-breve", K=K, level=0.95)
-    print(f"  K={K}: {limits.critical_value(req):.4f} ({req.law.method})")
+    law = NullLaw("q-breve", K)
+    print(f"  K={K}: {limits.critical_value(law, 0.95):.4f} ({law.method})")
 
 print("\npooled bridge statistic with unequal scales, level 0.95:")
-req = CritValRequest(kind="v-breve", K=4, level=0.95,
-                     alpha_weights=(1.0, 1.5, 0.7, 1.0),
-                     kappa=(100 / 380, 120 / 380, 70 / 380, 90 / 380),
-                     seed=5)
-print(f"  K=4: {limits.critical_value(req):.4f} ({req.law.method})")
+law = NullLaw("v-breve", 4, seed=5)
+weights = law.weights(alpha_weights=(1.0, 1.5, 0.7, 1.0),
+                      kappa=(100 / 380, 120 / 380, 70 / 380, 90 / 380))
+print(f"  K=4: {limits.critical_value(law, 0.95, weights):.4f} ({law.method})")

@@ -306,20 +306,21 @@ def _cmd_test(args):
 
 def _cmd_critval(args):
     limits.check_workers(args.workers)
-    req = limits.CritValRequest(
-        kind=args.kind, K=args.K, level=args.level, n_grid=args.n_grid, n_rep=args.n_rep,
-        alpha_weights=_numbers(args.alpha, "--alpha") if args.alpha else None,
-        kappa=_numbers(args.kappa, "--kappa") if args.kappa else None)  # refused: draws no seed
-    if req.law.seed is not None:
-        req = dataclasses.replace(req, seed=_resolve_seed(args))
-    value, law = limits.critical_value(req), req.law
-    print(f"{req.kind} K={req.K} level={req.level:.4g}: {value:.4g} ({law.method})")
+    alpha = _numbers(args.alpha, "--alpha") if args.alpha else None
+    kappa = _numbers(args.kappa, "--kappa") if args.kappa else None
+    level = limits.check_settings(args.kind, args.level, args.n_grid, args.n_rep, 0)[0]
+    law = limits.NullLaw(args.kind, args.K, args.n_grid, args.n_rep)
+    weights = law.weights(alpha, kappa)  # refused: draws no seed
+    if law.seed is not None:
+        law = dataclasses.replace(law, seed=_resolve_seed(args))
+    value = limits.critical_value(law, level, weights)
+    print(f"{law.kind} K={law.K} level={level:.4g}: {value:.4g} ({law.method})")
     if args.out:
         # An n_rep or seed that did not enter the value is None: an empty cell.
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["kind", "K", "level", "value", "n_grid", "n_rep", "seed", "method"])
-            writer.writerow([req.kind, req.K, _fmt(req.level), _fmt(value), req.n_grid,
+            writer.writerow([law.kind, law.K, _fmt(level), _fmt(value), law.n_grid,
                              law.n_rep, law.seed, law.method])
     return 0
 

@@ -60,6 +60,9 @@ class TestSpec:
         for j, target in enumerate(targets, start=1):
             if target.dtype.kind not in "iuf":
                 raise ConfigurationError(f"sample {j}: non-real targets entry {target.tolist()!r}")
+            if target.ndim > 1:
+                raise ShapeError(f"sample {j}: expected a 0-d or 1-d target, "
+                                 f"got ndim={target.ndim}")
             if not np.all(np.isfinite(target)):
                 raise ConfigurationError(f"sample {j}: target is not finite")
 

@@ -28,7 +28,7 @@ no critical value uses it.
 
 This module owns every random ``stream`` and ``child_seed``, and the
 readers of every setting: ``check_settings`` refuses a bad critical-value
-setting for ``CritValRequest``, ``cptest.TestSpec`` and
+setting for ``covcusum critval``, ``cptest.TestSpec`` and
 ``harness.ExperimentConfig`` alike, ``check_seed`` a seed outside
 [0, 2**64) for them, ``simgen.PanelConfig`` and every stream,
 ``check_workers`` a worker count below 1 (``process_map`` starts every
@@ -37,18 +37,20 @@ fraction or below its least value, ``real_vector`` a vector
 setting (weights here, the panel coefficients and scales of
 ``simgen.PanelConfig``) of another length or with an entry out of range
 or not a real, and ``real_array`` an array argument of any layer that is
-complex, not numeric or of another ndim; a request, and a ``NullLaw``,
-is complete or refused when made.  It owns
-every memo of a critical value, and all are exact ``functools.lru_cache``
-memos on their arguments: the quantile tables, and the few most recently
-used sum CDFs of the q kinds' laws (``_sum_cdf``), draw sets
-(``draw_extrema``) and path sets (``simulate_path_extrema``).  Memoized
-arrays, and the mapping that holds a path set, are read-only, so that no
-caller can change a later result by writing into one.  A ``NullLaw`` says
-how its critical values are reached: its ``method``, and the ``n_rep`` and
-``seed`` it reads, None for the q kinds.  Its ``quantile`` takes K weights
-or an (R, K) array of them, one row per replication of a batch.  Callers
-ask a law or ``critical_value`` and keep no cache of their own.
+complex, not numeric or of another ndim; a ``NullLaw`` is complete or
+refused when made.  It owns every memo of a critical value, and all are
+exact ``functools.lru_cache`` memos on their arguments: the quantile
+tables, and the few most recently used sum CDFs of the q kinds' laws
+(``_sum_cdf``), draw sets (``draw_extrema``) and path sets
+(``simulate_path_extrema``).  Memoized arrays, and the mapping that holds a
+path set, are read-only, so that no caller can change a later result by
+writing into one.  A ``NullLaw`` says how its critical values are reached:
+its ``method``, and the ``n_rep`` and ``seed`` it reads, None for the q
+kinds.  ``covcusum critval`` asks one law for its ``weights``, the c_j of a
+pooled kind's K ``alpha_weights`` and ``kappa``, and for its ``quantile``,
+which takes K weights or an (R, K) array of them, one row per replication
+of a batch.  Callers ask a law, or ``critical_value`` of one, and keep no
+cache of their own.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ def sup_abs_bm_cdf(y):
     """
     y = real_array(y, "bound") + 0.0  # -0.0 reads as 0.0
     if np.isnan(y).any() or y.min(initial=math.inf) < 0.0:
-        raise ValueError(f"argument must be non-negative and not nan, got {y}")
+        raise ConfigurationError(f"argument must be non-negative and not nan, got {y}")
     total = np.zeros_like(y)
     with np.errstate(divide="ignore"):  # y = 0: exp(-inf) = 0
         for l in range(_series_terms(y)):
@@ -121,7 +123,7 @@ def sup_abs_bb_cdf(y):
     """
     y = real_array(y, "bound")
     if np.isnan(y).any() or y.min(initial=math.inf) <= 0.0:
-        raise ValueError(f"argument must be positive and not nan, got {y}")
+        raise ConfigurationError(f"argument must be positive and not nan, got {y}")
     total = np.zeros_like(y)
     for l in range(1, _series_terms(y) + 1):
         total += np.exp(-((2 * l - 1) ** 2) * math.pi ** 2 / (8.0 * y))
@@ -272,44 +274,6 @@ def _check_level(level) -> float:
     if not (isinstance(level, numbers.Real) and 0.0 < level < 1.0):
         raise ConfigurationError(f"level must be in (0, 1), got {level!r}")
     return float(level)
-
-
-@dataclass(frozen=True)
-class CritValRequest:
-    """A complete request: pooled kinds carry K ``alpha_weights`` and ``kappa``, others neither."""
-
-    kind: str
-    K: int
-    level: float
-    alpha_weights: Optional[tuple] = None
-    kappa: Optional[tuple] = None
-    n_grid: int = DEFAULT_N_GRID
-    n_rep: int = DEFAULT_N_REP
-    seed: int = 0
-    law: NullLaw = field(init=False)  # whose quantile at ``level`` is the critical value
-
-    def __post_init__(self):
-        settings = check_settings(self.kind, self.level, self.n_grid, self.n_rep, self.seed)
-        law = NullLaw(self.kind, self.K, self.n_grid, self.n_rep, self.seed)
-        for name, value in zip(("level", "n_grid", "n_rep", "seed", "K", "law"),
-                               (*settings, law.K, law)):
-            object.__setattr__(self, name, value)
-        pooled = self.kind in POOLED_KINDS
-        if (self.alpha_weights is not None, self.kappa is not None) != (pooled, pooled):
-            raise ConfigurationError(
-                f"kind {self.kind!r} " + ("requires alpha_weights and kappa" if pooled
-                                          else "takes no alpha_weights or kappa"))
-        if pooled:
-            for name in ("alpha_weights", "kappa"):
-                object.__setattr__(self, name, real_vector(getattr(self, name), self.K, name, 0.0,
-                                                           math.inf, "K positive finite reals"))
-            if sum(self.kappa) > 1.0 + 1e-9:
-                raise ConfigurationError("kappa entries must sum to at most 1")
-
-    @property
-    def weights(self) -> Optional[np.ndarray]:
-        """The K weights c_j = alpha_j sqrt(kappa_j) of a pooled kind's law, else None."""
-        return None if self.kappa is None else np.multiply(self.alpha_weights, np.sqrt(self.kappa))
 
 
 def _block_extrema(seed, block_index, j, n_block, n_grid):
@@ -617,9 +581,9 @@ class NullLaw:
 
     kind: str
     K: int
-    n_grid: int
-    n_rep: Optional[int]
-    seed: Optional[int]
+    n_grid: int = DEFAULT_N_GRID
+    n_rep: Optional[int] = DEFAULT_N_REP
+    seed: Optional[int] = 0
     method: str = field(init=False)
 
     def __post_init__(self):
@@ -635,6 +599,23 @@ class NullLaw:
                             ("seed", None if corrected else check_seed(self.seed)),
                             ("method", "corrected" if corrected else "exact-mc")):
             object.__setattr__(self, name, value)
+
+    def weights(self, alpha_weights=None, kappa=None) -> Optional[np.ndarray]:
+        """The K weights c_j = alpha_j sqrt(kappa_j) of a pooled kind's law, else None; a
+        pooled kind requires K ``alpha_weights`` and ``kappa``, any other takes neither."""
+        pooled = self.kind in POOLED_KINDS
+        if (alpha_weights is not None, kappa is not None) != (pooled, pooled):
+            raise ConfigurationError(
+                f"kind {self.kind!r} " + ("requires alpha_weights and kappa" if pooled
+                                          else "takes no alpha_weights or kappa"))
+        if not pooled:
+            return None
+        rule = "K positive finite reals"
+        alpha_weights = real_vector(alpha_weights, self.K, "alpha_weights", 0.0, math.inf, rule)
+        kappa = real_vector(kappa, self.K, "kappa", 0.0, math.inf, rule)
+        if sum(kappa) > 1.0 + 1e-9:
+            raise ConfigurationError("kappa entries must sum to at most 1")
+        return np.multiply(alpha_weights, np.sqrt(kappa))
 
     def quantile(self, level: float, weights=None) -> float | np.ndarray:
         """The level-quantile; the v kinds weight sample j by c_j = alpha_j sqrt(kappa_j).
@@ -660,6 +641,6 @@ class NullLaw:
         return values if stack else float(values[0])
 
 
-def critical_value(req: CritValRequest) -> float:
-    """The critical value of ``req``: its law's quantile at its level and weights."""
-    return req.law.quantile(req.level, req.weights)
+def critical_value(law: NullLaw, level: float, weights=None) -> float:
+    """The critical value of ``law`` at ``level``: its quantile, weighted by ``weights``."""
+    return law.quantile(level, weights)

@@ -15,7 +15,7 @@ import pytest
 import scipy.stats
 
 from covcusum import cli, cptest, harness, limits, lrv, simgen, sumproc
-from covcusum.limits import CritValRequest
+from covcusum.limits import NullLaw
 from covcusum.sumproc import ProjectionPair
 from panels import products
 
@@ -27,9 +27,8 @@ def _verdict(num, name, ok, detail=""):
 
 def test_criterion_1_pooled_sum_critical_value():
     t0 = time.time()
-    req = CritValRequest(kind="q-breve", K=6, level=0.95,
-                         n_grid=2000, n_rep=100_000, seed=2024)
-    value = limits.critical_value(req)
+    law = NullLaw("q-breve", 6, n_grid=2000, n_rep=100_000, seed=2024)
+    value = limits.critical_value(law, 0.95)
     elapsed = time.time() - t0
     ok = abs(value - 7.08) <= 0.15 and elapsed <= 60.0
     _verdict(1, "six-sample critical value", ok,

@@ -88,6 +88,14 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError, match=match):
             TestSpec(kind=kind, targets=targets)
 
+    @pytest.mark.parametrize("kind", ["q", "v"])
+    @pytest.mark.parametrize("bad", [np.ones((2, 3)), [[1.0, 2.0]]], ids=["array", "nested"])
+    def test_matrix_target_refused_when_spec_made(self, kind, bad):
+        # A 2-d target was accepted here and refused only when the test ran.
+        with pytest.raises(ShapeError, match=r"^sample 2: expected a 0-d or 1-d target, "
+                                             r"got ndim=2$"):
+            TestSpec(kind=kind, targets=[1.0, bad])
+
     @pytest.mark.parametrize("kind", limits.KINDS)
     def test_matrix_panel_refused_naming_sample(self, kind):
         # The tests take product series; a panel of observation matrices
@@ -327,10 +335,9 @@ class TestCriticalValue:
         for a in (1.0, 1.00002):
             fix_scales(monkeypatch, a, 1.0)
             reports.append(cptest.run_test(products(panel, PAIR_1D), spec))
-        fresh = limits.critical_value(limits.CritValRequest(
-            kind="v-breve", K=2, level=0.95,
-            alpha_weights=(math.sqrt(1.00002), 1.0), kappa=(0.5, 0.5),
-            seed=4242, **SMALL))
+        law = limits.NullLaw("v-breve", 2, seed=4242, **SMALL)
+        fresh = limits.critical_value(
+            law, 0.95, law.weights(alpha_weights=(math.sqrt(1.00002), 1.0), kappa=(0.5, 0.5)))
         assert reports[1].critical_value == fresh
         assert reports[0].critical_value != fresh
 

@@ -10,8 +10,8 @@ import scipy.stats
 from scipy.integrate import quad
 
 from covcusum import limits
-from covcusum.errors import ConfigurationError, ShapeError
-from covcusum.limits import DEFAULT_N_GRID, CritValRequest
+from covcusum.errors import ConfigurationError, CovCusumError, ShapeError
+from covcusum.limits import DEFAULT_N_GRID, DEFAULT_N_REP, NullLaw
 
 SMALL = dict(n_grid=500, n_rep=20_000)
 
@@ -136,19 +136,19 @@ class TestExtremaCache:
     def test_memoized_arrays_are_read_only(self):
         # Writing into a returned array would change every later critical
         # value that reads the memo; it is refused instead.
-        req = CritValRequest(kind="v-breve", K=2, level=0.95, alpha_weights=(1.0, 1.5),
-                             kappa=(0.5, 0.5), seed=23, n_grid=500, n_rep=2000)
+        law = NullLaw("v-breve", 2, n_grid=500, n_rep=2000, seed=23)
+        weights = law.weights((1.0, 1.5), (0.5, 0.5))
         limits.draw_extrema.cache_clear()
-        before = limits.critical_value(req)
+        before = limits.critical_value(law, 0.95, weights)
         memos = [*limits.draw_extrema("bb", 2, 2000, 23), limits._quantile_table("bb"),
                  *limits.simulate_path_extrema(1, 100, 1000, seed=23)["bb"],
                  limits._sum_cdf("q-breve", 2, 500, limits._TABLE_STEP)]
         for a in memos:
             with pytest.raises(ValueError, match="read-only"):
                 a *= 2.0
-        assert limits.critical_value(req) == before
+        assert limits.critical_value(law, 0.95, weights) == before
         limits.draw_extrema.cache_clear()  # redrawn through the quantile table
-        assert limits.critical_value(req) == before
+        assert limits.critical_value(law, 0.95, weights) == before
         limits.draw_extrema.cache_clear()
         limits._path_extrema.cache_clear()
 
@@ -179,9 +179,9 @@ class TestExtremaCache:
         for n_grid in (500, 2000):
             shift = limits.BGK_BETA / math.sqrt(n_grid)
             fresh = [np.maximum(a - shift, 0.0) for a in before]
-            req = CritValRequest(kind="v-breve", K=2, level=0.95, alpha_weights=(1.0, 1.5),
-                                 kappa=(0.5, 0.5), n_grid=n_grid, n_rep=2000, seed=31)
-            assert limits.critical_value(req) == limits.empirical_quantile(
+            law = NullLaw("v-breve", 2, n_grid, 2000, 31)
+            assert limits.critical_value(law, 0.95, law.weights((1.0, 1.5), (0.5, 0.5))) == \
+                limits.empirical_quantile(
                 np.maximum(fresh[0] @ c, fresh[1] @ c), 0.95)
         hits = limits.draw_extrema.cache_info().hits
         memo = limits.draw_extrema("bb", 2, 2000, 31)
@@ -297,6 +297,15 @@ class TestCorrectedLaw:
         with pytest.raises(ValueError, match="nan"):
             cdf(y)
 
+    @pytest.mark.parametrize("cdf, y", [
+        (limits.sup_abs_bm_cdf, -0.1), (limits.sup_abs_bm_cdf, math.nan),
+        (limits.sup_abs_bb_cdf, 0.0), (limits.sup_abs_bb_cdf, np.array([1.0, -0.1]))],
+        ids=["bm-negative", "bm-nan", "bb-zero", "bb-negative-entry"])
+    def test_bound_out_of_domain_is_a_package_refusal(self, cdf, y):
+        # These were plain ValueErrors, which a caller catching CovCusumError missed.
+        with pytest.raises(CovCusumError, match="^argument must be "):
+            cdf(y)
+
     @pytest.mark.parametrize("kind", limits.CORRECTED_KINDS)
     def test_table_leaves_out_at_most_1e12(self, kind):
         table = limits._one_sample_table(kind, 2000, limits._TABLE_STEP)
@@ -331,13 +340,13 @@ class TestCorrectedLaw:
         # 99% distribution-free interval for the 0.95 quantile of the
         # n_grid = 1000 law from 1e5 simulated draws of sum_j sup|B_j|^2;
         # K = 1 uses column 0.
-        req = CritValRequest(kind=kind, K=K, level=0.95, n_grid=1000)
+        law = NullLaw(kind, K, 1000)
         hi, lo = oracle_extrema["bm" if kind == "q" else "bb"]
         draws = np.sort((np.maximum(hi[:, :K], lo[:, :K]) ** 2).sum(axis=1))
         n = len(draws)
         lo = int(scipy.stats.binom.ppf(0.005, n, 0.95))
         hi = int(scipy.stats.binom.ppf(0.995, n, 0.95)) + 1
-        value = limits.critical_value(req)
+        value = limits.critical_value(law, 0.95)
         assert draws[lo - 1] <= value <= draws[hi - 1]
 
     @pytest.mark.parametrize("kind", limits.CORRECTED_KINDS)
@@ -347,9 +356,7 @@ class TestCorrectedLaw:
 
         monkeypatch.setattr(limits, "simulate_path_extrema", no_simulation)
         monkeypatch.setattr(limits, "draw_extrema", no_simulation)
-        values = {limits.critical_value(
-                      CritValRequest(kind=kind, K=3, level=0.95, n_grid=1000,
-                                     n_rep=n_rep, seed=seed))
+        values = {limits.critical_value(NullLaw(kind, 3, 1000, n_rep, seed), 0.95)
                   for seed in (0, 7, 2024) for n_rep in (1000, 100_000)}
         assert len(values) == 1
 
@@ -360,16 +367,12 @@ class TestCorrectedLaw:
         table = limits._one_sample_table
         monkeypatch.setattr(limits, "_one_sample_table",
                             lambda *args: tables.append(args) or table(*args))
-        first = limits.critical_value(CritValRequest(kind="q-breve", K=3, level=0.95,
-                                                     n_grid=700))
-        again = limits.critical_value(CritValRequest(kind="q-breve", K=3, level=0.95,
-                                                     n_grid=700, n_rep=5000, seed=9))
+        first = limits.critical_value(NullLaw("q-breve", 3, 700), 0.95)
+        again = limits.critical_value(NullLaw("q-breve", 3, 700, 5000, 9), 0.95)
         assert again == first and len(tables) == 1
-        lower = limits.critical_value(CritValRequest(kind="q-breve", K=3, level=0.9,
-                                                     n_grid=700))
+        lower = limits.critical_value(NullLaw("q-breve", 3, 700), 0.9)
         assert lower < first and len(tables) == 1
-        other = limits.critical_value(CritValRequest(kind="q-breve", K=3, level=0.95,
-                                                     n_grid=701))
+        other = limits.critical_value(NullLaw("q-breve", 3, 701), 0.95)
         assert other != first and len(tables) == 2
         with pytest.raises(TypeError):  # positional only, so that a law has one key
             limits._sum_cdf("q-breve", 3, 700, step=limits._TABLE_STEP)
@@ -377,19 +380,19 @@ class TestCorrectedLaw:
 
     def test_level_beyond_table_rejected(self):
         with pytest.raises(ConfigurationError, match="beyond the tabulated law"):
-            limits.critical_value(CritValRequest(kind="q-breve", K=2, level=1.0 - 1e-15))
+            limits.critical_value(NullLaw("q-breve", 2), 1.0 - 1e-15)
 
     def test_method_names(self):
         laws = [limits.NullLaw(k, 2, 500, 2000, 7) for k in limits.KINDS]
         assert [law.method for law in laws] == ["corrected", "exact-mc", "corrected", "exact-mc"]
         assert [(law.n_rep, law.seed) for law in laws] == [(None, None), (2000, 7)] * 2
-        # A q-kind law reads neither, whatever was given; a request holds its law.
+        # A q-kind law holds neither, whatever was given; a v-kind law holds the defaults.
         for n_rep, seed in ((100_000, 0), (2.5, 2**70), (None, None)):
             law = limits.NullLaw("q-breve", 2, 500, n_rep, seed)
             assert (law.n_rep, law.seed) == (None, None)
             assert law == limits.NullLaw("q-breve", 2, 500, 1000, 3)
-        assert CritValRequest(kind="q", K=2, level=0.95, n_rep=2.5, seed=9).law == \
-            limits.NullLaw("q", 2, DEFAULT_N_GRID, None, None)
+        assert NullLaw("q", 2, n_rep=2.5, seed=9) == NullLaw("q", 2, DEFAULT_N_GRID, None, None)
+        assert NullLaw("v", 2) == NullLaw("v", 2, DEFAULT_N_GRID, DEFAULT_N_REP, 0)
 
     @pytest.mark.parametrize("args, match", [
         (("bogus", 2, 500, 2000, 3), "^unknown statistic kind 'bogus'$"),
@@ -484,12 +487,11 @@ class TestExactDraws:
         # For one sample the statistic is max(sup|B| - beta / sqrt(n_grid), 0),
         # and the critical value is its k-th order statistic of n draws, at
         # which the law's cdf is Beta(k, n + 1 - k) distributed.
-        req = CritValRequest(kind=kind, K=1, level=0.95, alpha_weights=(1.0,),
-                             kappa=(1.0,), seed=31)
+        law = NullLaw(kind, 1, seed=31)
         cdf = limits.sup_abs_bb_cdf if kind == "v-breve" else limits.sup_abs_bm_cdf
-        shift = limits.BGK_BETA / math.sqrt(req.n_grid)
-        p = cdf((limits.critical_value(req) + shift) ** 2)
-        n = req.n_rep
+        shift = limits.BGK_BETA / math.sqrt(law.n_grid)
+        p = cdf((limits.critical_value(law, 0.95, law.weights((1.0,), (1.0,))) + shift) ** 2)
+        n = law.n_rep
         k = math.ceil(0.95 * n)
         assert (scipy.stats.beta.ppf(0.005, k, n + 1 - k) <= p
                 <= scipy.stats.beta.ppf(0.995, k, n + 1 - k))
@@ -510,9 +512,8 @@ class TestExactDraws:
         n = len(draws)
         first = int(scipy.stats.binom.ppf(0.005, n, 0.95))
         last = int(scipy.stats.binom.ppf(0.995, n, 0.95)) + 1
-        value = limits.critical_value(CritValRequest(
-            kind=kind, K=K, level=0.95, alpha_weights=tuple(alpha), kappa=tuple(kappa),
-            n_grid=1000, n_rep=400_000, seed=2026))
+        law = NullLaw(kind, K, 1000, 400_000, 2026)
+        value = limits.critical_value(law, 0.95, law.weights(tuple(alpha), tuple(kappa)))
         assert draws[first - 1] <= value <= draws[last - 1]
 
     @pytest.mark.parametrize("seed", [42, 3386250816931739734])
@@ -526,34 +527,30 @@ class TestExactDraws:
 
 class TestCriticalValue:
     def test_q_breve_k1_matches_kolmogorov_square(self):
-        req = CritValRequest(kind="q-breve", K=1, level=0.95, seed=7)
-        assert limits.critical_value(req) == pytest.approx(1.358 ** 2, rel=0.02)
+        law = NullLaw("q-breve", 1, seed=7)
+        assert limits.critical_value(law, 0.95) == pytest.approx(1.358 ** 2, rel=0.02)
 
     def test_v_breve_k1_matches_kolmogorov(self):
-        req = CritValRequest(kind="v-breve", K=1, level=0.95,
-                             alpha_weights=(1.0,), kappa=(1.0,), seed=7)
-        assert limits.critical_value(req) == pytest.approx(1.358, rel=0.02)
+        law = NullLaw("v-breve", 1, seed=7)
+        assert limits.critical_value(law, 0.95, law.weights((1.0,), (1.0,))) == \
+            pytest.approx(1.358, rel=0.02)
 
     def test_q_k1_matches_reflection_law(self):
-        req = CritValRequest(kind="q", K=1, level=0.95, seed=7)
-        assert limits.critical_value(req) == pytest.approx(2.2414 ** 2, rel=0.02)
+        law = NullLaw("q", 1, seed=7)
+        assert limits.critical_value(law, 0.95) == pytest.approx(2.2414 ** 2, rel=0.02)
 
     def test_quantile_monotone_in_level(self):
         vals = []
         for level in (0.8, 0.9, 0.95, 0.99):
-            req = CritValRequest(kind="q-breve", K=3, level=level, seed=11, **SMALL)
-            vals.append(limits.critical_value(req))
+            vals.append(limits.critical_value(NullLaw("q-breve", 3, seed=11, **SMALL), level))
         assert vals == sorted(vals)
 
     def test_alpha_scaling_exact_for_fixed_seed(self):
-        base = CritValRequest(kind="v-breve", K=2, level=0.95,
-                              alpha_weights=(1.0, 2.0), kappa=(0.5, 0.5),
-                              seed=13, **SMALL)
-        scaled = CritValRequest(kind="v-breve", K=2, level=0.95,
-                                alpha_weights=(3.0, 6.0), kappa=(0.5, 0.5),
-                                seed=13, **SMALL)
-        assert limits.critical_value(scaled) == pytest.approx(
-            3.0 * limits.critical_value(base), rel=1e-12)
+        law = NullLaw("v-breve", 2, seed=13, **SMALL)
+        base = law.weights((1.0, 2.0), (0.5, 0.5))
+        scaled = law.weights((3.0, 6.0), (0.5, 0.5))
+        assert limits.critical_value(law, 0.95, scaled) == pytest.approx(
+            3.0 * limits.critical_value(law, 0.95, base), rel=1e-12)
 
     def test_draws_independent_of_task_order(self):
         # Each (block, sample) task draws from its own stream, so running the
@@ -571,17 +568,15 @@ class TestCriticalValue:
 
     @pytest.mark.parametrize("kind", limits.POOLED_KINDS)
     def test_weight_stack_equals_one_request_per_row(self, kind):
-        # An (R, K) array of weights is R requests in one quantile call, bit for
-        # bit, at either n_grid of one draw set.
+        # An (R, K) array of weights is R critical values in one quantile call, bit
+        # for bit, at either n_grid of one draw set.
         alphas = np.random.default_rng(3).uniform(0.2, 3.0, size=(5, 3))
         kappa = (0.2, 0.3, 0.5)
         limits.draw_extrema.cache_clear()
         for n_grid in (500, 2000):
-            settings = dict(kind=kind, K=3, level=0.95, kappa=kappa, n_grid=n_grid,
-                            n_rep=2000, seed=29)
             law = limits.NullLaw(kind, 3, n_grid, 2000, 29)
             got = law.quantile(0.95, alphas * np.sqrt(kappa))
-            rows = [limits.critical_value(CritValRequest(alpha_weights=tuple(a), **settings))
+            rows = [limits.critical_value(law, 0.95, law.weights(tuple(a), kappa))
                     for a in alphas]
             assert got.shape == (5,)
             assert np.array_equal(got, rows)
@@ -590,12 +585,11 @@ class TestCriticalValue:
     @pytest.mark.parametrize("stack", [[[1.0, 1.5], [0.5, 2.0]], [[1.0, 1.5]] * 3,
                                        np.ones((2, 2)), np.zeros((0, 2))],
                              ids=["K-rows", "3-rows", "array", "no-rows"])
-    def test_weight_stack_refused_by_request(self, stack):
-        # A request holds one row of K weights; a stack of rows is the law's to take.
+    def test_weight_stack_refused_by_weights(self, stack):
+        # ``weights`` makes one row of K weights; a stack of rows is ``quantile``'s to take.
         with pytest.raises(ConfigurationError,
                            match="alpha_weights must be K positive finite reals, got"):
-            CritValRequest(kind="v-breve", K=2, level=0.95, alpha_weights=stack,
-                           kappa=(0.5, 0.5))
+            NullLaw("v-breve", 2).weights(stack, (0.5, 0.5))
 
     @pytest.mark.parametrize("kind", limits.KINDS)
     @pytest.mark.parametrize("level", [1.5, 1.0, 0.0, -0.2, math.nan])
@@ -628,45 +622,42 @@ class TestCriticalValue:
 
     def test_missing_weights_rejected(self):
         with pytest.raises(ConfigurationError, match="requires alpha_weights and kappa"):
-            CritValRequest(kind="v", K=2, level=0.95, seed=1, **SMALL)
+            NullLaw("v", 2, seed=1, **SMALL).weights()
 
     @pytest.mark.parametrize("kind", limits.KINDS)
     @pytest.mark.parametrize("given", ["alpha_weights", "kappa"])
     def test_incomplete_or_surplus_weights_refused(self, kind, given):
         # A pooled kind needs both weights, a corrected kind takes neither.
         with pytest.raises(ConfigurationError, match=f"kind '{kind}' (requires|takes no)"):
-            CritValRequest(kind=kind, K=1, level=0.95, **{given: (1.0,)})
+            NullLaw(kind, 1).weights(**{given: (1.0,)})
 
-    def test_invalid_requests_rejected(self):
+    def test_invalid_laws_and_weights_rejected(self):
         with pytest.raises(ConfigurationError):
-            CritValRequest(kind="bogus", K=1, level=0.95)
+            NullLaw("bogus", 1)
         with pytest.raises(ConfigurationError, match="K must be >= 1"):
-            CritValRequest(kind="q", K=0, level=0.95)
+            NullLaw("q", 0)
         with pytest.raises(ConfigurationError):
-            CritValRequest(kind="q", K=1, level=1.5)
+            limits.critical_value(NullLaw("q", 1), 1.5)
         for bad in ("0.5", None, [0.5], 0.95 + 0j):  # used to raise a bare TypeError
             with pytest.raises(ConfigurationError, match=r"level must be in \(0, 1\), got "):
-                CritValRequest(kind="q", K=1, level=bad)
+                limits.critical_value(NullLaw("q", 1), bad)
         with pytest.raises(ConfigurationError):
-            CritValRequest(kind="q", K=1, level=0.95, n_grid=10)
-        with pytest.raises(ConfigurationError):
-            CritValRequest(kind="v", K=2, level=0.95,
-                           alpha_weights=(1.0, 1.0), kappa=(0.9, 0.9))
+            NullLaw("q", 1, n_grid=10)
+        with pytest.raises(ConfigurationError, match="^kappa entries must sum to at most 1$"):
+            NullLaw("v", 2).weights((1.0, 1.0), (0.9, 0.9))
         # A string, bool or complex entry used to be read as a float or to
         # raise numpy's ValueError; 10**400 overflows a float.
         for bad in (0.0, -1.0, math.nan, math.inf, "x", "0.5", True, 0.5 + 0j, 10 ** 400):
             with pytest.raises(ConfigurationError,
                                match="alpha_weights must be K positive finite reals, got"):
-                CritValRequest(kind="v", K=2, level=0.95,
-                               alpha_weights=(1.0, bad), kappa=(0.5, 0.5))
+                NullLaw("v", 2).weights((1.0, bad), (0.5, 0.5))
             with pytest.raises(ConfigurationError,
                                match="kappa must be K positive finite reals, got"):
-                CritValRequest(kind="v", K=2, level=0.95,
-                               alpha_weights=(1.0, 1.0), kappa=(bad, 0.5))
+                NullLaw("v", 2).weights((1.0, 1.0), (bad, 0.5))
         with pytest.raises(ConfigurationError, match="alpha_weights must be K positive"):
-            CritValRequest(kind="v", K=1, level=0.95, alpha_weights=1.0, kappa=(1.0,))
+            NullLaw("v", 1).weights(1.0, (1.0,))
         with pytest.raises(ConfigurationError, match="seed"):
-            CritValRequest(kind="v-breve", K=1, level=0.95, seed=-1)
+            NullLaw("v-breve", 1, seed=-1)
 
     @pytest.mark.parametrize("name, value", [
         ("seed", 1.5), ("seed", True), ("n_grid", 1000.5), ("n_rep", 2000.5),
@@ -679,10 +670,9 @@ class TestCriticalValue:
             with pytest.raises(ConfigurationError, match=r"(seed|key) must be a whole number"):
                 limits.stream(*value)
             return
-        settings = dict(kind="v-breve", K=2, level=0.95, alpha_weights=(1.0, 1.5),
-                        kappa=(0.5, 0.5), n_rep=2000, seed=1)
+        settings = dict(kind="v-breve", K=2, n_rep=2000, seed=1)
         with pytest.raises(ConfigurationError, match=f"{name} must be a whole number, got "):
-            CritValRequest(**{**settings, name: value})
+            NullLaw(**{**settings, name: value})
 
     @pytest.mark.parametrize("refuse", [lambda: limits.stream(1, -1),
                                         lambda: limits.stream(1, 0, -3),
@@ -702,8 +692,7 @@ class TestCriticalValue:
                 wide, spawn_key=(3, 1)))).standard_normal()
         for refuse in (lambda: limits.stream(wide, 3, 1), lambda: limits.stream(2**64),
                        lambda: limits.child_seed(2**64, 0),
-                       lambda: CritValRequest(kind="v-breve", K=1, level=0.95,
-                                              alpha_weights=(1.0,), kappa=(1.0,), seed=2**64)):
+                       lambda: NullLaw("v-breve", 1, seed=2**64)):
             with pytest.raises(ConfigurationError, match=r"^seed must be below 2\*\*64, got "):
                 refuse()
         assert limits.check_seed(np.uint64(2**64 - 1)) == 2**64 - 1
@@ -727,22 +716,23 @@ class TestCriticalValue:
         limits.stream(7, 2**32 - 1, 2**32 - 1)
         limits.child_seed(7, 2**32 - 1)
 
-    def test_unread_n_rep_not_checked(self):
-        assert CritValRequest(kind="q-breve", K=1, level=0.95, n_rep=2.5).n_rep == 2.5
+    def test_unread_n_rep_not_checked_and_not_held(self):
+        law = NullLaw("q-breve", 1, n_rep=2.5)
+        assert (law.n_rep, law.seed) == (None, None)
 
     @pytest.mark.parametrize("kind", ["q-breve", "v-breve"])
     def test_integral_floats_and_numpy_integers_are_those_ints(self, kind):
-        weights = dict(alpha_weights=(1.0, 1.5), kappa=(0.5, 0.5)) if kind == "v-breve" else {}
-        req = CritValRequest(kind=kind, K=2, level=0.95, n_grid=500, n_rep=2000, seed=1,
-                             **weights)
+        pooled = kind == "v-breve"
+        law = NullLaw(kind, 2, 500, 2000, 1)
+        weights = law.weights((1.0, 1.5), (0.5, 0.5)) if pooled else None
         for K, n_grid, n_rep, seed in [(2.0, 500.0, 2000.0, 1.0),
                                        (np.int64(2), np.int32(500), np.int64(2000), np.uint8(1))]:
-            same = CritValRequest(kind=kind, K=K, level=0.95, n_grid=n_grid, n_rep=n_rep,
-                                  seed=seed, **weights)
-            assert same == req
-            read = ("K", "n_grid", "seed") + (("n_rep",) if weights else ())
+            same = NullLaw(kind, K, n_grid, n_rep, seed)
+            assert same == law
+            read = ("K", "n_grid") + (("n_rep", "seed") if pooled else ())
             assert all(type(getattr(same, f)) is int for f in read)
-            assert limits.critical_value(same) == limits.critical_value(req)
+            assert limits.critical_value(same, 0.95, weights) == \
+                limits.critical_value(law, 0.95, weights)
 
     def test_empirical_quantile_convention(self):
         draws = np.arange(1.0, 101.0)
@@ -778,7 +768,6 @@ def test_series_vs_monte_carlo_cdf_agreement(bridge_suprema):
 
 
 def test_critical_value_increases_with_level():
-    values = [limits.critical_value(CritValRequest(kind="q-breve", K=2, level=lv, seed=23,
-                                                   **SMALL))
+    values = [limits.critical_value(NullLaw("q-breve", 2, seed=23, **SMALL), lv)
               for lv in (0.9, 0.95)]
     assert values[0] < values[1]

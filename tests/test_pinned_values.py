@@ -10,7 +10,7 @@ import pytest
 
 from covcusum import cptest, harness, limits, simgen, sumproc
 from covcusum.harness import ExperimentConfig
-from covcusum.limits import CritValRequest
+from covcusum.limits import NullLaw
 
 # 0.95 critical values at n_grid 2000, for K = 1..6 samples.
 Q_PINS = {
@@ -27,15 +27,16 @@ V_PINS = {"v": 2.863946150903284, "v-breve": 1.868836350795687}
 @pytest.mark.parametrize("kind", limits.CORRECTED_KINDS)
 @pytest.mark.parametrize("K", range(1, 7))
 def test_q_kind_critical_value(kind, K):
-    value = limits.critical_value(CritValRequest(kind=kind, K=K, level=0.95, n_grid=2000))
+    value = limits.critical_value(NullLaw(kind, K, n_grid=2000), 0.95)
     assert value == pytest.approx(Q_PINS[kind][K - 1], rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("kind", limits.POOLED_KINDS)
 def test_v_kind_critical_value(kind):
-    req = CritValRequest(kind=kind, K=3, level=0.95, alpha_weights=(1.0, 1.5, 0.7),
-                         kappa=(0.3, 0.3, 0.4), n_grid=2000, n_rep=2000, seed=5)
-    assert limits.critical_value(req) == pytest.approx(V_PINS[kind], rel=1e-9, abs=0)
+    law = NullLaw(kind, K=3, n_grid=2000, n_rep=2000, seed=5)
+    weights = law.weights(alpha_weights=(1.0, 1.5, 0.7), kappa=(0.3, 0.3, 0.4))
+    value = limits.critical_value(law, 0.95, weights)
+    assert value == pytest.approx(V_PINS[kind], rel=1e-9, abs=0)
 
 
 # Reports of the four kinds on ``_panel()``, in-sample and with 60 learning
