@@ -273,8 +273,7 @@ def _cmd_test(args):
         raise ConfigurationError(f"--learning-length must be >= 1, got {args.learning_length}")
     spec = cptest.TestSpec(kind=args.kind, level=args.level, targets=targets,
                            n_grid=args.n_grid, n_rep=args.n_rep)  # refused settings draw no seed
-    law = limits.NullLaw(spec.kind, len(args.data), spec.n_grid, spec.n_rep, spec.seed)
-    if law.seed is not None:  # a law that reads no seed draws none
+    if spec.seed is not None:  # a law that reads no seed draws none
         spec = dataclasses.replace(spec, seed=_resolve_seed(args))
     L = args.learning_length
     products, _ = load_bundle(args.data, args.v, args.w, args.workers, L)
@@ -308,7 +307,7 @@ def _cmd_critval(args):
     limits.check_workers(args.workers)
     alpha = _numbers(args.alpha, "--alpha") if args.alpha else None
     kappa = _numbers(args.kappa, "--kappa") if args.kappa else None
-    level = limits.check_settings(args.kind, args.level, args.n_grid, args.n_rep, 0)[0]
+    level = limits.check_level(args.level)
     law = limits.NullLaw(args.kind, args.K, args.n_grid, args.n_rep)
     weights = law.weights(alpha, kappa)  # refused: draws no seed
     if law.seed is not None:

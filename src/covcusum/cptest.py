@@ -7,7 +7,8 @@ variants recenter by the in-sample endpoint and therefore need no target
 bilinear form; the plain variants require known targets.  A panel is a
 list of K product series p = (Yv)(Yw), one per sample, all projected by
 the caller through one pair of weight vectors (``sumproc.project``); a
-``TestSpec`` holds one test's settings.  Long-run variances are always
+``TestSpec`` holds one test's settings, and ``TestSpec.law(K)`` is the null
+law of its statistic for K samples.  Long-run variances are always
 estimated: from the tested products, or from a learning series per
 sample, projected through the same pair and not tested.  Refusals count
 samples and observations from 1, as ``covcusum test`` numbers its files,
@@ -42,17 +43,19 @@ class TestSpec:
     level: float = 0.95
     targets: Optional[Sequence] = None  # one float or length-N_j array per sample
     n_grid: int = limits.DEFAULT_N_GRID
-    n_rep: int = limits.DEFAULT_N_REP
-    seed: int = 0
+    n_rep: Optional[int] = limits.DEFAULT_N_REP  # n_rep and seed: None if the law reads neither
+    seed: Optional[int] = 0
 
     def __post_init__(self):
-        self.level, self.n_grid, self.n_rep, self.seed = limits.check_settings(
-            self.kind, self.level, self.n_grid, self.n_rep, self.seed)
+        self.n_grid, self.n_rep, self.seed = (law := self.law(1)).n_grid, law.n_rep, law.seed
+        self.level = limits.check_level(self.level)
         bridge = self.kind in limits.BRIDGE_KINDS
         if bridge != (self.targets is None):
             raise ConfigurationError(
                 f"kind {self.kind!r} {'forbids' if bridge else 'requires'} targets")
-        try:
+        try:  # read by position, so a mapping, a set or an iterator is refused
+            if not (bridge or isinstance(self.targets, (Sequence, np.ndarray))):
+                raise TypeError
             targets = () if bridge else [np.asarray(t) for t in self.targets]
         except (TypeError, ValueError):  # not a sequence, or a ragged target
             raise ConfigurationError("targets must hold one real or array of reals per sample, "
@@ -65,6 +68,10 @@ class TestSpec:
                                  f"got ndim={target.ndim}")
             if not np.all(np.isfinite(target)):
                 raise ConfigurationError(f"sample {j}: target is not finite")
+
+    def law(self, K: int) -> limits.NullLaw:
+        """The null law of this test's statistic for K samples."""
+        return limits.NullLaw(self.kind, K, self.n_grid, self.n_rep, self.seed)
 
 
 @dataclass
@@ -239,7 +246,7 @@ def run_batch(batch, specs: Sequence[TestSpec], learning=None) -> list:
         stat, argmax = _statistic(summary, spec)  # refuses an empty sample first
         # Row r weights replication r's pooled law: c_j = alpha_j sqrt(N_j / N).
         weights = np.sqrt(alpha_sq) * np.sqrt([n / sum(summary.sizes) for n in summary.sizes])
-        law = limits.NullLaw(spec.kind, K, spec.n_grid, spec.n_rep, spec.seed)
+        law = spec.law(K)
         crit = np.full(R, law.quantile(spec.level, weights))
         reports.append(BatchReport(statistic=stat, critical_value=crit, reject=stat > crit,
                                    alpha_sq=alpha_sq, bandwidth=bandwidth, argmax_k=argmax,

@@ -96,7 +96,7 @@ class ExperimentConfig:
     level: float = 0.95
     seed: int = 0
     critval_n_grid: int = limits.DEFAULT_N_GRID
-    critval_n_rep: int = limits.DEFAULT_N_REP
+    critval_n_rep: Optional[int] = limits.DEFAULT_N_REP  # None unless a v kind reads it
     workers: int = 1
 
     def __post_init__(self):
@@ -129,12 +129,13 @@ class ExperimentConfig:
             raise ConfigurationError("dims must be >= 1")
         if not self.tests:
             raise ConfigurationError("tests must name at least one kind")
-        for t in self.tests:
-            if t not in limits.BRIDGE_KINDS:
-                raise ConfigurationError(
-                    f"experiment supports the target-free kinds, got {t!r}")
-            self.level, self.critval_n_grid, self.critval_n_rep, self.seed = limits.check_settings(
-                t, self.level, self.critval_n_grid, self.critval_n_rep, self.seed)
+        if bad := [t for t in self.tests if t not in limits.BRIDGE_KINDS]:
+            raise ConfigurationError(f"experiment supports the target-free kinds, got {bad[0]!r}")
+        specs = [cptest.TestSpec(t, self.level, n_grid=self.critval_n_grid,
+                                 n_rep=self.critval_n_rep) for t in self.tests]
+        self.level, self.critval_n_grid = specs[0].level, specs[0].n_grid
+        self.critval_n_rep = next((s.n_rep for s in specs if s.n_rep is not None), None)
+        self.seed = limits.check_seed(self.seed)  # it drives the panels, whatever the kinds
         for name in ("cases", "dims", "change_times", "tests"):  # no cell or rate twice
             values = getattr(self, name) or ()
             if twice := [v for i, v in enumerate(values) if v in values[:i]]:
@@ -240,8 +241,7 @@ def run_cell(case, d, change_time, cfg: ExperimentConfig, cell_index, map_=map):
     panel_cfg, learning_cfg = _cell_configs(case, d, change_time, cfg, cell_index)
     seed = panel_cfg.seed
     specs = [cptest.TestSpec(kind=t, level=cfg.level, n_grid=cfg.critval_n_grid,
-                             n_rep=cfg.critval_n_rep, seed=seed)
-             for t in cfg.tests]
+                             n_rep=cfg.critval_n_rep, seed=seed) for t in cfg.tests]
     n, size = cfg.replications, _batch_size(panel_cfg, learning_cfg)
     batches = map_(functools.partial(_rejections, panel_cfg, learning_cfg, specs),
                    (range(a, min(a + size, n)) for a in range(0, n, size)))

@@ -27,30 +27,31 @@ returns the same (M+, M-) pair of each law; it is the tests' oracle, and
 no critical value uses it.
 
 This module owns every random ``stream`` and ``child_seed``, and the
-readers of every setting: ``check_settings`` refuses a bad critical-value
-setting for ``covcusum critval``, ``cptest.TestSpec`` and
+readers of every setting: ``check_level`` refuses a level outside (0, 1)
+for ``covcusum critval``, ``cptest.TestSpec`` and
 ``harness.ExperimentConfig`` alike, ``check_seed`` a seed outside
 [0, 2**64) for them, ``simgen.PanelConfig`` and every stream,
 ``check_workers`` a worker count below 1 (``process_map`` starts every
 process pool), ``whole_number`` an integer setting that is a bool, a
-fraction or below its least value, ``real_vector`` a vector
-setting (weights here, the panel coefficients and scales of
-``simgen.PanelConfig``) of another length or with an entry out of range
-or not a real, and ``real_array`` an array argument of any layer that is
-complex, not numeric or of another ndim; a ``NullLaw`` is complete or
-refused when made.  It owns every memo of a critical value, and all are
+fraction or below its least value, ``real_vector`` a vector setting
+(weights here, the panel coefficients and scales of ``simgen.PanelConfig``)
+of another length or with an entry out of range or not a real, and
+``real_array`` an array argument of any layer that is complex, not numeric
+or of another ndim.  It owns every memo of a critical value, and all are
 exact ``functools.lru_cache`` memos on their arguments: the quantile
 tables, and the few most recently used sum CDFs of the q kinds' laws
 (``_sum_cdf``), draw sets (``draw_extrema``) and path sets
 (``simulate_path_extrema``).  Memoized arrays, and the mapping that holds a
 path set, are read-only, so that no caller can change a later result by
-writing into one.  A ``NullLaw`` says how its critical values are reached:
-its ``method``, and the ``n_rep`` and ``seed`` it reads, None for the q
-kinds.  ``covcusum critval`` asks one law for its ``weights``, the c_j of a
-pooled kind's K ``alpha_weights`` and ``kappa``, and for its ``quantile``,
-which takes K weights or an (R, K) array of them, one row per replication
-of a batch.  Callers ask a law, or ``critical_value`` of one, and keep no
-cache of their own.
+writing into one.  A ``NullLaw`` is complete or refused when made, and says
+how its critical values are reached: its ``method``, and the ``n_rep`` and
+``seed`` it reads, None for the q kinds.  ``TestSpec`` and
+``ExperimentConfig`` read their critical-value settings through one, and
+hold None for a setting it does not read.  ``covcusum critval`` asks one law
+for its ``weights``, the c_j of a pooled kind's K ``alpha_weights`` and
+``kappa``, and for its ``quantile``, which takes K weights or an (R, K)
+array of them, one row per replication of a batch.  Callers ask a law, or
+``critical_value`` of one, and keep no cache of their own.
 """
 
 from __future__ import annotations
@@ -262,15 +263,8 @@ def child_seed(seed, i) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def check_settings(kind: str, level: float, n_grid: int, n_rep: int, seed: int) -> tuple:
-    """(level, n_grid, n_rep, seed) as a float and ints, or a refusal; ``n_rep`` only if read.
-    The kind, n_grid and n_rep are read by the ``NullLaw`` they set."""
-    law = NullLaw(kind, 1, n_grid, n_rep, seed)
-    n_rep = n_rep if law.n_rep is None else law.n_rep
-    return _check_level(level), law.n_grid, n_rep, check_seed(seed)
-
-
-def _check_level(level) -> float:
+def check_level(level) -> float:
+    """``level``, a real in (0, 1), as a float; anything else is refused."""
     if not (isinstance(level, numbers.Real) and 0.0 < level < 1.0):
         raise ConfigurationError(f"level must be in (0, 1), got {level!r}")
     return float(level)
@@ -378,7 +372,7 @@ def _path_extrema(K, n_grid, n_rep, seed, workers):
 def empirical_quantile(draws: np.ndarray, level: float) -> float:
     """Order statistic at ceil(level * n) of a non-empty 1-d ``draws``; deterministic and
     conservative.  A level outside (0, 1) is refused."""
-    draws, level = real_array(draws, "set of draws", 1), _check_level(level)
+    draws, level = real_array(draws, "set of draws", 1), check_level(level)
     if not (n := len(draws)):
         raise ShapeError("empty set of draws")
     k = min(max(math.ceil(level * n), 1), n)
@@ -572,7 +566,7 @@ def draw_extrema(law: str, K: int, n_rep: int, seed: int, /):
 @dataclass(frozen=True)
 class NullLaw:
     """The null law of ``kind``'s statistic for K samples on a grid of ``n_grid`` points;
-    a setting it reads is refused when made, in the words of ``check_settings``.
+    a setting it reads is refused when made.
 
     ``method`` says how its quantiles are reached: "corrected" for the q kinds,
     whose ``n_rep`` and ``seed`` are None whatever was given, for they read
@@ -625,7 +619,7 @@ class NullLaw:
         refused, and so is a row of weights that is not K positive finite reals,
         by its index in a stack; the q kinds read no weights.
         """
-        level = _check_level(level)
+        level = check_level(level)
         if self.method == "corrected":
             return _corrected_quantile(self.kind, self.K, level, self.n_grid)
         stack = np.asarray(weights, dtype=object).ndim == 2

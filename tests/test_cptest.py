@@ -57,7 +57,14 @@ class TestSpecValidation:
         assert type(TestSpec(kind="q-breve", level=np.float32(0.5)).level) is float
 
     def test_n_rep_read_by_mc_kinds_only(self):
-        assert TestSpec(kind="q-breve", n_rep=3).n_rep == 3
+        # A q kind's law reads neither n_rep nor seed, so the spec holds None for both,
+        # and a seed it would refuse is not read either, as by the law.
+        spec = TestSpec(kind="q-breve", n_rep=2.5, seed=9)
+        assert (spec.n_rep, spec.seed) == (None, None) and spec.law(3).method == "corrected"
+        assert TestSpec(kind="q", targets=[1.0], seed=-1).seed is None
+        spec = TestSpec(kind="v-breve", n_rep=3000.0, seed=9)
+        assert (spec.n_rep, spec.seed) == (3000, 9) and type(spec.n_rep) is int
+        assert spec.law(3) == limits.NullLaw("v-breve", 3, spec.n_grid, 3000, 9)
 
     def test_plain_kinds_require_targets(self):
         for kind in ("q", "v"):
@@ -87,6 +94,24 @@ class TestSpecValidation:
         # Refused when the spec is made, not by numpy's TypeError or enumerate's.
         with pytest.raises(ConfigurationError, match=match):
             TestSpec(kind=kind, targets=targets)
+
+    @pytest.mark.parametrize("kind", ["q", "v"])
+    @pytest.mark.parametrize("targets", [{0: 5.0}, {5.0}, (t for t in [5.0])],
+                             ids=["mapping", "set", "iterator"])
+    def test_unordered_targets_refused(self, kind, targets):
+        # A mapping was read by its keys (target 0, not 5.0), a set has no sample
+        # order, and an iterator was used up here, so the test then saw no target.
+        with pytest.raises(ConfigurationError, match="^targets must hold one real or array "
+                                                     "of reals per sample, got "):
+            TestSpec(kind=kind, targets=targets)
+
+    @pytest.mark.parametrize("kind", ["q", "v"])
+    def test_ordered_targets_give_the_same_bits(self, kind):
+        panel = [np.random.default_rng(3).normal(5.0, 1.0, 200)]
+        reports = [cptest.run_test(panel, TestSpec(kind=kind, targets=t, n_grid=500,
+                                                   n_rep=2000, seed=1)).to_dict()
+                   for t in ([5.0], (5.0,), np.array([5.0]))]
+        assert all(r == reports[0] for r in reports)
 
     @pytest.mark.parametrize("kind", ["q", "v"])
     @pytest.mark.parametrize("bad", [np.ones((2, 3)), [[1.0, 2.0]]], ids=["array", "nested"])

@@ -132,6 +132,20 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(scenario="sigma-change", change_times=[np.int64(300), 600.0])
         assert cfg.change_times == (300, 600) and all(type(t) is int for t in cfg.change_times)
 
+    def test_critval_n_rep_held_only_when_a_v_kind_reads_it(self):
+        # Only v-breve's law reads n_rep: without it the setting is not read, nor held.
+        assert ExperimentConfig(tests=("q-breve",), critval_n_rep=2.5).critval_n_rep is None
+        assert ExperimentConfig(tests=("q-breve", "v-breve"),
+                                critval_n_rep=3000.0).critval_n_rep == 3000
+        for tests in (("v-breve",), ("q-breve", "v-breve"), ("v-breve", "q-breve")):
+            with pytest.raises(ConfigurationError, match="^n_rep must be >= 1000$"):
+                ExperimentConfig(tests=tests, critval_n_rep=10)
+
+    def test_seed_read_whatever_the_kinds(self):
+        # The experiment seed drives the panels and the cell seeds, not only a law.
+        with pytest.raises(ConfigurationError, match="seed must be below 2"):
+            ExperimentConfig(tests=("q-breve",), seed=2**64)
+
     def test_change_time_defaults_to_mid_horizon(self):
         assert ExperimentConfig(scenario="sigma-change").change_times == (600,)
         assert ExperimentConfig(scenario="none").change_times is None
