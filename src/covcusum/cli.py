@@ -332,12 +332,12 @@ def _cmd_experiment(args):
 
     cfg = harness.ExperimentConfig(
         replications=args.replications,
-        cases=tuple(args.cases.split(",")),
+        cases=tuple(map(str.strip, args.cases.split(","))),
         dims=_numbers(args.dims, "--dims", int),
         scenario=args.scenario,
         change_times=(None if args.change_times is None
                       else _numbers(args.change_times, "--change-times", int)),
-        tests=tuple(args.tests.split(",")),
+        tests=tuple(map(str.strip, args.tests.split(","))),
         learning_length=args.learning_length,
         level=args.level,
         critval_n_grid=args.n_grid,

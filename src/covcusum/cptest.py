@@ -16,9 +16,11 @@ and a refusal about one sample keeps its 0-based ``sample_index``.
 
 One pipeline serves one panel and a batch of R panels alike: sample j of
 a batch is an (R, N_j) array whose row r is replication r's series, and
-``run_batch`` summarizes and tests every row at once.  ``run_tests`` is
-the batch of one panel, so a replication tested in a batch gets the
-report it gets alone, bit for bit.
+``run_batch`` tests every row at once.  It computes each sample's running
+sums and long-run variance once per batch, and every spec reads them.  A
+refusal about a learning series reads ``sample j: learning series: ...``.
+``run_tests`` is the batch of one panel, so a replication tested in a
+batch gets the report it gets alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -101,32 +103,32 @@ class TestReport:
 
 
 @contextlib.contextmanager
-def _naming_sample(j):
-    """Prefix a refusal raised while handling list index j with ``sample j + 1:``."""
+def _naming_sample(j, label=""):
+    """Prefix a refusal raised while handling list index j with ``sample j + 1: label``."""
     try:
         yield
     except CovCusumError as exc:
-        raise type(exc)(f"sample {j + 1}: {exc}", sample_index=j) from exc
+        raise type(exc)(f"sample {j + 1}: {label}{exc}", sample_index=j) from exc
 
 
-def _as_batch(panel, ndim=2):
+def _as_batch(panel, ndim=2, label=""):
     """Each series, real and ``ndim``-d or refused naming its sample, as an (R, N_j) array."""
     series = []
     for j, p in enumerate(panel):
-        with _naming_sample(j):
+        with _naming_sample(j, label):
             series.append(np.atleast_2d(limits.real_array(p, "product series", ndim)))
     return series
 
 
-def _series(batch):
+def _series(batch, label=""):
     """The batch's (R, N_j) product series as float arrays, one R >= 1 for all; each finite."""
-    series = _as_batch(batch)
+    series = _as_batch(batch, label=label)
     if not series:
         raise ConfigurationError("a panel needs at least one sample")
     if not len(series[0]):
         raise ShapeError("a batch needs at least one replication")
     for j, p in enumerate(series):
-        with _naming_sample(j):
+        with _naming_sample(j, label):
             if len(p) != len(series[0]):
                 raise ShapeError(f"{len(p)} replications, but sample 1 has {len(series[0])}")
             if not (finite := np.isfinite(p)).all():
@@ -135,55 +137,20 @@ def _series(batch):
     return series
 
 
-@dataclass
-class PanelSummary:
-    """Per-sample quantities that every statistic kind is a function of.
-
-    ``sums[j]`` holds the (R, N_j + 1) running sums of sample j's tested
-    products and ``lrv[j]`` the estimates that standardize them, (R,)
-    arrays of positive and finite values.
-    """
-
-    sizes: tuple
-    sums: list
-    lrv: list
-
-
-def _summarize(batch, learning) -> PanelSummary:
-    """Running sums of each tested series and its long-run variance.
-
-    The variances are estimated on ``learning``, one series per sample,
-    or in-sample without it.  A series that is not finite, or one too
-    short to estimate from, raises ``CovCusumError`` naming the sample.
-    """
-    tested = _series(batch)
-    if learning is not None and len(learning) != len(tested):
-        raise ConfigurationError(f"got {len(learning)} learning series for {len(tested)} samples")
-    learning = tested if learning is None else _series(learning)
-    if len(learning[0]) != len(tested[0]):
-        raise ShapeError(f"{len(learning[0])} learning replications, but the batch has "
-                         f"{len(tested[0])}")
-    ests = []
-    for j, p in enumerate(learning):
-        with _naming_sample(j):
-            ests.append(lrv.lrv_estimates(p))
-    return PanelSummary(sizes=tuple(p.shape[1] for p in tested),
-                        sums=[sumproc.kahan_cumsum(p) for p in tested], lrv=ests)
-
-
-def _statistic(summary, spec):
-    """Values of ``spec.kind`` on the summary, (R,), with (R, K) argmax indices."""
-    K = len(summary.sizes)
+def _statistic(sums, sizes, ests, spec):
+    """Values of ``spec.kind``, (R,), with (R, K) argmax indices, from each sample's
+    (R, N_j + 1) running sums and the long-run variance estimates that standardize them."""
+    K = len(sizes)
     targets = [None] * K if spec.targets is None else list(spec.targets)
     if len(targets) != K:
         raise ConfigurationError(f"got {len(targets)} targets for {K} samples")
     pooled = spec.kind in limits.POOLED_KINDS
-    root_total = math.sqrt(sum(summary.sizes))
+    root_total = math.sqrt(sum(sizes))
 
     def scaled_deviations():
         # One (R, N_j + 1) deviation at a time, scaled in place, so that a
         # batch holds few such arrays at once.
-        for j, (s, t, n) in enumerate(zip(summary.sums, targets, summary.sizes)):
+        for j, (s, t, n) in enumerate(zip(sums, targets, sizes)):
             with _naming_sample(j):
                 f = sumproc.unscaled_deviation(s, t)
             f /= root_total if pooled else math.sqrt(n)
@@ -193,7 +160,7 @@ def _statistic(summary, spec):
         return sumproc.pooled_d_grid_max(scaled_deviations())
     stat = 0.0
     argmax = []
-    for f, est in zip(scaled_deviations(), summary.lrv):
+    for f, est in zip(scaled_deviations(), ests):
         val, k = sumproc.per_sample_max_sq(f, np.sqrt(est.alpha_sq))
         stat = stat + val
         argmax.append(k)
@@ -237,20 +204,33 @@ def run_batch(batch, specs: Sequence[TestSpec], learning=None) -> list:
     tested; None estimates them in-sample.  Returns one ``BatchReport``
     per spec.
     """
-    summary = _summarize(batch, learning)
-    R, K = len(summary.sums[0]), len(summary.sizes)
-    alpha_sq = np.stack([e.alpha_sq for e in summary.lrv], axis=-1)
-    bandwidth = np.stack([e.bandwidth for e in summary.lrv], axis=-1)
+    tested = _series(batch)
+    if learning is not None and len(learning) != len(tested):
+        raise ConfigurationError(f"got {len(learning)} learning series for {len(tested)} samples")
+    label = "" if learning is None else "learning series: "
+    learning = tested if learning is None else _series(learning, label)
+    if len(learning[0]) != len(tested[0]):
+        raise ShapeError(f"{len(learning[0])} learning replications, but the batch has "
+                         f"{len(tested[0])}")
+    ests = []
+    for j, p in enumerate(learning):
+        with _naming_sample(j, label):
+            ests.append(lrv.lrv_estimates(p))
+    sizes = tuple(p.shape[1] for p in tested)
+    sums = [sumproc.kahan_cumsum(p) for p in tested]
+    R, K = len(tested[0]), len(sizes)
+    alpha_sq = np.stack([e.alpha_sq for e in ests], axis=-1)
+    bandwidth = np.stack([e.bandwidth for e in ests], axis=-1)
     reports = []
     for spec in specs:
-        stat, argmax = _statistic(summary, spec)  # refuses an empty sample first
+        stat, argmax = _statistic(sums, sizes, ests, spec)  # refuses an empty sample first
         # Row r weights replication r's pooled law: c_j = alpha_j sqrt(N_j / N).
-        weights = np.sqrt(alpha_sq) * np.sqrt([n / sum(summary.sizes) for n in summary.sizes])
+        weights = np.sqrt(alpha_sq) * np.sqrt([n / sum(sizes) for n in sizes])
         law = spec.law(K)
         crit = np.full(R, law.quantile(spec.level, weights))
         reports.append(BatchReport(statistic=stat, critical_value=crit, reject=stat > crit,
                                    alpha_sq=alpha_sq, bandwidth=bandwidth, argmax_k=argmax,
-                                   spec=spec, sample_sizes=summary.sizes, law=law))
+                                   spec=spec, sample_sizes=sizes, law=law))
     return reports
 
 
@@ -264,7 +244,7 @@ def run_tests(panel, specs: Sequence[TestSpec], learning=None) -> list:
     (``run_batch``).  Returns one report per spec, equal to what
     ``run_test`` returns for it.
     """
-    learning = None if learning is None else _as_batch(learning, 1)
+    learning = None if learning is None else _as_batch(learning, 1, "learning series: ")
     return [b.report(0) for b in run_batch(_as_batch(panel, 1), specs, learning)]
 
 

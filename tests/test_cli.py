@@ -513,8 +513,10 @@ class TestTestCommand:
         (lambda y: np.concatenate([y[:24], 1e200 * y[24:]]), ["--learning-length", "20"], 1,
          "sample 2: non-finite product at observation 25"),
         (lambda y: 1e100 * y, [], 1, "sample 2: non-finite autocovariance inf"),
+        (lambda y: np.concatenate([np.ones_like(y[:50]), y[50:]]), ["--learning-length", "50"],
+         1, "sample 2: learning series: constant product series"),
     ], ids=["short", "constant", "learning-length", "non-finite-product",
-            "non-finite-tested-product", "overflow"])
+            "non-finite-tested-product", "overflow", "constant-learning"])
     def test_sample_refusal_names_its_file(self, tmp_path, capsys, rows, flags, rc, message):
         data, v = self._panel_files(tmp_path)
         y = np.loadtxt(data[1], delimiter=",")
@@ -986,6 +988,7 @@ def test_help_exits_zero(command, capsys):
     (["experiment", "--dims", "2.5"], "--dims: '2.5' is not an integer"),
     # A kind named twice used to print two rows at twice its rejection rate.
     (["experiment", "--tests", "q-breve,q-breve"], "tests name 'q-breve' twice"),
+    (["experiment", "--tests", "q-breve, q-breve"], "tests name 'q-breve' twice"),
     (["critval", "--kind", "v-breve", "--K", "2", "--alpha", "1,x", "--kappa", "0.5,0.5"],
      "--alpha: 'x' is not a number"),
     (["simulate", "--out-dir", "{tmp}", "--N", "10,y"], "--N: 'y' is not an integer"),
@@ -1010,13 +1013,14 @@ def test_help_exits_zero(command, capsys):
       "--n-rep", "1000", "--seed", "1"], "kappa must be K positive finite reals"),
     # A cell named twice printed two like rows from two cell seeds.
     (["experiment", "--cases", "I,I"], "cases name 'I' twice"),
+    (["experiment", "--cases", "I, I"], "cases name 'I' twice"),
     (["experiment", "--dims", "2,2"], "dims name 2 twice"),
     (["experiment", "--scenario", "sigma-change", "--change-times", "600,600"],
      "change_times name 600 twice"),
-], ids=["change-times", "dims", "repeated-test", "critval-alpha", "simulate-N", "simulate-K", "config-N",
-        "simulate-seed", "simulate-rep", "experiment-seed", "critval-seed", "test-seed",
-        "alpha-nan", "alpha-inf", "kappa-nan", "repeated-case", "repeated-dim",
-        "repeated-change-time"])
+], ids=["change-times", "dims", "repeated-test", "repeated-spaced-test", "critval-alpha",
+        "simulate-N", "simulate-K", "config-N", "simulate-seed", "simulate-rep",
+        "experiment-seed", "critval-seed", "test-seed", "alpha-nan", "alpha-inf", "kappa-nan",
+        "repeated-case", "repeated-spaced-case", "repeated-dim", "repeated-change-time"])
 def test_bad_input_exits_two_naming_it(argv, message, tmp_path, capsys):
     write_lines(tmp_path / "cfg", ["panel.N = 10,y"])
     rc = cli.main([a.format(tmp=tmp_path) for a in argv])

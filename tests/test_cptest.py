@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 
@@ -140,7 +141,8 @@ class TestSpecValidation:
          ShapeError, "sample 2: not a numeric product series: could not convert", 1),
         (lambda spec: cptest.run_test([np.arange(1.0, 7.0)] * 2, spec,
                                       [[1, 2, "x", 4, 5, 6], np.arange(1.0, 7.0)]),
-         ShapeError, "sample 1: not a numeric product series: could not convert", 0),
+         ShapeError, "sample 1: learning series: not a numeric product series: could not convert",
+         0),
         (lambda spec: cptest.run_batch([np.ones((2, 6)), [[1, 2, 3, "x", 5, 6]] * 2], [spec]),
          ShapeError, "sample 2: not a numeric product series: could not convert", 1),
         # A complex series used to be tested on its real part, with a ComplexWarning.
@@ -294,14 +296,16 @@ class TestLearningMode:
         learning[1][6] = np.inf
         spec = TestSpec(kind="q-breve", seed=6, **SMALL)
         with pytest.raises(CovCusumError,
-                           match="sample 2: non-finite product at observation 7") as exc:
+                           match="sample 2: learning series: non-finite product at "
+                                 "observation 7") as exc:
             cptest.run_test(p, spec, learning)
         assert exc.value.sample_index == 1
 
     def test_short_learning_series_refused(self):
         p = products(random_panel(2, 80, 2, seed=3), PAIR_2D)
         spec = TestSpec(kind="q-breve", seed=6, **SMALL)
-        with pytest.raises(ShapeError, match="sample 2: need at least 4 observations, got 3"):
+        with pytest.raises(ShapeError, match="sample 2: learning series: need at least 4 "
+                                             "observations, got 3"):
             cptest.run_test(p, spec, [p[0], p[1][:3]])
 
 
@@ -314,16 +318,17 @@ class TestDegenerate:
             cptest.run_test(products(panel, PAIR_1D), spec)
         assert exc.value.sample_index == 1
 
-    @pytest.mark.parametrize("learning_length", [None, 20],
-                             ids=["in-sample", "learning-sample"])
-    def test_nan_sample_raises_naming_sample(self, learning_length):
+    @pytest.mark.parametrize("learning_length, message", [
+        (None, "sample 2: non-finite"), (20, "sample 2: learning series: non-finite")],
+        ids=["in-sample", "learning-sample"])
+    def test_nan_sample_raises_naming_sample(self, learning_length, message):
         panel = random_panel(2, 80, 2, seed=3)
         panel[1][5, 0] = np.nan
         spec = TestSpec(kind="q-breve", seed=6, **SMALL)
         p = products(panel, PAIR_2D)
         L = learning_length or 0
         learning = None if learning_length is None else [x[:L] for x in p]
-        with pytest.raises(CovCusumError, match="sample 2: non-finite"):
+        with pytest.raises(CovCusumError, match=message):
             cptest.run_test([x[L:] for x in p], spec, learning)
 
     def test_short_sample_raises_naming_sample(self):
@@ -478,6 +483,24 @@ class TestBatch:
         with pytest.raises(DegenerateLrvError, match="sample 3: constant product series") as exc:
             cptest.run_batch(constant, [spec])
         assert exc.value.sample_index == 2
+
+    @pytest.mark.parametrize("learning_length", [None, 20], ids=["in-sample", "learning"])
+    @pytest.mark.parametrize("kinds", [["q-breve"], limits.KINDS], ids=["one-spec", "four-kinds"])
+    def test_sums_and_lrv_taken_once_per_sample(self, monkeypatch, kinds, learning_length):
+        # However many specs read them, each sample's running sums and long-run
+        # variance are taken once; a scalar target takes no running sums of its own.
+        calls = collections.Counter()
+        for module, name in ((lrv, "lrv_estimates"), (sumproc, "kahan_cumsum")):
+            monkeypatch.setattr(module, name, lambda *a, f=getattr(module, name), name=name:
+                                calls.update([name]) or f(*a))
+        K, L = 3, learning_length or 0
+        rng = np.random.default_rng(4)
+        batch = [rng.standard_normal((2, 60)) ** 2 for _ in range(K)]
+        specs = [TestSpec(kind=kind, seed=3, n_grid=500, n_rep=2000,
+                          targets=[1.0] * K if kind in ("q", "v") else None) for kind in kinds]
+        learning = None if learning_length is None else [p[:, :L] for p in batch]
+        assert len(cptest.run_batch([p[:, L:] for p in batch], specs, learning)) == len(kinds)
+        assert calls == {"lrv_estimates": K, "kahan_cumsum": K}
 
     def test_samples_of_unequal_replication_counts_refused(self):
         batch = [np.ones((3, 50)), np.ones((2, 50))]
