@@ -120,11 +120,15 @@ def _as_batch(panel, ndim=2, label=""):
     return series
 
 
-def _series(batch, label=""):
-    """The batch's (R, N_j) product series as float arrays, one R >= 1 for all; each finite."""
+def _series(batch, label="", replications=None):
+    """The batch's (R, N_j) product series as float arrays, each finite; R >= 1 for all,
+    ``replications`` if given (a learning batch's: the tested batch's)."""
     series = _as_batch(batch, label=label)
     if not series:
         raise ConfigurationError("a panel needs at least one sample")
+    if replications is not None and len(series[0]) != replications:
+        raise ShapeError(f"{len(series[0])} learning replications, but the batch has "
+                         f"{replications}")
     if not len(series[0]):
         raise ShapeError("a batch needs at least one replication")
     for j, p in enumerate(series):
@@ -208,10 +212,7 @@ def run_batch(batch, specs: Sequence[TestSpec], learning=None) -> list:
     if learning is not None and len(learning) != len(tested):
         raise ConfigurationError(f"got {len(learning)} learning series for {len(tested)} samples")
     label = "" if learning is None else "learning series: "
-    learning = tested if learning is None else _series(learning, label)
-    if len(learning[0]) != len(tested[0]):
-        raise ShapeError(f"{len(learning[0])} learning replications, but the batch has "
-                         f"{len(tested[0])}")
+    learning = tested if learning is None else _series(learning, label, len(tested[0]))
     ests = []
     for j, p in enumerate(learning):
         with _naming_sample(j, label):

@@ -18,6 +18,7 @@ specified once per cell, run on the whole batch at once
 rejections of its batches, run on one pool of forked processes for the
 grid (``limits.process_map``), and on none for a grid of one-batch cells.
 Results do not depend on the batch or block size or the worker count.
+A cell's configs and its batch size come from one place, ``_cell_configs``.
 """
 
 from __future__ import annotations
@@ -168,52 +169,36 @@ class CellResult:
     seed: int
 
 
-def _panel_config(case, d, scenario, change_time):
-    sizes = CASE_SIZES[case]
-    kwargs = dict(K=4, d=d, N=sizes, rho0=tuple(rho_pre(d)), sigma0=SIGMA_PRE)
-    if scenario == "sigma-change":
-        kwargs.update(sigma1=SIGMA_POST, tau=change_time_mapping(change_time, sizes))
-    elif scenario == "coefficient-change":
-        kwargs.update(rho1=tuple(rho_post(d)), tau=change_time_mapping(change_time, sizes))
-    return kwargs
-
-
-def _learning_sizes(case, cfg):
-    rates = sampling_rates(CASE_SIZES[case])
-    return tuple(max(int(math.floor(omega * cfg.learning_length)), 4)
-                 for omega in rates)
-
-
 def _cell_configs(case, d, change_time, cfg, cell_index):
-    """The panel config of one cell and its learning config or None, on the cell's seed."""
-    seed = limits.child_seed(cfg.seed, cell_index)
-    base_kwargs = _panel_config(case, d, cfg.scenario, change_time)
-    learning_cfg = None
+    """A cell's panel configs on its seed, the tested one first and the learning one last if
+    any, and its replications per batch: ``PANEL_CHUNK_BYTES`` over one replication's share."""
+    sizes = CASE_SIZES[case]
+    common = dict(K=4, d=d, rho0=tuple(rho_pre(d)), sigma0=SIGMA_PRE,
+                  seed=limits.child_seed(cfg.seed, cell_index))
+    change = {}
+    if cfg.scenario == "sigma-change":
+        change = dict(sigma1=SIGMA_POST, tau=change_time_mapping(change_time, sizes))
+    elif cfg.scenario == "coefficient-change":
+        change = dict(rho1=tuple(rho_post(d)), tau=change_time_mapping(change_time, sizes))
+    configs = [simgen.PanelConfig(N=sizes, **common, **change)]
     if cfg.learning_length is not None:
-        learning_cfg = simgen.PanelConfig(
-            K=4, d=d, N=_learning_sizes(case, cfg),
-            rho0=base_kwargs["rho0"], sigma0=SIGMA_PRE, seed=seed)
-    return simgen.PanelConfig(seed=seed, **base_kwargs), learning_cfg
-
-
-def _batch_size(panel_cfg, learning_cfg):
-    """Replications per batch: ``PANEL_CHUNK_BYTES`` over one replication's share."""
-    configs = [c for c in (panel_cfg, learning_cfg) if c is not None]
+        learning_sizes = tuple(max(int(math.floor(omega * cfg.learning_length)), 4)
+                               for omega in sampling_rates(sizes))
+        configs.append(simgen.PanelConfig(N=learning_sizes, **common))
     per_rep = sum(8 * (c.K * (c.burn_in + max(c.N) + 4 * c.d) + sum(c.N)) for c in configs)
-    return max(1, PANEL_CHUNK_BYTES // per_rep)
+    return configs, max(1, PANEL_CHUNK_BYTES // per_rep)
 
 
-def _batch(panel_cfg, learning_cfg, block):
-    """The products of the replications of ``block``, a range of them.
+def _batch(configs, block):
+    """The products of the replications of ``block``, a range of them, in a cell of ``configs``.
 
-    Replication r is rep 2r of ``panel_cfg`` and rep 2r + 1 of ``learning_cfg``,
-    if any, projected through r's own pair: one (R, N_j) array per sample and
-    one (R, L_j) array per learning block or None.  Per sample, it holds T
-    innovations, N_j products and 4 d of state (rho, step, a row, the pair);
-    a row block takes a quarter of the budget.
+    Replication r is rep 2r of the tested config and rep 2r + 1 of the learning
+    config, if any, projected through r's own pair: one (R, N_j) array per sample
+    and one (R, L_j) array per learning block or None.  Per sample, it holds T
+    innovations, N_j products and 4 d of state (rho, step, a row, the pair); a
+    row block takes a quarter of the budget.
     """
-    configs = [c for c in (panel_cfg, learning_cfg) if c is not None]
-    d, seed = panel_cfg.d, panel_cfg.seed
+    d, seed = configs[0].d, configs[0].seed
     pair = sumproc.ProjectionPair.from_vectors(np.stack(
         [simgen.gen_dirichlet_projection(d, limits.child_seed(seed, r + 1)) for r in block]))
     products = [[np.empty((len(block), m)) for m in c.N] for c in configs]
@@ -225,12 +210,12 @@ def _batch(panel_cfg, learning_cfg, block):
                 lo, hi = max(s, 0), min(s + len(y), m)
                 if lo < hi:
                     products[i][j][:, lo:hi] = sumproc.project(y[lo - s:hi - s, j], pair)
-    return products[0], products[1] if learning_cfg is not None else None
+    return products[0], products[1] if len(configs) > 1 else None
 
 
-def _rejections(panel_cfg, learning_cfg, specs, block):
+def _rejections(configs, specs, block):
     """Rejections of each of ``specs`` among the replications ``block`` of a cell, one batch."""
-    batch, learning = _batch(panel_cfg, learning_cfg, block)
+    batch, learning = _batch(configs, block)
     return [int(np.count_nonzero(r.reject)) for r in cptest.run_batch(batch, specs, learning)]
 
 
@@ -238,12 +223,12 @@ def run_cell(case, d, change_time, cfg: ExperimentConfig, cell_index, map_=map):
     """Run every test of ``cfg`` on one cell, its batches through ``map_``; ``change_time``
     is None under ``none``."""
     t0 = time.perf_counter()
-    panel_cfg, learning_cfg = _cell_configs(case, d, change_time, cfg, cell_index)
-    seed = panel_cfg.seed
+    configs, size = _cell_configs(case, d, change_time, cfg, cell_index)
+    seed = configs[0].seed
     specs = [cptest.TestSpec(kind=t, level=cfg.level, n_grid=cfg.critval_n_grid,
                              n_rep=cfg.critval_n_rep, seed=seed) for t in cfg.tests]
-    n, size = cfg.replications, _batch_size(panel_cfg, learning_cfg)
-    batches = map_(functools.partial(_rejections, panel_cfg, learning_cfg, specs),
+    n = cfg.replications
+    batches = map_(functools.partial(_rejections, configs, specs),
                    (range(a, min(a + size, n)) for a in range(0, n, size)))
     rejections = [sum(counts) for counts in zip(*batches)]
 
@@ -260,15 +245,16 @@ def run_cell(case, d, change_time, cfg: ExperimentConfig, cell_index, map_=map):
 
 
 def run_experiment(cfg: ExperimentConfig):
-    """Run the full grid of cells; deterministic for a fixed master seed.
+    """Run the full grid of cells; the same grid and master seed give the same rows.
 
-    Each cell draws from its own seed stream, so adding or removing cells
-    never perturbs the others.  The grid's one pool has ``workers`` processes,
-    or fewer if no cell has that many batches, and is none if that is one;
-    its processes take the next batch as they finish one.  The rows are the same.
+    Cell i draws from ``child_seed(seed, i)``, i its place in (cases x dims x
+    change times) order, so cells appended after the last leave the earlier rows
+    unchanged.  The grid's one pool has ``workers`` processes, or fewer if no
+    cell has that many batches, and is none if that is one; its processes take
+    the next batch as they finish one.  The rows are the same.
     """
     cells = list(enumerate(itertools.product(cfg.cases, cfg.dims, cfg.change_times or (None,))))
-    batches = max(-(-cfg.replications // _batch_size(*_cell_configs(case, d, ct, cfg, i)))
+    batches = max(-(-cfg.replications // _cell_configs(case, d, ct, cfg, i)[1])
                   for i, (case, d, ct) in cells)
     with limits.process_map(min(cfg.workers, batches)) as map_:
         return [row for i, (case, d, ct) in cells for row in run_cell(case, d, ct, cfg, i, map_)]

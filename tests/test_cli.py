@@ -303,7 +303,7 @@ class TestSimulateCommand:
             cli.main(["simulate", "--out-dir", str(tmp_path), "--seed", "1",
                       "--workers", "1"])
 
-    def test_bad_panel_config_exit_code_two(self, tmp_path):
+    def test_bad_panel_settings_exit_code_two(self, tmp_path):
         rc = cli.main(["simulate", "--out-dir", str(tmp_path), "--seed", "1",
                        "--rho0", "1.5"])
         assert rc == 2

@@ -283,12 +283,15 @@ class TestLearningMode:
         with pytest.raises(ConfigurationError, match="got 2 learning series for 3 samples"):
             cptest.run_test(p, spec, p[:2])
 
-    def test_learning_replications_other_than_batch_refused(self):
+    @pytest.mark.parametrize("rows", [2, 0])
+    def test_learning_replications_other_than_batch_refused(self, rows):
+        # A learning batch of no replications was refused as if the batch had none.
         rng = np.random.default_rng(9)
         batch = [rng.standard_normal((3, 50)) ** 2 for _ in range(2)]
         spec = TestSpec(kind="q-breve", seed=6, **SMALL)
-        with pytest.raises(ShapeError, match="2 learning replications, but the batch has 3"):
-            cptest.run_batch(batch, [spec], [p[:2] for p in batch])
+        with pytest.raises(ShapeError,
+                           match=f"^{rows} learning replications, but the batch has 3$"):
+            cptest.run_batch(batch, [spec], [p[:rows] for p in batch])
 
     def test_non_finite_learning_product_names_sample(self):
         p = products(random_panel(2, 80, 2, seed=3), PAIR_2D)

@@ -151,14 +151,42 @@ class TestExperimentConfig:
         assert ExperimentConfig(scenario="none").change_times is None
 
 
-class TestLearningSizes:
+class TestCellConfigs:
     def test_case_one_default_learning_window(self):
         cfg = ExperimentConfig(learning_length=500)
-        assert harness._learning_sizes("I", cfg) == (41, 50, 29, 37)
+        (_, learning), _ = harness._cell_configs("I", 10, None, cfg, 0)
+        assert learning.N == (41, 50, 29, 37)
 
     def test_floor_of_four(self):
         cfg = ExperimentConfig(learning_length=10)
-        assert all(n >= 4 for n in harness._learning_sizes("I", cfg))
+        (_, learning), _ = harness._cell_configs("I", 10, None, cfg, 0)
+        assert learning.N == (4, 4, 4, 4)
+
+    @pytest.mark.parametrize("learning_length", [None, 500, 10])
+    @pytest.mark.parametrize("scenario", harness.SCENARIOS)
+    def test_configs_are_the_study_design(self, scenario, learning_length):
+        # Each config built by hand from the design: the tested model of the
+        # scenario, then the in-control model on floor(N_j L / 1200) >= 4.
+        cfg = ExperimentConfig(cases=("II",), dims=(3,), scenario=scenario,
+                               learning_length=learning_length, seed=21)
+        (change_time,) = cfg.change_times or (None,)
+        sizes = harness.CASE_SIZES["II"]
+        common = dict(K=4, d=3, rho0=tuple(harness.rho_pre(3)), sigma0=harness.SIGMA_PRE,
+                      seed=limits.child_seed(21, 5))
+        change = {}
+        if scenario == "sigma-change":
+            change = dict(sigma1=harness.SIGMA_POST,
+                          tau=harness.change_time_mapping(change_time, sizes))
+        if scenario == "coefficient-change":
+            change = dict(rho1=tuple(harness.rho_post(3)),
+                          tau=harness.change_time_mapping(change_time, sizes))
+        expected = [simgen.PanelConfig(N=sizes, **common, **change)]
+        if learning_length is not None:
+            expected.append(simgen.PanelConfig(
+                N=tuple(max(n * learning_length // 1200, 4) for n in sizes), **common))
+        configs, _ = harness._cell_configs("II", 3, change_time, cfg, 5)
+        assert configs == expected
+        assert all(c.tau is c.rho1 is c.sigma1 is None for c in configs[1:])
 
 
 class TestRunExperiment:
@@ -229,7 +257,8 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("scenario, learning_length", [
         ("none", None), ("coefficient-change", 500)])
-    def test_rows_independent_of_batch_size(self, monkeypatch, scenario, learning_length):
+    def test_rows_independent_of_replications_per_batch(self, monkeypatch, scenario,
+                                                        learning_length):
         # One replication per batch, a few, or all in one: the same rows.
         cfg = ExperimentConfig(replications=5, cases=("I",), dims=(2,), scenario=scenario,
                                learning_length=learning_length, seed=107, **FAST)
@@ -265,11 +294,8 @@ class TestRunExperiment:
         cfg = ExperimentConfig(replications=3, cases=("I",), dims=(2,), scenario=scenario,
                                learning_length=learning_length, seed=109, **FAST)
         (change_time,) = cfg.change_times or (None,)
-        kwargs = harness._panel_config("I", 2, scenario, change_time)
-        panel_cfg = simgen.PanelConfig(seed=9, **kwargs)
-        learning_cfg = None if learning_length is None else simgen.PanelConfig(
-            K=4, d=2, N=harness._learning_sizes("I", cfg), rho0=kwargs["rho0"],
-            sigma0=harness.SIGMA_PRE, seed=9)
+        configs, _ = harness._cell_configs("I", 2, change_time, cfg, 0)
+        seed = configs[0].seed
         edges = set()  # each block's first observation, burn-in below 0
         generate = simgen.gen_ar1_blocks
         monkeypatch.setattr(simgen, "gen_ar1_blocks", lambda c, reps, rows: (
@@ -277,19 +303,19 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "PANEL_CHUNK_BYTES", 1280)  # row blocks of 5 rows
 
         first = 0
-        for batch, learning in (harness._batch(panel_cfg, learning_cfg, range(r, r + 1))
-                                for r in range(3)):
+        for batch, learning in (harness._batch(configs, range(r, r + 1)) for r in range(3)):
             block = range(first, first + len(batch[0]))
             first = block.stop
             pair = sumproc.ProjectionPair.from_vectors(np.stack(
-                [simgen.gen_dirichlet_projection(2, limits.child_seed(9, r + 1)) for r in block]))
-            for products, config, i in ((batch, panel_cfg, 0), (learning, learning_cfg, 1)):
-                if config is not None:
-                    panels = simgen.gen_ar1_panels(config, [2 * r + i for r in block])
-                    assert all(np.array_equal(p, sumproc.project(y, pair))
-                               for p, y in zip(products, panels, strict=True))
+                [simgen.gen_dirichlet_projection(2, limits.child_seed(seed, r + 1))
+                 for r in block]))
+            assert (learning is None) == (learning_length is None)
+            for i, config in enumerate(configs):
+                panels = simgen.gen_ar1_panels(config, [2 * r + i for r in block])
+                assert all(np.array_equal(p, sumproc.project(y, pair))
+                           for p, y in zip((batch, learning)[i], panels, strict=True))
         assert first == 3
-        assert min(edges) < -5 and 0 in edges and set(panel_cfg.tau or ()) <= edges
+        assert min(edges) < -5 and 0 in edges and set(configs[0].tau or ()) <= edges
 
     def test_wide_cell_memory_does_not_grow_with_d(self):
         # A d = 2000 replication's recursion is 38 MiB; a cell holds its
@@ -339,16 +365,28 @@ class TestRunExperiment:
         assert len(alive) >= 3
         assert all(len(refs) == (6 if learning_length else 3) * 2 for refs in alive.values())
 
-    def test_cells_independent_of_grid_composition(self):
-        # A cell's result must not change when other cells join the grid.
-        lone = ExperimentConfig(replications=5, cases=("I",), dims=(2,),
-                                scenario="none", seed=104, **FAST)
-        both = ExperimentConfig(replications=5, cases=("I",), dims=(2, 3),
-                                scenario="none", seed=104, **FAST)
-        rows_lone = harness.run_experiment(lone)
-        rows_both = [r for r in harness.run_experiment(both) if r.d == 2]
-        for ra, rb in zip(rows_lone, rows_both):
-            assert ra.rate == rb.rate
+    @pytest.mark.parametrize("grid, appended", [
+        (dict(cases=("I",), dims=(2,)), dict(cases=("I", "II"))),
+        (dict(dims=(2,)), dict(dims=(2, 3))),
+        (dict(scenario="sigma-change", change_times=(600,)), dict(change_times=(600, 300)))],
+        ids=["case", "dim", "change-time"])
+    def test_appended_cells_leave_earlier_rows_unchanged(self, grid, appended):
+        # Cell i draws from child_seed(seed, i), i its place in the grid's
+        # (cases x dims x change times) order: cells after the last leave the
+        # earlier rows as they were, bit for bit.
+        cfg = ExperimentConfig(replications=5, seed=104, **grid, **FAST)
+        rows = [{**r.__dict__, "wall_time": None} for r in harness.run_experiment(cfg)]
+        longer = harness.run_experiment(dataclasses.replace(cfg, **appended))
+        assert len(longer) == 2 * len(rows)
+        assert [{**r.__dict__, "wall_time": None} for r in longer[:len(rows)]] == rows
+
+    def test_cell_seed_is_its_place_in_the_grid(self):
+        # A cell put before another moves that one's seed, and so its rows.
+        cfg = ExperimentConfig(replications=5, cases=("II",), dims=(2,), seed=104, **FAST)
+        (alone,) = {r.seed for r in harness.run_experiment(cfg)}
+        after = {r.seed for r in harness.run_experiment(dataclasses.replace(
+            cfg, cases=("I", "II"))) if r.case == "II"}
+        assert (alone, after) == (limits.child_seed(104, 0), {limits.child_seed(104, 1)})
 
 
 @pytest.fixture
