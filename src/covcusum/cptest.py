@@ -39,11 +39,18 @@ from .errors import ConfigurationError, CovCusumError, ShapeError
 
 @dataclass
 class TestSpec:
+    """One test's settings, each read, or refused, when the spec is made.
+
+    A plain kind (``q``, ``v``) compares sample j's running sums with k times
+    its target, the in-control bilinear form v'Gamma_j(0)w
+    (``simgen.ar1_bilinear_target``); the bridge kinds take no targets.
+    """
+
     __test__ = False  # keep pytest from collecting this dataclass
 
     kind: str
     level: float = 0.95
-    targets: Optional[Sequence] = None  # one float or length-N_j array per sample
+    targets: Optional[Sequence] = None  # one real per sample, kept as a tuple of floats
     n_grid: int = limits.DEFAULT_N_GRID
     n_rep: Optional[int] = limits.DEFAULT_N_REP  # n_rep and seed: None if the law reads neither
     seed: Optional[int] = 0
@@ -55,21 +62,11 @@ class TestSpec:
         if bridge != (self.targets is None):
             raise ConfigurationError(
                 f"kind {self.kind!r} {'forbids' if bridge else 'requires'} targets")
-        try:  # read by position, so a mapping, a set or an iterator is refused
-            if not (bridge or isinstance(self.targets, (Sequence, np.ndarray))):
-                raise TypeError
-            targets = () if bridge else [np.asarray(t) for t in self.targets]
-        except (TypeError, ValueError):  # not a sequence, or a ragged target
-            raise ConfigurationError("targets must hold one real or array of reals per sample, "
-                                     f"got {self.targets!r}") from None
-        for j, target in enumerate(targets, start=1):
-            if target.dtype.kind not in "iuf":
-                raise ConfigurationError(f"sample {j}: non-real targets entry {target.tolist()!r}")
-            if target.ndim > 1:
-                raise ShapeError(f"sample {j}: expected a 0-d or 1-d target, "
-                                 f"got ndim={target.ndim}")
-            if not np.all(np.isfinite(target)):
-                raise ConfigurationError(f"sample {j}: target is not finite")
+        if not bridge:  # read by position, so a mapping, a set, an iterator or a scalar is refused
+            ordered = isinstance(self.targets, Sequence) or np.ndim(self.targets) == 1
+            self.targets = limits.real_vector(self.targets, len(self.targets) if ordered else -1,
+                                              "targets", -math.inf, math.inf,
+                                              "one finite real per sample")
 
     def law(self, K: int) -> limits.NullLaw:
         """The null law of this test's statistic for K samples."""
@@ -141,11 +138,17 @@ def _series(batch, label="", replications=None):
     return series
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below
 def _statistic(sums, sizes, ests, spec):
     """Values of ``spec.kind``, (R,), with (R, K) argmax indices, from each sample's
-    (R, N_j + 1) running sums and the long-run variance estimates that standardize them."""
+    (R, N_j + 1) running sums and the long-run variance estimates that standardize them.
+
+    A value that overflows is refused: by its sample if that sample's squared
+    standardized maximum (the sum-of-squares kinds) or its deviation (the pooled
+    kinds) does, else by its kind.
+    """
     K = len(sizes)
-    targets = [None] * K if spec.targets is None else list(spec.targets)
+    targets = [None] * K if spec.targets is None else spec.targets
     if len(targets) != K:
         raise ConfigurationError(f"got {len(targets)} targets for {K} samples")
     pooled = spec.kind in limits.POOLED_KINDS
@@ -161,14 +164,24 @@ def _statistic(sums, sizes, ests, spec):
             yield f
 
     if pooled:
-        return sumproc.pooled_d_grid_max(scaled_deviations())
-    stat = 0.0
-    argmax = []
-    for f, est in zip(scaled_deviations(), ests):
-        val, k = sumproc.per_sample_max_sq(f, np.sqrt(est.alpha_sq))
-        stat = stat + val
-        argmax.append(k)
-    return stat, np.stack(argmax, axis=-1)
+        stat, argmax = sumproc.pooled_d_grid_max(scaled_deviations())
+        if not np.isfinite(stat).all():  # scan for the sample at fault on this path only
+            for j, f in enumerate(scaled_deviations()):
+                if not np.isfinite(f).all():
+                    raise CovCusumError(f"sample {j + 1}: deviation overflows", sample_index=j)
+    else:
+        stat, argmax = 0.0, []
+        for j, (f, est) in enumerate(zip(scaled_deviations(), ests)):
+            val, k = sumproc.per_sample_max_sq(f, np.sqrt(est.alpha_sq))
+            if not np.isfinite(val).all():  # the maximum of a non-finite row is not finite
+                raise CovCusumError(f"sample {j + 1}: squared standardized deviation "
+                                    "overflows", sample_index=j)
+            stat = stat + val
+            argmax.append(k)
+        argmax = np.stack(argmax, axis=-1)
+    if not np.isfinite(stat).all():
+        raise CovCusumError(f"the {spec.kind} statistic overflows")
+    return stat, argmax
 
 
 @dataclass
@@ -218,7 +231,11 @@ def run_batch(batch, specs: Sequence[TestSpec], learning=None) -> list:
         with _naming_sample(j, label):
             ests.append(lrv.lrv_estimates(p))
     sizes = tuple(p.shape[1] for p in tested)
-    sums = [sumproc.kahan_cumsum(p) for p in tested]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        sums = [sumproc.kahan_cumsum(p) for p in tested]
+    for j, s in enumerate(sums):
+        if not np.isfinite(s[:, -1]).all():  # a running sum, once not finite, stays so
+            raise CovCusumError(f"sample {j + 1}: running sums overflow", sample_index=j)
     R, K = len(tested[0]), len(sizes)
     alpha_sq = np.stack([e.alpha_sq for e in ests], axis=-1)
     bandwidth = np.stack([e.bandwidth for e in ests], axis=-1)
@@ -226,7 +243,8 @@ def run_batch(batch, specs: Sequence[TestSpec], learning=None) -> list:
     for spec in specs:
         stat, argmax = _statistic(sums, sizes, ests, spec)  # refuses an empty sample first
         # Row r weights replication r's pooled law: c_j = alpha_j sqrt(N_j / N).
-        weights = np.sqrt(alpha_sq) * np.sqrt([n / sum(sizes) for n in sizes])
+        weights = (np.sqrt(alpha_sq) * np.sqrt([n / sum(sizes) for n in sizes])
+                   if spec.kind in limits.POOLED_KINDS else None)
         law = spec.law(K)
         crit = np.full(R, law.quantile(spec.level, weights))
         reports.append(BatchReport(statistic=stat, critical_value=crit, reject=stat > crit,

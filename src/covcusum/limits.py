@@ -617,10 +617,12 @@ class NullLaw:
         K weights give a float, and an (R, K) array gives an (R,) array whose
         entry r is the float that row r alone gives.  A level outside (0, 1) is
         refused, and so is a row of weights that is not K positive finite reals,
-        by its index in a stack; the q kinds read no weights.
+        by its index in a stack; the q kinds take none.
         """
         level = check_level(level)
         if self.method == "corrected":
+            if weights is not None:
+                raise ConfigurationError(f"kind {self.kind!r} takes no weights")
             return _corrected_quantile(self.kind, self.K, level, self.n_grid)
         stack = np.asarray(weights, dtype=object).ndim == 2
         rows = [real_vector(c, self.K, f"weights row {r}" if stack else "weights", 0.0,

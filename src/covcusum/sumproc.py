@@ -106,20 +106,11 @@ def project(sample: np.ndarray, pair: ProjectionPair) -> np.ndarray:
         return np.ascontiguousarray(np.moveaxis(np.multiply(yv, yw, out=yv), 0, -1))
 
 
-def _cumulative_target(target, n):
-    """Running sums of the target sequence, length n + 1, leading zero."""
-    if (target := real_array(target, "target", (0, 1))).ndim == 0:
-        return target * np.arange(n + 1)
-    if target.shape != (n,):
-        raise ShapeError(f"target length {target.shape} does not match sample length {n}")
-    return kahan_cumsum(target)
-
-
 def unscaled_deviation(s: np.ndarray, target=None) -> np.ndarray:
-    """Partial-sum deviation S_k - sum_{i<=k} target_i, or the bridge S_k - (k/N) S_N.
+    """Partial-sum deviation S_k - k * target, or the bridge S_k - (k/N) S_N.
 
-    ``s`` = S_0..S_N along its last axis, from ``kahan_cumsum``; one
-    target serves every row of a batch.  Length N + 1 for k = 0..N,
+    ``s`` = S_0..S_N along its last axis, from ``kahan_cumsum``; one real
+    ``target`` serves every row of a batch.  Length N + 1 for k = 0..N,
     not yet scaled: the sum-of-squares kinds divide it by sqrt(N), the
     pooled kinds by sqrt(N_total).  With ``target=None`` the deviation is
     target-free and both endpoints are zero bit-exactly; otherwise entry 0
@@ -133,7 +124,7 @@ def unscaled_deviation(s: np.ndarray, target=None) -> np.ndarray:
         out = s - (np.arange(n + 1) / n) * s[..., n:]
         out[..., n] = 0.0
     else:
-        out = s - _cumulative_target(target, n)
+        out = s - real_array(target, "target", 0) * np.arange(n + 1)
     out[..., 0] = 0.0
     return out
 

@@ -23,8 +23,8 @@ CALLS = {
     "kahan_cumsum": (sumproc.kahan_cumsum, SERIES, "series", 3.0),
     "project": (lambda y: sumproc.project(y, PAIR), np.ones((5, 2)), "sample", np.ones(2)),
     "unscaled_deviation": (sumproc.unscaled_deviation, SERIES, "partial sums", 3.0),
-    "unscaled_deviation-target": (lambda t: sumproc.unscaled_deviation(SERIES, t), SERIES[1:],
-                                  "target", SERIES[None, 1:]),
+    "unscaled_deviation-target": (lambda t: sumproc.unscaled_deviation(SERIES, t), 3.0,
+                                  "target", SERIES[1:]),
     "pooled_d_grid_max": (lambda f: sumproc.pooled_d_grid_max([f]), SERIES, "process",
                           SERIES[None, None]),
     "per_sample_max_sq": (lambda f: sumproc.per_sample_max_sq(f, 1.0), SERIES, "process",

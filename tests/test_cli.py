@@ -479,17 +479,17 @@ class TestTestCommand:
         assert rc == 2
         assert "seed:" not in capsys.readouterr().out
 
-    @pytest.mark.parametrize("kind, targets, bad", [("q", "nan,1", 0), ("v", "1,inf", 1)])
+    @pytest.mark.parametrize("kind, targets, read", [("q", "nan,1", "[nan, 1.0]"),
+                                                    ("v", "1,inf", "[1.0, inf]")])
     def test_non_finite_target_refused_before_seed_and_files(self, tmp_path, capsys,
-                                                             kind, targets, bad):
+                                                             kind, targets, read):
         rc = cli.main(["test", "--data", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"),
                        "--v", str(tmp_path / "v.txt"), "--kind", kind,
                        "--targets", targets] + FAST)
         assert rc == 2
         captured = capsys.readouterr()
         assert "seed:" not in captured.out
-        # Samples count from 1, as the per-sample lines of a report do.
-        assert f"sample {bad + 1}: target is not finite" in captured.err
+        assert f"targets must be one finite real per sample, got {read}" in captured.err
 
     @pytest.mark.parametrize("flags, message", [
         (["--targets", "1,2,3"], "--targets: got 3 values for 2 --data files"),

@@ -611,6 +611,16 @@ class TestCriticalValue:
                            match=r"^weights must be K positive finite reals, got "):
             law.quantile(0.95, weights)
 
+    @pytest.mark.parametrize("kind", limits.CORRECTED_KINDS)
+    @pytest.mark.parametrize("weights", ["junk", (1.0, 1.5), np.ones((3, 2))],
+                             ids=["junk", "K-weights", "stack"])
+    def test_corrected_law_refuses_weights(self, kind, weights):
+        # A q kind's law reads no weights; they were accepted and then ignored.
+        law = limits.NullLaw(kind, 2)
+        with pytest.raises(ConfigurationError, match=f"^kind '{kind}' takes no weights$"):
+            law.quantile(0.95, weights)
+        assert law.quantile(0.95) == limits.critical_value(law, 0.95)
+
     def test_law_names_the_bad_row_of_a_weight_stack(self):
         law = limits.NullLaw("v", 2, 500, 1000, 3)
         stack = np.array([[1.0, 1.5], [0.5, 2.0], [0.5, math.nan], [1.0, 1.0]])

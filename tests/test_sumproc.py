@@ -122,10 +122,13 @@ class TestDProcess:
         np.testing.assert_allclose(
             scaled(s, 2.5), [0.0, -1.5 / math.sqrt(2), 0.0], atol=1e-15)
 
-    def test_sequence_target_length_mismatch(self):
+    @pytest.mark.parametrize("target", [np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0])],
+                             ids=["length-N", "length-N+1"])
+    def test_sequence_target_refused(self, target):
+        # A target is one real: S_k - k * target, not the running sums of a sequence.
         s = np.array([0.0, 1.0, 5.0])
-        with pytest.raises(ShapeError):
-            scaled(s, np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(ShapeError, match="^expected a 0-d target, got ndim=1$"):
+            scaled(s, target)
 
 
 class TestBridgeProcess:
