@@ -5,8 +5,9 @@ printed seed reproduces it byte-identically; human-readable tables use 4.
 Exit codes: 0 success, 1 operational error, 2 invalid configuration.
 
 Importing ``covcusum`` loads no layer.  This module loads ``limits``,
-``simgen`` and ``sumproc``, all that ``critval`` and ``simulate`` run;
-``test`` imports ``cptest`` (and ``lrv``), ``experiment`` ``harness``.
+``simgen`` and ``sumproc``: ``critval`` runs ``limits``, ``simulate``
+``simgen``, and ``test`` streams its files through ``sumproc``; ``test``
+imports ``cptest`` (and ``lrv``), ``experiment`` ``harness``.
 
 Input files: a sample CSV has one row per time point and one column per
 coordinate; a vector file has one value per line.  Blank lines are
@@ -443,7 +444,7 @@ def main(argv=None):
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (CovCusumError, OSError) as exc:
+    except (CovCusumError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

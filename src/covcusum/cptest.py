@@ -145,7 +145,8 @@ def _statistic(sums, sizes, ests, spec):
 
     A value that overflows is refused: by its sample if that sample's squared
     standardized maximum (the sum-of-squares kinds) or its deviation (the pooled
-    kinds) does, else by its kind.
+    kinds) does, else by its kind.  A bridge kind refuses a sample of one
+    observation, whose bridge is identically zero.
     """
     K = len(sizes)
     targets = [None] * K if spec.targets is None else spec.targets
@@ -159,6 +160,8 @@ def _statistic(sums, sizes, ests, spec):
         # batch holds few such arrays at once.
         for j, (s, t, n) in enumerate(zip(sums, targets, sizes)):
             with _naming_sample(j):
+                if t is None and n == 1:
+                    raise ShapeError("a bridge needs at least 2 observations, got 1")
                 f = sumproc.unscaled_deviation(s, t)
             f /= root_total if pooled else math.sqrt(n)
             yield f

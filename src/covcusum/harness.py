@@ -28,8 +28,7 @@ import functools
 import itertools
 import json
 import math
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -150,10 +149,10 @@ class ExperimentConfig:
 
 @dataclass
 class CellResult:
-    """Rejection rate of one test on one cell.
+    """Rejection rate of one test on one cell, a row of ``results_to_csv``/``_json``.
 
-    ``wall_time`` is the wall time of the whole cell in seconds, shared by
-    all its tests: they run on one summary of each batch of panels.
+    Every field follows from the config and its seed (``seed`` is the cell's own,
+    ``child_seed(cfg.seed, cell index)``): same-seed runs write the same bytes.
     """
 
     case: str
@@ -165,7 +164,6 @@ class CellResult:
     rate: float
     stderr: float
     n_rep: int
-    wall_time: float
     seed: int
 
 
@@ -222,7 +220,6 @@ def _rejections(configs, specs, block):
 def run_cell(case, d, change_time, cfg: ExperimentConfig, cell_index, map_=map):
     """Run every test of ``cfg`` on one cell, its batches through ``map_``; ``change_time``
     is None under ``none``."""
-    t0 = time.perf_counter()
     configs, size = _cell_configs(case, d, change_time, cfg, cell_index)
     seed = configs[0].seed
     specs = [cptest.TestSpec(kind=t, level=cfg.level, n_grid=cfg.critval_n_grid,
@@ -231,8 +228,6 @@ def run_cell(case, d, change_time, cfg: ExperimentConfig, cell_index, map_=map):
     batches = map_(functools.partial(_rejections, configs, specs),
                    (range(a, min(a + size, n)) for a in range(0, n, size)))
     rejections = [sum(counts) for counts in zip(*batches)]
-
-    wall_time = time.perf_counter() - t0
     results = []
     for t, r in zip(cfg.tests, rejections):
         p = r / n
@@ -240,7 +235,7 @@ def run_cell(case, d, change_time, cfg: ExperimentConfig, cell_index, map_=map):
             case=case, d=d, scenario=cfg.scenario, change_time=change_time,
             test=t, lrv_mode=MODE_IN_SAMPLE if cfg.learning_length is None else MODE_LEARNING,
             rate=p, stderr=math.sqrt(p * (1 - p) / n),
-            n_rep=n, wall_time=wall_time, seed=seed))
+            n_rep=n, seed=seed))
     return results
 
 
@@ -263,14 +258,13 @@ def run_experiment(cfg: ExperimentConfig):
 def results_to_csv(results, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["case", "d", "scenario", "change_time", "test",
-                         "lrv_mode", "rate", "stderr", "n_rep", "wall_time", "seed"])
+        writer.writerow([f.name for f in fields(CellResult)])
         for r in results:
             writer.writerow([r.case, r.d, r.scenario,
                              "" if r.change_time is None else r.change_time,
                              r.test, r.lrv_mode,
                              f"{r.rate:.17g}", f"{r.stderr:.17g}",
-                             r.n_rep, f"{r.wall_time:.3f}", r.seed])
+                             r.n_rep, r.seed])
 
 
 def results_to_json(results, path):

@@ -617,7 +617,7 @@ class NullLaw:
         K weights give a float, and an (R, K) array gives an (R,) array whose
         entry r is the float that row r alone gives.  A level outside (0, 1) is
         refused, and so is a row of weights that is not K positive finite reals,
-        by its index in a stack; the q kinds take none.
+        or whose quantile overflows, by its index in a stack; the q kinds take none.
         """
         level = check_level(level)
         if self.method == "corrected":
@@ -625,15 +625,20 @@ class NullLaw:
                 raise ConfigurationError(f"kind {self.kind!r} takes no weights")
             return _corrected_quantile(self.kind, self.K, level, self.n_grid)
         stack = np.asarray(weights, dtype=object).ndim == 2
-        rows = [real_vector(c, self.K, f"weights row {r}" if stack else "weights", 0.0,
-                            math.inf, "K positive finite reals")
+        name = "weights row {}" if stack else "weights"
+        rows = [real_vector(c, self.K, name.format(r), 0.0, math.inf, "K positive finite reals")
                 for r, c in enumerate(weights if stack else [weights])]
         shift = BGK_BETA / math.sqrt(self.n_grid)  # once per call, for every row
         hi, lo = (np.maximum(a - shift, 0.0) for a in draw_extrema(
             "bb" if self.kind in BRIDGE_KINDS else "bm", self.K, self.n_rep, self.seed))
         # The grid supremum of |sum_j c_j B_j(s_j)| with positive c_j separates
         # per coordinate.  One matrix-vector product per row keeps each row's bits.
-        values = np.array([empirical_quantile(np.maximum(hi @ c, lo @ c), level) for c in rows])
+        with np.errstate(over="ignore"):  # an infinite quantile is refused below
+            values = np.array([empirical_quantile(np.maximum(hi @ c, lo @ c), level)
+                               for c in rows])
+        if not (finite := np.isfinite(values)).all():
+            r = int(np.argmin(finite))
+            raise ConfigurationError(f"{name.format(r)} overflow the quantile, got {rows[r]}")
         return values if stack else float(values[0])
 
 

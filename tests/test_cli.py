@@ -45,13 +45,6 @@ def fork_threads():
     return forks
 
 
-def _cut_wall_time(path):
-    """The lines of a results CSV without its wall_time column."""
-    rows = list(csv.reader(path.read_text().splitlines()))
-    cut = rows[0].index("wall_time")
-    return [",".join(r[:cut] + r[cut + 1:]) for r in rows]
-
-
 class TestLoaders:
     def test_matrix_with_header(self, tmp_path):
         f = tmp_path / "a.csv"
@@ -393,6 +386,19 @@ class TestTestCommand:
         assert report["kind"] == "q-breve"
         assert len(report["per_sample"]) == 2
 
+    @pytest.mark.parametrize("kind", limits.BRIDGE_KINDS)
+    def test_one_observation_bridge_refused_naming_file(self, tmp_path, capsys, kind):
+        # 59 of 60 rows learn, which leaves one tested observation, whose bridge is zero:
+        # the statistic read 0 and the test accepted.
+        data, v = self._panel_files(tmp_path, n=60)
+        rc = cli.main(["test", "--data", *data, "--v", v, "--kind", kind,
+                       "--learning-length", "59", "--seed", "5"] + FAST)
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {data[0]}: sample 1: a bridge needs at least 2 observations, got 1\n")
+
     def test_missing_projection_exit_code_two(self, tmp_path):
         data, _ = self._panel_files(tmp_path)
         rc = cli.main(["test", "--data", *data, "--kind", "q-breve",
@@ -667,6 +673,16 @@ class TestCritvalCommand:
         (row,) = csv.DictReader(out.read_text().splitlines())
         assert (row["n_rep"], row["seed"], row["method"]) == ("20000", "13", "exact-mc")
 
+    def test_draws_too_large_to_allocate_are_one_error_line(self, capsys):
+        # numpy refuses 1.6e15 bytes of draws at once, so nothing is allocated; its
+        # MemoryError ended in a traceback.
+        rc = cli.main(["critval", "--kind", "v-breve", "--K", "2", "--alpha", "1,1",
+                       "--kappa", "0.5,0.5", "--n-rep", str(10**14), "--seed", "1"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: Unable to allocate [^\n]+\n", captured.err)
+
     def test_missing_weights_exit_code_two(self):
         rc = cli.main(["critval", "--kind", "v", "--K", "2", "--seed", "1"] + FAST)
         assert rc == 2
@@ -851,6 +867,23 @@ class TestExperimentCommand:
         assert out_csv.read_text().startswith("case,")
         assert json.loads(out_json.read_text())[0]["n_rep"] == 3
 
+    def test_same_seed_outputs_are_the_same_bytes(self, tmp_path, monkeypatch):
+        # Twice at one worker and once at two, in batches of 2 replications: every CSV
+        # and every JSON holds the same bytes.
+        monkeypatch.setattr(harness, "PANEL_CHUNK_BYTES", 50_000)
+        outputs = []
+        for run, workers in enumerate(("1", "1", "2")):
+            out_csv, out_json = tmp_path / f"res-{run}.csv", tmp_path / f"res-{run}.json"
+            assert cli.main(["experiment", "--replications", "5", "--cases", "I", "--dims", "2",
+                             "--scenario", "sigma-change", "--seed", "21", "--workers", workers,
+                             "--out-csv", str(out_csv), "--out-json", str(out_json)] + FAST) == 0
+            outputs.append((out_json.read_bytes(), out_csv.read_bytes()))
+        assert outputs[0] == outputs[1] == outputs[2]
+        columns = ["case", "d", "scenario", "change_time", "test", "lrv_mode", "rate", "stderr",
+                   "n_rep", "seed"]
+        assert list(json.loads(outputs[0][0])[0]) == columns
+        assert next(csv.reader(outputs[0][1].decode().splitlines())) == columns
+
     def test_fresh_extrema_draws_equal_at_one_and_two_workers(self, tmp_path):
         tables = []
         for workers in ("1", "2"):
@@ -861,10 +894,7 @@ class TestExperimentCommand:
                            "--tests", "v-breve", "--workers", workers,
                            "--out-csv", str(out_csv)] + FAST)
             assert rc == 0
-            rows = list(csv.DictReader(out_csv.read_text().splitlines()))
-            for row in rows:
-                del row["wall_time"]
-            tables.append(rows)
+            tables.append(out_csv.read_bytes())
         assert tables[0] == tables[1]
 
     # Case I at d = 2 in batches of 2 replications (or 1 with a learning block): 5
@@ -882,9 +912,9 @@ class TestExperimentCommand:
             assert cli.main(["experiment", "--replications", "5", "--cases", "I", "--dims", "2",
                              "--seed", "21", "--workers", workers, *flags,
                              "--out-csv", str(out_csv)] + FAST) == 0
-            tables.append(_cut_wall_time(out_csv))
+            tables.append(out_csv.read_bytes())
         assert tables[0] == tables[1] == tables[2]
-        assert len(tables[0]) == (5 if "--change-times" in flags else 3)
+        assert len(tables[0].splitlines()) == (5 if "--change-times" in flags else 3)
 
     @pytest.mark.parametrize("error, status", [(DegenerateLrvError, 1),
                                                (ConfigurationError, 2)])

@@ -579,6 +579,19 @@ class TestBatch:
         assert len(cptest.run_batch([p[:, L:] for p in batch], specs, learning)) == len(kinds)
         assert calls == {"lrv_estimates": K, "kahan_cumsum": K}
 
+    @pytest.mark.parametrize("kind", limits.BRIDGE_KINDS)
+    def test_one_observation_bridge_refused_naming_sample(self, kind):
+        # The bridge of one observation is identically zero: the statistic read 0 and
+        # accepted whatever the data.  A plain kind's deviation is not zero there.
+        rng = np.random.default_rng(10)
+        batch = [rng.standard_normal((2, n)) ** 2 for n in (5, 1, 5)]
+        learning = [rng.standard_normal((2, 60)) ** 2 for _ in batch]
+        with pytest.raises(ShapeError, match="^sample 2: a bridge needs at least 2 "
+                                             "observations, got 1$") as exc:
+            cptest.run_batch(batch, [TestSpec(kind=kind, seed=3, **SMALL)], learning)
+        assert exc.value.sample_index == 1
+        cptest.run_batch(batch, [TestSpec(kind="q", targets=[1.0] * 3, **SMALL)], learning)
+
     def test_samples_of_unequal_replication_counts_refused(self):
         batch = [np.ones((3, 50)), np.ones((2, 50))]
         with pytest.raises(ShapeError, match="sample 2: 2 replications, but sample 1 has 3"):

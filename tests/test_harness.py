@@ -272,7 +272,7 @@ class TestRunExperiment:
             calls.clear()
             monkeypatch.setattr(harness, "PANEL_CHUNK_BYTES", budget)
             rows = harness.run_cell("I", 2, change_time, cfg, 0)
-            tables[budget] = [{**r.__dict__, "wall_time": None} for r in rows]
+            tables[budget] = rows
             configs = 1 if learning_length is None else 2
             assert sum(calls) == 5 * configs
             if budget == 1:
@@ -375,10 +375,10 @@ class TestRunExperiment:
         # (cases x dims x change times) order: cells after the last leave the
         # earlier rows as they were, bit for bit.
         cfg = ExperimentConfig(replications=5, seed=104, **grid, **FAST)
-        rows = [{**r.__dict__, "wall_time": None} for r in harness.run_experiment(cfg)]
+        rows = harness.run_experiment(cfg)
         longer = harness.run_experiment(dataclasses.replace(cfg, **appended))
         assert len(longer) == 2 * len(rows)
-        assert [{**r.__dict__, "wall_time": None} for r in longer[:len(rows)]] == rows
+        assert longer[:len(rows)] == rows
 
     def test_cell_seed_is_its_place_in_the_grid(self):
         # A cell put before another moves that one's seed, and so its rows.
@@ -435,8 +435,7 @@ class TestWorkers:
             assert (got_size, method) == (size, "fork")
             assert [(r.start, r.stop) for r in items] == batches
         serial = harness.run_experiment(dataclasses.replace(cfg, workers=1))
-        assert [{**r.__dict__, "wall_time": None} for r in rows] == [
-            {**r.__dict__, "wall_time": None} for r in serial]
+        assert rows == serial
 
     def test_one_pool_serves_every_cell(self, monkeypatch, pools):
         monkeypatch.setattr(harness, "PANEL_CHUNK_BYTES", 50_000)

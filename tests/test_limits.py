@@ -630,6 +630,17 @@ class TestCriticalValue:
         assert law.quantile(0.95, stack[:2]).shape == (2,)
         limits.draw_extrema.cache_clear()
 
+    def test_law_refuses_weights_whose_quantile_overflows(self):
+        # Weighted sums near twice the largest float overflowed with a RuntimeWarning, and
+        # the quantile read inf.
+        law = limits.NullLaw("v-breve", 2, 500, 1000, 3)
+        with pytest.raises(ConfigurationError,
+                           match=r"^weights overflow the quantile, got \(1e\+308, 1e\+308\)$"):
+            law.quantile(0.95, (1e308, 1e308))
+        with pytest.raises(ConfigurationError, match=r"^weights row 1 overflow the quantile, "):
+            law.quantile(0.95, [[1.0, 1.5], [1e308, 1e308]])
+        limits.draw_extrema.cache_clear()
+
     def test_missing_weights_rejected(self):
         with pytest.raises(ConfigurationError, match="requires alpha_weights and kappa"):
             NullLaw("v", 2, seed=1, **SMALL).weights()

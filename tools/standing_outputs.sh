@@ -7,10 +7,9 @@
 #
 # Run it in a copy of the parent commit (git archive) and in the change,
 # then `diff -r` the two directories: an empty diff means unchanged outputs.
-# OUT_DIR holds only deterministic outputs: every seed is fixed, and the
-# experiments' wall_time column is cut. The wide test's 152 MB of input CSV
-# is made in a temporary directory and removed. PYTHON names the interpreter
-# (default python3).
+# OUT_DIR holds only deterministic outputs: every seed is fixed. The wide
+# test's 152 MB of input CSV is made in a temporary directory and removed.
+# PYTHON names the interpreter (default python3).
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -28,17 +27,11 @@ cd "$out"  # relative paths, so that printed paths do not name OUT_DIR
 
 covcusum() { "$py" -m covcusum.cli "$@"; }
 
-# An experiment: its stdout and its CSV without the wall_time column.
+# An experiment: its stdout and its CSV.
 experiment() {
   local name=$1
   shift
-  covcusum experiment "$@" --out-csv "$tmp/cell.csv" > "$name.txt"
-  "$py" - "$tmp/cell.csv" > "$name.csv" <<'EOF'
-import csv, sys
-rows = list(csv.reader(open(sys.argv[1])))
-cut = rows[0].index("wall_time")
-print("\n".join(",".join(r[:cut] + r[cut + 1:]) for r in rows))
-EOF
+  covcusum experiment "$@" --out-csv "$name.csv" > "$name.txt"
 }
 
 # The cell-iv workload of perfbench at two seeds.
